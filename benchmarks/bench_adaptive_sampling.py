@@ -5,8 +5,8 @@ Times the verification stage of the global (Algorithm 2) and weakly-global
 fixed ``n_worlds = 200`` per-candidate batches of the paper's experiments
 against the adaptive engine of :mod:`repro.sampling.adaptive` (geometric
 world chunks + anytime-valid Hoeffding / empirical-Bernstein stopping at the
-default 0.95 confidence).  Both paths run on the world-matrix engine
-(``backend="csr"``) with the local pruning stage computed once and excluded,
+default 0.95 confidence).  Both paths run on the world-matrix engine with
+the local pruning stage computed once and excluded,
 so the measured delta is exactly the worlds the sequential test avoids
 drawing.
 
@@ -80,7 +80,7 @@ def compare_sampling_strategies(
     algorithms: tuple[str, ...] = ("global", "weak"),
 ):
     """Time fixed vs adaptive sampling on one graph; one row dict per algorithm."""
-    local = local_nucleus_decomposition(graph, theta, backend="csr")
+    local = local_nucleus_decomposition(graph, theta)
     k = max(1, local.max_score)
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
     rows = []
@@ -88,11 +88,11 @@ def compare_sampling_strategies(
         run = runners[algorithm]
         fixed_result, fixed_seconds = _timed(
             run, graph, k=k, theta=theta, n_samples=n_worlds,
-            local_result=local, seed=seed, backend="csr",
+            local_result=local, seed=seed,
         )
         adaptive_result, adaptive_seconds = _timed(
             run, graph, k=k, theta=theta, n_samples=n_worlds,
-            local_result=local, seed=seed, backend="csr",
+            local_result=local, seed=seed,
             sampling="adaptive", confidence=confidence,
         )
         rows.append(

@@ -3,7 +3,7 @@
 One parametrized driver replaces the ten seed-era ``bench_table*.py`` /
 ``bench_figure*.py`` / ``bench_ablation_*.py`` files: each case resolves its
 :class:`~repro.experiments.pipeline.ExperimentSpec` from the registry, runs
-it through :func:`~repro.experiments.pipeline.run_spec` on the CSR backend,
+it through :func:`~repro.experiments.pipeline.run_spec`,
 re-applies the experiment's headline sanity check, and prints the formatted
 report.  Per-experiment parameter overrides (sample sizes, datasets) match
 what the retired drivers used, so timings stay comparable across PRs.
@@ -115,7 +115,7 @@ CASES = [
 @pytest.mark.parametrize("name,overrides,check", CASES, ids=[c[0] for c in CASES])
 def test_experiment(benchmark, bench_scale, name, overrides, check):
     spec = get_spec(name)
-    config = RunConfig(backend="csr", scale=bench_scale, seed=0)
+    config = RunConfig(scale=bench_scale, seed=0)
     run = run_once(benchmark, run_spec, spec, config, overrides)
     check(run.rows)
     print()

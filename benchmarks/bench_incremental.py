@@ -114,7 +114,7 @@ def _bench_dataset(
     edges = {tuple(sorted((u, v), key=repr)): p for u, v, p in graph.edges()}
 
     with timer() as build_timer:
-        index = build_local_index(graph, theta, backend="csr")
+        index = build_local_index(graph, theta)
     build_seconds = build_timer.seconds
 
     # Warm-up update: the first apply_updates assembles the incremental
@@ -141,7 +141,7 @@ def _bench_dataset(
         for label in labels:  # the vertex set is fixed under edge updates
             updated.add_vertex(label)
         with timer() as rebuild_timer:
-            rebuilt = build_local_index(updated, theta, backend="csr")
+            rebuilt = build_local_index(updated, theta)
         rebuild_seconds = rebuild_timer.seconds
 
         _assert_parity(index, rebuilt, dataset, step)

@@ -1,32 +1,26 @@
-"""Benchmark: array-native peel engine vs the PR1-era CSR peeling path.
+"""Benchmark: the array-native peel engine, instrumented and compiled.
 
-Before the peel engine landed, ``backend="csr"`` initialised κ-scores with
-the batched estimators and then *translated the flat index back into
-label-space dict state* — one canonical tuple per triangle, one dict of
-canonical 4-clique tuples per triangle — to run the reference lazy-heap
-loop.  This benchmark preserves that legacy path verbatim
-(:func:`legacy_csr_scores`) and times it against the current pipeline
-(:mod:`repro.core.peel`: flat incidence arrays + bucket queue, label
-translation only for the final score dictionary) on every bundled dataset
-analogue.  Both sides must return identical scores (asserted).
+Times the CSR peel pipeline (:mod:`repro.core.peel`: flat incidence arrays +
+bucket queue, label translation only for the final score dictionary) on
+every bundled dataset analogue.
 
-The benchmark also pins the cost of the observability layer: every dataset
-is peeled once more with telemetry enabled (``REPRO_OBS`` spans + counters)
-and the enabled/disabled ratio is reported as ``obs_overhead``.
+The benchmark pins the cost of the observability layer: every dataset is
+peeled once more with telemetry enabled (``REPRO_OBS`` spans + counters) and
+the enabled/disabled ratio is reported as ``obs_overhead``.
 
-A fourth timing column exercises the compiled kernel layer
+A third timing column exercises the compiled kernel layer
 (:mod:`repro.kernels`): the same engine peel with ``kernel="numba"`` when
 numba is importable, reported as ``kernel_seconds`` / ``kernel_speedup``
 (engine-over-kernel).  Without numba the rows fall back to the numpy
 kernel (``kernel_speedup`` ≈ 1) and the ``--min-kernel-speedup`` gate
 skips with a notice instead of failing — the numpy-only CI leg still runs
-the benchmark, the numba leg gates ``--scale large`` at 5x geomean.
+the benchmark, the numba leg gates ``--scale large`` at 5x geomean.  The
+instrumented and kernel peels must return the engine's scores (asserted).
 
 Results are printed as a table and written to ``BENCH_peel_engine.json``;
-CI's ``bench-smoke`` job runs this with ``--min-speedup 1.5`` (the engine
-must beat the legacy CSR path by at least 1.5x on every bundled dataset)
-and ``--max-obs-overhead 1.03`` (instrumentation may cost at most 3%
-geomean over the uninstrumented engine).  Standalone usage::
+CI's ``bench-smoke`` job runs this with ``--max-obs-overhead 1.03``
+(instrumentation may cost at most 3% geomean over the uninstrumented
+engine).  Standalone usage::
 
     python benchmarks/bench_peel_engine.py --scale small --theta 0.3
 """
@@ -41,16 +35,13 @@ import sys
 from pathlib import Path
 
 try:
-    from repro.core.local import _peel_states
+    from repro.core.local import _csr_engine_arrays, _label_space_scores
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.core.local import _peel_states
+    from repro.core.local import _csr_engine_arrays, _label_space_scores
 
 from repro.core.approximations import DynamicProgrammingEstimator
-from repro.core.batch import batched_initial_kappas, build_triangle_extension_index
 from repro.core.hybrid import HybridEstimator
-from repro.core.local import _csr_engine_arrays, _label_space_scores, _TriangleState
-from repro.deterministic.cliques import canonical_four_clique, canonical_triangle
 from repro.experiments.datasets import DATASET_NAMES, SCALES, load_dataset
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import numba_available
@@ -59,50 +50,6 @@ from repro.obs import timer
 
 DEFAULT_JSON = "BENCH_peel_engine.json"
 DEFAULT_THETA = 0.3
-
-
-def legacy_csr_scores(csr: CSRProbabilisticGraph, theta: float, estimator) -> dict:
-    """The PR1-era CSR path: batched κ-init, then a dict-state heap peel.
-
-    Replicates the retired ``_build_states_csr`` translation exactly — the
-    flat index is expanded into canonical label-space tuples and per-triangle
-    dicts of alive 4-cliques before the reference peel loop runs.
-    """
-    index = build_triangle_extension_index(csr)
-    kappas = batched_initial_kappas(index, theta, estimator)
-    labels = csr.vertex_labels
-    try:
-        plainly_sorted = all(labels[i] <= labels[i + 1] for i in range(len(labels) - 1))
-    except TypeError:
-        plainly_sorted = False
-    states = {}
-    by_clique: dict = {}
-    for i, (u, v, w) in enumerate(index.triangles):
-        lu, lv, lw = labels[u], labels[v], labels[w]
-        triangle = (lu, lv, lw) if plainly_sorted else canonical_triangle(lu, lv, lw)
-        alive: dict = {}
-        extensions = index.extension_probabilities[i]
-        for position, z in enumerate(index.completing[i].tolist()):
-            lz = labels[z]
-            if plainly_sorted:
-                if lz <= lu:
-                    clique = (lz, lu, lv, lw)
-                elif lz <= lv:
-                    clique = (lu, lz, lv, lw)
-                elif lz <= lw:
-                    clique = (lu, lv, lz, lw)
-                else:
-                    clique = (lu, lv, lw, lz)
-            else:
-                clique = canonical_four_clique(lu, lv, lw, lz)
-            alive[clique] = float(extensions[position])
-            by_clique.setdefault(clique, []).append(triangle)
-        states[triangle] = _TriangleState(
-            probability=float(index.triangle_probabilities[i]),
-            kappa=int(kappas[i]),
-            alive_cliques=alive,
-        )
-    return _peel_states(states, by_clique, estimator, theta)
 
 
 def engine_csr_scores(
@@ -140,7 +87,7 @@ def run_peel_engine(
     estimator_name: str = "dp",
     repeats: int = 3,
 ) -> dict:
-    """Time legacy vs engine CSR peeling on every bundled dataset analogue."""
+    """Time the engine peel, instrumented and compiled, on every dataset analogue."""
     factory = HybridEstimator if estimator_name == "hybrid" else DynamicProgrammingEstimator
     # Request the compiled kernels only when numba is importable: the numpy
     # fallback rows stay meaningful (and warning-free) on the numpy-only leg.
@@ -148,9 +95,6 @@ def run_peel_engine(
     rows = []
     for name in DATASET_NAMES:
         csr = load_dataset(name, scale=scale).to_csr()
-        legacy, legacy_seconds = _best_of(
-            legacy_csr_scores, csr, theta, factory(), repeats=repeats
-        )
         engine, engine_seconds = _best_of(
             engine_csr_scores, csr, theta, factory(), repeats=repeats
         )
@@ -164,18 +108,15 @@ def run_peel_engine(
         kernel_scores, kernel_seconds = _best_of(
             engine_csr_scores, csr, theta, factory(), kernel_impl, repeats=repeats
         )
-        assert engine == legacy, f"peel engine diverged from legacy path on {name}"
-        assert obs_engine == legacy, f"instrumented peel diverged on {name}"
-        assert kernel_scores == legacy, (
-            f"{kernel_impl} kernel peel diverged from legacy path on {name}"
+        assert obs_engine == engine, f"instrumented peel diverged on {name}"
+        assert kernel_scores == engine, (
+            f"{kernel_impl} kernel peel diverged from the numpy engine on {name}"
         )
         rows.append(
             {
                 "dataset": name,
-                "triangles": len(legacy),
-                "legacy_seconds": legacy_seconds,
+                "triangles": len(engine),
                 "engine_seconds": engine_seconds,
-                "speedup": legacy_seconds / engine_seconds,
                 "obs_seconds": obs_seconds,
                 "obs_overhead": obs_seconds / engine_seconds,
                 "kernel": kernel_impl,
@@ -183,7 +124,6 @@ def run_peel_engine(
                 "kernel_speedup": engine_seconds / kernel_seconds,
             }
         )
-    speedups = [row["speedup"] for row in rows]
     overheads = [row["obs_overhead"] for row in rows]
     kernel_speedups = [row["kernel_speedup"] for row in rows]
     return {
@@ -196,11 +136,6 @@ def run_peel_engine(
         "machine": platform.machine(),
         "rows": rows,
         "summary": {
-            "min_speedup": min(speedups),
-            "max_speedup": max(speedups),
-            "geomean_speedup": math.exp(
-                sum(math.log(s) for s in speedups) / len(speedups)
-            ),
             "geomean_obs_overhead": math.exp(
                 sum(math.log(o) for o in overheads) / len(overheads)
             ),
@@ -215,16 +150,15 @@ def format_peel_engine(report: dict) -> str:
     lines = [
         f"scale={report['scale']} theta={report['theta']} "
         f"estimator={report['estimator']} kernel={report['kernel']}",
-        f"{'dataset':<12} {'triangles':>9} {'legacy (s)':>11} "
-        f"{'engine (s)':>11} {'speedup':>8} {'obs (s)':>9} {'ovh':>6} "
+        f"{'dataset':<12} {'triangles':>9} "
+        f"{'engine (s)':>11} {'obs (s)':>9} {'ovh':>6} "
         f"{'kernel (s)':>11} {'kspeed':>7}",
-        "-" * 93,
+        "-" * 72,
     ]
     for row in report["rows"]:
         lines.append(
             f"{row['dataset']:<12} {row['triangles']:>9} "
-            f"{row['legacy_seconds']:>11.4f} {row['engine_seconds']:>11.4f} "
-            f"{row['speedup']:>7.2f}x "
+            f"{row['engine_seconds']:>11.4f} "
             f"{row['obs_seconds']:>9.4f} {row['obs_overhead']:>5.2f}x "
             f"{row['kernel_seconds']:>11.4f} {row['kernel_speedup']:>6.2f}x"
         )
@@ -236,8 +170,6 @@ def test_peel_engine(benchmark, bench_scale, tmp_path):
 
     report = run_once(benchmark, run_peel_engine, scale=bench_scale)
     (tmp_path / DEFAULT_JSON).write_text(json.dumps(report, indent=2))
-    # The acceptance headline: the flat engine beats the legacy CSR path.
-    assert report["summary"]["min_speedup"] > 1.0
     print()
     print(format_peel_engine(report))
 
@@ -253,14 +185,6 @@ def main(argv=None) -> int:
         default=DEFAULT_JSON,
         metavar="PATH",
         help=f"write the machine-readable report here (default: {DEFAULT_JSON})",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless the engine beats the legacy CSR path by at "
-        "least X on every dataset (CI acceptance gate)",
     )
     parser.add_argument(
         "--max-obs-overhead",
@@ -291,25 +215,11 @@ def main(argv=None) -> int:
     print(format_peel_engine(report))
     summary = report["summary"]
     print(
-        f"\nmin speedup {summary['min_speedup']:.2f}x · "
-        f"geomean {summary['geomean_speedup']:.2f}x · "
-        f"max {summary['max_speedup']:.2f}x · "
-        f"obs overhead {summary['geomean_obs_overhead']:.3f}x · "
+        f"\nobs overhead {summary['geomean_obs_overhead']:.3f}x · "
         f"kernel geomean {summary['geomean_kernel_speedup']:.2f}x "
         f"({report['kernel']}) · report -> {args.json}"
     )
 
-    if args.min_speedup is not None:
-        offenders = [r for r in report["rows"] if r["speedup"] < args.min_speedup]
-        if offenders:
-            for row in offenders:
-                print(
-                    f"GATE FAILURE: {row['dataset']} engine speedup "
-                    f"{row['speedup']:.2f}x is below the required "
-                    f"{args.min_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-            return 1
     if args.max_obs_overhead is not None:
         overhead = summary["geomean_obs_overhead"]
         if overhead > args.max_obs_overhead:

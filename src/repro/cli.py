@@ -44,7 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="nucleus level (required for --mode global/weak)",
     )
-    build.add_argument("--backend", choices=("dict", "csr"), default="dict")
+    build.add_argument(
+        "--backend",
+        default="csr",
+        help="retired engine switch: csr (default) or the deprecated dict, "
+        "which warns and runs csr",
+    )
     build.add_argument("--seed", type=int, default=None, help="RNG seed for Monte-Carlo modes")
     build.add_argument(
         "--n-samples",
@@ -58,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="fixed",
         help="Monte-Carlo strategy for --mode global/weak: fixed per-candidate "
         "batches (default) or confidence-driven sequential early stopping "
-        "(requires --backend csr; recorded in the index header)",
+        "(recorded in the index header)",
     )
     build.add_argument(
         "--confidence",
@@ -78,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("numpy", "numba"),
         default="numpy",
         help="hot-loop implementation: portable numpy (default) or the "
-        "compiled kernels of the [kernels] extra (requires --backend csr; "
-        "falls back to numpy with a warning when numba is not installed)",
+        "compiled kernels of the [kernels] extra (falls back to numpy with a "
+        "warning when numba is not installed)",
     )
     build.add_argument(
         "--partitions",
@@ -87,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="edge partitions per candidate world sample for --mode "
         "global/weak (default 1 = monolithic matrix; >1 bounds peak memory "
-        "by a single partition block, requires --backend csr)",
+        "by a single partition block)",
     )
     build.add_argument(
         "--no-compress",

@@ -12,7 +12,7 @@ Public entry points:
   :class:`HybridEstimator`.
 * The array-native peel engine of :mod:`repro.core.peel`
   (:func:`peel_kappa_scores` + the :class:`KappaRepair` hooks), which every
-  ``backend="csr"`` decomposition path runs on.
+  decomposition runs on.
 """
 
 from repro.core.approximations import (
@@ -41,12 +41,7 @@ from repro.core.peel import (
     MonteCarloKappaRepair,
     peel_kappa_scores,
 )
-from repro.core.local import (
-    BACKENDS,
-    clique_extension_probability,
-    local_nucleus_decomposition,
-    triangle_existence_probability,
-)
+from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import (
     NO_VALID_K,
@@ -54,14 +49,9 @@ from repro.core.support_dp import (
     poisson_binomial_pmf,
     support_tail_probabilities,
 )
-from repro.core.weak_nucleus import (
-    triangle_weak_scores,
-    triangle_weak_scores_matrix,
-    weak_nucleus_decomposition,
-)
+from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
 
 __all__ = [
-    "BACKENDS",
     "CSRTriangleIndex",
     "batched_initial_kappas",
     "build_triangle_extension_index",
@@ -81,16 +71,13 @@ __all__ = [
     "candidate_closure",
     "global_nucleus_decomposition",
     "union_of_nuclei",
-    "clique_extension_probability",
     "local_nucleus_decomposition",
-    "triangle_existence_probability",
     "LocalNucleusDecomposition",
     "ProbabilisticNucleus",
     "NO_VALID_K",
     "max_k_at_threshold",
     "poisson_binomial_pmf",
     "support_tail_probabilities",
-    "triangle_weak_scores",
     "triangle_weak_scores_matrix",
     "weak_nucleus_decomposition",
 ]

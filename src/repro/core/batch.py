@@ -3,7 +3,7 @@
 Algorithm 1 spends most of its initialization time evaluating, per triangle,
 the support tail ``Pr[ζ ≥ k]`` — with the exact Equation-7 dynamic program or
 one of the §5.3 statistical approximations — one Python call at a time.  This
-module replaces that with a *batched* path used by ``backend="csr"``:
+module replaces that with a *batched* path:
 
 1. :func:`build_triangle_extension_index` walks a
    :class:`~repro.graph.csr.CSRProbabilisticGraph` once and produces, for
@@ -17,15 +17,14 @@ module replaces that with a *batched* path used by ``backend="csr"``:
 
 The vectorized kernels mirror the scalar estimators' floating-point
 arithmetic operation for operation within each recurrence.  One caveat keeps
-the parity guarantee honest: the CSR path aggregates each triangle's
-extension probabilities in canonical completing-vertex order, while the dict
-backend consumes them in 4-clique *discovery* order (which, coming from set
-iteration, is not even stable across interpreter runs for non-integer
-labels).  Reordering a floating-point sum can move a tail by an ulp, so a
-κ-score could in principle differ between backends — but only when
-``Pr(△)·Pr[ζ ≥ k]`` lies within one ulp of ``θ`` exactly.  The
-backend-parity tests assert identical decomposition output on every seed
-fixture, and the scaling benchmark asserts it on every workload it times.
+the parity guarantee honest: this path aggregates each triangle's extension
+probabilities in canonical completing-vertex order, while the dict reference
+loop (the test oracle) consumes them in 4-clique *discovery* order (which,
+coming from set iteration, is not even stable across interpreter runs for
+non-integer labels).  Reordering a floating-point sum can move a tail by an
+ulp, so a κ-score could in principle differ between the two — but only when
+``Pr(△)·Pr[ζ ≥ k]`` lies within one ulp of ``θ`` exactly.  The parity tests
+assert identical decomposition output on every seed fixture.
 Custom :class:`~repro.core.approximations.SupportEstimator` subclasses
 without a vectorized kernel fall back to their scalar ``max_k`` per
 triangle.

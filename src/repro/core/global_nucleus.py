@@ -23,23 +23,21 @@ under the rule "every triangle of the candidate must be covered by at least
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.local import BACKENDS, local_nucleus_decomposition
+from repro.core.local import check_backend, local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
     Triangle,
-    enumerate_triangles,
     triangle_clique_index,
     triangles_of_clique,
 )
-from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
-from repro.graph.possible_worlds import sample_world
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 from repro.sampling.adaptive import (
@@ -63,11 +61,8 @@ from repro.sampling.world_matrix import (
 __all__ = ["global_nucleus_decomposition", "candidate_closure", "union_of_nuclei"]
 
 
-def resolve_sampling_options(
-    backend: str,
-    n_jobs: int,
-    rng: "random.Random | np.random.Generator | None",
-    seed: int | None,
+def validate_sampling_options(
+    n_jobs: int = 1,
     sampling: str = "fixed",
     confidence: float = DEFAULT_CONFIDENCE,
     n_worlds_max: int | None = None,
@@ -76,39 +71,26 @@ def resolve_sampling_options(
     n_samples: int | None = None,
     kernel: str = "numpy",
     partitions: int = 1,
-) -> "tuple[random.Random | np.random.Generator, AdaptiveSettings | None, str]":
-    """Validate the sampling knobs shared by Algorithms 2 and 3.
+) -> AdaptiveSettings | None:
+    """Validate the engine knobs of Algorithms 2 and 3; the one validator.
 
-    Returns ``(engine_rng, adaptive_settings, resolved_kernel)``.  The engine RNG for the
-    selected backend is a :class:`random.Random` for the dict path (created
-    from ``seed`` when not supplied) or a numpy
-    :class:`~numpy.random.Generator` for the world-matrix path (a supplied
-    ``random.Random`` is converted deterministically, see
-    :func:`repro.sampling.world_matrix.as_numpy_generator`).  World sharding
-    (``n_jobs > 1``) only exists in the matrix engine.
-
-    ``adaptive_settings`` is ``None`` for ``sampling="fixed"`` and a
-    validated :class:`~repro.sampling.adaptive.AdaptiveSettings` for
-    ``sampling="adaptive"`` (which requires the world-matrix engine, i.e.
-    ``backend="csr"``).  ``resolved_kernel`` is ``kernel`` after the
-    numba-availability fallback of :func:`repro.kernels.resolve_kernel`
-    (``kernel="numba"`` requires ``backend="csr"``).  ``partitions > 1``
-    switches candidate verification to the partitioned sampler of
-    :mod:`repro.sampling.partitioned` — ``backend="csr"`` and
-    ``sampling="fixed"`` only, since the sequential test draws incremental
-    chunks the partitioned single-pass estimator cannot.  Out-of-range or
-    non-finite knobs raise
+    Used by both drivers and by
+    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_samples`` is checked
+    by name first, before the adaptive cap is derived from it.  Returns
+    ``None`` for ``sampling="fixed"`` and a validated
+    :class:`~repro.sampling.adaptive.AdaptiveSettings` for
+    ``sampling="adaptive"``.  ``partitions > 1`` switches candidate
+    verification to the partitioned sampler of
+    :mod:`repro.sampling.partitioned` and requires ``sampling="fixed"``,
+    since the sequential test draws incremental chunks the partitioned
+    single-pass estimator cannot.  Out-of-range or non-finite knobs raise
     :class:`~repro.exceptions.InvalidParameterError` here, before any
     sampling starts.
     """
-    if backend not in BACKENDS:
-        raise InvalidParameterError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if n_samples is not None:
+        _require_positive_int("n_samples", n_samples)
     if n_jobs < 1:
         raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-    if n_jobs > 1 and backend != "csr":
-        raise InvalidParameterError(
-            'n_jobs > 1 requires backend="csr" (the dict engine samples world-by-world)'
-        )
     settings = resolve_adaptive_settings(
         sampling,
         confidence=confidence,
@@ -117,36 +99,14 @@ def resolve_sampling_options(
         chunk_growth=chunk_growth,
         n_samples=n_samples,
     )
-    if settings is not None and backend != "csr":
-        raise InvalidParameterError(
-            'sampling="adaptive" requires backend="csr" (the sequential test '
-            "runs on the world-matrix engine)"
-        )
-    if kernel != "numpy" and backend != "csr":
-        resolve_kernel(kernel, warn=False)  # surface unknown names first
-        raise InvalidParameterError(
-            f'kernel={kernel!r} requires backend="csr" (the dict engine has '
-            "no array loops to compile)"
-        )
+    resolve_kernel(kernel, warn=False)
     _require_positive_int("partitions", partitions)
-    if partitions > 1 and backend != "csr":
-        raise InvalidParameterError(
-            'partitions > 1 requires backend="csr" (the partitioned sampler '
-            "runs on the world-matrix engine)"
-        )
     if partitions > 1 and settings is not None:
         raise InvalidParameterError(
             'partitions > 1 requires sampling="fixed" (the sequential test '
             "draws incremental chunks the partitioned estimator cannot)"
         )
-    resolved_kernel = resolve_kernel(kernel)
-    if backend == "csr":
-        return as_numpy_generator(rng, seed), settings, resolved_kernel
-    if rng is None:
-        return random.Random(seed), settings, resolved_kernel
-    if isinstance(rng, np.random.Generator):
-        return random.Random(int(rng.integers(0, 2**63))), settings, resolved_kernel
-    return rng, settings, resolved_kernel
+    return settings
 
 
 def union_of_nuclei(nuclei: Sequence[ProbabilisticNucleus]) -> ProbabilisticGraph:
@@ -216,36 +176,6 @@ def _cliques_to_subgraph(
     return graph.edge_subgraph(edges)
 
 
-def _world_contains_triangle(world: ProbabilisticGraph, triangle: Triangle) -> bool:
-    u, v, w = triangle
-    return world.has_edge(u, v) and world.has_edge(u, w) and world.has_edge(v, w)
-
-
-def _verify_candidate_dict(
-    subgraph: ProbabilisticGraph,
-    k: int,
-    theta: float,
-    n_samples: int,
-    rng: random.Random,
-) -> tuple[bool, list[Triangle]]:
-    """Reference Monte-Carlo verification: one dict world at a time."""
-    triangles = list(enumerate_triangles(subgraph))
-    if not triangles:
-        return False, triangles
-
-    worlds = [sample_world(subgraph, rng=rng) for _ in range(n_samples)]
-    nucleus_worlds = [world for world in worlds if is_k_nucleus(world, k)]
-
-    for triangle in triangles:
-        hits = sum(
-            1 for world in nucleus_worlds
-            if _world_contains_triangle(world, triangle)
-        )
-        if hits / n_samples < theta:
-            return False, triangles
-    return True, triangles
-
-
 def _verify_candidate_matrix(
     subgraph: ProbabilisticGraph,
     k: int,
@@ -310,7 +240,7 @@ def _verify_candidate_adaptive(
 
 
 def global_nucleus_decomposition(
-    graph: ProbabilisticGraph,
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
     epsilon: float = 0.1,
@@ -320,7 +250,7 @@ def global_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "dict",
+    backend: str = "csr",
     n_jobs: int = 1,
     sampling: str = "fixed",
     confidence: float = DEFAULT_CONFIDENCE,
@@ -332,10 +262,16 @@ def global_nucleus_decomposition(
 ) -> list[ProbabilisticNucleus]:
     """Find (approximate) g-(k, θ)-nuclei of ``graph`` via Algorithm 2.
 
+    The local pruning runs on the array-native peel engine
+    (:func:`~repro.core.local.local_nucleus_decomposition`) and every
+    candidate is verified with the vectorized world-matrix sampler
+    (:mod:`repro.sampling.world_matrix`).
+
     Parameters
     ----------
     graph:
-        The probabilistic graph.
+        The probabilistic graph; a
+        :class:`~repro.graph.csr.CSRProbabilisticGraph` is accepted too.
     k:
         Required 4-clique support of every triangle.
     theta:
@@ -349,42 +285,36 @@ def global_nucleus_decomposition(
         A pre-computed local decomposition of ``graph`` at the same θ, reused
         to avoid recomputing the pruning step.
     rng, seed:
-        Source of randomness for the world sampling.  Runs are reproducible
-        for a fixed ``seed`` (or a seeded ``rng``) on both backends; each
-        backend consumes its own kind of stream, so the two backends draw
-        different (identically distributed) world samples.
+        Source of randomness for the world sampling: a numpy
+        :class:`~numpy.random.Generator` or a :class:`random.Random`
+        (converted deterministically).  Runs are reproducible for a fixed
+        ``seed`` or a seeded ``rng``.
     backend:
-        ``"dict"`` (default) samples and verifies worlds one at a time on the
-        dict substrate; ``"csr"`` runs the local pruning on the array-native
-        peel engine (:mod:`repro.core.peel`, via
-        :func:`~repro.core.local.local_nucleus_decomposition`) and verifies
-        every candidate with the vectorized world-matrix sampler
-        (:mod:`repro.sampling.world_matrix`).
+        Retired engine switch, kept for ``__api_version__ = "1"``; see
+        :func:`~repro.core.local.check_backend`.
     n_jobs:
         Number of ``multiprocessing`` workers sharding each candidate's
-        world matrix (``backend="csr"`` only).  Results are identical for
-        every ``n_jobs`` value at a fixed seed because the matrix is sampled
-        before it is split.
+        world matrix.  Results are identical for every ``n_jobs`` value at
+        a fixed seed because the matrix is sampled before it is split.
     sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
         ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
         per candidate, bit-identical to previous releases.
-        ``sampling="adaptive"`` (``backend="csr"`` only) draws worlds in
-        geometric chunks and stops each candidate as soon as anytime-valid
-        confidence bounds settle its θ decision at level ``confidence``,
-        capped at ``n_worlds_max`` (default ``2 × n_samples``); see
-        :mod:`repro.sampling.adaptive`.
+        ``sampling="adaptive"`` draws worlds in geometric chunks and stops
+        each candidate as soon as anytime-valid confidence bounds settle its
+        θ decision at level ``confidence``, capped at ``n_worlds_max``
+        (default ``2 × n_samples``); see :mod:`repro.sampling.adaptive`.
     kernel:
         ``"numpy"`` (default) or ``"numba"`` — compiled hot loops for the
         local pruning peel and the world verification
-        (:mod:`repro.kernels`); ``backend="csr"`` only, falls back to numpy
-        (with a one-time warning) when numba is not installed.
+        (:mod:`repro.kernels`); falls back to numpy (with a one-time
+        warning) when numba is not installed.
     partitions:
         Number of contiguous edge partitions each candidate's world sample
         is drawn in (default 1 = the monolithic matrix).  ``partitions > 1``
-        (``backend="csr"``, ``sampling="fixed"`` only) bounds peak memory by
-        a single ``(n_samples, num_edges / partitions)`` block — how
-        ``scale=large`` graphs whose matrices exceed RAM stay decomposable;
-        see :mod:`repro.sampling.partitioned`.
+        (``sampling="fixed"`` only) bounds peak memory by a single
+        ``(n_samples, num_edges / partitions)`` block — how ``scale=large``
+        graphs whose matrices exceed RAM stay decomposable; see
+        :mod:`repro.sampling.partitioned`.
 
     Returns
     -------
@@ -392,17 +322,17 @@ def global_nucleus_decomposition(
         The verified candidates, deduplicated by edge set, with
         ``mode="global"``.
     """
+    check_backend(backend)
+    if isinstance(graph, CSRProbabilisticGraph):
+        graph = graph.to_probabilistic()
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    engine_rng, adaptive, kernel = resolve_sampling_options(
-        backend,
+    adaptive = validate_sampling_options(
         n_jobs,
-        rng,
-        seed,
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,
@@ -412,65 +342,84 @@ def global_nucleus_decomposition(
         kernel=kernel,
         partitions=partitions,
     )
+    engine_rng = as_numpy_generator(rng, seed)
+    kernel = resolve_kernel(kernel)
 
     if local_result is None:
         local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
+            graph, theta, estimator=estimator, kernel=kernel
         )
     local_nuclei = local_result.nuclei(k)
     if not local_nuclei:
         return []
+
+    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
+
+    def verify(subgraph: ProbabilisticGraph) -> tuple[bool, list[Triangle]]:
+        if adaptive is not None:
+            return _verify_candidate_adaptive(
+                subgraph, k, theta, adaptive, engine_rng, pool, kernel=kernel
+            )
+        return _verify_candidate_matrix(
+            subgraph, k, theta, n_samples, engine_rng, pool,
+            kernel=kernel, partitions=partitions,
+        )
+
+    try:
+        return _verified_nuclei(graph, local_nuclei, k, theta, verify)
+    finally:
+        if pool is not None:
+            pool.close()
+
+
+def _verified_nuclei(
+    graph: ProbabilisticGraph,
+    local_nuclei: Sequence[ProbabilisticNucleus],
+    k: int,
+    theta: float,
+    verify: Callable[[ProbabilisticGraph], tuple[bool, list[Triangle]]],
+) -> list[ProbabilisticNucleus]:
+    """Algorithm 2's candidate loop: grow, deduplicate, verify, keep maximal.
+
+    One candidate is grown per triangle of the union of ``local_nuclei``
+    (:func:`candidate_closure`); candidates with the same 4-clique set are
+    verified once, ``verify(subgraph)`` returns ``(passes, triangles)``, and
+    accepted subgraphs are deduplicated by edge set before
+    :func:`_keep_maximal`.
+    """
     candidate_graph = union_of_nuclei(local_nuclei)
     by_triangle, _ = triangle_clique_index(candidate_graph)
 
     solutions: list[ProbabilisticNucleus] = []
     seen_candidates: set[frozenset[FourClique]] = set()
     seen_solutions: set[frozenset[Edge]] = set()
+    for seed_triangle in by_triangle:
+        cliques = candidate_closure(candidate_graph, seed_triangle, k, by_triangle)
+        if not cliques:
+            continue
+        candidate_key = frozenset(cliques)
+        if candidate_key in seen_candidates:
+            continue
+        seen_candidates.add(candidate_key)
 
-    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
-    try:
-        for seed_triangle in by_triangle:
-            cliques = candidate_closure(candidate_graph, seed_triangle, k, by_triangle)
-            if not cliques:
-                continue
-            candidate_key = frozenset(cliques)
-            if candidate_key in seen_candidates:
-                continue
-            seen_candidates.add(candidate_key)
+        subgraph = _cliques_to_subgraph(graph, cliques)
+        all_pass, triangles = verify(subgraph)
+        if not all_pass:
+            continue
 
-            subgraph = _cliques_to_subgraph(graph, cliques)
-            if adaptive is not None:
-                all_pass, triangles = _verify_candidate_adaptive(
-                    subgraph, k, theta, adaptive, engine_rng, pool, kernel=kernel
-                )
-            elif backend == "csr":
-                all_pass, triangles = _verify_candidate_matrix(
-                    subgraph, k, theta, n_samples, engine_rng, pool,
-                    kernel=kernel, partitions=partitions,
-                )
-            else:
-                all_pass, triangles = _verify_candidate_dict(
-                    subgraph, k, theta, n_samples, engine_rng
-                )
-            if not all_pass:
-                continue
-
-            edge_key = frozenset(canonical_edge(u, v) for u, v, _ in subgraph.edges())
-            if edge_key in seen_solutions:
-                continue
-            seen_solutions.add(edge_key)
-            solutions.append(
-                ProbabilisticNucleus(
-                    k=k,
-                    theta=theta,
-                    mode="global",
-                    subgraph=subgraph,
-                    triangles=frozenset(triangles),
-                )
+        edge_key = frozenset(canonical_edge(u, v) for u, v, _ in subgraph.edges())
+        if edge_key in seen_solutions:
+            continue
+        seen_solutions.add(edge_key)
+        solutions.append(
+            ProbabilisticNucleus(
+                k=k,
+                theta=theta,
+                mode="global",
+                subgraph=subgraph,
+                triangles=frozenset(triangles),
             )
-    finally:
-        if pool is not None:
-            pool.close()
+        )
     return _keep_maximal(solutions)
 
 

@@ -31,9 +31,9 @@ for the exact oracle the peel value of a triangle is the generalized-core
 number of a monotone local score function, independent of the order in
 which minimum triangles are peeled; for the approximations the trajectory
 itself is replicated.  The surviving extension probabilities are summed in
-the same (completing-vertex) order as the dict state on the CSR path.
-``tests/test_peel_engine.py`` and ``tests/test_backend_parity.py`` pin the
-parity on every fixture, estimator, and a randomized graph sweep.
+canonical completing-vertex order.  ``tests/test_peel_engine.py`` and
+``tests/test_backend_parity.py`` pin the parity against the dict oracle on
+every fixture, estimator, and a randomized graph sweep.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ class EstimatorKappaRepair(KappaRepair):
     """Repair κ with a :class:`SupportEstimator` (exact DP or any §5.3 approximation).
 
     This is the hook the decomposition entry points install: it evaluates the
-    same ``max_k`` the dict backend calls during its repairs, so the two
-    backends score identically.
+    same ``max_k`` the dict reference loop calls during its repairs, so the
+    two score identically.
     """
 
     def __init__(
@@ -468,7 +468,7 @@ def _peel_kappa_scores(
       verbatim: a :class:`~repro.peeling.LazyMinHeap` over
       ``(κ, triangle row)`` entries with per-death repairs and re-pushes —
       row order coincides with canonical triangle order under the CSR
-      relabelling, so ties break exactly as in the dict backend.
+      relabelling, so ties break exactly as in the dict reference loop.
 
     Returns the ``int64`` score array parallel to ``index.triangles``; the
     assigned scores are clamped to the running peel level exactly like the

@@ -20,27 +20,25 @@ Algorithm 3 approximates it:
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.global_nucleus import resolve_sampling_options
+from repro.core.global_nucleus import validate_sampling_options
 from repro.sampling.partitioned import partitioned_weak_counts
-from repro.core.local import local_nucleus_decomposition
+from repro.core.local import check_backend, local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     Triangle,
     triangle_clique_index,
     triangle_connected_components,
 )
-from repro.deterministic.nucleus import (
-    k_nucleus_triangle_groups,
-    nucleus_decomposition,
-    triangles_to_edge_subgraph,
-)
+from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import InvalidParameterError
-from repro.graph.possible_worlds import sample_world
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.kernels import resolve_kernel
 from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
     DEFAULT_CHUNK_INITIAL,
@@ -52,44 +50,11 @@ from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
+    as_numpy_generator,
     weak_membership_counts,
 )
 
-__all__ = [
-    "weak_nucleus_decomposition",
-    "triangle_weak_scores",
-    "triangle_weak_scores_matrix",
-]
-
-
-def triangle_weak_scores(
-    candidate: ProbabilisticGraph,
-    k: int,
-    n_samples: int,
-    rng: random.Random,
-) -> dict[Triangle, float]:
-    """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
-
-    Samples ``n_samples`` possible worlds of ``candidate``; in each world the
-    deterministic nucleus decomposition identifies the triangles belonging to
-    some k-nucleus, and each such triangle's counter is incremented
-    (Algorithm 3, lines 5–9).  The returned dictionary maps every triangle of
-    the candidate (not just the ones that ever scored) to its estimate.
-    """
-    if n_samples <= 0:
-        raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
-    by_triangle, _ = triangle_clique_index(candidate)
-    counts: dict[Triangle, int] = {t: 0 for t in by_triangle}
-
-    for _ in range(n_samples):
-        world = sample_world(candidate, rng=rng)
-        world_scores = nucleus_decomposition(world)
-        groups = k_nucleus_triangle_groups(world, k, nucleusness=world_scores)
-        for group in groups:
-            for triangle in group:
-                if triangle in counts:
-                    counts[triangle] += 1
-    return {t: c / n_samples for t, c in counts.items()}
+__all__ = ["weak_nucleus_decomposition", "triangle_weak_scores_matrix"]
 
 
 def triangle_weak_scores_matrix(
@@ -102,15 +67,15 @@ def triangle_weak_scores_matrix(
     kernel: str = "numpy",
     partitions: int = 1,
 ) -> dict[Triangle, float]:
-    """World-matrix counterpart of :func:`triangle_weak_scores`.
+    """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
 
     Samples all ``n_samples`` worlds of ``candidate`` at once as a boolean
-    edge matrix and counts per-triangle k-nucleus membership batch-wise
+    edge matrix and counts, per triangle, the worlds in which it belongs to
+    some deterministic k-nucleus (Algorithm 3, lines 5–9) batch-wise
     (:func:`repro.sampling.world_matrix.weak_membership_counts`), optionally
-    sharding the matrix across a :class:`WorldShardPool`.  The per-world
-    membership rule is identical to the dict path; only the sampled stream
-    differs (numpy bits instead of ``random.Random`` bits), so the two
-    estimators agree in distribution.  ``kernel="numba"`` runs the compiled
+    sharding the matrix across a :class:`WorldShardPool`.  The returned
+    dictionary maps every triangle of the candidate (not just the ones that
+    ever scored) to its estimate.  ``kernel="numba"`` runs the compiled
     per-world peel (:mod:`repro.kernels.worlds`); ``partitions > 1`` samples
     the candidate's edge range one partition block at a time
     (:func:`repro.sampling.partitioned.partitioned_weak_counts`) so the
@@ -141,27 +106,24 @@ def _qualifying_triangles_adaptive(
     rng: "np.random.Generator",
     pool: WorldShardPool | None = None,
     kernel: str = "numpy",
-) -> tuple[dict[Triangle, float], set[Triangle]]:
+) -> set[Triangle]:
     """Sequential counterpart of the score-then-threshold step of Algorithm 3.
 
-    Returns ``(scores, qualifying)`` where ``qualifying`` is decided by the
-    anytime-valid confidence bounds of
-    :func:`repro.sampling.adaptive.adaptive_weak_scores` rather than by
-    thresholding the point estimates, so easy candidates stop after a few
-    chunks.
+    Returns the qualifying triangles, decided by the anytime-valid
+    confidence bounds of :func:`repro.sampling.adaptive.adaptive_weak_scores`
+    rather than by thresholding the point estimates, so easy candidates stop
+    after a few chunks.
     """
     index = CandidateWorldIndex.from_graph(candidate)
-    estimates, qualifying, _ = adaptive_weak_scores(
+    _, qualifying, _ = adaptive_weak_scores(
         index, k, theta, settings, rng=rng, pool=pool, kernel=kernel
     )
     labels = index.triangle_labels()
-    scores = dict(zip(labels, estimates.tolist()))
-    chosen = {label for label, keep in zip(labels, qualifying.tolist()) if keep}
-    return scores, chosen
+    return {label for label, keep in zip(labels, qualifying.tolist()) if keep}
 
 
 def weak_nucleus_decomposition(
-    graph: ProbabilisticGraph,
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
     epsilon: float = 0.1,
@@ -171,7 +133,7 @@ def weak_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "dict",
+    backend: str = "csr",
     n_jobs: int = 1,
     sampling: str = "fixed",
     confidence: float = DEFAULT_CONFIDENCE,
@@ -185,36 +147,33 @@ def weak_nucleus_decomposition(
 
     Parameters mirror
     :func:`repro.core.global_nucleus.global_nucleus_decomposition`; the
-    returned nuclei carry ``mode="weakly-global"``.  ``backend`` selects both
-    the engine of the candidate-producing local decomposition (``"dict"`` or
-    ``"csr"``, the latter running the bucket-queue peel of
-    :mod:`repro.core.peel` — see
-    :func:`repro.core.local.local_nucleus_decomposition`) and the
-    Monte-Carlo scorer: ``"dict"`` samples candidate worlds one at a time
-    (:func:`triangle_weak_scores`) while ``"csr"`` scores each candidate with
-    the vectorized world-matrix engine
+    returned nuclei carry ``mode="weakly-global"``.  The candidate-producing
+    local decomposition runs on the bucket-queue peel of
+    :mod:`repro.core.peel` (see
+    :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
+    is scored with the vectorized world-matrix engine
     (:func:`triangle_weak_scores_matrix`), optionally sharded across
-    ``n_jobs`` worker processes.  ``sampling="adaptive"`` (``backend="csr"``
-    only) replaces the fixed-``n_samples`` scorer with the sequential test of
+    ``n_jobs`` worker processes.  ``sampling="adaptive"`` replaces the
+    fixed-``n_samples`` scorer with the sequential test of
     :mod:`repro.sampling.adaptive`: each candidate keeps drawing geometric
     world chunks until every triangle's θ decision is settled at level
     ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` and
     ``partitions`` mirror
     :func:`~repro.core.global_nucleus.global_nucleus_decomposition`:
     compiled hot loops and partitioned (larger-than-RAM) candidate
-    sampling, both ``backend="csr"`` only.
+    sampling.
     """
+    check_backend(backend)
+    if isinstance(graph, CSRProbabilisticGraph):
+        graph = graph.to_probabilistic()
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    engine_rng, adaptive, kernel = resolve_sampling_options(
-        backend,
+    adaptive = validate_sampling_options(
         n_jobs,
-        rng,
-        seed,
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,
@@ -224,57 +183,77 @@ def weak_nucleus_decomposition(
         kernel=kernel,
         partitions=partitions,
     )
+    engine_rng = as_numpy_generator(rng, seed)
+    kernel = resolve_kernel(kernel)
 
     if local_result is None:
         local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
+            graph, theta, estimator=estimator, kernel=kernel
         )
     candidates = local_result.nuclei(k)
 
-    solutions: list[ProbabilisticNucleus] = []
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
+
+    def qualifying(subgraph: ProbabilisticGraph) -> set[Triangle]:
+        if adaptive is not None:
+            return _qualifying_triangles_adaptive(
+                subgraph, k, theta, adaptive, engine_rng, pool=pool, kernel=kernel
+            )
+        scores = triangle_weak_scores_matrix(
+            subgraph, k, n_samples, rng=engine_rng, pool=pool,
+            kernel=kernel, partitions=partitions,
+        )
+        return {t for t, score in scores.items() if score >= theta}
+
     try:
-        for candidate in candidates:
-            subgraph = candidate.subgraph
-            if adaptive is not None:
-                scores, qualifying = _qualifying_triangles_adaptive(
-                    subgraph, k, theta, adaptive, engine_rng, pool=pool, kernel=kernel
-                )
-            elif backend == "csr":
-                scores = triangle_weak_scores_matrix(
-                    subgraph, k, n_samples, rng=engine_rng, pool=pool,
-                    kernel=kernel, partitions=partitions,
-                )
-                qualifying = {t for t, score in scores.items() if score >= theta}
-            else:
-                scores = triangle_weak_scores(subgraph, k, n_samples, engine_rng)
-                qualifying = {t for t, score in scores.items() if score >= theta}
-            if not qualifying:
-                continue
-            by_triangle, by_clique = triangle_clique_index(subgraph)
-            allowed = {
-                clique
-                for clique, members in by_clique.items()
-                if all(t in qualifying for t in members)
-            }
-            covered = {
-                t for t in qualifying
-                if any(c in allowed for c in by_triangle.get(t, ()))
-            }
-            if not covered:
-                continue
-            components = triangle_connected_components(covered, by_triangle, allowed)
-            for component in components:
-                solutions.append(
-                    ProbabilisticNucleus(
-                        k=k,
-                        theta=theta,
-                        mode="weakly-global",
-                        subgraph=triangles_to_edge_subgraph(graph, component),
-                        triangles=frozenset(component),
-                    )
-                )
+        return _weak_nuclei(graph, candidates, k, theta, qualifying)
     finally:
         if pool is not None:
             pool.close()
+
+
+def _weak_nuclei(
+    graph: ProbabilisticGraph,
+    candidates: Sequence[ProbabilisticNucleus],
+    k: int,
+    theta: float,
+    qualifying: Callable[[ProbabilisticGraph], set[Triangle]],
+) -> list[ProbabilisticNucleus]:
+    """Group each candidate's qualifying triangles into w-nuclei (Algorithm 3).
+
+    ``qualifying(subgraph)`` returns the triangles of a local-nucleus
+    candidate whose estimated weak score reaches θ.  A 4-clique is allowed
+    when all four of its triangles qualify, a qualifying triangle is covered
+    when some allowed clique contains it, and the covered triangles split
+    into 4-clique-connected components, one nucleus each.
+    """
+    solutions: list[ProbabilisticNucleus] = []
+    for candidate in candidates:
+        subgraph = candidate.subgraph
+        chosen = qualifying(subgraph)
+        if not chosen:
+            continue
+        by_triangle, by_clique = triangle_clique_index(subgraph)
+        allowed = {
+            clique
+            for clique, members in by_clique.items()
+            if all(t in chosen for t in members)
+        }
+        covered = {
+            t for t in chosen
+            if any(c in allowed for c in by_triangle.get(t, ()))
+        }
+        if not covered:
+            continue
+        components = triangle_connected_components(covered, by_triangle, allowed)
+        for component in components:
+            solutions.append(
+                ProbabilisticNucleus(
+                    k=k,
+                    theta=theta,
+                    mode="weakly-global",
+                    subgraph=triangles_to_edge_subgraph(graph, component),
+                    triangles=frozenset(component),
+                )
+            )
     return solutions

@@ -5,7 +5,7 @@ Every table/figure of the paper is described by an
 computation, row schema, paper-layout formatter) registered in
 :mod:`repro.experiments.registry` and executed by the shared pipeline of
 :mod:`repro.experiments.pipeline` — one code path with a
-:class:`~repro.experiments.pipeline.RunConfig` (backend/scale/seed/jobs),
+:class:`~repro.experiments.pipeline.RunConfig` (scale/seed/jobs),
 decomposition snapshots cached as :class:`~repro.index.NucleusIndex` files,
 parallel grid cells, and ``EXPERIMENTS_<name>.json`` artifacts.  The legacy
 ``run_*``/``format_*`` functions remain as thin wrappers;

@@ -112,7 +112,6 @@ def _run_cell(
             graph,
             theta,
             estimator=DynamicProgrammingEstimator(),
-            backend=config.backend,
             kernel=config.kernel,
         )
     dp_seconds = dp_timer.seconds
@@ -124,8 +123,7 @@ def _run_cell(
         else:
             with timer() as t:
                 result = local_nucleus_decomposition(
-                    graph, theta, estimator=estimator, backend=config.backend,
-                    kernel=config.kernel,
+                    graph, theta, estimator=estimator, kernel=config.kernel,
                 )
             seconds = t.seconds
         total = len(exact.scores)
@@ -172,10 +170,9 @@ def run_ablation_hybrid(
     scale: str = "small",
     graph: ProbabilisticGraph | None = None,
     estimators: Sequence[SupportEstimator] | None = None,
-    backend: str = "csr",
 ) -> list[AblationHybridRow]:
     """Run the local decomposition once per estimator and compare against DP."""
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC,
         config,

@@ -122,7 +122,7 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend="csr", dataset=params["dataset"], kernel=config.kernel
+        graph, theta, dataset=params["dataset"], kernel=config.kernel
     )
     k = max(1, local.max_score)
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
@@ -135,7 +135,7 @@ def _run_cell(
             with timer() as fixed_timer:
                 fixed = run(
                     graph, k=k, theta=theta, n_samples=n_samples,
-                    local_result=local, seed=seed, backend="csr",
+                    local_result=local, seed=seed,
                 )
             fixed_key = _nuclei_key(fixed)
             for confidence in params["confidences"]:
@@ -143,7 +143,7 @@ def _run_cell(
                 with timer() as adaptive_timer:
                     adaptive = run(
                         graph, k=k, theta=theta, n_samples=n_samples,
-                        local_result=local, seed=seed, backend="csr",
+                        local_result=local, seed=seed,
                         sampling="adaptive", confidence=confidence,
                         n_worlds_max=config.n_worlds_max,
                     )

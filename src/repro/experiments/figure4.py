@@ -11,7 +11,7 @@ This module reruns the same sweep on the dataset analogues and reports the
 series in seconds.  Each cell also records the maximum nucleus score so the
 accuracy experiments can confirm DP and AP agree.  Because the experiment
 *measures* decomposition runtime, its cells never consult the decomposition
-cache — every timing is a fresh run on the configured backend.
+cache — every timing is a fresh run.
 """
 
 from __future__ import annotations
@@ -69,12 +69,10 @@ COLUMNS = (
 
 
 def _time_decomposition(
-    graph: ProbabilisticGraph, theta: float, estimator, backend: str
+    graph: ProbabilisticGraph, theta: float, estimator
 ) -> tuple[float, int]:
     with timer() as t:
-        result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend
-        )
+        result = local_nucleus_decomposition(graph, theta, estimator=estimator)
     return t.seconds, result.max_score
 
 
@@ -91,12 +89,8 @@ def _run_cell(
 ) -> list[Figure4Row]:
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
-    dp_seconds, dp_max = _time_decomposition(
-        graph, theta, DynamicProgrammingEstimator(), config.backend
-    )
-    ap_seconds, ap_max = _time_decomposition(
-        graph, theta, HybridEstimator(), config.backend
-    )
+    dp_seconds, dp_max = _time_decomposition(graph, theta, DynamicProgrammingEstimator())
+    ap_seconds, ap_max = _time_decomposition(graph, theta, HybridEstimator())
     return [
         Figure4Row(
             dataset=params["dataset"],
@@ -131,10 +125,9 @@ def run_figure4(
     names: Sequence[str] = DATASET_NAMES,
     thetas: Sequence[float] = DEFAULT_THETAS,
     scale: str = "small",
-    backend: str = "csr",
 ) -> list[Figure4Row]:
     """Run the DP-vs-AP runtime sweep and return one row per (dataset, θ)."""
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
     )

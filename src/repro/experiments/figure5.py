@@ -77,15 +77,14 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, dataset=params["dataset"], kernel=config.kernel,
     )
     k = max(1, local.max_score)
 
     with timer() as fg_timer:
         fg = global_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
-            local_result=local, seed=seed, backend=config.backend,
+            local_result=local, seed=seed,
             **config.sampling_kwargs(),
         )
     fg_seconds = fg_timer.seconds
@@ -93,7 +92,7 @@ def _run_cell(
     with timer() as wg_timer:
         wg = weak_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
-            local_result=local, seed=seed, backend=config.backend,
+            local_result=local, seed=seed,
             **config.sampling_kwargs(),
         )
     wg_seconds = wg_timer.seconds
@@ -134,7 +133,6 @@ def run_figure5(
     n_samples: int = 200,
     scale: str = "small",
     seed: int = 0,
-    backend: str = "csr",
 ) -> list[Figure5Row]:
     """Time FG and WG on each dataset analogue.
 
@@ -142,7 +140,7 @@ def run_figure5(
     both algorithms for pruning) and its cost is *excluded* from the reported
     times, matching the paper's framing of FG/WG as a post-processing stage.
     """
-    config = RunConfig(backend=backend, scale=scale, seed=seed)
+    config = RunConfig(scale=scale, seed=seed)
     return run_spec_rows(
         SPEC,
         config,

@@ -73,8 +73,7 @@ def _run_cell(
         graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params.get("dataset"),
-        kernel=config.kernel,
+        graph, theta, dataset=params.get("dataset"), kernel=config.kernel,
     )
     max_k = params.get("max_k")
     top = local.max_score if max_k is None else min(max_k, local.max_score)
@@ -125,7 +124,6 @@ def run_figure7(
     scale: str = "small",
     graph: ProbabilisticGraph | None = None,
     max_k: int | None = None,
-    backend: str = "csr",
 ) -> list[Figure7Row]:
     """Sweep ``k`` from 1 to the maximum nucleus score and collect the four series.
 
@@ -139,10 +137,8 @@ def run_figure7(
         Optional pre-built graph, used by tests.
     max_k:
         Optional cap on the sweep.
-    backend:
-        Decomposition engine (``"csr"`` default, ``"dict"`` reference path).
     """
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC,
         config,

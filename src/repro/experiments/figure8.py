@@ -84,8 +84,7 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, dataset=params["dataset"], kernel=config.kernel,
     )
     max_k = max(1, local.max_score)
 
@@ -98,7 +97,7 @@ def _run_cell(
             n.subgraph
             for n in global_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
-                local_result=local, seed=seed, backend=config.backend,
+                local_result=local, seed=seed,
                 **config.sampling_kwargs(),
             )
         )
@@ -106,7 +105,7 @@ def _run_cell(
             n.subgraph
             for n in weak_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
-                local_result=local, seed=seed, backend=config.backend,
+                local_result=local, seed=seed,
                 **config.sampling_kwargs(),
             )
         )
@@ -153,7 +152,6 @@ def run_figure8(
     n_samples: int = 100,
     scale: str = "small",
     seed: int = 0,
-    backend: str = "csr",
 ) -> list[Figure8Row]:
     """Compute the Figure 8 bars: per dataset, average PD/PCC of g-, w-, and ℓ-nuclei.
 
@@ -162,7 +160,7 @@ def run_figure8(
     averages are over all nuclei of all ``k`` values, matching the paper's
     "averaging over all the possible values of k".
     """
-    config = RunConfig(backend=backend, scale=scale, seed=seed)
+    config = RunConfig(scale=scale, seed=seed)
     return run_spec_rows(
         SPEC,
         config,

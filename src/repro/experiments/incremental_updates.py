@@ -154,7 +154,7 @@ def _run_cell(
     edges = {
         tuple(sorted((u, v), key=repr)): p for u, v, p in graph.edges()
     }
-    index = build_local_index(graph, theta, backend=config.backend)
+    index = build_local_index(graph, theta)
 
     rows: list[IncrementalUpdateRow] = []
     for batch in range(1, params["num_batches"] + 1):
@@ -170,7 +170,7 @@ def _run_cell(
         for label in labels:  # the vertex set is fixed under edge updates
             updated.add_vertex(label)
         with timer() as rebuild_timer:
-            rebuilt = build_local_index(updated, theta, backend=config.backend)
+            rebuilt = build_local_index(updated, theta)
         rebuild_seconds = rebuild_timer.seconds
 
         parity = index.fingerprint == rebuilt.fingerprint and all(
@@ -217,7 +217,6 @@ def run_incremental_updates(
     batch_size: int = 4,
     scale: str = "small",
     graph: ProbabilisticGraph | None = None,
-    backend: str = "csr",
 ) -> list[IncrementalUpdateRow]:
     """Replay seeded update streams and compare incremental vs rebuild costs.
 
@@ -231,10 +230,8 @@ def run_incremental_updates(
         Length of the replayed stream and updates per batch.
     graph:
         Optional pre-built graph, used by tests.
-    backend:
-        Decomposition engine for the base build and the rebuild baseline.
     """
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC,
         config,

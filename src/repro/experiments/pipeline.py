@@ -1,15 +1,15 @@
 """Declarative experiment pipeline over the CSR / index stack.
 
 Every table and figure of the paper's evaluation used to be a hand-rolled
-``run_*``/``format_*`` pair running serially on the dict backend.  The
-pipeline replaces those ten copies with one execution path:
+``run_*``/``format_*`` pair running serially.  The pipeline replaces those
+ten copies with one execution path:
 
 * :class:`ExperimentSpec` — the declarative description of one experiment:
   its parameter grid, the per-cell computation, the row schema, and the
   paper-layout formatter (built on :mod:`repro.experiments.formatting`).
-* :class:`RunConfig` — the knobs threaded end to end: backend (default
-  ``"csr"``, the array-native engines of PRs 1–4), dataset scale, base seed,
-  ``n_jobs`` for parallel grid cells, and the artifact output directory.
+* :class:`RunConfig` — the knobs threaded end to end: dataset scale, base
+  seed, ``n_jobs`` for parallel grid cells, the artifact output directory,
+  and the Monte-Carlo / kernel engine knobs.
 * :class:`DecompositionCache` — decompositions snapshotted as
   :class:`~repro.index.NucleusIndex` files keyed by (graph fingerprint, mode,
   θ, estimator), so the many specs sharing a (dataset, decomposition) cell
@@ -40,7 +40,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-from repro.exceptions import InvalidParameterError
+from repro.core.global_nucleus import validate_sampling_options
 from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
@@ -48,7 +48,6 @@ from repro.obs.metrics import snapshot as obs_snapshot
 from repro.obs.spans import capture as obs_capture
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.adaptive import resolve_adaptive_settings
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -66,9 +65,6 @@ __all__ = [
 #: Format marker written into every ``EXPERIMENTS_<name>.json`` artifact.
 ARTIFACT_FORMAT = "repro-experiments-artifact-v1"
 
-#: Backends accepted by :class:`RunConfig` (mirrors ``repro.core.local.BACKENDS``).
-_BACKENDS = ("dict", "csr")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,9 +72,6 @@ class RunConfig:
 
     Attributes
     ----------
-    backend:
-        Decomposition engine: ``"csr"`` (default — the array-native stack) or
-        ``"dict"`` (the seed-era reference path).
     scale:
         Dataset registry scale (``"tiny"`` or ``"small"``).
     seed:
@@ -107,16 +100,20 @@ class RunConfig:
     kernel:
         Hot-loop implementation: ``"numpy"`` (default) or ``"numba"`` — the
         compiled peel / world-verification kernels of :mod:`repro.kernels`
-        (``backend="csr"`` only; falls back to numpy with a one-time warning
-        when numba is not installed).  The artifact config block records
-        both the request and the resolved value.
+        (falls back to numpy with a one-time warning when numba is not
+        installed).  The artifact config block records both the request and
+        the resolved value.
     partitions:
         Edge partitions per candidate world sample in global/weak cells
-        (default 1 = monolithic matrix; >1 requires ``backend="csr"`` and
-        ``sampling="fixed"``, see :mod:`repro.sampling.partitioned`).
+        (default 1 = monolithic matrix; >1 requires ``sampling="fixed"``, see
+        :mod:`repro.sampling.partitioned`).
+
+    The engine knobs are validated by the same
+    :func:`~repro.core.global_nucleus.validate_sampling_options` the
+    decomposition drivers call, so a bad value fails at construction rather
+    than at the first global/weak cell.
     """
 
-    backend: str = "csr"
     scale: str = "small"
     seed: int = 0
     n_jobs: int = 1
@@ -131,49 +128,14 @@ class RunConfig:
     partitions: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
-        if self.n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {self.n_jobs}")
-        # Validate the sampling knobs eagerly (typed InvalidParameterError),
-        # and reject adaptive sampling on the dict engine up front rather
-        # than at the first global/weak cell.
-        resolve_adaptive_settings(
-            self.sampling,
+        validate_sampling_options(
+            self.n_jobs,
+            sampling=self.sampling,
             confidence=self.confidence,
             n_worlds_max=self.n_worlds_max,
-            n_samples=None,
+            kernel=self.kernel,
+            partitions=self.partitions,
         )
-        if self.sampling == "adaptive" and self.backend != "csr":
-            raise InvalidParameterError(
-                'sampling="adaptive" requires backend="csr" (the sequential '
-                "test runs on the world-matrix engine)"
-            )
-        if self.kernel != "numpy":
-            resolve_kernel(self.kernel, warn=False)
-            if self.backend != "csr":
-                raise InvalidParameterError(
-                    f'kernel={self.kernel!r} requires backend="csr" (the dict '
-                    "engine has no array loops to compile)"
-                )
-        if not isinstance(self.partitions, int) or isinstance(self.partitions, bool) \
-                or self.partitions < 1:
-            raise InvalidParameterError(
-                f"partitions must be a positive integer, got {self.partitions!r}"
-            )
-        if self.partitions > 1:
-            if self.backend != "csr":
-                raise InvalidParameterError(
-                    'partitions > 1 requires backend="csr" (the partitioned '
-                    "sampler runs on the world-matrix engine)"
-                )
-            if self.sampling != "fixed":
-                raise InvalidParameterError(
-                    'partitions > 1 requires sampling="fixed" (the sequential '
-                    "test draws incremental chunks)"
-                )
 
     def sampling_kwargs(self) -> dict:
         """Keyword arguments for the decomposition drivers' sampling knobs.
@@ -293,7 +255,6 @@ class ExperimentRun:
             "title": self.spec.title,
             "paper_reference": self.spec.paper_reference,
             "config": {
-                "backend": self.config.backend,
                 "scale": self.config.scale,
                 "seed": self.config.seed,
                 "n_jobs": self.config.n_jobs,
@@ -420,26 +381,20 @@ class DecompositionCache:
     everything a local decomposition's output depends on.  The estimator
     descriptor is its name plus, for parameterised estimators (the hybrid's
     §5.3 thresholds), a digest of their ``parameters`` object, so two
-    differently-tuned instances of one class never share a snapshot.  The
-    backend is deliberately *not* part of the key: ``"dict"`` and ``"csr"``
-    produce identical local decompositions (pinned since PR 1), so a
-    snapshot built by either serves both.  With a ``directory`` the store is a shared on-disk pool of
-    ``.npz`` snapshots (written atomically, safe for concurrent worker
-    processes); without one it memoises in memory only.
+    differently-tuned instances of one class never share a snapshot.  With a
+    ``directory`` the store is a shared on-disk pool of ``.npz`` snapshots
+    (written atomically, safe for concurrent worker processes); without one
+    it memoises in memory only.
 
     ``hits`` / ``misses`` count rehydrations vs fresh computations and are
     surfaced in the run artifacts — CI's experiments-smoke job fails when a
     suite that should share decompositions never hits the cache.
 
     Disk rehydration rebuilds the score dictionary in sorted triangle order
-    — the same order a fresh ``backend="csr"`` run produces, so on the
-    default backend a disk hit is indistinguishable from a recompute (pinned
-    by the warm-vs-cold pipeline tests).  A fresh ``backend="dict"`` run
-    builds its scores in graph-traversal order instead; downstream
-    Monte-Carlo candidate enumeration follows that order, so a dict-backend
-    run against a warm *disk* cache can pair sampled worlds with candidates
-    differently than a cold one (identical distribution, different draw).
-    In-memory hits return the original result object and are always exact.
+    — the same order a fresh decomposition produces, so a disk hit is
+    indistinguishable from a recompute (pinned by the warm-vs-cold pipeline
+    tests).  In-memory hits return the original result object and are
+    always exact.
     """
 
     def __init__(
@@ -487,13 +442,12 @@ class DecompositionCache:
         graph,
         theta: float,
         estimator=None,
-        backend: str = "csr",
         dataset: str | None = None,
         kernel: str = "numpy",
     ):
         """Return the local decomposition of ``graph`` at ``theta``, cached.
 
-        On a miss the decomposition runs on ``backend`` and is snapshotted
+        On a miss the decomposition runs and is snapshotted
         (memory, plus disk when the cache has a directory); on a hit the
         snapshot is rehydrated against the live ``graph`` via
         :func:`repro.index.builders.local_result_from_index`.  ``dataset``
@@ -511,7 +465,7 @@ class DecompositionCache:
         if not self.enabled:
             self.misses += 1
             return local_nucleus_decomposition(
-                graph, theta, estimator=estimator, backend=backend, kernel=kernel
+                graph, theta, estimator=estimator, kernel=kernel
             )
 
         if key in self._memory:
@@ -532,7 +486,7 @@ class DecompositionCache:
                 return result
 
         result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
+            graph, theta, estimator=estimator, kernel=kernel
         )
         self._memory[key] = result
         self.misses += 1

@@ -5,13 +5,15 @@ drives the declarative pipeline of :mod:`repro.experiments.pipeline`:
 
 * ``list`` — show every registered experiment with its paper reference;
 * ``run <name> … [flags]`` — execute experiments through the shared
-  pipeline: ``--backend`` (default ``csr``), ``--scale``, ``--seed``,
+  pipeline: ``--scale``, ``--seed``,
   ``--jobs`` (parallel grid cells), ``--out`` (write
   ``EXPERIMENTS_<name>.json`` artifacts), ``--cache-dir`` / ``--no-cache``
   (decomposition snapshot reuse), ``--filter key=value`` (grid-cell
   filtering), ``--format plain|markdown``, and the Monte-Carlo strategy
   knobs ``--sampling fixed|adaptive`` / ``--confidence`` /
   ``--n-worlds-max`` (sequential early stopping, recorded in artifacts).
+  ``--backend`` is the retired engine switch: ``csr`` is accepted silently,
+  ``dict`` with a :class:`DeprecationWarning`.
 
 For backwards compatibility the seed-era invocation
 ``python -m repro.experiments <name> [<name> …]`` (no subcommand) still
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
+from repro.core.local import check_backend
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
 from repro.experiments.pipeline import RunConfig, run_pipeline
@@ -33,7 +36,7 @@ __all__ = ["EXPERIMENTS", "run_experiment", "main"]
 
 #: Experiment name -> zero-argument callable returning the formatted report.
 #: Kept for API compatibility with the seed-era runner; the callables now go
-#: through the declarative pipeline (csr backend, small scale).
+#: through the declarative pipeline (small scale).
 EXPERIMENTS: dict[str, object] = {
     name: (lambda name=name: run_experiment(name)) for name in EXPERIMENT_NAMES
 }
@@ -73,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=("csr", "dict"),
         default="csr",
-        help="decomposition engine (default: csr, the array-native stack)",
+        help="retired engine switch: csr (default) or the deprecated dict, "
+        "which warns and runs csr",
     )
     run.add_argument(
         "--scale",
@@ -188,8 +191,8 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     except ValueError as error:
         parser.error(str(error))  # raises SystemExit(2)
 
+    check_backend(args.backend)
     config = RunConfig(
-        backend=args.backend,
         scale=args.scale,
         seed=args.seed,
         n_jobs=args.jobs,

@@ -69,10 +69,9 @@ SPEC = ExperimentSpec(
 def run_table1(
     names: Sequence[str] = DATASET_NAMES,
     scale: str = "small",
-    backend: str = "csr",
 ) -> list[GraphStatistics]:
     """Compute the Table 1 rows for the requested datasets."""
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(SPEC, config, overrides={"names": tuple(names)})
 
 

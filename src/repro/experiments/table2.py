@@ -66,9 +66,7 @@ def _score_comparison(
     return total, sum(absolute_errors) / total, 100.0 * differing / total
 
 
-def compare_scores(
-    graph: ProbabilisticGraph, theta: float, backend: str = "csr"
-) -> tuple[int, float, float]:
+def compare_scores(graph: ProbabilisticGraph, theta: float) -> tuple[int, float, float]:
     """Run DP and AP on ``graph`` and compare their nucleus scores.
 
     Returns
@@ -79,8 +77,8 @@ def compare_scores(
         triangles (in percent) whose scores differ.
     """
     cache = DecompositionCache()
-    dp = cache.local(graph, theta, estimator=None, backend=backend)
-    ap = cache.local(graph, theta, estimator=HybridEstimator(), backend=backend)
+    dp = cache.local(graph, theta, estimator=None)
+    ap = cache.local(graph, theta, estimator=HybridEstimator())
     return _score_comparison(dp, ap)
 
 
@@ -98,11 +96,11 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     dp = cache.local(
-        graph, theta, estimator=None, backend=config.backend,
+        graph, theta, estimator=None,
         dataset=params["dataset"], kernel=config.kernel,
     )
     ap = cache.local(
-        graph, theta, estimator=HybridEstimator(), backend=config.backend,
+        graph, theta, estimator=HybridEstimator(),
         dataset=params["dataset"], kernel=config.kernel,
     )
     total, average_error, percent = _score_comparison(dp, ap)
@@ -138,10 +136,9 @@ def run_table2(
     names: Sequence[str] = DATASET_NAMES,
     thetas: Sequence[float] = DEFAULT_THETAS,
     scale: str = "small",
-    backend: str = "csr",
 ) -> list[Table2Row]:
     """Compute the Table 2 accuracy rows for the requested datasets and thresholds."""
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
     )

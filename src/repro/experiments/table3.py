@@ -98,7 +98,6 @@ def _connected_pieces(subgraph: ProbabilisticGraph) -> list[ProbabilisticGraph]:
 def decomposition_quality(
     graph: ProbabilisticGraph,
     theta: float,
-    backend: str = "csr",
     local_result: LocalNucleusDecomposition | None = None,
 ) -> Table3Row:
     """Compute the nucleus / truss / core cohesiveness comparison for one graph.
@@ -109,7 +108,7 @@ def decomposition_quality(
     """
     # --- nucleus ----------------------------------------------------------
     if local_result is None:
-        local_result = DecompositionCache().local(graph, theta, backend=backend)
+        local_result = DecompositionCache().local(graph, theta)
     local = local_result
     nucleus_max = max(0, local.max_score)
     nucleus_pieces = [n.subgraph for n in local.nuclei(nucleus_max)] if local.max_score >= 0 else []
@@ -151,8 +150,7 @@ def _run_cell(
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
     local = cache.local(
-        graph, theta, backend=config.backend, dataset=params["dataset"],
-        kernel=config.kernel,
+        graph, theta, dataset=params["dataset"], kernel=config.kernel,
     )
     row = decomposition_quality(graph, theta, local_result=local)
     return [
@@ -187,10 +185,9 @@ def run_table3(
     names: Sequence[str] = DEFAULT_DATASETS,
     thetas: Sequence[float] = DEFAULT_THETAS,
     scale: str = "small",
-    backend: str = "csr",
 ) -> list[Table3Row]:
     """Compute the Table 3 rows for the requested datasets and thresholds."""
-    config = RunConfig(backend=backend, scale=scale)
+    config = RunConfig(scale=scale)
     return run_spec_rows(
         SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
     )

@@ -3,10 +3,10 @@
 These are the wiring between the three decomposition entry points of
 :mod:`repro.core` and the persistent :class:`~repro.index.NucleusIndex`:
 
-* :func:`build_local_index` — ``local_nucleus_decomposition`` → index with
-  every level ``0 … max_score``; on ``backend="csr"`` the snapshot is taken
-  *directly* from the peel engine's output arrays
-  (:mod:`repro.core.peel`), with no label-space result object in between;
+* :func:`build_local_index` — the local decomposition → index with every
+  level ``0 … max_score``, snapshotted *directly* from the peel engine's
+  output arrays (:mod:`repro.core.peel`), with no label-space result object
+  in between;
 * :func:`build_global_index` / :func:`build_weak_index` — Algorithm 2 / 3 at
   one ``k`` → index with that single level;
 * :func:`build_index` — mode-dispatching convenience used by the
@@ -25,12 +25,7 @@ import numpy as np
 from repro.core.approximations import SupportEstimator
 from repro.core.batch import CSRTriangleIndex
 from repro.core.global_nucleus import global_nucleus_decomposition
-from repro.core.local import (
-    BACKENDS,
-    _csr_engine_arrays,
-    local_nucleus_decomposition,
-    resolve_local_options,
-)
+from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.cliques import canonical_triangle
@@ -113,7 +108,7 @@ def _nucleus_level_groups(
     level's groups unchanged.  Groups come out exactly as
     :meth:`NucleusIndex.from_local_result` sorts them — ordered by smallest
     member, members ascending — so the resulting snapshot is identical to
-    the dict-result detour.
+    :meth:`NucleusIndex.from_local_result` of the same decomposition.
     """
     num_triangles = scores.size
     max_score = int(scores.max()) if num_triangles else -1
@@ -170,20 +165,33 @@ def _nucleus_level_groups(
     return level_groups
 
 
-def _build_local_index_csr(
+def build_local_index(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     theta: float,
-    estimator: SupportEstimator | None,
-    params: dict,
+    estimator: SupportEstimator | None = None,
+    backend: str = "csr",
+    local_result: LocalNucleusDecomposition | None = None,
     kernel: str = "numpy",
 ) -> NucleusIndex:
-    """Snapshot the CSR peel engine's output arrays without a dict-result detour."""
+    """Run the local decomposition (unless ``local_result`` is given) and index it.
+
+    The decomposition runs on the array-native peel engine and the index is
+    snapshotted straight from its output arrays — no per-triangle
+    label-space objects are built on the way to the ``.npz``.  The result is
+    bit-identical to snapshotting the equivalent
+    :class:`~repro.core.result.LocalNucleusDecomposition` (pinned in
+    ``tests/test_nucleus_index.py``).  ``backend`` is the retired engine
+    switch; see :func:`~repro.core.local.check_backend`.
+    """
+    check_backend(backend)
+    if local_result is not None:
+        return NucleusIndex.from_local_result(local_result)
     estimator = resolve_local_options(theta, estimator)
     csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
     index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
     rows = np.asarray(index.triangles, dtype=np.int64).reshape(len(index.triangles), 3)
-    merged = {"estimator": estimator.name}
-    merged.update(params)
+    params = {"estimator": estimator.name}
+    params.update(_engine_params(kernel))
     return NucleusIndex.from_triangle_arrays(
         csr,
         rows,
@@ -191,41 +199,8 @@ def _build_local_index_csr(
         _nucleus_level_groups(scores, index),
         mode="local",
         theta=theta,
-        params=merged,
+        params=params,
     )
-
-
-def build_local_index(
-    graph: ProbabilisticGraph | CSRProbabilisticGraph,
-    theta: float,
-    estimator: SupportEstimator | None = None,
-    backend: str = "dict",
-    local_result: LocalNucleusDecomposition | None = None,
-    kernel: str = "numpy",
-) -> NucleusIndex:
-    """Run the local decomposition (unless ``local_result`` is given) and index it.
-
-    With ``backend="csr"`` (or a CSR graph input) the decomposition runs on
-    the array-native peel engine and the index is snapshotted straight from
-    its output arrays — no per-triangle label-space objects are built on the
-    way to the ``.npz``.  The result is bit-identical to the dict-result
-    detour (pinned in ``tests/test_nucleus_index.py``).
-    """
-    if local_result is None:
-        if backend not in BACKENDS:
-            raise InvalidParameterError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if backend == "csr" or isinstance(graph, CSRProbabilisticGraph):
-            params = {"backend": backend}
-            params.update(_engine_params(kernel))
-            return _build_local_index_csr(
-                graph, theta, estimator, params=params, kernel=kernel
-            )
-        local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, backend=backend, kernel=kernel
-        )
-    return NucleusIndex.from_local_result(local_result, params={"backend": backend})
 
 
 def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None) -> dict:
@@ -264,10 +239,10 @@ def _engine_params(kernel: str, partitions: int = 1) -> dict:
 
 
 def build_global_index(
-    graph: ProbabilisticGraph,
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
-    backend: str = "dict",
+    backend: str = "csr",
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
@@ -279,13 +254,13 @@ def build_global_index(
     **kwargs,
 ) -> NucleusIndex:
     """Run the global decomposition at ``k`` and index the verified nuclei."""
+    check_backend(backend)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     engine_kwargs = _engine_params(kernel, partitions)
     nuclei = global_nucleus_decomposition(
         graph,
         k,
         theta,
-        backend=backend,
         n_samples=n_samples,
         rng=rng,
         seed=seed,
@@ -294,7 +269,7 @@ def build_global_index(
         **sampling_kwargs,
         **kwargs,
     )
-    params = {"k": k, "backend": backend, "n_samples": n_samples, "seed": seed}
+    params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
@@ -303,10 +278,10 @@ def build_global_index(
 
 
 def build_weak_index(
-    graph: ProbabilisticGraph,
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
-    backend: str = "dict",
+    backend: str = "csr",
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
@@ -318,13 +293,13 @@ def build_weak_index(
     **kwargs,
 ) -> NucleusIndex:
     """Run the weakly-global decomposition at ``k`` and index the resulting nuclei."""
+    check_backend(backend)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     engine_kwargs = _engine_params(kernel, partitions)
     nuclei = weak_nucleus_decomposition(
         graph,
         k,
         theta,
-        backend=backend,
         n_samples=n_samples,
         rng=rng,
         seed=seed,
@@ -333,7 +308,7 @@ def build_weak_index(
         **sampling_kwargs,
         **kwargs,
     )
-    params = {"k": k, "backend": backend, "n_samples": n_samples, "seed": seed}
+    params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
@@ -358,10 +333,10 @@ def local_result_from_index(
     check (:meth:`NucleusIndex.verify_against`), so nucleus subgraphs carry
     the caller's live edge objects; otherwise the graph is reconstructed from
     the snapshot.  The score dictionary is rebuilt in the index's sorted
-    triangle order, which is the same insertion order the CSR engine's
+    triangle order, which is the same insertion order the peel engine's
     :func:`~repro.core.local._label_space_scores` produces — a rehydrated
-    result is therefore interchangeable with a fresh ``backend="csr"``
-    decomposition, down to dict iteration order.  Hybrid estimator selection
+    result is therefore interchangeable with a fresh decomposition, down to
+    dict iteration order.  Hybrid estimator selection
     counts are not snapshotted and come back empty.
     """
     if index.mode != "local":
@@ -428,8 +403,6 @@ def _build_index(
     if mode in ("global", "weak", "weakly-global"):
         if k is None:
             raise InvalidParameterError(f"mode {mode!r} requires an explicit k")
-        if isinstance(graph, CSRProbabilisticGraph):
-            graph = graph.to_probabilistic()
         if mode == "global":
             return build_global_index(graph, k, theta, **kwargs)
         return build_weak_index(graph, k, theta, **kwargs)

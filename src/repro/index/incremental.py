@@ -547,11 +547,7 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
                 f"cannot rebuild a local index with unknown estimator {name!r}; "
                 "rebuild it explicitly with build_local_index"
             )
-        backend = str(params.get("backend", "csr"))
-        graph = new_csr if backend == "csr" else new_csr.to_probabilistic()
-        return build_local_index(
-            graph, index.theta, estimator=factory(), backend=backend
-        )
+        return build_local_index(new_csr, index.theta, estimator=factory())
     builder = build_global_index if index.mode == "global" else build_weak_index
     sampling = str(params.get("sampling", "fixed"))
     sampling_kwargs = {}
@@ -567,7 +563,6 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
         new_csr.to_probabilistic(),
         int(params["k"]),
         index.theta,
-        backend=str(params.get("backend", "dict")),
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
         **sampling_kwargs,

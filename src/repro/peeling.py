@@ -1,4 +1,4 @@
-"""Shared lazy-deletion min-heap for the dict-backend peeling loops.
+"""Shared lazy-deletion min-heap for the dict-based peeling loops.
 
 Every dict-backed decomposition in this library — deterministic (3,4)-nucleus
 and k-truss, probabilistic local nucleus, the (k, η)-core and (k, γ)-truss

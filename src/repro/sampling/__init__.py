@@ -2,8 +2,8 @@
 
 Two sampling engines live here: the scalar helpers of
 :mod:`repro.sampling.monte_carlo` (one dict-backed world at a time) and the
-vectorized world-matrix engine of :mod:`repro.sampling.world_matrix` used by
-the ``backend="csr"`` paths of the global and weakly-global decompositions.
+vectorized world-matrix engine of :mod:`repro.sampling.world_matrix` that
+verifies the candidates of the global and weakly-global decompositions.
 :mod:`repro.sampling.adaptive` layers a sequential test over the matrix
 engine: geometric world chunks with anytime-valid confidence bounds that stop
 each candidate as soon as its θ decision is settled.

@@ -1,4 +1,4 @@
-"""Vectorized possible-world sampling engine (the *world-matrix* backend).
+"""Vectorized possible-world sampling engine (the *world-matrix* engine).
 
 The Monte-Carlo verification loops of Algorithms 2 and 3 dominate end-to-end
 runtime: both sample ``n ≈ 200`` possible worlds per candidate subgraph, and

@@ -1,0 +1,32 @@
+"""Test oracles: the dict-engine implementations of Algorithms 1–3.
+
+The library runs every decomposition on one production engine, the CSR
+arrays of :mod:`repro.core.batch` / :mod:`repro.core.peel` and the world
+matrices of :mod:`repro.sampling.world_matrix`.  The seed-era dict engine
+survives here, verbatim, as the reference the parity suites pin that engine
+against:
+
+* :mod:`oracle.local` — canonical-tuple triangle states and the
+  :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1;
+* :mod:`oracle.global_nucleus` — Algorithm 2 verified one
+  :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
+* :mod:`oracle.weak_nucleus` — Algorithm 3 scored by a deterministic nucleus
+  decomposition per sampled world.
+
+The Monte-Carlo oracles draw from :class:`random.Random`, so they agree with
+the production engine in distribution, not draw for draw.  The candidate
+generation they share with production (closure, deduplication, maximality,
+4-clique components) is imported from :mod:`repro.core`.  Nothing under
+``src/`` imports this package.
+"""
+
+from oracle.global_nucleus import global_nucleus_decomposition
+from oracle.local import local_nucleus_decomposition
+from oracle.weak_nucleus import triangle_weak_scores, weak_nucleus_decomposition
+
+__all__ = [
+    "global_nucleus_decomposition",
+    "local_nucleus_decomposition",
+    "triangle_weak_scores",
+    "weak_nucleus_decomposition",
+]

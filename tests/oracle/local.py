@@ -1,0 +1,161 @@
+"""Dict-engine oracle of Algorithm 1 (local nucleus decomposition).
+
+Canonical-tuple triangle states, scalar estimator calls and a
+:class:`~repro.peeling.LazyMinHeap` peel: the reference loop the
+array-native engine of :mod:`repro.core.peel` is pinned against.  Scores come
+back in graph-traversal order, which the figure-8 golden report depends on.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from repro.core.approximations import SupportEstimator
+from repro.core.hybrid import HybridEstimator
+from repro.core.local import resolve_local_options
+from repro.core.result import LocalNucleusDecomposition
+from repro.core.support_dp import NO_VALID_K
+from repro.deterministic.cliques import FourClique, Triangle, triangle_clique_index
+from repro.exceptions import InvalidParameterError
+from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.peeling import LazyMinHeap
+
+
+def triangle_existence_probability(graph: ProbabilisticGraph, triangle: Triangle) -> float:
+    """Return ``Pr(△)``: the product of the triangle's three edge probabilities."""
+    u, v, w = triangle
+    return (
+        graph.edge_probability(u, v)
+        * graph.edge_probability(u, w)
+        * graph.edge_probability(v, w)
+    )
+
+
+def clique_extension_probability(
+    graph: ProbabilisticGraph, triangle: Triangle, clique: FourClique
+) -> float:
+    """Return ``Pr(E_i)`` for the 4-clique ``clique`` containing ``triangle``.
+
+    ``Pr(E_i)`` is the probability that the three edges connecting the
+    completing vertex ``z`` (the vertex of the clique outside the triangle)
+    to the triangle's vertices all exist.
+    """
+    extra = [vertex for vertex in clique if vertex not in triangle]
+    if len(extra) != 1:
+        raise InvalidParameterError(
+            f"clique {clique!r} does not extend triangle {triangle!r}"
+        )
+    z = extra[0]
+    u, v, w = triangle
+    return (
+        graph.edge_probability(u, z)
+        * graph.edge_probability(v, z)
+        * graph.edge_probability(w, z)
+    )
+
+
+@dataclass
+class _TriangleState:
+    """Mutable per-triangle bookkeeping used by the dict peeling loop."""
+
+    probability: float
+    kappa: int
+    alive_cliques: dict[FourClique, float]
+    processed: bool = False
+
+
+def _build_states(
+    graph: ProbabilisticGraph,
+    theta: float,
+    estimator: SupportEstimator,
+) -> tuple[dict[Triangle, _TriangleState], dict[FourClique, list[Triangle]]]:
+    """Index the graph and compute the initial κ-score of every triangle."""
+    by_triangle, by_clique = triangle_clique_index(graph)
+    states: dict[Triangle, _TriangleState] = {}
+    for triangle, cliques in by_triangle.items():
+        probability = triangle_existence_probability(graph, triangle)
+        alive = {
+            clique: clique_extension_probability(graph, triangle, clique)
+            for clique in cliques
+        }
+        kappa = estimator.max_k(probability, list(alive.values()), theta)
+        states[triangle] = _TriangleState(
+            probability=probability, kappa=kappa, alive_cliques=alive
+        )
+    return states, by_clique
+
+
+def _peel_states(
+    states: dict[Triangle, _TriangleState],
+    by_clique: dict[FourClique, list[Triangle]],
+    estimator: SupportEstimator,
+    theta: float,
+) -> dict[Triangle, int]:
+    """Run Algorithm 1's peel over dict-backed triangle states.
+
+    This is the reference loop — a :class:`~repro.peeling.LazyMinHeap` over
+    ``(κ, triangle)`` entries with clamped level assignment — against which
+    the array-native engine (:mod:`repro.core.peel`) is pinned.
+    """
+    alive_cliques: set[FourClique] = set(by_clique)
+    heap = LazyMinHeap((state.kappa, triangle) for triangle, state in states.items())
+
+    def current(triangle: Triangle) -> int | None:
+        state = states[triangle]
+        return None if state.processed else state.kappa
+
+    scores: dict[Triangle, int] = {}
+    current_level = NO_VALID_K
+
+    while (entry := heap.pop(current)) is not None:
+        _, triangle = entry
+        state = states[triangle]
+        current_level = max(current_level, state.kappa)
+        scores[triangle] = current_level
+        state.processed = True
+
+        # Every 4-clique through the peeled triangle ceases to exist; update
+        # the κ-scores of the surviving triangles it supported.
+        for clique in list(state.alive_cliques):
+            if clique not in alive_cliques:
+                continue
+            alive_cliques.remove(clique)
+            for other in by_clique[clique]:
+                if other == triangle:
+                    continue
+                other_state = states[other]
+                if other_state.processed:
+                    continue
+                other_state.alive_cliques.pop(clique, None)
+                if other_state.kappa > current_level:
+                    recomputed = estimator.max_k(
+                        other_state.probability,
+                        list(other_state.alive_cliques.values()),
+                        theta,
+                    )
+                    other_state.kappa = max(recomputed, current_level)
+                    heap.push(other_state.kappa, other)
+    return scores
+
+
+def local_nucleus_decomposition(
+    graph: ProbabilisticGraph,
+    theta: float,
+    estimator: SupportEstimator | None = None,
+) -> LocalNucleusDecomposition:
+    """Algorithm 1 on the dict engine: state index, κ-init, lazy-heap peel."""
+    estimator = resolve_local_options(theta, estimator)
+    states, by_clique = _build_states(graph, theta, estimator)
+    scores = _peel_states(states, by_clique, estimator, theta)
+    selections = (
+        dict(estimator.selection_counts)
+        if isinstance(estimator, HybridEstimator)
+        else None
+    )
+    return LocalNucleusDecomposition(
+        graph=graph,
+        theta=theta,
+        scores=scores,
+        estimator_name=estimator.name,
+        estimator_selections=selections,
+    )

@@ -79,9 +79,9 @@ def test_adaptive_matches_fixed_accuracy_against_reference(algorithm):
     for theta in THETAS:
         for graph_name, factory in SWEEP_GRAPHS.items():
             graph = factory()
-            local = local_nucleus_decomposition(graph, theta, backend="csr")
+            local = local_nucleus_decomposition(graph, theta)
             k = max(1, local.max_score)
-            shared = dict(k=k, theta=theta, local_result=local, backend="csr")
+            shared = dict(k=k, theta=theta, local_result=local)
             reference = nuclei_key(
                 run(graph, n_samples=REFERENCE_N_SAMPLES, seed=REFERENCE_SEED, **shared)
             )
@@ -120,7 +120,7 @@ def test_deterministic_graphs_have_exact_parity(algorithm, size):
     for theta in THETAS:
         for seed in WORLD_SEEDS:
             context = (algorithm, size, theta, seed)
-            kwargs = dict(k=1, theta=theta, n_samples=N_SAMPLES, seed=seed, backend="csr")
+            kwargs = dict(k=1, theta=theta, n_samples=N_SAMPLES, seed=seed)
             fixed = nuclei_key(run(graph, **kwargs))
             adaptive = nuclei_key(run(graph, sampling="adaptive", **kwargs))
             assert fixed == adaptive, f"exact parity broken at {context}"

@@ -18,7 +18,7 @@ from graph_factories import small_er_graph
 
 from repro.core.global_nucleus import (
     global_nucleus_decomposition,
-    resolve_sampling_options,
+    validate_sampling_options,
 )
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
@@ -203,16 +203,17 @@ class TestSettingsValidation:
         with pytest.raises(InvalidParameterError):
             resolve_adaptive_settings("fixed", confidence=1.5)
 
-    def test_adaptive_requires_the_csr_backend(self):
-        with pytest.raises(
-            InvalidParameterError,
-            match='sampling="adaptive" requires backend="csr"',
-        ):
-            resolve_sampling_options("dict", 1, None, 0, sampling="adaptive")
-
-    def test_run_config_rejects_adaptive_on_the_dict_backend(self):
-        with pytest.raises(InvalidParameterError, match='requires backend="csr"'):
-            RunConfig(backend="dict", sampling="adaptive")
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    def test_n_samples_errors_name_n_samples(self, n_samples, sampling):
+        # Checked by name before the adaptive cap (2 × n_samples) is derived
+        # from it, so the message names the knob the caller passed.
+        message = f"^n_samples must be a positive integer, got {n_samples}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            validate_sampling_options(sampling=sampling, n_samples=n_samples)
+        for run in (global_nucleus_decomposition, weak_nucleus_decomposition):
+            with pytest.raises(InvalidParameterError, match=message):
+                run(_driver_graph(), k=1, theta=0.4, n_samples=n_samples, sampling=sampling)
 
     def test_run_config_sampling_kwargs(self):
         assert RunConfig().sampling_kwargs() == {}
@@ -309,14 +310,14 @@ class TestDriverIntegration:
 
     def test_sampling_fixed_is_the_default_global(self):
         graph = _driver_graph()
-        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=7, backend="csr")
+        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=7)
         default = global_nucleus_decomposition(graph, **kwargs)
         explicit = global_nucleus_decomposition(graph, sampling="fixed", **kwargs)
         assert _nuclei_key(default) == _nuclei_key(explicit)
 
     def test_sampling_fixed_is_the_default_weak(self):
         graph = _driver_graph()
-        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=7, backend="csr")
+        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=7)
         default = weak_nucleus_decomposition(graph, **kwargs)
         explicit = weak_nucleus_decomposition(graph, sampling="fixed", **kwargs)
         assert _nuclei_key(default) == _nuclei_key(explicit)
@@ -324,27 +325,16 @@ class TestDriverIntegration:
     @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
     def test_adaptive_deterministic_per_seed(self, run):
         graph = _driver_graph()
-        kwargs = dict(
-            k=1, theta=0.4, n_samples=60, seed=11, backend="csr", sampling="adaptive"
-        )
+        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=11, sampling="adaptive")
         assert _nuclei_key(run(graph, **kwargs)) == _nuclei_key(run(graph, **kwargs))
 
     @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
     def test_adaptive_invariant_under_n_jobs(self, run):
         graph = _driver_graph()
-        kwargs = dict(
-            k=1, theta=0.4, n_samples=60, seed=11, backend="csr", sampling="adaptive"
-        )
+        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=11, sampling="adaptive")
         serial = run(graph, n_jobs=1, **kwargs)
         sharded = run(graph, n_jobs=2, **kwargs)
         assert _nuclei_key(serial) == _nuclei_key(sharded)
-
-    @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
-    def test_adaptive_rejects_the_dict_backend(self, run):
-        with pytest.raises(
-            InvalidParameterError, match='sampling="adaptive" requires backend="csr"'
-        ):
-            run(_driver_graph(), k=1, theta=0.4, backend="dict", sampling="adaptive")
 
     @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
     def test_bad_knobs_fail_before_sampling(self, run):
@@ -353,7 +343,6 @@ class TestDriverIntegration:
                 _driver_graph(),
                 k=1,
                 theta=0.4,
-                backend="csr",
                 sampling="adaptive",
                 confidence=1.0,
             )

@@ -1,9 +1,10 @@
-"""Backend-parity tests: ``backend="csr"`` must reproduce ``backend="dict"`` exactly.
+"""Engine-parity tests: the CSR engine must reproduce the dict oracle exactly.
 
 The CSR engine re-implements triangle/4-clique indexing with ordered-array
 merges and initialises κ-scores through the vectorized batched estimators, so
-these tests pin the acceptance guarantee: identical nucleus scores, nuclei,
-and weakly-global output on every seed fixture, for every support estimator.
+these tests pin the acceptance guarantee against the seed-era dict engine
+kept in ``tests/oracle/``: identical nucleus scores, nuclei, and
+weakly-global output on every seed fixture, for every support estimator.
 """
 
 from __future__ import annotations
@@ -22,11 +23,7 @@ from repro.core.approximations import (
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
-from repro.core.weak_nucleus import (
-    triangle_weak_scores,
-    triangle_weak_scores_matrix,
-    weak_nucleus_decomposition,
-)
+from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
 from graph_factories import small_er_graph
@@ -35,6 +32,8 @@ from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import CandidateWorldIndex, global_triangle_counts
+
+import oracle
 
 ESTIMATORS = [
     DynamicProgrammingEstimator,
@@ -68,33 +67,33 @@ class TestLocalParity:
     @pytest.mark.parametrize("theta", [0.01, 0.3, 0.7])
     def test_scores_identical_on_seed_fixtures(self, fixture_graph, theta):
         for estimator_cls in ESTIMATORS:
-            expected = local_nucleus_decomposition(
-                fixture_graph, theta, estimator=estimator_cls(), backend="dict"
+            expected = oracle.local_nucleus_decomposition(
+                fixture_graph, theta, estimator=estimator_cls()
             )
             actual = local_nucleus_decomposition(
-                fixture_graph, theta, estimator=estimator_cls(), backend="csr"
+                fixture_graph, theta, estimator=estimator_cls()
             )
             assert actual.scores == expected.scores, estimator_cls.__name__
             assert actual.max_score == expected.max_score
 
     def test_nuclei_identical(self, paper_figure1_graph):
         theta = 0.42
-        expected = local_nucleus_decomposition(paper_figure1_graph, theta, backend="dict")
-        actual = local_nucleus_decomposition(paper_figure1_graph, theta, backend="csr")
+        expected = oracle.local_nucleus_decomposition(paper_figure1_graph, theta)
+        actual = local_nucleus_decomposition(paper_figure1_graph, theta)
         for k in range(expected.max_score + 1):
             expected_groups = {n.triangles for n in expected.nuclei(k)}
             actual_groups = {n.triangles for n in actual.nuclei(k)}
             assert actual_groups == expected_groups
 
     def test_default_estimator_parity(self, planted_graph):
-        expected = local_nucleus_decomposition(planted_graph, 0.2)
-        actual = local_nucleus_decomposition(planted_graph, 0.2, backend="csr")
+        expected = oracle.local_nucleus_decomposition(planted_graph, 0.2)
+        actual = local_nucleus_decomposition(planted_graph, 0.2)
         assert actual.scores == expected.scores
         assert actual.estimator_name == expected.estimator_name == "dp"
 
     def test_csr_graph_input_implies_csr_backend(self, paper_figure1_graph):
         csr = paper_figure1_graph.to_csr()
-        expected = local_nucleus_decomposition(paper_figure1_graph, 0.42)
+        expected = oracle.local_nucleus_decomposition(paper_figure1_graph, 0.42)
         actual = local_nucleus_decomposition(csr, 0.42)
         assert actual.scores == expected.scores
         # The result graph is expanded back to dict form for post-processing.
@@ -110,21 +109,21 @@ class TestLocalParity:
 
             name = "custom"
 
-        expected = local_nucleus_decomposition(
-            four_clique_graph, 0.3, estimator=TailOverride(), backend="dict"
+        expected = oracle.local_nucleus_decomposition(
+            four_clique_graph, 0.3, estimator=TailOverride()
         )
         actual = local_nucleus_decomposition(
-            four_clique_graph, 0.3, estimator=TailOverride(), backend="csr"
+            four_clique_graph, 0.3, estimator=TailOverride()
         )
         assert actual.scores == expected.scores
 
 
 class TestWeakParity:
-    """Weak-decomposition parity across backends.
+    """Weak-decomposition parity against the dict oracle.
 
-    Since the world-matrix engine landed, ``backend="csr"`` samples its worlds
-    from a numpy stream instead of the dict path's ``random.Random`` stream,
-    so the two backends agree *in distribution* rather than draw-for-draw.
+    The world-matrix engine samples its worlds from a numpy stream instead of
+    the oracle's ``random.Random`` stream, so the two agree *in distribution*
+    rather than draw-for-draw.
     On graphs whose edges are all certain there is only one possible world and
     the outputs must still be identical; the statistical agreement on
     probabilistic graphs is pinned by tests/test_world_matrix.py.
@@ -133,46 +132,46 @@ class TestWeakParity:
     @pytest.mark.parametrize("k", [1, 2])
     def test_weak_nuclei_identical_on_deterministic_graph(self, k):
         graph = clique_graph(6, probability=1.0)
-        expected = weak_nucleus_decomposition(
-            graph, k=k, theta=0.9, n_samples=40, seed=7, backend="dict"
+        expected = oracle.weak_nucleus_decomposition(
+            graph, k=k, theta=0.9, n_samples=40, seed=7
         )
         actual = weak_nucleus_decomposition(
-            graph, k=k, theta=0.9, n_samples=40, seed=7, backend="csr"
+            graph, k=k, theta=0.9, n_samples=40, seed=7
         )
         assert {n.triangles for n in actual} == {n.triangles for n in expected}
         assert [n.mode for n in actual] == [n.mode for n in expected]
 
     def test_weak_on_certain_core_of_paper_fixture(self, paper_example1_nucleus_graph):
         # Raising every probability to 1 makes sampling irrelevant, so the
-        # backends must return exactly the same weakly-global nuclei.
+        # engine and the oracle must return exactly the same weakly-global nuclei.
         graph = ProbabilisticGraph(
             (u, v, 1.0) for u, v, _ in paper_example1_nucleus_graph.edges()
         )
-        expected = weak_nucleus_decomposition(
-            graph, k=1, theta=0.4, n_samples=60, seed=11, backend="dict"
+        expected = oracle.weak_nucleus_decomposition(
+            graph, k=1, theta=0.4, n_samples=60, seed=11
         )
         actual = weak_nucleus_decomposition(
-            graph, k=1, theta=0.4, n_samples=60, seed=11, backend="csr"
+            graph, k=1, theta=0.4, n_samples=60, seed=11
         )
         assert {n.triangles for n in actual} == {n.triangles for n in expected}
         assert actual and expected
 
 
 class TestRandomizedParitySweep:
-    """Seeded Erdős–Rényi sweep: dict, csr, and the peel engine must agree.
+    """Seeded Erdős–Rényi sweep: the dict oracle and the CSR engine must agree.
 
-    The local decomposition (whose ``backend="csr"`` path *is* the peel
-    engine) is compared exactly; the Monte-Carlo global and weak estimates
-    are compared within Hoeffding bounds, since the two backends draw their
-    worlds from different (identically distributed) random streams.
+    The local decomposition (which runs on the peel engine) is compared
+    exactly; the Monte-Carlo global and weak estimates are compared within
+    Hoeffding bounds, since the engine and the oracle draw their worlds from
+    different (identically distributed) random streams.
     """
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("theta", [0.05, 0.35])
     def test_local_scores_and_nuclei_exact(self, seed, theta):
         graph = small_er_graph(26, 0.28, seed=seed)
-        expected = local_nucleus_decomposition(graph, theta, backend="dict")
-        actual = local_nucleus_decomposition(graph, theta, backend="csr")
+        expected = oracle.local_nucleus_decomposition(graph, theta)
+        actual = local_nucleus_decomposition(graph, theta)
         assert actual.scores == expected.scores
         for k in range(expected.max_score + 1):
             expected_groups = {n.triangles for n in expected.nuclei(k)}
@@ -191,11 +190,11 @@ class TestRandomizedParitySweep:
         # this sweep caught a repair-coalescing regression once.
         graph = small_er_graph(14, 0.68, seed=seed, probabilities=(0.3, 1.0))
         for theta in (0.2, 0.5):
-            expected = local_nucleus_decomposition(
-                graph, theta, estimator=estimator_cls(), backend="dict"
+            expected = oracle.local_nucleus_decomposition(
+                graph, theta, estimator=estimator_cls()
             )
             actual = local_nucleus_decomposition(
-                graph, theta, estimator=estimator_cls(), backend="csr"
+                graph, theta, estimator=estimator_cls()
             )
             assert actual.scores == expected.scores, (estimator_cls.__name__, theta)
 
@@ -204,7 +203,7 @@ class TestRandomizedParitySweep:
         graph = small_er_graph(9, 0.6, seed=seed)
         k, n_samples, delta = 1, 1500, 1e-4
         epsilon = hoeffding_error_bound(n_samples, delta)
-        dict_scores = triangle_weak_scores(graph, k, n_samples, random.Random(seed))
+        dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(seed))
         matrix_scores = triangle_weak_scores_matrix(
             graph, k, n_samples, seed=seed + 1
         )
@@ -247,16 +246,17 @@ class TestRandomizedParitySweep:
     @pytest.mark.parametrize("seed", [2, 7])
     def test_global_and_weak_decompositions_on_certain_er_graph(self, seed):
         # Forcing every probability to 1 collapses the sampling noise, so
-        # the full Algorithm 2/3 pipelines must agree across backends even
+        # the full Algorithm 2/3 pipelines must agree with the oracle even
         # though they route through different peel and sampling engines.
         topology = small_er_graph(12, 0.55, seed=seed)
         graph = ProbabilisticGraph((u, v, 1.0) for u, v, _ in topology.edges())
-        for decomposition in (global_nucleus_decomposition, weak_nucleus_decomposition):
-            expected = decomposition(
-                graph, k=1, theta=0.9, n_samples=30, seed=seed, backend="dict"
-            )
+        for decomposition, reference in (
+            (global_nucleus_decomposition, oracle.global_nucleus_decomposition),
+            (weak_nucleus_decomposition, oracle.weak_nucleus_decomposition),
+        ):
+            expected = reference(graph, k=1, theta=0.9, n_samples=30, seed=seed)
             actual = decomposition(
-                graph, k=1, theta=0.9, n_samples=30, seed=seed, backend="csr"
+                graph, k=1, theta=0.9, n_samples=30, seed=seed
             )
             assert {n.triangles for n in actual} == {n.triangles for n in expected}
 
@@ -265,11 +265,11 @@ class TestGlobalParity:
     @pytest.mark.parametrize("k", [1, 2])
     def test_global_nuclei_identical_on_deterministic_graph(self, k):
         graph = clique_graph(6, probability=1.0)
-        expected = global_nucleus_decomposition(
-            graph, k=k, theta=0.9, n_samples=30, seed=5, backend="dict"
+        expected = oracle.global_nucleus_decomposition(
+            graph, k=k, theta=0.9, n_samples=30, seed=5
         )
         actual = global_nucleus_decomposition(
-            graph, k=k, theta=0.9, n_samples=30, seed=5, backend="csr"
+            graph, k=k, theta=0.9, n_samples=30, seed=5
         )
         assert {n.triangles for n in actual} == {n.triangles for n in expected}
         assert [n.mode for n in actual] == [n.mode for n in expected]
@@ -279,7 +279,3 @@ class TestGlobalParity:
             global_nucleus_decomposition(triangle_graph, k=1, theta=0.5, backend="sparse")
         with pytest.raises(InvalidParameterError):
             global_nucleus_decomposition(triangle_graph, k=1, theta=0.5, n_jobs=0)
-        with pytest.raises(InvalidParameterError):
-            global_nucleus_decomposition(
-                triangle_graph, k=1, theta=0.5, backend="dict", n_jobs=2
-            )

@@ -2,14 +2,16 @@
 
 Four concerns are pinned here:
 
-* **Golden parity** — every experiment, run through the pipeline on the
-  ``dict`` backend at tiny scale, reproduces the pre-pipeline harness's
-  formatted report byte for byte (wall-clock columns normalised).  The
-  golden files under ``tests/data/golden_experiments/`` were captured from
-  the seed-era ``run_*``/``format_*`` code before the refactor.
-* **Backend parity** — ``backend="csr"`` (the new default) produces rows
-  identical to ``backend="dict"`` for the deterministic experiments.
-* **Cache correctness** — warm-vs-cold runs agree on the default backend,
+* **Golden parity** — every experiment, run through the pipeline at tiny
+  scale, reproduces the pre-pipeline harness's formatted report byte for
+  byte (wall-clock columns normalised).  The golden files under
+  ``tests/data/golden_experiments/`` were captured from the seed-era
+  ``run_*``/``format_*`` code before the refactor.  Figure 8's golden pins
+  the dict engine's triangle order and ``random.Random`` stream, so that
+  test swaps the dict oracle of ``tests/oracle/`` in for the drivers.
+* **Engine parity** — the CSR engine produces rows identical to the dict
+  oracle's for the deterministic experiments.
+* **Cache correctness** — warm-vs-cold runs agree,
   hits/misses are counted, corrupt snapshots fall back to recomputation,
   and :func:`~repro.index.builders.local_result_from_index` round-trips.
 * **Execution semantics** — parallel grid cells return the same rows as
@@ -53,14 +55,36 @@ from repro.graph.generators import complete_probabilistic_graph, uniform_probabi
 from repro.index.builders import build_global_index, local_result_from_index
 from repro.index.nucleus_index import NucleusIndex
 
+import oracle
+
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden_experiments"
 
-TINY_DICT = RunConfig(backend="dict", scale="tiny")
-TINY_CSR = RunConfig(backend="csr", scale="tiny")
+TINY_CSR = RunConfig(scale="tiny")
 
 
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.txt").read_text().rstrip("\n")
+
+
+def _swap_in_dict_oracle(monkeypatch) -> None:
+    """Run the experiments' local and Monte-Carlo drivers on the dict oracle.
+
+    The decomposition cache looks ``local_nucleus_decomposition`` up on
+    :mod:`repro.core.local` at call time; Figure 8 binds the global and weak
+    drivers at import.
+    """
+    import repro.core.local
+
+    def local(graph, theta, estimator=None, kernel="numpy"):
+        return oracle.local_nucleus_decomposition(graph, theta, estimator)
+
+    monkeypatch.setattr(repro.core.local, "local_nucleus_decomposition", local)
+    monkeypatch.setattr(
+        figure8, "global_nucleus_decomposition", oracle.global_nucleus_decomposition
+    )
+    monkeypatch.setattr(
+        figure8, "weak_nucleus_decomposition", oracle.weak_nucleus_decomposition
+    )
 
 
 def _normalize_seconds_columns(text: str, *, per_line: int | None = None) -> str:
@@ -81,20 +105,20 @@ class TestGoldenParity:
     """Pipeline output == pre-refactor harness output, byte for byte."""
 
     def test_table1(self):
-        report = table1.format_table1(table1.run_table1(scale="tiny", backend="dict"))
+        report = table1.format_table1(table1.run_table1(scale="tiny"))
         assert report == _golden("table1")
 
     def test_table2(self):
-        report = table2.format_table2(table2.run_table2(scale="tiny", backend="dict"))
+        report = table2.format_table2(table2.run_table2(scale="tiny"))
         assert report == _golden("table2")
 
     def test_table3(self):
-        report = table3.format_table3(table3.run_table3(scale="tiny", backend="dict"))
+        report = table3.format_table3(table3.run_table3(scale="tiny"))
         assert report == _golden("table3")
 
     def test_figure4(self):
         report = figure4.format_figure4(
-            figure4.run_figure4(names=("krogan", "dblp"), scale="tiny", backend="dict")
+            figure4.run_figure4(names=("krogan", "dblp"), scale="tiny")
         )
         # DP (s) / AP (s) / speedup are wall-clock; theta, kmax, and the
         # layout itself are pinned exactly.
@@ -109,8 +133,7 @@ class TestGoldenParity:
     def test_figure5(self):
         report = figure5.format_figure5(
             figure5.run_figure5(
-                names=("krogan", "dblp"), n_samples=30, scale="tiny", seed=0,
-                backend="dict",
+                names=("krogan", "dblp"), n_samples=30, scale="tiny", seed=0
             )
         )
         want = _golden("figure5")
@@ -123,21 +146,21 @@ class TestGoldenParity:
         assert report == _golden("figure6")
 
     def test_figure7(self):
-        report = figure7.format_figure7(figure7.run_figure7(scale="tiny", backend="dict"))
+        report = figure7.format_figure7(figure7.run_figure7(scale="tiny"))
         assert report == _golden("figure7")
 
-    def test_figure8(self):
+    def test_figure8(self, monkeypatch):
+        _swap_in_dict_oracle(monkeypatch)
         report = figure8.format_figure8(
             figure8.run_figure8(
-                names=("krogan",), theta=0.01, n_samples=20, scale="tiny", seed=0,
-                backend="dict",
+                names=("krogan",), theta=0.01, n_samples=20, scale="tiny", seed=0
             )
         )
         assert report == _golden("figure8")
 
     def test_ablation_hybrid(self):
         report = ablation_hybrid.format_ablation_hybrid(
-            ablation_hybrid.run_ablation_hybrid(scale="tiny", backend="dict")
+            ablation_hybrid.run_ablation_hybrid(scale="tiny")
         )
         want = _golden("ablation_hybrid")
         assert _normalize_seconds_columns(report, per_line=1) == _normalize_seconds_columns(
@@ -155,27 +178,19 @@ class TestGoldenParity:
 
 
 class TestBackendParity:
-    """csr (the new default) and dict produce identical rows."""
+    """The CSR engine and the dict oracle produce identical rows."""
 
-    def test_table2_rows_identical_across_backends(self):
-        dict_rows = table2.run_table2(scale="tiny", backend="dict")
-        csr_rows = table2.run_table2(scale="tiny", backend="csr")
+    def test_table2_rows_identical_across_backends(self, monkeypatch):
+        csr_rows = table2.run_table2(scale="tiny")
+        _swap_in_dict_oracle(monkeypatch)
+        dict_rows = table2.run_table2(scale="tiny")
         assert dict_rows == csr_rows
 
-    def test_figure7_rows_identical_across_backends(self):
-        dict_rows = figure7.run_figure7(scale="tiny", backend="dict")
-        csr_rows = figure7.run_figure7(scale="tiny", backend="csr")
+    def test_figure7_rows_identical_across_backends(self, monkeypatch):
+        csr_rows = figure7.run_figure7(scale="tiny")
+        _swap_in_dict_oracle(monkeypatch)
+        dict_rows = figure7.run_figure7(scale="tiny")
         assert dict_rows == csr_rows
-
-    def test_run_wrappers_default_to_csr(self):
-        import inspect
-
-        for wrapper in (
-            table1.run_table1, table2.run_table2, table3.run_table3,
-            figure4.run_figure4, figure5.run_figure5, figure7.run_figure7,
-            figure8.run_figure8, ablation_hybrid.run_ablation_hybrid,
-        ):
-            assert inspect.signature(wrapper).parameters["backend"].default == "csr"
 
 
 class TestRegistry:
@@ -197,10 +212,6 @@ class TestRegistry:
 
 
 class TestRunConfig:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(InvalidParameterError):
-            RunConfig(backend="gpu")
-
     def test_rejects_non_positive_jobs(self):
         with pytest.raises(InvalidParameterError):
             RunConfig(n_jobs=0)
@@ -224,9 +235,9 @@ class TestDecompositionCache:
     def test_disk_round_trip_is_exact_on_csr(self, tmp_path):
         graph = complete_probabilistic_graph(6, uniform_probability(0.5, 0.9), seed=1)
         cold = DecompositionCache(tmp_path)
-        a = cold.local(graph, 0.3, backend="csr")
+        a = cold.local(graph, 0.3)
         warm = DecompositionCache(tmp_path)
-        b = warm.local(graph, 0.3, backend="csr")
+        b = warm.local(graph, 0.3)
         assert (warm.hits, warm.misses) == (1, 0)
         assert b.scores == a.scores
         assert list(b.scores) == list(a.scores)  # same insertion order
@@ -273,7 +284,7 @@ class TestDecompositionCache:
         from repro.core.local import local_nucleus_decomposition
 
         graph = complete_probabilistic_graph(6, uniform_probability(0.5, 0.9), seed=1)
-        fresh = local_nucleus_decomposition(graph, 0.3, backend="csr")
+        fresh = local_nucleus_decomposition(graph, 0.3)
         index = NucleusIndex.from_local_result(fresh)
         rebuilt = local_result_from_index(index)  # no live graph: reconstructed
         assert rebuilt.scores == fresh.scores
@@ -394,7 +405,6 @@ class TestArtifacts:
             "name", "num_vertices", "num_edges", "max_degree",
             "average_probability", "num_triangles",
         ]
-        assert payload["config"]["backend"] == "csr"
         assert payload["config"]["scale"] == "tiny"
         assert {"hits", "misses", "entries"} <= set(payload["cache"])
         assert set(payload["fingerprints"]["datasets"]) == {"krogan", "dblp"}

@@ -10,6 +10,7 @@ the module-ness (submodule imports) and the callable-ness are pinned here.
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import pytest
 
@@ -134,3 +135,36 @@ class TestLoadIndex:
         index.save(path, compress=False)
         assert repro.load_index(path, mmap=True).mmapped
         assert not repro.load_index(path).mmapped
+
+
+#: K5 over a mix of int and str labels: the labels do not sort against each
+#: other, which the retired dict heap could not handle.
+MIXED_LABELS = (0, 1, "a", 3, "b")
+
+
+@pytest.fixture(scope="module")
+def mixed_graph():
+    graph = repro.ProbabilisticGraph()
+    for u, v in itertools.combinations(MIXED_LABELS, 2):
+        graph.add_edge(u, v, 0.95)
+    return graph
+
+
+@pytest.mark.parametrize("mode", ["local", "global", "weak"])
+def test_mixed_int_str_labels_through_every_verb(mixed_graph, mode):
+    k = None if mode == "local" else 1
+    sampling = {} if mode == "local" else {"n_samples": 50, "seed": 5}
+    result = repro.decompose(mixed_graph, mode=mode, theta=THETA, k=k, **sampling)
+    nuclei = result.nuclei(1) if mode == "local" else result
+    assert set().union(*(n.subgraph.vertices() for n in nuclei)) == set(MIXED_LABELS)
+
+    engine = NucleusQueryEngine(
+        repro.build_index(mixed_graph, mode=mode, theta=THETA, k=k, **sampling)
+    )
+    # Every triangle of the certain-ish K5 reaches level 2 locally (each lies
+    # in two 4-cliques); global/weak indexes hold the single level k = 1.
+    top = 2 if mode == "local" else 1
+    assert engine.max_score(list(MIXED_LABELS)).tolist() == [top] * len(MIXED_LABELS)
+    assert engine.contains(list(MIXED_LABELS), 1).all()
+    assert {0, "a"} <= set(engine.nucleus_of([0, "a"], 1).vertices())
+    assert engine.top_nuclei(n=1, k=1)

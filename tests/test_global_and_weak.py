@@ -13,11 +13,12 @@ from repro.core.global_nucleus import (
     union_of_nuclei,
 )
 from repro.core.local import local_nucleus_decomposition
-from repro.core.weak_nucleus import triangle_weak_scores, weak_nucleus_decomposition
+from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.cliques import triangle_clique_index
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.graph.probabilistic_graph import ProbabilisticGraph, canonical_edge
+from oracle import triangle_weak_scores
 
 
 def two_certain_four_cliques() -> ProbabilisticGraph:
@@ -204,6 +205,23 @@ class TestWeakDecomposition:
         for nucleus in nuclei:
             assert nucleus.num_edges >= 6  # at least one 4-clique
             assert nucleus.k == k
+
+
+@pytest.mark.parametrize(
+    "decomposition", [global_nucleus_decomposition, weak_nucleus_decomposition]
+)
+def test_csr_graph_input_matches_dict_graph_input(decomposition):
+    graph = clique_graph(5, probability=0.9)
+
+    def edge_sets(nuclei):
+        return [
+            frozenset(canonical_edge(u, v) for u, v, _ in n.subgraph.edges())
+            for n in nuclei
+        ]
+
+    expected = decomposition(graph, k=1, theta=0.3, n_samples=40, seed=9)
+    actual = decomposition(graph.to_csr(), k=1, theta=0.3, n_samples=40, seed=9)
+    assert expected and edge_sets(actual) == edge_sets(expected)
 
 
 class TestModeContainments:

@@ -90,7 +90,7 @@ def checked_apply(index, graph_labels, edges, updates, theta=THETA):
     """apply_updates plus the from-scratch parity assertion; returns both."""
     new_index = apply_updates(index, updates)
     new_edges = apply_to_edges(edges, updates)
-    rebuilt = build_local_index(graph_from(new_edges, graph_labels), theta, backend="csr")
+    rebuilt = build_local_index(graph_from(new_edges, graph_labels), theta)
     assert_same_content(new_index, rebuilt)
     return new_index, new_edges
 
@@ -101,7 +101,7 @@ def checked_apply(index, graph_labels, edges, updates, theta=THETA):
 class TestBatchValidation:
     @pytest.fixture
     def index(self, triangle_graph):
-        return build_local_index(triangle_graph, THETA, backend="csr")
+        return build_local_index(triangle_graph, THETA)
 
     def test_unknown_op_rejected(self, index):
         with pytest.raises(InvalidParameterError, match="unknown update op"):
@@ -129,14 +129,14 @@ class TestBatchValidation:
     def test_delete_missing_edge_rejected(self, triangle_graph):
         graph = triangle_graph
         graph.add_vertex(3)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         with pytest.raises(EdgeNotFoundError):
             apply_updates(index, [EdgeUpdate("delete", 0, 3)])
 
     def test_change_missing_edge_rejected(self, triangle_graph):
         graph = triangle_graph
         graph.add_vertex(3)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         with pytest.raises(EdgeNotFoundError):
             apply_updates(index, [EdgeUpdate("change", 0, 3, 0.5)])
 
@@ -173,7 +173,7 @@ class TestIncrementalParity:
     def test_mixed_batch_on_paper_graph(self, paper_figure1_graph):
         graph = paper_figure1_graph
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         batch = [
             EdgeUpdate("insert", 5, 6, 0.9),
             EdgeUpdate("delete", 1, 7),
@@ -188,7 +188,7 @@ class TestIncrementalParity:
         graph = small_er_graph(16, 0.4, seed=seed, probabilities=(0.3, 1.0))
         labels = graph.vertices()
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         base_fingerprint = index.fingerprint
         batches = [
             [EdgeUpdate("change", *list(edges)[seed], 0.42)],
@@ -206,19 +206,19 @@ class TestIncrementalParity:
     def test_pathological_shared_edge_graph(self):
         graph = pathological_graph("two_triangles_shared_edge")
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         # Deleting the shared edge kills both triangles at once.
         index, edges = checked_apply(index, graph.vertices(), edges, [EdgeUpdate("delete", 1, 2)])
         # Re-inserting it resurrects them.
         checked_apply(index, graph.vertices(), edges, [EdgeUpdate("insert", 1, 2, 0.8)])
 
     def test_empty_batch_is_identity(self, triangle_graph):
-        index = build_local_index(triangle_graph, THETA, backend="csr")
+        index = build_local_index(triangle_graph, THETA)
         assert apply_updates(index, []) is index
         assert index.revision == 0
 
     def test_updates_via_method(self, triangle_graph):
-        index = build_local_index(triangle_graph, THETA, backend="csr")
+        index = build_local_index(triangle_graph, THETA)
         via_method = index.apply_updates([EdgeUpdate("change", 0, 1, 0.5)])
         via_function = apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])
         assert_same_content(via_method, via_function)
@@ -254,7 +254,7 @@ class TestProbabilityOnlyFastPaths:
         # change any score.
         graph = pathological_graph("two_triangles_shared_edge")
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         index = apply_updates(index, [EdgeUpdate("change", 0, 1, 0.85)])  # warm state
         updated, _ = checked_apply(
             index, graph.vertices(), apply_to_edges(edges, [EdgeUpdate("change", 0, 1, 0.85)]),
@@ -276,7 +276,7 @@ class TestProbabilityOnlyFastPaths:
         )
         graph = pathological_graph("certain_five_clique")
         edges = edge_dict(graph)
-        index = build_local_index(graph, 0.5, backend="csr")
+        index = build_local_index(graph, 0.5)
         assert max(index.levels) >= 1
         # 1.0 -> 0.05 collapses every clique probability through theta=0.5.
         checked_apply(
@@ -310,7 +310,7 @@ class TestLineage:
 
     def test_cache_key_tracks_revisions(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         assert index.cache_key == index.fingerprint
         first = apply_updates(index, [EdgeUpdate("change", 3, 5, 0.6)])
         assert first.revision == 1
@@ -322,17 +322,17 @@ class TestLineage:
     def test_equal_histories_share_cache_keys(self, paper_figure1_graph):
         graph = paper_figure1_graph
         batch = [EdgeUpdate("change", 3, 5, 0.6), EdgeUpdate("delete", 1, 7)]
-        one = apply_updates(build_local_index(graph, THETA, backend="csr"), batch)
+        one = apply_updates(build_local_index(graph, THETA), batch)
         # The same batch given in reversed record order and flipped edge
         # orientation is canonically the same history.
         flipped = [EdgeUpdate("delete", 7, 1), EdgeUpdate("change", 5, 3, 0.6)]
-        two = apply_updates(build_local_index(graph, THETA, backend="csr"), flipped)
+        two = apply_updates(build_local_index(graph, THETA), flipped)
         assert one.cache_key == two.cache_key
         assert one.update_log_digest == two.update_log_digest
 
     def test_round_trip_back_to_original_graph_keeps_distinct_key(self, triangle_graph):
         """Undoing an update restores the content fingerprint, not the lineage."""
-        index = build_local_index(triangle_graph, THETA, backend="csr")
+        index = build_local_index(triangle_graph, THETA)
         there = apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])
         back = apply_updates(there, [EdgeUpdate("change", 0, 1, 0.9)])
         assert back.fingerprint == index.fingerprint  # same graph again
@@ -345,7 +345,7 @@ class TestLineage:
 # --------------------------------------------------------------------------- #
 class TestPersistenceAndCompat:
     def test_updated_index_round_trips_through_save_load(self, paper_figure1_graph, tmp_path):
-        index = build_local_index(paper_figure1_graph, THETA, backend="csr")
+        index = build_local_index(paper_figure1_graph, THETA)
         updated = apply_updates(index, [EdgeUpdate("change", 3, 5, 0.6)])
         loaded = load_index(updated.save(tmp_path / "updated.npz"))
         assert loaded == updated
@@ -355,7 +355,7 @@ class TestPersistenceAndCompat:
 
     def test_version1_archive_still_loads(self, paper_figure1_graph, tmp_path):
         """Format 2 only adds lineage header fields; v1 archives stay readable."""
-        index = build_local_index(paper_figure1_graph, THETA, backend="csr")
+        index = build_local_index(paper_figure1_graph, THETA)
         header = {
             key: value
             for key, value in index.header.items()
@@ -378,7 +378,7 @@ class TestPersistenceAndCompat:
         import json
         import zipfile
 
-        index = build_local_index(paper_figure1_graph, THETA, backend="csr")
+        index = build_local_index(paper_figure1_graph, THETA)
         path = index.save(tmp_path / "future.npz")
         header = dict(index.header, format_version=FORMAT_VERSION + 1)
         rewritten = tmp_path / "future2.npz"
@@ -394,7 +394,7 @@ class TestPersistenceAndCompat:
             load_index(rewritten)
 
     def test_truncated_archive_rejected(self, paper_figure1_graph, tmp_path):
-        index = build_local_index(paper_figure1_graph, THETA, backend="csr")
+        index = build_local_index(paper_figure1_graph, THETA)
         path = index.save(tmp_path / "whole.npz")
         clipped = tmp_path / "clipped.npz"
         clipped.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -408,7 +408,7 @@ class TestPersistenceAndCompat:
 class TestEngineRefresh:
     def test_refresh_swaps_revision_and_keeps_cache(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         engine = NucleusQueryEngine(index, graph)
         before = engine.nucleus_of([1], k=1)
         assert engine.cache_info()["size"] >= 1
@@ -425,7 +425,7 @@ class TestEngineRefresh:
 
     def test_refresh_answers_match_fresh_engine_everywhere(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         engine = NucleusQueryEngine(index)
         engine.max_score(list(graph.vertices()))
         updated = apply_updates(index, [EdgeUpdate("delete", 1, 7)])
@@ -442,7 +442,7 @@ class TestEngineRefresh:
 
     def test_refresh_verifies_against_live_graph(self, paper_figure1_graph):
         graph = paper_figure1_graph
-        index = build_local_index(graph, THETA, backend="csr")
+        index = build_local_index(graph, THETA)
         engine = NucleusQueryEngine(index, graph)
         updated = apply_updates(index, [EdgeUpdate("change", 3, 5, 0.6)])
         with pytest.raises(IndexCompatibilityError):
@@ -457,21 +457,20 @@ class TestFallbackModes:
     def test_local_with_approximate_estimator_falls_back(self, paper_figure1_graph):
         graph = paper_figure1_graph
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, estimator=PoissonEstimator(), backend="csr")
+        index = build_local_index(graph, THETA, estimator=PoissonEstimator())
         batch = [EdgeUpdate("change", 3, 5, 0.6)]
         updated = apply_updates(index, batch)
         rebuilt = build_local_index(
             graph_from(apply_to_edges(edges, batch), graph.vertices()),
             THETA,
             estimator=PoissonEstimator(),
-            backend="csr",
         )
         assert_same_content(updated, rebuilt)
         assert updated.revision == 1
         assert updated.params["estimator"] == PoissonEstimator.name
 
     def test_unknown_estimator_name_raises(self, triangle_graph):
-        index = build_local_index(triangle_graph, THETA, backend="csr")
+        index = build_local_index(triangle_graph, THETA)
         index.header["params"] = dict(index.header["params"], estimator="bogus")
         with pytest.raises(InvalidParameterError, match="unknown estimator"):
             apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])

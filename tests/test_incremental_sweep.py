@@ -122,7 +122,7 @@ def test_local_mode_randomized_sweep(name, seed):
     edges = {tuple(sorted((u, v), key=repr)): p for u, v, p in graph.edges()}
     rng = random.Random(f"{name}/{seed}")
 
-    index = build_local_index(graph, THETA, backend="csr")
+    index = build_local_index(graph, THETA)
     engine = NucleusQueryEngine(index, graph)
     revision = 0
     for step in range(1, STEPS_PER_RUN + 1):
@@ -132,7 +132,7 @@ def test_local_mode_randomized_sweep(name, seed):
         context = (name, seed, step, batch)
         index = apply_updates(index, batch)
         revision += 1
-        rebuilt = build_local_index(reference_graph(edges, labels), THETA, backend="csr")
+        rebuilt = build_local_index(reference_graph(edges, labels), THETA)
         assert_bit_identical(index, rebuilt, context)
         assert index.revision == revision, context
         engine.refresh(index)

@@ -94,30 +94,16 @@ class TestResolveKernel:
 
 
 class TestValidation:
-    def test_local_dict_backend_rejects_numba(self, monkeypatch):
-        graph = small_er_graph(seed=1)
-        with force_interpreted():
-            with pytest.raises(InvalidParameterError, match="csr"):
-                local_nucleus_decomposition(graph, 0.3, kernel="numba")
-
     def test_local_unknown_kernel_rejected(self):
         graph = small_er_graph(seed=1)
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
-            local_nucleus_decomposition(graph, 0.3, backend="csr", kernel="fortran")
-
-    def test_global_dict_backend_rejects_numba(self):
-        graph = clique_graph(4, probability=1.0)
-        with force_interpreted():
-            with pytest.raises(InvalidParameterError, match="csr"):
-                global_nucleus_decomposition(
-                    graph, k=1, theta=0.3, n_samples=10, kernel="numba"
-                )
+            local_nucleus_decomposition(graph, 0.3, kernel="fortran")
 
     def test_weak_unknown_kernel_rejected(self):
         graph = clique_graph(4, probability=1.0)
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
             weak_nucleus_decomposition(
-                graph, k=1, theta=0.3, n_samples=10, backend="csr", kernel="julia"
+                graph, k=1, theta=0.3, n_samples=10, kernel="julia"
             )
 
     def test_peel_downgrades_non_unit_drop_repairs(self):
@@ -194,7 +180,7 @@ class TestVerificationParity:
             results = {
                 kernel: run(
                     graph, k=1, theta=0.3, n_samples=80, seed=5,
-                    backend="csr", kernel=kernel, **kwargs,
+                    kernel=kernel, **kwargs,
                 )
                 for kernel in KERNELS
             }
@@ -207,7 +193,7 @@ class TestVerificationParity:
             results = {
                 kernel: weak_nucleus_decomposition(
                     graph, k=1, theta=0.2, n_samples=60, seed=seed,
-                    backend="csr", kernel=kernel,
+                    kernel=kernel,
                 )
                 for kernel in KERNELS
             }
@@ -217,7 +203,7 @@ class TestVerificationParity:
 class TestRecording:
     def test_builder_omits_engine_params_at_defaults(self, tmp_path):
         graph = clique_graph(4, probability=0.9)
-        index = build_index(graph, mode="local", theta=0.3, backend="csr")
+        index = build_index(graph, mode="local", theta=0.3)
         assert "kernel" not in index.params
         assert "partitions" not in index.params
 
@@ -225,7 +211,7 @@ class TestRecording:
         graph = clique_graph(4, probability=0.9)
         with force_interpreted():
             index = build_index(
-                graph, mode="local", theta=0.3, backend="csr", kernel="numba"
+                graph, mode="local", theta=0.3, kernel="numba"
             )
             expected_resolution = resolve_kernel("numba", warn=False)
         assert index.params["kernel"] == "numba"
@@ -234,16 +220,14 @@ class TestRecording:
     def test_run_config_validates_kernel(self):
         with pytest.raises(InvalidParameterError, match="unknown kernel"):
             RunConfig(scale="tiny", kernel="gpu")
-        with pytest.raises(InvalidParameterError):
-            RunConfig(scale="tiny", backend="dict", kernel="numba")
 
     def test_run_config_sampling_kwargs_default_empty_of_engine_knobs(self):
-        kwargs = RunConfig(scale="tiny", backend="csr").sampling_kwargs()
+        kwargs = RunConfig(scale="tiny").sampling_kwargs()
         assert "kernel" not in kwargs
         assert "partitions" not in kwargs
 
     def test_run_config_threads_kernel_and_partitions(self):
-        config = RunConfig(scale="tiny", backend="csr", kernel="numba", partitions=3)
+        config = RunConfig(scale="tiny", kernel="numba", partitions=3)
         kwargs = config.sampling_kwargs()
         assert kwargs["kernel"] == "numba"
         assert kwargs["partitions"] == 3
@@ -292,7 +276,7 @@ class TestParitySweepTier2:
                 results = {
                     kernel: run(
                         graph, k=k, theta=0.25, n_samples=120, seed=9,
-                        backend="csr", kernel=kernel,
+                        kernel=kernel,
                     )
                     for kernel in KERNELS
                 }

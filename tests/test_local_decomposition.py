@@ -14,11 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.hybrid import HybridEstimator
-from repro.core.local import (
-    clique_extension_probability,
-    local_nucleus_decomposition,
-    triangle_existence_probability,
-)
+from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import enumerate_triangles, four_cliques_containing_triangle
@@ -28,6 +24,7 @@ from graph_factories import small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from oracle.local import clique_extension_probability, triangle_existence_probability
 
 
 def brute_force_initial_kappa(graph: ProbabilisticGraph, triangle, theta: float) -> int:

@@ -26,7 +26,9 @@ from repro.experiments.datasets import DATASET_NAMES, load_dataset
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
+    EdgeUpdate,
     NucleusIndex,
+    apply_updates,
     build_global_index,
     build_index,
     build_local_index,
@@ -34,6 +36,10 @@ from repro.index import (
     graph_fingerprint,
     load_index,
 )
+from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.query import NucleusQueryEngine
+
+import oracle
 
 THETA = 0.3
 
@@ -153,9 +159,8 @@ class TestRoundTrip:
 # --------------------------------------------------------------------------- #
 class TestBuilders:
     def test_build_index_dispatches_local(self, planted):
-        index = build_index(planted, mode="local", theta=THETA, backend="csr")
+        index = build_index(planted, mode="local", theta=THETA)
         assert index.mode == "local"
-        assert index.params["backend"] == "csr"
 
     def test_global_index(self, planted, tmp_path):
         index = build_global_index(planted, k=1, theta=THETA, seed=7, n_samples=40)
@@ -200,24 +205,73 @@ class TestBuilders:
 
 
 # --------------------------------------------------------------------------- #
-# the direct array-snapshot path (no dict-result detour on backend="csr")
+# the direct array-snapshot path (no label-space result detour)
 # --------------------------------------------------------------------------- #
+class TestLegacyBackendHeaders:
+    """Archives written while the dict engine existed record ``backend``."""
+
+    @staticmethod
+    def _changed(graph: ProbabilisticGraph, u, v, probability: float) -> ProbabilisticGraph:
+        changed = ProbabilisticGraph()
+        for vertex in graph.vertices():
+            changed.add_vertex(vertex)
+        for a, b, p in graph.edges():
+            changed.add_edge(a, b, probability if {a, b} == {u, v} else p)
+        return changed
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_local_archive_loads_answers_and_updates(self, planted, tmp_path, backend):
+        legacy = NucleusIndex.from_local_result(
+            local_nucleus_decomposition(planted, THETA), params={"backend": backend}
+        )
+        loaded = load_index(legacy.save(tmp_path / "legacy.npz"))
+        assert loaded.params["backend"] == backend
+        vertices = sorted(planted.vertices())
+        fresh = build_local_index(planted, THETA)
+        assert np.array_equal(
+            NucleusQueryEngine(loaded).max_score(vertices),
+            NucleusQueryEngine(fresh).max_score(vertices),
+        )
+        u, v, _ = next(iter(planted.edges()))
+        updated = apply_updates(loaded, [EdgeUpdate("change", u, v, 0.5)])
+        rebuilt = build_local_index(self._changed(planted, u, v, 0.5), THETA)
+        assert updated.revision == 1
+        for name in rebuilt.arrays:
+            assert np.array_equal(updated.arrays[name], rebuilt.arrays[name]), name
+
+    def test_global_dict_archive_rebuilds_on_the_engine(self, planted, tmp_path):
+        params = {"k": 1, "backend": "dict", "n_samples": 20, "seed": 3}
+        nuclei = global_nucleus_decomposition(planted, 1, THETA, n_samples=20, seed=3)
+        legacy = NucleusIndex.from_nuclei(
+            planted, nuclei, k=1, theta=THETA, mode="global", params=params
+        )
+        loaded = load_index(legacy.save(tmp_path / "legacy.npz"))
+        assert NucleusQueryEngine(loaded).top_nuclei(n=1, k=1)
+        u, v, _ = next(iter(planted.edges()))
+        updated = apply_updates(loaded, [EdgeUpdate("change", u, v, 0.5)])
+        rebuilt = build_global_index(
+            self._changed(planted, u, v, 0.5), 1, THETA, n_samples=20, seed=3
+        )
+        assert "backend" not in updated.params
+        for name in rebuilt.arrays:
+            assert np.array_equal(updated.arrays[name], rebuilt.arrays[name]), name
+
+
 class TestDirectArraySnapshot:
     @pytest.mark.parametrize("name", DATASET_NAMES[:3])
     def test_csr_build_equals_dict_result_detour(self, name):
         graph = load_dataset(name, scale="tiny")
-        direct = build_local_index(graph, THETA, backend="csr")
-        detour = NucleusIndex.from_local_result(
-            local_nucleus_decomposition(graph, THETA, backend="csr"),
-            params={"backend": "csr"},
-        )
+        direct = build_local_index(graph, THETA)
+        detour = NucleusIndex.from_local_result(local_nucleus_decomposition(graph, THETA))
         assert direct == detour
 
     def test_csr_and_dict_backends_agree_on_arrays(self, planted):
-        direct = build_local_index(planted, THETA, backend="csr")
-        via_dict = build_local_index(planted, THETA, backend="dict")
-        # Headers differ only in the recorded backend; every array (graph,
-        # scores, components, postings) must be identical.
+        direct = build_local_index(planted, THETA)
+        via_dict = NucleusIndex.from_local_result(
+            oracle.local_nucleus_decomposition(planted, THETA)
+        )
+        # Every array (graph, scores, components, postings) of the engine's
+        # direct snapshot must equal the dict oracle's snapshot.
         for name in direct.arrays:
             assert np.array_equal(direct.arrays[name], via_dict.arrays[name]), name
         assert direct.fingerprint == via_dict.fingerprint
@@ -233,7 +287,7 @@ class TestDirectArraySnapshot:
         # The no-detour path must reject the same bad parameters the
         # decomposition entry point rejects.
         with pytest.raises(InvalidParameterError):
-            build_local_index(planted, 1.5, backend="csr")
+            build_local_index(planted, 1.5)
         with pytest.raises(InvalidParameterError):
             build_local_index(planted.to_csr(), -0.1)
         with pytest.raises(InvalidParameterError):

@@ -343,13 +343,13 @@ class TestSpans:
 class TestInstrumentation:
     def test_peel_counters_csr(self, graph):
         with capture(enable=True):
-            local_nucleus_decomposition(graph, THETA, backend="csr")
+            local_nucleus_decomposition(graph, THETA)
         pops = REGISTRY.counter("repro_peel_pops_total")
         assert pops.value > 0
 
     def test_index_build_trace_nests_peel(self, graph):
         with capture(enable=True) as sink:
-            repro.build_index(graph, mode="local", theta=THETA, backend="csr")
+            repro.build_index(graph, mode="local", theta=THETA)
         (trace,) = sink.traces()
         assert trace["name"] == "index.build"
         assert "peel" in {child["name"] for child in trace["children"]}
@@ -391,7 +391,7 @@ class TestInstrumentation:
         with capture(enable=True):
             run = run_spec(
                 spec,
-                RunConfig(backend="csr", scale="tiny"),
+                RunConfig(scale="tiny"),
                 {"names": ("krogan",)},
             )
             artifact = run.to_artifact()
@@ -407,7 +407,7 @@ class TestInstrumentation:
         with capture(enable=True):
             run = run_spec(
                 spec,
-                RunConfig(backend="csr", scale="tiny", n_jobs=2),
+                RunConfig(scale="tiny", n_jobs=2),
                 {"names": ("krogan", "dblp")},
             )
             artifact = run.to_artifact()
@@ -427,7 +427,7 @@ class TestInstrumentation:
     def test_pipeline_artifact_disabled_has_no_traces(self):
         spec = get_spec("table1")
         run = run_spec(
-            spec, RunConfig(backend="csr", scale="tiny"), {"names": ("krogan",)}
+            spec, RunConfig(scale="tiny"), {"names": ("krogan",)}
         )
         artifact = run.to_artifact()
         assert artifact["obs"] == {"enabled": False, "metrics": []}
@@ -548,7 +548,7 @@ class TestFacade:
             best = float("inf")
             for _ in range(repeats):
                 start = _time.perf_counter()
-                local_nucleus_decomposition(graph, THETA, backend="csr")
+                local_nucleus_decomposition(graph, THETA)
                 best = min(best, _time.perf_counter() - start)
             return best
 

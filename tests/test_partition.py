@@ -204,11 +204,11 @@ class TestStreamParity:
         # through the public entry points.
         graph = clique_graph(5, probability=1.0)
         for run in (global_nucleus_decomposition, weak_nucleus_decomposition):
-            baseline = run(graph, k=1, theta=0.3, n_samples=24, seed=0, backend="csr")
+            baseline = run(graph, k=1, theta=0.3, n_samples=24, seed=0)
             for partitions in (2, 3):
                 partitioned = run(
                     graph, k=1, theta=0.3, n_samples=24, seed=0,
-                    backend="csr", partitions=partitions,
+                    partitions=partitions,
                 )
                 signature = [
                     (n.k, sorted(map(str, n.subgraph.vertices()))) for n in baseline
@@ -230,15 +230,11 @@ class TestValidationAndRecording:
         graph = clique_graph(4, probability=0.9)
         with pytest.raises(InvalidParameterError):
             global_nucleus_decomposition(
-                graph, k=1, theta=0.3, n_samples=10, backend="csr", partitions=0
-            )
-        with pytest.raises(InvalidParameterError, match="csr"):
-            weak_nucleus_decomposition(
-                graph, k=1, theta=0.3, n_samples=10, backend="dict", partitions=2
+                graph, k=1, theta=0.3, n_samples=10, partitions=0
             )
         with pytest.raises(InvalidParameterError):
             global_nucleus_decomposition(
-                graph, k=1, theta=0.3, n_samples=10, backend="csr",
+                graph, k=1, theta=0.3, n_samples=10,
                 sampling="adaptive", partitions=2,
             )
 
@@ -248,9 +244,9 @@ class TestValidationAndRecording:
 
     def test_run_config_partition_validation(self):
         with pytest.raises(InvalidParameterError):
-            RunConfig(scale="tiny", backend="csr", partitions=0)
+            RunConfig(scale="tiny", partitions=0)
         with pytest.raises(InvalidParameterError):
-            RunConfig(scale="tiny", backend="csr", sampling="adaptive", partitions=2)
+            RunConfig(scale="tiny", sampling="adaptive", partitions=2)
 
     def test_cli_rejects_partitions_in_local_mode(self, tmp_path):
         from repro.cli import main as cli_main
@@ -270,11 +266,11 @@ class TestValidationAndRecording:
 
         index = build_index(
             graph, mode="weak", theta=0.3, k=1, n_samples=12, seed=0,
-            backend="csr", partitions=2,
+            partitions=2,
         )
         assert index.params["partitions"] == 2
         baseline = build_index(
-            graph, mode="weak", theta=0.3, k=1, n_samples=12, seed=0, backend="csr"
+            graph, mode="weak", theta=0.3, k=1, n_samples=12, seed=0
         )
         assert "partitions" not in baseline.params
 

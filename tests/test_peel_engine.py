@@ -1,11 +1,11 @@
 """Tests for the array-native peel engine (repro.core.peel) and its helpers.
 
 Pins the tentpole guarantees: the bucket-queue engine produces exactly the
-dict backend's scores on every edge case (empty graph, triangle-free graph,
+dict oracle's scores on every edge case (empty graph, triangle-free graph,
 θ = 1, θ → 0, all-sentinel graphs), the :class:`KappaRepair` hooks plug
 interchangeably into the same loop, and the shared
 :class:`~repro.peeling.LazyMinHeap` implements the lazy-deletion protocol
-the dict-backend loops rely on.
+the dict-based loops rely on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import batched_initial_kappas, build_triangle_extension_index
-from repro.core.local import BACKENDS, local_nucleus_decomposition
+from repro.core.local import local_nucleus_decomposition
 from repro.core.peel import (
     EstimatorKappaRepair,
     KappaRepair,
@@ -28,6 +28,14 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.peeling import LazyMinHeap
+
+import oracle
+
+#: The dict oracle and the production engine, keyed as the retired backends.
+ENGINES = {
+    "dict": oracle.local_nucleus_decomposition,
+    "csr": local_nucleus_decomposition,
+}
 
 
 def engine_scores(graph: ProbabilisticGraph, theta: float, repair=None) -> dict:
@@ -112,35 +120,35 @@ class TestEngineMatchesDictBackend:
 class TestEdgeCases:
     """Empty, triangle-free, θ = 1, θ → 0, and all-sentinel inputs."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_empty_graph(self, empty_graph, backend):
-        result = local_nucleus_decomposition(empty_graph, 0.5, backend=backend)
+        result = ENGINES[backend](empty_graph, 0.5)
         assert result.scores == {}
         assert result.max_score == -1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_triangle_free_graph(self, backend):
         path = ProbabilisticGraph([(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)])
-        result = local_nucleus_decomposition(path, 0.2, backend=backend)
+        result = ENGINES[backend](path, 0.2)
         assert result.scores == {}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_theta_one_probabilistic_graph_is_all_sentinel(
         self, four_clique_graph, backend
     ):
         # p = 0.9 edges cannot reach θ = 1, so every triangle gets −1.
-        result = local_nucleus_decomposition(four_clique_graph, 1.0, backend=backend)
+        result = ENGINES[backend](four_clique_graph, 1.0)
         assert set(result.scores.values()) == {NO_VALID_K}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_theta_one_certain_graph_keeps_full_support(
         self, five_clique_graph, backend
     ):
         # All-certain edges survive θ = 1; every triangle has support 2.
-        result = local_nucleus_decomposition(five_clique_graph, 1.0, backend=backend)
+        result = ENGINES[backend](five_clique_graph, 1.0)
         assert set(result.scores.values()) == {2}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     @pytest.mark.parametrize("theta", [0.0, 1e-12])
     def test_theta_to_zero_reduces_to_deterministic_nucleusness(self, backend, theta):
         # With θ → 0 every κ equals the residual support count, so the peel
@@ -154,13 +162,13 @@ class TestEdgeCases:
             bridges_per_community=2,
             seed=9,
         )
-        result = local_nucleus_decomposition(graph, theta, backend=backend)
+        result = ENGINES[backend](graph, theta)
         assert result.scores == nucleus_decomposition(graph)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_every_triangle_sentinel(self, disconnected_graph, backend):
         # Triangle probabilities are 0.9³ ≈ 0.73 and 0.8³ ≈ 0.51, both < 0.8.
-        result = local_nucleus_decomposition(disconnected_graph, 0.8, backend=backend)
+        result = ENGINES[backend](disconnected_graph, 0.8)
         assert len(result.scores) == 2
         assert set(result.scores.values()) == {NO_VALID_K}
         assert result.nuclei(0) == []
@@ -172,8 +180,8 @@ class TestEdgeCases:
             (clique_graph(4, probability=0.5), 1.0),
             (clique_graph(6, probability=1.0), 0.0),
         ]:
-            expected = local_nucleus_decomposition(graph, theta, backend="dict")
-            actual = local_nucleus_decomposition(graph, theta, backend="csr")
+            expected = oracle.local_nucleus_decomposition(graph, theta)
+            actual = local_nucleus_decomposition(graph, theta)
             assert actual.scores == expected.scores
 
 

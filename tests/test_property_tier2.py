@@ -127,7 +127,7 @@ class TestPeelInvariants:
     def test_scores_bounded_by_support_and_theta(self, graph, theta):
         """-1 flags exactly the sub-θ triangles; κ never exceeds 4-clique support."""
         result = local_nucleus_decomposition(
-            graph, theta, estimator=DynamicProgrammingEstimator(), backend="csr"
+            graph, theta, estimator=DynamicProgrammingEstimator()
         )
         edges = _edge_table(graph)
         for triangle, score in result.scores.items():
@@ -152,10 +152,10 @@ class TestPeelInvariants:
         """Raising θ can only lower a triangle's ν-score (exact oracle)."""
         low, high = sorted(thetas)
         loose = local_nucleus_decomposition(
-            graph, low, estimator=DynamicProgrammingEstimator(), backend="csr"
+            graph, low, estimator=DynamicProgrammingEstimator()
         )
         strict = local_nucleus_decomposition(
-            graph, high, estimator=DynamicProgrammingEstimator(), backend="csr"
+            graph, high, estimator=DynamicProgrammingEstimator()
         )
         assert set(loose.scores) == set(strict.scores)
         for triangle, score in strict.scores.items():
@@ -192,13 +192,13 @@ class TestIncrementalProperty:
                 update = EdgeUpdate("change", u, v, probability)
                 edges[(u, v)] = probability
 
-        index = build_local_index(graph, 0.05, backend="csr")
+        index = build_local_index(graph, 0.05)
         updated = apply_updates(index, [update])
 
         reference_graph = ProbabilisticGraph([(u, v, p) for (u, v), p in edges.items()])
         for label in labels:
             reference_graph.add_vertex(label)
-        rebuilt = build_local_index(reference_graph, 0.05, backend="csr")
+        rebuilt = build_local_index(reference_graph, 0.05)
 
         assert updated.fingerprint == rebuilt.fingerprint, update
         for name, want in rebuilt.arrays.items():

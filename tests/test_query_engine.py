@@ -30,15 +30,21 @@ from repro.index import NucleusIndex, build_local_index
 from repro.metrics.density import probabilistic_density
 from repro.query import LRUCache, NucleusQueryEngine
 
+import oracle
+
 THETA = 0.3
 PARITY_DATASETS = ("krogan", "flickr")
-BACKENDS = ("dict", "csr")
+#: The dict oracle and the production engine, keyed as the retired backends.
+ENGINES = {
+    "dict": oracle.local_nucleus_decomposition,
+    "csr": local_nucleus_decomposition,
+}
 
 
 @functools.lru_cache(maxsize=None)
 def parity_setup(name: str, backend: str):
     graph = load_dataset(name, scale="tiny")
-    result = local_nucleus_decomposition(graph, THETA, backend=backend)
+    result = ENGINES[backend](graph, THETA)
     engine = NucleusQueryEngine(build_local_index(graph, THETA, local_result=result))
     return graph, result, engine
 
@@ -65,7 +71,7 @@ def nucleus_key(nucleus):
 # engine vs recompute, local mode
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", PARITY_DATASETS)
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ENGINES)
 class TestLocalParity:
     def test_vertex_max_score(self, name, backend):
         graph, result, engine = parity_setup(name, backend)

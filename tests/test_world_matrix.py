@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import (
-    triangle_weak_scores,
     triangle_weak_scores_matrix,
     weak_nucleus_decomposition,
 )
@@ -45,6 +44,8 @@ from repro.sampling.world_matrix import (
     weak_membership_counts,
     world_from_row,
 )
+
+import oracle
 
 
 @pytest.fixture
@@ -247,7 +248,7 @@ class TestStatisticalParity:
         graph = clique_graph(5, probability=0.7)
         k, n_samples, delta = 1, 1500, 0.01
         epsilon = hoeffding_error_bound(n_samples, delta)
-        dict_scores = triangle_weak_scores(graph, k, n_samples, random.Random(23))
+        dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(23))
         matrix_scores = triangle_weak_scores_matrix(graph, k, n_samples, seed=37)
         assert set(dict_scores) == set(matrix_scores)
         for triangle, score in dict_scores.items():
@@ -257,14 +258,14 @@ class TestStatisticalParity:
 class TestSharding:
     def test_global_n_jobs_identical_to_serial(self):
         graph = small_planted()
-        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5, backend="csr")
+        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5)
         serial = global_nucleus_decomposition(graph, **kwargs, n_jobs=1)
         sharded = global_nucleus_decomposition(graph, **kwargs, n_jobs=2)
         assert [n.triangles for n in serial] == [n.triangles for n in sharded]
 
     def test_weak_n_jobs_identical_to_serial(self):
         graph = small_planted()
-        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5, backend="csr")
+        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5)
         serial = weak_nucleus_decomposition(graph, **kwargs, n_jobs=1)
         sharded = weak_nucleus_decomposition(graph, **kwargs, n_jobs=3)
         assert [n.triangles for n in serial] == [n.triangles for n in sharded]
@@ -283,30 +284,25 @@ class TestSharding:
     def test_invalid_n_jobs(self):
         with pytest.raises(InvalidParameterError):
             WorldShardPool(0)
-        with pytest.raises(InvalidParameterError):
-            weak_nucleus_decomposition(
-                clique_graph(4), k=1, theta=0.5, n_samples=5, backend="dict", n_jobs=2
-            )
 
 
 class TestBackendEndToEnd:
     def test_paper_example1_global_nucleus_csr_backend(self, paper_example1_graph):
         nuclei = global_nucleus_decomposition(
-            paper_example1_graph, k=1, theta=0.42, n_samples=400, seed=3, backend="csr"
+            paper_example1_graph, k=1, theta=0.42, n_samples=400, seed=3
         )
         assert len(nuclei) == 1
         assert set(nuclei[0].subgraph.vertices()) == {1, 2, 3, 5}
         assert nuclei[0].mode == "global"
 
     def test_numpy_generator_accepted_by_dict_backend(self, five_clique_graph):
-        # A numpy Generator is converted to the dict engine's random.Random.
-        nuclei = global_nucleus_decomposition(
+        # A numpy Generator is converted to the dict oracle's random.Random.
+        nuclei = oracle.global_nucleus_decomposition(
             five_clique_graph,
             k=2,
             theta=0.9,
             n_samples=30,
             rng=np.random.default_rng(8),
-            backend="dict",
         )
         assert len(nuclei) == 1
 
@@ -317,6 +313,5 @@ class TestBackendEndToEnd:
             theta=0.9,
             n_samples=30,
             rng=random.Random(4),
-            backend="csr",
         )
         assert len(nuclei) == 1
