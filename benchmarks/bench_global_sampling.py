@@ -7,16 +7,8 @@ paper's framing of FG/WG as post-processing).  The world-matrix engine
 (:mod:`repro.sampling.world_matrix`) samples all ``n_worlds`` worlds of a
 candidate in one RNG call and verifies them batch-wise.
 
-A second timing column exercises the compiled verification kernels
-(:mod:`repro.kernels.worlds`): the same run with ``kernel="numba"`` when
-numba is importable, reported as ``kernel_seconds`` / ``kernel_speedup``
-(matrix-over-kernel).  Without numba the rows fall back to the numpy kernel
-(``kernel_speedup`` ≈ 1) and the ``--min-kernel-speedup`` gate skips with a
-notice instead of failing.
-
 Results are printed as a table and written to a machine-readable JSON file
-(default ``BENCH_global_sampling.json``) that the CI ``kernels`` job uploads
-as an artifact.
+(default ``BENCH_global_sampling.json``).
 
 Usable under the pytest-benchmark harness
 (``pytest benchmarks/bench_global_sampling.py``) and standalone::
@@ -28,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 from pathlib import Path
@@ -42,7 +33,6 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 from repro.core.local import local_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.experiments.datasets import DATASET_NAMES, SCALES, load_dataset
-from repro.kernels import numba_available
 from repro.obs.timing import timer
 
 DEFAULT_JSON = "BENCH_global_sampling.json"
@@ -57,54 +47,33 @@ def _timed(function, *args, **kwargs):
     return result, t.seconds
 
 
-def time_sampling_kernels(
+def time_sampling(
     graph,
     theta: float,
     n_worlds: int,
     seed: int = 0,
     algorithms: tuple[str, ...] = ("global", "weak"),
 ):
-    """Time the numpy and compiled verification kernels on one graph.
+    """Time the world-matrix verification stage on one graph.
 
     Returns one row dict per algorithm.
     """
     local = local_nucleus_decomposition(graph, theta)
     k = max(1, local.max_score)
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
-    kernel_impl = "numba" if numba_available() else "numpy"
     rows = []
     for algorithm in algorithms:
-        run = runners[algorithm]
-        matrix_result, matrix_seconds = _timed(
-            run, graph, k=k, theta=theta, n_samples=n_worlds,
+        result, seconds = _timed(
+            runners[algorithm], graph, k=k, theta=theta, n_samples=n_worlds,
             local_result=local, seed=seed,
-        )
-        if kernel_impl == "numba":
-            # Warm up once untimed so jit compilation never lands in the
-            # measured run.
-            run(
-                graph, k=k, theta=theta, n_samples=n_worlds,
-                local_result=local, seed=seed, kernel=kernel_impl,
-            )
-        kernel_result, kernel_seconds = _timed(
-            run, graph, k=k, theta=theta, n_samples=n_worlds,
-            local_result=local, seed=seed, kernel=kernel_impl,
-        )
-        # The verification kernels are bit-identical for the same worlds
-        # (same seed, same monolithic sampling stream).
-        assert len(kernel_result) == len(matrix_result), (
-            f"{kernel_impl} kernel diverged from the matrix engine on {algorithm}"
         )
         rows.append(
             {
                 "algorithm": algorithm,
                 "k": k,
                 "triangles": local.num_triangles,
-                "matrix_seconds": matrix_seconds,
-                "matrix_nuclei": len(matrix_result),
-                "kernel": kernel_impl,
-                "kernel_seconds": kernel_seconds,
-                "kernel_speedup": matrix_seconds / kernel_seconds,
+                "matrix_seconds": seconds,
+                "matrix_nuclei": len(result),
             }
         )
     return rows
@@ -120,19 +89,9 @@ def run_global_sampling(
     rows: list[dict] = []
     for name in DATASET_NAMES:
         graph = load_dataset(name, scale=scale)
-        for row in time_sampling_kernels(graph, theta, n_worlds, seed=seed):
+        for row in time_sampling(graph, theta, n_worlds, seed=seed):
             rows.append({"dataset": name, **row})
     return rows
-
-
-def summarize(rows: list[dict]) -> dict:
-    """Aggregate the kernel speedups: geometric mean across workloads."""
-    kernel_speedups = [row["kernel_speedup"] for row in rows]
-    return {
-        "geomean_kernel_speedup": math.exp(
-            sum(math.log(s) for s in kernel_speedups) / len(kernel_speedups)
-        ),
-    }
 
 
 def build_report(rows: list[dict], scale: str, theta: float, n_worlds: int) -> dict:
@@ -142,25 +101,22 @@ def build_report(rows: list[dict], scale: str, theta: float, n_worlds: int) -> d
         "scale": scale,
         "theta": theta,
         "n_worlds": n_worlds,
-        "kernel": rows[0]["kernel"] if rows else "numpy",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,
-        "summary": summarize(rows),
     }
 
 
 def format_global_sampling(rows: list[dict]) -> str:
     lines = [
         f"{'dataset':<12} {'algo':<7} {'k':>2} {'triangles':>9} "
-        f"{'matrix (s)':>10} {'kernel (s)':>10} {'kspeed':>7} {'nuclei':>6}",
-        "-" * 72,
+        f"{'matrix (s)':>10} {'nuclei':>6}",
+        "-" * 52,
     ]
     for row in rows:
         lines.append(
             f"{row['dataset']:<12} {row['algorithm']:<7} {row['k']:>2} "
             f"{row['triangles']:>9} {row['matrix_seconds']:>10.3f} "
-            f"{row['kernel_seconds']:>10.3f} {row['kernel_speedup']:>6.2f}x "
             f"{row['matrix_nuclei']:>6}"
         )
     return "\n".join(lines)
@@ -187,12 +143,6 @@ def main(argv=None) -> int:
         "--json", default=DEFAULT_JSON, metavar="PATH",
         help=f"write the machine-readable report here (default: {DEFAULT_JSON})",
     )
-    parser.add_argument(
-        "--min-kernel-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless the compiled verification kernels beat the "
-             "numpy matrix engine by a geomean of at least X; skipped with a "
-             "notice when numba is not installed",
-    )
     args = parser.parse_args(argv)
 
     rows = run_global_sampling(
@@ -201,26 +151,7 @@ def main(argv=None) -> int:
     report = build_report(rows, args.scale, args.theta, args.n_worlds)
     Path(args.json).write_text(json.dumps(report, indent=2))
     print(format_global_sampling(rows))
-    summary = report["summary"]
-    print(
-        f"\nkernel geomean {summary['geomean_kernel_speedup']:.2f}x "
-        f"({report['kernel']}) · report -> {args.json}"
-    )
-
-    if args.min_kernel_speedup is not None:
-        if report["kernel"] != "numba":
-            print(
-                "kernel gate skipped: numba is not installed, rows timed the "
-                "numpy fallback (install with pip install .[kernels])"
-            )
-        elif summary["geomean_kernel_speedup"] < args.min_kernel_speedup:
-            print(
-                f"GATE FAILURE: geomean kernel speedup "
-                f"{summary['geomean_kernel_speedup']:.2f}x is below the "
-                f"required {args.min_kernel_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
+    print(f"\nreport -> {args.json}")
     return 0
 
 

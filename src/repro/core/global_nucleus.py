@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.local import check_backend, local_nucleus_decomposition
-from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus, check_level
 from repro.deterministic.cliques import (
     FourClique,
     Triangle,
@@ -183,7 +183,6 @@ def _verify_candidate_matrix(
     n_samples: int,
     rng: np.random.Generator,
     pool: WorldShardPool | None,
-    kernel: str = "numpy",
     partitions: int = 1,
 ) -> tuple[bool, list[Triangle]]:
     """World-matrix Monte-Carlo verification: all worlds in one batch.
@@ -203,11 +202,11 @@ def _verify_candidate_matrix(
 
     if partitions > 1:
         counts = partitioned_global_counts(
-            index, n_samples, k, rng=rng, partitions=partitions, pool=pool, kernel=kernel
+            index, n_samples, k, rng=rng, partitions=partitions, pool=pool
         )
     else:
         worlds = index.sample(n_samples, rng=rng)
-        counts = global_triangle_counts(index, worlds, k, pool=pool, kernel=kernel)
+        counts = global_triangle_counts(index, worlds, k, pool=pool)
     passes = bool(np.all(counts / n_samples >= theta))
     return passes, triangles
 
@@ -219,7 +218,6 @@ def _verify_candidate_adaptive(
     settings: AdaptiveSettings,
     rng: np.random.Generator,
     pool: WorldShardPool | None,
-    kernel: str = "numpy",
 ) -> tuple[bool, list[Triangle]]:
     """Sequential Monte-Carlo verification with confidence-driven stopping.
 
@@ -233,9 +231,7 @@ def _verify_candidate_adaptive(
     if not triangles:
         return False, triangles
 
-    passes, _ = adaptive_global_verify(
-        index, k, theta, settings, rng=rng, pool=pool, kernel=kernel
-    )
+    passes, _ = adaptive_global_verify(index, k, theta, settings, rng=rng, pool=pool)
     return passes, triangles
 
 
@@ -304,10 +300,11 @@ def global_nucleus_decomposition(
         θ decision at level ``confidence``, capped at ``n_worlds_max``
         (default ``2 × n_samples``); see :mod:`repro.sampling.adaptive`.
     kernel:
-        ``"numpy"`` (default) or ``"numba"`` — compiled hot loops for the
-        local pruning peel and the world verification
-        (:mod:`repro.kernels`); falls back to numpy (with a one-time
-        warning) when numba is not installed.
+        ``"numpy"`` (default) or ``"numba"`` — the compiled peel of the
+        local pruning step (:mod:`repro.kernels`); falls back to numpy (with
+        a one-time warning) when numba is not installed.  World
+        verification always runs the batched numpy predicates of
+        :mod:`repro.sampling.world_matrix`.
     partitions:
         Number of contiguous edge partitions each candidate's world sample
         is drawn in (default 1 = the monolithic matrix).  ``partitions > 1``
@@ -325,8 +322,7 @@ def global_nucleus_decomposition(
     check_backend(backend)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
@@ -357,12 +353,9 @@ def global_nucleus_decomposition(
 
     def verify(subgraph: ProbabilisticGraph) -> tuple[bool, list[Triangle]]:
         if adaptive is not None:
-            return _verify_candidate_adaptive(
-                subgraph, k, theta, adaptive, engine_rng, pool, kernel=kernel
-            )
+            return _verify_candidate_adaptive(subgraph, k, theta, adaptive, engine_rng, pool)
         return _verify_candidate_matrix(
-            subgraph, k, theta, n_samples, engine_rng, pool,
-            kernel=kernel, partitions=partitions,
+            subgraph, k, theta, n_samples, engine_rng, pool, partitions=partitions
         )
 
     try:

@@ -20,7 +20,17 @@ from repro.exceptions import (
 )
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
 
-__all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus"]
+__all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus", "check_level"]
+
+
+def check_level(k) -> None:
+    """Validate a nucleus level ``k``: a non-negative ``int`` (not a ``bool``).
+
+    The one rule for ``k`` shared by the global and weak drivers,
+    :meth:`LocalNucleusDecomposition.nuclei` and the query engine.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +176,7 @@ class LocalNucleusDecomposition:
     # nuclei extraction
     # ------------------------------------------------------------------ #
     def _triangle_groups(self, k: int) -> list[frozenset[Triangle]]:
-        if k < 0:
-            raise InvalidParameterError(f"k must be non-negative, got {k}")
+        check_level(k)
         if k not in self._groups_cache:
             groups = k_nucleus_triangle_groups(self.graph, k, nucleusness=self.scores)
             self._groups_cache[k] = [frozenset(group) for group in groups]

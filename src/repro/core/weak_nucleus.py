@@ -28,7 +28,7 @@ from repro.core.approximations import SupportEstimator
 from repro.core.global_nucleus import validate_sampling_options
 from repro.sampling.partitioned import partitioned_weak_counts
 from repro.core.local import check_backend, local_nucleus_decomposition
-from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus, check_level
 from repro.deterministic.cliques import (
     Triangle,
     triangle_clique_index,
@@ -64,7 +64,6 @@ def triangle_weak_scores_matrix(
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
     pool: WorldShardPool | None = None,
-    kernel: str = "numpy",
     partitions: int = 1,
 ) -> dict[Triangle, float]:
     """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
@@ -75,8 +74,7 @@ def triangle_weak_scores_matrix(
     (:func:`repro.sampling.world_matrix.weak_membership_counts`), optionally
     sharding the matrix across a :class:`WorldShardPool`.  The returned
     dictionary maps every triangle of the candidate (not just the ones that
-    ever scored) to its estimate.  ``kernel="numba"`` runs the compiled
-    per-world peel (:mod:`repro.kernels.worlds`); ``partitions > 1`` samples
+    ever scored) to its estimate.  ``partitions > 1`` samples
     the candidate's edge range one partition block at a time
     (:func:`repro.sampling.partitioned.partitioned_weak_counts`) so the
     worlds matrix is never materialized.
@@ -86,12 +84,11 @@ def triangle_weak_scores_matrix(
     index = CandidateWorldIndex.from_graph(candidate)
     if partitions > 1:
         counts = partitioned_weak_counts(
-            index, n_samples, k, rng=rng, seed=seed,
-            partitions=partitions, pool=pool, kernel=kernel,
+            index, n_samples, k, rng=rng, seed=seed, partitions=partitions, pool=pool
         )
     else:
         worlds = index.sample(n_samples, rng=rng, seed=seed)
-        counts = weak_membership_counts(index, worlds, k, pool=pool, kernel=kernel)
+        counts = weak_membership_counts(index, worlds, k, pool=pool)
     return {
         triangle: count / n_samples
         for triangle, count in zip(index.triangle_labels(), counts.tolist())
@@ -105,7 +102,6 @@ def _qualifying_triangles_adaptive(
     settings: AdaptiveSettings,
     rng: "np.random.Generator",
     pool: WorldShardPool | None = None,
-    kernel: str = "numpy",
 ) -> set[Triangle]:
     """Sequential counterpart of the score-then-threshold step of Algorithm 3.
 
@@ -115,9 +111,7 @@ def _qualifying_triangles_adaptive(
     after a few chunks.
     """
     index = CandidateWorldIndex.from_graph(candidate)
-    _, qualifying, _ = adaptive_weak_scores(
-        index, k, theta, settings, rng=rng, pool=pool, kernel=kernel
-    )
+    _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng, pool=pool)
     labels = index.triangle_labels()
     return {label for label, keep in zip(labels, qualifying.tolist()) if keep}
 
@@ -159,15 +153,14 @@ def weak_nucleus_decomposition(
     world chunks until every triangle's θ decision is settled at level
     ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` and
     ``partitions`` mirror
-    :func:`~repro.core.global_nucleus.global_nucleus_decomposition`:
-    compiled hot loops and partitioned (larger-than-RAM) candidate
-    sampling.
+    :func:`~repro.core.global_nucleus.global_nucleus_decomposition`: the
+    compiled peel of the local step and partitioned (larger-than-RAM)
+    candidate sampling.
     """
     check_backend(backend)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     if not 0.0 <= theta <= 1.0:
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
@@ -197,11 +190,10 @@ def weak_nucleus_decomposition(
     def qualifying(subgraph: ProbabilisticGraph) -> set[Triangle]:
         if adaptive is not None:
             return _qualifying_triangles_adaptive(
-                subgraph, k, theta, adaptive, engine_rng, pool=pool, kernel=kernel
+                subgraph, k, theta, adaptive, engine_rng, pool=pool
             )
         scores = triangle_weak_scores_matrix(
-            subgraph, k, n_samples, rng=engine_rng, pool=pool,
-            kernel=kernel, partitions=partitions,
+            subgraph, k, n_samples, rng=engine_rng, pool=pool, partitions=partitions
         )
         return {t for t, score in scores.items() if score >= theta}
 

@@ -2,49 +2,14 @@
 
 Used by the network-reliability module (a possible world "counts" when it is
 connected), by the experiment harness when it reports connected components of
-decomposition outputs, by the 4-clique-connectivity checks of the array
-engines (:class:`UnionFind`), and by tests.
+decomposition outputs, and by tests.
 """
 
 from __future__ import annotations
 
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
 
-__all__ = ["UnionFind", "connected_components", "is_connected", "largest_component"]
-
-
-class UnionFind:
-    """Array-backed disjoint-set union over the integers ``0 … size - 1``.
-
-    Plain union with path compression — the structure behind every
-    4-clique-connectivity grouping in the array engines (per-world
-    connectivity in :mod:`repro.sampling.world_matrix`, per-level nucleus
-    components in :mod:`repro.index.builders`).  Unions may be added
-    incrementally; :meth:`find` is amortised near-constant.
-    """
-
-    __slots__ = ("_parent",)
-
-    def __init__(self, size: int) -> None:
-        self._parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        """Return the representative of ``x``'s set, compressing the path."""
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        """Merge the sets of ``a`` and ``b``; returns the surviving root."""
-        root_a = self.find(a)
-        root_b = self.find(b)
-        if root_b != root_a:
-            self._parent[root_b] = root_a
-        return root_a
+__all__ = ["connected_components", "is_connected", "largest_component"]
 
 
 def connected_components(graph: ProbabilisticGraph) -> list[set[Vertex]]:

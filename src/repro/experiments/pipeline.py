@@ -98,8 +98,8 @@ class RunConfig:
         per-candidate cap of ``n_worlds_max`` worlds (``None`` → twice the
         cell's fixed budget).  Recorded in every artifact's config block.
     kernel:
-        Hot-loop implementation: ``"numpy"`` (default) or ``"numba"`` — the
-        compiled peel / world-verification kernels of :mod:`repro.kernels`
+        Peel implementation: ``"numpy"`` (default) or ``"numba"`` — the
+        compiled peel kernel of :mod:`repro.kernels`
         (falls back to numpy with a one-time warning when numba is not
         installed).  The artifact config block records both the request and
         the resolved value.

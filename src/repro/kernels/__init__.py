@@ -1,24 +1,22 @@
-"""Optional compiled kernels for the two Monte-Carlo hot loops.
+"""Optional compiled kernel for the bucket-queue peel.
 
-The bucket-queue peel (:mod:`repro.core.peel`) and the possible-world
-verification counts (:mod:`repro.sampling.world_matrix`) are fully
-array-shaped, which makes them JIT-able: this package holds numba-compiled
-versions of both behind a ``kernel="numpy"|"numba"`` switch threaded through
-:func:`repro.decompose`, the index builders, ``repro-experiments`` and
-``repro-index build``.
+The peel of :mod:`repro.core.peel` is fully array-shaped, which makes it
+JIT-able: this package holds a numba-compiled version behind a
+``kernel="numpy"|"numba"`` switch threaded through :func:`repro.decompose`,
+the index builders, ``repro-experiments`` and ``repro-index build``.  World
+verification has no such switch: it always runs the batched numpy
+predicates of :mod:`repro.sampling.world_matrix`.
 
 numba is an *optional* dependency (``pip install .[kernels]``).  When it is
 missing, :func:`resolve_kernel` falls back to ``"numpy"`` with a single
 :class:`RuntimeWarning` and every caller keeps working on the portable numpy
-paths — the fallback leg of the CI matrix pins that the whole suite stays
+peel — the fallback leg of the CI matrix pins that the whole suite stays
 green without numba.
 
 Parity contract (pinned by ``tests/test_kernels.py``):
 
-* **exact paths are bit-identical** — the unit-drop (exact-DP) peel keeps
-  the Poisson-binomial repair in Python behind a batched callback boundary,
-  and the global/weak world-count kernels consume the very worlds matrix
-  the numpy path samples, so their integer counts match element-wise;
+* **the exact path is bit-identical** — the unit-drop (exact-DP) peel keeps
+  the Poisson-binomial repair in Python behind a batched callback boundary;
 * **Monte-Carlo repair is distribution-identical** — the fully jitted MC
   peel draws its own variates (numba's MT19937 instead of the repair's
   PCG64), deterministic for a fixed seed but a different stream.

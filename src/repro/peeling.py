@@ -2,7 +2,7 @@
 
 Every dict-backed decomposition in this library — deterministic (3,4)-nucleus
 and k-truss, probabilistic local nucleus, the (k, η)-core and (k, γ)-truss
-baselines, and the per-world projected peel of the sampling engine — follows
+baselines — follows
 the same skeleton: pop the minimum-score element, skip it if it was already
 processed, re-push it if its stored score went stale, otherwise peel it and
 update its neighbours.  Historically each loop re-implemented the

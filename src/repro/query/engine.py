@@ -31,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from repro.core.result import ProbabilisticNucleus
+from repro.core.result import ProbabilisticNucleus, check_level
 from repro.exceptions import (
     InvalidParameterError,
     LevelNotIndexedError,
@@ -193,8 +193,7 @@ class NucleusQueryEngine:
         return ids
 
     def _check_level(self, k: int) -> int:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
+        check_level(k)
         if self.index.mode != "local" and k not in self.index.levels:
             # A global / weakly-global index certifies exactly one k; other
             # levels are not derivable from the snapshot.

@@ -285,7 +285,6 @@ def adaptive_global_verify(
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
     pool: "WorldShardPool | None" = None,
-    kernel: str = "numpy",
 ) -> tuple[bool, AdaptiveOutcome]:
     """Sequentially decide the global-model verification of one candidate.
 
@@ -308,7 +307,7 @@ def adaptive_global_verify(
     decided: bool | None = None
     for stage, chunk in enumerate(settings.schedule(), start=1):
         worlds = index.sample(chunk, rng=generator)
-        counts += global_triangle_counts(index, worlds, k, pool=pool, kernel=kernel)
+        counts += global_triangle_counts(index, worlds, k, pool=pool)
         drawn += chunk
         means = counts / drawn
         radius = decision_radius(drawn, means, stage_delta(settings.delta, stage))
@@ -336,12 +335,11 @@ def adaptive_weak_scores(
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
     pool: "WorldShardPool | None" = None,
-    kernel: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray, AdaptiveOutcome]:
     """Sequentially decide, per triangle, whether its weak score reaches θ.
 
-    Every chunk still scores *all* triangles of the candidate (the per-world
-    nucleusness peel is shared work), so the candidate keeps sampling until
+    Every chunk still scores *all* triangles of the candidate (the weak
+    fixed point is shared work), so the candidate keeps sampling until
     **every** triangle's decision is settled — a triangle is settled once
     its lower bound reaches θ (qualifies) or its upper bound falls below θ
     (does not).  Undecided triangles at the ``n_worlds_max`` cap fall back
@@ -366,7 +364,7 @@ def adaptive_weak_scores(
     means = np.zeros(num_triangles, dtype=np.float64)
     for stage, chunk in enumerate(settings.schedule(), start=1):
         worlds = index.sample(chunk, rng=generator)
-        counts += weak_membership_counts(index, worlds, k, pool=pool, kernel=kernel)
+        counts += weak_membership_counts(index, worlds, k, pool=pool)
         drawn += chunk
         means = counts / drawn
         radius = decision_radius(drawn, means, stage_delta(settings.delta, stage))

@@ -21,11 +21,12 @@ counters on it yields bit-identical counts (``tests/test_partition.py`` pins
 this), though the stream differs from what ``index.sample`` would draw for
 the same seed.
 
-The weak estimator reduces to presence matrices, so it dispatches to either
-weak counting kernel (``kernel="numpy"|"numba"``).  The global estimator's
-remaining per-world work (edge coverage, support, connectivity) is already
-vectorized over candidate-sized arrays; its coverage pass always runs the
-numpy path regardless of ``kernel``.
+Only the sampling is partition-specific: the per-block presence and
+edge-coverage masks.  Both estimators then hand the candidate-sized presence
+matrices to the predicates of :mod:`repro.sampling.world_matrix` —
+:func:`~repro.sampling.world_matrix.global_world_mask` and
+:func:`~repro.sampling.world_matrix.weak_counts_from_presence` — the same code
+the monolithic path runs.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ import numpy as np
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.partition import partition_edge_ranges
-from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.sampling.sharding import _require_positive_int
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
-    _connected_through_cliques,
-    _weak_counts_from_presence,
     as_numpy_generator,
+    global_world_mask,
+    uncovered_worlds,
+    weak_counts_from_presence,
 )
 
 __all__ = ["partitioned_global_counts", "partitioned_weak_counts"]
@@ -102,18 +103,7 @@ def _coverage_shard(payload) -> np.ndarray:
     """
     index, n_worlds, start, stop, root_seed, p, clique_present = payload
     block = _sample_block(index, n_worlds, start, stop, root_seed, p)
-    covered = np.zeros((stop - start, n_worlds), dtype=bool)
-    for slot in range(6):
-        columns = index.clique_edges[:, slot]
-        selected = np.flatnonzero((columns >= start) & (columns < stop))
-        if selected.size:
-            # Several cliques can share an edge column: accumulate with
-            # ``logical_or.at`` — fancy-indexed ``|=`` would keep only the
-            # last clique's presence per duplicated column.
-            np.logical_or.at(
-                covered, columns[selected] - start, clique_present[:, selected].T
-            )
-    return (block & ~covered.T).any(axis=1)
+    return uncovered_worlds(index, block, clique_present, start=start)
 
 
 def _resolve_partition_run(index, n_worlds, k, rng, seed, partitions):
@@ -171,64 +161,36 @@ def partitioned_global_counts(
     seed: int | None = None,
     partitions: int = 2,
     pool=None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Per-triangle k-nucleus-world counts without the full worlds matrix.
 
     The partitioned equivalent of ``index.sample(n_worlds)`` followed by
     :func:`repro.sampling.world_matrix.global_triangle_counts`: same
-    estimator, same nucleus predicates, peak memory bounded by one partition
+    estimator, same nucleus predicate, peak memory bounded by one partition
     block plus the candidate-sized presence matrices.  ``pool`` (a
     :class:`~repro.sampling.world_matrix.WorldShardPool`) fans the partition
     blocks across worker processes; results are identical with or without
-    it.  ``kernel`` is accepted for interface symmetry and validated, but
-    the global coverage/connectivity stage always runs the vectorized numpy
-    path — there is no worlds matrix for the per-world kernel to walk.
+    it.
     """
-    resolve_kernel(kernel)
     ranges, root_seed = _resolve_partition_run(index, n_worlds, k, rng, seed, partitions)
     counts = np.zeros(index.num_triangles, dtype=np.int64)
     if index.num_triangles == 0 or index.num_cliques == 0 or not ranges:
         return counts
-    record_dispatch("verify.global.partitioned", "numpy")
     tri_present, clique_present = _partitioned_presence(
         index, n_worlds, ranges, root_seed, pool
     )
-    mask = clique_present.any(axis=1)
-    if not mask.any():
+    if not clique_present.any():
         return counts
-
-    # Condition 1: present edges covered by present cliques (second pass over
-    # the same replayable blocks).
+    # Edge coverage: a second pass over the same replayable blocks.
+    uncovered = np.zeros(n_worlds, dtype=bool)
     payloads = [
         (index, n_worlds, start, stop, root_seed, p, clique_present)
         for p, (start, stop) in enumerate(ranges)
     ]
     for bad in _map_payloads(pool, _coverage_shard, payloads):
-        mask &= ~bad
-
-    # Condition 2: structural triangles supported by >= k present cliques.
-    # Scatter-add over the (candidate-sized) clique membership lists instead
-    # of the dense clique/triangle incidence matmul.
-    support_t = np.zeros((index.num_triangles, n_worlds), dtype=np.int64)
-    clique_counts_t = clique_present.T.astype(np.int64)
-    for slot in range(4):
-        np.add.at(support_t, index.clique_triangles[:, slot], clique_counts_t)
-    support = support_t.T
-    mask &= ~((support >= 1) & (support < k)).any(axis=1)
-
-    # Condition 3: 4-clique connectivity, deduplicated by presence pattern.
-    survivors = np.flatnonzero(mask)
-    if survivors.size:
-        patterns, inverse = np.unique(clique_present[survivors], axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()
-        connected = np.array(
-            [_connected_through_cliques(index, pattern) for pattern in patterns],
-            dtype=bool,
-        )
-        mask[survivors[~connected[inverse]]] = False
-    counts += tri_present[mask].sum(axis=0, dtype=np.int64)
-    return counts
+        uncovered |= bad
+    mask = global_world_mask(index, clique_present, uncovered, k)
+    return tri_present[mask].sum(axis=0, dtype=np.int64)
 
 
 def partitioned_weak_counts(
@@ -239,25 +201,18 @@ def partitioned_weak_counts(
     seed: int | None = None,
     partitions: int = 2,
     pool=None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Per-triangle weak-membership counts without the full worlds matrix.
 
     The weak estimator only ever consumes structure presence, so after the
-    partitioned presence pass it hands off to the same counting loop as the
-    monolithic path — ``kernel="numba"`` selects the compiled per-world peel
-    of :mod:`repro.kernels.worlds`, bit-identical for the same presence.
+    partitioned presence pass it hands off to
+    :func:`~repro.sampling.world_matrix.weak_counts_from_presence`, the same
+    fixed point as the monolithic path.
     """
-    kernel = resolve_kernel(kernel)
     ranges, root_seed = _resolve_partition_run(index, n_worlds, k, rng, seed, partitions)
     if index.num_triangles == 0 or not ranges:
         return np.zeros(index.num_triangles, dtype=np.int64)
-    record_dispatch("verify.weak.partitioned", kernel)
     tri_present, clique_present = _partitioned_presence(
         index, n_worlds, ranges, root_seed, pool
     )
-    if kernel == "numba":
-        from repro.kernels.worlds import weak_counts_from_presence
-
-        return weak_counts_from_presence(index, tri_present, clique_present, k)
-    return _weak_counts_from_presence(index, tri_present, clique_present, k)
+    return weak_counts_from_presence(index, tri_present, clique_present, k)

@@ -15,14 +15,23 @@ This module replaces that with an array-backed pipeline:
 2. :func:`sample_world_matrix` draws **all** ``n`` worlds with a single RNG
    call, as an ``(n_worlds, n_edges)`` boolean matrix — world ``i`` contains
    edge ``j`` iff ``worlds[i, j]``.
-3. :func:`structure_presence`, :func:`nucleus_world_mask` and
-   :func:`weak_membership_counts` evaluate the per-world structural
-   predicates batch-wise: triangle/4-clique containment is a fancy-indexed
-   ``all`` over edge columns, edge-coverage and 4-clique support are integer
-   matmuls against the precompiled incidence matrices, and only the final
-   4-clique-connectivity check (global model) or nucleusness peel (weak
-   model) runs per world — on tiny pre-indexed integer structures, and only
-   for the worlds that survive the vectorized filters.
+3. :func:`structure_presence` turns the worlds into ``(n_worlds,
+   num_triangles)`` / ``(n_worlds, num_cliques)`` presence matrices (a
+   fancy-indexed ``all`` over edge columns), and each of the paper's two
+   predicates is evaluated once for all worlds from them — no Python loop
+   runs per world:
+
+   * **global** (:func:`global_world_mask`, Algorithm 2): edge coverage is
+     an OR-scatter of the present 4-cliques onto their edge columns;
+     4-clique support is a gather over ``tri_clique_indices`` summed per
+     triangle with ``np.add.reduceat``; connectivity is min-label
+     propagation with pointer jumping over the present 4-cliques.
+   * **weak** (:func:`weak_counts_from_presence`, Algorithm 3): the
+     greatest fixed point of alive triangles and alive 4-cliques, peeled
+     for all worlds together with the same gather-and-``reduceat`` support.
+
+   The partitioned sampler of :mod:`repro.sampling.partitioned` builds the
+   same presence matrices block by block and calls the same predicates.
 
 The per-world semantics are *identical* to the dict path — for any boolean
 row ``worlds[i]``, :func:`nucleus_world_mask` agrees with
@@ -48,7 +57,7 @@ hit counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +68,6 @@ from repro.deterministic.cliques import (
     forward_adjacency_csr,
     triangle_arrays_csr,
 )
-from repro.deterministic.connectivity import UnionFind
 from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -67,8 +75,6 @@ from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.kernels import record_dispatch, resolve_kernel
-from repro.peeling import LazyMinHeap
 from repro.sampling.sharding import plan_shards
 
 __all__ = [
@@ -77,8 +83,11 @@ __all__ = [
     "as_numpy_generator",
     "sample_world_matrix",
     "structure_presence",
+    "uncovered_worlds",
+    "global_world_mask",
     "nucleus_world_mask",
     "global_triangle_counts",
+    "weak_counts_from_presence",
     "weak_membership_counts",
     "world_from_row",
 ]
@@ -156,8 +165,6 @@ class CandidateWorldIndex:
     clique_triangles: np.ndarray
     tri_clique_indptr: np.ndarray
     tri_clique_indices: np.ndarray
-    _clique_edge_incidence: np.ndarray | None = field(default=None, repr=False)
-    _clique_tri_incidence: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -173,28 +180,6 @@ class CandidateWorldIndex:
     def num_cliques(self) -> int:
         """Number of 4-cliques of the candidate."""
         return int(self.cliques.shape[0])
-
-    @property
-    def clique_edge_incidence(self) -> np.ndarray:
-        """``(num_cliques, num_edges)`` 0/1 matrix: which edges each clique uses."""
-        if self._clique_edge_incidence is None:
-            incidence = np.zeros((self.num_cliques, self.num_edges), dtype=np.int64)
-            if self.num_cliques:
-                rows = np.arange(self.num_cliques, dtype=np.int64)[:, None]
-                incidence[rows, self.clique_edges] = 1
-            self._clique_edge_incidence = incidence
-        return self._clique_edge_incidence
-
-    @property
-    def clique_tri_incidence(self) -> np.ndarray:
-        """``(num_cliques, num_triangles)`` 0/1 matrix: the four member triangles."""
-        if self._clique_tri_incidence is None:
-            incidence = np.zeros((self.num_cliques, self.num_triangles), dtype=np.int64)
-            if self.num_cliques:
-                rows = np.arange(self.num_cliques, dtype=np.int64)[:, None]
-                incidence[rows, self.clique_triangles] = 1
-            self._clique_tri_incidence = incidence
-        return self._clique_tri_incidence
 
     def triangle_labels(self) -> list[Triangle]:
         """Return the canonical label-space tuple of every triangle row."""
@@ -378,25 +363,124 @@ def structure_presence(
     return tri_present, clique_present
 
 
-def _connected_through_cliques(index: CandidateWorldIndex, clique_row: np.ndarray) -> bool:
-    """Check that the structural triangles of one world form a single component.
+def _per_triangle(
+    index: CandidateWorldIndex,
+    clique_values: np.ndarray,
+    reduce: np.ufunc,
+    empty: int,
+    dtype: np.dtype,
+) -> np.ndarray:
+    """Reduce a ``(n_worlds, num_cliques)`` matrix onto the triangles.
 
-    Union-find over triangle rows, merging the four member triangles of every
-    present 4-clique; the structural triangles (those in at least one present
-    clique) must share a root.  Runs only for worlds that already passed the
-    vectorized coverage and support filters.
+    Column ``t`` of the result reduces (``np.add`` or ``np.minimum``) the
+    values of the 4-cliques that contain triangle ``t``: one gather over
+    ``tri_clique_indices`` and one ``reduceat`` over the non-empty segments
+    of ``tri_clique_indptr``.  Triangles in no 4-clique get ``empty``.
     """
-    present = np.flatnonzero(clique_row)
-    if present.size == 0:
-        return False
-    components = UnionFind(index.num_triangles)
-    members = index.clique_triangles[present]
-    for t0, t1, t2, t3 in members.tolist():
-        components.union(t0, t1)
-        components.union(t0, t2)
-        components.union(t0, t3)
-    roots = {components.find(int(t)) for t in np.unique(members)}
-    return len(roots) == 1
+    indptr = index.tri_clique_indptr
+    nonempty = indptr[1:] > indptr[:-1]
+    out = np.full((clique_values.shape[0], index.num_triangles), empty, dtype=dtype)
+    if index.num_cliques:
+        gathered = clique_values[:, index.tri_clique_indices]
+        out[:, nonempty] = reduce.reduceat(
+            gathered, indptr[:-1][nonempty], axis=1, dtype=dtype
+        )
+    return out
+
+
+def _clique_support(index: CandidateWorldIndex, cliques: np.ndarray) -> np.ndarray:
+    """Per world and triangle, the number of the given 4-cliques containing it.
+
+    Counts are kept in the smallest unsigned dtype that holds the largest
+    number of 4-cliques any triangle lies in.
+    """
+    most = int(np.diff(index.tri_clique_indptr).max(initial=0))
+    return _per_triangle(index, cliques, np.add, 0, np.min_scalar_type(most))
+
+
+def uncovered_worlds(
+    index: CandidateWorldIndex,
+    block: np.ndarray,
+    clique_present: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """Flag the worlds in which some present edge lies in no present 4-clique.
+
+    ``block`` holds the world-matrix columns ``start : start + width`` — the
+    whole matrix by default, one partition block in
+    :mod:`repro.sampling.partitioned`.  The present 4-cliques are
+    OR-scattered onto their edge columns by fancy-indexed assignment.
+    """
+    width = block.shape[1]
+    covered = np.zeros(block.shape, dtype=bool)
+    worlds_of, cliques = np.nonzero(clique_present)
+    columns = index.clique_edges[cliques] - start
+    rows = worlds_of[:, None]
+    if start or width < index.num_edges:
+        inside = (columns >= 0) & (columns < width)
+        rows, columns = np.broadcast_to(rows, columns.shape)[inside], columns[inside]
+    covered[rows, columns] = True
+    return (block & ~covered).any(axis=1)
+
+
+def _one_component(index: CandidateWorldIndex, clique_present: np.ndarray) -> np.ndarray:
+    """Per world, whether the present 4-cliques are connected through triangles.
+
+    Min-label propagation with pointer jumping over the present 4-cliques:
+    each starts labelled with its own row (absent ones with the sentinel
+    ``num_cliques``); each round every triangle takes the smallest label of
+    its present 4-cliques, every present 4-clique the smallest label of its
+    four triangles, and then every label jumps to its label's label.  At
+    the fixed point each component carries its smallest row, so a world is
+    connected iff its present 4-cliques share one label.
+    """
+    n = index.num_cliques
+    dtype = np.min_scalar_type(n)
+    rows = np.arange(clique_present.shape[0])[:, None]
+    sentinel = np.full((clique_present.shape[0], 1), n, dtype=dtype)
+    labels = np.where(clique_present, np.arange(n, dtype=dtype), sentinel)
+    while True:
+        by_triangle = _per_triangle(index, labels, np.minimum, n, dtype)
+        pulled = by_triangle[:, index.clique_triangles].min(axis=2)
+        pulled = np.where(clique_present, pulled, sentinel)
+        jumped = np.hstack([pulled, sentinel])[rows, pulled]
+        if np.array_equal(jumped, labels):
+            break
+        labels = jumped
+    low = labels.min(axis=1, initial=n)
+    high = np.where(clique_present, labels, 0).max(axis=1, initial=0)
+    return low == high
+
+
+def global_world_mask(
+    index: CandidateWorldIndex,
+    clique_present: np.ndarray,
+    uncovered: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """Decide, per world, whether the world is a deterministic k-(3,4)-nucleus.
+
+    Takes the world's 4-clique presence and its edge-coverage violations
+    (:func:`uncovered_worlds`), so the monolithic and the partitioned
+    samplers share the predicate.  A world is a nucleus iff
+
+    * it has a present 4-clique and every present edge lies in one
+      (``uncovered`` is false);
+    * every *structural* triangle (in ≥ 1 present 4-clique) lies in ≥ k
+      present 4-cliques — incidental triangles are exempt;
+    * the structural triangles are 4-clique-connected, i.e. the present
+      4-cliques are connected through shared triangles.
+
+    Each condition is evaluated at once for all worlds the previous one
+    kept.
+    """
+    mask = np.zeros(clique_present.shape[0], dtype=bool)
+    rows = np.flatnonzero(clique_present.any(axis=1) & ~uncovered)
+    present = clique_present[rows]
+    support = _clique_support(index, present)
+    supported = ~((support > 0) & (support < k)).any(axis=1)
+    mask[rows[supported]] = _one_component(index, present[supported])
+    return mask
 
 
 def nucleus_world_mask(
@@ -405,53 +489,18 @@ def nucleus_world_mask(
     k: int,
     presence: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Decide, per world, whether the world is a deterministic k-(3,4)-nucleus.
+    """Decide, per world-matrix row, whether the world is a k-(3,4)-nucleus.
 
     Batch-wise equivalent of mapping
     :func:`repro.deterministic.nucleus.is_k_nucleus` over the materialized
-    worlds (the test-suite pins the equivalence row by row):
-
-    * a world with no present 4-clique is never a nucleus;
-    * every present edge must lie in a present 4-clique (edge coverage, one
-      integer matmul);
-    * every *structural* triangle (contained in ≥ 1 present clique) must be
-      supported by ≥ k present cliques — incidental triangles are exempt;
-    * all structural triangles must be 4-clique-connected (checked by
-      union-find only on the worlds that survive the vectorized filters).
+    worlds (the test-suite pins the equivalence row by row); see
+    :func:`global_world_mask` for the predicate.
     """
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
-    n_worlds = worlds.shape[0]
-    if index.num_cliques == 0:
-        return np.zeros(n_worlds, dtype=bool)
     _, clique_present = structure_presence(index, worlds) if presence is None else presence
-    clique_counts = clique_present.astype(np.int64)
-
-    mask = clique_present.any(axis=1)
-    if not mask.any():
-        return mask
-
-    # Condition 1: present edges covered by present cliques.
-    edge_cover = clique_counts @ index.clique_edge_incidence
-    mask &= ~(worlds & (edge_cover == 0)).any(axis=1)
-
-    # Condition 2: structural triangles supported by at least k present cliques.
-    support = clique_counts @ index.clique_tri_incidence
-    mask &= ~((support >= 1) & (support < k)).any(axis=1)
-
-    # Condition 3: 4-clique connectivity, per surviving world, deduplicated by
-    # identical clique-presence patterns.
-    survivors = np.flatnonzero(mask)
-    if survivors.size:
-        patterns, inverse = np.unique(clique_present[survivors], axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).ravel()  # numpy 2.0.0 returns it (n, 1)-shaped
-        verdicts = np.fromiter(
-            (_connected_through_cliques(index, pattern) for pattern in patterns),
-            dtype=bool,
-            count=patterns.shape[0],
-        )
-        mask[survivors] = verdicts[inverse]
-    return mask
+    uncovered = uncovered_worlds(index, worlds, clique_present)
+    return global_world_mask(index, clique_present, uncovered, k)
 
 
 def _instrumented_counts(model, impl, index, worlds, k) -> np.ndarray:
@@ -477,115 +526,51 @@ def global_triangle_counts(
     worlds: np.ndarray,
     k: int,
     pool: "WorldShardPool | None" = None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Count, per triangle, the worlds that are k-nuclei *and* contain it.
 
     This is the quantity Algorithm 2 thresholds: dividing by the number of
     worlds gives the Monte-Carlo estimate of
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
-    ``kernel="numba"`` dispatches to the compiled per-world verifier of
-    :mod:`repro.kernels.worlds` — bit-identical counts for the same
-    ``worlds`` matrix (it evaluates the same predicates without the dense
-    incidence matmuls) — and degrades to the numpy path when numba is
-    missing.
     """
-    kernel = resolve_kernel(kernel)
     if pool is not None:
-        return pool.run(_global_counts_shard, index, worlds, k, kernel=kernel)
-    impl = _global_counts_numba if kernel == "numba" else _global_counts_impl
-    record_dispatch("verify.global", kernel)
+        return pool.run(_global_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
-        return _instrumented_counts("global", impl, index, worlds, k)
-    return impl(index, worlds, k)
+        return _instrumented_counts("global", _global_counts, index, worlds, k)
+    return _global_counts(index, worlds, k)
 
 
-def _global_counts_numba(
-    index: CandidateWorldIndex, worlds: np.ndarray, k: int
-) -> np.ndarray:
-    from repro.kernels.worlds import global_counts
-
-    return global_counts(index, worlds, k)
-
-
-def _global_counts_impl(
-    index: CandidateWorldIndex, worlds: np.ndarray, k: int
-) -> np.ndarray:
+def _global_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
     presence = structure_presence(index, worlds)
-    tri_present, _ = presence
     mask = nucleus_world_mask(index, worlds, k, presence=presence)
-    return tri_present[mask].sum(axis=0, dtype=np.int64)
+    return presence[0][mask].sum(axis=0, dtype=np.int64)
 
 
-def _world_weak_covered(
+def weak_counts_from_presence(
     index: CandidateWorldIndex,
-    tri_row: np.ndarray,
-    clique_row: np.ndarray,
+    tri_present: np.ndarray,
+    clique_present: np.ndarray,
     k: int,
-    covered_out: np.ndarray,
-) -> None:
-    """Mark (into ``covered_out``) the triangles in some k-nucleus of one world.
+) -> np.ndarray:
+    """Count, per triangle, the worlds in which it lies in some k-nucleus.
 
-    Runs the deterministic nucleusness peel of
-    :func:`repro.deterministic.nucleus.nucleus_decomposition` on the world's
-    *projected* structure — present triangles and present 4-cliques of the
-    precompiled index, no graph rebuild, no re-enumeration — then applies the
-    qualification rules of
-    :func:`repro.deterministic.nucleus.k_nucleus_triangle_groups`.  The union
-    of the returned groups is exactly the covered set, so component splitting
-    is unnecessary for membership counting.
+    The k-nuclei of a world cover exactly its greatest fixed point of alive
+    triangles: a 4-clique is alive iff it is present and its four triangles
+    are alive; a triangle is alive iff it is present and lies in at least
+    ``k`` alive 4-cliques.  Starting from the present triangles, all worlds
+    are peeled together until no triangle dies; a world counts for the alive
+    triangles that lie in an alive 4-clique.  Takes presence matrices, so
+    the monolithic and the partitioned samplers share it.
     """
-    tri_ids = np.flatnonzero(tri_row)
-    if tri_ids.size == 0:
-        return
-    indptr, indices = index.tri_clique_indptr, index.tri_clique_indices
-    members_of = index.clique_triangles
-
-    alive: set[int] = set(np.flatnonzero(clique_row).tolist())
-    support: dict[int, int] = {}
-    cliques_of: dict[int, list[int]] = {}
-    for t in tri_ids.tolist():
-        mine = [c for c in indices[indptr[t] : indptr[t + 1]].tolist() if c in alive]
-        cliques_of[t] = mine
-        support[t] = len(mine)
-
-    heap = LazyMinHeap((s, t) for t, s in support.items())
-    processed: set[int] = set()
-    nucleusness: dict[int, int] = {}
-    current_level = 0
-
-    def current(triangle: int) -> int | None:
-        return None if triangle in processed else support[triangle]
-
-    while (entry := heap.pop(current)) is not None:
-        _, triangle = entry
-        current_level = max(current_level, support[triangle])
-        nucleusness[triangle] = current_level
-        processed.add(triangle)
-        for clique in cliques_of[triangle]:
-            if clique not in alive:
-                continue
-            alive.remove(clique)
-            for other in members_of[clique].tolist():
-                if other == triangle or other in processed:
-                    continue
-                if support[other] > current_level:
-                    support[other] -= 1
-                    heap.push(support[other], other)
-
-    qualifying = {t for t, value in nucleusness.items() if value >= k}
-    if not qualifying:
-        return
-    allowed = {
-        c
-        for c in np.flatnonzero(clique_row).tolist()
-        if all(t in qualifying for t in members_of[c].tolist())
-    }
-    if not allowed:
-        return
-    for t in qualifying:
-        if any(c in allowed for c in cliques_of[t]):
-            covered_out[t] = True
+    alive = tri_present
+    while True:
+        cliques = clique_present & alive[:, index.clique_triangles].all(axis=2)
+        support = _clique_support(index, cliques)
+        survivors = alive & (support >= k)
+        if np.array_equal(survivors, alive):
+            break
+        alive = survivors
+    return (alive & (support > 0)).sum(axis=0, dtype=np.int64)
 
 
 def weak_membership_counts(
@@ -593,82 +578,34 @@ def weak_membership_counts(
     worlds: np.ndarray,
     k: int,
     pool: "WorldShardPool | None" = None,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Count, per triangle, the worlds in which it belongs to some k-nucleus.
 
     The Algorithm 3 counting loop: dividing by the number of worlds gives the
     weak score estimate ``Pr(X_{H,△,w} ≥ k)`` of every candidate triangle.
-    ``kernel="numba"`` runs the compiled per-world peel of
-    :mod:`repro.kernels.worlds` — bit-identical counts for the same worlds.
     """
     if k < 0:
         raise InvalidParameterError(f"k must be non-negative, got {k}")
-    kernel = resolve_kernel(kernel)
     if pool is not None:
-        return pool.run(_weak_counts_shard, index, worlds, k, kernel=kernel)
-    impl = _weak_counts_numba if kernel == "numba" else _weak_counts_impl
-    record_dispatch("verify.weak", kernel)
+        return pool.run(_weak_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
-        return _instrumented_counts("weak", impl, index, worlds, k)
-    return impl(index, worlds, k)
+        return _instrumented_counts("weak", _weak_counts, index, worlds, k)
+    return _weak_counts(index, worlds, k)
 
 
-def _weak_counts_numba(
-    index: CandidateWorldIndex, worlds: np.ndarray, k: int
-) -> np.ndarray:
-    tri_present, clique_present = structure_presence(index, worlds)
-    from repro.kernels.worlds import weak_counts_from_presence
-
-    return weak_counts_from_presence(index, tri_present, clique_present, k)
-
-
-def _weak_counts_impl(
-    index: CandidateWorldIndex, worlds: np.ndarray, k: int
-) -> np.ndarray:
-    tri_present, clique_present = structure_presence(index, worlds)
-    return _weak_counts_from_presence(index, tri_present, clique_present, k)
-
-
-def _weak_counts_from_presence(
-    index: CandidateWorldIndex,
-    tri_present: np.ndarray,
-    clique_present: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """The weak counting loop over precomputed presence matrices.
-
-    Shared by the monolithic path (which derives presence from a sampled
-    worlds matrix) and the partitioned path of
-    :mod:`repro.sampling.partitioned` (which accumulates presence one edge
-    partition at a time and never materializes the worlds matrix).
-    """
-    counts = np.zeros(index.num_triangles, dtype=np.int64)
-    if index.num_triangles == 0:
-        return counts
-    covered = np.zeros(index.num_triangles, dtype=bool)
-    for i in range(tri_present.shape[0]):
-        covered[:] = False
-        _world_weak_covered(index, tri_present[i], clique_present[i], k, covered)
-        counts += covered
-    return counts
+def _weak_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
+    return weak_counts_from_presence(index, *structure_presence(index, worlds), k)
 
 
 # --------------------------------------------------------------------------- #
 # multiprocessing shard pool
 # --------------------------------------------------------------------------- #
-def _global_counts_shard(
-    payload: tuple[CandidateWorldIndex, np.ndarray, int, str],
-) -> np.ndarray:
-    index, worlds, k, kernel = payload
-    return global_triangle_counts(index, worlds, k, kernel=kernel)
+def _global_counts_shard(payload: tuple[CandidateWorldIndex, np.ndarray, int]) -> np.ndarray:
+    return global_triangle_counts(*payload)
 
 
-def _weak_counts_shard(
-    payload: tuple[CandidateWorldIndex, np.ndarray, int, str],
-) -> np.ndarray:
-    index, worlds, k, kernel = payload
-    return weak_membership_counts(index, worlds, k, kernel=kernel)
+def _weak_counts_shard(payload: tuple[CandidateWorldIndex, np.ndarray, int]) -> np.ndarray:
+    return weak_membership_counts(*payload)
 
 
 class WorldShardPool:
@@ -703,12 +640,11 @@ class WorldShardPool:
         index: CandidateWorldIndex,
         worlds: np.ndarray,
         k: int,
-        kernel: str = "numpy",
     ):
         """Map ``shard_function`` over row blocks of ``worlds`` and sum the counts."""
         n_shards = min(self.n_jobs, worlds.shape[0])
         if n_shards <= 1:
-            return shard_function((index, worlds, k, kernel))
+            return shard_function((index, worlds, k))
         if obs_config._ENABLED:
             # Workers are separate processes: their registries are invisible
             # here, so the parent records the fan-out itself.
@@ -719,7 +655,7 @@ class WorldShardPool:
         # plan_shards replicates np.array_split block sizes, so the shard
         # boundaries (and therefore the summed counts) are unchanged.
         payloads = [
-            (index, worlds[start:stop], k, kernel)
+            (index, worlds[start:stop], k)
             for start, stop in plan_shards(worlds.shape[0], n_shards)
         ]
         partials = self._pool.map(shard_function, payloads)

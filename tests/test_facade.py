@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import re
 
 import pytest
 
@@ -65,6 +66,19 @@ class TestDecompose:
         for mode in ("global", "weak", "weakly-global"):
             with pytest.raises(InvalidParameterError, match="requires an explicit k"):
                 repro.decompose(graph, mode=mode, theta=THETA)
+        # k must be an int: a float is not rounded, a bool is not 0/1.
+        local = repro.decompose(graph, theta=THETA)
+        for bad in (1.5, True):
+            message = re.escape(f"k must be a non-negative integer, got {bad!r}")
+            for mode in ("global", "weak"):
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.decompose(graph, mode=mode, theta=THETA, k=bad, seed=1)
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.build_index(
+                        graph, mode=mode, theta=THETA, k=bad, n_samples=60, seed=1
+                    )
+            with pytest.raises(InvalidParameterError, match=message):
+                local.nuclei(bad)
 
     def test_global_dispatch(self, graph):
         nuclei = repro.decompose(graph, mode="global", theta=THETA, k=1, seed=11)

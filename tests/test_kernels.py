@@ -1,11 +1,13 @@
-"""The compiled kernel layer: resolution, fallback, dispatch, and parity.
+"""The compiled peel kernel: resolution, fallback, dispatch, and parity.
 
 The ``kernel="numba"`` switch must be a pure performance knob: with the
 exact-DP estimator every decomposition is **bit-identical** across kernels
 (the unit-drop peel keeps the Poisson-binomial repair in Python behind a
-batched callback boundary, and the world-count kernels consume the very
-worlds matrix the numpy path samples).  These tests run the kernel bodies
-through :func:`repro.kernels.force_interpreted`, so the parity sweep is real
+batched callback boundary).  The switch selects only the peel, so global
+and weak decompositions, whose local pruning step runs that peel, must
+return the same nuclei under both kernels; their world verification has a
+single numpy implementation.  These tests run the kernel bodies through
+:func:`repro.kernels.force_interpreted`, so the parity sweep is real
 coverage of the kernel logic whether or not numba is installed; with numba
 present the same dispatch compiles instead.
 
@@ -164,7 +166,7 @@ class TestPeelParity:
 
 
 class TestVerificationParity:
-    """Global/weak Monte-Carlo verification: same seed, same nuclei."""
+    """Global/weak decompositions: same seed, same nuclei under either peel."""
 
     @pytest.mark.parametrize("algorithm", ["global", "weak"])
     @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])

@@ -48,14 +48,39 @@ from repro.sampling.world_matrix import (
 import oracle
 
 
-@pytest.fixture
-def paper_example1_graph() -> ProbabilisticGraph:
+def figure3a_graph() -> ProbabilisticGraph:
     """Figure 3a: the 4-clique {1, 2, 3, 5} with one 0.5-probability edge."""
     graph = ProbabilisticGraph()
     edges = [(1, 2, 1.0), (1, 3, 1.0), (1, 5, 1.0), (2, 3, 1.0), (2, 5, 1.0), (3, 5, 0.5)]
     for u, v, p in edges:
         graph.add_edge(u, v, p)
     return graph
+
+
+@pytest.fixture
+def paper_example1_graph() -> ProbabilisticGraph:
+    return figure3a_graph()
+
+
+def two_cliques_sharing_an_edge() -> ProbabilisticGraph:
+    """4-cliques {0, 1, 2, 3} and {2, 3, 4, 5}: 11 edges, one shared.
+
+    Every edge is covered and every triangle supported, but the cliques
+    share no triangle, so the full world is not 4-clique-connected.
+    """
+    graph = ProbabilisticGraph()
+    for clique in ((0, 1, 2, 3), (2, 3, 4, 5)):
+        for i, u in enumerate(clique):
+            for v in clique[i + 1 :]:
+                if not graph.has_edge(u, v):
+                    graph.add_edge(u, v, 0.5)
+    return graph
+
+
+def all_worlds(num_edges: int) -> np.ndarray:
+    """Every possible world of ``num_edges`` edges, one per row (2^m rows)."""
+    codes = np.arange(2**num_edges)[:, None]
+    return (codes >> np.arange(num_edges)) & 1 == 1
 
 
 def small_planted() -> ProbabilisticGraph:
@@ -186,6 +211,34 @@ class TestExactVerificationParity:
                     counts[labels.index(triangle)] += 1
         batched = weak_membership_counts(index, worlds, k)
         assert batched.tolist() == counts.tolist()
+
+    @pytest.mark.parametrize(
+        "graph_builder",
+        [
+            lambda: clique_graph(4, probability=0.5),
+            lambda: clique_graph(5, probability=0.5),
+            figure3a_graph,
+            two_cliques_sharing_an_edge,
+        ],
+        ids=["K4", "K5", "figure3a", "two-cliques-one-edge"],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_every_possible_world(self, graph_builder, k):
+        index = CandidateWorldIndex.from_graph(graph_builder())
+        assert index.num_edges <= 11
+        worlds = all_worlds(index.num_edges)
+        position = {triangle: t for t, triangle in enumerate(index.triangle_labels())}
+        mask = nucleus_world_mask(index, worlds, k)
+        members = np.zeros((worlds.shape[0], index.num_triangles), dtype=np.int64)
+        for i in range(worlds.shape[0]):
+            world = world_from_row(index, worlds[i])
+            assert bool(mask[i]) == is_k_nucleus(world, k), f"world {i}"
+            for group in k_nucleus_triangle_groups(world, k):
+                members[i, [position[t] for t in group]] = 1
+            row = worlds[i : i + 1]
+            assert weak_membership_counts(index, row, k).tolist() == members[i].tolist()
+        batched = weak_membership_counts(index, worlds, k)
+        assert batched.tolist() == members.sum(axis=0).tolist()
 
     def test_counts_threshold_reproduces_dict_decision(self, paper_example1_graph):
         index = CandidateWorldIndex.from_graph(paper_example1_graph)
