@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from repro.core.global_nucleus import check_partitions
 from repro.exceptions import ReproError
 from repro.graph.io import parse_vertex, read_edge_list
 from repro.index import NucleusIndex, build_index
@@ -90,9 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--partitions",
         type=int,
         default=1,
-        help="edge partitions per candidate world sample for --mode "
-        "global/weak (default 1 = monolithic matrix; >1 bounds peak memory "
-        "by a single partition block)",
+        help="retired: every candidate's worlds are drawn in memory-bounded "
+        "blocks; 1 (default) is silent, other positive values warn and are ignored",
     )
     build.add_argument(
         "--no-compress",
@@ -129,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    check_partitions(args.partitions)
     graph = read_edge_list(args.graph)
     kwargs: dict = {"backend": args.backend, "kernel": args.kernel}
     if args.mode in ("global", "weak"):
@@ -137,12 +138,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             sampling=args.sampling,
             confidence=args.confidence,
             n_worlds_max=args.n_worlds_max,
-            partitions=args.partitions,
-        )
-    elif args.partitions != 1:
-        raise ReproError(
-            "--partitions applies to --mode global/weak (the local peel "
-            "never materializes a worlds matrix)"
         )
     index = build_index(graph, mode=args.mode, theta=args.theta, k=args.k, **kwargs)
     index.save(args.output, compress=not args.no_compress)
@@ -184,8 +179,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(f"kernel: {params.get('kernel', 'numpy')}")
         if "kernel_resolved" in params:
             print(f"kernel_resolved: {params['kernel_resolved']}")
-        if index.mode != "local":
-            print(f"partitions: {params.get('partitions', 1)}")
         print(f"params: {params}")
         print(f"cache: {_format_cache_stats(description['cache'])}")
     return 0

@@ -11,7 +11,11 @@ deterministic k-nucleus* reaches θ.  Computing this exactly is #P-hard
   local nuclei;
 * **Monte-Carlo verification** — the per-triangle probabilities are estimated
   from ``n`` sampled worlds with Hoeffding-controlled error (ε = δ = 0.1,
-  n = 200 in the paper's experiments).
+  n = 200 in the paper's experiments).  Every candidate goes through the one
+  sequential loop of :mod:`repro.sampling.adaptive`: ``sampling="fixed"``
+  is its one-chunk schedule of ``n`` worlds, ``sampling="adaptive"`` its
+  geometric schedule with confidence-driven early stopping, and both draw
+  the worlds in memory-bounded row blocks.
 
 The candidate for a triangle is the closure of its 4-cliques inside ``C``
 under the rule "every triangle of the candidate must be covered by at least
@@ -23,20 +27,21 @@ under the rule "every triangle of the candidate must be covered by at least
 from __future__ import annotations
 
 import random
+import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.local import check_backend, local_nucleus_decomposition
-from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus, check_level
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
     Triangle,
     triangle_clique_index,
     triangles_of_clique,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
@@ -49,16 +54,15 @@ from repro.sampling.adaptive import (
     resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.partitioned import partitioned_global_counts
 from repro.sampling.sharding import _require_positive_int
-from repro.sampling.world_matrix import (
-    CandidateWorldIndex,
-    WorldShardPool,
-    as_numpy_generator,
-    global_triangle_counts,
-)
+from repro.sampling.world_matrix import CandidateWorldIndex, WorldShardPool, as_numpy_generator
 
-__all__ = ["global_nucleus_decomposition", "candidate_closure", "union_of_nuclei"]
+__all__ = [
+    "global_nucleus_decomposition",
+    "candidate_closure",
+    "check_partitions",
+    "union_of_nuclei",
+]
 
 
 def validate_sampling_options(
@@ -70,27 +74,23 @@ def validate_sampling_options(
     chunk_growth: float = DEFAULT_CHUNK_GROWTH,
     n_samples: int | None = None,
     kernel: str = "numpy",
-    partitions: int = 1,
-) -> AdaptiveSettings | None:
+) -> AdaptiveSettings:
     """Validate the engine knobs of Algorithms 2 and 3; the one validator.
 
     Used by both drivers and by
-    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_samples`` is checked
-    by name first, before the adaptive cap is derived from it.  Returns
-    ``None`` for ``sampling="fixed"`` and a validated
-    :class:`~repro.sampling.adaptive.AdaptiveSettings` for
-    ``sampling="adaptive"``.  ``partitions > 1`` switches candidate
-    verification to the partitioned sampler of
-    :mod:`repro.sampling.partitioned` and requires ``sampling="fixed"``,
-    since the sequential test draws incremental chunks the partitioned
-    single-pass estimator cannot.  Out-of-range or non-finite knobs raise
+    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_samples`` and
+    ``n_jobs`` must be positive integers; ``n_samples`` is checked by name
+    first, before the adaptive cap is derived from it.  Returns the
+    validated :class:`~repro.sampling.adaptive.AdaptiveSettings` of the one
+    verification loop: the one-chunk schedule ``(n_samples,)`` for
+    ``sampling="fixed"``, the geometric schedule for ``sampling="adaptive"``.
+    Out-of-range or non-finite knobs raise
     :class:`~repro.exceptions.InvalidParameterError` here, before any
     sampling starts.
     """
     if n_samples is not None:
         _require_positive_int("n_samples", n_samples)
-    if n_jobs < 1:
-        raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
+    _require_positive_int("n_jobs", n_jobs)
     settings = resolve_adaptive_settings(
         sampling,
         confidence=confidence,
@@ -100,13 +100,27 @@ def validate_sampling_options(
         n_samples=n_samples,
     )
     resolve_kernel(kernel, warn=False)
-    _require_positive_int("partitions", partitions)
-    if partitions > 1 and settings is not None:
-        raise InvalidParameterError(
-            'partitions > 1 requires sampling="fixed" (the sequential test '
-            "draws incremental chunks the partitioned estimator cannot)"
-        )
     return settings
+
+
+def check_partitions(partitions: int) -> None:
+    """Accept the retired ``partitions=`` knob of ``__api_version__ = "1"``.
+
+    Every candidate is verified in memory-bounded world blocks by the one
+    loop of :mod:`repro.sampling.adaptive`, so there is nothing left to
+    partition.  ``1`` passes silently; any other positive integer warns
+    with a :class:`DeprecationWarning` and runs the one loop; a
+    non-positive or non-integer value raises
+    :class:`~repro.exceptions.InvalidParameterError` naming ``partitions``.
+    """
+    if _require_positive_int("partitions", partitions) == 1:
+        return
+    warnings.warn(
+        "partitions= is deprecated: every candidate is verified in "
+        "memory-bounded world blocks; omit partitions=",
+        DeprecationWarning,
+        stacklevel=3,
+    )
 
 
 def union_of_nuclei(nuclei: Sequence[ProbabilisticNucleus]) -> ProbabilisticGraph:
@@ -124,7 +138,6 @@ def candidate_closure(
     seed_triangle: Triangle,
     k: int,
     by_triangle: dict[Triangle, list[FourClique]],
-    max_rounds: int | None = None,
 ) -> set[FourClique]:
     """Grow the candidate 4-clique set for ``seed_triangle`` (Algorithm 2, lines 5–7).
 
@@ -138,17 +151,12 @@ def candidate_closure(
     Returns the final set of 4-cliques (possibly empty when the seed triangle
     lies in no 4-clique of the candidate graph).
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     chosen: set[FourClique] = set(by_triangle.get(seed_triangle, ()))
     if not chosen:
         return chosen
 
-    rounds = 0
     while True:
-        rounds += 1
-        if max_rounds is not None and rounds > max_rounds:
-            break
         coverage: dict[Triangle, int] = {}
         for clique in chosen:
             for triangle in triangles_of_clique(clique):
@@ -176,42 +184,7 @@ def _cliques_to_subgraph(
     return graph.edge_subgraph(edges)
 
 
-def _verify_candidate_matrix(
-    subgraph: ProbabilisticGraph,
-    k: int,
-    theta: float,
-    n_samples: int,
-    rng: np.random.Generator,
-    pool: WorldShardPool | None,
-    partitions: int = 1,
-) -> tuple[bool, list[Triangle]]:
-    """World-matrix Monte-Carlo verification: all worlds in one batch.
-
-    Samples the candidate's ``(n_samples, n_edges)`` boolean world matrix
-    with a single RNG call and thresholds the batched per-triangle counts of
-    :func:`repro.sampling.world_matrix.global_triangle_counts`.  With
-    ``partitions > 1`` the matrix is never materialized: the candidate's
-    edge range is sampled one partition block at a time
-    (:func:`repro.sampling.partitioned.partitioned_global_counts`), bounding
-    peak memory by a single block.
-    """
-    index = CandidateWorldIndex.from_graph(subgraph)
-    triangles = index.triangle_labels()
-    if not triangles:
-        return False, triangles
-
-    if partitions > 1:
-        counts = partitioned_global_counts(
-            index, n_samples, k, rng=rng, partitions=partitions, pool=pool
-        )
-    else:
-        worlds = index.sample(n_samples, rng=rng)
-        counts = global_triangle_counts(index, worlds, k, pool=pool)
-    passes = bool(np.all(counts / n_samples >= theta))
-    return passes, triangles
-
-
-def _verify_candidate_adaptive(
+def _verify_candidate(
     subgraph: ProbabilisticGraph,
     k: int,
     theta: float,
@@ -219,12 +192,13 @@ def _verify_candidate_adaptive(
     rng: np.random.Generator,
     pool: WorldShardPool | None,
 ) -> tuple[bool, list[Triangle]]:
-    """Sequential Monte-Carlo verification with confidence-driven stopping.
+    """Monte-Carlo verification of one candidate by the one sequential loop.
 
-    Same decision semantics as :func:`_verify_candidate_matrix`, but worlds
-    are drawn in geometric chunks and the candidate stops as soon as the
-    anytime-valid bounds of :mod:`repro.sampling.adaptive` settle the
-    θ-threshold decision.
+    Compiles the candidate into a
+    :class:`~repro.sampling.world_matrix.CandidateWorldIndex` and decides
+    its θ threshold with
+    :func:`repro.sampling.adaptive.adaptive_global_verify` under the run's
+    ``settings`` (one chunk of ``n_samples`` worlds in fixed mode).
     """
     index = CandidateWorldIndex.from_graph(subgraph)
     triangles = index.triangle_labels()
@@ -289,16 +263,18 @@ def global_nucleus_decomposition(
         Retired engine switch, kept for ``__api_version__ = "1"``; see
         :func:`~repro.core.local.check_backend`.
     n_jobs:
-        Number of ``multiprocessing`` workers sharding each candidate's
-        world matrix.  Results are identical for every ``n_jobs`` value at
-        a fixed seed because the matrix is sampled before it is split.
+        Number of ``multiprocessing`` workers sharding each world block.
+        Results are identical for every ``n_jobs`` value at a fixed seed
+        because a block is sampled before it is split.
     sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
         ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
         per candidate, bit-identical to previous releases.
         ``sampling="adaptive"`` draws worlds in geometric chunks and stops
         each candidate as soon as anytime-valid confidence bounds settle its
         θ decision at level ``confidence``, capped at ``n_worlds_max``
-        (default ``2 × n_samples``); see :mod:`repro.sampling.adaptive`.
+        (default ``2 × n_samples``).  Both run the one loop of
+        :mod:`repro.sampling.adaptive`, which draws every candidate's worlds
+        in memory-bounded row blocks.
     kernel:
         ``"numpy"`` (default) or ``"numba"`` — the compiled peel of the
         local pruning step (:mod:`repro.kernels`); falls back to numpy (with
@@ -306,12 +282,8 @@ def global_nucleus_decomposition(
         verification always runs the batched numpy predicates of
         :mod:`repro.sampling.world_matrix`.
     partitions:
-        Number of contiguous edge partitions each candidate's world sample
-        is drawn in (default 1 = the monolithic matrix).  ``partitions > 1``
-        (``sampling="fixed"`` only) bounds peak memory by a single
-        ``(n_samples, num_edges / partitions)`` block — how ``scale=large``
-        graphs whose matrices exceed RAM stay decomposable; see
-        :mod:`repro.sampling.partitioned`.
+        Retired knob, kept for ``__api_version__ = "1"``; see
+        :func:`check_partitions`.
 
     Returns
     -------
@@ -320,6 +292,7 @@ def global_nucleus_decomposition(
         ``mode="global"``.
     """
     check_backend(backend)
+    check_partitions(partitions)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
@@ -327,7 +300,7 @@ def global_nucleus_decomposition(
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    adaptive = validate_sampling_options(
+    settings = validate_sampling_options(
         n_jobs,
         sampling=sampling,
         confidence=confidence,
@@ -336,7 +309,6 @@ def global_nucleus_decomposition(
         chunk_growth=chunk_growth,
         n_samples=n_samples,
         kernel=kernel,
-        partitions=partitions,
     )
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
@@ -352,11 +324,7 @@ def global_nucleus_decomposition(
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
 
     def verify(subgraph: ProbabilisticGraph) -> tuple[bool, list[Triangle]]:
-        if adaptive is not None:
-            return _verify_candidate_adaptive(subgraph, k, theta, adaptive, engine_rng, pool)
-        return _verify_candidate_matrix(
-            subgraph, k, theta, n_samples, engine_rng, pool, partitions=partitions
-        )
+        return _verify_candidate(subgraph, k, theta, settings, engine_rng, pool)
 
     try:
         return _verified_nuclei(graph, local_nuclei, k, theta, verify)

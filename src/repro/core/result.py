@@ -14,23 +14,13 @@ from dataclasses import dataclass
 from repro.deterministic.cliques import Triangle, canonical_triangle
 from repro.deterministic.nucleus import k_nucleus_triangle_groups, triangles_to_edge_subgraph
 from repro.exceptions import (
-    InvalidParameterError,
     TriangleNotFoundError,
     VertexNotFoundError,
+    check_level,
 )
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
 
-__all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus", "check_level"]
-
-
-def check_level(k) -> None:
-    """Validate a nucleus level ``k``: a non-negative ``int`` (not a ``bool``).
-
-    The one rule for ``k`` shared by the global and weak drivers,
-    :meth:`LocalNucleusDecomposition.nuclei` and the query engine.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
+__all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus"]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ Algorithm 3 approximates it:
 2. ``n`` possible worlds of the candidate are sampled;
 3. each world is decomposed with the *deterministic* nucleus algorithm; a
    triangle's global score counts the worlds in which it belongs to some
-   deterministic k-nucleus;
+   deterministic k-nucleus.  Steps 2–3 run in the one sequential loop of
+   :mod:`repro.sampling.adaptive`: ``sampling="fixed"`` is its one-chunk
+   schedule of ``n`` worlds, ``sampling="adaptive"`` its geometric schedule
+   with confidence-driven early stopping, and both draw the worlds in
+   memory-bounded row blocks;
 4. the triangles whose estimated probability reaches θ are grouped into
    4-clique-connected components, which are reported as the weakly-global
    nuclei.
@@ -25,17 +29,16 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.global_nucleus import validate_sampling_options
-from repro.sampling.partitioned import partitioned_weak_counts
+from repro.core.global_nucleus import check_partitions, validate_sampling_options
 from repro.core.local import check_backend, local_nucleus_decomposition
-from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus, check_level
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     Triangle,
     triangle_clique_index,
     triangle_connected_components,
 )
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.kernels import resolve_kernel
@@ -45,14 +48,10 @@ from repro.sampling.adaptive import (
     DEFAULT_CONFIDENCE,
     AdaptiveSettings,
     adaptive_weak_scores,
+    resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.world_matrix import (
-    CandidateWorldIndex,
-    WorldShardPool,
-    as_numpy_generator,
-    weak_membership_counts,
-)
+from repro.sampling.world_matrix import CandidateWorldIndex, WorldShardPool, as_numpy_generator
 
 __all__ = ["weak_nucleus_decomposition", "triangle_weak_scores_matrix"]
 
@@ -64,51 +63,42 @@ def triangle_weak_scores_matrix(
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
     pool: WorldShardPool | None = None,
-    partitions: int = 1,
 ) -> dict[Triangle, float]:
     """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
 
-    Samples all ``n_samples`` worlds of ``candidate`` at once as a boolean
-    edge matrix and counts, per triangle, the worlds in which it belongs to
-    some deterministic k-nucleus (Algorithm 3, lines 5–9) batch-wise
-    (:func:`repro.sampling.world_matrix.weak_membership_counts`), optionally
-    sharding the matrix across a :class:`WorldShardPool`.  The returned
-    dictionary maps every triangle of the candidate (not just the ones that
-    ever scored) to its estimate.  ``partitions > 1`` samples
-    the candidate's edge range one partition block at a time
-    (:func:`repro.sampling.partitioned.partitioned_weak_counts`) so the
-    worlds matrix is never materialized.
+    Runs the one-chunk fixed schedule of
+    :func:`repro.sampling.adaptive.adaptive_weak_scores`: ``n_samples``
+    worlds, counted per triangle over the worlds in which it belongs to some
+    deterministic k-nucleus (Algorithm 3, lines 5–9), optionally sharded
+    across a :class:`WorldShardPool`.  The returned dictionary maps every
+    triangle of the candidate (not just the ones that ever scored) to its
+    estimate.
     """
     if n_samples <= 0:
         raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
     index = CandidateWorldIndex.from_graph(candidate)
-    if partitions > 1:
-        counts = partitioned_weak_counts(
-            index, n_samples, k, rng=rng, seed=seed, partitions=partitions, pool=pool
-        )
-    else:
-        worlds = index.sample(n_samples, rng=rng, seed=seed)
-        counts = weak_membership_counts(index, worlds, k, pool=pool)
-    return {
-        triangle: count / n_samples
-        for triangle, count in zip(index.triangle_labels(), counts.tolist())
-    }
+    settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
+    # One chunk computes no confidence radius: θ only splits the estimates.
+    estimates, _, _ = adaptive_weak_scores(
+        index, k, 1.0, settings, rng=rng, seed=seed, pool=pool
+    )
+    return dict(zip(index.triangle_labels(), estimates.tolist()))
 
 
-def _qualifying_triangles_adaptive(
+def _qualifying_triangles(
     candidate: ProbabilisticGraph,
     k: int,
     theta: float,
     settings: AdaptiveSettings,
-    rng: "np.random.Generator",
-    pool: WorldShardPool | None = None,
+    rng: np.random.Generator,
+    pool: WorldShardPool | None,
 ) -> set[Triangle]:
-    """Sequential counterpart of the score-then-threshold step of Algorithm 3.
+    """The triangles of one candidate whose weak score reaches θ.
 
-    Returns the qualifying triangles, decided by the anytime-valid
-    confidence bounds of :func:`repro.sampling.adaptive.adaptive_weak_scores`
-    rather than by thresholding the point estimates, so easy candidates stop
-    after a few chunks.
+    Decided by :func:`repro.sampling.adaptive.adaptive_weak_scores` under
+    the run's ``settings``: the point estimates of one chunk of
+    ``n_samples`` worlds in fixed mode, the anytime-valid confidence bounds
+    of the geometric chunks in adaptive mode.
     """
     index = CandidateWorldIndex.from_graph(candidate)
     _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng, pool=pool)
@@ -145,19 +135,17 @@ def weak_nucleus_decomposition(
     local decomposition runs on the bucket-queue peel of
     :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
-    is scored with the vectorized world-matrix engine
-    (:func:`triangle_weak_scores_matrix`), optionally sharded across
-    ``n_jobs`` worker processes.  ``sampling="adaptive"`` replaces the
-    fixed-``n_samples`` scorer with the sequential test of
-    :mod:`repro.sampling.adaptive`: each candidate keeps drawing geometric
+    is scored by the one verification loop of :mod:`repro.sampling.adaptive`
+    in memory-bounded world blocks, optionally sharded across ``n_jobs``
+    worker processes.  ``sampling="fixed"`` scores one chunk of
+    ``n_samples`` worlds; ``sampling="adaptive"`` keeps drawing geometric
     world chunks until every triangle's θ decision is settled at level
-    ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` and
-    ``partitions`` mirror
-    :func:`~repro.core.global_nucleus.global_nucleus_decomposition`: the
-    compiled peel of the local step and partitioned (larger-than-RAM)
-    candidate sampling.
+    ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` selects
+    the compiled peel of the local step; ``partitions`` is a retired knob
+    (:func:`~repro.core.global_nucleus.check_partitions`).
     """
     check_backend(backend)
+    check_partitions(partitions)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
@@ -165,7 +153,7 @@ def weak_nucleus_decomposition(
         raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    adaptive = validate_sampling_options(
+    settings = validate_sampling_options(
         n_jobs,
         sampling=sampling,
         confidence=confidence,
@@ -174,7 +162,6 @@ def weak_nucleus_decomposition(
         chunk_growth=chunk_growth,
         n_samples=n_samples,
         kernel=kernel,
-        partitions=partitions,
     )
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
@@ -188,14 +175,7 @@ def weak_nucleus_decomposition(
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
 
     def qualifying(subgraph: ProbabilisticGraph) -> set[Triangle]:
-        if adaptive is not None:
-            return _qualifying_triangles_adaptive(
-                subgraph, k, theta, adaptive, engine_rng, pool=pool
-            )
-        scores = triangle_weak_scores_matrix(
-            subgraph, k, n_samples, rng=engine_rng, pool=pool, partitions=partitions
-        )
-        return {t for t, score in scores.items() if score >= theta}
+        return _qualifying_triangles(subgraph, k, theta, settings, engine_rng, pool)
 
     try:
         return _weak_nuclei(graph, candidates, k, theta, qualifying)

@@ -66,6 +66,19 @@ class InvalidParameterError(ReproError, ValueError):
     """
 
 
+def check_level(k) -> None:
+    """Validate a nucleus level ``k``: a non-negative ``int`` (not a ``bool``).
+
+    The one rule for ``k``, shared by the decomposition drivers,
+    :meth:`~repro.core.result.LocalNucleusDecomposition.nuclei`, the query
+    engine, the candidate closure and the world-matrix predicates.  It lives
+    in this leaf module so the sampling layer can import it without a cycle
+    through :mod:`repro.core`.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
+
+
 class IndexingError(ReproError):
     """Base class for errors of the serve-time subsystem (:mod:`repro.index`,
     :mod:`repro.query`)."""

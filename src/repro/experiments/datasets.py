@@ -26,9 +26,8 @@ Each dataset is available at three scales: ``tiny`` (hundreds of
 triangles; used by the test-suite), ``small`` (thousands of triangles; the
 benchmark default), and ``large`` (the kernel-benchmark tier: enough
 triangles and 4-cliques that the compiled kernels of :mod:`repro.kernels`
-dominate the portable numpy loops, and edge counts where the partitioned
-sampler of :mod:`repro.sampling.partitioned` starts to matter).  Generation
-is seeded, so repeated calls return identical graphs.
+dominate the portable numpy loops).  Generation is seeded, so repeated calls
+return identical graphs.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ __all__ = ["DatasetSpec", "DATASET_NAMES", "SCALES", "dataset_spec", "load_datas
 DATASET_NAMES = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
 
 #: Available scales.  ``tiny`` keeps unit tests fast; ``small`` is the
-#: benchmark default; ``large`` is the kernel/partitioned-sampling tier.
+#: benchmark default; ``large`` is the compiled-kernel tier.
 SCALES = ("tiny", "small", "large")
 
 

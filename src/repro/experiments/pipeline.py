@@ -103,10 +103,6 @@ class RunConfig:
         (falls back to numpy with a one-time warning when numba is not
         installed).  The artifact config block records both the request and
         the resolved value.
-    partitions:
-        Edge partitions per candidate world sample in global/weak cells
-        (default 1 = monolithic matrix; >1 requires ``sampling="fixed"``, see
-        :mod:`repro.sampling.partitioned`).
 
     The engine knobs are validated by the same
     :func:`~repro.core.global_nucleus.validate_sampling_options` the
@@ -125,7 +121,6 @@ class RunConfig:
     confidence: float = 0.95
     n_worlds_max: int | None = None
     kernel: str = "numpy"
-    partitions: int = 1
 
     def __post_init__(self) -> None:
         validate_sampling_options(
@@ -134,7 +129,6 @@ class RunConfig:
             confidence=self.confidence,
             n_worlds_max=self.n_worlds_max,
             kernel=self.kernel,
-            partitions=self.partitions,
         )
 
     def sampling_kwargs(self) -> dict:
@@ -150,8 +144,6 @@ class RunConfig:
                 kwargs["n_worlds_max"] = self.n_worlds_max
         if self.kernel != "numpy":
             kwargs["kernel"] = self.kernel
-        if self.partitions != 1:
-            kwargs["partitions"] = self.partitions
         return kwargs
 
     def matches(self, params: dict) -> bool:
@@ -265,7 +257,6 @@ class ExperimentRun:
                 "n_worlds_max": self.config.n_worlds_max,
                 "kernel": self.config.kernel,
                 "kernel_resolved": resolve_kernel(self.config.kernel, warn=False),
-                "partitions": self.config.partitions,
             },
             "row_fields": row_fields,
             "num_rows": len(self.rows),

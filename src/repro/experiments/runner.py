@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
+from repro.core.global_nucleus import check_partitions
 from repro.core.local import check_backend
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
@@ -162,9 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="P",
-        help="edge partitions per candidate world sample in global/weak "
-        "cells (default 1 = monolithic matrix; >1 bounds peak memory by "
-        "one partition block)",
+        help="retired: every candidate's worlds are drawn in memory-bounded "
+        "blocks; 1 (default) is silent, other positive values warn and are ignored",
     )
     return parser
 
@@ -192,6 +192,7 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error(str(error))  # raises SystemExit(2)
 
     check_backend(args.backend)
+    check_partitions(args.partitions)
     config = RunConfig(
         scale=args.scale,
         seed=args.seed,
@@ -204,7 +205,6 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         confidence=args.confidence,
         n_worlds_max=args.n_worlds_max,
         kernel=args.kernel,
-        partitions=args.partitions,
     )
     runs = run_pipeline(names, config)
     for name in names:

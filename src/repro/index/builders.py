@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.batch import CSRTriangleIndex
-from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.core.global_nucleus import check_partitions, global_nucleus_decomposition
 from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
@@ -219,22 +219,22 @@ def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None)
     }
 
 
-def _engine_params(kernel: str, partitions: int = 1) -> dict:
+def _engine_params(kernel: str) -> dict:
     """The compute-engine block recorded into ``.npz`` param headers.
 
     Same empty-at-defaults contract as :func:`_sampling_params`: the default
-    ``kernel="numpy"``/``partitions=1`` record nothing, keeping default-path
-    archives byte-identical to pre-kernel builds.  A non-default kernel
-    records both the request and what it resolved to on the building
-    machine (``kernel_resolved``), so an archive built with the numpy
-    fallback is distinguishable from one whose loops actually compiled.
+    ``kernel="numpy"`` records nothing, keeping default-path archives
+    byte-identical to pre-kernel builds.  A non-default kernel records both
+    the request and what it resolved to on the building machine
+    (``kernel_resolved``), so an archive built with the numpy fallback is
+    distinguishable from one whose loops actually compiled.  Archives of
+    earlier releases may also carry a ``partitions`` entry; it loads as an
+    ordinary param.
     """
     params: dict = {}
     if kernel != "numpy":
         params["kernel"] = kernel
         params["kernel_resolved"] = resolve_kernel(kernel, warn=False)
-    if partitions != 1:
-        params["partitions"] = partitions
     return params
 
 
@@ -253,10 +253,15 @@ def build_global_index(
     partitions: int = 1,
     **kwargs,
 ) -> NucleusIndex:
-    """Run the global decomposition at ``k`` and index the verified nuclei."""
+    """Run the global decomposition at ``k`` and index the verified nuclei.
+
+    ``partitions`` is a retired knob; see
+    :func:`~repro.core.global_nucleus.check_partitions`.
+    """
     check_backend(backend)
+    check_partitions(partitions)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel, partitions)
+    engine_kwargs = _engine_params(kernel)
     nuclei = global_nucleus_decomposition(
         graph,
         k,
@@ -265,7 +270,6 @@ def build_global_index(
         rng=rng,
         seed=seed,
         kernel=kernel,
-        partitions=partitions,
         **sampling_kwargs,
         **kwargs,
     )
@@ -292,10 +296,15 @@ def build_weak_index(
     partitions: int = 1,
     **kwargs,
 ) -> NucleusIndex:
-    """Run the weakly-global decomposition at ``k`` and index the resulting nuclei."""
+    """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
+
+    ``partitions`` is a retired knob; see
+    :func:`~repro.core.global_nucleus.check_partitions`.
+    """
     check_backend(backend)
+    check_partitions(partitions)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel, partitions)
+    engine_kwargs = _engine_params(kernel)
     nuclei = weak_nucleus_decomposition(
         graph,
         k,
@@ -304,7 +313,6 @@ def build_weak_index(
         rng=rng,
         seed=seed,
         kernel=kernel,
-        partitions=partitions,
         **sampling_kwargs,
         **kwargs,
     )

@@ -31,12 +31,13 @@ import warnings
 
 import numpy as np
 
-from repro.core.result import ProbabilisticNucleus, check_level
+from repro.core.result import ProbabilisticNucleus
 from repro.exceptions import (
     InvalidParameterError,
     LevelNotIndexedError,
     NucleusNotFoundError,
     VertexNotFoundError,
+    check_level,
 )
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex

@@ -4,9 +4,11 @@ Two sampling engines live here: the scalar helpers of
 :mod:`repro.sampling.monte_carlo` (one dict-backed world at a time) and the
 vectorized world-matrix engine of :mod:`repro.sampling.world_matrix` that
 verifies the candidates of the global and weakly-global decompositions.
-:mod:`repro.sampling.adaptive` layers a sequential test over the matrix
-engine: geometric world chunks with anytime-valid confidence bounds that stop
-each candidate as soon as its θ decision is settled.
+:mod:`repro.sampling.adaptive` holds the one verification loop over the
+matrix engine: ``sampling="fixed"`` is its one-chunk schedule,
+``sampling="adaptive"`` its geometric chunks with anytime-valid confidence
+bounds that stop each candidate as soon as its θ decision is settled, and
+both draw every chunk in memory-bounded row blocks.
 """
 
 from repro.sampling.adaptive import (

@@ -1,57 +1,62 @@
-"""Adaptive Monte-Carlo sampling: confidence-driven early stopping.
+"""Sequential Monte-Carlo verification: the one loop of Algorithms 2 and 3.
 
-The fixed-``n`` Monte-Carlo verification of Algorithms 2 and 3 draws the same
-``n_worlds`` (200 in the paper's experiments) for *every* candidate, but the
-per-candidate decision — "is every triangle's estimated probability at least
-θ?" — is usually statistically settled long before that: a candidate whose
-probabilities sit far from the threshold resolves within a few dozen worlds,
-while a genuinely borderline candidate deserves *more* than the fixed budget.
+Every candidate of the global and weakly-global decompositions is verified
+by the loop of this module, for both sampling modes.  The per-candidate
+decision — "is every triangle's estimated probability at least θ?" — is
+estimated from possible worlds drawn through
+:meth:`~repro.sampling.world_matrix.CandidateWorldIndex.sample` and counted by
+:func:`~repro.sampling.world_matrix.global_triangle_counts` /
+:func:`~repro.sampling.world_matrix.weak_membership_counts`:
 
-This module turns the world-matrix engine of
-:mod:`repro.sampling.world_matrix` into a sequential test:
-
-1. worlds are drawn in **geometric chunks** (:func:`chunk_schedule`, default
-   16 → 32 → 64 → … capped at ``n_worlds_max``) through the existing
-   :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.sample` /
-   :func:`~repro.sampling.world_matrix.global_triangle_counts` /
-   :func:`~repro.sampling.world_matrix.weak_membership_counts` machinery —
-   each chunk optionally sharded across a
-   :class:`~repro.sampling.world_matrix.WorldShardPool` exactly like a fixed
-   batch would be;
-2. after each chunk, **anytime-valid confidence radii** are computed for the
-   per-triangle estimates: the tighter of a Hoeffding radius
-   (:func:`hoeffding_radius`) and an empirical-Bernstein radius
-   (:func:`empirical_bernstein_radius`, which shrinks like
+1. **Schedules.** Worlds are drawn in the chunks of
+   :meth:`AdaptiveSettings.schedule`.  ``sampling="fixed"`` is the one-chunk
+   schedule ``(n_samples,)``: the paper's fixed-``n`` estimator.
+   ``sampling="adaptive"`` draws **geometric chunks**
+   (:func:`chunk_schedule`, default 16 → 32 → 64 → … capped at
+   ``n_worlds_max``), because the decision is usually settled long before
+   the fixed budget, while a borderline candidate deserves *more*.
+2. **Bounds.** After every chunk but the last, **anytime-valid confidence
+   radii** are computed for the per-triangle estimates: the tighter of a
+   Hoeffding radius (:func:`hoeffding_radius`) and an empirical-Bernstein
+   radius (:func:`empirical_bernstein_radius`, which shrinks like
    ``√(p(1−p)/n)`` and therefore wins away from ``p = ½`` — precisely the
-   easy candidates).  Stage ``t`` of the sequence spends error budget
-   ``δ/(t(t+1))`` (:func:`stage_delta`, a convergent series summing to δ),
-   split evenly between the two bound families, so the *whole adaptive
-   trajectory* errs with probability at most ``δ = 1 − confidence``;
-3. sampling **stops per candidate** as soon as the θ-threshold decision is
-   settled for every triangle — all lower bounds clear θ (accept) or, in the
-   global model, any upper bound falls below θ (reject) — and otherwise
-   continues until the ``n_worlds_max`` cap, where the point estimate decides
-   exactly like the fixed-``n`` path.
+   easy candidates).  Stage ``t`` spends error budget ``δ/(t(t+1))``
+   (:func:`stage_delta`, a convergent series summing to δ), split evenly
+   between the two bound families, so the *whole trajectory* errs with
+   probability at most ``δ = 1 − confidence``.  Sampling **stops per
+   candidate** as soon as the θ decision is settled for every triangle —
+   all lower bounds clear θ (accept) or, in the global model, any upper
+   bound falls below θ (reject).  At the last chunk the point estimate
+   decides; a radius is never negative, so a bound that settles there
+   would agree with it anyway, and the one-chunk fixed schedule computes no
+   radius at all.
+3. **Blocks.** Each chunk is drawn and counted in consecutive row blocks of
+   at most :func:`block_rows` worlds (:func:`blocked_counts`), sized from
+   the candidate's edges and 4-cliques under the byte budget
+   :data:`WORLD_BLOCK_BYTES`, and the block counts are summed.  The counts
+   are sums over worlds, and numpy's generator draws ``(a, m)`` then
+   ``(b, m)`` exactly as one ``(a + b, m)`` draw, so blocks change neither
+   the stream nor the answer; they bound peak memory for every candidate.
 
-Determinism mirrors the fixed engine: chunks are drawn sequentially from one
-numpy generator in the parent process, and ``n_jobs`` sharding splits each
-chunk *after* it is sampled, so results are bit-identical for every
-``n_jobs`` at a fixed seed.  The fixed-``n`` path is untouched and remains
-the parity oracle (``sampling="fixed"``).
+Determinism: chunks and blocks are drawn sequentially from one numpy
+generator in the parent process, and ``n_jobs`` sharding splits each block
+*after* it is sampled, so results are bit-identical for every ``n_jobs`` at
+a fixed seed.
 
 Every candidate records its world consumption into the
 ``repro_sampling_worlds_per_candidate`` histogram and bumps
-``repro_sampling_early_stops_total`` / ``repro_sampling_exhausted_total``
-(see ``docs/OBSERVABILITY.md``); the per-chunk verification batches reuse the
-``sampling.verify`` spans of the world-matrix engine, so traces show one span
-per chunk.
+``repro_sampling_early_stops_total`` (bounds settled before the last chunk)
+or ``repro_sampling_exhausted_total`` (the point estimate decided) — see
+``docs/OBSERVABILITY.md``; each block's verification batch reuses the
+``sampling.verify`` span of the world-matrix engine.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,6 +89,9 @@ __all__ = [
     "hoeffding_radius",
     "empirical_bernstein_radius",
     "decision_radius",
+    "WORLD_BLOCK_BYTES",
+    "block_rows",
+    "blocked_counts",
     "adaptive_global_verify",
     "adaptive_weak_scores",
 ]
@@ -104,6 +112,12 @@ DEFAULT_CHUNK_GROWTH = 2.0
 #: Power-of-two buckets for the worlds-per-candidate histogram (1 … 16384).
 WORLD_COUNT_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(15))
 
+#: Byte budget of one world block.  A block of ``r`` worlds peaks at about
+#: ``r · (8 · num_edges + 64 · num_cliques)`` bytes: the float64 uniform
+#: draw per edge, and per present 4-clique the int64 (world, clique) and
+#: edge-column indices of the edge-coverage scatter.
+WORLD_BLOCK_BYTES = 16 * 2**20
+
 
 @dataclass(frozen=True)
 class AdaptiveSettings:
@@ -117,10 +131,12 @@ class AdaptiveSettings:
         across chunks via :func:`stage_delta`).  Must be a finite value in
         the open interval (0, 1).
     n_worlds_max:
-        Hard cap on worlds drawn per candidate.  At the cap the point
-        estimate decides, exactly like the fixed-``n`` path.
+        Hard cap on worlds drawn per candidate.  At the cap (the last chunk)
+        the point estimate decides.
     chunk_initial / chunk_growth:
-        First chunk size and the geometric factor between chunks.
+        First chunk size and the geometric factor between chunks.  With
+        ``chunk_initial == n_worlds_max`` the schedule is one chunk: the
+        fixed-``n`` estimator.
     """
 
     confidence: float = DEFAULT_CONFIDENCE
@@ -161,7 +177,8 @@ class AdaptiveOutcome:
     #: Chunks drawn (``= len(schedule)`` when the cap was exhausted).
     chunks: int
     #: ``True`` when the confidence bounds settled the decision before the
-    #: cap; ``False`` when the point estimate decided at ``n_worlds_max``.
+    #: last chunk; ``False`` when the point estimate decided at the last
+    #: chunk — always so for the one-chunk fixed schedule.
     early_stop: bool
 
 
@@ -172,29 +189,32 @@ def resolve_adaptive_settings(
     chunk_initial: int = DEFAULT_CHUNK_INITIAL,
     chunk_growth: float = DEFAULT_CHUNK_GROWTH,
     n_samples: int | None = None,
-) -> AdaptiveSettings | None:
-    """Validate the sampling-strategy knobs; ``None`` means fixed-``n``.
+) -> AdaptiveSettings:
+    """Validate the sampling-strategy knobs and return the loop's settings.
 
-    ``n_worlds_max`` defaults to twice the fixed budget ``n_samples`` (hard
-    borderline candidates may spend *more* than the fixed path would), or
-    ``2 × 200`` when no fixed budget is known.  Raises
-    :class:`~repro.exceptions.InvalidParameterError` for an unknown
-    ``sampling`` mode or any non-finite / out-of-range knob, so bad values
-    fail here instead of deep inside the world-matrix engine.
+    ``sampling="fixed"`` returns the one-chunk schedule ``(n_samples,)``.
+    ``sampling="adaptive"`` returns the geometric schedule, whose cap
+    ``n_worlds_max`` defaults to twice the fixed budget (hard borderline
+    candidates may spend *more* than the fixed path would).  Without a known
+    ``n_samples`` the fixed budget is 200.  Every knob is validated in both
+    modes: an unknown ``sampling`` mode or any non-finite / out-of-range
+    knob raises :class:`~repro.exceptions.InvalidParameterError` here
+    instead of deep inside the world-matrix engine.
     """
     if sampling not in SAMPLING_MODES:
         raise InvalidParameterError(
             f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}"
         )
-    if n_worlds_max is None:
-        n_worlds_max = 2 * (n_samples if n_samples is not None else 200)
+    budget = n_samples if n_samples is not None else 200
     settings = AdaptiveSettings(
         confidence=confidence,
-        n_worlds_max=n_worlds_max,
+        n_worlds_max=2 * budget if n_worlds_max is None else n_worlds_max,
         chunk_initial=chunk_initial,
         chunk_growth=chunk_growth,
     )
-    return settings if sampling == "adaptive" else None
+    if sampling == "fixed":
+        return replace(settings, n_worlds_max=budget, chunk_initial=budget)
+    return settings
 
 
 def stage_delta(delta: float, stage: int) -> float:
@@ -258,23 +278,54 @@ def _record_outcome(model: str, outcome: AdaptiveOutcome) -> None:
         return
     obs_registry.histogram(
         "repro_sampling_worlds_per_candidate",
-        "Worlds drawn per candidate by the adaptive sampling engine.",
+        "Worlds drawn per candidate by the Monte-Carlo verification loop.",
         buckets=WORLD_COUNT_BUCKETS,
         model=model,
     ).observe(outcome.worlds)
     if outcome.early_stop:
         obs_registry.counter(
             "repro_sampling_early_stops_total",
-            "Candidates whose theta decision settled before n_worlds_max.",
+            "Candidates whose theta decision settled before their last chunk.",
             model=model,
         ).inc()
     else:
         obs_registry.counter(
             "repro_sampling_exhausted_total",
-            "Candidates that exhausted n_worlds_max and fell back to the "
-            "point estimate.",
+            "Candidates whose point estimate decided at their last chunk.",
             model=model,
         ).inc()
+
+
+def block_rows(index: CandidateWorldIndex) -> int:
+    """Worlds per block of ``index`` under :data:`WORLD_BLOCK_BYTES` (at least one)."""
+    row_bytes = 8 * index.num_edges + 64 * index.num_cliques
+    return max(1, WORLD_BLOCK_BYTES // max(1, row_bytes))
+
+
+def blocked_counts(
+    count: Callable[..., np.ndarray],
+    index: CandidateWorldIndex,
+    n_worlds: int,
+    k: int,
+    rng: "np.random.Generator | random.Random | None" = None,
+    seed: int | None = None,
+    pool: "WorldShardPool | None" = None,
+) -> np.ndarray:
+    """Draw ``n_worlds`` worlds in consecutive row blocks and sum their counts.
+
+    ``count`` is :func:`~repro.sampling.world_matrix.global_triangle_counts`
+    or :func:`~repro.sampling.world_matrix.weak_membership_counts`.  Each
+    block holds at most :func:`block_rows` worlds; the result and the
+    generator's final state equal one ``index.sample(n_worlds)`` draw counted
+    in one call.
+    """
+    generator = as_numpy_generator(rng, seed)
+    rows = block_rows(index)
+    counts = np.zeros(index.num_triangles, dtype=np.int64)
+    for start in range(0, n_worlds, rows):
+        worlds = index.sample(min(rows, n_worlds - start), rng=generator)
+        counts += count(index, worlds, k, pool=pool)
+    return counts
 
 
 def adaptive_global_verify(
@@ -286,30 +337,32 @@ def adaptive_global_verify(
     seed: int | None = None,
     pool: "WorldShardPool | None" = None,
 ) -> tuple[bool, AdaptiveOutcome]:
-    """Sequentially decide the global-model verification of one candidate.
+    """Decide the global-model verification of one candidate.
 
-    The fixed-``n`` decision this replaces is "every triangle's estimated
-    probability of (world is a k-nucleus ∧ world contains the triangle)
-    reaches θ".  The sequential version stops as soon as the confidence
-    radii settle it: **reject** once any triangle's upper bound falls below
-    θ (one hopeless triangle sinks the candidate), **accept** once every
-    triangle's lower bound reaches θ.  At the ``n_worlds_max`` cap the point
-    estimates decide, mirroring the fixed path.
+    The decision is "every triangle's estimated probability of (world is a
+    k-nucleus ∧ world contains the triangle) reaches θ".  Before the last
+    chunk of ``settings.schedule()`` the confidence radii may settle it:
+    **reject** once any triangle's upper bound falls below θ (one hopeless
+    triangle sinks the candidate), **accept** once every triangle's lower
+    bound reaches θ.  At the last chunk the point estimates decide.
 
     Returns ``(passes, outcome)``.
     """
     if index.num_triangles == 0:
         return False, AdaptiveOutcome(worlds=0, chunks=0, early_stop=True)
     generator = as_numpy_generator(rng, seed)
+    schedule = settings.schedule()
     counts = np.zeros(index.num_triangles, dtype=np.int64)
     drawn = 0
-    stage = 0
     decided: bool | None = None
-    for stage, chunk in enumerate(settings.schedule(), start=1):
-        worlds = index.sample(chunk, rng=generator)
-        counts += global_triangle_counts(index, worlds, k, pool=pool)
+    for stage, chunk in enumerate(schedule, start=1):
+        counts += blocked_counts(
+            global_triangle_counts, index, chunk, k, rng=generator, pool=pool
+        )
         drawn += chunk
         means = counts / drawn
+        if stage == len(schedule):
+            break
         radius = decision_radius(drawn, means, stage_delta(settings.delta, stage))
         if bool(np.any(means + radius < theta)):
             decided = False
@@ -317,12 +370,9 @@ def adaptive_global_verify(
         if bool(np.all(means - radius >= theta)):
             decided = True
             break
-    if decided is None:
-        passes = bool(np.all(counts / drawn >= theta))
-        outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=False)
-    else:
-        passes = decided
-        outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=True)
+    early = decided is not None
+    passes = decided if early else bool(np.all(means >= theta))
+    outcome = AdaptiveOutcome(worlds=drawn, chunks=stage, early_stop=early)
     _record_outcome("global", outcome)
     return passes, outcome
 
@@ -336,14 +386,14 @@ def adaptive_weak_scores(
     seed: int | None = None,
     pool: "WorldShardPool | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, AdaptiveOutcome]:
-    """Sequentially decide, per triangle, whether its weak score reaches θ.
+    """Decide, per triangle, whether its weak score reaches θ.
 
     Every chunk still scores *all* triangles of the candidate (the weak
-    fixed point is shared work), so the candidate keeps sampling until
-    **every** triangle's decision is settled — a triangle is settled once
-    its lower bound reaches θ (qualifies) or its upper bound falls below θ
-    (does not).  Undecided triangles at the ``n_worlds_max`` cap fall back
-    to their point estimates, mirroring the fixed path.
+    fixed point is shared work), so before the last chunk the candidate
+    keeps sampling until **every** triangle's decision is settled — a
+    triangle is settled once its lower bound reaches θ (qualifies) or its
+    upper bound falls below θ (does not).  Triangles still undecided at the
+    last chunk fall back to their point estimates.
 
     Returns ``(estimates, qualifying, outcome)`` where ``estimates`` is the
     final per-triangle mean (row order of ``index``) and ``qualifying`` the
@@ -355,18 +405,20 @@ def adaptive_weak_scores(
         outcome = AdaptiveOutcome(worlds=0, chunks=0, early_stop=True)
         return empty, np.zeros(0, dtype=bool), outcome
     generator = as_numpy_generator(rng, seed)
+    schedule = settings.schedule()
     counts = np.zeros(num_triangles, dtype=np.int64)
     qualifying = np.zeros(num_triangles, dtype=bool)
     settled = np.zeros(num_triangles, dtype=bool)
     drawn = 0
-    stage = 0
     early = False
-    means = np.zeros(num_triangles, dtype=np.float64)
-    for stage, chunk in enumerate(settings.schedule(), start=1):
-        worlds = index.sample(chunk, rng=generator)
-        counts += weak_membership_counts(index, worlds, k, pool=pool)
+    for stage, chunk in enumerate(schedule, start=1):
+        counts += blocked_counts(
+            weak_membership_counts, index, chunk, k, rng=generator, pool=pool
+        )
         drawn += chunk
         means = counts / drawn
+        if stage == len(schedule):
+            break
         radius = decision_radius(drawn, means, stage_delta(settings.delta, stage))
         passes = means - radius >= theta
         fails = means + radius < theta

@@ -1,22 +1,18 @@
-"""Shared split planning for world shards, sampling chunks, and edge partitions.
+"""Shared split planning for world shards and sampling chunks.
 
-Three layers of the Monte-Carlo engine split ranges of work into contiguous
-blocks, and before this module each had grown its own copy of the planning
-arithmetic:
+Two layers of the Monte-Carlo engine split ranges of work into contiguous
+blocks:
 
 * :class:`repro.sampling.world_matrix.WorldShardPool` splits the rows of a
-  sampled world matrix across worker processes (``np.array_split``);
+  sampled world block across worker processes (:func:`plan_shards`);
 * :mod:`repro.sampling.adaptive` splits a candidate's world budget into
-  geometrically growing chunks (:func:`chunk_schedule`);
-* :mod:`repro.graph.partition` / :mod:`repro.sampling.partitioned` split the
-  edge columns of a CSR graph into ranges small enough to sample one at a
-  time.
+  geometrically growing chunks (:func:`chunk_schedule`).
 
 :func:`plan_shards` is the single source of the even-split rule.  It
 replicates :func:`numpy.array_split` block sizes *exactly* — the first
 ``total % parts`` blocks get one extra item — so the shard pool's migration
 off ``array_split`` stayed bit-identical, and the unit pins in
-``tests/test_partition.py`` keep it that way.
+``tests/test_world_matrix.py`` keep it that way.
 """
 
 from __future__ import annotations
@@ -55,10 +51,7 @@ def plan_shards(total: int, parts: int) -> tuple[tuple[int, int], ...]:
 
     The block sizes replicate :func:`numpy.array_split`: the first
     ``total % parts`` ranges hold ``total // parts + 1`` items, the rest
-    ``total // parts``.  Ranges may be empty when ``parts > total``;
-    callers that cannot use empty blocks (the edge partitioner) filter
-    them out themselves so the numbering of non-empty shards stays a pure
-    function of ``(total, parts)``.
+    ``total // parts``.  Ranges may be empty when ``parts > total``.
 
     >>> plan_shards(10, 3)
     ((0, 4), (4, 7), (7, 10))

@@ -21,17 +21,18 @@ This module replaces that with an array-backed pipeline:
    predicates is evaluated once for all worlds from them — no Python loop
    runs per world:
 
-   * **global** (:func:`global_world_mask`, Algorithm 2): edge coverage is
+   * **global** (:func:`nucleus_world_mask`, Algorithm 2): edge coverage is
      an OR-scatter of the present 4-cliques onto their edge columns;
      4-clique support is a gather over ``tri_clique_indices`` summed per
      triangle with ``np.add.reduceat``; connectivity is min-label
      propagation with pointer jumping over the present 4-cliques.
-   * **weak** (:func:`weak_counts_from_presence`, Algorithm 3): the
+   * **weak** (:func:`weak_membership_counts`, Algorithm 3): the
      greatest fixed point of alive triangles and alive 4-cliques, peeled
      for all worlds together with the same gather-and-``reduceat`` support.
 
-   The partitioned sampler of :mod:`repro.sampling.partitioned` builds the
-   same presence matrices block by block and calls the same predicates.
+The per-triangle counts are additive over worlds, so the one verification
+loop of :mod:`repro.sampling.adaptive` draws each candidate's worlds in
+consecutive memory-bounded row blocks and sums the counts of the blocks.
 
 The per-world semantics are *identical* to the dict path — for any boolean
 row ``worlds[i]``, :func:`nucleus_world_mask` agrees with
@@ -45,13 +46,13 @@ difference with Hoeffding's inequality.
 
 Sharding
 --------
-An optional ``n_jobs`` dimension splits the world matrix row-wise across a
-:class:`WorldShardPool` of ``multiprocessing`` workers.  The matrix is always
+An optional ``n_jobs`` dimension splits each world block row-wise across a
+:class:`WorldShardPool` of ``multiprocessing`` workers.  The block is always
 sampled *in the parent* with the single engine RNG and only then split, so
 results are bit-identical for every ``n_jobs`` value; workers receive the
 read-only :class:`CandidateWorldIndex` (shared copy-on-write under the
-``fork`` start method) plus their row block, and return additive per-triangle
-hit counts.
+``fork`` start method) plus their rows, and return additive per-triangle hit
+counts.
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ from repro.deterministic.cliques import (
     forward_adjacency_csr,
     triangle_arrays_csr,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.sharding import plan_shards
+from repro.sampling.sharding import _require_positive_int, plan_shards
 
 __all__ = [
     "CandidateWorldIndex",
@@ -84,10 +85,8 @@ __all__ = [
     "sample_world_matrix",
     "structure_presence",
     "uncovered_worlds",
-    "global_world_mask",
     "nucleus_world_mask",
     "global_triangle_counts",
-    "weak_counts_from_presence",
     "weak_membership_counts",
     "world_from_row",
 ]
@@ -103,7 +102,14 @@ def as_numpy_generator(
     take: a numpy generator is used as-is, a :class:`random.Random` is
     converted by drawing a 128-bit seed from it (deterministic for a seeded
     instance), and otherwise a fresh generator is created from ``seed``.
+    ``seed`` must be ``None`` or a non-negative integer (numpy integer types
+    included, ``bool`` not); anything else raises
+    :class:`~repro.exceptions.InvalidParameterError` naming ``seed``.
     """
+    if seed is not None and (
+        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
+    ):
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, random.Random):
@@ -399,28 +405,17 @@ def _clique_support(index: CandidateWorldIndex, cliques: np.ndarray) -> np.ndarr
 
 
 def uncovered_worlds(
-    index: CandidateWorldIndex,
-    block: np.ndarray,
-    clique_present: np.ndarray,
-    start: int = 0,
+    index: CandidateWorldIndex, worlds: np.ndarray, clique_present: np.ndarray
 ) -> np.ndarray:
     """Flag the worlds in which some present edge lies in no present 4-clique.
 
-    ``block`` holds the world-matrix columns ``start : start + width`` — the
-    whole matrix by default, one partition block in
-    :mod:`repro.sampling.partitioned`.  The present 4-cliques are
-    OR-scattered onto their edge columns by fancy-indexed assignment.
+    The present 4-cliques are OR-scattered onto their edge columns by
+    fancy-indexed assignment.
     """
-    width = block.shape[1]
-    covered = np.zeros(block.shape, dtype=bool)
+    covered = np.zeros(worlds.shape, dtype=bool)
     worlds_of, cliques = np.nonzero(clique_present)
-    columns = index.clique_edges[cliques] - start
-    rows = worlds_of[:, None]
-    if start or width < index.num_edges:
-        inside = (columns >= 0) & (columns < width)
-        rows, columns = np.broadcast_to(rows, columns.shape)[inside], columns[inside]
-    covered[rows, columns] = True
-    return (block & ~covered).any(axis=1)
+    covered[worlds_of[:, None], index.clique_edges[cliques]] = True
+    return (worlds & ~covered).any(axis=1)
 
 
 def _one_component(index: CandidateWorldIndex, clique_present: np.ndarray) -> np.ndarray:
@@ -452,37 +447,6 @@ def _one_component(index: CandidateWorldIndex, clique_present: np.ndarray) -> np
     return low == high
 
 
-def global_world_mask(
-    index: CandidateWorldIndex,
-    clique_present: np.ndarray,
-    uncovered: np.ndarray,
-    k: int,
-) -> np.ndarray:
-    """Decide, per world, whether the world is a deterministic k-(3,4)-nucleus.
-
-    Takes the world's 4-clique presence and its edge-coverage violations
-    (:func:`uncovered_worlds`), so the monolithic and the partitioned
-    samplers share the predicate.  A world is a nucleus iff
-
-    * it has a present 4-clique and every present edge lies in one
-      (``uncovered`` is false);
-    * every *structural* triangle (in ≥ 1 present 4-clique) lies in ≥ k
-      present 4-cliques — incidental triangles are exempt;
-    * the structural triangles are 4-clique-connected, i.e. the present
-      4-cliques are connected through shared triangles.
-
-    Each condition is evaluated at once for all worlds the previous one
-    kept.
-    """
-    mask = np.zeros(clique_present.shape[0], dtype=bool)
-    rows = np.flatnonzero(clique_present.any(axis=1) & ~uncovered)
-    present = clique_present[rows]
-    support = _clique_support(index, present)
-    supported = ~((support > 0) & (support < k)).any(axis=1)
-    mask[rows[supported]] = _one_component(index, present[supported])
-    return mask
-
-
 def nucleus_world_mask(
     index: CandidateWorldIndex,
     worlds: np.ndarray,
@@ -493,14 +457,29 @@ def nucleus_world_mask(
 
     Batch-wise equivalent of mapping
     :func:`repro.deterministic.nucleus.is_k_nucleus` over the materialized
-    worlds (the test-suite pins the equivalence row by row); see
-    :func:`global_world_mask` for the predicate.
+    worlds (the test-suite pins the equivalence row by row).  A world is a
+    nucleus iff
+
+    * it has a present 4-clique and every present edge lies in one
+      (:func:`uncovered_worlds` is false);
+    * every *structural* triangle (in ≥ 1 present 4-clique) lies in ≥ k
+      present 4-cliques — incidental triangles are exempt;
+    * the structural triangles are 4-clique-connected, i.e. the present
+      4-cliques are connected through shared triangles.
+
+    Each condition is evaluated at once for all worlds the previous one
+    kept.
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     _, clique_present = structure_presence(index, worlds) if presence is None else presence
     uncovered = uncovered_worlds(index, worlds, clique_present)
-    return global_world_mask(index, clique_present, uncovered, k)
+    mask = np.zeros(worlds.shape[0], dtype=bool)
+    rows = np.flatnonzero(clique_present.any(axis=1) & ~uncovered)
+    present = clique_present[rows]
+    support = _clique_support(index, present)
+    supported = ~((support > 0) & (support < k)).any(axis=1)
+    mask[rows[supported]] = _one_component(index, present[supported])
+    return mask
 
 
 def _instrumented_counts(model, impl, index, worlds, k) -> np.ndarray:
@@ -533,6 +512,7 @@ def global_triangle_counts(
     worlds gives the Monte-Carlo estimate of
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
     """
+    check_level(k)
     if pool is not None:
         return pool.run(_global_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
@@ -546,12 +526,7 @@ def _global_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np
     return presence[0][mask].sum(axis=0, dtype=np.int64)
 
 
-def weak_counts_from_presence(
-    index: CandidateWorldIndex,
-    tri_present: np.ndarray,
-    clique_present: np.ndarray,
-    k: int,
-) -> np.ndarray:
+def _weak_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
     """Count, per triangle, the worlds in which it lies in some k-nucleus.
 
     The k-nuclei of a world cover exactly its greatest fixed point of alive
@@ -559,10 +534,9 @@ def weak_counts_from_presence(
     are alive; a triangle is alive iff it is present and lies in at least
     ``k`` alive 4-cliques.  Starting from the present triangles, all worlds
     are peeled together until no triangle dies; a world counts for the alive
-    triangles that lie in an alive 4-clique.  Takes presence matrices, so
-    the monolithic and the partitioned samplers share it.
+    triangles that lie in an alive 4-clique.
     """
-    alive = tri_present
+    alive, clique_present = structure_presence(index, worlds)
     while True:
         cliques = clique_present & alive[:, index.clique_triangles].all(axis=2)
         support = _clique_support(index, cliques)
@@ -584,17 +558,12 @@ def weak_membership_counts(
     The Algorithm 3 counting loop: dividing by the number of worlds gives the
     weak score estimate ``Pr(X_{H,△,w} ≥ k)`` of every candidate triangle.
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     if pool is not None:
         return pool.run(_weak_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
         return _instrumented_counts("weak", _weak_counts, index, worlds, k)
     return _weak_counts(index, worlds, k)
-
-
-def _weak_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
-    return weak_counts_from_presence(index, *structure_presence(index, worlds), k)
 
 
 # --------------------------------------------------------------------------- #
@@ -609,13 +578,13 @@ def _weak_counts_shard(payload: tuple[CandidateWorldIndex, np.ndarray, int]) -> 
 
 
 class WorldShardPool:
-    """A pool of worker processes evaluating row shards of world matrices.
+    """A pool of worker processes evaluating row shards of world blocks.
 
-    The parent samples each candidate's full world matrix with the engine RNG
-    and splits it row-wise into ``n_jobs`` blocks; workers compute additive
-    per-triangle counts on their block, and the parent sums the partials.
-    Because sampling never moves into the workers, every result is identical
-    to the ``n_jobs=1`` computation for a fixed seed.
+    The parent samples each world block with the engine RNG and splits it
+    row-wise into ``n_jobs`` shards; workers compute additive per-triangle
+    counts on their shard, and the parent sums the partials.  Because
+    sampling never moves into the workers, every result is identical to the
+    ``n_jobs=1`` computation for a fixed seed.
 
     Prefers the ``fork`` start method (the candidate indices are shared
     copy-on-write); falls back to the platform default elsewhere.  Usable as
@@ -623,8 +592,7 @@ class WorldShardPool:
     """
 
     def __init__(self, n_jobs: int) -> None:
-        if n_jobs < 1:
-            raise InvalidParameterError(f"n_jobs must be >= 1, got {n_jobs}")
+        _require_positive_int("n_jobs", n_jobs)
         import multiprocessing
 
         self.n_jobs = n_jobs
@@ -660,14 +628,6 @@ class WorldShardPool:
         ]
         partials = self._pool.map(shard_function, payloads)
         return np.sum(partials, axis=0)
-
-    def map(self, function, payloads: list):
-        """Map ``function`` over arbitrary payloads on the worker pool.
-
-        Used by :mod:`repro.sampling.partitioned` to fan edge partitions —
-        rather than world-row blocks — across the same worker processes.
-        """
-        return self._pool.map(function, payloads)
 
     def close(self) -> None:
         """Shut the worker processes down."""

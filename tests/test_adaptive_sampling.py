@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from graph_factories import small_er_graph
 
+import repro.sampling.adaptive as adaptive_module
 from repro.core.global_nucleus import (
     global_nucleus_decomposition,
     validate_sampling_options,
@@ -139,8 +140,10 @@ class TestChunkSchedule:
 class TestSettingsValidation:
     """Exact error-message pins: these strings are matched by callers."""
 
-    def test_fixed_returns_none_adaptive_returns_settings(self):
-        assert resolve_adaptive_settings("fixed") is None
+    def test_fixed_is_one_chunk_adaptive_is_geometric(self):
+        fixed = resolve_adaptive_settings("fixed", n_samples=150)
+        assert fixed.schedule() == (150,)
+        assert resolve_adaptive_settings("fixed").schedule() == (200,)
         settings = resolve_adaptive_settings("adaptive")
         assert isinstance(settings, AdaptiveSettings)
         assert settings.confidence == 0.95
@@ -268,6 +271,35 @@ class TestAdaptiveGlobalVerify:
         first = adaptive_global_verify(index, 1, 0.4, settings, seed=7)
         second = adaptive_global_verify(index, 1, 0.4, settings, seed=7)
         assert first == second
+
+
+class TestLastChunk:
+    """The point estimate decides at the last chunk; no radius is computed there."""
+
+    def test_fixed_schedule_computes_no_radius_and_counts_as_exhausted(self, monkeypatch):
+        def no_radius(*args):
+            raise AssertionError("the one-chunk fixed schedule computed a radius")
+
+        monkeypatch.setattr(adaptive_module, "decision_radius", no_radius)
+        index = CandidateWorldIndex.from_graph(clique_graph(4, probability=1.0))
+        settings = resolve_adaptive_settings("fixed", n_samples=150)
+        exhausted = AdaptiveOutcome(worlds=150, chunks=1, early_stop=False)
+        assert adaptive_global_verify(index, 1, 0.5, settings, seed=0) == (True, exhausted)
+        means, qualifying, outcome = adaptive_weak_scores(index, 1, 0.5, settings, seed=0)
+        np.testing.assert_allclose(means, 1.0)
+        assert qualifying.all() and outcome == exhausted
+
+    def test_bounds_settling_only_at_the_last_chunk_count_as_exhausted(self):
+        # θ = 0.7 on a certain K4: the stage-1 radius (≈0.40 over 16 worlds)
+        # cannot settle it and the stage-2 radius (≈0.25 over 48) could, but
+        # stage 2 is the last chunk, where the point estimate decides.
+        index = CandidateWorldIndex.from_graph(clique_graph(4, probability=1.0))
+        settings = AdaptiveSettings(confidence=0.95, n_worlds_max=48)
+        assert settings.schedule() == (16, 32)
+        exhausted = AdaptiveOutcome(worlds=48, chunks=2, early_stop=False)
+        assert adaptive_global_verify(index, 1, 0.7, settings, seed=0) == (True, exhausted)
+        _, qualifying, outcome = adaptive_weak_scores(index, 1, 0.7, settings, seed=0)
+        assert qualifying.all() and outcome == exhausted
 
 
 class TestAdaptiveWeakScores:

@@ -13,7 +13,6 @@ import pytest
 
 import repro
 import repro.graph.csr
-import repro.graph.partition
 import repro.graph.probabilistic_graph
 import repro.index
 import repro.index.fingerprint
@@ -24,7 +23,6 @@ import repro.sampling.sharding
 MODULES = [
     repro,
     repro.graph.csr,
-    repro.graph.partition,
     repro.graph.probabilistic_graph,
     repro.index,
     repro.index.fingerprint,

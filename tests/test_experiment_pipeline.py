@@ -216,6 +216,12 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError):
             RunConfig(n_jobs=0)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True])
+    def test_rejects_non_integer_jobs(self, bad):
+        message = f"^n_jobs must be a positive integer, got {bad!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            RunConfig(scale="tiny", n_jobs=bad)
+
     def test_grid_filter_matching(self):
         config = RunConfig(grid_filter=(("dataset", "krogan"), ("theta", "0.2")))
         assert config.matches({"dataset": "krogan", "theta": 0.2})

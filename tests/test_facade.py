@@ -80,6 +80,19 @@ class TestDecompose:
             with pytest.raises(InvalidParameterError, match=message):
                 local.nuclei(bad)
 
+    def test_seed_must_be_a_non_negative_integer(self, graph):
+        # Validated where every driver resolves its RNG, so the message
+        # names the knob instead of numpy's SeedSequence internals.
+        for bad in (-3, "x", True):
+            message = re.escape(f"seed must be a non-negative integer, got {bad!r}")
+            for mode in ("global", "weak"):
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.decompose(graph, mode=mode, theta=THETA, k=1, seed=bad)
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.build_index(
+                        graph, mode=mode, theta=THETA, k=1, n_samples=10, seed=bad
+                    )
+
     def test_global_dispatch(self, graph):
         nuclei = repro.decompose(graph, mode="global", theta=THETA, k=1, seed=11)
         assert all(n.mode == "global" for n in nuclei)

@@ -55,13 +55,6 @@ class TestCandidateClosure:
         cliques = candidate_closure(graph, (0, 1, 2), 1, by_triangle)
         assert (0, 1, 2, 3) in cliques
 
-    def test_max_rounds_limits_growth(self):
-        graph = clique_graph(7)
-        by_triangle, _ = triangle_clique_index(graph)
-        unlimited = candidate_closure(graph, (0, 1, 2), 4, by_triangle)
-        limited = candidate_closure(graph, (0, 1, 2), 4, by_triangle, max_rounds=1)
-        assert limited <= unlimited
-
 
 class TestUnionOfNuclei:
     def test_union_merges_edges(self, planted_graph):

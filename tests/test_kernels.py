@@ -228,11 +228,9 @@ class TestRecording:
         assert "kernel" not in kwargs
         assert "partitions" not in kwargs
 
-    def test_run_config_threads_kernel_and_partitions(self):
-        config = RunConfig(scale="tiny", kernel="numba", partitions=3)
-        kwargs = config.sampling_kwargs()
+    def test_run_config_threads_kernel(self):
+        kwargs = RunConfig(scale="tiny", kernel="numba").sampling_kwargs()
         assert kwargs["kernel"] == "numba"
-        assert kwargs["partitions"] == 3
 
     def test_dispatch_counter_increments(self):
         csr = clique_graph(4, probability=0.9).to_csr()

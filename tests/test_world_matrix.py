@@ -11,18 +11,34 @@ Three layers of guarantees:
    estimates agree within the Hoeffding bound (and, on graphs small enough
    to enumerate, with the exact probability).
 3. **Sharding invariance** — ``n_jobs > 1`` returns results bit-identical to
-   ``n_jobs = 1`` for a fixed seed, because the matrix is sampled before it
-   is split.
+   ``n_jobs = 1`` for a fixed seed, because a block is sampled before it is
+   split.
+4. **Block invariance** — the one verification loop draws every chunk in
+   memory-bounded row blocks; any split returns the counts, the nuclei and
+   the generator state of one monolithic draw.  The tier-2 memory smoke
+   runs the loop where one monolithic draw cannot fit.
+
+It also pins the knob rules of the engine: ``k``, ``seed`` and ``n_jobs``
+validation, and the retired ``partitions=`` alias.
 """
 
 from __future__ import annotations
 
 import random
+import re
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.global_nucleus import global_nucleus_decomposition
+import repro
+import repro.sampling.adaptive as adaptive
+from repro.cli import main as index_main
+from repro.core.global_nucleus import candidate_closure, global_nucleus_decomposition
 from repro.core.weak_nucleus import (
     triangle_weak_scores_matrix,
     weak_nucleus_decomposition,
@@ -30,10 +46,20 @@ from repro.core.weak_nucleus import (
 from repro.deterministic.cliques import triangle_clique_index
 from repro.deterministic.nucleus import is_k_nucleus, k_nucleus_triangle_groups
 from repro.exceptions import InvalidParameterError
-from repro.graph.generators import clique_graph, planted_nucleus_graph
+from repro.experiments.runner import main as experiments_main
+from repro.graph.generators import (
+    beta_probability,
+    clique_graph,
+    confidence_probability,
+    planted_nucleus_graph,
+)
+from repro.graph.io import write_edge_list
 from repro.graph.possible_worlds import enumerate_worlds, sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.index import NucleusIndex, build_index, load_index
+from repro.sampling.adaptive import block_rows, blocked_counts
 from repro.sampling.monte_carlo import hoeffding_error_bound
+from repro.sampling.sharding import chunk_schedule, plan_shards
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldShardPool,
@@ -95,6 +121,28 @@ def small_planted() -> ProbabilisticGraph:
     )
 
 
+def tiny_flickr() -> ProbabilisticGraph:
+    """The tiny flickr analogue of the repo benchmark (``perfbench``)."""
+    return planted_nucleus_graph(
+        community_sizes=[7, 6, 5],
+        intra_density=0.95,
+        background_vertices=30,
+        background_density=0.04,
+        bridges_per_community=5,
+        probability_model=confidence_probability(mode=0.9, concentration=20.0),
+        background_probability_model=beta_probability(alpha=1.2, beta=9.0),
+        seed=37,
+    )
+
+
+BLOCK_GRAPHS = {
+    "K5": lambda: clique_graph(5, probability=0.9),
+    "K6": lambda: clique_graph(6, probability=0.9),
+    "figure3a": figure3a_graph,
+    "tiny-flickr": tiny_flickr,
+}
+
+
 class TestSampleWorldMatrix:
     def test_shape_and_dtype(self, four_clique_graph):
         index = CandidateWorldIndex.from_graph(four_clique_graph)
@@ -134,6 +182,14 @@ class TestSampleWorldMatrix:
         assert first == second
         with pytest.raises(InvalidParameterError):
             as_numpy_generator(rng="not an rng")
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        for good in (0, 7, np.int64(3), np.uint8(2)):
+            assert isinstance(as_numpy_generator(seed=good), np.random.Generator)
+        for bad in (-3, np.int64(-1), "x", True, 1.5):
+            message = re.escape(f"seed must be a non-negative integer, got {bad!r}")
+            with pytest.raises(InvalidParameterError, match=message):
+                as_numpy_generator(seed=bad)
 
 
 class TestCandidateWorldIndex:
@@ -334,9 +390,191 @@ class TestSharding:
         assert serial.tolist() == sharded.tolist()
         assert weak_serial.tolist() == weak_sharded.tolist()
 
-    def test_invalid_n_jobs(self):
+    @pytest.mark.parametrize("bad", [0, 1.5, 2.0, True])
+    def test_invalid_n_jobs(self, bad):
+        message = f"^n_jobs must be a positive integer, got {bad!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            WorldShardPool(bad)
+        graph = clique_graph(6, probability=0.9)
+        for mode in ("global", "weak"):
+            with pytest.raises(InvalidParameterError, match=message):
+                build_index(graph, mode=mode, theta=0.3, k=1, n_samples=10, n_jobs=bad)
+
+    def test_plan_shards_matches_array_split(self):
+        for total in (0, 1, 2, 7, 10, 64, 1000):
+            for parts in (1, 2, 3, 7, 16):
+                blocks = [chunk.size for chunk in np.array_split(np.arange(total), parts)]
+                assert [stop - start for start, stop in plan_shards(total, parts)] == blocks
+
+    def test_plan_shards_pins(self):
+        assert plan_shards(10, 3) == ((0, 4), (4, 7), (7, 10))
+        assert plan_shards(2, 4) == ((0, 1), (1, 2), (2, 2), (2, 2))
+        assert plan_shards(6, 1) == ((0, 6),)
+
+    def test_plan_validation(self):
         with pytest.raises(InvalidParameterError):
-            WorldShardPool(0)
+            plan_shards(10, 0)
+        with pytest.raises(InvalidParameterError):
+            plan_shards(-1, 2)
+        with pytest.raises(InvalidParameterError):
+            chunk_schedule(100, 0, 2.0)
+
+
+def _nuclei_key(nuclei) -> list:
+    return sorted(
+        (sorted(map(repr, n.triangles)), sorted(map(repr, n.subgraph.edges()))) for n in nuclei
+    )
+
+
+class TestWorldBlocks:
+    """Row blocks change neither the stream, the counts nor the nuclei."""
+
+    def test_default_budget_keeps_small_candidates_in_one_block(self):
+        index = CandidateWorldIndex.from_graph(tiny_flickr())
+        assert block_rows(index) >= 400
+
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_block_counts_equal_one_shot_counts(self, monkeypatch, name, k):
+        index = CandidateWorldIndex.from_graph(BLOCK_GRAPHS[name]())
+        row_bytes = 8 * index.num_edges + 64 * index.num_cliques
+        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 7 * row_bytes)
+        assert block_rows(index) == 7
+        for count in (global_triangle_counts, weak_membership_counts):
+            blocked_rng, one_shot_rng = np.random.default_rng(5), np.random.default_rng(5)
+            blocked = blocked_counts(count, index, 50, k, rng=blocked_rng)
+            one_shot = count(index, index.sample(50, rng=one_shot_rng), k)
+            assert blocked.tolist() == one_shot.tolist()
+            assert blocked_rng.random() == one_shot_rng.random()
+
+    @pytest.mark.parametrize("name", BLOCK_GRAPHS)
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("mode", ["global", "weak"])
+    def test_one_world_blocks_return_the_same_nuclei(self, monkeypatch, name, sampling, mode):
+        graph = BLOCK_GRAPHS[name]()
+        kwargs = dict(mode=mode, theta=0.3, n_samples=24, seed=3, sampling=sampling)
+        expected = {k: _nuclei_key(repro.decompose(graph, k=k, **kwargs)) for k in (1, 2)}
+        drawn = []
+        sample = CandidateWorldIndex.sample
+
+        def spy(index, n_worlds, **options):
+            drawn.append(n_worlds)
+            return sample(index, n_worlds, **options)
+
+        monkeypatch.setattr(CandidateWorldIndex, "sample", spy)
+        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 1)
+        for k in (1, 2):
+            assert _nuclei_key(repro.decompose(graph, k=k, **kwargs)) == expected[k]
+        # Every block held one world, so every chunk (≥ 16 worlds) split into
+        # at least 16 blocks.
+        assert drawn and set(drawn) == {1}
+
+
+class TestLevelValidation:
+    """One ``k`` rule, ``check_level``, below the drivers too."""
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1])
+    def test_k_must_be_a_non_negative_integer(self, bad):
+        graph = clique_graph(6, probability=0.9)
+        index = CandidateWorldIndex.from_graph(graph)
+        worlds = index.sample(8, seed=0)
+        message = re.escape(f"k must be a non-negative integer, got {bad!r}")
+        for predicate in (nucleus_world_mask, global_triangle_counts, weak_membership_counts):
+            with pytest.raises(InvalidParameterError, match=message):
+                predicate(index, worlds, bad)
+        by_triangle, _ = triangle_clique_index(graph)
+        with pytest.raises(InvalidParameterError, match=message):
+            candidate_closure(graph, (0, 1, 2), bad, by_triangle)
+
+
+class TestRetiredPartitions:
+    """``partitions=`` is a retired alias of ``__api_version__ = "1"``."""
+
+    RUNS = {
+        "global_nucleus_decomposition": lambda g, **kw: global_nucleus_decomposition(
+            g, 1, 0.3, n_samples=20, seed=3, **kw
+        ),
+        "weak_nucleus_decomposition": lambda g, **kw: weak_nucleus_decomposition(
+            g, 1, 0.3, n_samples=20, seed=3, **kw
+        ),
+        "build_index(global)": lambda g, **kw: build_index(
+            g, mode="global", theta=0.3, k=1, n_samples=20, seed=3, **kw
+        ),
+        "build_index(weak)": lambda g, **kw: build_index(
+            g, mode="weak", theta=0.3, k=1, n_samples=20, seed=3, **kw
+        ),
+    }
+    EXPERIMENTS = [
+        "run",
+        "table2",
+        "--scale",
+        "tiny",
+        "--filter",
+        "dataset=krogan",
+        "--filter",
+        "theta=0.1",
+    ]
+
+    @staticmethod
+    def _signature(result):
+        if isinstance(result, NucleusIndex):
+            return {name: array.tobytes() for name, array in result.arrays.items()}
+        return _nuclei_key(result)
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_one_is_silent_and_others_warn_and_run_the_one_loop(self, name):
+        graph = small_planted()
+        run = self.RUNS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = self._signature(run(graph, partitions=1))
+        with pytest.warns(DeprecationWarning, match="partitions= is deprecated") as record:
+            result = run(graph, partitions=4)
+        assert sum(issubclass(w.category, DeprecationWarning) for w in record) == 1
+        assert self._signature(result) == expected
+        if isinstance(result, NucleusIndex):
+            assert "partitions" not in result.params
+
+    @pytest.mark.parametrize("name", RUNS)
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "2"])
+    def test_invalid_values_name_the_knob(self, name, bad):
+        message = f"^partitions must be a positive integer, got {bad!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            self.RUNS[name](clique_graph(4, probability=0.9), partitions=bad)
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    def test_index_cli_flag(self, tmp_path, capsys, mode):
+        graph_file = tmp_path / "graph.txt"
+        write_edge_list(clique_graph(5, probability=0.9), graph_file)
+        argv = ["build", str(graph_file), "--mode", mode, "--k", "1", "--seed", "0"]
+        with pytest.warns(DeprecationWarning, match="partitions="):
+            assert index_main([*argv, "-o", str(tmp_path / "a.npz"), "--partitions", "2"]) == 0
+        assert "partitions" not in load_index(tmp_path / "a.npz").params
+        capsys.readouterr()
+        assert index_main([*argv, "-o", str(tmp_path / "b.npz"), "--partitions", "0"]) == 2
+        stderr = capsys.readouterr().err
+        assert "InvalidParameterError" in stderr and "partitions" in stderr
+        assert not (tmp_path / "b.npz").exists()
+
+    def test_experiments_cli_flag(self, capsys):
+        with pytest.warns(DeprecationWarning, match="partitions="):
+            assert experiments_main([*self.EXPERIMENTS, "--partitions", "2"]) == 0
+        with pytest.raises(InvalidParameterError, match="partitions"):
+            experiments_main([*self.EXPERIMENTS, "--partitions", "0"])
+
+    def test_old_archives_with_the_entry_still_load(self, tmp_path, capsys):
+        graph = clique_graph(5, probability=0.9)
+        nuclei = global_nucleus_decomposition(graph, 1, 0.3, n_samples=20, seed=3)
+        params = {"k": 1, "n_samples": 20, "seed": 3, "partitions": 2}
+        path = tmp_path / "old.npz"
+        index = NucleusIndex.from_nuclei(
+            graph, nuclei, k=1, theta=0.3, mode="global", params=params
+        )
+        index.save(path)
+        assert load_index(path).params == params
+        assert index_main(["info", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert not any(line.startswith("partitions:") for line in lines)
 
 
 class TestBackendEndToEnd:
@@ -368,3 +606,101 @@ class TestBackendEndToEnd:
             rng=random.Random(4),
         )
         assert len(nuclei) == 1
+
+
+MEMORY_SMOKE_SCRIPT = textwrap.dedent(
+    """
+    import resource
+    import sys
+
+    import numpy as np
+
+    from repro.graph.csr import CSRProbabilisticGraph
+    from repro.sampling.adaptive import (
+        adaptive_global_verify,
+        adaptive_weak_scores,
+        blocked_counts,
+        resolve_adaptive_settings,
+    )
+    from repro.sampling.world_matrix import (
+        CandidateWorldIndex,
+        global_triangle_counts,
+        weak_membership_counts,
+    )
+
+    TAIL = 400_000  # cycle edges; the worlds matrix spans 400_006 columns
+    N_WORLDS = 512
+
+    # A small dense core (one certain 4-clique: 4 triangles, 1 clique) plus a
+    # long triangle-free cycle so the edge count dwarfs memory without
+    # inflating the candidate-sized presence matrices.
+    core = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], dtype=np.int64)
+    n = 4 + TAIL
+    tail_u = np.arange(4, n - 1, dtype=np.int64)
+    edges_u = np.concatenate([core[:, 0], tail_u, np.array([4], dtype=np.int64)])
+    edges_v = np.concatenate([core[:, 1], tail_u + 1, np.array([n - 1], dtype=np.int64)])
+    probs = np.concatenate([np.ones(6), np.full(TAIL, 0.9)])
+
+    directed_u = np.concatenate([edges_u, edges_v])
+    directed_v = np.concatenate([edges_v, edges_u])
+    directed_p = np.concatenate([probs, probs])
+    order = np.lexsort((directed_v, directed_u))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(directed_u, minlength=n), out=indptr[1:])
+    graph = CSRProbabilisticGraph(
+        indptr, directed_v[order], directed_p[order], list(range(n))
+    )
+    index = CandidateWorldIndex.from_graph(graph)
+    assert index.num_edges == TAIL + 6, index.num_edges
+    assert index.num_triangles == 4 and index.num_cliques == 1
+
+    # Cap the address space a few hundred MB above the current footprint:
+    # enough headroom for the default world blocks, nowhere near the ~1.6 GB
+    # float draw of the monolithic (N_WORLDS, num_edges) sample.
+    with open("/proc/self/status") as status:
+        vm_kb = next(
+            int(line.split()[1]) for line in status if line.startswith("VmSize")
+        )
+    limit = vm_kb * 1024 + 300 * 1024 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    try:
+        index.sample(N_WORLDS)
+    except MemoryError:
+        print("MONOLITHIC_MEMORYERROR")
+    else:
+        sys.exit("monolithic sampling unexpectedly fit in the capped address space")
+
+    # The default loop of both drivers: one chunk of N_WORLDS worlds, drawn
+    # in memory-bounded blocks.
+    settings = resolve_adaptive_settings("fixed", n_samples=N_WORLDS)
+    means, qualifying, outcome = adaptive_weak_scores(index, 1, 0.5, settings, seed=7)
+    assert outcome.worlds == N_WORLDS and (means == 1.0).all() and qualifying.all()
+    passes, outcome = adaptive_global_verify(index, 1, 0.5, settings, seed=7)
+    assert not passes and outcome.worlds == N_WORLDS, (passes, outcome)
+
+    weak = blocked_counts(weak_membership_counts, index, N_WORLDS, 1, seed=7)
+    assert weak.shape == (4,) and (weak == N_WORLDS).all(), weak
+    global_counts = blocked_counts(global_triangle_counts, index, N_WORLDS, 1, seed=7)
+    # Present cycle edges are never clique-covered, so no sampled world is a
+    # 1-nucleus of the whole graph: the count must be exactly zero.
+    assert global_counts.shape == (4,) and (global_counts == 0).all(), global_counts
+    print("BLOCKED_OK")
+    """
+)
+
+
+@pytest.mark.tier2
+def test_memory_smoke_larger_than_ram_graph():
+    """Monolithic sampling must MemoryError where the blocked loop runs."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", MEMORY_SMOKE_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=600,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin:/usr/local/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "MONOLITHIC_MEMORYERROR" in result.stdout
+    assert "BLOCKED_OK" in result.stdout
