@@ -22,6 +22,16 @@ under the rule "every triangle of the candidate must be covered by at least
 ``k`` 4-cliques of the candidate"; closures that cannot be completed within
 ``C`` are still sampled and simply fail verification, matching the paper's
 "approximate solution" remark.
+
+The candidate loop runs in the id space of ``C``: ``C`` is compiled once into
+a :class:`~repro.sampling.world_matrix.CandidateWorldIndex`, each closure is
+a 4-clique-id frontier over its triangle ⇄ 4-clique arrays, and each
+candidate is verified on :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict`
+of those arrays to its edges — array for array the index of the candidate
+subgraph, so every candidate draws the same worlds as a compile of that
+subgraph would.  A :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`
+is built only for accepted candidates.  :func:`candidate_closure` is the
+label-space reference of the closure.
 """
 
 from __future__ import annotations
@@ -38,13 +48,14 @@ from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
     Triangle,
-    triangle_clique_index,
+    concatenated_rows,
+    enumerate_triangles,
     triangles_of_clique,
 )
 from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import resolve_kernel
-from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
+from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
     DEFAULT_CHUNK_INITIAL,
@@ -78,18 +89,16 @@ def validate_sampling_options(
     """Validate the engine knobs of Algorithms 2 and 3; the one validator.
 
     Used by both drivers and by
-    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_samples`` and
-    ``n_jobs`` must be positive integers; ``n_samples`` is checked by name
-    first, before the adaptive cap is derived from it.  Returns the
-    validated :class:`~repro.sampling.adaptive.AdaptiveSettings` of the one
-    verification loop: the one-chunk schedule ``(n_samples,)`` for
-    ``sampling="fixed"``, the geometric schedule for ``sampling="adaptive"``.
-    Out-of-range or non-finite knobs raise
+    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_jobs`` must be a
+    positive integer; the sampling knobs, ``n_samples`` included, are
+    checked by :func:`~repro.sampling.adaptive.resolve_adaptive_settings`.
+    Returns the validated :class:`~repro.sampling.adaptive.AdaptiveSettings`
+    of the one verification loop: the one-chunk schedule ``(n_samples,)``
+    for ``sampling="fixed"``, the geometric schedule for
+    ``sampling="adaptive"``.  Out-of-range or non-finite knobs raise
     :class:`~repro.exceptions.InvalidParameterError` here, before any
     sampling starts.
     """
-    if n_samples is not None:
-        _require_positive_int("n_samples", n_samples)
     _require_positive_int("n_jobs", n_jobs)
     settings = resolve_adaptive_settings(
         sampling,
@@ -173,40 +182,27 @@ def candidate_closure(
     return chosen
 
 
-def _cliques_to_subgraph(
-    graph: ProbabilisticGraph, cliques: set[FourClique]
-) -> ProbabilisticGraph:
-    edges: set[Edge] = set()
-    for clique in cliques:
-        a, b, c, d = clique
-        for x, y in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-            edges.add(canonical_edge(x, y))
-    return graph.edge_subgraph(edges)
+def _closure_ids(index: CandidateWorldIndex, seed_row: int, k: int) -> np.ndarray:
+    """:func:`candidate_closure` in the id space of ``index``.
 
-
-def _verify_candidate(
-    subgraph: ProbabilisticGraph,
-    k: int,
-    theta: float,
-    settings: AdaptiveSettings,
-    rng: np.random.Generator,
-    pool: WorldShardPool | None,
-) -> tuple[bool, list[Triangle]]:
-    """Monte-Carlo verification of one candidate by the one sequential loop.
-
-    Compiles the candidate into a
-    :class:`~repro.sampling.world_matrix.CandidateWorldIndex` and decides
-    its θ threshold with
-    :func:`repro.sampling.adaptive.adaptive_global_verify` under the run's
-    ``settings`` (one chunk of ``n_samples`` worlds in fixed mode).
+    The frontier starts at the 4-cliques containing triangle ``seed_row``.
+    Each round counts, over the chosen 4-cliques' member triangles
+    (``clique_triangles``), how many chosen 4-cliques cover each triangle,
+    and adds every 4-clique (``tri_clique_indptr`` / ``tri_clique_indices``)
+    of the triangles covered fewer than ``k`` times — the same synchronous
+    rounds as the label-space closure, so the same 4-clique set.  Returns
+    the sorted 4-clique ids (empty when the seed lies in no 4-clique).
     """
-    index = CandidateWorldIndex.from_graph(subgraph)
-    triangles = index.triangle_labels()
-    if not triangles:
-        return False, triangles
-
-    passes, _ = adaptive_global_verify(index, k, theta, settings, rng=rng, pool=pool)
-    return passes, triangles
+    indptr, indices = index.tri_clique_indptr, index.tri_clique_indices
+    chosen = indices[indptr[seed_row] : indptr[seed_row + 1]]  # sorted, distinct
+    while chosen.size:
+        members, coverage = np.unique(index.clique_triangles[chosen], return_counts=True)
+        frontier, _ = concatenated_rows(indptr, indices, members[coverage < k])
+        grown = np.union1d(chosen, frontier)
+        if grown.size == chosen.size:
+            break
+        chosen = grown
+    return chosen
 
 
 def global_nucleus_decomposition(
@@ -323,8 +319,10 @@ def global_nucleus_decomposition(
 
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
 
-    def verify(subgraph: ProbabilisticGraph) -> tuple[bool, list[Triangle]]:
-        return _verify_candidate(subgraph, k, theta, settings, engine_rng, pool)
+    def verify(candidate: CandidateWorldIndex) -> bool:
+        return adaptive_global_verify(
+            candidate, k, theta, settings, rng=engine_rng, pool=pool
+        )[0]
 
     try:
         return _verified_nuclei(graph, local_nuclei, k, theta, verify)
@@ -338,47 +336,53 @@ def _verified_nuclei(
     local_nuclei: Sequence[ProbabilisticNucleus],
     k: int,
     theta: float,
-    verify: Callable[[ProbabilisticGraph], tuple[bool, list[Triangle]]],
+    verify: Callable[[CandidateWorldIndex], bool],
 ) -> list[ProbabilisticNucleus]:
     """Algorithm 2's candidate loop: grow, deduplicate, verify, keep maximal.
 
-    One candidate is grown per triangle of the union of ``local_nuclei``
-    (:func:`candidate_closure`); candidates with the same 4-clique set are
-    verified once, ``verify(subgraph)`` returns ``(passes, triangles)``, and
-    accepted subgraphs are deduplicated by edge set before
-    :func:`_keep_maximal`.
+    The union ``C`` of ``local_nuclei`` is compiled once.  One candidate is
+    grown per triangle of ``C`` (:func:`_closure_ids`), visiting the seeds
+    in :func:`~repro.deterministic.cliques.enumerate_triangles` order — the
+    order of the label-space loop, which draws each candidate's worlds from
+    the shared generator, so the order fixes every sampled answer.
+    Candidates with the same 4-clique set are verified once, on the
+    restriction of ``C``'s index to their edges (``verify(index)`` returns
+    whether it passes); accepted ones are deduplicated by edge set, built as
+    subgraphs of ``graph``, and filtered by :func:`_keep_maximal`.
     """
     candidate_graph = union_of_nuclei(local_nuclei)
-    by_triangle, _ = triangle_clique_index(candidate_graph)
+    index = CandidateWorldIndex.from_graph(candidate_graph)
+    row_of = {triangle: row for row, triangle in enumerate(index.triangle_labels())}
 
     solutions: list[ProbabilisticNucleus] = []
-    seen_candidates: set[frozenset[FourClique]] = set()
-    seen_solutions: set[frozenset[Edge]] = set()
-    for seed_triangle in by_triangle:
-        cliques = candidate_closure(candidate_graph, seed_triangle, k, by_triangle)
-        if not cliques:
-            continue
-        candidate_key = frozenset(cliques)
-        if candidate_key in seen_candidates:
+    seen_candidates: set[bytes] = set()
+    seen_solutions: set[bytes] = set()
+    for seed_triangle in enumerate_triangles(candidate_graph):
+        cliques = _closure_ids(index, row_of[seed_triangle], k)
+        candidate_key = cliques.tobytes()
+        if not cliques.size or candidate_key in seen_candidates:
             continue
         seen_candidates.add(candidate_key)
 
-        subgraph = _cliques_to_subgraph(graph, cliques)
-        all_pass, triangles = verify(subgraph)
-        if not all_pass:
-            continue
-
-        edge_key = frozenset(canonical_edge(u, v) for u, v, _ in subgraph.edges())
-        if edge_key in seen_solutions:
+        edge_mask = np.zeros(index.num_edges, dtype=bool)
+        edge_mask[index.clique_edges[cliques]] = True
+        candidate = index.restrict(edge_mask)
+        edge_key = edge_mask.tobytes()
+        if not verify(candidate) or edge_key in seen_solutions:
             continue
         seen_solutions.add(edge_key)
+        labels = candidate.labels
+        subgraph = graph.edge_subgraph(
+            (labels[u], labels[v])
+            for u, v in zip(candidate.edge_u.tolist(), candidate.edge_v.tolist())
+        )
         solutions.append(
             ProbabilisticNucleus(
                 k=k,
                 theta=theta,
                 mode="global",
                 subgraph=subgraph,
-                triangles=frozenset(triangles),
+                triangles=frozenset(candidate.triangle_labels()),
             )
         )
     return _keep_maximal(solutions)

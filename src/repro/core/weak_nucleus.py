@@ -18,7 +18,11 @@ Algorithm 3 approximates it:
    memory-bounded row blocks;
 4. the triangles whose estimated probability reaches θ are grouped into
    4-clique-connected components, which are reported as the weakly-global
-   nuclei.
+   nuclei.  The grouping runs on the arrays of the candidate's
+   :class:`~repro.sampling.world_matrix.CandidateWorldIndex`, compiled once
+   for step 2: a 4-clique is allowed when its four member triangles
+   qualify, and the allowed 4-cliques join their triangles in a union-find
+   forest (:mod:`repro.core.components`).
 """
 
 from __future__ import annotations
@@ -29,14 +33,11 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
+from repro.core.components import _root_groups, _union_batches
 from repro.core.global_nucleus import check_partitions, validate_sampling_options
 from repro.core.local import check_backend, local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
-from repro.deterministic.cliques import (
-    Triangle,
-    triangle_clique_index,
-    triangle_connected_components,
-)
+from repro.deterministic.cliques import Triangle
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
@@ -74,10 +75,8 @@ def triangle_weak_scores_matrix(
     triangle of the candidate (not just the ones that ever scored) to its
     estimate.
     """
-    if n_samples <= 0:
-        raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
-    index = CandidateWorldIndex.from_graph(candidate)
     settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
+    index = CandidateWorldIndex.from_graph(candidate)
     # One chunk computes no confidence radius: θ only splits the estimates.
     estimates, _, _ = adaptive_weak_scores(
         index, k, 1.0, settings, rng=rng, seed=seed, pool=pool
@@ -92,8 +91,8 @@ def _qualifying_triangles(
     settings: AdaptiveSettings,
     rng: np.random.Generator,
     pool: WorldShardPool | None,
-) -> set[Triangle]:
-    """The triangles of one candidate whose weak score reaches θ.
+) -> tuple[CandidateWorldIndex, np.ndarray]:
+    """The compiled candidate and the mask of its triangles whose weak score reaches θ.
 
     Decided by :func:`repro.sampling.adaptive.adaptive_weak_scores` under
     the run's ``settings``: the point estimates of one chunk of
@@ -102,8 +101,7 @@ def _qualifying_triangles(
     """
     index = CandidateWorldIndex.from_graph(candidate)
     _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng, pool=pool)
-    labels = index.triangle_labels()
-    return {label for label, keep in zip(labels, qualifying.tolist()) if keep}
+    return index, qualifying
 
 
 def weak_nucleus_decomposition(
@@ -174,7 +172,7 @@ def weak_nucleus_decomposition(
 
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
 
-    def qualifying(subgraph: ProbabilisticGraph) -> set[Triangle]:
+    def qualifying(subgraph: ProbabilisticGraph) -> tuple[CandidateWorldIndex, np.ndarray]:
         return _qualifying_triangles(subgraph, k, theta, settings, engine_rng, pool)
 
     try:
@@ -189,36 +187,32 @@ def _weak_nuclei(
     candidates: Sequence[ProbabilisticNucleus],
     k: int,
     theta: float,
-    qualifying: Callable[[ProbabilisticGraph], set[Triangle]],
+    qualifying: Callable[[ProbabilisticGraph], tuple[CandidateWorldIndex, np.ndarray]],
 ) -> list[ProbabilisticNucleus]:
     """Group each candidate's qualifying triangles into w-nuclei (Algorithm 3).
 
-    ``qualifying(subgraph)`` returns the triangles of a local-nucleus
-    candidate whose estimated weak score reaches θ.  A 4-clique is allowed
-    when all four of its triangles qualify, a qualifying triangle is covered
-    when some allowed clique contains it, and the covered triangles split
-    into 4-clique-connected components, one nucleus each.
+    ``qualifying(subgraph)`` returns the compiled
+    :class:`~repro.sampling.world_matrix.CandidateWorldIndex` of a
+    local-nucleus candidate and the boolean mask of its triangle rows whose
+    estimated weak score reaches θ.  A 4-clique is allowed when all four of
+    its triangles qualify, a qualifying triangle is covered when some
+    allowed clique contains it, and the allowed cliques join their
+    triangles in one union-find forest; each component of covered
+    triangles is one nucleus.  A candidate's nuclei come out ordered by
+    their smallest triangle row.
     """
     solutions: list[ProbabilisticNucleus] = []
     for candidate in candidates:
-        subgraph = candidate.subgraph
-        chosen = qualifying(subgraph)
-        if not chosen:
+        index, chosen = qualifying(candidate.subgraph)
+        allowed = index.clique_triangles[chosen[index.clique_triangles].all(axis=1)]
+        if not allowed.size:
             continue
-        by_triangle, by_clique = triangle_clique_index(subgraph)
-        allowed = {
-            clique
-            for clique, members in by_clique.items()
-            if all(t in chosen for t in members)
-        }
-        covered = {
-            t for t in chosen
-            if any(c in allowed for c in by_triangle.get(t, ()))
-        }
-        if not covered:
-            continue
-        components = triangle_connected_components(covered, by_triangle, allowed)
-        for component in components:
+        parent = _union_batches(
+            np.arange(index.num_triangles), np.repeat(allowed[:, 0], 3), allowed[:, 1:].ravel()
+        )
+        labels = index.triangle_labels()
+        for rows in _root_groups(parent, np.unique(allowed)):
+            component = [labels[row] for row in rows.tolist()]
             solutions.append(
                 ProbabilisticNucleus(
                     k=k,

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.batch import CSRTriangleIndex
+from repro.core.components import _root_groups, _union_batches
 from repro.core.global_nucleus import check_partitions, global_nucleus_decomposition
 from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
@@ -51,37 +52,6 @@ __all__ = [
 load_index = NucleusIndex.load
 
 
-def _flatten_forest(parent: np.ndarray) -> np.ndarray:
-    """Pointer-jump ``parent ← parent[parent]`` to its fixpoint (full compression)."""
-    while True:
-        grandparent = parent[parent]
-        if np.array_equal(grandparent, parent):
-            return parent
-        parent = grandparent
-
-
-def _union_batches(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge every pair ``(a[i], b[i])`` into the union-find forest ``parent``.
-
-    Vectorized min-hooking: resolve both endpoints to roots, hook the larger
-    root under the smaller (``minimum.at`` arbitrates when several pairs
-    hook the same root in one pass), and repeat until no pair spans two
-    trees.  Pointers only ever decrease, so the forest stays acyclic, and
-    the resulting *partition* equals what sequential unions would produce —
-    partitions are order-independent even though the root choices are not.
-    Returns the flattened forest.
-    """
-    while True:
-        parent = _flatten_forest(parent)
-        root_a, root_b = parent[a], parent[b]
-        spanning = root_a != root_b
-        if not spanning.any():
-            return parent
-        low = np.minimum(root_a[spanning], root_b[spanning])
-        high = np.maximum(root_a[spanning], root_b[spanning])
-        np.minimum.at(parent, high, low)
-
-
 def _nucleus_level_groups(
     scores: np.ndarray, index: CSRTriangleIndex
 ) -> dict[int, list[np.ndarray]]:
@@ -98,14 +68,16 @@ def _nucleus_level_groups(
     Because the allowed-clique sets are nested downwards (a clique allowed
     at ``k`` is allowed at every smaller level), one descending sweep
     suffices: cliques enter a single union-find forest in batches at the
-    level equal to their minimum member score (:func:`_union_batches`).  A
-    triangle is covered at ``k`` exactly when some clique containing it has
-    entered by then, i.e. when its best containing-clique level
-    (``cover_level``, one ``maximum.at`` scatter) is at least ``k`` — which
-    also implies its own score is.  Each level then snapshots the
-    components of its covered triangles with one stable argsort over the
-    flattened roots; levels where no clique entered share the previous
-    level's groups unchanged.  Groups come out exactly as
+    level equal to their minimum member score
+    (:func:`~repro.core.components._union_batches`).  A triangle is covered
+    at ``k`` exactly when some clique containing it has entered by then,
+    i.e. when its best containing-clique level (``cover_level``, one
+    ``maximum.at`` scatter) is at least ``k`` — which also implies its own
+    score is.  Each level then snapshots the components of its covered
+    triangles with one stable argsort over the flattened roots
+    (:func:`~repro.core.components._root_groups`); levels where no clique
+    entered share the previous level's groups unchanged.  Groups come out
+    exactly as
     :meth:`NucleusIndex.from_local_result` sorts them — ordered by smallest
     member, members ascending — so the resulting snapshot is identical to
     :meth:`NucleusIndex.from_local_result` of the same decomposition.
@@ -150,18 +122,9 @@ def _nucleus_level_groups(
         if ids.size == 0:
             level_groups[k] = []
             continue
-        roots = parent[ids]
-        by_root = np.argsort(roots, kind="stable")
-        sorted_ids = ids[by_root]
-        sorted_roots = roots[by_root]
-        bounds = [0, *(np.flatnonzero(sorted_roots[1:] != sorted_roots[:-1]) + 1).tolist()]
-        bounds.append(sorted_ids.size)
-        chunks = [sorted_ids[s:e] for s, e in zip(bounds, bounds[1:])]
-        # ids ascend within each chunk (stable sort), so chunk[0] is the
-        # group's minimum member — the lexicographic sort key of the
+        # Ordered by smallest member: the lexicographic sort key of the
         # reference ordering.
-        chunks.sort(key=lambda chunk: int(chunk[0]))
-        level_groups[k] = chunks
+        level_groups[k] = _root_groups(parent, ids)
     return level_groups
 
 

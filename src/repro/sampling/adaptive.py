@@ -199,12 +199,16 @@ def resolve_adaptive_settings(
     ``n_samples`` the fixed budget is 200.  Every knob is validated in both
     modes: an unknown ``sampling`` mode or any non-finite / out-of-range
     knob raises :class:`~repro.exceptions.InvalidParameterError` here
-    instead of deep inside the world-matrix engine.
+    instead of deep inside the world-matrix engine.  ``n_samples`` is
+    checked by name before the cap is derived from it, so the error names
+    the knob the caller passed.
     """
     if sampling not in SAMPLING_MODES:
         raise InvalidParameterError(
             f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}"
         )
+    if n_samples is not None:
+        _require_positive_int("n_samples", n_samples)
     budget = n_samples if n_samples is not None else 200
     settings = AdaptiveSettings(
         confidence=confidence,

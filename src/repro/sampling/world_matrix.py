@@ -12,6 +12,9 @@ This module replaces that with an array-backed pipeline:
    numpy arrays over the CSR edge list: the ``m`` undirected edges with their
    probabilities, every triangle as three edge columns, every 4-clique as six
    edge columns, and the triangle ⇄ 4-clique incidence in both directions.
+   :meth:`CandidateWorldIndex.restrict` cuts the index of an edge subgraph
+   out of a compiled graph's arrays, equal to compiling that subgraph, so
+   Algorithm 2 compiles only the union of its candidates.
 2. :func:`sample_world_matrix` draws **all** ``n`` worlds with a single RNG
    call, as an ``(n_worlds, n_edges)`` boolean matrix — world ``i`` contains
    edge ``j`` iff ``worlds[i, j]``.
@@ -59,18 +62,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.deterministic.cliques import (
     Triangle,
+    _members_of_sorted_mask,
     canonical_triangle,
     concatenated_rows,
     forward_adjacency_csr,
     triangle_arrays_csr,
 )
 from repro.exceptions import InvalidParameterError, check_level
-from repro.graph.csr import CSRProbabilisticGraph
+from repro.graph.csr import CSRProbabilisticGraph, _canonical_vertex_order
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
@@ -149,6 +154,14 @@ def sample_world_matrix(
     return worlds
 
 
+#: Vertex positions, within a triangle or 4-clique row, of its edges and of a
+#: 4-clique's member triangles: the operands of the composite keys that
+#: :meth:`CandidateWorldIndex._from_structures` resolves by binary search.
+_TRIANGLE_EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))
+_CLIQUE_EDGES = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
+_CLIQUE_TRIANGLES = (np.array([0, 0, 0, 1]), np.array([1, 1, 2, 2]), np.array([2, 3, 3, 3]))
+
+
 @dataclass
 class CandidateWorldIndex:
     """Flat-array index of a candidate subgraph for batched world verification.
@@ -205,119 +218,151 @@ class CandidateWorldIndex:
         (:func:`~repro.deterministic.cliques.triangle_arrays_csr`); 4-cliques
         are found by extending every triangle ``(u, v, w)`` with the forward
         neighbors of ``w`` that close both remaining edges — the same batched
-        technique :mod:`repro.core.batch` uses — and scattered to their four
-        member triangles by composite-key binary search.
+        technique :mod:`repro.core.batch` uses.  Both come out in
+        lexicographic row order, as :meth:`_from_structures` expects.
         """
         csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
         n = csr.num_vertices
         edge_u, edge_v, edge_probabilities = csr.undirected_edge_arrays()
         # Composite keys u·n + v are globally sorted (rows ascend, neighbor
-        # ids ascend within a row), so edge columns resolve by binary search.
+        # ids ascend within a row), so membership is a binary search.
         edge_keys = edge_u * n + edge_v
-
-        def edge_columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return np.searchsorted(edge_keys, x * n + y)
-
         forward = forward_adjacency_csr(csr)
         u_ids, v_ids, w_ids = triangle_arrays_csr(csr, forward=forward)
-        num_triangles = int(u_ids.size)
-        if num_triangles:
-            triangles = np.stack([u_ids, v_ids, w_ids], axis=1)
-        else:
-            triangles = np.empty((0, 3), dtype=np.int64)
-        empty_int = np.empty(0, dtype=np.int64)
-        if num_triangles == 0:
-            return cls(
-                labels=list(csr.vertex_labels),
-                edge_u=edge_u,
-                edge_v=edge_v,
-                edge_probabilities=edge_probabilities,
-                triangles=triangles,
-                triangle_edges=np.empty((0, 3), dtype=np.int64),
-                cliques=np.empty((0, 4), dtype=np.int64),
-                clique_edges=np.empty((0, 6), dtype=np.int64),
-                clique_triangles=np.empty((0, 4), dtype=np.int64),
-                tri_clique_indptr=np.zeros(1, dtype=np.int64),
-                tri_clique_indices=empty_int,
-            )
-
-        triangle_edges = np.stack(
-            [
-                edge_columns(u_ids, v_ids),
-                edge_columns(u_ids, w_ids),
-                edge_columns(v_ids, w_ids),
-            ],
-            axis=1,
-        )
 
         # --- batched 4-clique enumeration (cf. repro.core.batch) ---------- #
-        fptr, fidx = forward
-        candidates, sizes = concatenated_rows(fptr, fidx, w_ids)
-        if candidates.size:
-            owner = np.repeat(np.arange(num_triangles, dtype=np.int64), sizes)
-            for endpoint in (v_ids, u_ids):
-                positions = np.searchsorted(edge_keys, endpoint[owner] * n + candidates)
-                positions[positions == edge_keys.size] = edge_keys.size - 1
-                keep = edge_keys[positions] == endpoint[owner] * n + candidates
-                owner, candidates = owner[keep], candidates[keep]
+        candidates, sizes = concatenated_rows(*forward, w_ids)
+        owner = np.repeat(np.arange(u_ids.size, dtype=np.int64), sizes)
+        for endpoint in (v_ids, u_ids):
+            keep = _members_of_sorted_mask(endpoint[owner] * n + candidates, edge_keys)
+            owner, candidates = owner[keep], candidates[keep]
+
+        return cls._from_structures(
+            list(csr.vertex_labels),
+            edge_u,
+            edge_v,
+            edge_probabilities,
+            np.stack([u_ids, v_ids, w_ids], axis=1),
+            np.stack([u_ids[owner], v_ids[owner], w_ids[owner], candidates], axis=1),
+        )
+
+    def restrict(self, edge_mask: np.ndarray) -> "CandidateWorldIndex":
+        """Return the index of the subgraph formed by the edges in ``edge_mask``.
+
+        Equal, array for array, to :meth:`from_graph` of that edge subgraph,
+        without building or compiling it: the subgraph's triangles and
+        4-cliques are exactly the rows of this index whose edge columns all
+        lie in the mask.  Only the rows whose first edge is kept are tested
+        (:attr:`_rows_by_first_edge`), so the work follows the subgraph's
+        size, not this index's.  Vertices get compact ids in the subgraph's
+        *own* canonical label order, which differs from this index's order
+        when only the subgraph's labels are mutually comparable (ints cut out
+        of a mixed int/str graph); edge columns are re-sorted by ``(u, v)``
+        in those ids, so :meth:`sample` draws the subgraph's own world
+        stream.
+        """
+        edge_mask = np.asarray(edge_mask, dtype=bool)
+        kept = np.flatnonzero(edge_mask)
+        ends = np.stack([self.edge_u[kept], self.edge_v[kept]], axis=1)
+        vertices = np.unique(ends)
+        labels = [self.labels[i] for i in vertices.tolist()]
+        ordered = _canonical_vertex_order(labels)
+        if ordered == labels:  # compact ids keep this index's vertex order
+            compact = None
         else:
-            owner = candidates = empty_int
+            position = {label: i for i, label in enumerate(ordered)}
+            compact = np.array([position[label] for label in labels], dtype=np.int64)
 
-        num_cliques = int(owner.size)
-        if num_cliques == 0:
-            cliques = np.empty((0, 4), dtype=np.int64)
-            clique_edges = np.empty((0, 6), dtype=np.int64)
-            clique_triangles = np.empty((0, 4), dtype=np.int64)
-            tri_clique_indptr = np.zeros(num_triangles + 1, dtype=np.int64)
-            tri_clique_indices = empty_int
-        else:
-            a, b, c, d = u_ids[owner], v_ids[owner], w_ids[owner], candidates
-            cliques = np.stack([a, b, c, d], axis=1)
-            clique_edges = np.stack(
-                [
-                    edge_columns(a, b),
-                    edge_columns(a, c),
-                    edge_columns(a, d),
-                    edge_columns(b, c),
-                    edge_columns(b, d),
-                    edge_columns(c, d),
-                ],
-                axis=1,
-            )
-            tri_keys = (u_ids * n + v_ids) * n + w_ids
+        def within(by_first_edge: tuple, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            """The ``rows`` whose ``edges`` are all kept, in compact ids."""
+            found, _ = concatenated_rows(*by_first_edge, kept)
+            found = found[edge_mask[edges[found]].all(axis=1)]
+            return relabelled(rows[found])[0]
 
-            def triangle_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-                return np.searchsorted(tri_keys, (x * n + y) * n + z)
+        def relabelled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+            """``rows`` in compact ids, sorted within and across rows, and that order."""
+            mapped = np.searchsorted(vertices, rows)
+            if compact is None:
+                return mapped, slice(None)
+            mapped = np.sort(compact[mapped], axis=1)
+            order = np.lexsort(mapped.T[::-1])
+            return mapped[order], order
 
-            clique_triangles = np.stack(
-                [
-                    owner,
-                    triangle_rows(a, b, d),
-                    triangle_rows(a, c, d),
-                    triangle_rows(b, c, d),
-                ],
-                axis=1,
-            )
-            member_rows = clique_triangles.ravel()
-            clique_ids = np.repeat(np.arange(num_cliques, dtype=np.int64), 4)
-            order = np.argsort(member_rows, kind="stable")
-            counts = np.bincount(member_rows, minlength=num_triangles)
-            tri_clique_indptr = np.zeros(num_triangles + 1, dtype=np.int64)
-            np.cumsum(counts, out=tri_clique_indptr[1:])
-            tri_clique_indices = clique_ids[order]
+        pairs, order = relabelled(ends)
+        triangles_by_edge, cliques_by_edge = self._rows_by_first_edge
+        return self._from_structures(
+            ordered,
+            pairs[:, 0],
+            pairs[:, 1],
+            self.edge_probabilities[kept[order]],
+            within(triangles_by_edge, self.triangle_edges, self.triangles),
+            within(cliques_by_edge, self.clique_edges, self.cliques),
+        )
 
+    @cached_property
+    def _rows_by_first_edge(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The triangle and the 4-clique rows whose first edge is each edge column.
+
+        Two CSR structures ``(indptr, rows)`` over the edge columns.  Rows are
+        in lexicographic vertex order, so their first edge column ascends and
+        each edge's rows are one contiguous range.
+        """
+        edges = np.arange(self.num_edges + 1)
+        return [
+            (np.searchsorted(columns[:, 0], edges), np.arange(columns.shape[0]))
+            for columns in (self.triangle_edges, self.clique_edges)
+        ]
+
+    @classmethod
+    def _from_structures(
+        cls,
+        labels: list,
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_probabilities: np.ndarray,
+        triangles: np.ndarray,
+        cliques: np.ndarray,
+    ) -> "CandidateWorldIndex":
+        """Assemble the index from its edges, triangles and 4-cliques.
+
+        ``triangles`` (``(t, 3)``) and ``cliques`` (``(q, 4)``) hold sorted
+        vertex ids, rows in lexicographic order; edges are sorted by
+        ``(u, v)``.  Every column reference — the edge columns of triangles
+        and 4-cliques, the four member triangles of each 4-clique — is
+        resolved by binary search over composite keys, and the triangle →
+        4-clique lists are the member triangles scattered by one stable
+        argsort.
+        """
+        n = len(labels)
+
+        def keys(rows: np.ndarray, columns: tuple) -> np.ndarray:
+            """Composite keys ``(rows[:, c0]·n + rows[:, c1])·n + …`` of the columns."""
+            key = rows.take(columns[0], axis=1)
+            for column in columns[1:]:
+                key = key * n + rows.take(column, axis=1)
+            return key
+
+        edge_keys = edge_u * n + edge_v
+        clique_triangles = np.searchsorted(
+            keys(triangles, (0, 1, 2)), keys(cliques, _CLIQUE_TRIANGLES)
+        )
+        member_rows = clique_triangles.ravel()
+        counts = np.bincount(member_rows, minlength=triangles.shape[0])
+        tri_clique_indptr = np.zeros(triangles.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=tri_clique_indptr[1:])
+        clique_ids = np.repeat(np.arange(cliques.shape[0], dtype=np.int64), 4)
         return cls(
-            labels=list(csr.vertex_labels),
+            labels=labels,
             edge_u=edge_u,
             edge_v=edge_v,
             edge_probabilities=edge_probabilities,
             triangles=triangles,
-            triangle_edges=triangle_edges,
+            triangle_edges=np.searchsorted(edge_keys, keys(triangles, _TRIANGLE_EDGES)),
             cliques=cliques,
-            clique_edges=clique_edges,
+            clique_edges=np.searchsorted(edge_keys, keys(cliques, _CLIQUE_EDGES)),
             clique_triangles=clique_triangles,
             tri_clique_indptr=tri_clique_indptr,
-            tri_clique_indices=tri_clique_indices,
+            tri_clique_indices=clique_ids[np.argsort(member_rows, kind="stable")],
         )
 
     def sample(

@@ -8,16 +8,17 @@ against:
 
 * :mod:`oracle.local` — canonical-tuple triangle states and the
   :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1;
-* :mod:`oracle.global_nucleus` — Algorithm 2 verified one
-  :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
+* :mod:`oracle.global_nucleus` — Algorithm 2's label-space candidate loop
+  (dict closure, clique-set deduplication, subgraph per candidate), verified
+  one :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
 * :mod:`oracle.weak_nucleus` — Algorithm 3 scored by a deterministic nucleus
   decomposition per sampled world.
 
 The Monte-Carlo oracles draw from :class:`random.Random`, so they agree with
-the production engine in distribution, not draw for draw.  The candidate
-generation they share with production (closure, deduplication, maximality,
-4-clique components) is imported from :mod:`repro.core`.  Nothing under
-``src/`` imports this package.
+the production engine in distribution, not draw for draw.  The steps they
+share with production (the reference closure, maximality, the weak 4-clique
+components) are imported from :mod:`repro.core`.  Nothing under ``src/``
+imports this package.
 """
 
 from oracle.global_nucleus import global_nucleus_decomposition

@@ -1,27 +1,39 @@
 """Dict-engine oracle of Algorithm 2 (global nucleus decomposition).
 
-Candidates come from the production candidate loop
-(:func:`repro.core.global_nucleus._verified_nuclei`: closure, deduplication,
-maximality); each is verified here the seed-era way, one
+The seed-era candidate loop lives here in label space (:func:`verified_nuclei`):
+the union of the local nuclei is indexed with
+:func:`~repro.deterministic.cliques.triangle_clique_index`, every candidate is
+grown with the reference :func:`~repro.core.global_nucleus.candidate_closure`,
+deduplicated by its 4-clique set and built as a subgraph before it is
+verified; only the maximality filter is shared with production.  Each
+candidate is verified the seed-era way, one
 :func:`~repro.graph.possible_worlds.sample_world` draw and one
 :func:`~repro.deterministic.nucleus.is_k_nucleus` check per world, drawing
-from a :class:`random.Random` stream.
+from a :class:`random.Random` stream.  The loop takes any ``verify``
+callback, so the tests can also drive it with the production verifier and
+pin the id-space loop of :mod:`repro.core.global_nucleus` to it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from oracle.local import local_nucleus_decomposition
 from repro.core.approximations import SupportEstimator
-from repro.core.global_nucleus import _verified_nuclei
+from repro.core.global_nucleus import _keep_maximal, candidate_closure, union_of_nuclei
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
-from repro.deterministic.cliques import Triangle, enumerate_triangles
+from repro.deterministic.cliques import (
+    FourClique,
+    Triangle,
+    enumerate_triangles,
+    triangle_clique_index,
+)
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.graph.possible_worlds import sample_world
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 from repro.sampling.monte_carlo import hoeffding_sample_size
 
 
@@ -66,6 +78,68 @@ def _verify_candidate_dict(
     return True, triangles
 
 
+def _cliques_to_subgraph(
+    graph: ProbabilisticGraph, cliques: set[FourClique]
+) -> ProbabilisticGraph:
+    edges: set[Edge] = set()
+    for clique in cliques:
+        a, b, c, d = clique
+        for x, y in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
+            edges.add(canonical_edge(x, y))
+    return graph.edge_subgraph(edges)
+
+
+def verified_nuclei(
+    graph: ProbabilisticGraph,
+    local_nuclei: Sequence[ProbabilisticNucleus],
+    k: int,
+    theta: float,
+    verify: Callable[[ProbabilisticGraph], tuple[bool, list[Triangle]]],
+) -> list[ProbabilisticNucleus]:
+    """Algorithm 2's candidate loop in label space: grow, deduplicate, verify, keep maximal.
+
+    One candidate is grown per triangle of the union of ``local_nuclei``
+    (:func:`~repro.core.global_nucleus.candidate_closure`); candidates with
+    the same 4-clique set are verified once, ``verify(subgraph)`` returns
+    ``(passes, triangles)``, and accepted subgraphs are deduplicated by
+    edge set before :func:`~repro.core.global_nucleus._keep_maximal`.
+    """
+    candidate_graph = union_of_nuclei(local_nuclei)
+    by_triangle, _ = triangle_clique_index(candidate_graph)
+
+    solutions: list[ProbabilisticNucleus] = []
+    seen_candidates: set[frozenset[FourClique]] = set()
+    seen_solutions: set[frozenset[Edge]] = set()
+    for seed_triangle in by_triangle:
+        cliques = candidate_closure(candidate_graph, seed_triangle, k, by_triangle)
+        if not cliques:
+            continue
+        candidate_key = frozenset(cliques)
+        if candidate_key in seen_candidates:
+            continue
+        seen_candidates.add(candidate_key)
+
+        subgraph = _cliques_to_subgraph(graph, cliques)
+        all_pass, triangles = verify(subgraph)
+        if not all_pass:
+            continue
+
+        edge_key = frozenset(canonical_edge(u, v) for u, v, _ in subgraph.edges())
+        if edge_key in seen_solutions:
+            continue
+        seen_solutions.add(edge_key)
+        solutions.append(
+            ProbabilisticNucleus(
+                k=k,
+                theta=theta,
+                mode="global",
+                subgraph=subgraph,
+                triangles=frozenset(triangles),
+            )
+        )
+    return _keep_maximal(solutions)
+
+
 def global_nucleus_decomposition(
     graph: ProbabilisticGraph,
     k: int,
@@ -84,7 +158,7 @@ def global_nucleus_decomposition(
     stream = dict_rng(rng, seed)
     if local_result is None:
         local_result = local_nucleus_decomposition(graph, theta, estimator)
-    return _verified_nuclei(
+    return verified_nuclei(
         graph,
         local_result.nuclei(k),
         k,

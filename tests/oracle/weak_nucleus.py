@@ -2,8 +2,11 @@
 
 Each local nucleus is scored world by world: sample a dict world, run the
 deterministic nucleus decomposition on it, count the triangles of its
-k-nuclei.  The triangles reaching θ are grouped into nuclei by the
-production step (:func:`repro.core.weak_nucleus._weak_nuclei`).
+k-nuclei.  The triangles reaching θ become a mask over the rows of the
+candidate's :class:`~repro.sampling.world_matrix.CandidateWorldIndex`
+(:meth:`~repro.sampling.world_matrix.CandidateWorldIndex.triangle_labels`),
+which the production step (:func:`repro.core.weak_nucleus._weak_nuclei`)
+groups into nuclei.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.monte_carlo import hoeffding_sample_size
+from repro.sampling.world_matrix import CandidateWorldIndex
 
 
 def triangle_weak_scores(
@@ -74,8 +78,10 @@ def weak_nucleus_decomposition(
     if local_result is None:
         local_result = local_nucleus_decomposition(graph, theta, estimator)
 
-    def qualifying(subgraph: ProbabilisticGraph) -> set[Triangle]:
+    def qualifying(subgraph: ProbabilisticGraph) -> tuple[CandidateWorldIndex, np.ndarray]:
         scores = triangle_weak_scores(subgraph, k, n_samples, stream)
-        return {t for t, score in scores.items() if score >= theta}
+        index = CandidateWorldIndex.from_graph(subgraph)
+        mask = [scores[t] >= theta for t in index.triangle_labels()]
+        return index, np.array(mask, dtype=bool)
 
     return _weak_nuclei(graph, local_result.nuclei(k), k, theta, qualifying)

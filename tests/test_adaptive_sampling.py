@@ -21,7 +21,7 @@ from repro.core.global_nucleus import (
     global_nucleus_decomposition,
     validate_sampling_options,
 )
-from repro.core.weak_nucleus import weak_nucleus_decomposition
+from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.experiments.pipeline import RunConfig
 from repro.graph.generators import clique_graph
@@ -217,6 +217,16 @@ class TestSettingsValidation:
         for run in (global_nucleus_decomposition, weak_nucleus_decomposition):
             with pytest.raises(InvalidParameterError, match=message):
                 run(_driver_graph(), k=1, theta=0.4, n_samples=n_samples, sampling=sampling)
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, 0])
+    def test_weak_scores_matrix_names_n_samples(self, n_samples):
+        # Checked before the cap 2 × n_samples is derived from it, so 2.5 is
+        # not reported as an n_worlds_max of 5.0.
+        message = f"^n_samples must be a positive integer, got {n_samples!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            resolve_adaptive_settings("adaptive", n_samples=n_samples)
+        with pytest.raises(InvalidParameterError, match=message):
+            triangle_weak_scores_matrix(clique_graph(4, probability=0.9), 1, n_samples)
 
     def test_run_config_sampling_kwargs(self):
         assert RunConfig().sampling_kwargs() == {}
