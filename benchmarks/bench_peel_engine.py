@@ -35,13 +35,14 @@ import sys
 from pathlib import Path
 
 try:
-    from repro.core.local import _csr_engine_arrays, _label_space_scores
+    from repro.core.local import _csr_engine_arrays
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-    from repro.core.local import _csr_engine_arrays, _label_space_scores
+    from repro.core.local import _csr_engine_arrays
 
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.hybrid import HybridEstimator
+from repro.deterministic.cliques import label_triangles
 from repro.experiments.datasets import DATASET_NAMES, SCALES, load_dataset
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import numba_available
@@ -57,7 +58,7 @@ def engine_csr_scores(
 ) -> dict:
     """The current CSR path: flat bucket-queue peel + one label translation."""
     index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
-    return _label_space_scores(csr, index, scores)
+    return dict(zip(label_triangles(index.triangles, csr.vertex_labels), scores.tolist()))
 
 
 def _best_of(function, *args, repeats: int = 3, instrumented: bool = False):

@@ -24,6 +24,7 @@ import sys
 from repro.core.global_nucleus import check_partitions
 from repro.exceptions import ReproError
 from repro.graph.io import parse_vertex, read_edge_list
+from repro.graph.probabilistic_graph import label_sort_key
 from repro.index import NucleusIndex, build_index
 from repro.query import RANK_KEYS, NucleusQueryEngine
 
@@ -193,7 +194,7 @@ def _format_cache_stats(stats: dict) -> str:
 
 
 def _format_vertices(nucleus) -> str:
-    vertices = sorted(nucleus.vertices(), key=lambda v: (str(type(v)), str(v)))
+    vertices = sorted(nucleus.vertices(), key=label_sort_key)
     return " ".join(str(v) for v in vertices)
 
 

@@ -38,7 +38,7 @@ from repro.core.support_dp import (
     max_k_at_threshold,
     support_tail_probabilities,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_theta
 
 __all__ = [
     "SupportEstimator",
@@ -109,8 +109,7 @@ class SupportEstimator(ABC):
         Mirrors :func:`repro.core.support_dp.max_k_at_threshold` but uses this
         estimator's tail.  Returns :data:`NO_VALID_K` when no ``k`` qualifies.
         """
-        if not 0.0 <= theta <= 1.0:
-            raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+        check_theta(theta)
         if not 0.0 <= triangle_probability <= 1.0:
             raise InvalidParameterError(
                 f"triangle probability must be in [0, 1], got {triangle_probability}"

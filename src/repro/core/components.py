@@ -5,13 +5,15 @@ The array counterpart of
 join their member triangles in one vectorized union-find forest, and the
 components are read off its roots.  The weakly-global driver
 (:mod:`repro.core.weak_nucleus`) groups each candidate's qualifying triangles
-with it, and the index builders (:mod:`repro.index.builders`) group every
-nucleus level of a local decomposition.
+with it, and :func:`_nucleus_level_groups` groups every nucleus level of a
+local decomposition for the index snapshots (:mod:`repro.index`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.batch import CSRTriangleIndex
 
 
 def _flatten_forest(parent: np.ndarray) -> np.ndarray:
@@ -63,3 +65,70 @@ def _root_groups(parent: np.ndarray, ids: np.ndarray) -> list[np.ndarray]:
     # group's minimum member.
     chunks.sort(key=lambda chunk: int(chunk[0]))
     return chunks
+
+
+def _nucleus_level_groups(
+    scores: np.ndarray, index: CSRTriangleIndex
+) -> dict[int, list[np.ndarray]]:
+    """Compute the per-level nucleus components from the engine's arrays.
+
+    Id-space replica of
+    :func:`repro.deterministic.nucleus.k_nucleus_triangle_groups` for every
+    level ``0 … max ν``: a 4-clique connects its members at level ``k`` only
+    when its minimum member score is at least ``k``, and a triangle belongs
+    to a component only when such a clique covers it.
+
+    The allowed-clique sets are nested downwards, so one descending sweep
+    suffices: cliques enter a single union-find forest (:func:`_union_batches`)
+    at the level of their minimum member score, a triangle is covered once
+    its best containing-clique level (``cover_level``) is reached, and each
+    level snapshots the components of its covered triangles
+    (:func:`_root_groups`); levels where no clique entered share the
+    previous level's groups.  Groups come out ordered by smallest member,
+    members ascending: the order of the sorted dict groups, which
+    ``tests/test_nucleus_index.py`` pins against the dict oracle.
+    """
+    num_triangles = scores.size
+    max_score = int(scores.max()) if num_triangles else -1
+    level_groups: dict[int, list[np.ndarray]] = {}
+    if max_score < 0:
+        return level_groups
+
+    clique_triangles = index.clique_triangles
+    clique_min_score = (
+        scores[clique_triangles].min(axis=1)
+        if clique_triangles.shape[0]
+        else np.empty(0, dtype=np.int64)
+    )
+    entry_order = np.argsort(-clique_min_score, kind="stable")
+    entry_levels = clique_min_score[entry_order]
+    entry_members = clique_triangles[entry_order]
+    cover_level = np.full(num_triangles, -1, dtype=np.int64)
+    if clique_triangles.shape[0]:
+        np.maximum.at(
+            cover_level, clique_triangles.ravel(), np.repeat(clique_min_score, 4)
+        )
+
+    parent = np.arange(num_triangles, dtype=np.int64)
+    next_entry = 0
+    for k in range(max_score, -1, -1):
+        # Cliques whose minimum member score is >= k enter here (the entry
+        # list descends, so they form the next contiguous slice).
+        stop = int(np.searchsorted(-entry_levels, -k, side="right"))
+        if stop > next_entry:
+            batch = entry_members[next_entry:stop]
+            parent = _union_batches(
+                parent, np.repeat(batch[:, 0], 3), batch[:, 1:].ravel()
+            )
+            next_entry = stop
+        elif k + 1 in level_groups:
+            level_groups[k] = level_groups[k + 1]
+            continue
+        ids = np.flatnonzero(cover_level >= k)
+        if ids.size == 0:
+            level_groups[k] = []
+            continue
+        # Ordered by smallest member: the lexicographic sort key of the
+        # reference ordering.
+        level_groups[k] = _root_groups(parent, ids)
+    return level_groups

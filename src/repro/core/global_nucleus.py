@@ -52,7 +52,7 @@ from repro.deterministic.cliques import (
     enumerate_triangles,
     triangles_of_clique,
 )
-from repro.exceptions import InvalidParameterError, check_level
+from repro.exceptions import InvalidParameterError, check_level, check_theta
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -130,6 +130,31 @@ def check_partitions(partitions: int) -> None:
         DeprecationWarning,
         stacklevel=3,
     )
+
+
+def local_pruning(
+    graph: ProbabilisticGraph,
+    theta: float,
+    estimator: SupportEstimator | None,
+    kernel: str,
+    local_result: LocalNucleusDecomposition | None,
+) -> LocalNucleusDecomposition:
+    """The local decomposition Algorithms 2 and 3 prune their candidates with.
+
+    ``local_result`` is reused only when it was computed at this θ on
+    ``graph`` or a graph equal to it; otherwise it raises
+    :class:`~repro.exceptions.InvalidParameterError`.
+    """
+    if local_result is None:
+        return local_nucleus_decomposition(graph, theta, estimator=estimator, kernel=kernel)
+    if local_result.theta != theta:
+        raise InvalidParameterError(
+            f"local_result was computed at theta={local_result.theta!r}, "
+            f"not at theta={theta!r}"
+        )
+    if local_result.graph is not graph and local_result.graph != graph:
+        raise InvalidParameterError("local_result was computed for a different graph")
+    return local_result
 
 
 def union_of_nuclei(nuclei: Sequence[ProbabilisticNucleus]) -> ProbabilisticGraph:
@@ -249,7 +274,7 @@ def global_nucleus_decomposition(
         Support oracle forwarded to the local decomposition used for pruning.
     local_result:
         A pre-computed local decomposition of ``graph`` at the same θ, reused
-        to avoid recomputing the pruning step.
+        to avoid recomputing the pruning step; see :func:`local_pruning`.
     rng, seed:
         Source of randomness for the world sampling: a numpy
         :class:`~numpy.random.Generator` or a :class:`random.Random`
@@ -292,8 +317,7 @@ def global_nucleus_decomposition(
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
     settings = validate_sampling_options(
@@ -309,11 +333,7 @@ def global_nucleus_decomposition(
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
 
-    if local_result is None:
-        local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, kernel=kernel
-        )
-    local_nuclei = local_result.nuclei(k)
+    local_nuclei = local_pruning(graph, theta, estimator, kernel, local_result).nuclei(k)
     if not local_nuclei:
         return []
 

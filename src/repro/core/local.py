@@ -24,8 +24,9 @@ The implementation below follows Algorithm 1:
 One engine implements it: :mod:`repro.core.batch` builds flat triangle ⇄
 4-clique incidence arrays and the vectorized initial κ-scores, and
 :mod:`repro.core.peel` runs the bucket-queue peel over those arrays, translating
-back to canonical label space only once, for the final score dictionary.  No
-triangle or 4-clique objects are materialised on the way.
+back to canonical label space only once, for the final score dictionary
+(:func:`~repro.deterministic.cliques.label_triangles`).  No triangle or
+4-clique objects are materialised on the way.
 
 Triangles whose own existence probability is below θ receive the sentinel
 score ``-1`` and are peeled first; they cannot belong to any nucleus.
@@ -47,8 +48,8 @@ from repro.core.hybrid import HybridEstimator
 from repro.core.peel import EstimatorKappaRepair, peel_kappa_scores
 from repro.kernels import resolve_kernel
 from repro.core.result import LocalNucleusDecomposition
-from repro.deterministic.cliques import Triangle, canonical_triangle
-from repro.exceptions import InvalidParameterError
+from repro.deterministic.cliques import label_triangles
+from repro.exceptions import InvalidParameterError, check_theta
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
@@ -85,8 +86,7 @@ def resolve_local_options(
     (:func:`repro.index.builders.build_local_index`) so parameter validation
     and the default oracle cannot drift apart.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     return DynamicProgrammingEstimator() if estimator is None else estimator
 
 
@@ -107,32 +107,6 @@ def _csr_engine_arrays(
     kappas = batched_initial_kappas(index, theta, estimator)
     repair = EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
     return index, peel_kappa_scores(index, kappas, repair, kernel=kernel)
-
-
-def _label_space_scores(
-    csr: CSRProbabilisticGraph,
-    index: CSRTriangleIndex,
-    scores: np.ndarray,
-) -> dict[Triangle, int]:
-    """Translate engine row scores to canonical label-space triangles.
-
-    One pass, run *after* the peel completes — the only point where the
-    engine touches vertex labels.
-    """
-    labels = csr.vertex_labels
-    # When the label order agrees with plain sorting (the common case:
-    # homogeneous comparable labels), ascending-id tuples map straight to
-    # canonical tuples and the per-triangle canonicalisation can be skipped.
-    try:
-        plainly_sorted = all(labels[i] <= labels[i + 1] for i in range(len(labels) - 1))
-    except TypeError:
-        plainly_sorted = False
-    result: dict[Triangle, int] = {}
-    for (u, v, w), score in zip(index.triangles, scores.tolist()):
-        lu, lv, lw = labels[u], labels[v], labels[w]
-        triangle = (lu, lv, lw) if plainly_sorted else canonical_triangle(lu, lv, lw)
-        result[triangle] = score
-    return result
 
 
 def local_nucleus_decomposition(
@@ -200,7 +174,9 @@ def local_nucleus_decomposition(
     return LocalNucleusDecomposition(
         graph=graph,
         theta=theta,
-        scores=_label_space_scores(csr, index, engine_scores),
+        scores=dict(
+            zip(label_triangles(index.triangles, csr.vertex_labels), engine_scores.tolist())
+        ),
         estimator_name=estimator.name,
         estimator_selections=selections,
     )

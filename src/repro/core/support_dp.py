@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_theta
 
 __all__ = [
     "poisson_binomial_pmf",
@@ -123,8 +123,7 @@ def max_k_at_threshold(
         :data:`NO_VALID_K` when even ``k = 0`` fails — i.e. the triangle's own
         existence probability is already below ``θ``.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     if not 0.0 <= triangle_probability <= 1.0:
         raise InvalidParameterError(
             f"triangle probability must be in [0, 1], got {triangle_probability}"

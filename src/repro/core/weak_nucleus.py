@@ -34,12 +34,16 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.components import _root_groups, _union_batches
-from repro.core.global_nucleus import check_partitions, validate_sampling_options
-from repro.core.local import check_backend, local_nucleus_decomposition
+from repro.core.global_nucleus import (
+    check_partitions,
+    local_pruning,
+    validate_sampling_options,
+)
+from repro.core.local import check_backend
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import Triangle
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import InvalidParameterError, check_level
+from repro.exceptions import check_level, check_theta
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.kernels import resolve_kernel
@@ -147,8 +151,7 @@ def weak_nucleus_decomposition(
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
     settings = validate_sampling_options(
@@ -164,11 +167,7 @@ def weak_nucleus_decomposition(
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
 
-    if local_result is None:
-        local_result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, kernel=kernel
-        )
-    candidates = local_result.nuclei(k)
+    candidates = local_pruning(graph, theta, estimator, kernel, local_result).nuclei(k)
 
     pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
 

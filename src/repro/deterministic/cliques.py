@@ -18,12 +18,12 @@ so they can be used as dictionary keys and compared across call sites.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRProbabilisticGraph
-from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex, label_sort_key
 
 Triangle = tuple[Vertex, Vertex, Vertex]
 FourClique = tuple[Vertex, Vertex, Vertex, Vertex]
@@ -39,6 +39,7 @@ __all__ = [
     "IntFourClique",
     "canonical_triangle",
     "canonical_four_clique",
+    "label_triangles",
     "triangles_of_clique",
     "enumerate_triangles",
     "count_triangles",
@@ -57,25 +58,39 @@ __all__ = [
 ]
 
 
-def _sort_key(v: Vertex):
-    return (str(type(v)), str(v))
-
-
 def canonical_triangle(u: Vertex, v: Vertex, w: Vertex) -> Triangle:
-    """Return the canonical (sorted) tuple representation of a triangle."""
+    """Return a triangle as its vertices in label order (``sorted_labels``)."""
     try:
         a, b, c = sorted((u, v, w))  # type: ignore[type-var]
     except TypeError:
-        a, b, c = sorted((u, v, w), key=_sort_key)
+        a, b, c = sorted((u, v, w), key=label_sort_key)
     return (a, b, c)
 
 
+def label_triangles(rows, labels: Sequence[Vertex]) -> list[Triangle]:
+    """Map ascending vertex-id triples to canonical label triangles.
+
+    ``labels[i]`` labels id ``i``, in CSR order.  When the labels are plainly
+    sorted a row maps to its labels directly; otherwise each triangle is
+    canonicalised (ints cut out of a mixed label list compare naturally).
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    try:
+        plainly_sorted = all(labels[i] <= labels[i + 1] for i in range(len(labels) - 1))
+    except TypeError:
+        plainly_sorted = False
+    if plainly_sorted:
+        return [(labels[u], labels[v], labels[w]) for u, v, w in rows]
+    return [canonical_triangle(labels[u], labels[v], labels[w]) for u, v, w in rows]
+
+
 def canonical_four_clique(a: Vertex, b: Vertex, c: Vertex, d: Vertex) -> FourClique:
-    """Return the canonical (sorted) tuple representation of a 4-clique."""
+    """Return a 4-clique as its vertices in label order (``sorted_labels``)."""
     try:
         w, x, y, z = sorted((a, b, c, d))  # type: ignore[type-var]
     except TypeError:
-        w, x, y, z = sorted((a, b, c, d), key=_sort_key)
+        w, x, y, z = sorted((a, b, c, d), key=label_sort_key)
     return (w, x, y, z)
 
 
@@ -91,7 +106,7 @@ def enumerate_triangles(graph: ProbabilisticGraph) -> Iterator[Triangle]:
     is reported from its lowest-ordered vertex, guaranteeing no duplicates
     without keeping a seen-set.
     """
-    order = {v: i for i, v in enumerate(sorted(graph.vertices(), key=_sort_key))}
+    order = {v: i for i, v in enumerate(sorted(graph.vertices(), key=label_sort_key))}
     for u in graph.vertices():
         higher_neighbors = [v for v in graph.neighbors(u) if order[v] > order[u]]
         higher_neighbors.sort(key=lambda v: order[v])
@@ -113,7 +128,7 @@ def enumerate_four_cliques(graph: ProbabilisticGraph) -> Iterator[FourClique]:
     neighbors of its three vertices that are ordered above all of them
     complete it to a distinct 4-clique.
     """
-    order = {v: i for i, v in enumerate(sorted(graph.vertices(), key=_sort_key))}
+    order = {v: i for i, v in enumerate(sorted(graph.vertices(), key=label_sort_key))}
     for u, v, w in enumerate_triangles(graph):
         top = max(order[u], order[v], order[w])
         for z in graph.common_neighbors(u, v, w):
@@ -133,7 +148,7 @@ def four_cliques_containing_triangle(
     u, v, w = triangle
     return [
         canonical_four_clique(u, v, w, z)
-        for z in sorted(graph.common_neighbors(u, v, w), key=_sort_key)
+        for z in sorted(graph.common_neighbors(u, v, w), key=label_sort_key)
     ]
 
 
@@ -185,7 +200,7 @@ def enumerate_k_cliques(graph: ProbabilisticGraph, k: int) -> Iterator[tuple[Ver
     """
     if k < 1:
         return
-    order = sorted(graph.vertices(), key=_sort_key)
+    order = sorted(graph.vertices(), key=label_sort_key)
     position = {v: i for i, v in enumerate(order)}
 
     def extend(clique: list[Vertex], candidates: list[Vertex]) -> Iterator[tuple[Vertex, ...]]:

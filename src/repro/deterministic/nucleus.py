@@ -31,7 +31,7 @@ from repro.deterministic.cliques import (
     triangle_clique_index,
     triangle_connected_components,
 )
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import check_level
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 from repro.peeling import LazyMinHeap
 
@@ -97,8 +97,7 @@ def k_nucleus_triangle_groups(
     four triangles all qualify*.  Converting a group to an edge subgraph gives
     the corresponding k-nucleus (see :func:`triangles_to_edge_subgraph`).
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     if nucleusness is None:
         nucleusness = nucleus_decomposition(graph)
     qualifying = {t for t, value in nucleusness.items() if value >= k}
@@ -111,18 +110,11 @@ def k_nucleus_triangle_groups(
         if all(t in qualifying for t in members)
     }
     # Only triangles that still belong to at least one allowed 4-clique can be
-    # part of a union-of-4-cliques subgraph.
+    # part of a union-of-4-cliques subgraph (at k = 0 the only filter).
     covered = {
         t for t in qualifying
         if any(c in allowed_cliques for c in by_triangle.get(t, ()))
     }
-    if k == 0:
-        # For k = 0 the support condition is vacuous, but the subgraph must
-        # still be a union of 4-cliques, so the same coverage filter applies.
-        covered = {
-            t for t in qualifying
-            if any(c in allowed_cliques for c in by_triangle.get(t, ()))
-        }
     if not covered:
         return []
     return triangle_connected_components(covered, by_triangle, allowed_cliques)
@@ -166,8 +158,7 @@ def is_k_nucleus(graph: ProbabilisticGraph, k: int) -> bool:
     ``k``, and 4-clique connectivity between all triangle pairs.  An edgeless
     graph is not considered a nucleus.
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     if graph.num_edges == 0:
         return False
     by_triangle, by_clique = triangle_clique_index(graph)

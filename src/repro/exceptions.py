@@ -8,6 +8,8 @@ invalid algorithm parameter).
 
 from __future__ import annotations
 
+import numbers
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` package."""
@@ -77,6 +79,18 @@ def check_level(k) -> None:
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
+
+
+def check_theta(theta) -> None:
+    """Validate a threshold ``theta``: a real number in ``[0, 1]``, not a ``bool``.
+
+    The one rule for θ.  An in-range ``float`` passes after one type test:
+    the peel's κ repair calls this on every recomputation.
+    """
+    if type(theta) is float and 0.0 <= theta <= 1.0:
+        return
+    if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 <= theta <= 1:
+        raise InvalidParameterError(f"theta must be a real number in [0, 1], got {theta!r}")
 
 
 class IndexingError(ReproError):

@@ -48,22 +48,9 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
-from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex, sorted_labels
 
 __all__ = ["CSRProbabilisticGraph"]
-
-
-def _canonical_vertex_order(vertices: list) -> list:
-    """Sort vertex labels the same way the clique canonicalisers do.
-
-    Plain comparison when the labels are mutually comparable, with a
-    ``(type-name, str)`` fallback for heterogeneous label sets, so the integer
-    relabelling is deterministic for any hashable vertex type.
-    """
-    try:
-        return sorted(vertices)
-    except TypeError:
-        return sorted(vertices, key=lambda v: (str(type(v)), str(v)))
 
 
 class CSRProbabilisticGraph:
@@ -116,11 +103,12 @@ class CSRProbabilisticGraph:
     def from_probabilistic(cls, graph: ProbabilisticGraph) -> "CSRProbabilisticGraph":
         """Compile a :class:`ProbabilisticGraph` into CSR form.
 
-        Vertices are relabelled to ``0 … n-1`` in canonical (sorted) label
-        order, and each adjacency row is sorted by neighbor id, so the result
-        is deterministic for a given graph.
+        Vertices are relabelled to ``0 … n-1`` in the canonical label order
+        (:func:`~repro.graph.probabilistic_graph.sorted_labels`), and each
+        adjacency row is sorted by neighbor id, so the result is
+        deterministic for a given graph.
         """
-        labels = _canonical_vertex_order(list(graph.vertices()))
+        labels = sorted_labels(graph.vertices())
         index_of = {label: i for i, label in enumerate(labels)}
         n = len(labels)
         degrees = np.fromiter(

@@ -27,7 +27,7 @@ import random
 from collections.abc import Iterable, Iterator
 
 from repro.exceptions import InvalidParameterError
-from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, Vertex
+from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 
 __all__ = [
     "world_probability",
@@ -57,7 +57,7 @@ def world_probability(graph: ProbabilisticGraph, present_edges: Iterable[Edge]) 
     present_edges:
         The edges that exist in the world (any iterable of ``(u, v)`` pairs).
     """
-    present = {_canonical(u, v) for u, v in present_edges}
+    present = {canonical_edge(u, v) for u, v in present_edges}
     probability = 1.0
     for u, v, p in graph.edges():
         if (u, v) in present:
@@ -65,13 +65,6 @@ def world_probability(graph: ProbabilisticGraph, present_edges: Iterable[Edge]) 
         else:
             probability *= 1.0 - p
     return probability
-
-
-def _canonical(u: Vertex, v: Vertex) -> Edge:
-    try:
-        return (u, v) if u <= v else (v, u)  # type: ignore[operator]
-    except TypeError:
-        return (u, v) if str(u) <= str(v) else (v, u)
 
 
 def _world_from_edges(graph: ProbabilisticGraph, edges: Iterable[Edge]) -> ProbabilisticGraph:

@@ -39,21 +39,51 @@ from repro.exceptions import (
 Vertex = Hashable
 Edge = tuple[Vertex, Vertex]
 
-__all__ = ["ProbabilisticGraph", "Vertex", "Edge", "canonical_edge"]
+__all__ = [
+    "ProbabilisticGraph",
+    "Vertex",
+    "Edge",
+    "canonical_edge",
+    "label_sort_key",
+    "sorted_labels",
+]
+
+
+def label_sort_key(v: Vertex) -> tuple[str, str]:
+    """The ``(type name, str)`` key: total over any labels, ints in ``str`` order."""
+    return (str(type(v)), str(v))
+
+
+def sorted_labels(labels: Iterable[Vertex]) -> list[Vertex]:
+    """Sort labels in the one label order of the library.
+
+    Natural order when the labels compare, else :func:`label_sort_key`.
+    CSR vertex ids, canonical edges, triangles and 4-cliques all follow it.
+
+    >>> sorted_labels([10, 9])
+    [9, 10]
+    >>> sorted_labels([10, 9, "a"])
+    [10, 9, 'a']
+    >>> canonical_edge("1", 1) == canonical_edge(1, "1") == (1, "1")
+    True
+    """
+    labels = list(labels)
+    try:
+        return sorted(labels)
+    except TypeError:
+        return sorted(labels, key=label_sort_key)
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:
-    """Return the canonical (sorted) representation of an undirected edge.
+    """Return an undirected edge with its endpoints in label order (:func:`sorted_labels`).
 
-    Sorting uses ``repr``-independent ordering: values are compared directly
-    when possible and fall back to comparing their ``str`` forms for mixed
-    incomparable types.  Canonical edges are what the library uses as
-    dictionary keys wherever a set of edges has to be deduplicated.
+    Canonical edges are what the library uses as dictionary keys wherever a
+    set of edges has to be deduplicated.
     """
     try:
         return (u, v) if u <= v else (v, u)  # type: ignore[operator]
     except TypeError:
-        return (u, v) if str(u) <= str(v) else (v, u)
+        return (u, v) if label_sort_key(u) <= label_sort_key(v) else (v, u)
 
 
 class ProbabilisticGraph:

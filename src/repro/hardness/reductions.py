@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.deterministic.cliques import Triangle, canonical_triangle
 from repro.deterministic.nucleus import is_k_nucleus
-from repro.exceptions import InvalidParameterError, VertexNotFoundError
+from repro.exceptions import InvalidParameterError, VertexNotFoundError, check_level
 from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
 
@@ -128,6 +128,7 @@ def global_indicator_probability(
     correspondence uses connectivity as the ``k = 0`` notion of nucleus, which
     callers can obtain by passing a custom check.
     """
+    check_level(k)
     if nucleus_check is None:
         nucleus_check = is_k_nucleus
     total = 0.0
@@ -208,6 +209,7 @@ def weak_indicator_probability(
     """
     from repro.deterministic.nucleus import k_nucleus_triangle_groups
 
+    check_level(k)
     total = 0.0
     for world, probability in enumerate_worlds(graph, max_edges=max_edges):
         if not _world_contains_triangle(world, triangle):
@@ -229,8 +231,7 @@ def only_k_nucleus_on_k_plus_3_vertices_is_clique(k: int, num_vertices: int | No
     the number of vertex pairs — intended for the small ``k`` used in tests
     (``k ≤ 2`` keeps the search under 2^10 graphs).
     """
-    if k < 0:
-        raise InvalidParameterError(f"k must be non-negative, got {k}")
+    check_level(k)
     n = num_vertices if num_vertices is not None else k + 3
     vertices = list(range(n))
     pairs = list(itertools.combinations(vertices, 2))

@@ -23,13 +23,12 @@ import random
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.batch import CSRTriangleIndex
-from repro.core.components import _root_groups, _union_batches
+from repro.core.components import _nucleus_level_groups
 from repro.core.global_nucleus import check_partitions, global_nucleus_decomposition
 from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
-from repro.deterministic.cliques import canonical_triangle
+from repro.deterministic.cliques import label_triangles
 from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -50,82 +49,6 @@ __all__ = [
 ]
 
 load_index = NucleusIndex.load
-
-
-def _nucleus_level_groups(
-    scores: np.ndarray, index: CSRTriangleIndex
-) -> dict[int, list[np.ndarray]]:
-    """Compute the per-level nucleus components from the engine's arrays.
-
-    Id-space replica of
-    :func:`repro.deterministic.nucleus.k_nucleus_triangle_groups` for every
-    level ``0 … max ν``: a 4-clique connects its members at level ``k`` only
-    when all four member triangles score at least ``k`` (equivalently, its
-    minimum member score is at least ``k``), a triangle belongs to a
-    component only when at least one such clique covers it, and the
-    components are the union-find closure over the allowed cliques.
-
-    Because the allowed-clique sets are nested downwards (a clique allowed
-    at ``k`` is allowed at every smaller level), one descending sweep
-    suffices: cliques enter a single union-find forest in batches at the
-    level equal to their minimum member score
-    (:func:`~repro.core.components._union_batches`).  A triangle is covered
-    at ``k`` exactly when some clique containing it has entered by then,
-    i.e. when its best containing-clique level (``cover_level``, one
-    ``maximum.at`` scatter) is at least ``k`` — which also implies its own
-    score is.  Each level then snapshots the components of its covered
-    triangles with one stable argsort over the flattened roots
-    (:func:`~repro.core.components._root_groups`); levels where no clique
-    entered share the previous level's groups unchanged.  Groups come out
-    exactly as
-    :meth:`NucleusIndex.from_local_result` sorts them — ordered by smallest
-    member, members ascending — so the resulting snapshot is identical to
-    :meth:`NucleusIndex.from_local_result` of the same decomposition.
-    """
-    num_triangles = scores.size
-    max_score = int(scores.max()) if num_triangles else -1
-    level_groups: dict[int, list[np.ndarray]] = {}
-    if max_score < 0:
-        return level_groups
-
-    clique_triangles = index.clique_triangles
-    clique_min_score = (
-        scores[clique_triangles].min(axis=1)
-        if clique_triangles.shape[0]
-        else np.empty(0, dtype=np.int64)
-    )
-    entry_order = np.argsort(-clique_min_score, kind="stable")
-    entry_levels = clique_min_score[entry_order]
-    entry_members = clique_triangles[entry_order]
-    cover_level = np.full(num_triangles, -1, dtype=np.int64)
-    if clique_triangles.shape[0]:
-        np.maximum.at(
-            cover_level, clique_triangles.ravel(), np.repeat(clique_min_score, 4)
-        )
-
-    parent = np.arange(num_triangles, dtype=np.int64)
-    next_entry = 0
-    for k in range(max_score, -1, -1):
-        # Cliques whose minimum member score is >= k enter here (the entry
-        # list descends, so they form the next contiguous slice).
-        stop = int(np.searchsorted(-entry_levels, -k, side="right"))
-        if stop > next_entry:
-            batch = entry_members[next_entry:stop]
-            parent = _union_batches(
-                parent, np.repeat(batch[:, 0], 3), batch[:, 1:].ravel()
-            )
-            next_entry = stop
-        elif k + 1 in level_groups:
-            level_groups[k] = level_groups[k + 1]
-            continue
-        ids = np.flatnonzero(cover_level >= k)
-        if ids.size == 0:
-            level_groups[k] = []
-            continue
-        # Ordered by smallest member: the lexicographic sort key of the
-        # reference ordering.
-        level_groups[k] = _root_groups(parent, ids)
-    return level_groups
 
 
 def build_local_index(
@@ -304,10 +227,10 @@ def local_result_from_index(
     check (:meth:`NucleusIndex.verify_against`), so nucleus subgraphs carry
     the caller's live edge objects; otherwise the graph is reconstructed from
     the snapshot.  The score dictionary is rebuilt in the index's sorted
-    triangle order, which is the same insertion order the peel engine's
-    :func:`~repro.core.local._label_space_scores` produces — a rehydrated
-    result is therefore interchangeable with a fresh decomposition, down to
-    dict iteration order.  Hybrid estimator selection
+    triangle order, which is the same insertion order
+    :func:`~repro.core.local.local_nucleus_decomposition` produces — a
+    rehydrated result is therefore interchangeable with a fresh
+    decomposition, down to dict iteration order.  Hybrid estimator selection
     counts are not snapshotted and come back empty.
     """
     if index.mode != "local":
@@ -318,22 +241,11 @@ def local_result_from_index(
         index.verify_against(graph)
     else:
         graph = index.to_probabilistic_graph()
-    labels = index.vertex_labels
-    rows = index.arrays["triangles"]
-    values = index.arrays["triangle_scores"].tolist()
-    try:
-        plainly_sorted = all(labels[i] <= labels[i + 1] for i in range(len(labels) - 1))
-    except TypeError:
-        plainly_sorted = False
-    scores: dict = {}
-    for (u, v, w), score in zip(rows.tolist(), values):
-        lu, lv, lw = labels[u], labels[v], labels[w]
-        triangle = (lu, lv, lw) if plainly_sorted else canonical_triangle(lu, lv, lw)
-        scores[triangle] = score
+    triangles = label_triangles(index.arrays["triangles"], index.vertex_labels)
     return LocalNucleusDecomposition(
         graph=graph,
         theta=index.theta,
-        scores=scores,
+        scores=dict(zip(triangles, index.arrays["triangle_scores"].tolist())),
         estimator_name=str(index.params.get("estimator", "dp")),
     )
 

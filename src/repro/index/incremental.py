@@ -64,6 +64,7 @@ from repro.core.batch import (
     clique_vertex_rows,
     delta_triangle_extension_index,
 )
+from repro.core.components import _nucleus_level_groups
 from repro.core.hybrid import HybridEstimator
 from repro.core.peel import EstimatorKappaRepair, repair_kappa_scores
 from repro.deterministic.cliques import _members_of_sorted_mask
@@ -448,8 +449,6 @@ def _reprice_snapshot(index: NucleusIndex, new_csr, dirty: np.ndarray) -> Nucleu
 
 def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, added_p):
     """The incremental path: delta-index + localized score repair + snapshot."""
-    from repro.index.builders import _nucleus_level_groups
-
     state = getattr(index, "_incremental_state", None)
     if state is None:
         tri_index = build_triangle_extension_index(csr)

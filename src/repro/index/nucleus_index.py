@@ -54,8 +54,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.batch import build_triangle_extension_index
+from repro.core.components import _nucleus_level_groups
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
-from repro.exceptions import IndexCompatibilityError, IndexFormatError, InvalidParameterError
+from repro.deterministic.cliques import label_triangles
+from repro.deterministic.nucleus import triangles_to_edge_subgraph
+from repro.exceptions import (
+    IndexCompatibilityError,
+    IndexFormatError,
+    InvalidParameterError,
+    check_level,
+)
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs import config as obs_config
@@ -448,22 +457,13 @@ class NucleusIndex:
         subgraph (with original probabilities) equal what the decomposition's
         own result objects produce for the same component.
         """
-        labels = self.vertex_labels
         rows = self.arrays["triangles"][self.component_triangle_positions(component)]
-        triangles = frozenset(
-            (labels[int(u)], labels[int(v)], labels[int(w)]) for u, v, w in rows
-        )
-        graph = self.to_probabilistic_graph()
-        subgraph = ProbabilisticGraph()
-        for u, v, w in triangles:
-            for x, y in ((u, v), (u, w), (v, w)):
-                if not subgraph.has_edge(x, y):
-                    subgraph.add_edge(x, y, graph.edge_probability(x, y))
+        triangles = frozenset(label_triangles(rows, self.vertex_labels))
         return ProbabilisticNucleus(
             k=int(self.arrays["comp_level"][component]),
             theta=self.theta,
             mode=self.mode,
-            subgraph=subgraph,
+            subgraph=triangles_to_edge_subgraph(self.to_probabilistic_graph(), triangles),
             triangles=triangles,
         )
 
@@ -536,32 +536,35 @@ class NucleusIndex:
     def from_local_result(
         cls, result: LocalNucleusDecomposition, params: dict | None = None
     ) -> "NucleusIndex":
-        """Snapshot a :class:`LocalNucleusDecomposition` (every level 0…max_score)."""
+        """Snapshot a :class:`LocalNucleusDecomposition` (every level 0…max_score).
+
+        The scores are read onto the triangle rows of the result graph's
+        engine index and grouped on its arrays, as in
+        :func:`~repro.index.builders.build_local_index`.  They must cover
+        exactly the graph's triangles, else :class:`InvalidParameterError`.
+        """
         csr = result.graph.to_csr()
-        id_of = {label: i for i, label in enumerate(csr.vertex_labels)}
-        items = [
-            (tuple(sorted((id_of[u], id_of[v], id_of[w]))), score)
-            for (u, v, w), score in result.scores.items()
-        ]
-        items.sort()
-        rows = np.array([t for t, _ in items], dtype=np.int64).reshape(len(items), 3)
-        scores = np.array([s for _, s in items], dtype=np.int64)
-        position = {t: i for i, (t, _) in enumerate(items)}
-
-        level_groups: dict[int, list[list[int]]] = {}
-        for k in range(0, result.max_score + 1):
-            groups = []
-            for nucleus in result.nuclei(k):
-                members = sorted(
-                    position[tuple(sorted((id_of[u], id_of[v], id_of[w])))]
-                    for u, v, w in nucleus.triangles
-                )
-                groups.append(members)
-            level_groups[k] = sorted(groups)
-
+        index = build_triangle_extension_index(csr)
+        scores = result.scores
+        try:
+            values = np.fromiter(
+                (scores[t] for t in label_triangles(index.triangles, csr.vertex_labels)),
+                dtype=np.int64,
+                count=index.num_triangles,
+            )
+        except KeyError as missing:
+            raise InvalidParameterError(
+                f"the result's scores miss triangle {missing.args[0]!r} of its graph"
+            ) from None
+        if len(scores) != index.num_triangles:
+            raise InvalidParameterError(
+                "the result's scores name triangles its graph does not have"
+            )
+        rows = np.asarray(index.triangles, dtype=np.int64).reshape(-1, 3)
+        groups = _nucleus_level_groups(values, index)
         merged = {"estimator": result.estimator_name}
         merged.update(params or {})
-        return cls._build(csr, rows, scores, level_groups, "local", result.theta, merged)
+        return cls._build(csr, rows, values, groups, "local", result.theta, merged)
 
     @classmethod
     def from_nuclei(
@@ -585,25 +588,18 @@ class NucleusIndex:
             raise InvalidParameterError(
                 f'mode must be "global" or "weakly-global", got {mode!r}'
             )
-        if k < 0:
-            raise InvalidParameterError(f"k must be non-negative, got {k}")
+        check_level(k)
         csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
         id_of = {label: i for i, label in enumerate(csr.vertex_labels)}
-        triangle_set: set[tuple[int, int, int]] = set()
-        for nucleus in nuclei:
-            for u, v, w in nucleus.triangles:
-                triangle_set.add(tuple(sorted((id_of[u], id_of[v], id_of[w]))))
-        ordered = sorted(triangle_set)
+        members = [
+            {tuple(sorted((id_of[u], id_of[v], id_of[w]))) for u, v, w in nucleus.triangles}
+            for nucleus in nuclei
+        ]
+        ordered = sorted(set().union(*members))
         rows = np.array(ordered, dtype=np.int64).reshape(len(ordered), 3)
         scores = np.full(len(ordered), k, dtype=np.int64)
         position = {t: i for i, t in enumerate(ordered)}
-        groups = sorted(
-            sorted(
-                position[tuple(sorted((id_of[u], id_of[v], id_of[w])))]
-                for u, v, w in nucleus.triangles
-            )
-            for nucleus in nuclei
-        )
+        groups = sorted(sorted(position[t] for t in group) for group in members)
         # The level is indexed even when the decomposition found nothing, so
         # the engine answers "no nuclei at this k" instead of "k not indexed".
         level_groups = {k: groups}

@@ -40,7 +40,7 @@ from repro.exceptions import (
     check_level,
 )
 from repro.graph.csr import CSRProbabilisticGraph
-from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex, label_sort_key
 from repro.index.nucleus_index import NucleusIndex
 from repro.query.cache import LRUCache
 
@@ -297,7 +297,7 @@ class NucleusQueryEngine:
         if not seed_labels:
             raise InvalidParameterError("nucleus_of requires at least one seed vertex")
         k = self._check_level(k)
-        sorted_seeds = tuple(sorted(seed_labels, key=lambda s: (str(type(s)), str(s))))
+        sorted_seeds = tuple(sorted(seed_labels, key=label_sort_key))
         key = (self.index.cache_key, "nucleus_of", sorted_seeds, k)
         cached = self.cache.get(key)
         if cached is not None:

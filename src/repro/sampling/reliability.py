@@ -18,7 +18,7 @@ import random
 from collections.abc import Callable
 
 from repro.deterministic.connectivity import is_connected
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_theta
 from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.monte_carlo import MonteCarloEstimate, estimate_world_probability
@@ -77,8 +77,7 @@ def reliability_decision(
     Computed exactly via enumeration; intended for the small instances used
     in the hardness-reduction demonstrations and tests.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     return exact_reliability(graph, max_edges=max_edges) >= theta
 
 

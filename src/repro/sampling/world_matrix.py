@@ -69,14 +69,14 @@ import numpy as np
 from repro.deterministic.cliques import (
     Triangle,
     _members_of_sorted_mask,
-    canonical_triangle,
     concatenated_rows,
     forward_adjacency_csr,
+    label_triangles,
     triangle_arrays_csr,
 )
 from repro.exceptions import InvalidParameterError, check_level
-from repro.graph.csr import CSRProbabilisticGraph, _canonical_vertex_order
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.graph.csr import CSRProbabilisticGraph
+from repro.graph.probabilistic_graph import ProbabilisticGraph, sorted_labels
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
@@ -202,11 +202,7 @@ class CandidateWorldIndex:
 
     def triangle_labels(self) -> list[Triangle]:
         """Return the canonical label-space tuple of every triangle row."""
-        labels = self.labels
-        return [
-            canonical_triangle(labels[u], labels[v], labels[w])
-            for u, v, w in self.triangles.tolist()
-        ]
+        return label_triangles(self.triangles, self.labels)
 
     @classmethod
     def from_graph(
@@ -266,7 +262,7 @@ class CandidateWorldIndex:
         ends = np.stack([self.edge_u[kept], self.edge_v[kept]], axis=1)
         vertices = np.unique(ends)
         labels = [self.labels[i] for i in vertices.tolist()]
-        ordered = _canonical_vertex_order(labels)
+        ordered = sorted_labels(labels)
         if ordered == labels:  # compact ids keep this index's vertex order
             compact = None
         else:

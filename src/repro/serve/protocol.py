@@ -38,6 +38,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.exceptions import ReproError
+from repro.graph.probabilistic_graph import label_sort_key
 from repro.obs.metrics import render_prometheus as obs_render_prometheus
 from repro.obs.metrics import snapshot as obs_snapshot
 from repro.query.engine import RANK_KEYS, NucleusQueryEngine
@@ -63,11 +64,6 @@ class MalformedRequestError(ReproError, ValueError):
     """Raised when a request line is not valid JSON or not a valid query."""
 
 
-def _sort_key(label) -> tuple[str, str]:
-    """Deterministic order for mixed int/str vertex labels."""
-    return (str(type(label)), str(label))
-
-
 def _first_line(text: str) -> str:
     return text.splitlines()[0] if text else text
 
@@ -90,7 +86,7 @@ def nucleus_summary(nucleus) -> dict:
         "num_vertices": nucleus.num_vertices,
         "num_edges": nucleus.num_edges,
         "num_triangles": len(nucleus.triangles),
-        "vertices": sorted(nucleus.vertices(), key=_sort_key),
+        "vertices": sorted(nucleus.vertices(), key=label_sort_key),
     }
 
 

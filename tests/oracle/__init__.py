@@ -7,7 +7,8 @@ survives here, verbatim, as the reference the parity suites pin that engine
 against:
 
 * :mod:`oracle.local` — canonical-tuple triangle states and the
-  :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1;
+  :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1, and the dict
+  grouping of the local index snapshot (:func:`oracle.local.dict_snapshot`);
 * :mod:`oracle.global_nucleus` — Algorithm 2's label-space candidate loop
   (dict closure, clique-set deduplication, subgraph per candidate), verified
   one :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
@@ -22,10 +23,11 @@ imports this package.
 """
 
 from oracle.global_nucleus import global_nucleus_decomposition
-from oracle.local import local_nucleus_decomposition
+from oracle.local import dict_snapshot, local_nucleus_decomposition
 from oracle.weak_nucleus import triangle_weak_scores, weak_nucleus_decomposition
 
 __all__ = [
+    "dict_snapshot",
     "global_nucleus_decomposition",
     "local_nucleus_decomposition",
     "triangle_weak_scores",

@@ -4,11 +4,18 @@ Canonical-tuple triangle states, scalar estimator calls and a
 :class:`~repro.peeling.LazyMinHeap` peel: the reference loop the
 array-native engine of :mod:`repro.core.peel` is pinned against.  Scores come
 back in graph-traversal order, which the figure-8 golden report depends on.
+
+:func:`dict_snapshot` is the reference of the index snapshot: every level
+grouped in dict space by ``result.nuclei(k)``, against which the array
+grouping of :meth:`~repro.index.NucleusIndex.from_local_result` and
+:func:`~repro.index.builders.build_local_index` is pinned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.hybrid import HybridEstimator
@@ -18,6 +25,7 @@ from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import FourClique, Triangle, triangle_clique_index
 from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.index.nucleus_index import NucleusIndex
 from repro.peeling import LazyMinHeap
 
 
@@ -158,4 +166,44 @@ def local_nucleus_decomposition(
         scores=scores,
         estimator_name=estimator.name,
         estimator_selections=selections,
+    )
+
+
+def dict_snapshot(
+    result: LocalNucleusDecomposition, params: dict | None = None
+) -> NucleusIndex:
+    """Snapshot ``result`` with every level grouped in dict space.
+
+    The scores are keyed by sorted id triples of the result graph's CSR
+    compilation, and each level's components are the triangle sets of
+    ``result.nuclei(k)`` (the dict grouping of
+    :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`), sorted
+    by member positions.
+    """
+    csr = result.graph.to_csr()
+    id_of = {label: i for i, label in enumerate(csr.vertex_labels)}
+    items = [
+        (tuple(sorted((id_of[u], id_of[v], id_of[w]))), score)
+        for (u, v, w), score in result.scores.items()
+    ]
+    items.sort()
+    rows = np.array([t for t, _ in items], dtype=np.int64).reshape(len(items), 3)
+    scores = np.array([s for _, s in items], dtype=np.int64)
+    position = {t: i for i, (t, _) in enumerate(items)}
+
+    level_groups: dict[int, list[list[int]]] = {}
+    for k in range(0, result.max_score + 1):
+        groups = []
+        for nucleus in result.nuclei(k):
+            members = sorted(
+                position[tuple(sorted((id_of[u], id_of[v], id_of[w])))]
+                for u, v, w in nucleus.triangles
+            )
+            groups.append(members)
+        level_groups[k] = sorted(groups)
+
+    merged = {"estimator": result.estimator_name}
+    merged.update(params or {})
+    return NucleusIndex.from_triangle_arrays(
+        csr, rows, scores, level_groups, mode="local", theta=result.theta, params=merged
     )

@@ -18,8 +18,10 @@ import pytest
 import repro
 import repro.query
 import repro.serve
+from repro.deterministic.cliques import canonical_triangle
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph
+from repro.index.builders import local_result_from_index
 from repro.query import NucleusQueryEngine
 from repro.serve import QueryService
 
@@ -79,6 +81,17 @@ class TestDecompose:
                     )
             with pytest.raises(InvalidParameterError, match=message):
                 local.nuclei(bad)
+
+    def test_theta_must_be_a_real_number_in_the_unit_interval(self, graph):
+        for bad in ("0.3", None, True, 1.5):
+            message = re.escape(f"theta must be a real number in [0, 1], got {bad!r}")
+            for mode in ("local", "global", "weak"):
+                k = None if mode == "local" else 1
+                sampling = {} if mode == "local" else {"n_samples": 10, "seed": 1}
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.decompose(graph, mode=mode, theta=bad, k=k, **sampling)
+                with pytest.raises(InvalidParameterError, match=message):
+                    repro.build_index(graph, mode=mode, theta=bad, k=k, **sampling)
 
     def test_seed_must_be_a_non_negative_integer(self, graph):
         # Validated where every driver resolves its RNG, so the message
@@ -195,3 +208,38 @@ def test_mixed_int_str_labels_through_every_verb(mixed_graph, mode):
     assert engine.contains(list(MIXED_LABELS), 1).all()
     assert {0, "a"} <= set(engine.nucleus_of([0, "a"], 1).vertices())
     assert engine.top_nuclei(n=1, k=1)
+
+
+#: K5 whose int labels sort differently as ints (9 < 10) and under the
+#: (type name, str) key of a mixed label set ("10" < "9").
+STR_ORDERED_INTS = (9, 10, 11, 12, "a")
+
+
+@pytest.fixture(scope="module")
+def str_ordered_graph():
+    graph = repro.ProbabilisticGraph()
+    for u, v in itertools.combinations(STR_ORDERED_INTS, 2):
+        graph.add_edge(u, v, 0.95)
+    return graph
+
+
+@pytest.mark.parametrize("mode", ["local", "global", "weak"])
+def test_engine_names_triangles_like_decompose(str_ordered_graph, mode):
+    k = None if mode == "local" else 1
+    sampling = {} if mode == "local" else {"n_samples": 50, "seed": 5}
+    result = repro.decompose(str_ordered_graph, mode=mode, theta=THETA, k=k, **sampling)
+    engine = NucleusQueryEngine(
+        repro.build_index(str_ordered_graph, mode=mode, theta=THETA, k=k, **sampling)
+    )
+    levels = range(result.max_score + 1) if mode == "local" else [1]
+    for level in levels:
+        expected = result.nuclei(level) if mode == "local" else result
+        served = engine.nuclei(level)
+        assert expected
+        subgraphs = {n.triangles: n.subgraph for n in expected}
+        assert {n.triangles: n.subgraph for n in served} == subgraphs
+        for nucleus in served:
+            assert all(t == canonical_triangle(*t) for t in nucleus.triangles)
+    if mode == "local":
+        rehydrated = local_result_from_index(engine.index)
+        assert list(rehydrated.scores.items()) == list(result.scores.items())

@@ -217,6 +217,22 @@ def test_csr_graph_input_matches_dict_graph_input(decomposition):
     assert expected and edge_sets(actual) == edge_sets(expected)
 
 
+@pytest.mark.parametrize(
+    "decomposition", [global_nucleus_decomposition, weak_nucleus_decomposition]
+)
+def test_local_result_must_match_the_call(decomposition):
+    graph = clique_graph(5, probability=0.9)
+    local = local_nucleus_decomposition(graph, theta=0.3)
+    # The same graph, an equal copy and its CSR compilation all match.
+    for same in (graph, graph.copy(), graph.to_csr()):
+        assert decomposition(same, k=1, theta=0.3, n_samples=20, seed=9, local_result=local)
+    with pytest.raises(InvalidParameterError, match="local_result was computed at theta=0.3"):
+        decomposition(graph, k=1, theta=0.4, n_samples=20, seed=9, local_result=local)
+    other = clique_graph(6, probability=0.9)
+    with pytest.raises(InvalidParameterError, match="local_result .* different graph"):
+        decomposition(other, k=1, theta=0.3, n_samples=20, seed=9, local_result=local)
+
+
 class TestModeContainments:
     def test_local_weak_global_containment_on_certain_graph(self):
         """On a deterministic graph all three decompositions coincide."""

@@ -10,19 +10,24 @@ from __future__ import annotations
 import functools
 import io
 import json
+import sys
 import zipfile
 
 import numpy as np
 import pytest
 
 from repro.core.local import local_nucleus_decomposition
+from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
+from repro.deterministic.cliques import triangle_clique_index
+from repro.deterministic.nucleus import k_nucleus_triangle_groups
 from repro.exceptions import (
     IndexCompatibilityError,
     IndexFormatError,
     InvalidParameterError,
 )
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
+from repro.experiments.pipeline import DecompositionCache
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
@@ -261,21 +266,65 @@ class TestDirectArraySnapshot:
     @pytest.mark.parametrize("name", DATASET_NAMES[:3])
     def test_csr_build_equals_dict_result_detour(self, name):
         graph = load_dataset(name, scale="tiny")
+        result = local_nucleus_decomposition(graph, THETA)
         direct = build_local_index(graph, THETA)
-        detour = NucleusIndex.from_local_result(local_nucleus_decomposition(graph, THETA))
-        assert direct == detour
+        assert direct == NucleusIndex.from_local_result(result)
+        assert direct == oracle.dict_snapshot(result)
 
     def test_csr_and_dict_backends_agree_on_arrays(self, planted):
         direct = build_local_index(planted, THETA)
-        via_dict = NucleusIndex.from_local_result(
-            oracle.local_nucleus_decomposition(planted, THETA)
-        )
+        result = oracle.local_nucleus_decomposition(planted, THETA)
         # Every array (graph, scores, components, postings) of the engine's
-        # direct snapshot must equal the dict oracle's snapshot.
-        for name in direct.arrays:
-            assert np.array_equal(direct.arrays[name], via_dict.arrays[name]), name
-        assert direct.fingerprint == via_dict.fingerprint
-        assert direct.params["estimator"] == via_dict.params["estimator"]
+        # direct snapshot must equal the dict oracle's snapshot, and the
+        # array snapshot of the oracle's result must too.
+        for via_dict in (oracle.dict_snapshot(result), NucleusIndex.from_local_result(result)):
+            for name in direct.arrays:
+                assert np.array_equal(direct.arrays[name], via_dict.arrays[name]), name
+            assert direct.fingerprint == via_dict.fingerprint
+            assert direct.params["estimator"] == via_dict.params["estimator"]
+
+    def test_from_local_result_needs_scores_for_exactly_its_triangles(self, planted):
+        result = local_nucleus_decomposition(planted, THETA)
+        dropped = next(iter(result.scores))
+        missing = dict(result.scores)
+        del missing[dropped]
+        extra = dict(result.scores)
+        extra[("x", "y", "z")] = 0
+        for scores, message in ((missing, "miss triangle"), (extra, "does not have")):
+            broken = LocalNucleusDecomposition(
+                planted, THETA, scores, estimator_name=result.estimator_name
+            )
+            with pytest.raises(InvalidParameterError, match=message):
+                NucleusIndex.from_local_result(broken)
+
+    def test_snapshots_of_a_result_skip_the_dict_grouping(
+        self, planted, tmp_path, monkeypatch
+    ):
+        calls: list[str] = []
+        for function in (triangle_clique_index, k_nucleus_triangle_groups):
+            def spy(*args, _function=function, **kwargs):
+                calls.append(_function.__name__)
+                return _function(*args, **kwargs)
+
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro") and (
+                    getattr(module, function.__name__, None) is function
+                ):
+                    monkeypatch.setattr(module, function.__name__, spy)
+
+        result = local_nucleus_decomposition(planted, THETA)
+        snapshots = [
+            result.build_index(),
+            build_local_index(planted, THETA, local_result=result),
+        ]
+        cache = DecompositionCache(tmp_path)
+        cache.local(planted, THETA)
+        assert [path.name for path in tmp_path.glob("*.npz")]
+        assert calls == []
+        assert all(snapshot == build_local_index(planted, THETA) for snapshot in snapshots)
+        # The spy is live: nuclei(k) still groups in dict space.
+        result.nuclei(1)
+        assert set(calls) == {"triangle_clique_index", "k_nucleus_triangle_groups"}
 
     def test_csr_graph_input_uses_direct_path(self, planted, tmp_path):
         index = build_local_index(planted.to_csr(), THETA)

@@ -12,7 +12,13 @@ from repro.exceptions import (
     InvalidProbabilityError,
     VertexNotFoundError,
 )
+from repro.graph.possible_worlds import (
+    enumerate_worlds,
+    expected_edge_count,
+    world_probability,
+)
 from repro.graph.probabilistic_graph import ProbabilisticGraph, canonical_edge
+from repro.sampling.reliability import exact_reliability
 
 
 class TestConstruction:
@@ -218,6 +224,24 @@ class TestCanonicalEdge:
         edge = canonical_edge("b", 1)
         assert set(edge) == {"b", 1}
         assert canonical_edge("b", 1) == canonical_edge(1, "b")
+
+    def test_labels_with_equal_str_forms(self):
+        # 1 and "1" have the same str form: the (type name, str) key still
+        # orders them, so the edge has one canonical form.
+        assert canonical_edge(1, "1") == canonical_edge("1", 1) == (1, "1")
+        graph = ProbabilisticGraph([(1, "1", 0.5), ("1", 2, 0.5), (1, 2, 0.5)])
+        edges = list(graph.edges())
+        assert len(edges) == graph.num_edges == 3
+        assert {(u, v) for u, v, _ in edges} == {(1, "1"), (2, "1"), (1, 2)}
+
+    def test_possible_worlds_of_a_mixed_label_triangle(self):
+        graph = ProbabilisticGraph([(1, "1", 0.5), ("1", 2, 0.5), (1, 2, 0.5)])
+        worlds = list(enumerate_worlds(graph))
+        assert len(worlds) == 8
+        assert sum(p for _, p in worlds) == pytest.approx(1.0)
+        assert world_probability(graph, [("1", 1)]) == pytest.approx(0.125)
+        assert exact_reliability(graph) == pytest.approx(0.5)
+        assert expected_edge_count(graph) == pytest.approx(1.5)
 
 
 class TestPropertyBased:

@@ -44,7 +44,11 @@ from repro.core.weak_nucleus import (
     weak_nucleus_decomposition,
 )
 from repro.deterministic.cliques import triangle_clique_index
-from repro.deterministic.nucleus import is_k_nucleus, k_nucleus_triangle_groups
+from repro.deterministic.nucleus import (
+    is_k_nucleus,
+    k_nucleus_subgraphs,
+    k_nucleus_triangle_groups,
+)
 from repro.exceptions import InvalidParameterError
 from repro.experiments.runner import main as experiments_main
 from repro.graph.generators import (
@@ -56,6 +60,10 @@ from repro.graph.generators import (
 from repro.graph.io import write_edge_list
 from repro.graph.possible_worlds import enumerate_worlds, sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.hardness.reductions import (
+    global_indicator_probability,
+    weak_indicator_probability,
+)
 from repro.index import NucleusIndex, build_index, load_index
 from repro.sampling.adaptive import block_rows, blocked_counts
 from repro.sampling.monte_carlo import hoeffding_error_bound
@@ -485,6 +493,22 @@ class TestLevelValidation:
         by_triangle, _ = triangle_clique_index(graph)
         with pytest.raises(InvalidParameterError, match=message):
             candidate_closure(graph, (0, 1, 2), bad, by_triangle)
+
+    @pytest.mark.parametrize("bad", [1.5, True, -1])
+    def test_k_rule_outside_the_drivers(self, bad):
+        graph = clique_graph(4, probability=0.9)
+        message = re.escape(f"k must be a non-negative integer, got {bad!r}")
+        calls = (
+            lambda: k_nucleus_triangle_groups(graph, bad),
+            lambda: k_nucleus_subgraphs(graph, bad),
+            lambda: is_k_nucleus(graph, bad),
+            lambda: global_indicator_probability(graph, (0, 1, 2), bad),
+            lambda: weak_indicator_probability(graph, (0, 1, 2), bad),
+            lambda: NucleusIndex.from_nuclei(graph, [], k=bad, theta=0.3, mode="global"),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match=message):
+                call()
 
 
 class TestRetiredPartitions:
