@@ -1,7 +1,7 @@
 """Benchmark: the array-native peel engine, instrumented and compiled.
 
 Times the CSR peel pipeline (:mod:`repro.core.peel`: flat incidence arrays +
-bucket queue, label translation only for the final score dictionary) on
+level-synchronous rounds, label translation only for the final score dictionary) on
 every bundled dataset analogue.
 
 The benchmark pins the cost of the observability layer: every dataset is
@@ -56,7 +56,7 @@ DEFAULT_THETA = 0.3
 def engine_csr_scores(
     csr: CSRProbabilisticGraph, theta: float, estimator, kernel: str = "numpy"
 ) -> dict:
-    """The current CSR path: flat bucket-queue peel + one label translation."""
+    """The current CSR path: flat level-synchronous peel + one label translation."""
     index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
     return dict(zip(label_triangles(index.triangles, csr.vertex_labels), scores.tolist()))
 

@@ -12,7 +12,8 @@ Public entry points:
   :class:`HybridEstimator`.
 * The array-native peel engine of :mod:`repro.core.peel`
   (:func:`peel_kappa_scores` + the :class:`KappaRepair` hooks), which every
-  decomposition runs on.
+  decomposition runs on: level-synchronous rounds with batched exact-DP
+  repairs for the exact oracle, a lazy heap for the approximations.
 """
 
 from repro.core.approximations import (

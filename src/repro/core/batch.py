@@ -92,7 +92,7 @@ class CSRTriangleIndex:
     clique ``c`` and ``clique_pair_positions[c]`` the positions of those four
     (triangle, clique) pairs inside the pair arrays — so killing a clique is
     four O(1) writes, the operation the peel engine
-    (:mod:`repro.core.peel`) builds its bucket-queue loop on.
+    (:mod:`repro.core.peel`) builds its loops on.
     """
 
     triangles: list[IntTriangle]

@@ -23,7 +23,8 @@ The implementation below follows Algorithm 1:
 
 One engine implements it: :mod:`repro.core.batch` builds flat triangle ⇄
 4-clique incidence arrays and the vectorized initial κ-scores, and
-:mod:`repro.core.peel` runs the bucket-queue peel over those arrays, translating
+:mod:`repro.core.peel` runs the peel over those arrays in level-synchronous
+rounds (each round's exact-DP repairs one batched kernel call), translating
 back to canonical label space only once, for the final score dictionary
 (:func:`~repro.deterministic.cliques.label_triangles`).  No triangle or
 4-clique objects are materialised on the way.

@@ -11,14 +11,15 @@ space instead:
   :class:`repro.core.batch.CSRTriangleIndex` — integer ids and parallel
   float arrays, no ``Triangle``/``FourClique`` tuples, no per-triangle
   dicts or dataclasses anywhere in the loop;
-* for *monotone* repairs the priority queue is a **bucket queue** over
-  κ-values (the structure used by deterministic k-core peeling,
-  Batagelj–Zaveršnik): an ``order`` array partitioned into buckets with
-  O(1) re-keying by swap, replacing the lazy min-heap and its stale-entry
-  churn, with exact repairs deferred to the queue front via the unit-drop
-  lower bound (see :attr:`KappaRepair.unit_drop`); non-monotone repairs
-  instead replay the reference loop's lazy-heap trajectory over integer
-  rows, because their scores depend on the exact repair schedule;
+* for *monotone* repairs (the exact DP oracle) the loop runs in
+  **level-synchronous rounds**: every triangle at the current level is
+  peeled at once, every 4-clique through them dies at once, and the exact
+  repairs of a round are one batched call of the κ-init DP kernel, deferred
+  until a triangle's unit-drop lower bound reaches the level (see
+  :attr:`KappaRepair.unit_drop`) — the synchronous peel of Sarıyüce,
+  Seshadhri and Pinar (VLDB 2018); non-monotone repairs instead replay the
+  reference loop's lazy-heap trajectory over integer rows, because their
+  scores depend on the exact repair schedule;
 * score repair is pluggable through :class:`KappaRepair`:
   :class:`EstimatorKappaRepair` wraps any
   :class:`~repro.core.approximations.SupportEstimator` (exact DP and every
@@ -29,11 +30,12 @@ space instead:
 The engine produces exactly the scores of the dict-backed reference loop:
 for the exact oracle the peel value of a triangle is the generalized-core
 number of a monotone local score function, independent of the order in
-which minimum triangles are peeled; for the approximations the trajectory
-itself is replicated.  The surviving extension probabilities are summed in
-canonical completing-vertex order.  ``tests/test_peel_engine.py`` and
-``tests/test_backend_parity.py`` pin the parity against the dict oracle on
-every fixture, estimator, and a randomized graph sweep.
+which minimum triangles are peeled and of how many are peeled together;
+for the approximations the trajectory itself is replicated.  The surviving
+extension probabilities are summed in canonical completing-vertex order.
+``tests/test_peel_engine.py`` and ``tests/test_backend_parity.py`` pin the
+parity against the dict oracle on every fixture, estimator, and a
+randomized graph sweep.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
-from repro.core.batch import CSRTriangleIndex
+from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails
 from repro.core.support_dp import NO_VALID_K
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, check_theta
 from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.peeling import LazyMinHeap
+from repro.sampling.sharding import _require_positive_int
 
 __all__ = [
     "KappaRepair",
@@ -67,11 +70,12 @@ class KappaRepair(ABC):
     """Strategy recomputing a triangle's κ-score from its surviving cliques.
 
     The peel loop calls :meth:`recompute` whenever a 4-clique through an
-    unprocessed triangle dies (or, for unit-drop repairs, when the triangle
-    reaches the queue front); implementations see only the triangle's row id
-    and the extension probabilities of its surviving 4-cliques (in completing-
-    vertex order), and return the repaired κ — the largest ``k`` for which the
-    triangle still satisfies the threshold condition, or
+    unprocessed triangle dies (for unit-drop repairs, :meth:`recompute_rows`
+    once per round, when the triangles' bounds reach the peel level);
+    implementations see only the triangle's row id and the extension
+    probabilities of its surviving 4-cliques (in completing-vertex order),
+    and return the repaired κ — the largest ``k`` for which the triangle
+    still satisfies the threshold condition, or
     :data:`~repro.core.support_dp.NO_VALID_K`.
     """
 
@@ -82,8 +86,8 @@ class KappaRepair(ABC):
     #: For the *exact* Poisson-binomial tail this always holds — dropping one
     #: Bernoulli variable ``E`` satisfies ``Pr[ζ − E ≥ k] ≥ Pr[ζ ≥ k + 1]``,
     #: so the qualifying ``k`` shrinks by at most one — and the peel engine
-    #: then defers exact recomputation until the triangle reaches the queue
-    #: front, tracking a cheap lower bound in between.  The §5.3
+    #: then defers exact recomputation until that bound reaches the peel
+    #: level, tracking a cheap lower bound in between.  The §5.3
     #: approximations do *not* guarantee the property (e.g. the Poisson tail
     #: at rate ``λ − 1`` can undercut the exact unit-drop bound), so they
     #: leave this ``False`` and are repaired eagerly on every death.
@@ -92,6 +96,24 @@ class KappaRepair(ABC):
     @abstractmethod
     def recompute(self, triangle: int, surviving_probabilities: Sequence[float]) -> int:
         """Return the repaired κ-score of triangle row ``triangle``."""
+
+    def recompute_rows(
+        self, index: CSRTriangleIndex, rows: np.ndarray, live: np.ndarray
+    ) -> np.ndarray:
+        """Return the repaired κ-scores of the triangle rows ``rows`` (``int64``).
+
+        ``live`` flags the postings of ``index`` (positions in its pair
+        arrays) whose 4-clique survives; a row's surviving probabilities are
+        its live postings in posting order.  The level-synchronous peel makes
+        one call per round.  This default runs :meth:`recompute` row by row.
+        """
+        starts = index.tri_clique_indptr[rows].tolist()
+        stops = index.tri_clique_indptr[rows + 1].tolist()
+        probabilities = index.tri_extension_probabilities
+        kappas = np.empty(rows.size, dtype=np.int64)
+        for i, (t, start, stop) in enumerate(zip(rows.tolist(), starts, stops)):
+            kappas[i] = self.recompute(t, probabilities[start:stop][live[start:stop]].tolist())
+        return kappas
 
 
 class EstimatorKappaRepair(KappaRepair):
@@ -108,6 +130,7 @@ class EstimatorKappaRepair(KappaRepair):
         triangle_probabilities: np.ndarray,
         theta: float,
     ) -> None:
+        check_theta(theta)
         self.estimator = estimator
         self.theta = theta
         self.name = estimator.name
@@ -115,12 +138,49 @@ class EstimatorKappaRepair(KappaRepair):
         # subclasses may override max_k arbitrarily, so match the type
         # exactly rather than with isinstance.
         self.unit_drop = type(estimator) is DynamicProgrammingEstimator
-        self._triangle_probabilities = triangle_probabilities.tolist()
+        self._probability_array = np.asarray(triangle_probabilities, dtype=np.float64)
+        self._triangle_probabilities = self._probability_array.tolist()
 
     def recompute(self, triangle: int, surviving_probabilities: Sequence[float]) -> int:
         return self.estimator.max_k(
             self._triangle_probabilities[triangle], surviving_probabilities, self.theta
         )
+
+    def recompute_rows(
+        self, index: CSRTriangleIndex, rows: np.ndarray, live: np.ndarray
+    ) -> np.ndarray:
+        """The exact DP of a whole batch through the κ-init kernel.
+
+        Rows are padded within power-of-two posting-count classes, so a row
+        pads to less than twice its posting count, and each class is one
+        :func:`~repro.core.batch._dp_tails` matrix.  A dead posting enters
+        as ``p = 0``, an exact identity of the recurrence
+        (``x·1.0 + y·0.0 = x``), and the trailing padding only appends zero
+        mass above the row's postings, so every tail a row reads is
+        bit-identical to the scalar DP over its live postings.  The max-k is
+        capped at the live count: at θ = 0 the zero tails above it would
+        qualify too.  Other estimators fall back to the scalar loop.
+        """
+        if not self.unit_drop:
+            return super().recompute_rows(index, rows, live)
+        indptr = index.tri_clique_indptr
+        probabilities = index.tri_extension_probabilities
+        starts = indptr[rows]
+        sizes = indptr[rows + 1] - starts
+        kappas = np.empty(rows.size, dtype=np.int64)
+        # frexp's exponent is the bit length: class c holds sizes in
+        # [2^(c-1), 2^c), class 0 the rows without postings.
+        size_classes = np.frexp(sizes.astype(np.float64))[1]
+        for size_class in np.unique(size_classes).tolist():
+            members = np.flatnonzero(size_classes == size_class)
+            columns = np.arange(int(sizes[members].max()))
+            inside = columns < sizes[members, None]
+            positions = np.where(inside, starts[members, None] + columns, 0)
+            present = inside & live[positions]
+            tails = _dp_tails(np.where(present, probabilities[positions], 0.0))
+            best = _max_k_from_tails(self._probability_array[rows[members]], tails, self.theta)
+            kappas[members] = np.minimum(best, present.sum(axis=1))
+        return kappas
 
 
 class MonteCarloKappaRepair(KappaRepair):
@@ -143,8 +203,8 @@ class MonteCarloKappaRepair(KappaRepair):
         rng: np.random.Generator | None = None,
         seed: int | None = None,
     ) -> None:
-        if n_samples <= 0:
-            raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
+        check_theta(theta)
+        _require_positive_int("n_samples", n_samples)
         self.theta = theta
         self.n_samples = n_samples
         self._triangle_probabilities = triangle_probabilities.tolist()
@@ -353,6 +413,10 @@ def peel_kappa_scores(
 ) -> np.ndarray:
     """Peel every triangle of ``index`` and return its nucleus score ν.
 
+    ``initial_kappas`` must be an integer array parallel to
+    ``index.triangles`` with values ≥ :data:`~repro.core.support_dp.NO_VALID_K`
+    (checked up front, naming ``initial_kappas``).
+
     ``kernel="numba"`` dispatches to the compiled loops of
     :mod:`repro.kernels.peel` when the repair supports them: the unit-drop
     (exact-DP) bucket queue — bit-identical, the Poisson-binomial repair
@@ -363,22 +427,43 @@ def peel_kappa_scores(
     as does everything when numba is not installed.
 
     When observability is on (``REPRO_OBS``), the run is wrapped in a
-    ``"peel"`` span (carrying the resolved ``kernel``) and feeds the
-    ``repro_peel_*`` counters — queue pops, repair-hook invocations, and
-    unit-drop lazy-bound deferrals — with the counts accumulated in
-    loop-local integers so the disabled-mode overhead stays within the
-    CI-gated 3% of the uninstrumented loop (see ``docs/OBSERVABILITY.md``).
+    ``"peel"`` span (carrying the resolved ``kernel`` and the ``queue``
+    discipline: ``rounds``, ``heap``, or numba's ``bucket``) and feeds the
+    ``repro_peel_*`` counters — triangles peeled, exact recomputations,
+    unit-drop bound steps and level-synchronous rounds — with the counts
+    accumulated in loop-local integers so the disabled-mode overhead stays
+    within the CI-gated 3% of the uninstrumented loop (see
+    ``docs/OBSERVABILITY.md``).
     """
+    num_triangles = index.num_triangles
+    if initial_kappas.shape != (num_triangles,):
+        raise InvalidParameterError(
+            "initial_kappas must be parallel to index.triangles "
+            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
+        )
+    if not np.issubdtype(initial_kappas.dtype, np.integer):
+        raise InvalidParameterError(
+            f"initial_kappas must be an integer array, got dtype {initial_kappas.dtype}"
+        )
+    if num_triangles and int(initial_kappas.min()) < NO_VALID_K:
+        raise InvalidParameterError(
+            f"initial_kappas must be >= {NO_VALID_K} (NO_VALID_K), "
+            f"got {int(initial_kappas.min())}"
+        )
     engine = resolve_kernel(kernel)
     if engine == "numba" and not (
         repair.unit_drop or isinstance(repair, MonteCarloKappaRepair)
     ):
         engine = "numpy"
+    if not repair.unit_drop:
+        queue = "heap"
+    else:
+        queue = "bucket" if engine == "numba" else "rounds"
     with span(
         "peel",
-        triangles=index.num_triangles,
+        triangles=num_triangles,
         repair=repair.name,
-        queue="bucket" if repair.unit_drop else "heap",
+        queue=queue,
         kernel=engine,
     ):
         record_dispatch("peel", engine)
@@ -394,11 +479,6 @@ def _peel_kappa_scores_kernel(
 ) -> np.ndarray:
     """Drive the compiled peel loops of :mod:`repro.kernels.peel`."""
     num_triangles = index.num_triangles
-    if initial_kappas.shape != (num_triangles,):
-        raise InvalidParameterError(
-            "initial_kappas must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
-        )
     if num_triangles == 0:
         return np.full(0, NO_VALID_K, dtype=np.int64)
     from repro.kernels import peel as kernel_peel
@@ -416,22 +496,33 @@ def _peel_kappa_scores_kernel(
     return scores
 
 
-def _record_peel_metrics(repair: KappaRepair, pops: int, repairs: int, deferrals: int) -> None:
+def _record_peel_metrics(
+    repair: KappaRepair,
+    pops: int,
+    repairs: int,
+    deferrals: int,
+    rounds: int | None = None,
+) -> None:
     """Fold one peel run's loop-local counts into the metrics registry."""
     counter = obs_registry.counter
     counter(
         "repro_peel_pops_total",
-        "Triangles popped from the peel queue (bucket or lazy heap).",
+        "Triangles peeled (level-synchronous rounds, bucket or lazy heap).",
     ).inc(pops)
     counter(
         "repro_peel_repairs_total",
-        "Repair-hook (KappaRepair.recompute) invocations during peeling.",
+        "Triangle rows recomputed by the repair hook during peeling.",
         repair=repair.name,
     ).inc(repairs)
     counter(
         "repro_peel_deferrals_total",
-        "Unit-drop bucket steps taken in place of an eager exact repair.",
+        "Unit-drop bound steps taken in place of an eager exact repair.",
     ).inc(deferrals)
+    if rounds is not None:
+        counter(
+            "repro_peel_rounds_total",
+            "Level-synchronous peel rounds (unit-drop repairs, numpy kernel).",
+        ).inc(rounds)
 
 
 def _peel_kappa_scores(
@@ -439,28 +530,16 @@ def _peel_kappa_scores(
     initial_kappas: np.ndarray,
     repair: KappaRepair,
 ) -> np.ndarray:
-    """The peel loop itself (see :func:`peel_kappa_scores`).
+    """The numpy peel loops (see :func:`peel_kappa_scores`).
 
     Runs Algorithm 1's loop entirely over the flat incidence arrays of
-    ``index``: triangles are integer rows, 4-cliques are integer rows, and
-    liveness is a pair of boolean lists — the loop allocates no per-triangle
-    Python objects (no tuples, dicts, or dataclasses), only the transient
-    surviving-probability buffer each :class:`KappaRepair` call consumes.
-
-    Two queue disciplines drive the loop, selected by the repair's
+    ``index``: triangles are integer rows and 4-cliques are integer rows —
+    the loops allocate no per-triangle Python objects (no tuples, dicts, or
+    dataclasses).  Two disciplines drive them, selected by the repair's
     :attr:`~KappaRepair.unit_drop` capability:
 
-    * **Bucket queue** (unit-drop repairs, i.e. the exact DP oracle) — a
-      bucket queue over κ-values offset by one (the ``-1`` sentinel of
-      below-θ triangles occupies bucket 0 and is peeled first): ``order``
-      holds the triangle rows partitioned by bucket, ``position`` inverts
-      it, and ``bucket_start[b]`` marks where bucket ``b`` begins.  A
-      clique death just steps the affected triangles one bucket down — an
-      O(1) swap, valid as a lower bound precisely because of unit-drop —
-      and the exact repair is deferred until the triangle reaches the
-      queue front.  Scores of a monotone repair are peel-order
-      independent, so this reproduces the reference loop's output exactly
-      while skipping most of its intermediate repairs.
+    * **Level-synchronous rounds** (unit-drop repairs, i.e. the exact DP
+      oracle) — :func:`_peel_rounds`.
     * **Lazy min-heap** (everything else) — the §5.3 approximated tails
       are not monotone under clique removal (a death can *raise* κ), which
       makes the final scores sensitive to the exact pop/repair schedule.
@@ -469,20 +548,19 @@ def _peel_kappa_scores(
       ``(κ, triangle row)`` entries with per-death repairs and re-pushes —
       row order coincides with canonical triangle order under the CSR
       relabelling, so ties break exactly as in the dict reference loop.
+      Liveness is a pair of boolean lists and each repair consumes a
+      transient surviving-probability buffer.
 
     Returns the ``int64`` score array parallel to ``index.triangles``; the
     assigned scores are clamped to the running peel level exactly like the
     reference loop, so levels are monotone along the peel order.
     """
     num_triangles = index.num_triangles
-    if initial_kappas.shape != (num_triangles,):
-        raise InvalidParameterError(
-            "initial_kappas must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
-        )
     scores = np.full(num_triangles, NO_VALID_K, dtype=np.int64)
     if num_triangles == 0:
         return scores
+    if repair.unit_drop:
+        return _peel_rounds(index, initial_kappas, repair)
 
     kappa: list[int] = initial_kappas.tolist()
     indptr: list[int] = index.tri_clique_indptr.tolist()
@@ -504,112 +582,20 @@ def _peel_kappa_scores(
 
     repairs = 0
 
-    if not repair.unit_drop:
-        # --- lazy min-heap: replay the reference trajectory exactly ------- #
-        heap = LazyMinHeap((kappa[t], t) for t in range(num_triangles))
-        processed = [False] * num_triangles
+    # --- lazy min-heap: replay the reference trajectory exactly ----------- #
+    heap = LazyMinHeap((kappa[t], t) for t in range(num_triangles))
+    processed = [False] * num_triangles
 
-        def current(m: int) -> int | None:
-            return None if processed[m] else kappa[m]
-
-        level = NO_VALID_K
-        while (entry := heap.pop(current)) is not None:
-            _, t = entry
-            if kappa[t] > level:
-                level = kappa[t]
-            out[t] = level
-            processed[t] = True
-            for j in range(indptr[t], indptr[t + 1]):
-                if not pair_alive[j]:
-                    continue
-                c = pair_cliques[j]
-                for pair_position in clique_positions[c]:
-                    pair_alive[pair_position] = False
-                for m in clique_members[c]:
-                    if m == t or processed[m]:
-                        continue
-                    if kappa[m] > level:
-                        repairs += 1
-                        new = recompute(m, surviving_of(m))
-                        if new < level:
-                            new = level
-                        kappa[m] = new
-                        heap.push(new, m)
-        scores[:] = out
-        if obs_config._ENABLED:
-            _record_peel_metrics(repair, num_triangles, repairs, 0)
-        return scores
-
-    # --- bucket queue ----------------------------------------------------- #
-    # Bucket of a triangle = κ + 1; repairs can push κ up to the largest
-    # support size, so size the bucket table for max(initial κ, max support).
-    max_support = max(indptr[i + 1] - indptr[i] for i in range(num_triangles))
-    num_buckets = max(max(kappa), max_support) + 2
-    counts = [0] * num_buckets
-    for value in kappa:
-        counts[value + 1] += 1
-    bucket_start = [0] * (num_buckets + 1)
-    for b in range(num_buckets):
-        bucket_start[b + 1] = bucket_start[b] + counts[b]
-    fill = list(bucket_start)
-    order = [0] * num_triangles
-    position = [0] * num_triangles
-    for t in range(num_triangles):
-        p = fill[kappa[t] + 1]
-        order[p] = t
-        position[t] = p
-        fill[kappa[t] + 1] = p + 1
-
-    def move(m: int, old: int, new: int) -> None:
-        """Re-key triangle ``m`` from bucket ``old + 1`` to ``new + 1``."""
-        if new < old:
-            for b in range(old + 1, new + 1, -1):
-                start = bucket_start[b]
-                displaced = order[start]
-                where = position[m]
-                order[where] = displaced
-                order[start] = m
-                position[displaced] = where
-                position[m] = start
-                bucket_start[b] = start + 1
-        else:
-            for b in range(old + 2, new + 2):
-                last = bucket_start[b] - 1
-                displaced = order[last]
-                where = position[m]
-                order[where] = displaced
-                order[last] = m
-                position[displaced] = where
-                position[m] = last
-                bucket_start[b] = last
+    def current(m: int) -> int | None:
+        return None if processed[m] else kappa[m]
 
     level = NO_VALID_K
-    deferrals = 0
-    dirty = [False] * num_triangles
-    for i in range(num_triangles):
-        # The queue holds lower bounds; settle the front before peeling: a
-        # dirty front triangle is recomputed exactly, and if its true κ
-        # exceeds the bound it moves right, pulling the next candidate into
-        # position ``i``.
-        t = order[i]
-        while dirty[t]:
-            dirty[t] = False
-            repairs += 1
-            exact = recompute(t, surviving_of(t))
-            if exact < level:
-                exact = level
-            if exact <= kappa[t]:
-                break
-            move(t, kappa[t], exact)
-            kappa[t] = exact
-            t = order[i]
+    while (entry := heap.pop(current)) is not None:
+        _, t = entry
         if kappa[t] > level:
             level = kappa[t]
         out[t] = level
-
-        # Every 4-clique through the peeled triangle dies; each affected
-        # triangle steps one bucket down per lost clique (unit-drop keeps
-        # the bound valid) and its exact κ is deferred to its own pop.
+        processed[t] = True
         for j in range(indptr[t], indptr[t + 1]):
             if not pair_alive[j]:
                 continue
@@ -617,17 +603,100 @@ def _peel_kappa_scores(
             for pair_position in clique_positions[c]:
                 pair_alive[pair_position] = False
             for m in clique_members[c]:
-                if m == t or position[m] <= i:
+                if m == t or processed[m]:
                     continue
-                old = kappa[m]
-                if old <= level:
-                    continue
-                deferrals += 1
-                move(m, old, old - 1)
-                kappa[m] = old - 1
-                dirty[m] = True
-
+                if kappa[m] > level:
+                    repairs += 1
+                    new = recompute(m, surviving_of(m))
+                    if new < level:
+                        new = level
+                    kappa[m] = new
+                    heap.push(new, m)
     scores[:] = out
     if obs_config._ENABLED:
-        _record_peel_metrics(repair, num_triangles, repairs, deferrals)
+        _record_peel_metrics(repair, num_triangles, repairs, 0)
+    return scores
+
+
+#: Bound of a peeled triangle: above every live bound, so ``bound.min()`` is
+#: the next level and no peeled row is ever at or below the level again.
+_PEELED = np.iinfo(np.int64).max
+
+
+def _peel_rounds(
+    index: CSRTriangleIndex,
+    initial_kappas: np.ndarray,
+    repair: KappaRepair,
+) -> np.ndarray:
+    """Level-synchronous peel for unit-drop repairs (the exact DP oracle).
+
+    ``bound[t]`` is a lower bound on live triangle ``t``'s κ, exact unless
+    ``dirty[t]``, and ``ready`` holds the live rows whose bound is at the
+    current level (every other live bound lies above it).  Each round:
+
+    1. recompute every dirty ready row in one
+       :meth:`KappaRepair.recompute_rows` batch; rows whose exact κ
+       exceeds the level leave ``ready``;
+    2. peel every ready row at once — its score is the level;
+    3. kill the live 4-cliques of the peeled rows;
+    4. lower each hit row's bound by the number of cliques it lost (a
+       valid lower bound by unit-drop), clamp it at the level and mark it
+       dirty; the rows now at the level are the next round's ``ready``.
+
+    When no row is ready the level rises to the smallest live bound.  The
+    exact κ never rises when a 4-clique dies, so each peel value is a
+    generalized-core number: it does not depend on which minimum triangles
+    are peeled first or how many are peeled together, and the rounds return
+    exactly the scores of the one-at-a-time reference loop.  Outside the
+    level scans each round costs time in its own rows, postings and
+    cliques only.
+    """
+    num_triangles = index.num_triangles
+    indptr = index.tri_clique_indptr
+    pair_cliques = index.tri_cliques
+    clique_triangles = index.clique_triangles
+    clique_positions = index.clique_pair_positions
+    bound = initial_kappas.astype(np.int64)
+    scores = np.empty(num_triangles, dtype=np.int64)
+    dirty = np.zeros(num_triangles, dtype=bool)
+    live = np.ones(pair_cliques.size, dtype=bool)
+    ready = np.empty(0, dtype=np.int64)
+    level = NO_VALID_K
+    remaining = num_triangles
+    rounds = repairs = deferrals = 0
+    while remaining:
+        if ready.size == 0:
+            level = int(bound.min())
+            ready = np.flatnonzero(bound <= level)
+        rounds += 1
+        stale = ready[dirty[ready]]
+        if stale.size:
+            repairs += stale.size
+            dirty[stale] = False
+            bound[stale] = repair.recompute_rows(index, stale, live)
+            ready = ready[bound[ready] <= level]
+        scores[ready] = level
+        bound[ready] = _PEELED
+        remaining -= ready.size
+
+        # Every live 4-clique through a peeled row dies.
+        starts = indptr[ready]
+        sizes = indptr[ready + 1] - starts
+        offsets = np.cumsum(sizes) - sizes
+        postings = np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes)
+        dead = np.unique(pair_cliques[postings[live[postings]]])
+        live[clique_positions[dead]] = False
+
+        # Each surviving member steps its bound down once per lost clique.
+        members = clique_triangles[dead].ravel()
+        hit, lost = np.unique(members[bound[members] != _PEELED], return_counts=True)
+        old = bound[hit]
+        new = np.maximum(old - lost, level)
+        deferrals += int((old - new).sum())
+        bound[hit] = new
+        dirty[hit] = True
+        ready = hit[new <= level]
+
+    if obs_config._ENABLED:
+        _record_peel_metrics(repair, num_triangles, repairs, deferrals, rounds)
     return scores

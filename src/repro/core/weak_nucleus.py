@@ -134,7 +134,7 @@ def weak_nucleus_decomposition(
     Parameters mirror
     :func:`repro.core.global_nucleus.global_nucleus_decomposition`; the
     returned nuclei carry ``mode="weakly-global"``.  The candidate-producing
-    local decomposition runs on the bucket-queue peel of
+    local decomposition runs on the peel of
     :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
     is scored by the one verification loop of :mod:`repro.sampling.adaptive`

@@ -23,9 +23,9 @@ dead items and refreshing stale entries::
         value, item = entry
         ...  # peel `item`, update neighbour scores, heap.push(...) as needed
 
-The array-native peel engine (:mod:`repro.core.peel`) does not use a heap at
-all — it replaces this pattern with an O(1)-decrease-key bucket queue — so
-this helper intentionally lives outside :mod:`repro.core`, where the
+The array-native peel engine (:mod:`repro.core.peel`) uses it only to replay
+the approximations' trajectory; the exact DP peels in level-synchronous
+rounds.  This helper intentionally lives outside :mod:`repro.core`, where the
 deterministic layer and the baselines can import it without cycles.
 """
 

@@ -26,7 +26,8 @@ from repro.core.local import local_nucleus_decomposition
 from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
-from graph_factories import small_er_graph
+from repro.experiments.datasets import DATASET_NAMES
+from graph_factories import bundled_graph, small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -75,6 +76,13 @@ class TestLocalParity:
             )
             assert actual.scores == expected.scores, estimator_cls.__name__
             assert actual.max_score == expected.max_score
+
+    @pytest.mark.parametrize("theta", [0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_exact_peel_matches_oracle_on_bundled_datasets(self, name, theta):
+        graph = bundled_graph(name, scale="tiny")
+        expected = oracle.local_nucleus_decomposition(graph, theta)
+        assert local_nucleus_decomposition(graph, theta).scores == expected.scores
 
     def test_nuclei_identical(self, paper_figure1_graph):
         theta = 0.42

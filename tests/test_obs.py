@@ -24,11 +24,13 @@ import json
 import pytest
 
 import repro
+from repro.core.approximations import PoissonEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.experiments.pipeline import RunConfig, run_spec
 from repro.experiments.registry import get_spec
 from repro.graph.generators import planted_nucleus_graph
+from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import build_local_index
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
@@ -346,6 +348,35 @@ class TestInstrumentation:
             local_nucleus_decomposition(graph, THETA)
         pops = REGISTRY.counter("repro_peel_pops_total")
         assert pops.value > 0
+
+    def test_peel_round_counters_on_a_hand_graph(self):
+        # A K4 whose edge (0, 1) is unlikely.  At θ = 0.5 the two triangles
+        # on that edge fall below θ and peel first (round 1), killing the
+        # one 4-clique; the other two step their bounds 0 → −1 (two bound
+        # steps) and are recomputed exactly (round 2: κ = 0, above the
+        # level), then peel at level 0 (round 3).
+        graph = ProbabilisticGraph(
+            [(0, 1, 0.1), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)]
+        )
+        with capture(enable=True) as sink:
+            result = local_nucleus_decomposition(graph, 0.5)
+        assert sorted(result.scores.values()) == [-1, -1, 0, 0]
+        assert REGISTRY.counter("repro_peel_pops_total").value == 4
+        assert REGISTRY.counter("repro_peel_rounds_total").value == 3
+        assert REGISTRY.counter("repro_peel_repairs_total", repair="dp").value == 2
+        assert REGISTRY.counter("repro_peel_deferrals_total").value == 2
+        (peel,) = [trace for trace in sink.traces() if trace["name"] == "peel"]
+        assert peel["attrs"]["queue"] == "rounds"
+
+    def test_heap_peel_reports_its_queue(self, graph):
+        with capture(enable=True) as sink:
+            result = local_nucleus_decomposition(graph, THETA, estimator=PoissonEstimator())
+            names = {metric["name"] for metric in snapshot()["metrics"]}
+        (peel,) = [trace for trace in sink.traces() if trace["name"] == "peel"]
+        assert peel["attrs"]["queue"] == "heap"
+        assert "repro_peel_pops_total" in names
+        assert "repro_peel_rounds_total" not in names
+        assert REGISTRY.counter("repro_peel_pops_total").value == len(result.scores)
 
     def test_index_build_trace_nests_peel(self, graph):
         with capture(enable=True) as sink:

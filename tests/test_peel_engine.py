@@ -1,9 +1,10 @@
 """Tests for the array-native peel engine (repro.core.peel) and its helpers.
 
-Pins the tentpole guarantees: the bucket-queue engine produces exactly the
-dict oracle's scores on every edge case (empty graph, triangle-free graph,
-θ = 1, θ → 0, all-sentinel graphs), the :class:`KappaRepair` hooks plug
-interchangeably into the same loop, and the shared
+Pins the tentpole guarantees: the level-synchronous rounds of the exact DP
+produce exactly the dict oracle's scores on every edge case (empty graph,
+triangle-free graph, θ = 1, θ → 0, all-sentinel graphs), the batched
+exact repair equals the scalar DP it replaces, the :class:`KappaRepair`
+hooks plug interchangeably into the same loop, and the shared
 :class:`~repro.peeling.LazyMinHeap` implements the lazy-deletion protocol
 the dict-based loops rely on.
 """
@@ -13,7 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.batch import batched_initial_kappas, build_triangle_extension_index
+import repro.core.approximations as approximations
+from repro.core.batch import (
+    _dp_tails,
+    _max_k_from_tails,
+    batched_initial_kappas,
+    build_triangle_extension_index,
+)
+from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.core.peel import (
     EstimatorKappaRepair,
@@ -22,7 +30,11 @@ from repro.core.peel import (
     peel_kappa_scores,
 )
 from repro.core.approximations import DynamicProgrammingEstimator
-from repro.core.support_dp import NO_VALID_K
+from repro.core.support_dp import (
+    NO_VALID_K,
+    max_k_at_threshold,
+    support_tail_probabilities,
+)
 from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
@@ -52,6 +64,32 @@ def engine_scores(graph: ProbabilisticGraph, theta: float, repair=None) -> dict:
         (labels[u], labels[v], labels[w]): score
         for (u, v, w), score in zip(index.triangles, scores.tolist())
     }
+
+
+def mixed_support_graph() -> ProbabilisticGraph:
+    """Uncertain near-cliques of 4–12 vertices beside a certain K6.
+
+    Posting counts run over several power-of-two size classes, peeling the
+    near-cliques cascades, and the certain K6 keeps κ non-trivial at θ = 1.
+    """
+    communities = planted_nucleus_graph(
+        community_sizes=[4, 7, 12],
+        intra_density=0.85,
+        background_vertices=10,
+        background_density=0.2,
+        bridges_per_community=2,
+        seed=5,
+    )
+    certain = [(100 + u, 100 + v, 1.0) for u in range(6) for v in range(u + 1, 6)]
+    return ProbabilisticGraph(list(communities.edges()) + certain)
+
+
+def prepared(graph: ProbabilisticGraph, theta: float):
+    """``(index, initial κ, exact repair)`` of ``graph`` at ``theta``."""
+    index = build_triangle_extension_index(graph.to_csr())
+    estimator = DynamicProgrammingEstimator()
+    kappas = batched_initial_kappas(index, theta, estimator)
+    return index, kappas, EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
 
 
 class TestLazyMinHeap:
@@ -88,7 +126,7 @@ class TestLazyMinHeap:
 
 
 class TestEngineMatchesDictBackend:
-    """The bucket-queue engine reproduces the dict peel exactly."""
+    """The level-synchronous engine reproduces the dict peel exactly."""
 
     @pytest.mark.parametrize("theta", [0.01, 0.3, 0.7])
     def test_fixture_scores(self, paper_figure1_graph, theta):
@@ -216,24 +254,193 @@ class TestKappaRepairHooks:
         for triangle, score in exact.items():
             assert abs(approximate[triangle] - score) <= 1
 
-    def test_monte_carlo_validates_sample_count(self):
-        with pytest.raises(InvalidParameterError):
-            MonteCarloKappaRepair(np.asarray([0.5]), 0.3, n_samples=0)
+    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.5])
+    def test_monte_carlo_validates_sample_count(self, n_samples):
+        with pytest.raises(InvalidParameterError, match="n_samples"):
+            MonteCarloKappaRepair(np.asarray([0.5]), 0.3, n_samples=n_samples)
 
-    def test_custom_repair_plugs_into_the_loop(self, four_clique_graph):
+    @pytest.mark.parametrize("unit_drop", [False, True])
+    def test_custom_repair_plugs_into_the_loop(self, unit_drop):
+        # unit_drop=True runs the rounds, whose default recompute_rows loops
+        # the scalar hook; False replays the heap.
         class SupportCountRepair(KappaRepair):
             """κ = number of surviving cliques — the θ→0 limit."""
 
             name = "support-count"
 
+            def __init__(self):
+                self.unit_drop = unit_drop  # a death lowers the count by exactly one
+                self.calls = 0
+
             def recompute(self, triangle, surviving_probabilities):
+                self.calls += 1
                 return len(surviving_probabilities)
 
-        csr = four_clique_graph.to_csr()
+        graph = mixed_support_graph()
+        csr = graph.to_csr()
         index = build_triangle_extension_index(csr)
+        repair = SupportCountRepair()
         sizes = np.diff(index.tri_clique_indptr)
-        scores = peel_kappa_scores(index, sizes.astype(np.int64), SupportCountRepair())
+        scores = peel_kappa_scores(index, sizes.astype(np.int64), repair)
+        assert repair.calls > 0
+        expected = nucleus_decomposition(graph)
+        labels = csr.vertex_labels
         assert scores.tolist() == [
-            nucleus_decomposition(four_clique_graph)[triangle]
-            for triangle in sorted(nucleus_decomposition(four_clique_graph))
+            expected[(labels[u], labels[v], labels[w])] for u, v, w in index.triangles
         ]
+
+
+class TestInputValidation:
+    """Bad κ inputs and repair knobs fail up front, naming the knob."""
+
+    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
+    def test_float_initial_kappas_rejected(self, kernel):
+        index, kappas, repair = prepared(clique_graph(6, probability=0.9), 0.3)
+        with pytest.raises(InvalidParameterError, match="initial_kappas"):
+            peel_kappa_scores(index, kappas.astype(np.float64), repair, kernel=kernel)
+
+    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
+    def test_kappas_below_the_sentinel_rejected(self, kernel):
+        index, kappas, repair = prepared(clique_graph(6, probability=0.9), 0.3)
+        with pytest.raises(InvalidParameterError, match="initial_kappas"):
+            peel_kappa_scores(index, kappas - 5, repair, kernel=kernel)
+        kappas[3] = NO_VALID_K - 1
+        with pytest.raises(InvalidParameterError, match="initial_kappas"):
+            peel_kappa_scores(index, kappas, repair, kernel=kernel)
+
+    def test_int32_initial_kappas_accepted(self, planted_graph):
+        index, kappas, repair = prepared(planted_graph, 0.2)
+        expected = peel_kappa_scores(index, kappas, repair)
+        narrow = peel_kappa_scores(index, kappas.astype(np.int32), repair)
+        assert narrow.dtype == np.int64
+        assert narrow.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("theta", [1.5, "0.3", None, True])
+    def test_repairs_validate_theta_at_construction(self, theta):
+        probabilities = np.asarray([0.5])
+        with pytest.raises(InvalidParameterError, match="theta"):
+            EstimatorKappaRepair(DynamicProgrammingEstimator(), probabilities, theta)
+        with pytest.raises(InvalidParameterError, match="theta"):
+            MonteCarloKappaRepair(probabilities, theta)
+
+
+class TestBatchedExactRepair:
+    """The invariants the level-synchronous loop rests on."""
+
+    @staticmethod
+    def dp_rows(seed: int, count: int = 400, width: int = 12):
+        """Random DP rows: live postings interleaved with dead ones entered as
+        ``p = 0``, then zero padding up to ``width``.
+
+        Returns the padded matrix, each row's live probabilities, and one
+        triangle probability per row (every third is 1.0; every fifth row
+        is all-certain, so θ = 1 keeps non-trivial answers).
+        """
+        rng = np.random.default_rng(seed)
+        matrix = np.zeros((count, width))
+        live_rows = []
+        for i in range(count):
+            postings = int(rng.integers(0, width + 1))
+            values = np.ones(postings) if i % 5 == 0 else rng.random(postings)
+            alive = rng.random(postings) < 0.7
+            matrix[i, :postings] = np.where(alive, values, 0.0)
+            live_rows.append(values[alive].tolist())
+        triangle_probabilities = rng.random(count)
+        triangle_probabilities[::3] = 1.0
+        return matrix, live_rows, triangle_probabilities
+
+    def test_masked_dp_tails_equal_the_scalar_dp(self):
+        matrix, live_rows, _ = self.dp_rows(seed=1)
+        for row, live in zip(_dp_tails(matrix).tolist(), live_rows):
+            expected = support_tail_probabilities(live)
+            assert row[: len(expected)] == expected
+            assert not any(row[len(expected):])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    def test_capped_max_k_equals_the_scalar_search(self, theta):
+        matrix, live_rows, probabilities = self.dp_rows(seed=2)
+        best = _max_k_from_tails(probabilities, _dp_tails(matrix), theta)
+        capped = np.minimum(best, [len(live) for live in live_rows])
+        expected = [
+            max_k_at_threshold(p, live, theta)
+            for p, live in zip(probabilities.tolist(), live_rows)
+        ]
+        assert capped.tolist() == expected
+
+    def test_uncapped_max_k_overshoots_at_theta_zero(self):
+        # Padding and dead postings add zero tails, which qualify at θ = 0.
+        matrix, live_rows, probabilities = self.dp_rows(seed=2)
+        best = _max_k_from_tails(probabilities, _dp_tails(matrix), 0.0)
+        expected = [
+            max_k_at_threshold(p, live, 0.0)
+            for p, live in zip(probabilities.tolist(), live_rows)
+        ]
+        assert best.tolist() != expected
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+    def test_recompute_rows_equals_the_scalar_recompute(self, theta):
+        index, _, repair = prepared(mixed_support_graph(), theta)
+        sizes = np.diff(index.tri_clique_indptr)
+        assert len(set(np.frexp(sizes.astype(float))[1].tolist())) >= 4
+        live = np.random.default_rng(3).random(index.tri_cliques.size) < 0.6
+        rows = np.random.default_rng(4).permutation(index.num_triangles)
+        indptr = index.tri_clique_indptr.tolist()
+        expected = [
+            repair.recompute(
+                t,
+                index.tri_extension_probabilities[indptr[t]:indptr[t + 1]][
+                    live[indptr[t]:indptr[t + 1]]
+                ].tolist(),
+            )
+            for t in rows.tolist()
+        ]
+        batched = repair.recompute_rows(index, rows, live)
+        assert batched.dtype == np.int64
+        assert batched.tolist() == expected
+        if theta == 1.0:
+            assert max(expected) > 0  # the certain K6 keeps support at θ = 1
+
+
+class TestExactPeelSpy:
+    """The exact peel reaches the DP only through the batched kernel."""
+
+    @staticmethod
+    def spy(monkeypatch) -> dict:
+        calls = {"recompute": 0, "recompute_rows": 0, "max_k_at_threshold": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return wrapper
+
+        for name in ("recompute", "recompute_rows"):
+            monkeypatch.setattr(
+                EstimatorKappaRepair,
+                name,
+                counting(name, getattr(EstimatorKappaRepair, name)),
+            )
+        monkeypatch.setattr(
+            approximations,
+            "max_k_at_threshold",
+            counting("max_k_at_threshold", approximations.max_k_at_threshold),
+        )
+        return calls
+
+    def test_exact_peel_never_calls_the_scalar_dp(self, planted_graph, monkeypatch):
+        calls = self.spy(monkeypatch)
+        result = local_nucleus_decomposition(planted_graph, 0.2)
+        assert calls["recompute_rows"] > 0
+        assert calls["recompute"] == 0
+        assert calls["max_k_at_threshold"] == 0
+        assert result.scores == oracle.local_nucleus_decomposition(planted_graph, 0.2).scores
+
+    def test_heap_path_calls_the_scalar_repair_for_an_approximation(
+        self, planted_graph, monkeypatch
+    ):
+        calls = self.spy(monkeypatch)
+        local_nucleus_decomposition(planted_graph, 0.2, estimator=HybridEstimator())
+        assert calls["recompute_rows"] == 0
+        assert calls["recompute"] > 0
+        assert calls["max_k_at_threshold"] > 0
