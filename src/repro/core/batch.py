@@ -429,7 +429,7 @@ def _regather_probabilities(
     back-pointers (the inverse of the assembly's lexsort), so the result is
     bit-identical to a full reassembly at a fraction of the cost.  The
     structural arrays are *shared* with ``old_index``, which is safe because
-    nothing downstream mutates them (the peel repair copies to lists).
+    nothing downstream mutates them (the score repair only reads them).
     """
     probability_of = _EdgeProbabilityLookup(new_csr)
     if old_index.num_cliques == 0:

@@ -41,7 +41,6 @@ randomized graph sweep.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from collections.abc import Sequence
 
 import numpy as np
@@ -105,7 +104,9 @@ class KappaRepair(ABC):
         ``live`` flags the postings of ``index`` (positions in its pair
         arrays) whose 4-clique survives; a row's surviving probabilities are
         its live postings in posting order.  The level-synchronous peel makes
-        one call per round.  This default runs :meth:`recompute` row by row.
+        one call per round, :func:`repair_kappa_scores` one per closure round
+        and fixed-point step.  This default runs :meth:`recompute` row by
+        row.
         """
         starts = index.tri_clique_indptr[rows].tolist()
         stops = index.tri_clique_indptr[rows + 1].tolist()
@@ -229,6 +230,38 @@ class MonteCarloKappaRepair(KappaRepair):
         return best
 
 
+def _postings_of(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The posting positions of ``rows``, row after row, and each row's count."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), sizes
+
+
+def _checked_scores(name: str, values, num_triangles: int) -> np.ndarray:
+    """``values`` as an array, checked as per-triangle κ or ν values.
+
+    Raises :class:`InvalidParameterError` naming ``name`` unless the array
+    is parallel to the triangle rows, of an integer dtype (``bool`` is not),
+    and ≥ :data:`~repro.core.support_dp.NO_VALID_K` throughout.
+    """
+    values = np.asarray(values)
+    if values.shape != (num_triangles,):
+        raise InvalidParameterError(
+            f"{name} must be parallel to index.triangles "
+            f"(expected shape ({num_triangles},), got {values.shape})"
+        )
+    if not np.issubdtype(values.dtype, np.integer):
+        raise InvalidParameterError(
+            f"{name} must be an integer array, got dtype {values.dtype}"
+        )
+    if num_triangles and int(values.min()) < NO_VALID_K:
+        raise InvalidParameterError(
+            f"{name} must be >= {NO_VALID_K} (NO_VALID_K), got {int(values.min())}"
+        )
+    return values
+
+
 def repair_kappa_scores(
     index: CSRTriangleIndex,
     base_scores: np.ndarray,
@@ -238,47 +271,69 @@ def repair_kappa_scores(
     """Repair nucleus scores after a localized change instead of re-peeling.
 
     ``base_scores`` are the scores of a previous :func:`peel_kappa_scores`
-    run mapped onto the rows of (the possibly rebuilt) ``index``; ``seeds``
-    are the rows whose κ-inputs changed — newborn triangles, and surviving
-    triangles whose triangle probability or 4-clique postings differ from
-    the run that produced ``base_scores`` (their ``base_scores`` entries are
-    ignored).  Returns the exact score array ``peel_kappa_scores(index,
-    initial_kappas, repair)`` would produce, touching only the affected
-    region.
+    run mapped onto the rows of (the possibly rebuilt) ``index``: an integer
+    array parallel to ``index.triangles`` with values ≥
+    :data:`~repro.core.support_dp.NO_VALID_K`.  ``seeds`` are the integer
+    rows whose κ-inputs changed — newborn triangles, and surviving triangles
+    whose triangle probability or 4-clique postings differ from the run that
+    produced ``base_scores`` (their ``base_scores`` entries are ignored).
+    Both are checked up front, naming the argument.  Returns the exact score
+    array ``peel_kappa_scores(index, initial_kappas, repair)`` would
+    produce, touching only the affected region.
 
     Only *unit-drop* repairs (the exact DP oracle) are supported: their peel
     output is order-independent — triangle ``t``'s score is the largest
     ``k`` such that ``t`` survives in the maximal set ``S_k`` where every
     member's recomputed κ over the cliques staying inside ``S_k`` is ≥ k, a
     greatest fixed point that localized repair can converge to from any
-    pointwise upper bound.  The repair runs in two phases:
+    pointwise upper bound.  The repair runs in two phases of synchronous
+    rounds (the local algorithm of Sarıyüce, Seshadhri and Pinar, VLDB
+    2018), and every recomputation of a round is one
+    :meth:`KappaRepair.recompute_rows` batch — the κ-init kernel for the
+    exact DP:
 
     1. **Increase closure** — a clean triangle's score can only grow through
        a chain of score increases rooted at a seed: if ``ν_new(t) = k >
        ν_old(t)`` with ``t``'s own inputs unchanged, some 4-clique of ``t``
        has every other member at ``ν_new ≥ k`` and at least one of them is
        a seed or has itself increased past ``k`` (otherwise the same clique
-       already certified ``t`` at ``k`` before the change).  The closure
-       therefore grows from the seeds along 4-cliques, admitting a member
-       ``m`` when ``min`` of the members' initial κ (a static upper bound
-       on any new score) exceeds ``base_scores[m]`` — triangles that fail
-       that test cannot increase, so everything outside the closure keeps
-       ``base_scores`` as a valid upper bound.
+       already certified ``t`` at ``k`` before the change).  Each frontier
+       round takes the 4-cliques of the rows that just joined, each clique
+       once, computes the missing initial κ of their members in one batch,
+       and admits every member ``m`` with ``base_scores[m]`` below the
+       clique's least initial κ (a static upper bound on any new score).
+       Admission depends on the clique alone, not on the visit order, and
+       triangles that fail it cannot increase, so everything outside the
+       closure keeps ``base_scores`` as a valid upper bound.
     2. **Downward fixed point** — starting from the upper bound ``ν̂`` =
-       initial κ on the closure / ``base_scores`` elsewhere, repeatedly
-       re-evaluate ``f(t) = max {k ≤ ν̂(t) :`` recompute over the cliques
-       whose other members all have ``ν̂ ≥ k`` is ``≥ k}``, lowering ``ν̂``
-       and re-queueing affected co-members until nothing moves.  Survivor
-       probabilities are gathered in posting-slice order, the same order the
-       peel engine sums them, so the floating-point comparisons agree
-       bit-for-bit.  The evaluation steps ``k`` down one level at a time —
-       the survivor set grows as ``k`` falls, so a failed level cannot be
-       skipped — except that once every posting survives, lowering ``k``
-       further cannot change the recompute and the result is taken
-       directly.
+       initial κ on the closure / ``base_scores`` elsewhere, with the
+       closure and every member of its cliques queued, each round evaluates
+       ``f(t) = max {k ≤ ν̂(t) :`` recompute over the postings alive at
+       ``k`` is ``≥ k}`` for every queued row against the ``ν̂`` of the
+       round's start (Jacobi rounds), where a posting is alive at ``k``
+       when the least ``ν̂`` of its clique's other three members is ``≥
+       k``.  The rows step ``k`` down together, one batch per step; a row
+       whose recompute falls short jumps straight to its next survival
+       threshold, since no level in between adds a posting, and a row
+       whose recompute reaches that threshold settles at the recompute.
+       Lowered rows are written after the round, and their co-members
+       whose ``ν̂`` lies above a lowered row's new value are the next
+       round's queue.  Survivor probabilities enter in posting order, dead
+       postings as ``p = 0``, so each recompute is bit-identical to the
+       scalar DP over the survivors.
 
-    ``tests/test_incremental.py`` pins equality with the full peel on
-    randomized graphs and update batches.
+    The synchronous rounds reach the same scores as one-row-at-a-time
+    evaluation: the exact tail never rises when a posting dies, so ``f`` is
+    monotone in the other rows' ``ν̂``.  Every iterate therefore stays
+    above every fixed point below the start, and the rounds stop only at a
+    fixed point (a row leaves the queue only while its inputs hold still),
+    which is then the greatest one — the peel's scores.
+
+    ``tests/test_incremental.py`` and ``tests/test_peel_engine.py`` pin
+    equality with the full peel on randomized graphs and update batches.
+    When observability is on, the repair runs in a ``"peel.repair"`` span
+    (``seeds``, ``closure`` size and ``rounds`` of both phases) and feeds the
+    ``repro_peel_localized_*`` counters.
     """
     if not repair.unit_drop:
         raise InvalidParameterError(
@@ -287,111 +342,21 @@ def repair_kappa_scores(
             "peel trajectory"
         )
     num_triangles = index.num_triangles
-    base_scores = np.asarray(base_scores, dtype=np.int64)
-    if base_scores.shape != (num_triangles,):
+    base_scores = _checked_scores("base_scores", base_scores, num_triangles)
+    seeds = np.asarray(seeds)
+    if seeds.size and not np.issubdtype(seeds.dtype, np.integer):
         raise InvalidParameterError(
-            "base_scores must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {base_scores.shape})"
+            f"seeds must be an integer array of triangle rows, got dtype {seeds.dtype}"
         )
-    scores = base_scores.copy()
-    seeds = np.unique(np.asarray(seeds, dtype=np.int64).reshape(-1))
-    if seeds.size == 0:
-        return scores
-    if seeds[0] < 0 or seeds[-1] >= num_triangles:
+    seeds = np.unique(seeds.astype(np.int64).reshape(-1))
+    if seeds.size and (seeds[0] < 0 or seeds[-1] >= num_triangles):
         raise InvalidParameterError(
-            f"seed rows must lie in [0, {num_triangles}), got "
+            f"seeds must lie in [0, {num_triangles}), got "
             f"[{int(seeds[0])}, {int(seeds[-1])}]"
         )
-
-    nu: list[int] = scores.tolist()
-    base: list[int] = base_scores.tolist()
-    indptr: list[int] = index.tri_clique_indptr.tolist()
-    ext: list[float] = index.tri_extension_probabilities.tolist()
-    pair_cliques: list[int] = index.tri_cliques.tolist()
-    clique_members: list[list[int]] = index.clique_triangles.tolist()
-    recompute = repair.recompute
-
-    kappa_init: dict[int, int] = {}
-
-    def init_of(t: int) -> int:
-        value = kappa_init.get(t)
-        if value is None:
-            value = recompute(t, ext[indptr[t]:indptr[t + 1]])
-            kappa_init[t] = value
-        return value
-
-    # --- phase 1: closure of triangles whose score may have increased ----- #
-    in_closure = [False] * num_triangles
-    joined: list[int] = []
-    for s in seeds.tolist():
-        in_closure[s] = True
-        joined.append(s)
-    stack = list(joined)
-    while stack:
-        t = stack.pop()
-        for p in range(indptr[t], indptr[t + 1]):
-            members = clique_members[pair_cliques[p]]
-            # min κ_init over all four members bounds the level any member
-            # could rise to through this clique.
-            bound = min(init_of(x) for x in members)
-            for m in members:
-                if in_closure[m] or bound <= base[m]:
-                    continue
-                in_closure[m] = True
-                joined.append(m)
-                stack.append(m)
-
-    # --- phase 2: greatest fixed point from the upper bound --------------- #
-    for t in joined:
-        nu[t] = init_of(t)
-    in_queue = [False] * num_triangles
-    work: deque[int] = deque()
-
-    def enqueue(m: int) -> None:
-        if not in_queue[m]:
-            in_queue[m] = True
-            work.append(m)
-
-    for t in joined:
-        enqueue(t)
-        for p in range(indptr[t], indptr[t + 1]):
-            for m in clique_members[pair_cliques[p]]:
-                enqueue(m)
-
-    fixed_point_repairs = 0
-    while work:
-        t = work.popleft()
-        in_queue[t] = False
-        k = nu[t]
-        if k <= NO_VALID_K:
-            continue
-        start, stop = indptr[t], indptr[t + 1]
-        total = stop - start
-        while True:
-            survivors = []
-            for p in range(start, stop):
-                for m in clique_members[pair_cliques[p]]:
-                    if m != t and nu[m] < k:
-                        break
-                else:
-                    survivors.append(ext[p])
-            fixed_point_repairs += 1
-            result = recompute(t, survivors)
-            if result >= k:
-                break
-            if len(survivors) == total:
-                # Lowering k cannot add survivors: the recompute is final.
-                k = result
-                break
-            k -= 1
-        if k < nu[t]:
-            nu[t] = k
-            for p in range(start, stop):
-                for m in clique_members[pair_cliques[p]]:
-                    if m != t and nu[m] > k:
-                        enqueue(m)
-
-    scores[:] = nu
+    with span("peel.repair", seeds=int(seeds.size)) as active:
+        scores, closure, rounds, repairs = _repair_rounds(index, base_scores, seeds, repair)
+        active.annotate(closure=closure, rounds=rounds)
     if obs_config._ENABLED:
         counter = obs_registry.counter
         counter(
@@ -400,9 +365,93 @@ def repair_kappa_scores(
         ).inc(int(seeds.size))
         counter(
             "repro_peel_localized_repairs_total",
-            "Repair-hook invocations during localized (incremental) repair.",
-        ).inc(len(kappa_init) + fixed_point_repairs)
+            "Triangle rows recomputed during localized (incremental) repair.",
+        ).inc(repairs)
+        counter(
+            "repro_peel_localized_rounds_total",
+            "Closure and fixed-point rounds of localized (incremental) repair.",
+        ).inc(rounds)
     return scores
+
+
+def _repair_rounds(
+    index: CSRTriangleIndex,
+    base: np.ndarray,
+    seeds: np.ndarray,
+    repair: KappaRepair,
+) -> tuple[np.ndarray, int, int, int]:
+    """The two phases of :func:`repair_kappa_scores`.
+
+    Returns ``(scores, closure size, rounds, rows recomputed)``.
+    """
+    num_triangles = index.num_triangles
+    indptr = index.tri_clique_indptr
+    pair_cliques = index.tri_cliques
+    clique_triangles = index.clique_triangles
+    live = np.ones(pair_cliques.size, dtype=bool)
+    rounds = repairs = 0
+
+    # --- phase 1: closure of the rows whose score may have increased ----- #
+    closure = np.zeros(num_triangles, dtype=bool)
+    closure[seeds] = True
+    seen = np.zeros(index.num_cliques, dtype=bool)
+    known = np.zeros(num_triangles, dtype=bool)
+    kappa_init = np.empty(num_triangles, dtype=np.int64)
+    frontier = seeds
+    while frontier.size:
+        rounds += 1
+        cliques = np.unique(pair_cliques[_postings_of(indptr, frontier)[0]])
+        cliques = cliques[~seen[cliques]]
+        seen[cliques] = True
+        members = clique_triangles[cliques]
+        fresh = np.union1d(frontier, members)
+        fresh = fresh[~known[fresh]]
+        if fresh.size:
+            repairs += fresh.size
+            known[fresh] = True
+            kappa_init[fresh] = repair.recompute_rows(index, fresh, live)
+        # The least initial κ of a clique bounds the level any member could
+        # rise to through it.
+        bound = kappa_init[members].min(axis=1)
+        frontier = np.unique(members[(bound[:, None] > base[members]) & ~closure[members]])
+        closure[frontier] = True
+
+    # --- phase 2: greatest fixed point from the upper bound --------------- #
+    nu = base.astype(np.int64)
+    joined = np.flatnonzero(closure)
+    nu[joined] = kappa_init[joined]
+    queue = np.union1d(joined, clique_triangles[seen])
+    while (rows := queue[nu[queue] > NO_VALID_K]).size:
+        rounds += 1
+        postings, sizes = _postings_of(indptr, rows)
+        owner = np.repeat(np.arange(rows.size), sizes)
+        members = clique_triangles[pair_cliques[postings]]
+        # A posting stays alive up to the least ν̂ of its clique's other
+        # members; the row's own ν̂ never binds, no level exceeds it.
+        support = nu[members].min(axis=1)
+        level = nu[rows]
+        open_rows = np.ones(rows.size, dtype=bool)
+        while (step := np.flatnonzero(open_rows)).size:
+            on = open_rows[owner]
+            at, alive = owner[on], support[on]
+            live[postings[on]] = alive >= level[at]
+            repairs += step.size
+            result = repair.recompute_rows(index, rows[step], live)
+            # The next survival threshold below each level; NO_VALID_K - 1
+            # when every posting already survives.
+            below = alive < level[at]
+            threshold = np.full(rows.size, NO_VALID_K - 1, dtype=np.int64)
+            np.maximum.at(threshold, at[below], alive[below])
+            threshold = threshold[step]
+            settled = result >= threshold
+            level[step] = np.where(settled, np.minimum(level[step], result), threshold)
+            open_rows[step[settled]] = False
+        lowered = level < nu[rows]
+        nu[rows[lowered]] = level[lowered]
+        hit = lowered[owner]
+        touched = members[hit]
+        queue = np.unique(touched[nu[touched] > level[owner[hit], None]])
+    return nu, int(joined.size), rounds, repairs
 
 
 def peel_kappa_scores(
@@ -436,20 +485,7 @@ def peel_kappa_scores(
     ``docs/OBSERVABILITY.md``).
     """
     num_triangles = index.num_triangles
-    if initial_kappas.shape != (num_triangles,):
-        raise InvalidParameterError(
-            "initial_kappas must be parallel to index.triangles "
-            f"(expected shape ({num_triangles},), got {initial_kappas.shape})"
-        )
-    if not np.issubdtype(initial_kappas.dtype, np.integer):
-        raise InvalidParameterError(
-            f"initial_kappas must be an integer array, got dtype {initial_kappas.dtype}"
-        )
-    if num_triangles and int(initial_kappas.min()) < NO_VALID_K:
-        raise InvalidParameterError(
-            f"initial_kappas must be >= {NO_VALID_K} (NO_VALID_K), "
-            f"got {int(initial_kappas.min())}"
-        )
+    initial_kappas = _checked_scores("initial_kappas", initial_kappas, num_triangles)
     engine = resolve_kernel(kernel)
     if engine == "numba" and not (
         repair.unit_drop or isinstance(repair, MonteCarloKappaRepair)
@@ -618,6 +654,8 @@ def _peel_kappa_scores(
     return scores
 
 
+
+
 #: Bound of a peeled triangle: above every live bound, so ``bound.min()`` is
 #: the next level and no peeled row is ever at or below the level again.
 _PEELED = np.iinfo(np.int64).max
@@ -680,10 +718,7 @@ def _peel_rounds(
         remaining -= ready.size
 
         # Every live 4-clique through a peeled row dies.
-        starts = indptr[ready]
-        sizes = indptr[ready + 1] - starts
-        offsets = np.cumsum(sizes) - sizes
-        postings = np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes)
+        postings = _postings_of(indptr, ready)[0]
         dead = np.unique(pair_cliques[postings[live[postings]]])
         live[clique_positions[dead]] = False
 

@@ -18,7 +18,10 @@ touching only the affected region:
 3. nucleus scores are repaired by
    :func:`~repro.core.peel.repair_kappa_scores` — a localized
    greatest-fixed-point recomputation seeded at the triangles whose κ-inputs
-   changed, exact for the unit-drop DP oracle;
+   changed, exact for the unit-drop DP oracle.  It runs in synchronous
+   rounds, each one batch of the κ-init DP kernel: closure rounds gather
+   the triangles whose score may have risen, then fixed-point rounds lower
+   every queued score together until none moves;
 4. the per-level component groups and the snapshot itself are rebuilt with
    the same code paths as a from-scratch build, so the resulting index's
    arrays are **bit-identical** to rebuilding over the updated graph
@@ -49,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -143,8 +147,13 @@ def _canonicalise(
     Returns ``(updates, inserted, deleted, changed, added_probabilities)``:
     normalized :class:`EdgeUpdate` records with endpoints in canonical id
     orientation, the ``(k, 2)`` id arrays per operation, and the
-    probabilities parallel to ``inserted`` stacked over ``changed``.
+    probabilities parallel to ``inserted`` stacked over ``changed``.  Each
+    normalized endpoint is the index's own label of the vertex and each
+    probability a ``float``, so a batch spelled with numpy scalars
+    (``np.int64`` labels, an ``np.float32`` probability) normalizes — and
+    digests — exactly like the same batch in plain Python numbers.
     """
+    labels = csr.vertex_labels
     normalized: list[EdgeUpdate] = []
     seen: set[tuple[int, int]] = set()
     ins: list[tuple[int, int, float]] = []
@@ -164,7 +173,7 @@ def _canonicalise(
             )
         if i > j:
             i, j = j, i
-            update = EdgeUpdate(update.op, update.v, update.u, update.probability)
+        update = EdgeUpdate(update.op, labels[i], labels[j], update.probability)
         if (i, j) in seen:
             raise InvalidParameterError(
                 f"edge ({update.u!r}, {update.v!r}) appears more than once in "
@@ -182,9 +191,7 @@ def _canonicalise(
             dele.append((i, j))
         else:
             p = update.probability
-            if isinstance(p, bool) or not isinstance(p, (int, float)) or not (
-                0.0 < float(p) <= 1.0
-            ):
+            if isinstance(p, bool) or not isinstance(p, Real) or not (0.0 < float(p) <= 1.0):
                 raise InvalidParameterError(
                     f"{update.op} updates require a probability in (0, 1], got {p!r}"
                 )

@@ -144,7 +144,9 @@ class TestBatchValidation:
         with pytest.raises(InvalidParameterError, match="already exists"):
             apply_updates(index, [EdgeUpdate("insert", 0, 1, 0.5)])
 
-    @pytest.mark.parametrize("probability", [0.0, -0.5, 1.5, None, True, "0.5"])
+    @pytest.mark.parametrize(
+        "probability", [0.0, -0.5, 1.5, None, True, "0.5", float("nan"), np.True_]
+    )
     def test_bad_probabilities_rejected(self, index, probability):
         with pytest.raises(InvalidParameterError, match="probability"):
             apply_updates(index, [EdgeUpdate("change", 0, 1, probability)])
@@ -155,6 +157,26 @@ class TestBatchValidation:
             apply_updates(index, [EdgeUpdate("change", 0, 1, 2.0)])
         assert index.cache_key == before
         assert index.revision == 0
+
+    def test_numpy_scalars_match_plain_numbers(self, paper_figure1_graph):
+        # numpy labels and probabilities normalize to the index's own labels
+        # and plain floats: same arrays, same lineage digest.
+        index = build_local_index(paper_figure1_graph, THETA)
+        plain = [
+            EdgeUpdate("insert", 5, 6, 0.75),
+            EdgeUpdate("delete", 1, 7),
+            EdgeUpdate("change", 3, 5, 0.5),
+        ]
+        spelled = [
+            EdgeUpdate("insert", np.int64(5), np.int64(6), np.float64(0.75)),
+            EdgeUpdate("delete", np.int32(7), np.int64(1)),
+            EdgeUpdate("change", np.int64(5), np.int64(3), np.float32(0.5)),
+        ]
+        expected = apply_updates(index, plain)
+        updated = apply_updates(index, spelled)
+        assert_same_content(updated, expected)
+        assert updated.update_log_digest == expected.update_log_digest
+        assert updated.cache_key == expected.cache_key
 
     def test_plain_tuples_accepted(self, triangle_graph, index):
         updated, _ = checked_apply(

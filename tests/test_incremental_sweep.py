@@ -8,12 +8,14 @@ rebuilding the index from scratch over the updated graph — and that a
 refreshed :class:`~repro.query.NucleusQueryEngine` answers queries exactly
 like an engine built fresh on the rebuilt index.
 
-The sweep totals well over 100 batches (3 local graphs × 2 stream seeds
+The sweep totals well over 100 batches (4 local graphs × 2 stream seeds
 × 17 chained batches, plus 8 each for the global and weakly-global
-fallbacks).  Every assertion
-message carries ``(graph, seed, step)`` so a failure pins the exact batch;
-re-running just that parametrization replays the identical stream (the
-update generator is seeded by those values alone).
+fallbacks).  Three local graphs run at θ = 0.05, where the localized
+repair settles in one or two fixed-point rounds; the small biomine
+analogue runs at θ = 0.001, where its cascades take up to six.  Every
+assertion message carries ``(graph, seed, step)`` so a failure pins the
+exact batch; re-running just that parametrization replays the identical
+stream (the update generator is seeded by those values alone).
 
 Run with ``pytest -m tier2``; tier 1 deselects this module via the default
 marker expression in ``pyproject.toml``.
@@ -40,14 +42,18 @@ from repro.query import NucleusQueryEngine
 pytestmark = pytest.mark.tier2
 
 THETA = 0.05
-STEPS_PER_RUN = 17  # x 3 graphs x 2 stream seeds = 102 local batches
+STEPS_PER_RUN = 17  # x 4 graphs x 2 stream seeds = 136 local batches
 FALLBACK_BATCHES = 8
 
 LOCAL_GRAPHS = {
     "er18": lambda: small_er_graph(18, 0.35, seed=0, probabilities=(0.3, 1.0)),
     "er14": lambda: small_er_graph(14, 0.5, seed=1),
     "krogan": lambda: bundled_graph("krogan", scale="tiny"),
+    "biomine": lambda: bundled_graph("biomine", scale="small"),
 }
+
+#: Graphs swept at their own θ: deep repair cascades need a low threshold.
+LOCAL_THETAS = {"biomine": 0.001}
 
 
 def random_batch(edges: dict, labels: list, rng: random.Random) -> list:
@@ -121,8 +127,9 @@ def test_local_mode_randomized_sweep(name, seed):
     labels = sorted(graph.vertices(), key=repr)
     edges = {tuple(sorted((u, v), key=repr)): p for u, v, p in graph.edges()}
     rng = random.Random(f"{name}/{seed}")
+    theta = LOCAL_THETAS.get(name, THETA)
 
-    index = build_local_index(graph, THETA)
+    index = build_local_index(graph, theta)
     engine = NucleusQueryEngine(index, graph)
     revision = 0
     for step in range(1, STEPS_PER_RUN + 1):
@@ -132,7 +139,7 @@ def test_local_mode_randomized_sweep(name, seed):
         context = (name, seed, step, batch)
         index = apply_updates(index, batch)
         revision += 1
-        rebuilt = build_local_index(reference_graph(edges, labels), THETA)
+        rebuilt = build_local_index(reference_graph(edges, labels), theta)
         assert_bit_identical(index, rebuilt, context)
         assert index.revision == revision, context
         engine.refresh(index)

@@ -368,6 +368,41 @@ class TestInstrumentation:
         (peel,) = [trace for trace in sink.traces() if trace["name"] == "peel"]
         assert peel["attrs"]["queue"] == "rounds"
 
+    def test_localized_repair_counters_on_a_hand_graph(self):
+        # A certain K5 at θ = 0.5: every triangle lies in two 4-cliques, ν = 2.
+        # Deleting (0, 1) kills three triangles and three cliques, leaving two
+        # K4s that share (2, 3, 4).  Its six other triangles are the seeds;
+        # one closure round recomputes the initial κ of all seven (1, and 2
+        # for the shared one, whose base score 2 is not below its cliques'
+        # least κ 1, so the closure stays at the seeds).  One fixed-point
+        # round keeps the seeds at 1 and steps the shared triangle from 2
+        # straight to its survival threshold 1: 7 + 7 + 1 = 15 rows.
+        graph = ProbabilisticGraph([(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)])
+        index = build_local_index(graph, 0.5)
+        counts = (
+            "repro_peel_localized_seeds_total",
+            "repro_peel_localized_repairs_total",
+            "repro_peel_localized_rounds_total",
+        )
+        with capture(enable=True) as sink:
+            index = index.apply_updates([("delete", 0, 1)])
+        assert index.arrays["triangle_scores"].tolist() == [1] * 7
+        assert [REGISTRY.counter(name).value for name in counts] == [6, 15, 2]
+        (repair,) = sink.traces()
+        assert repair["name"] == "peel.repair"
+        assert repair["attrs"] == {"seeds": 6, "closure": 6, "rounds": 2}
+        # Re-inserting it: the three newborn triangles and the six members of
+        # the new cliques are seeds; every initial κ is 2, above the shared
+        # triangle's base score 1, so a second closure round admits it and
+        # one fixed-point round confirms all ten at 2: 10 + 10 rows.
+        REGISTRY.reset()
+        with capture(enable=True) as sink:
+            index = index.apply_updates([("insert", 0, 1, 1.0)])
+        assert index.arrays["triangle_scores"].tolist() == [2] * 10
+        assert [REGISTRY.counter(name).value for name in counts] == [9, 20, 3]
+        (repair,) = sink.traces()
+        assert repair["attrs"] == {"seeds": 9, "closure": 10, "rounds": 3}
+
     def test_heap_peel_reports_its_queue(self, graph):
         with capture(enable=True) as sink:
             result = local_nucleus_decomposition(graph, THETA, estimator=PoissonEstimator())

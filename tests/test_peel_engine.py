@@ -3,8 +3,9 @@
 Pins the tentpole guarantees: the level-synchronous rounds of the exact DP
 produce exactly the dict oracle's scores on every edge case (empty graph,
 triangle-free graph, θ = 1, θ → 0, all-sentinel graphs), the batched
-exact repair equals the scalar DP it replaces, the :class:`KappaRepair`
-hooks plug interchangeably into the same loop, and the shared
+exact repair equals the scalar DP it replaces, the localized repair behind
+incremental updates returns the full peel's scores, the :class:`KappaRepair`
+hooks plug interchangeably into both loops, and the shared
 :class:`~repro.peeling.LazyMinHeap` implements the lazy-deletion protocol
 the dict-based loops rely on.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from graph_factories import bundled_graph
 
 import repro.core.approximations as approximations
 from repro.core.batch import (
@@ -28,6 +30,7 @@ from repro.core.peel import (
     KappaRepair,
     MonteCarloKappaRepair,
     peel_kappa_scores,
+    repair_kappa_scores,
 )
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.support_dp import (
@@ -39,6 +42,8 @@ from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.index import EdgeUpdate
+from repro.index.incremental import _canonicalise, _rebase_scores_and_seeds
 from repro.peeling import LazyMinHeap
 
 import oracle
@@ -82,6 +87,20 @@ def mixed_support_graph() -> ProbabilisticGraph:
     )
     certain = [(100 + u, 100 + v, 1.0) for u in range(6) for v in range(u + 1, 6)]
     return ProbabilisticGraph(list(communities.edges()) + certain)
+
+
+class SupportCountRepair(KappaRepair):
+    """κ = number of surviving cliques — the θ→0 limit of the exact DP."""
+
+    name = "support-count"
+
+    def __init__(self, unit_drop: bool = True):
+        self.unit_drop = unit_drop  # a death lowers the count by exactly one
+        self.calls = 0
+
+    def recompute(self, triangle, surviving_probabilities):
+        self.calls += 1
+        return len(surviving_probabilities)
 
 
 def prepared(graph: ProbabilisticGraph, theta: float):
@@ -263,23 +282,10 @@ class TestKappaRepairHooks:
     def test_custom_repair_plugs_into_the_loop(self, unit_drop):
         # unit_drop=True runs the rounds, whose default recompute_rows loops
         # the scalar hook; False replays the heap.
-        class SupportCountRepair(KappaRepair):
-            """κ = number of surviving cliques — the θ→0 limit."""
-
-            name = "support-count"
-
-            def __init__(self):
-                self.unit_drop = unit_drop  # a death lowers the count by exactly one
-                self.calls = 0
-
-            def recompute(self, triangle, surviving_probabilities):
-                self.calls += 1
-                return len(surviving_probabilities)
-
         graph = mixed_support_graph()
         csr = graph.to_csr()
         index = build_triangle_extension_index(csr)
-        repair = SupportCountRepair()
+        repair = SupportCountRepair(unit_drop)
         sizes = np.diff(index.tri_clique_indptr)
         scores = peel_kappa_scores(index, sizes.astype(np.int64), repair)
         assert repair.calls > 0
@@ -322,6 +328,59 @@ class TestInputValidation:
             EstimatorKappaRepair(DynamicProgrammingEstimator(), probabilities, theta)
         with pytest.raises(InvalidParameterError, match="theta"):
             MonteCarloKappaRepair(probabilities, theta)
+
+
+class TestRepairInputValidation:
+    """``repair_kappa_scores`` checks its inputs up front, naming each one."""
+
+    @staticmethod
+    def peeled():
+        """``(index, full-peel scores, exact repair)`` of an uncertain K6."""
+        index, kappas, repair = prepared(clique_graph(6, probability=0.9), 0.3)
+        return index, peel_kappa_scores(index, kappas, repair), repair
+
+    def test_non_unit_drop_repair_rejected(self):
+        index, scores, _ = self.peeled()
+        repair = EstimatorKappaRepair(HybridEstimator(), index.triangle_probabilities, 0.3)
+        with pytest.raises(InvalidParameterError, match="unit-drop"):
+            repair_kappa_scores(index, scores, [0], repair)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda scores: scores[:-1],
+            lambda scores: scores.reshape(1, -1),
+            lambda scores: scores + 0.7,
+            lambda scores: scores.astype(bool),
+            lambda scores: np.where(np.arange(scores.size) == 3, -5, scores),
+        ],
+        ids=["short", "two-dimensional", "float", "bool", "below-sentinel"],
+    )
+    def test_bad_base_scores_rejected(self, corrupt):
+        index, scores, repair = self.peeled()
+        with pytest.raises(InvalidParameterError, match="base_scores"):
+            repair_kappa_scores(index, corrupt(scores), [0], repair)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [[0.9, True], np.array([True, False]), np.array([0.0, 1.0]), [-1], [20]],
+        ids=["float-and-bool", "bool", "float", "negative", "past-the-end"],
+    )
+    def test_bad_seeds_rejected(self, seeds):
+        index, scores, repair = self.peeled()
+        assert index.num_triangles == 20
+        with pytest.raises(InvalidParameterError, match="seeds"):
+            repair_kappa_scores(index, scores, seeds, repair)
+
+    def test_narrow_integers_and_empty_seeds_accepted(self):
+        index, scores, repair = self.peeled()
+        repaired = repair_kappa_scores(
+            index, scores.astype(np.int32), np.array([[3, 0]], dtype=np.int8), repair
+        )
+        assert repaired.dtype == np.int64
+        assert repaired.tolist() == scores.tolist()
+        unchanged = repair_kappa_scores(index, scores, [], repair)
+        assert unchanged.tolist() == scores.tolist() and unchanged is not scores
 
 
 class TestBatchedExactRepair:
@@ -444,3 +503,124 @@ class TestExactPeelSpy:
         assert calls["recompute_rows"] == 0
         assert calls["recompute"] > 0
         assert calls["max_k_at_threshold"] > 0
+
+
+def planted_repair_graph() -> ProbabilisticGraph:
+    """Three uncertain near-cliques (8, 10 and 12 vertices) over a sparse fringe."""
+    return planted_nucleus_graph(
+        community_sizes=[8, 10, 12],
+        intra_density=0.85,
+        background_vertices=20,
+        background_density=0.1,
+        bridges_per_community=3,
+        seed=3,
+    )
+
+
+def by_degree(graph: ProbabilisticGraph, vertices) -> list:
+    return sorted(vertices, key=lambda v: (-graph.degree(v), v))
+
+
+#: Graphs of the direct repair tests, each with the dense vertices its
+#: updates land on, highest degree first: the planted graph's 12-vertex
+#: community, and the twelve highest-degree vertices of the bundled
+#: ljournal analogue.
+REPAIR_GRAPHS = {
+    "planted": (planted_repair_graph, lambda graph: by_degree(graph, range(18, 30))),
+    "ljournal": (
+        lambda: bundled_graph("ljournal", scale="small"),
+        lambda graph: by_degree(graph, graph.vertices())[:12],
+    ),
+}
+
+
+def dense_update(name: str, op: str) -> tuple[ProbabilisticGraph, EdgeUpdate]:
+    """A repair graph and the first ``op`` update on a pair of its dense vertices."""
+    factory, dense = REPAIR_GRAPHS[name]
+    graph = factory()
+    vertices = dense(graph)
+    pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
+    if op == "insert":
+        u, v = next(pair for pair in pairs if not graph.has_edge(*pair))
+        return graph, EdgeUpdate("insert", u, v, 0.9)
+    u, v = next(pair for pair in pairs if graph.has_edge(*pair))
+    return graph, EdgeUpdate(op, u, v, 0.35 if op == "change" else None)
+
+
+def repair_inputs(graph, batch, make_repair, initial_kappas):
+    """``(updated index, base scores, seeds)`` of ``batch`` applied to ``graph``.
+
+    The base scores are a full peel of ``graph`` with ``make_repair(index)``
+    from ``initial_kappas(index)``, carried onto the updated rows by the
+    incremental path's own rebase, which also finds the seeds.
+    """
+    csr = graph.to_csr()
+    old = build_triangle_extension_index(csr)
+    old_rows = np.asarray(old.triangles, dtype=np.int64).reshape(-1, 3)
+    _, inserted, deleted, changed, added = _canonicalise(csr, batch)
+    new_csr = csr.with_edge_deltas(
+        np.vstack([deleted, changed]), np.vstack([inserted, changed]), added
+    )
+    new = build_triangle_extension_index(new_csr)
+    new_rows = np.asarray(new.triangles, dtype=np.int64).reshape(-1, 3)
+    old_scores = peel_kappa_scores(old, initial_kappas(old), make_repair(old))
+    base, seeds, _ = _rebase_scores_and_seeds(
+        old, old_rows, old_scores, new, new_rows, csr.num_vertices, inserted, deleted, changed
+    )
+    return new, base, seeds
+
+
+def exact_case(name: str, op: str, theta: float):
+    """``(updated index, base, seeds, exact repair, initial κ)`` of one update."""
+    estimator = DynamicProgrammingEstimator()
+
+    def make_repair(index):
+        return EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
+
+    def initial_kappas(index):
+        return batched_initial_kappas(index, theta, estimator)
+
+    graph, update = dense_update(name, op)
+    index, base, seeds = repair_inputs(graph, [update], make_repair, initial_kappas)
+    return index, base, seeds, make_repair(index), initial_kappas(index)
+
+
+class TestLocalizedRepair:
+    """``repair_kappa_scores`` called directly, against the full peel."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.001, 0.3])
+    @pytest.mark.parametrize("op", ["insert", "delete", "change"])
+    @pytest.mark.parametrize("name", sorted(REPAIR_GRAPHS))
+    def test_repair_equals_the_full_peel(self, name, op, theta):
+        index, base, seeds, repair, kappas = exact_case(name, op, theta)
+        assert seeds.size
+        repaired = repair_kappa_scores(index, base, seeds, repair)
+        assert repaired.dtype == np.int64
+        assert np.array_equal(repaired, peel_kappa_scores(index, kappas, repair))
+
+    def test_exact_repair_never_calls_the_scalar_dp(self, monkeypatch):
+        index, base, seeds, repair, kappas = exact_case("planted", "delete", 0.001)
+        expected = peel_kappa_scores(index, kappas, repair)
+        assert not np.array_equal(base, expected)  # the repair has work to do
+        calls = TestExactPeelSpy.spy(monkeypatch)
+        assert np.array_equal(repair_kappa_scores(index, base, seeds, repair), expected)
+        assert calls["recompute_rows"] > 0
+        assert calls["recompute"] == 0
+        assert calls["max_k_at_threshold"] == 0
+
+    @pytest.mark.parametrize("op", ["insert", "delete", "change"])
+    def test_custom_unit_drop_repair(self, op):
+        # The support count runs through the base class's recompute_rows,
+        # which loops the scalar hook.
+        def initial_kappas(index):
+            return np.diff(index.tri_clique_indptr)
+
+        graph, update = dense_update("planted", op)
+        index, base, seeds = repair_inputs(
+            graph, [update], lambda _: SupportCountRepair(), initial_kappas
+        )
+        repair = SupportCountRepair()
+        repaired = repair_kappa_scores(index, base, seeds, repair)
+        assert repair.calls > 0
+        expected = peel_kappa_scores(index, initial_kappas(index), SupportCountRepair())
+        assert np.array_equal(repaired, expected)
