@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -113,24 +112,6 @@ class CSRTriangleIndex:
     def num_cliques(self) -> int:
         """Number of indexed 4-cliques."""
         return int(self.clique_triangles.shape[0])
-
-    @cached_property
-    def completing(self) -> list[np.ndarray]:
-        """Per-triangle views of :attr:`tri_completing` (sorted id arrays)."""
-        offsets = self.tri_clique_indptr
-        return [
-            self.tri_completing[offsets[i]:offsets[i + 1]]
-            for i in range(self.num_triangles)
-        ]
-
-    @cached_property
-    def extension_probabilities(self) -> list[np.ndarray]:
-        """Per-triangle views of :attr:`tri_extension_probabilities`."""
-        offsets = self.tri_clique_indptr
-        return [
-            self.tri_extension_probabilities[offsets[i]:offsets[i + 1]]
-            for i in range(self.num_triangles)
-        ]
 
 
 class _EdgeProbabilityLookup:

@@ -30,13 +30,11 @@ FourClique = tuple[Vertex, Vertex, Vertex, Vertex]
 
 #: A triangle / 4-clique in CSR int-id space: a sorted tuple of vertex ids.
 IntTriangle = tuple[int, int, int]
-IntFourClique = tuple[int, int, int, int]
 
 __all__ = [
     "Triangle",
     "FourClique",
     "IntTriangle",
-    "IntFourClique",
     "canonical_triangle",
     "canonical_four_clique",
     "label_triangles",
@@ -52,9 +50,6 @@ __all__ = [
     "concatenated_rows",
     "forward_adjacency_csr",
     "triangle_arrays_csr",
-    "enumerate_triangles_csr",
-    "common_neighbors_csr",
-    "triangle_clique_index_csr",
 ]
 
 
@@ -239,11 +234,6 @@ def _members_of_sorted_mask(candidates: np.ndarray, row: np.ndarray) -> np.ndarr
     return row[positions] == candidates
 
 
-def _members_of_sorted(candidates: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Return the elements of ``candidates`` present in the sorted array ``row``."""
-    return candidates[_members_of_sorted_mask(candidates, row)]
-
-
 def forward_adjacency_csr(
     csr: CSRProbabilisticGraph,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -313,67 +303,6 @@ def triangle_arrays_csr(
     v_ids = np.repeat(fidx, sizes)
     closing = _members_of_sorted_mask(u_ids * n + w_ids, edge_keys)
     return u_ids[closing], v_ids[closing], w_ids[closing]
-
-
-def enumerate_triangles_csr(csr: CSRProbabilisticGraph) -> Iterator[IntTriangle]:
-    """Enumerate every triangle of a CSR graph once, in int-id space.
-
-    Yields sorted ``(u, v, w)`` id tuples in lexicographic order; through the
-    canonical vertex relabelling these correspond one-to-one to the canonical
-    triangles of the dict-backed :func:`enumerate_triangles`.
-    """
-    u_ids, v_ids, w_ids = triangle_arrays_csr(csr)
-    yield from zip(u_ids.tolist(), v_ids.tolist(), w_ids.tolist())
-
-
-def common_neighbors_csr(
-    csr: CSRProbabilisticGraph, u: int, v: int, w: int
-) -> np.ndarray:
-    """Return the sorted ids of the common neighbors of three CSR vertices.
-
-    This is the CSR analogue of
-    :meth:`ProbabilisticGraph.common_neighbors
-    <repro.graph.probabilistic_graph.ProbabilisticGraph.common_neighbors>`
-    for a triangle: the result excludes ``u``, ``v`` and ``w`` automatically
-    (no row contains its own vertex) and lists exactly the vertices completing
-    the triangle to a 4-clique.
-    """
-    rows = sorted(
-        (csr.neighbor_ids(x) for x in (u, v, w)), key=lambda row: row.size
-    )
-    common = rows[0]
-    for row in rows[1:]:
-        common = _members_of_sorted(common, row)
-        if common.size == 0:
-            break
-    return common
-
-
-def triangle_clique_index_csr(
-    csr: CSRProbabilisticGraph,
-) -> tuple[dict[IntTriangle, list[IntFourClique]], dict[IntFourClique, list[IntTriangle]]]:
-    """CSR counterpart of :func:`triangle_clique_index`, in int-id space.
-
-    Returns the same bipartite triangle ↔ 4-clique incidence, with triangles
-    and cliques represented as sorted tuples of CSR vertex ids.  Mapping the
-    ids through ``csr.vertex_labels`` recovers exactly the canonical
-    structures the dict-backed index produces.
-    """
-    by_triangle: dict[IntTriangle, list[IntFourClique]] = {}
-    by_clique: dict[IntFourClique, list[IntTriangle]] = {}
-    for triangle in enumerate_triangles_csr(csr):
-        u, v, w = triangle
-        completing = common_neighbors_csr(csr, u, v, w)
-        cliques = [
-            tuple(sorted((u, v, w, z))) for z in completing.tolist()
-        ]
-        by_triangle[triangle] = cliques
-        for clique in cliques:
-            if clique not in by_clique:
-                by_clique[clique] = [
-                    combo for combo in itertools.combinations(clique, 3)
-                ]
-    return by_triangle, by_clique
 
 
 def triangle_connected_components(

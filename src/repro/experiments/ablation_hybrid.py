@@ -16,7 +16,6 @@ shows how much work escapes to the DP fallback.  Because the reported times
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.approximations import (
@@ -30,17 +29,11 @@ from repro.core.approximations import (
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.experiments.datasets import load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.obs.timing import timer
 
-__all__ = ["SPEC", "AblationHybridRow", "run_ablation_hybrid", "format_ablation_hybrid"]
+__all__ = ["SPEC", "AblationHybridRow"]
 
 
 @dataclass(frozen=True)
@@ -146,11 +139,6 @@ def _run_cell(
     return rows
 
 
-def format_ablation_hybrid(rows: list[AblationHybridRow]) -> str:
-    """Render the ablation as a table, including hybrid branch counts when present."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="ablation_hybrid",
     title="Hybrid selector vs single-approximation estimators (accuracy + time)",
@@ -158,36 +146,6 @@ SPEC = ExperimentSpec(
     row_type=AblationHybridRow,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_ablation_hybrid,
     columns=COLUMNS,
     cacheable=False,
 )
-
-
-def run_ablation_hybrid(
-    dataset: str = "flickr",
-    theta: float = 0.2,
-    scale: str = "small",
-    graph: ProbabilisticGraph | None = None,
-    estimators: Sequence[SupportEstimator] | None = None,
-) -> list[AblationHybridRow]:
-    """Run the local decomposition once per estimator and compare against DP."""
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={
-            "dataset": dataset,
-            "theta": theta,
-            "graph": graph,
-            "estimators": list(estimators) if estimators is not None else None,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_ablation_hybrid(run_ablation_hybrid()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

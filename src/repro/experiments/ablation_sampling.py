@@ -15,25 +15,19 @@ stream of size 25), so the pipeline grid is a single cell.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.deterministic.cliques import enumerate_triangles
 from repro.deterministic.nucleus import is_k_nucleus
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.generators import complete_probabilistic_graph, uniform_probability
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.hardness.reductions import global_indicator_probability
 from repro.sampling.monte_carlo import hoeffding_error_bound
 
-__all__ = ["SPEC", "AblationSamplingRow", "run_ablation_sampling", "format_ablation_sampling"]
+__all__ = ["SPEC", "AblationSamplingRow"]
 
 
 @dataclass(frozen=True)
@@ -114,11 +108,6 @@ def _run_cell(
     return rows
 
 
-def format_ablation_sampling(rows: list[AblationSamplingRow]) -> str:
-    """Render the observed-vs-guaranteed error table."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="ablation_sampling",
     title="Monte-Carlo sample size vs estimation error (Hoeffding check)",
@@ -126,43 +115,6 @@ SPEC = ExperimentSpec(
     row_type=AblationSamplingRow,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_ablation_sampling,
     columns=COLUMNS,
     cacheable=False,
 )
-
-
-def run_ablation_sampling(
-    sample_sizes: Sequence[int] = (25, 50, 100, 200, 400),
-    k: int = 1,
-    delta: float = 0.1,
-    graph: ProbabilisticGraph | None = None,
-    seed: int = 0,
-) -> list[AblationSamplingRow]:
-    """Measure Monte-Carlo estimation error against exact enumeration.
-
-    For every triangle of the (small) input graph the exact probability
-    ``Pr(X_{G,△,g} ≥ k)`` is computed by world enumeration; each sample size
-    is then used to re-estimate the same probabilities and the maximum and
-    mean absolute errors over triangles are reported next to the Hoeffding
-    bound for that ``n``.
-    """
-    return run_spec_rows(
-        SPEC,
-        RunConfig(seed=seed),
-        overrides={
-            "sample_sizes": tuple(sample_sizes),
-            "k": k,
-            "delta": delta,
-            "graph": graph,
-            "seed": seed,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_ablation_sampling(run_ablation_sampling()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,6 +10,9 @@ whether the two runs report identical nuclei (the equal-accuracy check — by
 construction the adaptive trajectory errs with probability at most
 ``1 − confidence`` per candidate), the mean worlds drawn per candidate, and
 the fraction of candidates whose decision settled before the world cap.
+The fixed baseline is timed once per algorithm and is the reference of every
+confidence row; the pruning local decomposition comes from the pipeline's
+decomposition cache and is excluded from the timings, as in Figure 5.
 
 World consumption is read from the ``repro_sampling_worlds_per_candidate``
 histogram and the early-stop/exhausted counters the engine records, by
@@ -19,30 +22,19 @@ force-enabled for the cell and restored afterwards).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.timing import timer
 from repro.sampling.adaptive import WORLD_COUNT_BUCKETS
 
-__all__ = [
-    "SPEC",
-    "AdaptiveFrontierRow",
-    "run_adaptive_frontier",
-    "format_adaptive_frontier",
-]
+__all__ = ["SPEC", "AdaptiveFrontierRow"]
 
 #: Confidence levels swept against the fixed baseline.
 DEFAULT_CONFIDENCES = (0.9, 0.95, 0.99)
@@ -172,11 +164,6 @@ def _run_cell(
     return rows
 
 
-def format_adaptive_frontier(rows: list[AdaptiveFrontierRow]) -> str:
-    """Render the accuracy-vs-speed frontier table."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="adaptive_frontier",
     title="Adaptive-sampling accuracy-vs-speed frontier (confidence sweep)",
@@ -184,43 +171,6 @@ SPEC = ExperimentSpec(
     row_type=AdaptiveFrontierRow,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_adaptive_frontier,
     columns=COLUMNS,
     cacheable=True,
 )
-
-
-def run_adaptive_frontier(
-    names: Sequence[str] = DATASET_NAMES,
-    theta: float = 0.4,
-    n_samples: int = 200,
-    confidences: Sequence[float] = DEFAULT_CONFIDENCES,
-    scale: str = "small",
-    seed: int = 0,
-) -> list[AdaptiveFrontierRow]:
-    """Sweep adaptive confidence levels against the fixed-``n`` baseline.
-
-    The local decomposition is shared by every point of one dataset (and
-    excluded from the timings, like Figure 5); the fixed baseline is timed
-    once per algorithm and reused as the reference of every confidence row.
-    """
-    config = RunConfig(scale=scale, seed=seed)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={
-            "names": tuple(names),
-            "theta": theta,
-            "n_samples": n_samples,
-            "confidences": tuple(confidences),
-            "seed": seed,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_adaptive_frontier(run_adaptive_frontier()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -16,24 +16,18 @@ cache — every timing is a fresh run.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs.timing import timer
 
-__all__ = ["SPEC", "Figure4Row", "run_figure4", "format_figure4", "DEFAULT_THETAS"]
+__all__ = ["SPEC", "Figure4Row", "DEFAULT_THETAS"]
 
 #: Threshold sweep used by the paper.
 DEFAULT_THETAS = (0.1, 0.2, 0.3, 0.4, 0.5)
@@ -103,11 +97,6 @@ def _run_cell(
     ]
 
 
-def format_figure4(rows: list[Figure4Row]) -> str:
-    """Render the sweep as a fixed-width table (one line per dataset/θ)."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="figure4",
     title="Running time of the local decomposition, DP vs AP",
@@ -115,27 +104,6 @@ SPEC = ExperimentSpec(
     row_type=Figure4Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_figure4,
     columns=COLUMNS,
     cacheable=False,
 )
-
-
-def run_figure4(
-    names: Sequence[str] = DATASET_NAMES,
-    thetas: Sequence[float] = DEFAULT_THETAS,
-    scale: str = "small",
-) -> list[Figure4Row]:
-    """Run the DP-vs-AP runtime sweep and return one row per (dataset, θ)."""
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_figure4(run_figure4()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -17,22 +17,16 @@ pipeline's decomposition cache.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.obs.timing import timer
 
-__all__ = ["SPEC", "Figure5Row", "run_figure5", "format_figure5"]
+__all__ = ["SPEC", "Figure5Row"]
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,6 @@ def _run_cell(
     ]
 
 
-def format_figure5(rows: list[Figure5Row]) -> str:
-    """Render the FG/WG timing table."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="figure5",
     title="Running time of the global (FG) vs weakly-global (WG) algorithms",
@@ -122,40 +111,5 @@ SPEC = ExperimentSpec(
     row_type=Figure5Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_figure5,
     columns=COLUMNS,
 )
-
-
-def run_figure5(
-    names: Sequence[str] = DATASET_NAMES,
-    theta: float = 0.001,
-    n_samples: int = 200,
-    scale: str = "small",
-    seed: int = 0,
-) -> list[Figure5Row]:
-    """Time FG and WG on each dataset analogue.
-
-    The local decomposition is computed once per dataset (it is required by
-    both algorithms for pruning) and its cost is *excluded* from the reported
-    times, matching the paper's framing of FG/WG as a post-processing stage.
-    """
-    config = RunConfig(scale=scale, seed=seed)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={
-            "names": tuple(names),
-            "theta": theta,
-            "n_samples": n_samples,
-            "seed": seed,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_figure5(run_figure5()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -37,13 +37,8 @@ from repro.core.approximations import (
     SupportEstimator,
     TranslatedPoissonEstimator,
 )
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 
 __all__ = [
     "SPEC",
@@ -52,8 +47,6 @@ __all__ = [
     "run_figure6a",
     "run_figure6b",
     "run_figure6c",
-    "run_figure6",
-    "format_figure6",
 ]
 
 
@@ -231,22 +224,6 @@ def _run_cell(
     )
 
 
-def run_figure6(
-    theta: float = 0.3, num_profiles: int = 200, seed: int = 0
-) -> list[Figure6Row]:
-    """Run all three panels and return the concatenated rows."""
-    return run_spec_rows(
-        SPEC,
-        RunConfig(seed=seed),
-        overrides={"theta": theta, "num_profiles": num_profiles, "seed": seed},
-    )
-
-
-def format_figure6(rows: list[Figure6Row]) -> str:
-    """Render all panels as a fixed-width table."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="figure6",
     title="Relative error of the statistical approximations vs exact DP",
@@ -254,15 +231,6 @@ SPEC = ExperimentSpec(
     row_type=Figure6Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_figure6,
     columns=COLUMNS,
     cacheable=False,
 )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_figure6(run_figure6()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

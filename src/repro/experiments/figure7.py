@@ -19,18 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments.datasets import load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.metrics.clustering import probabilistic_clustering_coefficient
 from repro.metrics.density import probabilistic_density
 
-__all__ = ["SPEC", "Figure7Row", "run_figure7", "format_figure7"]
+__all__ = ["SPEC", "Figure7Row"]
 
 
 @dataclass(frozen=True)
@@ -101,11 +95,6 @@ def _run_cell(
     return rows
 
 
-def format_figure7(rows: list[Figure7Row]) -> str:
-    """Render the four series as one table (k on the rows)."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="figure7",
     title="ℓ-(k, θ)-nucleus quality as a function of k (flickr, θ = 0.3)",
@@ -113,42 +102,5 @@ SPEC = ExperimentSpec(
     row_type=Figure7Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_figure7,
     columns=COLUMNS,
 )
-
-
-def run_figure7(
-    dataset: str = "flickr",
-    theta: float = 0.3,
-    scale: str = "small",
-    graph: ProbabilisticGraph | None = None,
-    max_k: int | None = None,
-) -> list[Figure7Row]:
-    """Sweep ``k`` from 1 to the maximum nucleus score and collect the four series.
-
-    Parameters
-    ----------
-    dataset, scale:
-        Registry dataset to load (ignored when ``graph`` is given).
-    theta:
-        Decomposition threshold (paper uses 0.3).
-    graph:
-        Optional pre-built graph, used by tests.
-    max_k:
-        Optional cap on the sweep.
-    """
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={"dataset": dataset, "theta": theta, "graph": graph, "max_k": max_k},
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_figure7(run_figure7()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

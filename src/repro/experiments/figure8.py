@@ -14,24 +14,18 @@ invocation, this experiment reloads its snapshots instead of re-peeling.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.experiments.datasets import load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.metrics.clustering import probabilistic_clustering_coefficient
 from repro.metrics.density import probabilistic_density
 
-__all__ = ["SPEC", "Figure8Row", "run_figure8", "format_figure8", "DEFAULT_DATASETS"]
+__all__ = ["SPEC", "Figure8Row", "DEFAULT_DATASETS"]
 
 #: Datasets reported in the paper's Figure 8.
 DEFAULT_DATASETS = ("krogan", "flickr", "dblp")
@@ -129,11 +123,6 @@ def _run_cell(
     return rows
 
 
-def format_figure8(rows: list[Figure8Row]) -> str:
-    """Render the Figure 8 bars as a table."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="figure8",
     title="PD / PCC of global vs weakly-global vs local nuclei",
@@ -141,41 +130,5 @@ SPEC = ExperimentSpec(
     row_type=Figure8Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_figure8,
     columns=COLUMNS,
 )
-
-
-def run_figure8(
-    names: Sequence[str] = DEFAULT_DATASETS,
-    theta: float = 0.001,
-    n_samples: int = 100,
-    scale: str = "small",
-    seed: int = 0,
-) -> list[Figure8Row]:
-    """Compute the Figure 8 bars: per dataset, average PD/PCC of g-, w-, and ℓ-nuclei.
-
-    For every ``k`` from 1 to the maximum local score the three decompositions
-    are extracted and their subgraph qualities are pooled; the reported
-    averages are over all nuclei of all ``k`` values, matching the paper's
-    "averaging over all the possible values of k".
-    """
-    config = RunConfig(scale=scale, seed=seed)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={
-            "names": tuple(names),
-            "theta": theta,
-            "n_samples": n_samples,
-            "seed": seed,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_figure8(run_figure8()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -3,8 +3,8 @@
 Every paper table/figure module used to hand-roll its own column-alignment
 loop over an f-string template.  The layouts were all instances of one
 pattern — right-aligned cells at fixed minimum widths, joined by two spaces —
-so they are now expressed declaratively: each experiment module declares a
-tuple of :class:`Column` specs and renders its rows through
+so they are now expressed declaratively: each experiment spec declares a
+tuple of :class:`Column` specs and the pipeline renders its rows through
 :func:`render_plain`.  The plain renderer reproduces the legacy f-string
 output byte for byte (pinned by the golden-report parity tests), while
 :func:`render_markdown` renders the same columns as a GitHub-flavoured

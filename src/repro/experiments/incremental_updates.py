@@ -28,25 +28,14 @@ import random
 from dataclasses import dataclass
 
 from repro.experiments.datasets import load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index
 from repro.index.incremental import EdgeUpdate, apply_updates
 from repro.obs.timing import timer
 
-__all__ = [
-    "SPEC",
-    "IncrementalUpdateRow",
-    "random_update_batch",
-    "run_incremental_updates",
-    "format_incremental_updates",
-]
+__all__ = ["SPEC", "IncrementalUpdateRow", "random_update_batch"]
 
 
 @dataclass(frozen=True)
@@ -192,11 +181,6 @@ def _run_cell(
     return rows
 
 
-def format_incremental_updates(rows: list[IncrementalUpdateRow]) -> str:
-    """Render the replay as one table (a row per batch, datasets stacked)."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="incremental_updates",
     title="Temporal snapshots: incremental index maintenance vs full rebuilds",
@@ -204,50 +188,6 @@ SPEC = ExperimentSpec(
     row_type=IncrementalUpdateRow,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_incremental_updates,
     columns=COLUMNS,
     cacheable=False,  # timing experiment: must recompute what it measures
 )
-
-
-def run_incremental_updates(
-    datasets=("krogan", "flickr"),
-    theta: float = 0.05,
-    num_batches: int = 5,
-    batch_size: int = 4,
-    scale: str = "small",
-    graph: ProbabilisticGraph | None = None,
-) -> list[IncrementalUpdateRow]:
-    """Replay seeded update streams and compare incremental vs rebuild costs.
-
-    Parameters
-    ----------
-    datasets, scale:
-        Registry datasets to replay against (ignored when ``graph`` is given).
-    theta:
-        Decomposition threshold.
-    num_batches, batch_size:
-        Length of the replayed stream and updates per batch.
-    graph:
-        Optional pre-built graph, used by tests.
-    """
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC,
-        config,
-        overrides={
-            "datasets": datasets,
-            "theta": theta,
-            "num_batches": num_batches,
-            "batch_size": batch_size,
-            "graph": graph,
-        },
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_incremental_updates(run_incremental_updates()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -1,12 +1,12 @@
 """Declarative experiment pipeline over the CSR / index stack.
 
-Every table and figure of the paper's evaluation used to be a hand-rolled
-``run_*``/``format_*`` pair running serially.  The pipeline replaces those
-ten copies with one execution path:
+Every table and figure of the paper's evaluation, and every ablation, is one
+spec run by one execution path:
 
 * :class:`ExperimentSpec` — the declarative description of one experiment:
-  its parameter grid, the per-cell computation, the row schema, and the
-  paper-layout formatter (built on :mod:`repro.experiments.formatting`).
+  its parameter grid (which declares the experiment's defaults), the
+  per-cell computation, the row schema, and the report columns (rendered by
+  :mod:`repro.experiments.formatting`).
 * :class:`RunConfig` — the knobs threaded end to end: dataset scale, base
   seed, ``n_jobs`` for parallel grid cells, the artifact output directory,
   and the Monte-Carlo / kernel engine knobs.
@@ -22,9 +22,16 @@ ten copies with one execution path:
   ``EXPERIMENTS_<name>.json`` artifacts (rows, per-cell timings, config,
   git / graph fingerprints, cache counters).
 
-The legacy ``run_*`` functions survive as thin wrappers over
-:func:`run_spec` and are pinned byte-identical to the pre-pipeline reports
-by the golden parity tests.
+Programmatic use goes through the registry::
+
+    from repro.experiments.pipeline import RunConfig, run_spec
+    from repro.experiments.registry import get_spec
+
+    run = run_spec(get_spec("table2"), RunConfig(scale="tiny"), {"thetas": (0.2,)})
+    print(run.report)
+
+The ``overrides`` dict replaces grid defaults by key; the golden parity
+tests pin every report byte-identical to the pre-pipeline harness.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.global_nucleus import validate_sampling_options
+from repro.experiments.formatting import render_plain
 from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
@@ -57,7 +65,6 @@ __all__ = [
     "ExperimentRun",
     "DecompositionCache",
     "run_spec",
-    "run_spec_rows",
     "run_pipeline",
     "write_artifact",
 ]
@@ -170,16 +177,21 @@ class ExperimentSpec:
         Dataclass of the result rows (the artifact's row schema).
     grid:
         ``(config, overrides) -> list[dict]``: the independent parameter
-        cells.  Every cell dict must be JSON-safe for parallel execution and
-        artifact emission; wrapper-only object overrides (pre-built graphs,
-        estimator instances) force the serial path.
+        cells.  The grid is the one place an experiment declares its
+        defaults; ``overrides`` replaces them by key.  Every cell dict must
+        be JSON-safe for parallel execution and artifact emission; object
+        overrides (pre-built graphs, estimator instances) force the serial
+        path.
     run_cell:
         ``(params, config, cache) -> list[row_type]``: compute one cell.
-    formatter:
-        Paper-layout plain-text renderer for the full row list.
     columns:
-        :class:`~repro.experiments.formatting.Column` specs used by the
-        markdown renderer (``None`` for reports with bespoke layouts).
+        :class:`~repro.experiments.formatting.Column` specs of the report:
+        the plain report is :func:`~repro.experiments.formatting.render_plain`
+        over them and ``--format markdown`` renders the same columns.
+    formatter:
+        Optional bespoke plain-text renderer for the full row list, used
+        instead of the columns when a report's layout does not fit them
+        (Table 1's dashed layout, whose widths follow the data).
     cacheable:
         Whether cells consult the decomposition cache.  Timing experiments
         (Figure 4, the hybrid ablation) must recompute what they measure and
@@ -192,8 +204,8 @@ class ExperimentSpec:
     row_type: type
     grid: Callable[[RunConfig, dict], list[dict]]
     run_cell: Callable[[dict, RunConfig, "DecompositionCache"], list]
-    formatter: Callable[[list], str]
-    columns: tuple | None = None
+    columns: tuple
+    formatter: Callable[[list], str] | None = None
     cacheable: bool = True
 
 
@@ -236,7 +248,9 @@ class ExperimentRun:
     @property
     def report(self) -> str:
         """The paper-layout plain-text report."""
-        return self.spec.formatter(self.rows)
+        if self.spec.formatter is not None:
+            return self.spec.formatter(self.rows)
+        return render_plain(self.spec.columns, self.rows)
 
     def to_artifact(self) -> dict:
         """Build the JSON-safe ``EXPERIMENTS_<name>.json`` payload."""
@@ -583,9 +597,9 @@ def run_spec(
     Grid cells are executed in parallel over a process pool when
     ``config.n_jobs > 1``, the spec is resolvable from the registry (pool
     workers re-import it by name), and every cell is JSON-safe (cells
-    carrying live objects injected by the compatibility wrappers run
-    serially).  Rows are always assembled in grid order, so the output is
-    independent of worker scheduling.
+    carrying live objects such as pre-built graphs run serially).  Rows are
+    always assembled in grid order, so the output is independent of worker
+    scheduling.  ``overrides`` replaces the spec's grid defaults by key.
     """
     config = config or RunConfig()
     grid = [dict(params) for params in spec.grid(config, dict(overrides or {}))]
@@ -661,15 +675,6 @@ def run_spec(
         cache_misses=misses,
         cache_entries=entries,
     )
-
-
-def run_spec_rows(
-    spec: ExperimentSpec,
-    config: RunConfig | None = None,
-    overrides: dict | None = None,
-) -> list:
-    """Serial in-process convenience used by the legacy ``run_*`` wrappers."""
-    return run_spec(spec, config, overrides).rows
 
 
 def write_artifact(run: ExperimentRun, directory: str | Path) -> Path:

@@ -1,7 +1,8 @@
 """Command-line runner for the experiment pipeline.
 
 ``python -m repro.experiments`` (also installed as ``repro-experiments``)
-drives the declarative pipeline of :mod:`repro.experiments.pipeline`:
+is the one command line of the declarative pipeline of
+:mod:`repro.experiments.pipeline`:
 
 * ``list`` — show every registered experiment with its paper reference;
 * ``run <name> … [flags]`` — execute experiments through the shared
@@ -33,21 +34,7 @@ from repro.experiments.formatting import render_markdown
 from repro.experiments.pipeline import RunConfig, run_pipeline
 from repro.experiments.registry import EXPERIMENT_NAMES, SPECS, get_spec
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
-
-#: Experiment name -> zero-argument callable returning the formatted report.
-#: Kept for API compatibility with the seed-era runner; the callables now go
-#: through the declarative pipeline (small scale).
-EXPERIMENTS: dict[str, object] = {
-    name: (lambda name=name: run_experiment(name)) for name in EXPERIMENT_NAMES
-}
-
-
-def run_experiment(name: str, config: RunConfig | None = None) -> str:
-    """Run one experiment by name and return its formatted report."""
-    spec = get_spec(name)  # raises KeyError with the valid names
-    runs = run_pipeline([spec.name], config or RunConfig())
-    return runs[spec.name].report
+__all__ = ["main"]
 
 
 def _parse_filters(pairs: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -209,7 +196,7 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     runs = run_pipeline(names, config)
     for name in names:
         run = runs[name]
-        if args.output_format == "markdown" and run.spec.columns is not None:
+        if args.output_format == "markdown":
             report = render_markdown(run.spec.columns, run.rows)
         else:
             report = run.report

@@ -10,19 +10,12 @@ average probability for flickr, high for krogan — is preserved.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
 from repro.experiments.formatting import Column
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.statistics import GraphStatistics, format_statistics_table, graph_statistics
 
-__all__ = ["SPEC", "run_table1", "format_table1"]
+__all__ = ["SPEC"]
 
 #: Markdown-renderer columns (the plain report keeps the legacy
 #: :func:`format_statistics_table` layout with its dashed separator).
@@ -48,11 +41,6 @@ def _run_cell(
     return [graph_statistics(graph, name=params["dataset"])]
 
 
-def format_table1(rows: list[GraphStatistics]) -> str:
-    """Render the rows in the paper's column order."""
-    return format_statistics_table(rows)
-
-
 SPEC = ExperimentSpec(
     name="table1",
     title="Dataset statistics (|V|, |E|, dmax, p_avg, triangle count)",
@@ -60,24 +48,8 @@ SPEC = ExperimentSpec(
     row_type=GraphStatistics,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_table1,
     columns=COLUMNS,
+    formatter=format_statistics_table,
     cacheable=False,
 )
 
-
-def run_table1(
-    names: Sequence[str] = DATASET_NAMES,
-    scale: str = "small",
-) -> list[GraphStatistics]:
-    """Compute the Table 1 rows for the requested datasets."""
-    config = RunConfig(scale=scale)
-    return run_spec_rows(SPEC, config, overrides={"names": tuple(names)})
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_table1(run_table1()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

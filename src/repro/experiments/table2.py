@@ -9,23 +9,16 @@ errors well below 0.06 and error percentages below 6% on every dataset.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.hybrid import HybridEstimator
 from repro.core.result import LocalNucleusDecomposition
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
-__all__ = ["SPEC", "Table2Row", "compare_scores", "run_table2", "format_table2",
-           "DEFAULT_THETAS"]
+__all__ = ["SPEC", "Table2Row", "compare_scores", "DEFAULT_THETAS"]
 
 #: Thresholds reported in the paper's Table 2.
 DEFAULT_THETAS = (0.2, 0.4)
@@ -115,11 +108,6 @@ def _run_cell(
     ]
 
 
-def format_table2(rows: list[Table2Row]) -> str:
-    """Render the accuracy table in the paper's layout."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="table2",
     title="Accuracy of AP vs exact DP nucleus scores",
@@ -127,26 +115,5 @@ SPEC = ExperimentSpec(
     row_type=Table2Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_table2,
     columns=COLUMNS,
 )
-
-
-def run_table2(
-    names: Sequence[str] = DATASET_NAMES,
-    thetas: Sequence[float] = DEFAULT_THETAS,
-    scale: str = "small",
-) -> list[Table2Row]:
-    """Compute the Table 2 accuracy rows for the requested datasets and thresholds."""
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_table2(run_table2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

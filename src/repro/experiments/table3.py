@@ -13,7 +13,6 @@ core, at the price of a smaller subgraph.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.baselines.probabilistic_core import (
@@ -27,18 +26,12 @@ from repro.baselines.probabilistic_truss import (
 from repro.core.result import LocalNucleusDecomposition
 from repro.deterministic.connectivity import connected_components
 from repro.experiments.datasets import load_dataset
-from repro.experiments.formatting import Column, render_plain
-from repro.experiments.pipeline import (
-    DecompositionCache,
-    ExperimentSpec,
-    RunConfig,
-    run_spec_rows,
-)
+from repro.experiments.formatting import Column
+from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.metrics.cohesiveness import CohesivenessReport, average_cohesiveness
 
-__all__ = ["SPEC", "Table3Row", "decomposition_quality", "run_table3", "format_table3",
-           "DEFAULT_DATASETS", "DEFAULT_THETAS"]
+__all__ = ["SPEC", "Table3Row", "decomposition_quality", "DEFAULT_DATASETS", "DEFAULT_THETAS"]
 
 #: Datasets and thresholds reported in the paper's Table 3.
 DEFAULT_DATASETS = ("dblp", "pokec", "biomine")
@@ -164,11 +157,6 @@ def _run_cell(
     ]
 
 
-def format_table3(rows: list[Table3Row]) -> str:
-    """Render the comparison in the paper's |V|/|E|/kmax/PD/PCC layout."""
-    return render_plain(COLUMNS, rows)
-
-
 SPEC = ExperimentSpec(
     name="table3",
     title="Cohesiveness of nucleus vs truss vs core at the maximum score",
@@ -176,26 +164,5 @@ SPEC = ExperimentSpec(
     row_type=Table3Row,
     grid=_grid,
     run_cell=_run_cell,
-    formatter=format_table3,
     columns=COLUMNS,
 )
-
-
-def run_table3(
-    names: Sequence[str] = DEFAULT_DATASETS,
-    thetas: Sequence[float] = DEFAULT_THETAS,
-    scale: str = "small",
-) -> list[Table3Row]:
-    """Compute the Table 3 rows for the requested datasets and thresholds."""
-    config = RunConfig(scale=scale)
-    return run_spec_rows(
-        SPEC, config, overrides={"names": tuple(names), "thetas": tuple(thetas)}
-    )
-
-
-def main() -> None:  # pragma: no cover - thin CLI wrapper
-    print(format_table3(run_table3()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -38,6 +38,7 @@ from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.obs.timing import timer
+from repro.sampling.adaptive import DEFAULT_CHUNK_GROWTH, DEFAULT_CHUNK_INITIAL
 
 __all__ = [
     "build_index",
@@ -105,6 +106,32 @@ def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None)
     }
 
 
+#: Monte-Carlo knobs of the global/weak drivers that move their answer, with
+#: the drivers' defaults: ``epsilon``/``delta`` set the world count when
+#: ``n_samples`` is ``None``, and the chunk schedule shapes adaptive sampling.
+_MONTE_CARLO_DEFAULTS = {
+    "epsilon": 0.1,
+    "delta": 0.1,
+    "chunk_initial": DEFAULT_CHUNK_INITIAL,
+    "chunk_growth": DEFAULT_CHUNK_GROWTH,
+}
+
+
+def _monte_carlo_params(kwargs: dict) -> dict:
+    """The :data:`_MONTE_CARLO_DEFAULTS` knobs of ``kwargs`` that differ from them.
+
+    Same empty-at-defaults contract as :func:`_sampling_params`: a default
+    build records nothing, keeping its header byte-identical to earlier
+    releases.  :func:`~repro.index.incremental.apply_updates` passes the
+    recorded knobs back when it rebuilds a global or weak index.
+    """
+    return {
+        name: kwargs[name]
+        for name, default in _MONTE_CARLO_DEFAULTS.items()
+        if name in kwargs and kwargs[name] != default
+    }
+
+
 def _engine_params(kernel: str) -> dict:
     """The compute-engine block recorded into ``.npz`` param headers.
 
@@ -161,6 +188,7 @@ def build_global_index(
     )
     params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
+    params.update(_monte_carlo_params(kwargs))
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
         graph, nuclei, k=k, theta=theta, mode="global", params=params
@@ -204,6 +232,7 @@ def build_weak_index(
     )
     params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
+    params.update(_monte_carlo_params(kwargs))
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
         graph, nuclei, k=k, theta=theta, mode="weakly-global", params=params

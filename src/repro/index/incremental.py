@@ -539,7 +539,12 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
 
 def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, added_p):
     """Deterministic full rebuild for configurations without an incremental path."""
-    from repro.index.builders import build_global_index, build_local_index, build_weak_index
+    from repro.index.builders import (
+        _MONTE_CARLO_DEFAULTS,
+        build_global_index,
+        build_local_index,
+        build_weak_index,
+    )
 
     new_csr = csr.with_edge_deltas(
         np.vstack([deleted, changed]), np.vstack([inserted, changed]), added_p
@@ -565,6 +570,8 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
             "confidence": float(params.get("confidence", 0.95)),
             "n_worlds_max": params.get("n_worlds_max"),
         }
+    # Recorded only when they differ from the defaults; see _monte_carlo_params.
+    monte_carlo = {name: params[name] for name in _MONTE_CARLO_DEFAULTS if name in params}
     return builder(
         new_csr.to_probabilistic(),
         int(params["k"]),
@@ -572,6 +579,7 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
         **sampling_kwargs,
+        **monte_carlo,
     )
 
 

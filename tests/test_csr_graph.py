@@ -5,12 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.batch import build_triangle_extension_index, clique_vertex_rows
 from repro.deterministic.cliques import (
-    common_neighbors_csr,
     enumerate_triangles,
-    enumerate_triangles_csr,
+    triangle_arrays_csr,
     triangle_clique_index,
-    triangle_clique_index_csr,
 )
 from repro.exceptions import EdgeNotFoundError, VertexNotFoundError
 from repro.graph.csr import CSRProbabilisticGraph
@@ -138,7 +137,7 @@ class TestCSRCliques:
         labels = csr.vertex_labels
         from_csr = {
             tuple(sorted((labels[u], labels[v], labels[w])))
-            for u, v, w in enumerate_triangles_csr(csr)
+            for u, v, w in zip(*(ids.tolist() for ids in triangle_arrays_csr(csr)))
         }
         from_dict = set(enumerate_triangles(graph))
         assert from_csr == from_dict
@@ -146,26 +145,36 @@ class TestCSRCliques:
     def test_clique_index_matches_dict(self, paper_figure1_graph):
         csr = paper_figure1_graph.to_csr()
         labels = csr.vertex_labels
-        by_triangle_csr, by_clique_csr = triangle_clique_index_csr(csr)
+        index = build_triangle_extension_index(csr)
+        clique_rows = clique_vertex_rows(index).tolist()
         by_triangle, by_clique = triangle_clique_index(paper_figure1_graph)
 
         def relabel(ids):
             return tuple(labels[i] for i in ids)
 
-        assert {relabel(t) for t in by_triangle_csr} == set(by_triangle)
-        for triangle, cliques in by_triangle_csr.items():
-            assert sorted(relabel(c) for c in cliques) == sorted(
-                by_triangle[relabel(triangle)]
-            )
-        assert {relabel(c) for c in by_clique_csr} == set(by_clique)
+        triangles = [relabel(t) for t in index.triangles]
+        assert set(triangles) == set(by_triangle)
+        indptr = index.tri_clique_indptr
+        for row, triangle in enumerate(triangles):
+            pairs = slice(indptr[row], indptr[row + 1])
+            cliques = [relabel(clique_rows[c]) for c in index.tri_cliques[pairs].tolist()]
+            assert sorted(cliques) == sorted(by_triangle[triangle])
+            completing = {labels[z] for z in index.tri_completing[pairs].tolist()}
+            assert completing == paper_figure1_graph.common_neighbors(*triangle)
+        assert {relabel(c) for c in clique_rows} == set(by_clique)
 
     def test_common_neighbors_matches_dict(self, four_clique_graph):
         csr = four_clique_graph.to_csr()
-        common = common_neighbors_csr(csr, 0, 1, 2)
-        assert common.tolist() == [3]
+        index = build_triangle_extension_index(csr)
+        row = index.triangles.index((0, 1, 2))
+        indptr = index.tri_clique_indptr
+        completing = index.tri_completing[indptr[row]:indptr[row + 1]]
+        assert completing.tolist() == [3]
         expected = four_clique_graph.common_neighbors(0, 1, 2)
-        assert {csr.vertex_labels[z] for z in common.tolist()} == expected
+        assert {csr.vertex_labels[z] for z in completing.tolist()} == expected
 
     def test_triangle_free_graph_has_no_triangles(self):
         path = ProbabilisticGraph([(0, 1, 0.9), (1, 2, 0.9), (2, 3, 0.9)])
-        assert list(enumerate_triangles_csr(path.to_csr())) == []
+        csr = path.to_csr()
+        assert all(ids.size == 0 for ids in triangle_arrays_csr(csr))
+        assert build_triangle_extension_index(csr).num_triangles == 0

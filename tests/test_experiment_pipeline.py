@@ -2,9 +2,10 @@
 
 Four concerns are pinned here:
 
-* **Golden parity** — every experiment, run through the pipeline at tiny
-  scale, reproduces the pre-pipeline harness's formatted report byte for
-  byte (wall-clock columns normalised).  The golden files under
+* **Golden parity** — every experiment's report,
+  ``run_spec(get_spec(name), RunConfig(scale="tiny"), overrides).report``,
+  reproduces the pre-pipeline harness's formatted report byte for byte
+  (wall-clock columns normalised).  The golden files under
   ``tests/data/golden_experiments/`` were captured from the seed-era
   ``run_*``/``format_*`` code before the refactor.  Figure 8's golden pins
   the dict engine's triangle order and ``random.Random`` stream, so that
@@ -29,18 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.experiments import (
-    ablation_hybrid,
-    ablation_sampling,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    table1,
-    table2,
-    table3,
-)
+from repro.experiments import figure8
 from repro.experiments.formatting import Column, render_markdown, render_plain
 from repro.experiments.pipeline import (
     ARTIFACT_FORMAT,
@@ -64,6 +54,11 @@ TINY_CSR = RunConfig(scale="tiny")
 
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.txt").read_text().rstrip("\n")
+
+
+def _tiny_run(name: str, overrides: dict | None = None):
+    """Run the registered spec ``name`` at tiny scale, serially."""
+    return run_spec(get_spec(name), TINY_CSR, overrides)
 
 
 def _swap_in_dict_oracle(monkeypatch) -> None:
@@ -105,21 +100,19 @@ class TestGoldenParity:
     """Pipeline output == pre-refactor harness output, byte for byte."""
 
     def test_table1(self):
-        report = table1.format_table1(table1.run_table1(scale="tiny"))
+        report = _tiny_run("table1").report
         assert report == _golden("table1")
 
     def test_table2(self):
-        report = table2.format_table2(table2.run_table2(scale="tiny"))
+        report = _tiny_run("table2").report
         assert report == _golden("table2")
 
     def test_table3(self):
-        report = table3.format_table3(table3.run_table3(scale="tiny"))
+        report = _tiny_run("table3").report
         assert report == _golden("table3")
 
     def test_figure4(self):
-        report = figure4.format_figure4(
-            figure4.run_figure4(names=("krogan", "dblp"), scale="tiny")
-        )
+        report = _tiny_run("figure4", {"names": ("krogan", "dblp")}).report
         # DP (s) / AP (s) / speedup are wall-clock; theta, kmax, and the
         # layout itself are pinned exactly.
         want = _golden("figure4")
@@ -131,37 +124,31 @@ class TestGoldenParity:
         assert report.split("\n")[0] == want.split("\n")[0]
 
     def test_figure5(self):
-        report = figure5.format_figure5(
-            figure5.run_figure5(
-                names=("krogan", "dblp"), n_samples=30, scale="tiny", seed=0
-            )
-        )
+        report = _tiny_run(
+            "figure5", {"names": ("krogan", "dblp"), "n_samples": 30, "seed": 0}
+        ).report
         want = _golden("figure5")
         normalize = lambda text: re.sub(r"\d+\.\d{3}", "#", text)  # noqa: E731
         # Nucleus counts and k (the seeded Monte-Carlo outcome) are exact.
         assert normalize(report) == normalize(want)
 
     def test_figure6(self):
-        report = figure6.format_figure6(figure6.run_figure6())
+        report = _tiny_run("figure6").report
         assert report == _golden("figure6")
 
     def test_figure7(self):
-        report = figure7.format_figure7(figure7.run_figure7(scale="tiny"))
+        report = _tiny_run("figure7").report
         assert report == _golden("figure7")
 
     def test_figure8(self, monkeypatch):
         _swap_in_dict_oracle(monkeypatch)
-        report = figure8.format_figure8(
-            figure8.run_figure8(
-                names=("krogan",), theta=0.01, n_samples=20, scale="tiny", seed=0
-            )
-        )
+        report = _tiny_run(
+            "figure8", {"names": ("krogan",), "theta": 0.01, "n_samples": 20, "seed": 0}
+        ).report
         assert report == _golden("figure8")
 
     def test_ablation_hybrid(self):
-        report = ablation_hybrid.format_ablation_hybrid(
-            ablation_hybrid.run_ablation_hybrid(scale="tiny")
-        )
+        report = _tiny_run("ablation_hybrid").report
         want = _golden("ablation_hybrid")
         assert _normalize_seconds_columns(report, per_line=1) == _normalize_seconds_columns(
             want, per_line=1
@@ -169,11 +156,10 @@ class TestGoldenParity:
 
     def test_ablation_sampling(self):
         graph = complete_probabilistic_graph(5, uniform_probability(0.4, 0.95), seed=7)
-        report = ablation_sampling.format_ablation_sampling(
-            ablation_sampling.run_ablation_sampling(
-                sample_sizes=(25, 50, 100), graph=graph, seed=0
-            )
-        )
+        report = _tiny_run(
+            "ablation_sampling",
+            {"sample_sizes": (25, 50, 100), "graph": graph, "seed": 0},
+        ).report
         assert report == _golden("ablation_sampling")
 
 
@@ -181,15 +167,15 @@ class TestBackendParity:
     """The CSR engine and the dict oracle produce identical rows."""
 
     def test_table2_rows_identical_across_backends(self, monkeypatch):
-        csr_rows = table2.run_table2(scale="tiny")
+        csr_rows = _tiny_run("table2").rows
         _swap_in_dict_oracle(monkeypatch)
-        dict_rows = table2.run_table2(scale="tiny")
+        dict_rows = _tiny_run("table2").rows
         assert dict_rows == csr_rows
 
     def test_figure7_rows_identical_across_backends(self, monkeypatch):
-        csr_rows = figure7.run_figure7(scale="tiny")
+        csr_rows = _tiny_run("figure7").rows
         _swap_in_dict_oracle(monkeypatch)
-        dict_rows = figure7.run_figure7(scale="tiny")
+        dict_rows = _tiny_run("figure7").rows
         assert dict_rows == csr_rows
 
 

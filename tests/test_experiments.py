@@ -1,29 +1,34 @@
-"""Tests for the dataset registry and the experiment harness (tiny scale)."""
+"""Tests for the dataset registry and the experiment harness (tiny scale).
+
+Every experiment runs the one way the harness offers: its registered spec
+through :func:`~repro.experiments.pipeline.run_spec`, with grid overrides
+where a test narrows the defaults.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.approximations import BinomialEstimator
 from repro.exceptions import InvalidParameterError
 from repro.experiments import datasets
-from repro.experiments.ablation_hybrid import format_ablation_hybrid, run_ablation_hybrid
-from repro.experiments.ablation_sampling import format_ablation_sampling, run_ablation_sampling
-from repro.experiments.figure4 import format_figure4, run_figure4
-from repro.experiments.figure5 import format_figure5, run_figure5
 from repro.experiments.figure6 import (
-    format_figure6,
     relative_support_error,
     run_figure6a,
     run_figure6b,
     run_figure6c,
 )
-from repro.experiments.figure7 import format_figure7, run_figure7
-from repro.experiments.figure8 import format_figure8, run_figure8
-from repro.experiments.runner import EXPERIMENTS, main, run_experiment
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table2 import compare_scores, format_table2, run_table2
-from repro.experiments.table3 import format_table3, run_table3
-from repro.core.approximations import BinomialEstimator
+from repro.experiments.pipeline import RunConfig, run_pipeline, run_spec
+from repro.experiments.registry import EXPERIMENT_NAMES, get_spec
+from repro.experiments.runner import main
+from repro.experiments.table2 import compare_scores
+
+TINY = RunConfig(scale="tiny")
+
+
+def _run(name: str, overrides: dict | None = None):
+    """Run the registered spec ``name`` at tiny scale."""
+    return run_spec(get_spec(name), TINY, overrides)
 
 
 class TestDatasetRegistry:
@@ -57,9 +62,9 @@ class TestDatasetRegistry:
 
 class TestTable1:
     def test_rows_and_formatting(self):
-        rows = run_table1(names=("krogan", "dblp"), scale="tiny")
-        assert [row.name for row in rows] == ["krogan", "dblp"]
-        table = format_table1(rows)
+        run = _run("table1", {"names": ("krogan", "dblp")})
+        assert [row.name for row in run.rows] == ["krogan", "dblp"]
+        table = run.report
         assert "krogan" in table and "p_avg" in table
 
 
@@ -72,40 +77,45 @@ class TestTable2:
         assert 0.0 <= percent <= 100.0
 
     def test_rows_and_formatting(self):
-        rows = run_table2(names=("krogan",), thetas=(0.3,), scale="tiny")
+        run = _run("table2", {"names": ("krogan",), "thetas": (0.3,)})
+        rows = run.rows
         assert len(rows) == 1
         assert rows[0].dataset == "krogan"
-        assert "avg error" in format_table2(rows)
+        assert "avg error" in run.report
 
 
 class TestTable3:
     def test_nucleus_beats_truss_and_core_on_quality(self):
-        rows = run_table3(names=("flickr",), thetas=(0.1,), scale="tiny")
-        row = rows[0]
+        run = _run("table3", {"names": ("flickr",), "thetas": (0.1,)})
+        row = run.rows[0]
         assert row.nucleus.probabilistic_density >= row.core.probabilistic_density
         assert row.nucleus.num_vertices <= row.core.num_vertices
-        assert "PD N/T/C" in format_table3(rows)
+        assert "PD N/T/C" in run.report
 
 
 class TestFigure4:
     def test_runtime_rows(self):
-        rows = run_figure4(names=("krogan",), thetas=(0.2, 0.4), scale="tiny")
+        run = _run("figure4", {"names": ("krogan",), "thetas": (0.2, 0.4)})
+        rows = run.rows
         assert len(rows) == 2
         for row in rows:
             assert row.dp_seconds > 0 and row.ap_seconds > 0
             assert row.dp_max_score >= row.ap_max_score - 1
             assert row.speedup > 0
-        assert "DP (s)" in format_figure4(rows)
+        assert "DP (s)" in run.report
 
 
 class TestFigure5:
     def test_fg_and_wg_rows(self):
-        rows = run_figure5(names=("krogan",), theta=0.01, n_samples=30, scale="tiny", seed=0)
+        run = _run(
+            "figure5", {"names": ("krogan",), "theta": 0.01, "n_samples": 30, "seed": 0}
+        )
+        rows = run.rows
         assert len(rows) == 1
         row = rows[0]
         assert row.fg_seconds >= 0 and row.wg_seconds >= 0
         assert row.k >= 1
-        assert "FG (s)" in format_figure5(rows)
+        assert "FG (s)" in run.report
 
 
 class TestFigure6:
@@ -138,13 +148,15 @@ class TestFigure6:
         assert rows[0].average_relative_error < 0.05
 
     def test_formatting(self):
-        rows = run_figure6a(c_deltas=(25,), num_profiles=10, seed=0)
-        assert "avg rel error" in format_figure6(rows)
+        run = _run("figure6", {"panels": ("6a",), "num_profiles": 10})
+        assert {row.panel for row in run.rows} == {"6a"}
+        assert "avg rel error" in run.report
 
 
 class TestFigure7:
     def test_series_on_tiny_flickr(self):
-        rows = run_figure7(dataset="flickr", theta=0.3, scale="tiny")
+        run = _run("figure7", {"dataset": "flickr", "theta": 0.3})
+        rows = run.rows
         assert rows, "the tiny flickr analogue should have at least one nucleus level"
         for row in rows:
             assert 0.0 <= row.average_density <= 1.0
@@ -152,32 +164,72 @@ class TestFigure7:
         # the number of nuclei never increases with k
         counts = [row.num_nuclei for row in rows]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
-        assert "avg PD" in format_figure7(rows)
+        assert "avg PD" in run.report
 
 
 class TestFigure8:
     def test_modes_reported_for_each_dataset(self):
-        rows = run_figure8(names=("krogan",), theta=0.01, n_samples=20, scale="tiny", seed=0)
+        run = _run(
+            "figure8", {"names": ("krogan",), "theta": 0.01, "n_samples": 20, "seed": 0}
+        )
+        rows = run.rows
         assert {row.mode for row in rows} == {"global", "weakly-global", "local"}
         assert all(0.0 <= row.average_density <= 1.0 for row in rows)
-        assert "avg PCC" in format_figure8(rows)
+        assert "avg PCC" in run.report
 
 
 class TestAblations:
     def test_hybrid_ablation_rows(self):
         graph = datasets.load_dataset("krogan", "tiny")
-        rows = run_ablation_hybrid(graph=graph, theta=0.2, estimators=[BinomialEstimator()])
+        run = _run(
+            "ablation_hybrid",
+            {"graph": graph, "theta": 0.2, "estimators": [BinomialEstimator()]},
+        )
+        rows = run.rows
         names = [row.estimator for row in rows]
         assert names == ["binomial"]
         assert rows[0].average_error >= 0.0
-        assert "estimator" in format_ablation_hybrid(rows)
+        assert "estimator" in run.report
 
     def test_sampling_ablation_respects_hoeffding(self):
-        rows = run_ablation_sampling(sample_sizes=(50, 200), seed=0)
+        run = _run("ablation_sampling", {"sample_sizes": (50, 200), "seed": 0})
+        rows = run.rows
         assert len(rows) == 2
         for row in rows:
             assert row.max_observed_error <= 3 * row.hoeffding_epsilon
-        assert "Hoeffding" in format_ablation_sampling(rows)
+        assert "Hoeffding" in run.report
+
+
+class TestAdaptiveFrontier:
+    def test_confidence_sweep_on_tiny_dblp(self):
+        run = _run("adaptive_frontier", {"names": ("dblp",)})
+        n_samples = run.cells[0].params["n_samples"]
+        by_algorithm = {}
+        for row in run.rows:
+            by_algorithm.setdefault(row.algorithm, []).append(row)
+        assert set(by_algorithm) == {"global", "weak"}
+        for rows in by_algorithm.values():
+            assert [row.confidence for row in rows] == [0.9, 0.95, 0.99]
+            assert all(row.dataset == "dblp" and row.theta == 0.4 for row in rows)
+            # Every confidence level verifies the same candidate set; only
+            # the number of worlds drawn per candidate moves.  ``agree`` is
+            # not pinned: adaptive and fixed sampling may disagree by design.
+            assert len({row.candidates for row in rows}) == 1
+            assert rows[0].candidates > 0
+            for row in rows:
+                assert 0 < row.mean_worlds <= 2 * n_samples
+        assert "mean worlds" in run.report
+
+
+class TestIncrementalUpdates:
+    def test_replay_on_tiny_krogan_keeps_parity(self):
+        run = _run("incremental_updates", {"datasets": ("krogan",)})
+        rows = run.rows
+        assert len(rows) == 5
+        assert all(row.dataset == "krogan" for row in rows)
+        assert all(row.parity for row in rows)
+        assert [row.revision for row in rows] == [1, 2, 3, 4, 5]
+        assert "FAIL" not in run.report
 
 
 class TestRunner:
@@ -186,11 +238,11 @@ class TestRunner:
             "table1", "table2", "table3", "figure4", "figure5",
             "figure6", "figure7", "figure8", "ablation_hybrid", "ablation_sampling",
             "adaptive_frontier", "incremental_updates",
-        } == set(EXPERIMENTS)
+        } == set(EXPERIMENT_NAMES)
 
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
-            run_experiment("figure99")
+            run_pipeline(["figure99"], TINY)
 
     def test_main_runs_a_cheap_experiment(self, capsys):
         # Seed-era invocation shape (bare name, no subcommand) still works;

@@ -28,6 +28,7 @@ from repro.exceptions import (
     InvalidParameterError,
     VertexNotFoundError,
 )
+from repro.graph.generators import planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
     EdgeUpdate,
@@ -73,6 +74,29 @@ def graph_from(edges: dict, labels) -> ProbabilisticGraph:
     for label in labels:  # apply_updates keeps the vertex set fixed
         graph.add_vertex(label)
     return graph
+
+
+#: Monte-Carlo knobs a global/weak index header records when they differ from
+#: the defaults, so that the fallback rebuild of ``apply_updates`` replays them.
+MONTE_CARLO_KNOBS = {
+    "epsilon": {"epsilon": 0.3},
+    "delta": {"delta": 0.9},
+    "chunk_schedule": {"sampling": "adaptive", "chunk_initial": 4, "chunk_growth": 1.0},
+}
+
+
+def planted_communities_graph() -> ProbabilisticGraph:
+    """Three planted 7-cliques (p in [0.8, 1]) over a sparse background."""
+    return planted_nucleus_graph(
+        num_communities=3,
+        community_size=7,
+        intra_density=1.0,
+        background_vertices=10,
+        background_density=0.15,
+        bridges_per_community=2,
+        probability_model=lambda r: 0.8 + 0.2 * r.random(),
+        seed=4,
+    )
 
 
 def assert_same_content(actual: NucleusIndex, expected: NucleusIndex) -> None:
@@ -497,20 +521,33 @@ class TestFallbackModes:
         with pytest.raises(InvalidParameterError, match="unknown estimator"):
             apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])
 
+    @pytest.mark.parametrize("knob", ["n_samples", *MONTE_CARLO_KNOBS])
     @pytest.mark.parametrize("builder", [build_global_index, build_weak_index])
-    def test_seeded_global_and_weak_indexes_rebuild_deterministically(self, builder):
-        graph = small_er_graph(9, 0.6, seed=4)
+    def test_seeded_global_and_weak_indexes_rebuild_deterministically(self, builder, knob):
+        if knob == "n_samples":
+            graph = small_er_graph(9, 0.6, seed=4)
+            theta, settings = 0.4, {"n_samples": 40, "seed": 11}
+            batch = [EdgeUpdate("delete", *list(edge_dict(graph))[0])]
+        else:
+            # At these θ every knob moves the updated graph's answer in both
+            # modes, so a rebuild that dropped a knob would differ from the
+            # fresh build.
+            graph = planted_communities_graph()
+            theta = 0.3 if builder is build_global_index else 0.4
+            settings = {"seed": 1, **MONTE_CARLO_KNOBS[knob]}
+            (u, v), p = next(iter(edge_dict(graph).items()))
+            batch = [EdgeUpdate("change", u, v, p - 0.3)]
         edges = edge_dict(graph)
-        index = builder(graph, k=1, theta=0.4, n_samples=40, seed=11)
-        batch = [EdgeUpdate("delete", *list(edges)[0])]
+        index = builder(graph, k=1, theta=theta, **settings)
         updated = apply_updates(index, batch)
         rebuilt = builder(
             graph_from(apply_to_edges(edges, batch), graph.vertices()),
             k=1,
-            theta=0.4,
-            n_samples=40,
-            seed=11,
+            theta=theta,
+            **settings,
         )
         assert_same_content(updated, rebuilt)
+        assert updated.params == rebuilt.params
+        assert settings.items() <= updated.params.items()
         assert updated.mode == index.mode
         assert updated.revision == 1

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.pipeline import ARTIFACT_FORMAT
-from repro.experiments.registry import EXPERIMENT_NAMES
-from repro.experiments.runner import EXPERIMENTS, main, run_experiment
+from repro.experiments.pipeline import ARTIFACT_FORMAT, RunConfig, run_pipeline
+from repro.experiments.registry import EXPERIMENT_NAMES, get_spec
+from repro.experiments.runner import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,11 +40,11 @@ def _run_cli(*args: str) -> subprocess.CompletedProcess:
 
 class TestMainInProcess:
     def test_all_experiments_registered(self):
-        assert set(EXPERIMENTS) == set(EXPERIMENT_NAMES)
+        assert [get_spec(name).name for name in EXPERIMENT_NAMES] == list(EXPERIMENT_NAMES)
 
-    def test_run_experiment_unknown_name(self):
+    def test_run_pipeline_unknown_name(self):
         with pytest.raises(KeyError):
-            run_experiment("figure99")
+            run_pipeline(["figure99"], RunConfig(scale="tiny"))
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
