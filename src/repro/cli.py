@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.core.global_nucleus import check_partitions
+from repro.core.global_nucleus import check_retired_knob
 from repro.exceptions import ReproError
 from repro.graph.io import parse_vertex, read_edge_list
 from repro.graph.probabilistic_graph import label_sort_key
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    check_partitions(args.partitions)
+    check_retired_knob("partitions", args.partitions)
     graph = read_edge_list(args.graph)
     kwargs: dict = {"backend": args.backend, "kernel": args.kernel}
     if args.mode in ("global", "weak"):

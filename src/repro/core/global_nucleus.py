@@ -43,7 +43,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.local import check_backend, local_nucleus_decomposition
+from repro.core.local import check_backend, local_nucleus_decomposition, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
@@ -52,7 +52,7 @@ from repro.deterministic.cliques import (
     enumerate_triangles,
     triangles_of_clique,
 )
-from repro.exceptions import InvalidParameterError, check_level, check_theta
+from repro.exceptions import InvalidParameterError, _require_positive_int, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -65,19 +65,17 @@ from repro.sampling.adaptive import (
     resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.sharding import _require_positive_int
-from repro.sampling.world_matrix import CandidateWorldIndex, WorldShardPool, as_numpy_generator
+from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
 __all__ = [
     "global_nucleus_decomposition",
     "candidate_closure",
-    "check_partitions",
+    "check_retired_knob",
     "union_of_nuclei",
 ]
 
 
 def validate_sampling_options(
-    n_jobs: int = 1,
     sampling: str = "fixed",
     confidence: float = DEFAULT_CONFIDENCE,
     n_worlds_max: int | None = None,
@@ -89,9 +87,9 @@ def validate_sampling_options(
     """Validate the engine knobs of Algorithms 2 and 3; the one validator.
 
     Used by both drivers and by
-    :class:`~repro.experiments.pipeline.RunConfig`.  ``n_jobs`` must be a
-    positive integer; the sampling knobs, ``n_samples`` included, are
-    checked by :func:`~repro.sampling.adaptive.resolve_adaptive_settings`.
+    :class:`~repro.experiments.pipeline.RunConfig`.  The sampling knobs,
+    ``n_samples`` included, are checked by
+    :func:`~repro.sampling.adaptive.resolve_adaptive_settings`.
     Returns the validated :class:`~repro.sampling.adaptive.AdaptiveSettings`
     of the one verification loop: the one-chunk schedule ``(n_samples,)``
     for ``sampling="fixed"``, the geometric schedule for
@@ -99,7 +97,6 @@ def validate_sampling_options(
     :class:`~repro.exceptions.InvalidParameterError` here, before any
     sampling starts.
     """
-    _require_positive_int("n_jobs", n_jobs)
     settings = resolve_adaptive_settings(
         sampling,
         confidence=confidence,
@@ -112,21 +109,28 @@ def validate_sampling_options(
     return settings
 
 
-def check_partitions(partitions: int) -> None:
-    """Accept the retired ``partitions=`` knob of ``__api_version__ = "1"``.
+#: The retired positive-integer knobs of ``__api_version__ = "1"``, and why
+#: each one no longer does anything.
+_RETIRED_KNOBS = {
+    "partitions": "every candidate is verified in memory-bounded world blocks",
+    "n_jobs": "every candidate is verified serially",
+}
 
-    Every candidate is verified in memory-bounded world blocks by the one
-    loop of :mod:`repro.sampling.adaptive`, so there is nothing left to
-    partition.  ``1`` passes silently; any other positive integer warns
-    with a :class:`DeprecationWarning` and runs the one loop; a
-    non-positive or non-integer value raises
-    :class:`~repro.exceptions.InvalidParameterError` naming ``partitions``.
+
+def check_retired_knob(name: str, value: int) -> None:
+    """Accept a retired knob of ``__api_version__ = "1"``: ``partitions`` or ``n_jobs``.
+
+    Every candidate is verified in memory-bounded world blocks, in the
+    calling process, by the one loop of :mod:`repro.sampling.adaptive`, so
+    there is nothing left to partition or to shard.  ``1`` passes silently;
+    any other positive integer warns with a :class:`DeprecationWarning` and
+    runs the one loop; a non-positive or non-integer value raises
+    :class:`~repro.exceptions.InvalidParameterError` naming the knob.
     """
-    if _require_positive_int("partitions", partitions) == 1:
+    if _require_positive_int(name, value) == 1:
         return
     warnings.warn(
-        "partitions= is deprecated: every candidate is verified in "
-        "memory-bounded world blocks; omit partitions=",
+        f"{name}= is deprecated: {_RETIRED_KNOBS[name]}; omit {name}=",
         DeprecationWarning,
         stacklevel=3,
     )
@@ -141,12 +145,18 @@ def local_pruning(
 ) -> LocalNucleusDecomposition:
     """The local decomposition Algorithms 2 and 3 prune their candidates with.
 
-    ``local_result`` is reused only when it was computed at this θ on
-    ``graph`` or a graph equal to it; otherwise it raises
+    ``local_result`` is reused only when it is a
+    :class:`~repro.core.result.LocalNucleusDecomposition` computed at this θ
+    on ``graph`` or a graph equal to it; otherwise it raises
     :class:`~repro.exceptions.InvalidParameterError`.
     """
     if local_result is None:
         return local_nucleus_decomposition(graph, theta, estimator=estimator, kernel=kernel)
+    if not isinstance(local_result, LocalNucleusDecomposition):
+        raise InvalidParameterError(
+            "local_result must be a LocalNucleusDecomposition, "
+            f"got {type(local_result).__name__}"
+        )
     if local_result.theta != theta:
         raise InvalidParameterError(
             f"local_result was computed at theta={local_result.theta!r}, "
@@ -271,7 +281,10 @@ def global_nucleus_decomposition(
         Monte-Carlo accuracy controls; ``n_samples`` defaults to the
         Hoeffding bound ``⌈ln(2/δ)/(2ε²)⌉``.
     estimator:
-        Support oracle forwarded to the local decomposition used for pruning.
+        Support oracle forwarded to the local decomposition used for pruning:
+        ``None`` (the exact DP) or a
+        :class:`~repro.core.approximations.SupportEstimator` instance; see
+        :func:`~repro.core.local.resolve_local_options`.
     local_result:
         A pre-computed local decomposition of ``graph`` at the same θ, reused
         to avoid recomputing the pruning step; see :func:`local_pruning`.
@@ -284,9 +297,8 @@ def global_nucleus_decomposition(
         Retired engine switch, kept for ``__api_version__ = "1"``; see
         :func:`~repro.core.local.check_backend`.
     n_jobs:
-        Number of ``multiprocessing`` workers sharding each world block.
-        Results are identical for every ``n_jobs`` value at a fixed seed
-        because a block is sampled before it is split.
+        Retired knob, kept for ``__api_version__ = "1"``: every candidate is
+        verified serially; see :func:`check_retired_knob`.
     sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
         ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
         per candidate, bit-identical to previous releases.
@@ -304,7 +316,7 @@ def global_nucleus_decomposition(
         :mod:`repro.sampling.world_matrix`.
     partitions:
         Retired knob, kept for ``__api_version__ = "1"``; see
-        :func:`check_partitions`.
+        :func:`check_retired_knob`.
 
     Returns
     -------
@@ -313,15 +325,15 @@ def global_nucleus_decomposition(
         ``mode="global"``.
     """
     check_backend(backend)
-    check_partitions(partitions)
+    check_retired_knob("partitions", partitions)
+    check_retired_knob("n_jobs", n_jobs)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
-    check_theta(theta)
+    estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
     settings = validate_sampling_options(
-        n_jobs,
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,
@@ -337,18 +349,10 @@ def global_nucleus_decomposition(
     if not local_nuclei:
         return []
 
-    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
-
     def verify(candidate: CandidateWorldIndex) -> bool:
-        return adaptive_global_verify(
-            candidate, k, theta, settings, rng=engine_rng, pool=pool
-        )[0]
+        return adaptive_global_verify(candidate, k, theta, settings, rng=engine_rng)[0]
 
-    try:
-        return _verified_nuclei(graph, local_nuclei, k, theta, verify)
-    finally:
-        if pool is not None:
-            pool.close()
+    return _verified_nuclei(graph, local_nuclei, k, theta, verify)
 
 
 def _verified_nuclei(

@@ -81,14 +81,25 @@ def check_backend(backend: str) -> None:
 def resolve_local_options(
     theta: float, estimator: SupportEstimator | None
 ) -> SupportEstimator:
-    """Validate ``theta`` and resolve the default support estimator.
+    """Validate ``theta`` and ``estimator`` and resolve the default support estimator.
 
-    Shared by :func:`local_nucleus_decomposition` and the index builder
+    Shared by :func:`local_nucleus_decomposition`, the global and weak
+    drivers and the index builder
     (:func:`repro.index.builders.build_local_index`) so parameter validation
-    and the default oracle cannot drift apart.
+    and the default oracle cannot drift apart.  ``estimator`` must be
+    ``None`` (the exact DP) or a
+    :class:`~repro.core.approximations.SupportEstimator` instance; anything
+    else — a name, a class — raises
+    :class:`~repro.exceptions.InvalidParameterError` naming ``estimator``.
     """
     check_theta(theta)
-    return DynamicProgrammingEstimator() if estimator is None else estimator
+    if estimator is None:
+        return DynamicProgrammingEstimator()
+    if not isinstance(estimator, SupportEstimator):
+        raise InvalidParameterError(
+            f"estimator must be a SupportEstimator instance, got {estimator!r}"
+        )
+    return estimator
 
 
 def _csr_engine_arrays(

@@ -48,13 +48,12 @@ import numpy as np
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails
 from repro.core.support_dp import NO_VALID_K
-from repro.exceptions import InvalidParameterError, check_theta
+from repro.exceptions import InvalidParameterError, _require_positive_int, check_theta
 from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.peeling import LazyMinHeap
-from repro.sampling.sharding import _require_positive_int
 
 __all__ = [
     "KappaRepair",

@@ -35,15 +35,15 @@ import numpy as np
 from repro.core.approximations import SupportEstimator
 from repro.core.components import _root_groups, _union_batches
 from repro.core.global_nucleus import (
-    check_partitions,
+    check_retired_knob,
     local_pruning,
     validate_sampling_options,
 )
-from repro.core.local import check_backend
+from repro.core.local import check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import Triangle
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import check_level, check_theta
+from repro.exceptions import check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.kernels import resolve_kernel
@@ -56,7 +56,7 @@ from repro.sampling.adaptive import (
     resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.world_matrix import CandidateWorldIndex, WorldShardPool, as_numpy_generator
+from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
 __all__ = ["weak_nucleus_decomposition", "triangle_weak_scores_matrix"]
 
@@ -67,24 +67,20 @@ def triangle_weak_scores_matrix(
     n_samples: int,
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
-    pool: WorldShardPool | None = None,
 ) -> dict[Triangle, float]:
     """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
 
     Runs the one-chunk fixed schedule of
     :func:`repro.sampling.adaptive.adaptive_weak_scores`: ``n_samples``
     worlds, counted per triangle over the worlds in which it belongs to some
-    deterministic k-nucleus (Algorithm 3, lines 5–9), optionally sharded
-    across a :class:`WorldShardPool`.  The returned dictionary maps every
-    triangle of the candidate (not just the ones that ever scored) to its
-    estimate.
+    deterministic k-nucleus (Algorithm 3, lines 5–9).  The returned
+    dictionary maps every triangle of the candidate (not just the ones that
+    ever scored) to its estimate.
     """
     settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
     index = CandidateWorldIndex.from_graph(candidate)
     # One chunk computes no confidence radius: θ only splits the estimates.
-    estimates, _, _ = adaptive_weak_scores(
-        index, k, 1.0, settings, rng=rng, seed=seed, pool=pool
-    )
+    estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, rng=rng, seed=seed)
     return dict(zip(index.triangle_labels(), estimates.tolist()))
 
 
@@ -94,7 +90,6 @@ def _qualifying_triangles(
     theta: float,
     settings: AdaptiveSettings,
     rng: np.random.Generator,
-    pool: WorldShardPool | None,
 ) -> tuple[CandidateWorldIndex, np.ndarray]:
     """The compiled candidate and the mask of its triangles whose weak score reaches θ.
 
@@ -104,7 +99,7 @@ def _qualifying_triangles(
     of the geometric chunks in adaptive mode.
     """
     index = CandidateWorldIndex.from_graph(candidate)
-    _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng, pool=pool)
+    _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng)
     return index, qualifying
 
 
@@ -137,25 +132,25 @@ def weak_nucleus_decomposition(
     local decomposition runs on the peel of
     :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
-    is scored by the one verification loop of :mod:`repro.sampling.adaptive`
-    in memory-bounded world blocks, optionally sharded across ``n_jobs``
-    worker processes.  ``sampling="fixed"`` scores one chunk of
-    ``n_samples`` worlds; ``sampling="adaptive"`` keeps drawing geometric
-    world chunks until every triangle's θ decision is settled at level
-    ``confidence`` or ``n_worlds_max`` worlds are spent.  ``kernel`` selects
-    the compiled peel of the local step; ``partitions`` is a retired knob
-    (:func:`~repro.core.global_nucleus.check_partitions`).
+    is scored serially by the one verification loop of
+    :mod:`repro.sampling.adaptive` in memory-bounded world blocks.
+    ``sampling="fixed"`` scores one chunk of ``n_samples`` worlds;
+    ``sampling="adaptive"`` keeps drawing geometric world chunks until every
+    triangle's θ decision is settled at level ``confidence`` or
+    ``n_worlds_max`` worlds are spent.  ``kernel`` selects the compiled peel
+    of the local step; ``n_jobs`` and ``partitions`` are retired knobs
+    (:func:`~repro.core.global_nucleus.check_retired_knob`).
     """
     check_backend(backend)
-    check_partitions(partitions)
+    check_retired_knob("partitions", partitions)
+    check_retired_knob("n_jobs", n_jobs)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     check_level(k)
-    check_theta(theta)
+    estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
     settings = validate_sampling_options(
-        n_jobs,
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,
@@ -169,16 +164,10 @@ def weak_nucleus_decomposition(
 
     candidates = local_pruning(graph, theta, estimator, kernel, local_result).nuclei(k)
 
-    pool = WorldShardPool(n_jobs) if n_jobs > 1 else None
-
     def qualifying(subgraph: ProbabilisticGraph) -> tuple[CandidateWorldIndex, np.ndarray]:
-        return _qualifying_triangles(subgraph, k, theta, settings, engine_rng, pool)
+        return _qualifying_triangles(subgraph, k, theta, settings, engine_rng)
 
-    try:
-        return _weak_nuclei(graph, candidates, k, theta, qualifying)
-    finally:
-        if pool is not None:
-            pool.close()
+    return _weak_nuclei(graph, candidates, k, theta, qualifying)
 
 
 def _weak_nuclei(

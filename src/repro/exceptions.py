@@ -8,6 +8,7 @@ invalid algorithm parameter).
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -91,6 +92,23 @@ def check_theta(theta) -> None:
         return
     if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 <= theta <= 1:
         raise InvalidParameterError(f"theta must be a real number in [0, 1], got {theta!r}")
+
+
+def _require_positive_int(name: str, value) -> int:
+    """Return ``value`` if it is a positive ``int`` (not a ``bool``), else raise naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def _require_finite(name: str, value) -> float:
+    """Return ``value`` as a ``float`` if it is a finite ``int`` or ``float`` (not a
+    ``bool`` or a string), else raise naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class IndexingError(ReproError):

@@ -48,6 +48,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.global_nucleus import validate_sampling_options
+from repro.exceptions import _require_positive_int
 from repro.experiments.formatting import render_plain
 from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
@@ -87,7 +88,8 @@ class RunConfig:
         ``n_jobs`` and cell scheduling.
     n_jobs:
         Maximum number of grid cells executed concurrently (process pool).
-        ``1`` runs in-process.
+        ``1`` runs in-process.  A positive integer; this is not the retired
+        ``n_jobs`` of the decomposition drivers, and cells never pass it on.
     output_dir:
         When set, ``EXPERIMENTS_<name>.json`` artifacts are written here.
     use_cache / cache_dir:
@@ -130,8 +132,8 @@ class RunConfig:
     kernel: str = "numpy"
 
     def __post_init__(self) -> None:
+        _require_positive_int("n_jobs", self.n_jobs)
         validate_sampling_options(
-            self.n_jobs,
             sampling=self.sampling,
             confidence=self.confidence,
             n_worlds_max=self.n_worlds_max,

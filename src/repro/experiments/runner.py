@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.core.global_nucleus import check_partitions
+from repro.core.global_nucleus import check_retired_knob
 from repro.core.local import check_backend
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
@@ -179,7 +179,7 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         parser.error(str(error))  # raises SystemExit(2)
 
     check_backend(args.backend)
-    check_partitions(args.partitions)
+    check_retired_knob("partitions", args.partitions)
     config = RunConfig(
         scale=args.scale,
         seed=args.seed,

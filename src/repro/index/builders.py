@@ -22,9 +22,9 @@ import random
 
 import numpy as np
 
-from repro.core.approximations import SupportEstimator
+from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.core.components import _nucleus_level_groups
-from repro.core.global_nucleus import check_partitions, global_nucleus_decomposition
+from repro.core.global_nucleus import check_retired_knob, global_nucleus_decomposition
 from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
@@ -132,6 +132,20 @@ def _monte_carlo_params(kwargs: dict) -> dict:
     }
 
 
+def _estimator_params(estimator: SupportEstimator | None) -> dict:
+    """The pruning-estimator entry recorded into global and weak ``.npz`` headers.
+
+    Same empty-at-defaults contract as :func:`_sampling_params`: the exact DP
+    (``None`` or its instance) records nothing, keeping default headers
+    byte-identical to earlier releases; any other estimator records its
+    ``name``, which :func:`~repro.index.incremental.apply_updates` maps back
+    to an instance when it rebuilds the index.
+    """
+    if estimator is None or estimator.name == DynamicProgrammingEstimator.name:
+        return {}
+    return {"estimator": estimator.name}
+
+
 def _engine_params(kernel: str) -> dict:
     """The compute-engine block recorded into ``.npz`` param headers.
 
@@ -169,10 +183,10 @@ def build_global_index(
     """Run the global decomposition at ``k`` and index the verified nuclei.
 
     ``partitions`` is a retired knob; see
-    :func:`~repro.core.global_nucleus.check_partitions`.
+    :func:`~repro.core.global_nucleus.check_retired_knob`.
     """
     check_backend(backend)
-    check_partitions(partitions)
+    check_retired_knob("partitions", partitions)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     engine_kwargs = _engine_params(kernel)
     nuclei = global_nucleus_decomposition(
@@ -189,6 +203,7 @@ def build_global_index(
     params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
     params.update(_monte_carlo_params(kwargs))
+    params.update(_estimator_params(kwargs.get("estimator")))
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
         graph, nuclei, k=k, theta=theta, mode="global", params=params
@@ -213,10 +228,10 @@ def build_weak_index(
     """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
 
     ``partitions`` is a retired knob; see
-    :func:`~repro.core.global_nucleus.check_partitions`.
+    :func:`~repro.core.global_nucleus.check_retired_knob`.
     """
     check_backend(backend)
-    check_partitions(partitions)
+    check_retired_knob("partitions", partitions)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     engine_kwargs = _engine_params(kernel)
     nuclei = weak_nucleus_decomposition(
@@ -233,6 +248,7 @@ def build_weak_index(
     params = {"k": k, "n_samples": n_samples, "seed": seed}
     params.update(sampling_kwargs)
     params.update(_monte_carlo_params(kwargs))
+    params.update(_estimator_params(kwargs.get("estimator")))
     params.update(engine_kwargs)
     return NucleusIndex.from_nuclei(
         graph, nuclei, k=k, theta=theta, mode="weakly-global", params=params

@@ -550,15 +550,17 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
         np.vstack([deleted, changed]), np.vstack([inserted, changed]), added_p
     )
     params = index.params
+    name = str(params.get("estimator", DynamicProgrammingEstimator.name))
+    factory = _ESTIMATOR_FACTORIES.get(name)
+    if factory is None:
+        raise InvalidParameterError(
+            f"cannot rebuild a {index.mode} index with unknown estimator {name!r}; "
+            "rebuild it explicitly with build_index"
+        )
+    # A header without an estimator or kernel entry was built with the default.
+    engine = {"estimator": factory(), "kernel": str(params.get("kernel", "numpy"))}
     if index.mode == "local":
-        name = str(params.get("estimator", "dp"))
-        factory = _ESTIMATOR_FACTORIES.get(name)
-        if factory is None:
-            raise InvalidParameterError(
-                f"cannot rebuild a local index with unknown estimator {name!r}; "
-                "rebuild it explicitly with build_local_index"
-            )
-        return build_local_index(new_csr, index.theta, estimator=factory())
+        return build_local_index(new_csr, index.theta, **engine)
     builder = build_global_index if index.mode == "global" else build_weak_index
     sampling = str(params.get("sampling", "fixed"))
     sampling_kwargs = {}
@@ -578,6 +580,7 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
         index.theta,
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
+        **engine,
         **sampling_kwargs,
         **monte_carlo,
     )

@@ -10,7 +10,7 @@ design goals, in order:
   returns immediately while :mod:`repro.obs.config` says telemetry is off,
   without taking a lock or touching the clock;
 * **thread-safe when enabled** — mutations take the registry's lock, so
-  concurrent servers and shard pools never lose increments;
+  concurrent server threads never lose increments;
 * **derivable percentiles** — histograms use *fixed exponential buckets*
   (:data:`DEFAULT_LATENCY_BUCKETS`), so p50/p99 estimates come straight out
   of the bucket counts (:meth:`Histogram.quantile`) and two scrapes of the

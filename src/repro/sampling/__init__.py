@@ -8,7 +8,8 @@ verifies the candidates of the global and weakly-global decompositions.
 matrix engine: ``sampling="fixed"`` is its one-chunk schedule,
 ``sampling="adaptive"`` its geometric chunks with anytime-valid confidence
 bounds that stop each candidate as soon as its θ decision is settled, and
-both draw every chunk in memory-bounded row blocks.
+both draw every chunk in memory-bounded row blocks, counted serially in the
+calling process.
 """
 
 from repro.sampling.adaptive import (
@@ -38,7 +39,6 @@ from repro.sampling.reliability import (
 )
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
-    WorldShardPool,
     as_numpy_generator,
     global_triangle_counts,
     nucleus_world_mask,
@@ -69,7 +69,6 @@ __all__ = [
     "exact_reliability",
     "reliability_decision",
     "CandidateWorldIndex",
-    "WorldShardPool",
     "as_numpy_generator",
     "global_triangle_counts",
     "nucleus_world_mask",

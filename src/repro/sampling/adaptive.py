@@ -38,10 +38,8 @@ estimated from possible worlds drawn through
    ``(b, m)`` exactly as one ``(a + b, m)`` draw, so blocks change neither
    the stream nor the answer; they bound peak memory for every candidate.
 
-Determinism: chunks and blocks are drawn sequentially from one numpy
-generator in the parent process, and ``n_jobs`` sharding splits each block
-*after* it is sampled, so results are bit-identical for every ``n_jobs`` at
-a fixed seed.
+Determinism: chunks and blocks are drawn and counted in order from one
+numpy generator, so results are bit-identical for a fixed seed.
 
 Every candidate records its world consumption into the
 ``repro_sampling_worlds_per_candidate`` histogram and bumps
@@ -60,17 +58,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, _require_finite, _require_positive_int
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
-from repro.sampling.sharding import (
-    _require_finite,
-    _require_positive_int,
-    chunk_schedule,
-)
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
-    WorldShardPool,
     as_numpy_generator,
     global_triangle_counts,
     weak_membership_counts,
@@ -102,8 +94,7 @@ SAMPLING_MODES = ("fixed", "adaptive")
 #: Default decision confidence ``1 − δ`` of the sequential test.
 DEFAULT_CONFIDENCE = 0.95
 
-#: Default size of the first world chunk (re-exported from
-#: :mod:`repro.sampling.sharding`, the shared split-planning module).
+#: Default size of the first world chunk.
 DEFAULT_CHUNK_INITIAL = 16
 
 #: Default geometric growth factor between consecutive chunks.
@@ -150,13 +141,7 @@ class AdaptiveSettings:
             raise InvalidParameterError(
                 f"confidence must be a finite value in (0, 1), got {self.confidence!r}"
             )
-        _require_positive_int("n_worlds_max", self.n_worlds_max)
-        _require_positive_int("chunk_initial", self.chunk_initial)
-        growth = _require_finite("chunk_growth", self.chunk_growth)
-        if growth < 1.0:
-            raise InvalidParameterError(
-                f"chunk_growth must be a finite value >= 1, got {self.chunk_growth!r}"
-            )
+        self.schedule()  # validates the cap and the chunk shape by name
 
     @property
     def delta(self) -> float:
@@ -219,6 +204,40 @@ def resolve_adaptive_settings(
     if sampling == "fixed":
         return replace(settings, n_worlds_max=budget, chunk_initial=budget)
     return settings
+
+
+def chunk_schedule(
+    n_worlds_max: int,
+    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
+    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
+) -> tuple[int, ...]:
+    """The geometric chunk sizes summing exactly to ``n_worlds_max``.
+
+    The nominal size starts at ``chunk_initial`` and multiplies by
+    ``chunk_growth`` after every chunk; the final chunk is truncated so the
+    cumulative draw never exceeds the cap.
+
+    >>> chunk_schedule(400, 16, 2.0)
+    (16, 32, 64, 128, 160)
+    >>> chunk_schedule(10, 16, 2.0)
+    (10,)
+    """
+    _require_positive_int("n_worlds_max", n_worlds_max)
+    _require_positive_int("chunk_initial", chunk_initial)
+    growth = _require_finite("chunk_growth", chunk_growth)
+    if growth < 1.0:
+        raise InvalidParameterError(
+            f"chunk_growth must be a finite value >= 1, got {chunk_growth!r}"
+        )
+    sizes: list[int] = []
+    total = 0
+    nominal = float(chunk_initial)
+    while total < n_worlds_max:
+        step = min(max(1, int(nominal)), n_worlds_max - total)
+        sizes.append(step)
+        total += step
+        nominal *= growth
+    return tuple(sizes)
 
 
 def stage_delta(delta: float, stage: int) -> float:
@@ -313,7 +332,6 @@ def blocked_counts(
     k: int,
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
-    pool: "WorldShardPool | None" = None,
 ) -> np.ndarray:
     """Draw ``n_worlds`` worlds in consecutive row blocks and sum their counts.
 
@@ -328,7 +346,7 @@ def blocked_counts(
     counts = np.zeros(index.num_triangles, dtype=np.int64)
     for start in range(0, n_worlds, rows):
         worlds = index.sample(min(rows, n_worlds - start), rng=generator)
-        counts += count(index, worlds, k, pool=pool)
+        counts += count(index, worlds, k)
     return counts
 
 
@@ -339,7 +357,6 @@ def adaptive_global_verify(
     settings: AdaptiveSettings,
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
-    pool: "WorldShardPool | None" = None,
 ) -> tuple[bool, AdaptiveOutcome]:
     """Decide the global-model verification of one candidate.
 
@@ -360,9 +377,7 @@ def adaptive_global_verify(
     drawn = 0
     decided: bool | None = None
     for stage, chunk in enumerate(schedule, start=1):
-        counts += blocked_counts(
-            global_triangle_counts, index, chunk, k, rng=generator, pool=pool
-        )
+        counts += blocked_counts(global_triangle_counts, index, chunk, k, rng=generator)
         drawn += chunk
         means = counts / drawn
         if stage == len(schedule):
@@ -388,7 +403,6 @@ def adaptive_weak_scores(
     settings: AdaptiveSettings,
     rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
-    pool: "WorldShardPool | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, AdaptiveOutcome]:
     """Decide, per triangle, whether its weak score reaches θ.
 
@@ -416,9 +430,7 @@ def adaptive_weak_scores(
     drawn = 0
     early = False
     for stage, chunk in enumerate(schedule, start=1):
-        counts += blocked_counts(
-            weak_membership_counts, index, chunk, k, rng=generator, pool=pool
-        )
+        counts += blocked_counts(weak_membership_counts, index, chunk, k, rng=generator)
         drawn += chunk
         means = counts / drawn
         if stage == len(schedule):

@@ -15,7 +15,7 @@ import math
 import random
 from collections.abc import Callable, Sequence
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, _require_finite
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
@@ -42,10 +42,13 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     int
         ``⌈ln(2/δ) / (2ε²)⌉``.  For the paper's settings (ε = δ = 0.1) this is
         150; the paper rounds up to 200 samples.
+
+    A ``bool``, a string or a non-finite value raises
+    :class:`~repro.exceptions.InvalidParameterError` naming the knob.
     """
-    if not 0.0 < epsilon <= 1.0:
+    if not 0.0 < _require_finite("epsilon", epsilon) <= 1.0:
         raise InvalidParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < delta <= 1.0:
+    if not 0.0 < _require_finite("delta", delta) <= 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1], got {delta}")
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 

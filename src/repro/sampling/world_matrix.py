@@ -46,16 +46,6 @@ test-suite pins world-by-world.  Only the *stream* of sampled worlds differs
 (numpy ``Generator`` bits instead of ``random.Random`` bits), so dict- and
 matrix-backed estimates agree in distribution; the parity tests bound the
 difference with Hoeffding's inequality.
-
-Sharding
---------
-An optional ``n_jobs`` dimension splits each world block row-wise across a
-:class:`WorldShardPool` of ``multiprocessing`` workers.  The block is always
-sampled *in the parent* with the single engine RNG and only then split, so
-results are bit-identical for every ``n_jobs`` value; workers receive the
-read-only :class:`CandidateWorldIndex` (shared copy-on-write under the
-``fork`` start method) plus their rows, and return additive per-triangle hit
-counts.
 """
 
 from __future__ import annotations
@@ -81,11 +71,9 @@ from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.sharding import _require_positive_int, plan_shards
 
 __all__ = [
     "CandidateWorldIndex",
-    "WorldShardPool",
     "as_numpy_generator",
     "sample_world_matrix",
     "structure_presence",
@@ -542,10 +530,7 @@ def _instrumented_counts(model, impl, index, worlds, k) -> np.ndarray:
 
 
 def global_triangle_counts(
-    index: CandidateWorldIndex,
-    worlds: np.ndarray,
-    k: int,
-    pool: "WorldShardPool | None" = None,
+    index: CandidateWorldIndex, worlds: np.ndarray, k: int
 ) -> np.ndarray:
     """Count, per triangle, the worlds that are k-nuclei *and* contain it.
 
@@ -554,8 +539,6 @@ def global_triangle_counts(
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
     """
     check_level(k)
-    if pool is not None:
-        return pool.run(_global_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
         return _instrumented_counts("global", _global_counts, index, worlds, k)
     return _global_counts(index, worlds, k)
@@ -589,10 +572,7 @@ def _weak_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.n
 
 
 def weak_membership_counts(
-    index: CandidateWorldIndex,
-    worlds: np.ndarray,
-    k: int,
-    pool: "WorldShardPool | None" = None,
+    index: CandidateWorldIndex, worlds: np.ndarray, k: int
 ) -> np.ndarray:
     """Count, per triangle, the worlds in which it belongs to some k-nucleus.
 
@@ -600,83 +580,6 @@ def weak_membership_counts(
     weak score estimate ``Pr(X_{H,△,w} ≥ k)`` of every candidate triangle.
     """
     check_level(k)
-    if pool is not None:
-        return pool.run(_weak_counts_shard, index, worlds, k)
     if obs_config._ENABLED:
         return _instrumented_counts("weak", _weak_counts, index, worlds, k)
     return _weak_counts(index, worlds, k)
-
-
-# --------------------------------------------------------------------------- #
-# multiprocessing shard pool
-# --------------------------------------------------------------------------- #
-def _global_counts_shard(payload: tuple[CandidateWorldIndex, np.ndarray, int]) -> np.ndarray:
-    return global_triangle_counts(*payload)
-
-
-def _weak_counts_shard(payload: tuple[CandidateWorldIndex, np.ndarray, int]) -> np.ndarray:
-    return weak_membership_counts(*payload)
-
-
-class WorldShardPool:
-    """A pool of worker processes evaluating row shards of world blocks.
-
-    The parent samples each world block with the engine RNG and splits it
-    row-wise into ``n_jobs`` shards; workers compute additive per-triangle
-    counts on their shard, and the parent sums the partials.  Because
-    sampling never moves into the workers, every result is identical to the
-    ``n_jobs=1`` computation for a fixed seed.
-
-    Prefers the ``fork`` start method (the candidate indices are shared
-    copy-on-write); falls back to the platform default elsewhere.  Usable as
-    a context manager.
-    """
-
-    def __init__(self, n_jobs: int) -> None:
-        _require_positive_int("n_jobs", n_jobs)
-        import multiprocessing
-
-        self.n_jobs = n_jobs
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = multiprocessing.get_context()
-        self._pool = context.Pool(processes=n_jobs)
-
-    def run(
-        self,
-        shard_function,
-        index: CandidateWorldIndex,
-        worlds: np.ndarray,
-        k: int,
-    ):
-        """Map ``shard_function`` over row blocks of ``worlds`` and sum the counts."""
-        n_shards = min(self.n_jobs, worlds.shape[0])
-        if n_shards <= 1:
-            return shard_function((index, worlds, k))
-        if obs_config._ENABLED:
-            # Workers are separate processes: their registries are invisible
-            # here, so the parent records the fan-out itself.
-            obs_registry.counter(
-                "repro_sampling_shards_total",
-                "World-matrix row blocks dispatched to shard-pool workers.",
-            ).inc(n_shards)
-        # plan_shards replicates np.array_split block sizes, so the shard
-        # boundaries (and therefore the summed counts) are unchanged.
-        payloads = [
-            (index, worlds[start:stop], k)
-            for start, stop in plan_shards(worlds.shape[0], n_shards)
-        ]
-        partials = self._pool.map(shard_function, payloads)
-        return np.sum(partials, axis=0)
-
-    def close(self) -> None:
-        """Shut the worker processes down."""
-        self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "WorldShardPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -4,8 +4,8 @@ Covers the statistical machinery of :mod:`repro.sampling.adaptive` (bound
 math, δ-spending, chunk scheduling), the knob validation surface (exact
 error-message pins — these strings are API for scripts matching stderr), the
 unit-level sequential decisions on hand-analysable candidates, the driver
-integration (``sampling="fixed"`` parity, per-seed determinism, ``n_jobs``
-invariance), and the telemetry the engine records.
+integration (``sampling="fixed"`` parity, per-seed determinism), and the
+telemetry the engine records.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class TestChunkSchedule:
         with pytest.raises(
             InvalidParameterError, match="chunk_initial must be a positive integer"
         ):
-            chunk_schedule(100, 0)
+            chunk_schedule(100, 0, 2.0)
         with pytest.raises(
             InvalidParameterError, match="chunk_growth must be a finite value >= 1"
         ):
@@ -369,14 +369,6 @@ class TestDriverIntegration:
         graph = _driver_graph()
         kwargs = dict(k=1, theta=0.4, n_samples=60, seed=11, sampling="adaptive")
         assert _nuclei_key(run(graph, **kwargs)) == _nuclei_key(run(graph, **kwargs))
-
-    @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
-    def test_adaptive_invariant_under_n_jobs(self, run):
-        graph = _driver_graph()
-        kwargs = dict(k=1, theta=0.4, n_samples=60, seed=11, sampling="adaptive")
-        serial = run(graph, n_jobs=1, **kwargs)
-        sharded = run(graph, n_jobs=2, **kwargs)
-        assert _nuclei_key(serial) == _nuclei_key(sharded)
 
     @pytest.mark.parametrize("run", [global_nucleus_decomposition, weak_nucleus_decomposition])
     def test_bad_knobs_fail_before_sampling(self, run):

@@ -18,7 +18,7 @@ import repro.index
 import repro.index.fingerprint
 import repro.query
 import repro.query.cache
-import repro.sampling.sharding
+import repro.sampling.adaptive
 
 MODULES = [
     repro,
@@ -28,7 +28,7 @@ MODULES = [
     repro.index.fingerprint,
     repro.query,
     repro.query.cache,
-    repro.sampling.sharding,
+    repro.sampling.adaptive,
 ]
 
 

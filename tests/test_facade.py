@@ -18,6 +18,7 @@ import pytest
 import repro
 import repro.query
 import repro.serve
+from repro.core.approximations import PoissonEstimator
 from repro.deterministic.cliques import canonical_triangle
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph
@@ -105,6 +106,29 @@ class TestDecompose:
                     repro.build_index(
                         graph, mode=mode, theta=THETA, k=1, n_samples=10, seed=bad
                     )
+
+    @pytest.mark.parametrize(
+        "knob, bad",
+        [
+            ("estimator", "dp"),
+            ("estimator", 5),
+            ("estimator", PoissonEstimator),  # the class, not an instance
+            ("local_result", 5),
+            ("epsilon", True),
+            ("epsilon", "0.1"),
+            ("delta", True),
+            ("delta", "0.1"),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else None,
+    )
+    def test_bad_knobs_are_named_before_the_engine_runs(self, graph, knob, bad):
+        # Without n_samples, epsilon and delta size the Hoeffding budget.
+        modes = ("local", "global", "weak") if knob == "estimator" else ("global", "weak")
+        for mode in modes:
+            k = None if mode == "local" else 1
+            for entry_point in (repro.decompose, repro.build_index):
+                with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
+                    entry_point(graph, mode=mode, theta=THETA, k=k, **{knob: bad})
 
     def test_global_dispatch(self, graph):
         nuclei = repro.decompose(graph, mode="global", theta=THETA, k=1, seed=11)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from graph_factories import pathological_graph, small_er_graph
 
-from repro.core.approximations import PoissonEstimator
+from repro.core.approximations import NormalEstimator, PoissonEstimator
 from repro.exceptions import (
     EdgeNotFoundError,
     IndexCompatibilityError,
@@ -85,8 +85,16 @@ MONTE_CARLO_KNOBS = {
 }
 
 
-def planted_communities_graph() -> ProbabilisticGraph:
-    """Three planted 7-cliques (p in [0.8, 1]) over a sparse background."""
+#: The pruning estimators a global/weak index header records by name, so
+#: that the fallback rebuild of ``apply_updates`` prunes with them again.
+ESTIMATOR_KNOBS = {
+    "estimator=poisson": {"estimator": PoissonEstimator()},
+    "estimator=clt": {"estimator": NormalEstimator()},
+}
+
+
+def planted_communities_graph(low: float = 0.8, spread: float = 0.2) -> ProbabilisticGraph:
+    """Three planted 7-cliques (p in [low, low + spread]) over a sparse background."""
     return planted_nucleus_graph(
         num_communities=3,
         community_size=7,
@@ -94,7 +102,7 @@ def planted_communities_graph() -> ProbabilisticGraph:
         background_vertices=10,
         background_density=0.15,
         bridges_per_community=2,
-        probability_model=lambda r: 0.8 + 0.2 * r.random(),
+        probability_model=lambda r: low + spread * r.random(),
         seed=4,
     )
 
@@ -500,18 +508,21 @@ class TestEngineRefresh:
 # fallback rebuild for non-incremental configurations
 # --------------------------------------------------------------------------- #
 class TestFallbackModes:
+    @pytest.mark.filterwarnings('ignore:kernel="numba" requested:RuntimeWarning')
     def test_local_with_approximate_estimator_falls_back(self, paper_figure1_graph):
         graph = paper_figure1_graph
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, estimator=PoissonEstimator())
+        index = build_local_index(graph, THETA, estimator=PoissonEstimator(), kernel="numba")
         batch = [EdgeUpdate("change", 3, 5, 0.6)]
         updated = apply_updates(index, batch)
         rebuilt = build_local_index(
             graph_from(apply_to_edges(edges, batch), graph.vertices()),
             THETA,
             estimator=PoissonEstimator(),
+            kernel="numba",
         )
         assert_same_content(updated, rebuilt)
+        assert updated.params == rebuilt.params
         assert updated.revision == 1
         assert updated.params["estimator"] == PoissonEstimator.name
 
@@ -521,13 +532,21 @@ class TestFallbackModes:
         with pytest.raises(InvalidParameterError, match="unknown estimator"):
             apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])
 
-    @pytest.mark.parametrize("knob", ["n_samples", *MONTE_CARLO_KNOBS])
+    @pytest.mark.parametrize("knob", ["n_samples", *MONTE_CARLO_KNOBS, *ESTIMATOR_KNOBS])
     @pytest.mark.parametrize("builder", [build_global_index, build_weak_index])
     def test_seeded_global_and_weak_indexes_rebuild_deterministically(self, builder, knob):
         if knob == "n_samples":
             graph = small_er_graph(9, 0.6, seed=4)
             theta, settings = 0.4, {"n_samples": 40, "seed": 11}
             batch = [EdgeUpdate("delete", *list(edge_dict(graph))[0])]
+        elif knob in ESTIMATOR_KNOBS:
+            # On these weaker communities an approximate estimator prunes to
+            # other candidates than the exact DP, so a rebuild that dropped
+            # it would differ from the fresh build.
+            graph = planted_communities_graph(low=0.45, spread=0.4)
+            theta, settings = 0.1, {"seed": 2, **ESTIMATOR_KNOBS[knob]}
+            (u, v), p = next(iter(edge_dict(graph).items()))
+            batch = [EdgeUpdate("change", u, v, max(0.05, p - 0.3))]
         else:
             # At these θ every knob moves the updated graph's answer in both
             # modes, so a rebuild that dropped a knob would differ from the
@@ -548,6 +567,7 @@ class TestFallbackModes:
         )
         assert_same_content(updated, rebuilt)
         assert updated.params == rebuilt.params
-        assert settings.items() <= updated.params.items()
+        recorded = {name: getattr(value, "name", value) for name, value in settings.items()}
+        assert recorded.items() <= updated.params.items()
         assert updated.mode == index.mode
         assert updated.revision == 1

@@ -10,16 +10,14 @@ Three layers of guarantees:
    draw from the same distribution, so their per-triangle probability
    estimates agree within the Hoeffding bound (and, on graphs small enough
    to enumerate, with the exact probability).
-3. **Sharding invariance** — ``n_jobs > 1`` returns results bit-identical to
-   ``n_jobs = 1`` for a fixed seed, because a block is sampled before it is
-   split.
-4. **Block invariance** — the one verification loop draws every chunk in
+3. **Block invariance** — the one verification loop draws every chunk in
    memory-bounded row blocks; any split returns the counts, the nuclei and
    the generator state of one monolithic draw.  The tier-2 memory smoke
    runs the loop where one monolithic draw cannot fit.
 
-It also pins the knob rules of the engine: ``k``, ``seed`` and ``n_jobs``
-validation, and the retired ``partitions=`` alias.
+It also pins the knob rules of the engine: ``k`` and ``seed`` validation,
+and the retired ``partitions=`` and ``n_jobs=`` aliases, which warn and run
+the one serial loop.
 """
 
 from __future__ import annotations
@@ -67,10 +65,8 @@ from repro.hardness.reductions import (
 from repro.index import NucleusIndex, build_index, load_index
 from repro.sampling.adaptive import block_rows, blocked_counts
 from repro.sampling.monte_carlo import hoeffding_error_bound
-from repro.sampling.sharding import chunk_schedule, plan_shards
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
-    WorldShardPool,
     as_numpy_generator,
     global_triangle_counts,
     nucleus_world_mask,
@@ -372,62 +368,6 @@ class TestStatisticalParity:
             assert abs(score - matrix_scores[triangle]) <= 2 * epsilon
 
 
-class TestSharding:
-    def test_global_n_jobs_identical_to_serial(self):
-        graph = small_planted()
-        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5)
-        serial = global_nucleus_decomposition(graph, **kwargs, n_jobs=1)
-        sharded = global_nucleus_decomposition(graph, **kwargs, n_jobs=2)
-        assert [n.triangles for n in serial] == [n.triangles for n in sharded]
-
-    def test_weak_n_jobs_identical_to_serial(self):
-        graph = small_planted()
-        kwargs = dict(k=1, theta=0.1, n_samples=120, seed=5)
-        serial = weak_nucleus_decomposition(graph, **kwargs, n_jobs=1)
-        sharded = weak_nucleus_decomposition(graph, **kwargs, n_jobs=3)
-        assert [n.triangles for n in serial] == [n.triangles for n in sharded]
-
-    def test_pool_counts_match_serial_counts(self):
-        index = CandidateWorldIndex.from_graph(clique_graph(5, probability=0.7))
-        worlds = index.sample(90, seed=41)
-        serial = global_triangle_counts(index, worlds, 1)
-        with WorldShardPool(2) as pool:
-            sharded = global_triangle_counts(index, worlds, 1, pool=pool)
-            weak_serial = weak_membership_counts(index, worlds, 1)
-            weak_sharded = weak_membership_counts(index, worlds, 1, pool=pool)
-        assert serial.tolist() == sharded.tolist()
-        assert weak_serial.tolist() == weak_sharded.tolist()
-
-    @pytest.mark.parametrize("bad", [0, 1.5, 2.0, True])
-    def test_invalid_n_jobs(self, bad):
-        message = f"^n_jobs must be a positive integer, got {bad!r}$"
-        with pytest.raises(InvalidParameterError, match=message):
-            WorldShardPool(bad)
-        graph = clique_graph(6, probability=0.9)
-        for mode in ("global", "weak"):
-            with pytest.raises(InvalidParameterError, match=message):
-                build_index(graph, mode=mode, theta=0.3, k=1, n_samples=10, n_jobs=bad)
-
-    def test_plan_shards_matches_array_split(self):
-        for total in (0, 1, 2, 7, 10, 64, 1000):
-            for parts in (1, 2, 3, 7, 16):
-                blocks = [chunk.size for chunk in np.array_split(np.arange(total), parts)]
-                assert [stop - start for start, stop in plan_shards(total, parts)] == blocks
-
-    def test_plan_shards_pins(self):
-        assert plan_shards(10, 3) == ((0, 4), (4, 7), (7, 10))
-        assert plan_shards(2, 4) == ((0, 1), (1, 2), (2, 2), (2, 2))
-        assert plan_shards(6, 1) == ((0, 6),)
-
-    def test_plan_validation(self):
-        with pytest.raises(InvalidParameterError):
-            plan_shards(10, 0)
-        with pytest.raises(InvalidParameterError):
-            plan_shards(-1, 2)
-        with pytest.raises(InvalidParameterError):
-            chunk_schedule(100, 0, 2.0)
-
-
 def _nuclei_key(nuclei) -> list:
     return sorted(
         (sorted(map(repr, n.triangles)), sorted(map(repr, n.subgraph.edges()))) for n in nuclei
@@ -512,7 +452,11 @@ class TestLevelValidation:
 
 
 class TestRetiredPartitions:
-    """``partitions=`` is a retired alias of ``__api_version__ = "1"``."""
+    """``partitions=`` and ``n_jobs=`` are retired aliases of ``__api_version__ = "1"``.
+
+    The CLI-flag and old-archive cases are ``partitions``-only: ``n_jobs``
+    has no decomposition CLI flag and was never recorded in a header.
+    """
 
     RUNS = {
         "global_nucleus_decomposition": lambda g, **kw: global_nucleus_decomposition(
@@ -528,6 +472,7 @@ class TestRetiredPartitions:
             g, mode="weak", theta=0.3, k=1, n_samples=20, seed=3, **kw
         ),
     }
+    KNOBS = ["partitions", "n_jobs"]
     EXPERIMENTS = [
         "run",
         "table2",
@@ -545,26 +490,28 @@ class TestRetiredPartitions:
             return {name: array.tobytes() for name, array in result.arrays.items()}
         return _nuclei_key(result)
 
+    @pytest.mark.parametrize("knob", KNOBS)
     @pytest.mark.parametrize("name", RUNS)
-    def test_one_is_silent_and_others_warn_and_run_the_one_loop(self, name):
+    def test_one_is_silent_and_others_warn_and_run_the_one_loop(self, name, knob):
         graph = small_planted()
         run = self.RUNS[name]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = self._signature(run(graph, partitions=1))
-        with pytest.warns(DeprecationWarning, match="partitions= is deprecated") as record:
-            result = run(graph, partitions=4)
+            expected = self._signature(run(graph, **{knob: 1}))
+        with pytest.warns(DeprecationWarning, match=f"{knob}= is deprecated") as record:
+            result = run(graph, **{knob: 4})
         assert sum(issubclass(w.category, DeprecationWarning) for w in record) == 1
         assert self._signature(result) == expected
         if isinstance(result, NucleusIndex):
-            assert "partitions" not in result.params
+            assert knob not in result.params
 
+    @pytest.mark.parametrize("knob", KNOBS)
     @pytest.mark.parametrize("name", RUNS)
     @pytest.mark.parametrize("bad", [0, -2, 1.5, True, "2"])
-    def test_invalid_values_name_the_knob(self, name, bad):
-        message = f"^partitions must be a positive integer, got {bad!r}$"
+    def test_invalid_values_name_the_knob(self, name, bad, knob):
+        message = f"^{knob} must be a positive integer, got {bad!r}$"
         with pytest.raises(InvalidParameterError, match=message):
-            self.RUNS[name](clique_graph(4, probability=0.9), partitions=bad)
+            self.RUNS[name](clique_graph(4, probability=0.9), **{knob: bad})
 
     @pytest.mark.parametrize("mode", ["local", "global"])
     def test_index_cli_flag(self, tmp_path, capsys, mode):
