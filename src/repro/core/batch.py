@@ -5,11 +5,12 @@ the support tail ``Pr[ζ ≥ k]`` — with the exact Equation-7 dynamic program 
 one of the §5.3 statistical approximations — one Python call at a time.  This
 module replaces that with a *batched* path:
 
-1. :func:`build_triangle_extension_index` walks a
-   :class:`~repro.graph.csr.CSRProbabilisticGraph` once and produces, for
+1. :func:`build_triangle_extension_index` enumerates the triangles and
+   4-cliques of a :class:`~repro.graph.csr.CSRProbabilisticGraph` once
+   (:func:`~repro.deterministic.cliques.clique_arrays_csr`) and produces, for
    every triangle, its existence probability ``Pr(△)``, its completing
    vertices and the extension probabilities ``Pr(E_i)`` — all as numpy arrays
-   gathered with ordered-adjacency merges and binary-search lookups.
+   gathered with binary-search lookups.
 2. :func:`batched_initial_kappas` groups the triangles by support size
    ``c_△`` (rows of equal length stack into a dense matrix) and evaluates the
    estimator's tail for the whole group in a handful of vectorized numpy
@@ -33,7 +34,7 @@ triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,11 +49,9 @@ from repro.core.approximations import (
 from repro.core.hybrid import HybridEstimator
 from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import (
-    IntTriangle,
     _members_of_sorted_mask,
-    concatenated_rows,
-    forward_adjacency_csr,
-    triangle_arrays_csr,
+    clique_arrays_csr,
+    cliques_from_members,
 )
 from repro.exceptions import InvalidParameterError
 from repro.graph.csr import CSRProbabilisticGraph
@@ -72,10 +71,10 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 class CSRTriangleIndex:
     """Triangle ⇄ 4-clique incidence of a CSR graph, stored as flat arrays.
 
-    Entry ``i`` describes triangle ``triangles[i] = (u, v, w)`` (sorted CSR
-    vertex ids, listed in lexicographic order) with existence probability
-    ``triangle_probabilities[i]``.  The triangle → 4-clique incidence is a
-    CSR-style postings structure: the half-open slice
+    Row ``i`` of the ``(t, 3)`` int64 array ``triangles`` is triangle
+    ``(u, v, w)`` (ascending CSR vertex ids, rows in lexicographic order),
+    with existence probability ``triangle_probabilities[i]``.  The triangle →
+    4-clique incidence is a CSR-style postings structure: the half-open slice
     ``tri_clique_indptr[i]:tri_clique_indptr[i + 1]`` of the three parallel
     *pair arrays* holds, sorted by completing vertex,
 
@@ -91,10 +90,14 @@ class CSRTriangleIndex:
     clique ``c`` and ``clique_pair_positions[c]`` the positions of those four
     (triangle, clique) pairs inside the pair arrays — so killing a clique is
     four O(1) writes, the operation the peel engine
-    (:mod:`repro.core.peel`) builds its loops on.
+    (:mod:`repro.core.peel`) builds its loops on.  The members are listed in
+    the order ``(a,b,c), (a,b,d), (a,c,d), (b,c,d)`` of the 4-clique
+    ``(a, b, c, d)``, and 4-clique rows are in lexicographic order, the same
+    incidence the verifier's
+    :class:`~repro.sampling.world_matrix.CandidateWorldIndex` holds.
     """
 
-    triangles: list[IntTriangle]
+    triangles: np.ndarray
     triangle_probabilities: np.ndarray
     tri_clique_indptr: np.ndarray
     tri_completing: np.ndarray
@@ -106,7 +109,7 @@ class CSRTriangleIndex:
     @property
     def num_triangles(self) -> int:
         """Number of indexed triangles."""
-        return len(self.triangles)
+        return int(self.triangles.shape[0])
 
     @property
     def num_cliques(self) -> int:
@@ -128,11 +131,6 @@ class _EdgeProbabilityLookup:
         self._n = n
         self._keys = csr.directed_edge_owners() * n + csr.indices
         self._probs = csr.probabilities
-
-    def __call__(self, source: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Return ``p(source[i], target[i])`` for parallel id arrays of edges."""
-        keys = source * self._n + target
-        return self._probs[np.searchsorted(self._keys, keys)]
 
     def gather(self, pairs) -> "list[np.ndarray]":
         """Probabilities for several parallel pair batches in one search.
@@ -156,9 +154,7 @@ class _EdgeProbabilityLookup:
         return _members_of_sorted_mask(source * self._n + target, self._keys)
 
 
-def _triangle_row_ids(
-    u_ids: np.ndarray, v_ids: np.ndarray, w_ids: np.ndarray, n: int
-) -> "tuple[object, bool]":
+def _triangle_row_ids(triangles: np.ndarray, n: int) -> "tuple[object, bool]":
     """Build a lookup from an ``(u, v, w)`` id triple to its triangle row.
 
     When ``n³`` fits in int64 the lookup is a sorted composite-key array
@@ -166,86 +162,57 @@ def _triangle_row_ids(
     it degrades to a Python dict.  Returns ``(lookup, vectorized)``.
     """
     if n == 0 or n <= 2_000_000:  # n³ < 2⁶³
-        return (u_ids * n + v_ids) * n + w_ids, True
-    mapping = {
-        triple: i
-        for i, triple in enumerate(
-            zip(u_ids.tolist(), v_ids.tolist(), w_ids.tolist())
-        )
-    }
-    return mapping, False
+        return (triangles[:, 0] * n + triangles[:, 1]) * n + triangles[:, 2], True
+    return {tuple(triple): i for i, triple in enumerate(triangles.tolist())}, False
+
+
+def _gathered_probabilities(
+    csr: CSRProbabilisticGraph, triangles: np.ndarray, cliques: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Pr(△)`` of every triangle row and ``Pr(E_z)`` of every (triangle, 4-clique) pair.
+
+    The pairs are listed member-major: the ``(a,b,c)`` member of every
+    4-clique ``(a, b, c, d)``, then the ``(a,b,d)``, ``(a,c,d)`` and
+    ``(b,c,d)`` members.  One composite-key gather, and products in the
+    scalar ``p(u,v)·p(u,w)·p(v,w)`` and ``p(u,z)·p(v,z)·p(w,z)`` orders, so
+    the values depend only on the rows, not on how they were found.
+    """
+    u, v, w = triangles.T
+    a, b, c, d = cliques.T
+    p_uv, p_uw, p_vw, p_ab, p_ac, p_ad, p_bc, p_bd, p_cd = _EdgeProbabilityLookup(csr).gather(
+        ((u, v), (u, w), (v, w), (a, b), (a, c), (a, d), (b, c), (b, d), (c, d))
+    )
+    extensions = np.concatenate(
+        [
+            p_ad * p_bd * p_cd,  # triangle (a,b,c), completing vertex d
+            p_ac * p_bc * p_cd,  # triangle (a,b,d), completing vertex c
+            p_ab * p_bc * p_bd,  # triangle (a,c,d), completing vertex b
+            p_ab * p_ac * p_ad,  # triangle (b,c,d), completing vertex a
+        ]
+    )
+    return p_uv * p_uw * p_vw, extensions
 
 
 def _assemble_triangle_index(
-    csr: CSRProbabilisticGraph,
-    u_ids: np.ndarray,
-    v_ids: np.ndarray,
-    w_ids: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    d: np.ndarray,
+    csr: CSRProbabilisticGraph, triangles: np.ndarray, cliques: np.ndarray
 ) -> CSRTriangleIndex:
     """Assemble a :class:`CSRTriangleIndex` from canonical triangle and 4-clique ids.
 
-    ``(u_ids, v_ids, w_ids)`` are the triangle vertex triples (each ascending,
-    rows in lexicographic order) and ``(a, b, c, d)`` the 4-clique vertex
-    quadruples (each ascending, rows in lexicographic order).  All edge
-    probabilities are gathered fresh from ``csr`` with the same composite-key
-    lookups and multiplied in the same order as the full enumeration, so two
+    ``triangles`` (``(t, 3)``) and ``cliques`` (``(q, 4)``) hold ascending
+    vertex ids, rows in lexicographic order.  All edge probabilities are
+    gathered fresh from ``csr`` (:func:`_gathered_probabilities`), so two
     calls that agree on the triangle/clique id sets produce bit-identical
     arrays regardless of how those sets were discovered — the property the
     incremental delta path (:func:`delta_triangle_extension_index`) relies on
     for its parity with :func:`build_triangle_extension_index`.
     """
-    num_triangles = int(u_ids.size)
-    triangles: list[IntTriangle] = list(
-        zip(u_ids.tolist(), v_ids.tolist(), w_ids.tolist())
-    )
-    empty_int = np.empty(0, dtype=np.int64)
-    empty_float = np.empty(0, dtype=np.float64)
-
-    def _without_cliques(tri_probs: np.ndarray) -> CSRTriangleIndex:
-        return CSRTriangleIndex(
-            triangles=triangles,
-            triangle_probabilities=tri_probs,
-            tri_clique_indptr=np.zeros(num_triangles + 1, dtype=np.int64),
-            tri_completing=empty_int,
-            tri_extension_probabilities=empty_float,
-            tri_cliques=empty_int,
-            clique_triangles=np.empty((0, 4), dtype=np.int64),
-            clique_pair_positions=np.empty((0, 4), dtype=np.int64),
-        )
-
-    if num_triangles == 0:
-        return _without_cliques(empty_float)
-
-    probability_of = _EdgeProbabilityLookup(csr)
-    # Pr(△) = p(u,v) · p(u,w) · p(v,w), matching the scalar evaluation order.
-    if a.size == 0:
-        p_uv, p_uw, p_vw = probability_of.gather(
-            ((u_ids, v_ids), (u_ids, w_ids), (v_ids, w_ids))
-        )
-        return _without_cliques(p_uv * p_uw * p_vw)
-
-    p_uv, p_uw, p_vw, p_ab, p_ac, p_ad, p_bc, p_bd, p_cd = probability_of.gather(
-        (
-            (u_ids, v_ids),
-            (u_ids, w_ids),
-            (v_ids, w_ids),
-            (a, b),
-            (a, c),
-            (a, d),
-            (b, c),
-            (b, d),
-            (c, d),
-        )
-    )
-    tri_probs = p_uv * p_uw * p_vw
+    tri_probs, extensions = _gathered_probabilities(csr, triangles, cliques)
 
     # --- scatter every 4-clique to its four member triangles -------------- #
+    num_triangles, num_cliques = triangles.shape[0], cliques.shape[0]
     n = csr.num_vertices
-    lookup, vectorized = _triangle_row_ids(u_ids, v_ids, w_ids, n)
+    lookup, vectorized = _triangle_row_ids(triangles, n)
+    a, b, c, d = cliques.T
 
     def rows_of(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         if vectorized:
@@ -257,9 +224,7 @@ def _assemble_triangle_index(
         )
 
     # Member (a,b,c) is the clique's lexicographically smallest triangle (the
-    # generating triangle of the full enumeration); extension products follow
-    # the scalar p(u,z)·p(v,z)·p(w,z) order.
-    num_cliques = int(a.size)
+    # generating triangle of the full enumeration).
     if vectorized:
         # One binary search over the four member triples of every clique;
         # elementwise identical to four separate rows_of calls.
@@ -281,14 +246,6 @@ def _assemble_triangle_index(
         )
     member_rows = clique_triangles.T.reshape(-1)
     completing_ids = np.concatenate([d, c, b, a])
-    extensions = np.concatenate(
-        [
-            p_ad * p_bd * p_cd,  # triangle (a,b,c), completing vertex d
-            p_ac * p_bc * p_cd,  # triangle (a,b,d), completing vertex c
-            p_ab * p_bc * p_bd,  # triangle (a,c,d), completing vertex b
-            p_ab * p_ac * p_ad,  # triangle (b,c,d), completing vertex a
-        ]
-    )
     clique_ids = np.tile(np.arange(num_cliques, dtype=np.int64), 4)
     order = np.lexsort((completing_ids, member_rows))
     # pair_rank[j] is the position of pre-sort pair j in the sorted pair
@@ -315,12 +272,13 @@ def build_triangle_extension_index(csr: CSRProbabilisticGraph) -> CSRTriangleInd
 
     Fully batched pipeline:
 
-    1. enumerate all triangles as parallel id arrays
-       (:func:`~repro.deterministic.cliques.triangle_arrays_csr`) and gather
-       their edge probabilities with the composite-key lookup;
-    2. enumerate all 4-cliques in one batch — for every triangle
-       ``(u, v, w)`` the candidates are the forward row of ``w``, filtered by
-       two vectorized edge-membership tests against ``v`` and ``u``;
+    1. enumerate all triangles and 4-cliques as ``(t, 3)`` / ``(q, 4)`` id
+       arrays with the one batched enumeration
+       (:func:`~repro.deterministic.cliques.clique_arrays_csr`, which the
+       verifier's :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.from_graph`
+       calls too);
+    2. gather the edge probabilities of every triangle and 4-clique with the
+       composite-key lookup;
     3. scatter each 4-clique to its four member triangles: the completing
        vertex and the extension probability ``Pr(E_z)`` are computed for all
        cliques at once from the six gathered edge probabilities, and one
@@ -329,75 +287,23 @@ def build_triangle_extension_index(csr: CSRProbabilisticGraph) -> CSRTriangleInd
        back-pointers (``clique_pair_positions``) fall out of the same sort,
        giving the peel engine its O(1) clique-kill operation for free.
 
-    Steps 1–2 discover the canonical triangle/4-clique id sets; step 3 is the
-    shared assembly (:func:`_assemble_triangle_index`) also used by the
-    incremental delta path.
+    Steps 2–3 are the shared assembly (:func:`_assemble_triangle_index`) also
+    used by the incremental delta path.
     """
-    forward = forward_adjacency_csr(csr)
-    u_ids, v_ids, w_ids = triangle_arrays_csr(csr, forward=forward)
-    num_triangles = int(u_ids.size)
-    empty_int = np.empty(0, dtype=np.int64)
-
-    if num_triangles == 0:
-        owner = candidates = empty_int
-    else:
-        probability_of = _EdgeProbabilityLookup(csr)
-        # --- batched 4-clique enumeration -------------------------------- #
-        fptr, fidx = forward
-        candidates, sizes = concatenated_rows(fptr, fidx, w_ids)
-        if candidates.size:
-            owner = np.repeat(np.arange(num_triangles, dtype=np.int64), sizes)
-            keep = probability_of.has_edges(v_ids[owner], candidates)
-            owner, candidates = owner[keep], candidates[keep]
-            keep = probability_of.has_edges(u_ids[owner], candidates)
-            owner, candidates = owner[keep], candidates[keep]
-        else:
-            owner = candidates = empty_int
-
-    # Because the generating triangle (a,b,c) is the clique's lexicographic
-    # minimum and owners ascend with candidates sorted within each owner, the
-    # quadruples arrive in lexicographic (a,b,c,d) order — the canonical
-    # clique order the assembly expects.
-    return _assemble_triangle_index(
-        csr,
-        u_ids,
-        v_ids,
-        w_ids,
-        u_ids[owner],
-        v_ids[owner],
-        w_ids[owner],
-        candidates,
-    )
+    return _assemble_triangle_index(csr, *clique_arrays_csr(csr))
 
 
-def clique_vertex_rows(
-    index: CSRTriangleIndex, triangle_rows: np.ndarray | None = None
-) -> np.ndarray:
+def clique_vertex_rows(index: CSRTriangleIndex) -> np.ndarray:
     """Return the ``(C, 4)`` ascending vertex ids of every indexed 4-clique.
 
     Row ``c`` lists the four vertices of clique ``c`` in ascending order; rows
     appear in the index's clique order (lexicographic by vertex quadruple).
-    ``triangle_rows`` may pass a prebuilt ``(T, 3)`` array of
-    ``index.triangles`` to avoid re-materialising it.
     """
-    if index.num_cliques == 0:
-        return np.empty((0, 4), dtype=np.int64)
-    if triangle_rows is None:
-        triangle_rows = np.asarray(index.triangles, dtype=np.int64).reshape(-1, 3)
-    # Member 0 is the generating triangle (a,b,c); the completing vertex of
-    # its (triangle, clique) pair is d, which is larger than c by forward-
-    # adjacency construction, so the concatenation is already ascending.
-    first_members = index.clique_triangles[:, 0]
-    completing = index.tri_completing[index.clique_pair_positions[:, 0]]
-    return np.concatenate(
-        [triangle_rows[first_members], completing[:, None]], axis=1
-    )
+    return cliques_from_members(index.triangles, index.clique_triangles)
 
 
 def _regather_probabilities(
-    old_index: CSRTriangleIndex,
-    new_csr: CSRProbabilisticGraph,
-    rows: np.ndarray,
+    old_index: CSRTriangleIndex, new_csr: CSRProbabilisticGraph
 ) -> CSRTriangleIndex:
     """Re-price an index whose triangle/4-clique structure is unchanged.
 
@@ -412,59 +318,17 @@ def _regather_probabilities(
     structural arrays are *shared* with ``old_index``, which is safe because
     nothing downstream mutates them (the score repair only reads them).
     """
-    probability_of = _EdgeProbabilityLookup(new_csr)
-    if old_index.num_cliques == 0:
-        if rows.shape[0]:
-            p_uv, p_uw, p_vw = probability_of.gather(
-                (
-                    (rows[:, 0], rows[:, 1]),
-                    (rows[:, 0], rows[:, 2]),
-                    (rows[:, 1], rows[:, 2]),
-                )
-            )
-            tri_probs = p_uv * p_uw * p_vw
-        else:
-            tri_probs = np.empty(0, dtype=np.float64)
-        extensions_sorted = old_index.tri_extension_probabilities
-    else:
-        quads = clique_vertex_rows(old_index, rows)
-        a, b, c, d = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-        p_uv, p_uw, p_vw, p_ab, p_ac, p_ad, p_bc, p_bd, p_cd = probability_of.gather(
-            (
-                (rows[:, 0], rows[:, 1]),
-                (rows[:, 0], rows[:, 2]),
-                (rows[:, 1], rows[:, 2]),
-                (a, b),
-                (a, c),
-                (a, d),
-                (b, c),
-                (b, d),
-                (c, d),
-            )
-        )
-        tri_probs = p_uv * p_uw * p_vw
-        extensions = np.concatenate(
-            [
-                p_ad * p_bd * p_cd,  # triangle (a,b,c), completing vertex d
-                p_ac * p_bc * p_cd,  # triangle (a,b,d), completing vertex c
-                p_ab * p_bc * p_bd,  # triangle (a,c,d), completing vertex b
-                p_ab * p_ac * p_ad,  # triangle (b,c,d), completing vertex a
-            ]
-        )
-        # clique_pair_positions[c, m] is where pre-sort pair m·C + c landed
-        # in the sorted pair arrays — scatter instead of re-sorting.
-        pair_rank = old_index.clique_pair_positions.T.reshape(-1)
-        extensions_sorted = np.empty_like(extensions)
-        extensions_sorted[pair_rank] = extensions
-    return CSRTriangleIndex(
-        triangles=old_index.triangles,
+    tri_probs, extensions = _gathered_probabilities(
+        new_csr, old_index.triangles, clique_vertex_rows(old_index)
+    )
+    # clique_pair_positions[c, m] is where pre-sort pair m·C + c landed in the
+    # sorted pair arrays — scatter instead of re-sorting.
+    extensions_sorted = np.empty_like(extensions)
+    extensions_sorted[old_index.clique_pair_positions.T.reshape(-1)] = extensions
+    return replace(
+        old_index,
         triangle_probabilities=tri_probs,
-        tri_clique_indptr=old_index.tri_clique_indptr,
-        tri_completing=old_index.tri_completing,
         tri_extension_probabilities=extensions_sorted,
-        tri_cliques=old_index.tri_cliques,
-        clique_triangles=old_index.clique_triangles,
-        clique_pair_positions=old_index.clique_pair_positions,
     )
 
 
@@ -473,7 +337,6 @@ def delta_triangle_extension_index(
     new_csr: CSRProbabilisticGraph,
     inserted: np.ndarray,
     deleted: np.ndarray,
-    old_triangle_rows: np.ndarray | None = None,
 ) -> CSRTriangleIndex:
     """Rebuild a :class:`CSRTriangleIndex` after a batch of edge updates.
 
@@ -504,14 +367,12 @@ def delta_triangle_extension_index(
         )
     inserted = np.ascontiguousarray(inserted, dtype=np.int64).reshape(-1, 2)
     deleted = np.ascontiguousarray(deleted, dtype=np.int64).reshape(-1, 2)
-    if old_triangle_rows is None:
-        old_triangle_rows = np.asarray(old_index.triangles, dtype=np.int64).reshape(-1, 3)
-    rows = old_triangle_rows
+    rows = old_index.triangles
 
     if inserted.shape[0] == 0 and deleted.shape[0] == 0:
         # Probability-only batch: the id sets cannot have changed, so skip
         # the structural delta entirely and just re-price the value arrays.
-        return _regather_probabilities(old_index, new_csr, rows)
+        return _regather_probabilities(old_index, new_csr)
 
     del_keys = np.sort(deleted[:, 0] * n + deleted[:, 1])
 
@@ -533,7 +394,7 @@ def delta_triangle_extension_index(
 
     surviving_rows = rows[~touches_deleted(rows)]
 
-    old_quads = clique_vertex_rows(old_index, rows)
+    old_quads = clique_vertex_rows(old_index)
     surviving_quads = old_quads[~touches_deleted(old_quads)]
 
     # --- born triangles / 4-cliques: common neighborhoods of inserts ------ #
@@ -584,16 +445,7 @@ def delta_triangle_extension_index(
         new_rows = new_rows.reshape(0, 3)
     if new_quads.shape[0] == 0:
         new_quads = new_quads.reshape(0, 4)
-    return _assemble_triangle_index(
-        new_csr,
-        new_rows[:, 0],
-        new_rows[:, 1],
-        new_rows[:, 2],
-        new_quads[:, 0],
-        new_quads[:, 1],
-        new_quads[:, 2],
-        new_quads[:, 3],
-    )
+    return _assemble_triangle_index(new_csr, new_rows, new_quads)
 
 
 # --------------------------------------------------------------------------- #
@@ -792,7 +644,7 @@ def batched_initial_kappas(
     ``estimator.selection_counts`` is updated accordingly); estimators without
     a registered kernel are evaluated with their scalar ``max_k`` per row.
     """
-    num_triangles = len(index.triangles)
+    num_triangles = index.num_triangles
     kappas = np.empty(num_triangles, dtype=np.int64)
     if num_triangles == 0:
         return kappas

@@ -23,11 +23,14 @@ under the rule "every triangle of the candidate must be covered by at least
 ``C`` are still sampled and simply fail verification, matching the paper's
 "approximate solution" remark.
 
-The candidate loop runs in the id space of ``C``: ``C`` is compiled once into
-a :class:`~repro.sampling.world_matrix.CandidateWorldIndex`, each closure is
-a 4-clique-id frontier over its triangle ⇄ 4-clique arrays, and each
-candidate is verified on :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict`
-of those arrays to its edges — array for array the index of the candidate
+The candidate loop runs in the id space of ``C``, and nothing in it is
+compiled: ``C``'s :class:`~repro.sampling.world_matrix.CandidateWorldIndex`
+is restricted out of the local result's world index of the whole graph
+(:meth:`~repro.core.result.LocalNucleusDecomposition.candidate_index`, which
+shares the peel's triangle ⇄ 4-clique arrays), each closure is a
+4-clique-id frontier over ``C``'s arrays, and each candidate is verified on
+:meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict` of ``C``
+to its edges.  Every restriction is array for array the index of its
 subgraph, so every candidate draws the same worlds as a compile of that
 subgraph would.  A :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`
 is built only for accepted candidates.  :func:`candidate_closure` is the
@@ -345,18 +348,20 @@ def global_nucleus_decomposition(
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
 
-    local_nuclei = local_pruning(graph, theta, estimator, kernel, local_result).nuclei(k)
+    local = local_pruning(graph, theta, estimator, kernel, local_result)
+    local_nuclei = local.nuclei(k)
     if not local_nuclei:
         return []
 
     def verify(candidate: CandidateWorldIndex) -> bool:
         return adaptive_global_verify(candidate, k, theta, settings, rng=engine_rng)[0]
 
-    return _verified_nuclei(graph, local_nuclei, k, theta, verify)
+    return _verified_nuclei(graph, local, local_nuclei, k, theta, verify)
 
 
 def _verified_nuclei(
     graph: ProbabilisticGraph,
+    local: LocalNucleusDecomposition,
     local_nuclei: Sequence[ProbabilisticNucleus],
     k: int,
     theta: float,
@@ -364,18 +369,20 @@ def _verified_nuclei(
 ) -> list[ProbabilisticNucleus]:
     """Algorithm 2's candidate loop: grow, deduplicate, verify, keep maximal.
 
-    The union ``C`` of ``local_nuclei`` is compiled once.  One candidate is
-    grown per triangle of ``C`` (:func:`_closure_ids`), visiting the seeds
-    in :func:`~repro.deterministic.cliques.enumerate_triangles` order — the
-    order of the label-space loop, which draws each candidate's worlds from
-    the shared generator, so the order fixes every sampled answer.
-    Candidates with the same 4-clique set are verified once, on the
-    restriction of ``C``'s index to their edges (``verify(index)`` returns
-    whether it passes); accepted ones are deduplicated by edge set, built as
-    subgraphs of ``graph``, and filtered by :func:`_keep_maximal`.
+    The index of the union ``C`` of ``local_nuclei`` is restricted once out
+    of ``local``'s world index.  One candidate is grown per triangle of
+    ``C`` (:func:`_closure_ids`), visiting the seeds in
+    :func:`~repro.deterministic.cliques.enumerate_triangles` order over the
+    dict union (:func:`union_of_nuclei`) — the order of the label-space loop,
+    which draws each candidate's worlds from the shared generator, so the
+    order fixes every sampled answer.  Candidates with the same 4-clique set
+    are verified once, on the restriction of ``C``'s index to their edges
+    (``verify(index)`` returns whether it passes); accepted ones are
+    deduplicated by edge set, built as subgraphs of ``graph``, and filtered
+    by :func:`_keep_maximal`.
     """
     candidate_graph = union_of_nuclei(local_nuclei)
-    index = CandidateWorldIndex.from_graph(candidate_graph)
+    index = local.candidate_index(t for nucleus in local_nuclei for t in nucleus.triangles)
     row_of = {triangle: row for row, triangle in enumerate(index.triangle_labels())}
 
     solutions: list[ProbabilisticNucleus] = []

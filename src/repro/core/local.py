@@ -19,7 +19,9 @@ The implementation below follows Algorithm 1:
    κ-scores of the affected triangles are recomputed from their surviving
    cliques;
 4. return the scores wrapped in a :class:`LocalNucleusDecomposition`, from
-   which the maximal ℓ-(k, θ)-nuclei can be extracted for any ``k``.
+   which the maximal ℓ-(k, θ)-nuclei can be extracted for any ``k``; the
+   result keeps the engine index of the graph it compiled, which the index
+   snapshot and the global and weak verifiers reuse.
 
 One engine implements it: :mod:`repro.core.batch` builds flat triangle ⇄
 4-clique incidence arrays and the vectorized initial κ-scores, and
@@ -172,10 +174,11 @@ def local_nucleus_decomposition(
         resolve_kernel(kernel, warn=False)  # validate the name up front
     estimator = resolve_local_options(theta, estimator)
 
-    if isinstance(graph, CSRProbabilisticGraph):
-        csr, graph = graph, graph.to_probabilistic()
-    else:
+    compiled = not isinstance(graph, CSRProbabilisticGraph)
+    if compiled:
         csr = graph.to_csr()
+    else:
+        csr, graph = graph, graph.to_probabilistic()
     index, engine_scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
 
     selections = (
@@ -191,4 +194,7 @@ def local_nucleus_decomposition(
         ),
         estimator_name=estimator.name,
         estimator_selections=selections,
+        # A CSR input need not number its vertices in the canonical label
+        # order of the graph's own compile, which the engine index follows.
+        engine_index=(csr, index) if compiled else None,
     )

@@ -8,9 +8,13 @@ nucleus score, per-``k`` summaries — without re-running the peeling.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
+
+from repro.core.batch import CSRTriangleIndex, build_triangle_extension_index
 from repro.deterministic.cliques import Triangle, canonical_triangle
 from repro.deterministic.nucleus import k_nucleus_triangle_groups, triangles_to_edge_subgraph
 from repro.exceptions import (
@@ -18,7 +22,9 @@ from repro.exceptions import (
     VertexNotFoundError,
     check_level,
 )
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus"]
 
@@ -94,6 +100,9 @@ class LocalNucleusDecomposition:
     estimator_selections:
         For the hybrid estimator, how many times each underlying
         approximation was chosen (empty otherwise).
+    engine_index:
+        The ``(csr, CSRTriangleIndex)`` pair the scores were peeled on, if at
+        hand; see :attr:`engine_index`.
     """
 
     def __init__(
@@ -103,13 +112,55 @@ class LocalNucleusDecomposition:
         scores: dict[Triangle, int],
         estimator_name: str,
         estimator_selections: dict[str, int] | None = None,
+        *,
+        engine_index: tuple[CSRProbabilisticGraph, CSRTriangleIndex] | None = None,
     ) -> None:
         self.graph = graph
         self.theta = theta
         self.scores = scores
         self.estimator_name = estimator_name
         self.estimator_selections = dict(estimator_selections or {})
+        self._engine_index = engine_index
         self._groups_cache: dict[int, list[frozenset[Triangle]]] = {}
+
+    @property
+    def engine_index(self) -> tuple[CSRProbabilisticGraph, CSRTriangleIndex]:
+        """The CSR compile of :attr:`graph` and its triangle ⇄ 4-clique index.
+
+        The peel's own pair when
+        :func:`~repro.core.local.local_nucleus_decomposition` compiled
+        :attr:`graph` itself; compiled from :attr:`graph` on first use for
+        any other result (a CSR input's, a rehydrated or a hand-built one).
+        """
+        if self._engine_index is None:
+            csr = self.graph.to_csr()
+            self._engine_index = (csr, build_triangle_extension_index(csr))
+        return self._engine_index
+
+    @cached_property
+    def world_index(self) -> CandidateWorldIndex:
+        """The verifier's index of the whole graph, sharing :attr:`engine_index`'s
+        incidence arrays; built on first use."""
+        return CandidateWorldIndex.from_engine_index(*self.engine_index)
+
+    @cached_property
+    def _world_rows(self) -> dict[Triangle, int]:
+        """Row of every triangle of :attr:`world_index`, by its label triangle."""
+        return {t: row for row, t in enumerate(self.world_index.triangle_labels())}
+
+    def candidate_index(self, triangles: Iterable[Triangle]) -> CandidateWorldIndex:
+        """The world index of the edge subgraph spanned by label ``triangles``.
+
+        :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict` of
+        :attr:`world_index` to their edges: array for array
+        :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.from_graph` of
+        that subgraph, so it draws the same worlds.
+        """
+        world = self.world_index
+        rows = np.fromiter((self._world_rows[t] for t in triangles), dtype=np.int64)
+        edge_mask = np.zeros(world.num_edges, dtype=bool)
+        edge_mask[world.triangle_edges[rows]] = True
+        return world.restrict(edge_mask)
 
     # ------------------------------------------------------------------ #
     # scalar summaries

@@ -19,8 +19,10 @@ Algorithm 3 approximates it:
 4. the triangles whose estimated probability reaches θ are grouped into
    4-clique-connected components, which are reported as the weakly-global
    nuclei.  The grouping runs on the arrays of the candidate's
-   :class:`~repro.sampling.world_matrix.CandidateWorldIndex`, compiled once
-   for step 2: a 4-clique is allowed when its four member triangles
+   :class:`~repro.sampling.world_matrix.CandidateWorldIndex`, the one step 2
+   samples: restricted out of the local result's world index of the whole
+   graph (:meth:`~repro.core.result.LocalNucleusDecomposition.candidate_index`),
+   not compiled.  A 4-clique is allowed when its four member triangles
    qualify, and the allowed 4-cliques join their triangles in a union-find
    forest (:mod:`repro.core.components`).
 """
@@ -51,7 +53,6 @@ from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
     DEFAULT_CHUNK_INITIAL,
     DEFAULT_CONFIDENCE,
-    AdaptiveSettings,
     adaptive_weak_scores,
     resolve_adaptive_settings,
 )
@@ -82,25 +83,6 @@ def triangle_weak_scores_matrix(
     # One chunk computes no confidence radius: θ only splits the estimates.
     estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, rng=rng, seed=seed)
     return dict(zip(index.triangle_labels(), estimates.tolist()))
-
-
-def _qualifying_triangles(
-    candidate: ProbabilisticGraph,
-    k: int,
-    theta: float,
-    settings: AdaptiveSettings,
-    rng: np.random.Generator,
-) -> tuple[CandidateWorldIndex, np.ndarray]:
-    """The compiled candidate and the mask of its triangles whose weak score reaches θ.
-
-    Decided by :func:`repro.sampling.adaptive.adaptive_weak_scores` under
-    the run's ``settings``: the point estimates of one chunk of
-    ``n_samples`` worlds in fixed mode, the anytime-valid confidence bounds
-    of the geometric chunks in adaptive mode.
-    """
-    index = CandidateWorldIndex.from_graph(candidate)
-    _, qualifying, _ = adaptive_weak_scores(index, k, theta, settings, rng=rng)
-    return index, qualifying
 
 
 def weak_nucleus_decomposition(
@@ -162,12 +144,16 @@ def weak_nucleus_decomposition(
     engine_rng = as_numpy_generator(rng, seed)
     kernel = resolve_kernel(kernel)
 
-    candidates = local_pruning(graph, theta, estimator, kernel, local_result).nuclei(k)
+    local = local_pruning(graph, theta, estimator, kernel, local_result)
 
-    def qualifying(subgraph: ProbabilisticGraph) -> tuple[CandidateWorldIndex, np.ndarray]:
-        return _qualifying_triangles(subgraph, k, theta, settings, engine_rng)
+    def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
+        # The point estimates of one chunk in fixed mode, the anytime-valid
+        # confidence bounds of the geometric chunks in adaptive mode.
+        index = local.candidate_index(nucleus.triangles)
+        _, chosen, _ = adaptive_weak_scores(index, k, theta, settings, rng=engine_rng)
+        return index, chosen
 
-    return _weak_nuclei(graph, candidates, k, theta, qualifying)
+    return _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)
 
 
 def _weak_nuclei(
@@ -175,13 +161,14 @@ def _weak_nuclei(
     candidates: Sequence[ProbabilisticNucleus],
     k: int,
     theta: float,
-    qualifying: Callable[[ProbabilisticGraph], tuple[CandidateWorldIndex, np.ndarray]],
+    qualifying: Callable[[ProbabilisticNucleus], tuple[CandidateWorldIndex, np.ndarray]],
 ) -> list[ProbabilisticNucleus]:
     """Group each candidate's qualifying triangles into w-nuclei (Algorithm 3).
 
-    ``qualifying(subgraph)`` returns the compiled
+    ``qualifying(nucleus)`` returns the
     :class:`~repro.sampling.world_matrix.CandidateWorldIndex` of a
-    local-nucleus candidate and the boolean mask of its triangle rows whose
+    local-nucleus candidate (production restricts it out of the local
+    result's world index) and the boolean mask of its triangle rows whose
     estimated weak score reaches θ.  A 4-clique is allowed when all four of
     its triangles qualify, a qualifying triangle is covered when some
     allowed clique contains it, and the allowed cliques join their
@@ -191,7 +178,7 @@ def _weak_nuclei(
     """
     solutions: list[ProbabilisticNucleus] = []
     for candidate in candidates:
-        index, chosen = qualifying(candidate.subgraph)
+        index, chosen = qualifying(candidate)
         allowed = index.clique_triangles[chosen[index.clique_triangles].all(axis=1)]
         if not allowed.size:
             continue

@@ -28,13 +28,9 @@ from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex, label_so
 Triangle = tuple[Vertex, Vertex, Vertex]
 FourClique = tuple[Vertex, Vertex, Vertex, Vertex]
 
-#: A triangle / 4-clique in CSR int-id space: a sorted tuple of vertex ids.
-IntTriangle = tuple[int, int, int]
-
 __all__ = [
     "Triangle",
     "FourClique",
-    "IntTriangle",
     "canonical_triangle",
     "canonical_four_clique",
     "label_triangles",
@@ -50,6 +46,8 @@ __all__ = [
     "concatenated_rows",
     "forward_adjacency_csr",
     "triangle_arrays_csr",
+    "clique_arrays_csr",
+    "cliques_from_members",
 ]
 
 
@@ -303,6 +301,39 @@ def triangle_arrays_csr(
     v_ids = np.repeat(fidx, sizes)
     closing = _members_of_sorted_mask(u_ids * n + w_ids, edge_keys)
     return u_ids[closing], v_ids[closing], w_ids[closing]
+
+
+def clique_arrays_csr(csr: CSRProbabilisticGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Return every triangle and 4-clique of a CSR graph as id arrays.
+
+    The ``(t, 3)`` and ``(q, 4)`` int64 arrays hold ascending vertex ids, rows
+    in lexicographic order.  Every triangle ``(u, v, w)`` of
+    :func:`triangle_arrays_csr` is extended in one batch by the forward row
+    of ``w``, keeping ``z`` when ``(v, z)`` and ``(u, z)`` are edges; so each
+    4-clique is found once, from its smallest triangle, in lexicographic order.
+    """
+    fptr, fidx = forward = forward_adjacency_csr(csr)
+    u_ids, v_ids, w_ids = triangle_arrays_csr(csr, forward=forward)
+    n = csr.num_vertices
+    edge_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(fptr)) * n + fidx
+    candidates, sizes = concatenated_rows(fptr, fidx, w_ids)
+    owner = np.repeat(np.arange(w_ids.size, dtype=np.int64), sizes)
+    for endpoint in (v_ids, u_ids):
+        keep = _members_of_sorted_mask(endpoint[owner] * n + candidates, edge_keys)
+        owner, candidates = owner[keep], candidates[keep]
+    triangles = np.stack([u_ids, v_ids, w_ids], axis=1)
+    return triangles, np.concatenate([triangles[owner], candidates[:, None]], axis=1)
+
+
+def cliques_from_members(triangles: np.ndarray, clique_triangles: np.ndarray) -> np.ndarray:
+    """Return the ``(q, 4)`` ascending vertex ids of 4-cliques given by member rows.
+
+    Both triangle ⇄ 4-clique indexes list the members of ``(a, b, c, d)`` in
+    ``clique_triangles`` as ``(a,b,c), (a,b,d), (a,c,d), (b,c,d)``: the
+    quadruple is the first member followed by the last vertex of the second.
+    """
+    first, second = clique_triangles[:, 0], clique_triangles[:, 1]
+    return np.concatenate([triangles[first], triangles[second, 2:]], axis=1)
 
 
 def triangle_connected_components(

@@ -76,12 +76,11 @@ def build_local_index(
     estimator = resolve_local_options(theta, estimator)
     csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
     index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
-    rows = np.asarray(index.triangles, dtype=np.int64).reshape(len(index.triangles), 3)
     params = {"estimator": estimator.name}
     params.update(_engine_params(kernel))
     return NucleusIndex.from_triangle_arrays(
         csr,
-        rows,
+        index.triangles,
         scores,
         _nucleus_level_groups(scores, index),
         mode="local",

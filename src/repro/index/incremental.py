@@ -217,6 +217,11 @@ def _canonicalise(
     return normalized, inserted, deleted, changed, added_probabilities
 
 
+def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Composite keys ``(u·n + v)·n + w`` of vertex-id triples, sorted with their rows."""
+    return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+
+
 def _pairs_touching(rows: np.ndarray, edge_keys: np.ndarray, n: int) -> np.ndarray:
     """Mask of rows (vertex triples or quadruples) containing a listed edge."""
     count = rows.shape[0]
@@ -236,10 +241,8 @@ def _pairs_touching(rows: np.ndarray, edge_keys: np.ndarray, n: int) -> np.ndarr
 
 def _rebase_scores_and_seeds(
     old_index,
-    old_rows: np.ndarray,
     old_scores: np.ndarray,
     new_index,
-    new_rows: np.ndarray,
     n: int,
     inserted: np.ndarray,
     deleted: np.ndarray,
@@ -263,13 +266,11 @@ def _rebase_scores_and_seeds(
     copy the old component aggregates instead of recomputing them.
     """
 
-    def triple_keys(rows: np.ndarray) -> np.ndarray:
-        return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
-
-    new_keys = triple_keys(new_rows)
+    old_rows, new_rows = old_index.triangles, new_index.triangles
+    new_keys = _triple_keys(new_rows, n)
     num_new = new_rows.shape[0]
     if old_rows.shape[0]:
-        old_keys = triple_keys(old_rows)
+        old_keys = _triple_keys(old_rows, n)
         positions = np.clip(np.searchsorted(old_keys, new_keys), 0, old_keys.size - 1)
         survived = old_keys[positions] == new_keys
         base = np.where(survived, old_scores[positions], -1).astype(np.int64)
@@ -289,12 +290,12 @@ def _rebase_scores_and_seeds(
     reusable = survived & ~repriced_triangles
     seed_mask = ~survived
     seed_mask |= repriced_triangles
-    new_quads = clique_vertex_rows(new_index, new_rows)
+    new_quads = clique_vertex_rows(new_index)
     quad_mask = _pairs_touching(new_quads, repriced, n)
     if quad_mask.any():
         seed_mask[new_index.clique_triangles[quad_mask].ravel()] = True
     if removed.size and num_new:
-        old_quads = clique_vertex_rows(old_index, old_rows)
+        old_quads = clique_vertex_rows(old_index)
         dead = _pairs_touching(old_quads, removed, n)
         if dead.any():
             quads = old_quads[dead]
@@ -312,7 +313,7 @@ def _rebase_scores_and_seeds(
             triples = triples[~_pairs_touching(triples, removed, n)]
             if triples.size:
                 triples = np.unique(triples, axis=0)
-                keys = triple_keys(triples)
+                keys = _triple_keys(triples, n)
                 positions = np.clip(np.searchsorted(new_keys, keys), 0, num_new - 1)
                 found = new_keys[positions] == keys
                 seed_mask[positions[found]] = True
@@ -459,12 +460,10 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
     state = getattr(index, "_incremental_state", None)
     if state is None:
         tri_index = build_triangle_extension_index(csr)
-        rows = np.asarray(tri_index.triangles, dtype=np.int64).reshape(-1, 3)
         scores = index.arrays["triangle_scores"]
         cached_groups = None
     else:
         tri_index = state["tri_index"]
-        rows = state["rows"]
         scores = state["scores"]
         cached_groups = state.get("level_groups")
 
@@ -472,20 +471,11 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
     removed_all = np.vstack([deleted, changed])
     added_all = np.vstack([inserted, changed])
     new_csr = csr.with_edge_deltas(removed_all, added_all, added_p)
-    new_tri_index = delta_triangle_extension_index(
-        tri_index, new_csr, inserted, deleted, rows
-    )
-    new_rows = (
-        np.asarray(new_tri_index.triangles, dtype=np.int64).reshape(-1, 3)
-        if structural
-        else rows  # probability-only batches keep the triangle set
-    )
+    new_tri_index = delta_triangle_extension_index(tri_index, new_csr, inserted, deleted)
     base, seeds, reusable = _rebase_scores_and_seeds(
         tri_index,
-        rows,
         scores,
         new_tri_index,
-        new_rows,
         new_csr.num_vertices,
         inserted,
         deleted,
@@ -504,13 +494,12 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
     else:
         level_groups = _nucleus_level_groups(new_scores, new_tri_index)
         n = new_csr.num_vertices
-
-        def triple_keys(r: np.ndarray) -> np.ndarray:
-            return (r[:, 0] * n + r[:, 1]) * n + r[:, 2]
-
         clean = reusable & (new_scores == base)
         comp_reuse = _component_reuse_hook(
-            index, triple_keys(rows), triple_keys(new_rows), clean
+            index,
+            _triple_keys(tri_index.triangles, n),
+            _triple_keys(new_tri_index.triangles, n),
+            clean,
         )
         # Direct _build call: the delta enumeration hands over canonical
         # arrays by construction, so from_triangle_arrays' sortedness
@@ -518,7 +507,7 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
         # the previous revision's JSON-safe label list is reused as-is.
         result = NucleusIndex._build(
             new_csr,
-            new_rows,
+            new_tri_index.triangles,
             np.ascontiguousarray(new_scores, dtype=np.int64),
             level_groups,
             "local",
@@ -530,7 +519,6 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
     result._incremental_state = {
         "csr": new_csr,
         "tri_index": new_tri_index,
-        "rows": new_rows,
         "scores": new_scores,
         "level_groups": level_groups,
     }

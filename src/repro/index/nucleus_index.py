@@ -54,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch import build_triangle_extension_index
 from repro.core.components import _nucleus_level_groups
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import label_triangles
@@ -538,13 +537,13 @@ class NucleusIndex:
     ) -> "NucleusIndex":
         """Snapshot a :class:`LocalNucleusDecomposition` (every level 0…max_score).
 
-        The scores are read onto the triangle rows of the result graph's
-        engine index and grouped on its arrays, as in
+        The scores are read onto the triangle rows of the result's engine
+        index (:attr:`~repro.core.result.LocalNucleusDecomposition.engine_index`,
+        the peel's own for a fresh result) and grouped on its arrays, as in
         :func:`~repro.index.builders.build_local_index`.  They must cover
         exactly the graph's triangles, else :class:`InvalidParameterError`.
         """
-        csr = result.graph.to_csr()
-        index = build_triangle_extension_index(csr)
+        csr, index = result.engine_index
         scores = result.scores
         try:
             values = np.fromiter(
@@ -560,11 +559,10 @@ class NucleusIndex:
             raise InvalidParameterError(
                 "the result's scores name triangles its graph does not have"
             )
-        rows = np.asarray(index.triangles, dtype=np.int64).reshape(-1, 3)
         groups = _nucleus_level_groups(values, index)
         merged = {"estimator": result.estimator_name}
         merged.update(params or {})
-        return cls._build(csr, rows, values, groups, "local", result.theta, merged)
+        return cls._build(csr, index.triangles, values, groups, "local", result.theta, merged)
 
     @classmethod
     def from_nuclei(

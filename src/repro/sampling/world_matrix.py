@@ -8,13 +8,16 @@ world, and re-enumerates its triangles and 4-cliques from scratch.
 
 This module replaces that with an array-backed pipeline:
 
-1. :class:`CandidateWorldIndex` compiles a candidate subgraph once into flat
-   numpy arrays over the CSR edge list: the ``m`` undirected edges with their
+1. :class:`CandidateWorldIndex` holds a candidate subgraph as flat numpy
+   arrays over the CSR edge list: the ``m`` undirected edges with their
    probabilities, every triangle as three edge columns, every 4-clique as six
    edge columns, and the triangle ⇄ 4-clique incidence in both directions.
-   :meth:`CandidateWorldIndex.restrict` cuts the index of an edge subgraph
-   out of a compiled graph's arrays, equal to compiling that subgraph, so
-   Algorithm 2 compiles only the union of its candidates.
+   :meth:`CandidateWorldIndex.from_engine_index` builds the index of a whole
+   graph around the incidence arrays its local decomposition's peel already
+   holds, and :meth:`CandidateWorldIndex.restrict` cuts the index of an edge
+   subgraph out of it, equal to compiling that subgraph; so Algorithms 2 and
+   3 compile no candidate.  :meth:`CandidateWorldIndex.from_graph` compiles a
+   standalone subgraph.
 2. :func:`sample_world_matrix` draws **all** ``n`` worlds with a single RNG
    call, as an ``(n_worlds, n_edges)`` boolean matrix — world ``i`` contains
    edge ``j`` iff ``worlds[i, j]``.
@@ -58,11 +61,10 @@ import numpy as np
 
 from repro.deterministic.cliques import (
     Triangle,
-    _members_of_sorted_mask,
+    clique_arrays_csr,
+    cliques_from_members,
     concatenated_rows,
-    forward_adjacency_csr,
     label_triangles,
-    triangle_arrays_csr,
 )
 from repro.exceptions import InvalidParameterError, check_level
 from repro.graph.csr import CSRProbabilisticGraph
@@ -144,10 +146,18 @@ def sample_world_matrix(
 
 #: Vertex positions, within a triangle or 4-clique row, of its edges and of a
 #: 4-clique's member triangles: the operands of the composite keys that
-#: :meth:`CandidateWorldIndex._from_structures` resolves by binary search.
+#: :class:`CandidateWorldIndex` resolves by binary search.
 _TRIANGLE_EDGES = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 _CLIQUE_EDGES = (np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]))
 _CLIQUE_TRIANGLES = (np.array([0, 0, 0, 1]), np.array([1, 1, 2, 2]), np.array([2, 3, 3, 3]))
+
+
+def _keys(rows: np.ndarray, columns: tuple, n: int) -> np.ndarray:
+    """Composite keys ``(rows[:, c0]·n + rows[:, c1])·n + …`` of the columns."""
+    key = rows.take(columns[0], axis=1)
+    for column in columns[1:]:
+        key = key * n + rows.take(column, axis=1)
+    return key
 
 
 @dataclass
@@ -196,38 +206,33 @@ class CandidateWorldIndex:
     def from_graph(
         cls, graph: "ProbabilisticGraph | CSRProbabilisticGraph"
     ) -> "CandidateWorldIndex":
-        """Compile a candidate subgraph into the flat verification index.
+        """Compile a standalone subgraph into the flat verification index.
 
-        Triangles come from the ordered-merge CSR enumeration
-        (:func:`~repro.deterministic.cliques.triangle_arrays_csr`); 4-cliques
-        are found by extending every triangle ``(u, v, w)`` with the forward
-        neighbors of ``w`` that close both remaining edges — the same batched
-        technique :mod:`repro.core.batch` uses.  Both come out in
-        lexicographic row order, as :meth:`_from_structures` expects.
+        Triangles and 4-cliques come from the one batched enumeration
+        (:func:`~repro.deterministic.cliques.clique_arrays_csr`), in the
+        lexicographic row order :meth:`_from_structures` expects.
         """
         csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
-        n = csr.num_vertices
-        edge_u, edge_v, edge_probabilities = csr.undirected_edge_arrays()
-        # Composite keys u·n + v are globally sorted (rows ascend, neighbor
-        # ids ascend within a row), so membership is a binary search.
-        edge_keys = edge_u * n + edge_v
-        forward = forward_adjacency_csr(csr)
-        u_ids, v_ids, w_ids = triangle_arrays_csr(csr, forward=forward)
-
-        # --- batched 4-clique enumeration (cf. repro.core.batch) ---------- #
-        candidates, sizes = concatenated_rows(*forward, w_ids)
-        owner = np.repeat(np.arange(u_ids.size, dtype=np.int64), sizes)
-        for endpoint in (v_ids, u_ids):
-            keep = _members_of_sorted_mask(endpoint[owner] * n + candidates, edge_keys)
-            owner, candidates = owner[keep], candidates[keep]
-
         return cls._from_structures(
+            list(csr.vertex_labels), *csr.undirected_edge_arrays(), *clique_arrays_csr(csr)
+        )
+
+    @classmethod
+    def from_engine_index(cls, csr: CSRProbabilisticGraph, index) -> "CandidateWorldIndex":
+        """The index of the whole graph ``csr``, around its peel's incidence arrays.
+
+        ``index`` is the :class:`~repro.core.batch.CSRTriangleIndex` of
+        ``csr``; its ``triangles``, ``clique_triangles``, ``tri_clique_indptr``
+        and ``tri_cliques`` are shared, unchanged, as the arrays
+        :meth:`from_graph` of ``csr`` would compute.  Only the 4-cliques and
+        the edge columns are computed, and no triangle key is formed.
+        """
+        return cls._with_edge_columns(
             list(csr.vertex_labels),
-            edge_u,
-            edge_v,
-            edge_probabilities,
-            np.stack([u_ids, v_ids, w_ids], axis=1),
-            np.stack([u_ids[owner], v_ids[owner], w_ids[owner], candidates], axis=1),
+            csr.undirected_edge_arrays(),
+            index.triangles,
+            cliques_from_members(index.triangles, index.clique_triangles),
+            (index.clique_triangles, index.tri_clique_indptr, index.tri_cliques),
         )
 
     def restrict(self, edge_mask: np.ndarray) -> "CandidateWorldIndex":
@@ -311,42 +316,60 @@ class CandidateWorldIndex:
 
         ``triangles`` (``(t, 3)``) and ``cliques`` (``(q, 4)``) hold sorted
         vertex ids, rows in lexicographic order; edges are sorted by
-        ``(u, v)``.  Every column reference — the edge columns of triangles
-        and 4-cliques, the four member triangles of each 4-clique — is
-        resolved by binary search over composite keys, and the triangle →
-        4-clique lists are the member triangles scattered by one stable
-        argsort.
+        ``(u, v)``.  The four member triangles of each 4-clique are resolved
+        by binary search over composite keys, and the triangle → 4-clique
+        lists are the member triangles scattered by one stable argsort.
         """
         n = len(labels)
-
-        def keys(rows: np.ndarray, columns: tuple) -> np.ndarray:
-            """Composite keys ``(rows[:, c0]·n + rows[:, c1])·n + …`` of the columns."""
-            key = rows.take(columns[0], axis=1)
-            for column in columns[1:]:
-                key = key * n + rows.take(column, axis=1)
-            return key
-
-        edge_keys = edge_u * n + edge_v
         clique_triangles = np.searchsorted(
-            keys(triangles, (0, 1, 2)), keys(cliques, _CLIQUE_TRIANGLES)
+            _keys(triangles, (0, 1, 2), n), _keys(cliques, _CLIQUE_TRIANGLES, n)
         )
         member_rows = clique_triangles.ravel()
         counts = np.bincount(member_rows, minlength=triangles.shape[0])
         tri_clique_indptr = np.zeros(triangles.shape[0] + 1, dtype=np.int64)
         np.cumsum(counts, out=tri_clique_indptr[1:])
         clique_ids = np.repeat(np.arange(cliques.shape[0], dtype=np.int64), 4)
+        tri_clique_indices = clique_ids[np.argsort(member_rows, kind="stable")]
+        return cls._with_edge_columns(
+            labels,
+            (edge_u, edge_v, edge_probabilities),
+            triangles,
+            cliques,
+            (clique_triangles, tri_clique_indptr, tri_clique_indices),
+        )
+
+    @classmethod
+    def _with_edge_columns(
+        cls,
+        labels: list,
+        edges: tuple,
+        triangles: np.ndarray,
+        cliques: np.ndarray,
+        incidence: tuple,
+    ) -> "CandidateWorldIndex":
+        """Build the index, resolving the edge columns of every triangle and 4-clique.
+
+        ``edges`` is ``(edge_u, edge_v, edge_probabilities)``, sorted by
+        ``(u, v)``, and ``incidence`` is ``(clique_triangles,
+        tri_clique_indptr, tri_clique_indices)``.  A column is found by binary
+        search of its vertex pair's key ``u·n + v``.
+        """
+        n = len(labels)
+        edge_u, edge_v, edge_probabilities = edges
+        clique_triangles, tri_clique_indptr, tri_clique_indices = incidence
+        edge_keys = edge_u * n + edge_v
         return cls(
             labels=labels,
             edge_u=edge_u,
             edge_v=edge_v,
             edge_probabilities=edge_probabilities,
             triangles=triangles,
-            triangle_edges=np.searchsorted(edge_keys, keys(triangles, _TRIANGLE_EDGES)),
+            triangle_edges=np.searchsorted(edge_keys, _keys(triangles, _TRIANGLE_EDGES, n)),
             cliques=cliques,
-            clique_edges=np.searchsorted(edge_keys, keys(cliques, _CLIQUE_EDGES)),
+            clique_edges=np.searchsorted(edge_keys, _keys(cliques, _CLIQUE_EDGES, n)),
             clique_triangles=clique_triangles,
             tri_clique_indptr=tri_clique_indptr,
-            tri_clique_indices=clique_ids[np.argsort(member_rows, kind="stable")],
+            tri_clique_indices=tri_clique_indices,
         )
 
     def sample(

@@ -78,9 +78,9 @@ def weak_nucleus_decomposition(
     if local_result is None:
         local_result = local_nucleus_decomposition(graph, theta, estimator)
 
-    def qualifying(subgraph: ProbabilisticGraph) -> tuple[CandidateWorldIndex, np.ndarray]:
-        scores = triangle_weak_scores(subgraph, k, n_samples, stream)
-        index = CandidateWorldIndex.from_graph(subgraph)
+    def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
+        scores = triangle_weak_scores(nucleus.subgraph, k, n_samples, stream)
+        index = CandidateWorldIndex.from_graph(nucleus.subgraph)
         mask = [scores[t] >= theta for t in index.triangle_labels()]
         return index, np.array(mask, dtype=bool)
 

@@ -152,7 +152,7 @@ class TestCSRCliques:
         def relabel(ids):
             return tuple(labels[i] for i in ids)
 
-        triangles = [relabel(t) for t in index.triangles]
+        triangles = [relabel(t) for t in index.triangles.tolist()]
         assert set(triangles) == set(by_triangle)
         indptr = index.tri_clique_indptr
         for row, triangle in enumerate(triangles):
@@ -166,7 +166,7 @@ class TestCSRCliques:
     def test_common_neighbors_matches_dict(self, four_clique_graph):
         csr = four_clique_graph.to_csr()
         index = build_triangle_extension_index(csr)
-        row = index.triangles.index((0, 1, 2))
+        row = index.triangles.tolist().index([0, 1, 2])
         indptr = index.tri_clique_indptr
         completing = index.tri_completing[indptr[row]:indptr[row + 1]]
         assert completing.tolist() == [3]

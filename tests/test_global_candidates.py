@@ -1,20 +1,26 @@
-"""The id-space candidate loop of Algorithm 2 against the label-space loop.
+"""The id-space candidate loops of Algorithms 2 and 3 against the label-space loops.
 
-:func:`repro.core.global_nucleus._verified_nuclei` compiles the union ``C``
+Global and weak verify every candidate on a restriction of the local
+result's world index of the whole graph
+(:meth:`~repro.core.result.LocalNucleusDecomposition.candidate_index`), which
+shares the peel's triangle ⇄ 4-clique arrays.
+:func:`repro.core.global_nucleus._verified_nuclei` restricts the union ``C``
 of the local nuclei once, grows every candidate as a 4-clique-id closure
 over ``C``'s arrays (:func:`~repro.core.global_nucleus._closure_ids`) and
 verifies it on :meth:`CandidateWorldIndex.restrict` of ``C``'s index.  These
 tests pin each step to the label-space loop kept in ``oracle.global_nucleus``:
-the closure to :func:`~repro.core.global_nucleus.candidate_closure`, the
-restriction to a compile of the candidate subgraph, and the sampled answers
-to the label-space loop driven by the production verifier on an identically
-seeded generator.  The weak driver's array grouping is pinned to the dict
-4-clique components.
+the closure to :func:`~repro.core.global_nucleus.candidate_closure`, every
+restriction to a compile of its subgraph, and the sampled answers to the
+label-space loop driven by the production verifier on an identically seeded
+generator.  The weak driver's array grouping is pinned to the dict 4-clique
+components, and the tier-2 :class:`TestAnswerPins` pins the sampled answers
+of both drivers.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -32,7 +38,8 @@ from repro.core.global_nucleus import (
     validate_sampling_options,
 )
 from repro.core.local import local_nucleus_decomposition
-from repro.core.weak_nucleus import _weak_nuclei
+from repro.core.result import LocalNucleusDecomposition
+from repro.core.weak_nucleus import _weak_nuclei, weak_nucleus_decomposition
 from repro.deterministic.cliques import (
     canonical_four_clique,
     triangle_clique_index,
@@ -45,10 +52,13 @@ from repro.graph.generators import (
     planted_nucleus_graph,
 )
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.index.builders import build_local_index, local_result_from_index
 from repro.sampling.adaptive import adaptive_global_verify
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
+
+DRIVERS = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
 
 #: ``planted_nucleus_graph`` arguments of the full-size verify graphs of the
 #: repo benchmark (``perfbench/inputs.py``).
@@ -105,11 +115,13 @@ def two_mixed_k4s() -> ProbabilisticGraph:
 
 
 @functools.lru_cache(maxsize=None)
-def _case(name: str) -> tuple[ProbabilisticGraph, float, object]:
+def _case(name: str) -> tuple[ProbabilisticGraph, float, LocalNucleusDecomposition]:
     """``(graph, θ, local decomposition)``: θ = 0.1 on the tiny datasets, the
-    benchmark's 0.3 on its graphs."""
+    benchmark's 0.3 on its graphs, 0.35 on ``two_mixed_k4s``."""
     if name in TINY:
         graph, theta = load_dataset(name, scale="tiny"), 0.1
+    elif name == "two-mixed-k4s":
+        graph, theta = two_mixed_k4s(), 0.35
     else:
         graph, theta = _perfbench_graph(name), 0.3
     return graph, theta, local_nucleus_decomposition(graph, theta)
@@ -129,24 +141,27 @@ def _edge_pairs(index: CandidateWorldIndex) -> list[tuple]:
     ]
 
 
+#: Every array of a :class:`CandidateWorldIndex`.
+_INDEX_ARRAYS = (
+    "edge_u",
+    "edge_v",
+    "edge_probabilities",
+    "triangles",
+    "triangle_edges",
+    "cliques",
+    "clique_edges",
+    "clique_triangles",
+    "tri_clique_indptr",
+    "tri_clique_indices",
+)
+
+
 def _assert_same_index(restricted: CandidateWorldIndex, compiled: CandidateWorldIndex):
     assert restricted.labels == compiled.labels
-    for field in ("edge_u", "edge_v", "edge_probabilities", "triangles", "triangle_edges"):
+    for field in _INDEX_ARRAYS:
         got, want = getattr(restricted, field), getattr(compiled, field)
         assert got.dtype == want.dtype, field
         assert np.array_equal(got, want), field
-
-    def cliques(index):
-        return {
-            (tuple(row), tuple(edges), tuple(triangles))
-            for row, edges, triangles in zip(
-                index.cliques.tolist(),
-                index.clique_edges.tolist(),
-                index.clique_triangles.tolist(),
-            )
-        }
-
-    assert cliques(restricted) == cliques(compiled)
 
 
 class TestClosure:
@@ -203,6 +218,24 @@ class TestRestriction:
         edges = [pair for pair, keep in zip(pairs, ints) if keep]
         _assert_same_index(restricted, CandidateWorldIndex.from_graph(graph.edge_subgraph(edges)))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", TINY + tuple(PERFBENCH) + ("two-mixed-k4s",))
+    def test_local_nuclei_restrict_from_the_results_world_index(self, name, k):
+        graph, _, local = _case(name)
+        world = local.world_index
+        _assert_same_index(world, CandidateWorldIndex.from_graph(graph))
+        _, engine = local.engine_index
+        assert world.triangles is engine.triangles
+        assert world.clique_triangles is engine.clique_triangles
+        assert world.tri_clique_indptr is engine.tri_clique_indptr
+        assert world.tri_clique_indices is engine.tri_cliques
+        nuclei = local.nuclei(k)
+        for nucleus in nuclei:
+            compiled = CandidateWorldIndex.from_graph(nucleus.subgraph)
+            _assert_same_index(local.candidate_index(nucleus.triangles), compiled)
+        union = local.candidate_index(t for nucleus in nuclei for t in nucleus.triangles)
+        _assert_same_index(union, CandidateWorldIndex.from_graph(union_of_nuclei(nuclei)))
+
     def test_empty_mask_restricts_to_an_empty_index(self):
         index = CandidateWorldIndex.from_graph(two_mixed_k4s())
         empty = index.restrict(np.zeros(index.num_edges, dtype=bool))
@@ -248,20 +281,44 @@ class TestStreamParity:
         assert len(answers) > 1  # borderline candidates: the stream decides
 
 
+def _local_result(kind: str, graph, theta, fresh) -> LocalNucleusDecomposition | None:
+    """The ``local_result=`` of a driver call: none, ``fresh``, or a result equal
+    to ``fresh`` that carries no engine index (``"from-index"``, ``"hand-built"``)."""
+    if kind == "fresh":
+        return fresh
+    if kind == "from-index":
+        return local_result_from_index(build_local_index(graph, theta))
+    if kind == "hand-built":
+        return LocalNucleusDecomposition(graph, theta, dict(fresh.scores), "dp")
+    return None
+
+
 class TestCallCounts:
-    def test_one_compile_per_decomposition(self, monkeypatch):
-        graph, theta, local = _case("flickr")
-        compiles = []
+    @pytest.mark.parametrize("mode", ["global", "weak"])
+    @pytest.mark.parametrize("kind,compiles", [("none", 1), ("fresh", 0), ("from-index", 1)])
+    def test_compiles_per_decomposition(self, monkeypatch, mode, kind, compiles):
+        # The local result's engine index is the only compile: no candidate,
+        # not even the union C, is compiled through from_graph.
+        graph, theta, fresh = _case("flickr")
+        local = _local_result(kind, graph, theta, fresh)
+        calls = Counter()
+        to_csr = ProbabilisticGraph.to_csr
         from_graph = CandidateWorldIndex.from_graph.__func__
 
-        def counting(cls, candidate):
-            compiles.append(candidate)
+        def counting_to_csr(self):
+            calls["to_csr"] += 1
+            return to_csr(self)
+
+        @classmethod
+        def counting_from_graph(cls, candidate):
+            calls["from_graph"] += 1
             return from_graph(cls, candidate)
 
-        monkeypatch.setattr(CandidateWorldIndex, "from_graph", classmethod(counting))
-        nuclei = global_nucleus_decomposition(graph, 1, theta, seed=3, local_result=local)
+        monkeypatch.setattr(ProbabilisticGraph, "to_csr", counting_to_csr)
+        monkeypatch.setattr(CandidateWorldIndex, "from_graph", counting_from_graph)
+        nuclei = DRIVERS[mode](graph, 1, theta, seed=3, local_result=local)
         assert nuclei
-        assert len(compiles) == 1
+        assert (calls["to_csr"], calls["from_graph"]) == (compiles, 0)
 
     def test_subgraphs_only_for_accepted_candidates(self, monkeypatch):
         graph, theta, local = _case("flickr")
@@ -285,7 +342,7 @@ class TestCallCounts:
             return edge_subgraph(self, edges)
 
         monkeypatch.setattr(ProbabilisticGraph, "edge_subgraph", counting)
-        nuclei = _verified_nuclei(graph, local_nuclei, 1, theta, verify)
+        nuclei = _verified_nuclei(graph, local, local_nuclei, 1, theta, verify)
         assert nuclei and len(accepted) < len(verified)
         assert len(subgraphs) == len(accepted)
 
@@ -300,7 +357,8 @@ class TestWeakGrouping:
         rng = random.Random(f"{name}-{k}")
         expected = Counter()
 
-        def qualifying(subgraph):
+        def qualifying(nucleus):
+            subgraph = nucleus.subgraph
             index = CandidateWorldIndex.from_graph(subgraph)
             mask = np.array([rng.random() < 0.6 for _ in range(index.num_triangles)], bool)
             chosen = {t for t, keep in zip(index.triangle_labels(), mask) if keep}
@@ -313,3 +371,113 @@ class TestWeakGrouping:
 
         nuclei = _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)
         assert Counter(nucleus.triangles for nucleus in nuclei) == expected
+
+
+class TestResultsWithoutEngineIndex:
+    @pytest.mark.parametrize("mode", ["global", "weak"])
+    @pytest.mark.parametrize("kind", ["from-index", "hand-built"])
+    def test_same_nuclei_as_the_fresh_result(self, mode, kind):
+        # These results build their engine index from their graph on first
+        # use; it must be the index the fresh result's peel ran on.
+        graph, theta, fresh = _case("flickr")
+        local = _local_result(kind, graph, theta, fresh)
+        expected = DRIVERS[mode](graph, 1, theta, seed=3, local_result=fresh)
+        assert expected
+        assert DRIVERS[mode](graph, 1, theta, seed=3, local_result=local) == expected
+
+
+def _answer_digest(nuclei) -> str:
+    """sha256 of an answer's canonical form, nucleus by nucleus in output order.
+
+    A nucleus contributes its sorted triangles and its sorted edges with
+    their probabilities (sorted by ``repr``, which orders mixed labels).
+    """
+    canonical = [
+        (sorted(map(repr, nucleus.triangles)), sorted(map(repr, nucleus.subgraph.edges())))
+        for nucleus in nuclei
+    ]
+    return hashlib.sha256(repr(canonical).encode()).hexdigest()
+
+
+#: Answer digests of the benchmark verify graphs at θ = 0.3 and seeds 1–3,
+#: keyed by (graph, mode, k, sampling); one local result per graph.
+PERFBENCH_ANSWERS = {
+    ("perfbench-flickr", "global", 1, "fixed"): (
+        "1c2dfc975585e4a5368c3cb73edb94fb81f89051419946f1c415460969060834",
+        "1eba8aa5bd8e30328fcf5da3e77d96697a8d5b3336fa3f1dff1569f5d17f7064",
+        "e92e15706c7873508461591663fc299fdb849aed6c37f91b814b78ea4163c509",
+    ),
+    ("perfbench-flickr", "global", 1, "adaptive"): (
+        "7eccd914daf162f9acb316f11f054ed95902813f5b18e704674d639c589a7326",
+        "c500bbd7f045eea5a1ef32b9d6b0ee9c0bfcf3f9f9eed62604a4e529af1f4798",
+        "06fedc92eef2dd2c4932ed3bc57e91a00e98b4c1e7ea311d3da045dc0fe25664",
+    ),
+    ("perfbench-flickr", "weak", 1, "fixed"): (
+        "0b5917e8810e02320f8bf54adac8dca55a7326e8c6b0db2bad3ba81970081c30",
+    )
+    * 3,
+    ("perfbench-flickr", "weak", 1, "adaptive"): (
+        "0b5917e8810e02320f8bf54adac8dca55a7326e8c6b0db2bad3ba81970081c30",
+    )
+    * 3,
+    ("perfbench-flickr", "weak", 2, "fixed"): (
+        "6fe41a0f7c102f4c5b2832ccdc329bda9fa72e2352af868850cea23d82080e85",
+        "cd2d0d9968ac2a0645681f1d29efa6e28e467a241ab7ae36272d7337318ed8b8",
+        "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
+    ),
+    ("perfbench-flickr", "weak", 2, "adaptive"): (
+        "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
+        "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
+        "cd2d0d9968ac2a0645681f1d29efa6e28e467a241ab7ae36272d7337318ed8b8",
+    ),
+    ("perfbench-dense", "global", 2, "fixed"): (
+        "f3f46b6c33253ef60e8ef1f634d8ba724388f1ca462b677a1af526830c7428c3",
+    )
+    * 3,
+    ("perfbench-dense", "global", 2, "adaptive"): (
+        "f3f46b6c33253ef60e8ef1f634d8ba724388f1ca462b677a1af526830c7428c3",
+    )
+    * 3,
+}
+
+#: The four answers ``two_mixed_k4s`` takes at θ = 0.35, k = 1 and 20 worlds:
+#: no K4, the int K4, the str K4, and both (int K4 first).
+MIXED_ANSWERS = (
+    "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "124e7ab29a2f6417a3745dfb54b924a812c52a0f6e575152d127102cea5115b5",
+    "52173a3ebf99eab663d2319d23f539cf127009e540b649f4e00e202479782299",
+    "ce8b76c1494e30a941edfe56949c7dda47d66ff308e42374f85c545e97d502f3",
+)
+
+#: Per seed 0–39, the position in MIXED_ANSWERS of each driver's answer.
+MIXED_PINS = {
+    "global": "2023030113330212330313213210223133133333",
+    "weak": "2023030113330212330313213210223133133333",
+}
+
+
+@pytest.mark.tier2
+class TestAnswerPins:
+    """Sampled answers of both drivers, pinned across changes that must not move them.
+
+    A change that moves answers on purpose re-pins them and lists the moved
+    pins in its change notes.  Global k = 2 on the flickr graph is left out:
+    it verifies one edge set many times, which makes it more than ten times
+    slower than global k = 1.
+    """
+
+    @pytest.mark.parametrize("name,mode,k,sampling", sorted(PERFBENCH_ANSWERS))
+    def test_benchmark_graphs(self, name, mode, k, sampling):
+        graph, theta, local = _case(name)
+        driver = functools.partial(DRIVERS[mode], graph, k, theta, local_result=local)
+        answers = tuple(
+            _answer_digest(driver(seed=seed, sampling=sampling)) for seed in (1, 2, 3)
+        )
+        assert answers == PERFBENCH_ANSWERS[name, mode, k, sampling]
+
+    @pytest.mark.parametrize("mode", sorted(MIXED_PINS))
+    def test_mixed_labels(self, mode):
+        graph, theta, local = _case("two-mixed-k4s")
+        driver = functools.partial(DRIVERS[mode], graph, 1, theta, local_result=local)
+        answers = [_answer_digest(driver(n_samples=20, seed=seed)) for seed in range(40)]
+        assert answers == [MIXED_ANSWERS[int(i)] for i in MIXED_PINS[mode]]

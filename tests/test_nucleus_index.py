@@ -28,6 +28,7 @@ from repro.exceptions import (
 )
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
 from repro.experiments.pipeline import DecompositionCache
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
@@ -270,6 +271,16 @@ class TestDirectArraySnapshot:
         direct = build_local_index(graph, THETA)
         assert direct == NucleusIndex.from_local_result(result)
         assert direct == oracle.dict_snapshot(result)
+
+    def test_csr_input_snapshots_in_canonical_label_order(self, planted):
+        csr = planted.to_csr()
+        # The same arrays under descending labels: ids out of label order.
+        relabelled = CSRProbabilisticGraph(
+            csr.indptr, csr.indices, csr.probabilities, [-i for i in range(csr.num_vertices)]
+        )
+        result = local_nucleus_decomposition(relabelled, THETA)
+        expected = build_local_index(relabelled.to_probabilistic(), THETA)
+        assert NucleusIndex.from_local_result(result) == expected
 
     def test_csr_and_dict_backends_agree_on_arrays(self, planted):
         direct = build_local_index(planted, THETA)

@@ -67,7 +67,7 @@ def engine_scores(graph: ProbabilisticGraph, theta: float, repair=None) -> dict:
     labels = csr.vertex_labels
     return {
         (labels[u], labels[v], labels[w]): score
-        for (u, v, w), score in zip(index.triangles, scores.tolist())
+        for (u, v, w), score in zip(index.triangles.tolist(), scores.tolist())
     }
 
 
@@ -292,7 +292,7 @@ class TestKappaRepairHooks:
         expected = nucleus_decomposition(graph)
         labels = csr.vertex_labels
         assert scores.tolist() == [
-            expected[(labels[u], labels[v], labels[w])] for u, v, w in index.triangles
+            expected[(labels[u], labels[v], labels[w])] for u, v, w in index.triangles.tolist()
         ]
 
 
@@ -556,16 +556,14 @@ def repair_inputs(graph, batch, make_repair, initial_kappas):
     """
     csr = graph.to_csr()
     old = build_triangle_extension_index(csr)
-    old_rows = np.asarray(old.triangles, dtype=np.int64).reshape(-1, 3)
     _, inserted, deleted, changed, added = _canonicalise(csr, batch)
     new_csr = csr.with_edge_deltas(
         np.vstack([deleted, changed]), np.vstack([inserted, changed]), added
     )
     new = build_triangle_extension_index(new_csr)
-    new_rows = np.asarray(new.triangles, dtype=np.int64).reshape(-1, 3)
     old_scores = peel_kappa_scores(old, initial_kappas(old), make_repair(old))
     base, seeds, _ = _rebase_scores_and_seeds(
-        old, old_rows, old_scores, new, new_rows, csr.num_vertices, inserted, deleted, changed
+        old, old_scores, new, csr.num_vertices, inserted, deleted, changed
     )
     return new, base, seeds
 
