@@ -39,7 +39,6 @@ from repro.core.hybrid import HybridEstimator, HybridParameters
 from repro.core.peel import (
     EstimatorKappaRepair,
     KappaRepair,
-    MonteCarloKappaRepair,
     peel_kappa_scores,
 )
 from repro.core.local import local_nucleus_decomposition
@@ -67,7 +66,6 @@ __all__ = [
     "HybridParameters",
     "KappaRepair",
     "EstimatorKappaRepair",
-    "MonteCarloKappaRepair",
     "peel_kappa_scores",
     "candidate_closure",
     "global_nucleus_decomposition",

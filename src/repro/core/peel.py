@@ -22,10 +22,8 @@ space instead:
   scores depend on the exact repair schedule;
 * score repair is pluggable through :class:`KappaRepair`:
   :class:`EstimatorKappaRepair` wraps any
-  :class:`~repro.core.approximations.SupportEstimator` (exact DP and every
-  §5.3 approximation), and :class:`MonteCarloKappaRepair` estimates the
-  support tail by sampling — so exact, approximate, and Monte-Carlo
-  recomputation all plug into the same loop.
+  :class:`~repro.core.approximations.SupportEstimator`, so the exact DP
+  and every §5.3 approximation plug into the same loop.
 
 The engine produces exactly the scores of the dict-backed reference loop:
 for the exact oracle the peel value of a triangle is the generalized-core
@@ -48,7 +46,7 @@ import numpy as np
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails
 from repro.core.support_dp import NO_VALID_K
-from repro.exceptions import InvalidParameterError, _require_positive_int, check_theta
+from repro.exceptions import InvalidParameterError, check_theta
 from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
@@ -58,7 +56,6 @@ from repro.peeling import LazyMinHeap
 __all__ = [
     "KappaRepair",
     "EstimatorKappaRepair",
-    "MonteCarloKappaRepair",
     "peel_kappa_scores",
     "repair_kappa_scores",
 ]
@@ -181,52 +178,6 @@ class EstimatorKappaRepair(KappaRepair):
             best = _max_k_from_tails(self._probability_array[rows[members]], tails, self.theta)
             kappas[members] = np.minimum(best, present.sum(axis=1))
         return kappas
-
-
-class MonteCarloKappaRepair(KappaRepair):
-    """Repair κ by Monte-Carlo estimation of the support tail.
-
-    Samples ``n_samples`` joint realisations of the surviving extension
-    indicators and uses the empirical tail ``#{samples with ≥ k successes}/n``
-    in place of the exact Poisson-binomial tail.  With all-certain extension
-    probabilities the estimate is exact; otherwise it concentrates around the
-    DP answer at the usual Hoeffding rate.  Deterministic for a fixed seed.
-    """
-
-    name = "monte-carlo"
-
-    def __init__(
-        self,
-        triangle_probabilities: np.ndarray,
-        theta: float,
-        n_samples: int = 200,
-        rng: np.random.Generator | None = None,
-        seed: int | None = None,
-    ) -> None:
-        check_theta(theta)
-        _require_positive_int("n_samples", n_samples)
-        self.theta = theta
-        self.n_samples = n_samples
-        self._triangle_probabilities = triangle_probabilities.tolist()
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-
-    def recompute(self, triangle: int, surviving_probabilities: Sequence[float]) -> int:
-        probability = self._triangle_probabilities[triangle]
-        count = len(surviving_probabilities)
-        if count == 0:
-            return 0 if probability >= self.theta else NO_VALID_K
-        draws = self._rng.random((self.n_samples, count)) < np.asarray(
-            surviving_probabilities
-        )
-        successes = np.bincount(draws.sum(axis=1), minlength=count + 1)
-        tails = np.cumsum(successes[::-1])[::-1] / self.n_samples
-        best = NO_VALID_K
-        for k in range(count + 1):
-            if probability * float(tails[k]) >= self.theta:
-                best = k
-            else:
-                break
-        return best
 
 
 def _postings_of(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -465,14 +416,12 @@ def peel_kappa_scores(
     ``index.triangles`` with values ≥ :data:`~repro.core.support_dp.NO_VALID_K`
     (checked up front, naming ``initial_kappas``).
 
-    ``kernel="numba"`` dispatches to the compiled loops of
-    :mod:`repro.kernels.peel` when the repair supports them: the unit-drop
-    (exact-DP) bucket queue — bit-identical, the Poisson-binomial repair
-    stays in Python behind a batched callback — and the fully-jitted
-    Monte-Carlo lazy heap (distribution-identical; numba draws its own
-    variate stream).  Other repairs — the §5.3 approximated tails, whose
-    scores are trajectory-sensitive — always run the reference numpy loop,
-    as does everything when numba is not installed.
+    ``kernel="numba"`` runs unit-drop (exact-DP) repairs on the compiled
+    bucket queue of :mod:`repro.kernels.peel` — bit-identical, the
+    Poisson-binomial repair stays in Python behind a batched callback.
+    Every other repair — the §5.3 approximated tails, whose scores are
+    trajectory-sensitive — runs the numpy lazy heap, as does everything
+    when numba is not installed.
 
     When observability is on (``REPRO_OBS``), the run is wrapped in a
     ``"peel"`` span (carrying the resolved ``kernel`` and the ``queue``
@@ -486,9 +435,7 @@ def peel_kappa_scores(
     num_triangles = index.num_triangles
     initial_kappas = _checked_scores("initial_kappas", initial_kappas, num_triangles)
     engine = resolve_kernel(kernel)
-    if engine == "numba" and not (
-        repair.unit_drop or isinstance(repair, MonteCarloKappaRepair)
-    ):
+    if engine == "numba" and not repair.unit_drop:
         engine = "numpy"
     if not repair.unit_drop:
         queue = "heap"
@@ -512,20 +459,13 @@ def _peel_kappa_scores_kernel(
     initial_kappas: np.ndarray,
     repair: KappaRepair,
 ) -> np.ndarray:
-    """Drive the compiled peel loops of :mod:`repro.kernels.peel`."""
+    """Drive the compiled bucket queue of :mod:`repro.kernels.peel`."""
     num_triangles = index.num_triangles
     if num_triangles == 0:
         return np.full(0, NO_VALID_K, dtype=np.int64)
     from repro.kernels import peel as kernel_peel
 
-    if repair.unit_drop:
-        scores, repairs, deferrals = kernel_peel.peel_unit_drop(
-            index, initial_kappas, repair
-        )
-    else:
-        scores, repairs, deferrals = kernel_peel.peel_monte_carlo(
-            index, initial_kappas, repair
-        )
+    scores, repairs, deferrals = kernel_peel.peel_unit_drop(index, initial_kappas, repair)
     if obs_config._ENABLED:
         _record_peel_metrics(repair, num_triangles, repairs, deferrals)
     return scores
@@ -651,8 +591,6 @@ def _peel_kappa_scores(
     if obs_config._ENABLED:
         _record_peel_metrics(repair, num_triangles, repairs, 0)
     return scores
-
-
 
 
 #: Bound of a peeled triangle: above every live bound, so ``bound.min()`` is

@@ -101,6 +101,14 @@ def _require_positive_int(name: str, value) -> int:
     return value
 
 
+def _require_sample_count(name: str, value) -> int:
+    """Return ``value`` as an ``int`` if it is a positive integer, numpy integers
+    included (not a ``bool``), else raise naming it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+    return _require_positive_int(name, value)
+
+
 def _require_finite(name: str, value) -> float:
     """Return ``value`` as a ``float`` if it is a finite ``int`` or ``float`` (not a
     ``bool`` or a string), else raise naming it."""

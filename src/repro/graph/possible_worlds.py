@@ -26,7 +26,7 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import InvalidParameterError, _require_sample_count
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 
 __all__ = [
@@ -144,10 +144,9 @@ def sample_worlds(
     Raises
     ------
     InvalidParameterError
-        If ``n_samples`` is not a positive integer.
+        If ``n_samples`` is not a positive integer (numpy integers pass).
     """
-    if n_samples <= 0:
-        raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
+    n_samples = _require_sample_count("n_samples", n_samples)
     if rng is None:
         rng = random.Random(seed)
     return [sample_world(graph, rng=rng) for _ in range(n_samples)]

@@ -13,13 +13,10 @@ missing, :func:`resolve_kernel` falls back to ``"numpy"`` with a single
 peel — the fallback leg of the CI matrix pins that the whole suite stays
 green without numba.
 
-Parity contract (pinned by ``tests/test_kernels.py``):
-
-* **the exact path is bit-identical** — the unit-drop (exact-DP) peel keeps
-  the Poisson-binomial repair in Python behind a batched callback boundary;
-* **Monte-Carlo repair is distribution-identical** — the fully jitted MC
-  peel draws its own variates (numba's MT19937 instead of the repair's
-  PCG64), deterministic for a fixed seed but a different stream.
+Parity contract (pinned by ``tests/test_kernels.py``): the compiled peel is
+**bit-identical** — it runs unit-drop (exact-DP) repairs only, keeping the
+Poisson-binomial repair in Python behind a batched callback boundary; every
+other repair (the §5.3 approximations) runs the numpy lazy heap.
 
 The kernel bodies are written in the numba-compatible subset of Python and
 compiled lazily on first dispatch; :func:`force_interpreted` runs the same

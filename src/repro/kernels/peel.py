@@ -1,29 +1,17 @@
-"""Compiled peel kernels (see :mod:`repro.core.peel` for the reference loop).
+"""Compiled peel kernel (see :mod:`repro.core.peel` for the reference loop).
 
-Two kernels cover the two queue disciplines of the peel engine:
-
-* :func:`peel_unit_drop` — the bucket-queue loop for unit-drop (exact-DP)
-  repairs.  The exact Poisson-binomial repair stays in Python, so the loop
-  is split into a resumable state machine across a *batched callback
-  boundary*: the jitted ``advance`` runs the bucket queue until the front
-  triangle is dirty, gathers its surviving extension probabilities into a
-  preallocated buffer and returns a repair request; the Python driver
-  evaluates ``repair.recompute`` and feeds the exact κ back through the
-  jitted ``feed``, which re-keys the triangle exactly like the reference
-  ``while dirty`` loop.  Because the survivor probabilities cross the
-  boundary as the same Python floats in the same (posting) order, the DP
-  summation — and therefore the final scores — is **bit-identical** to
-  ``kernel="numpy"``.
-
-* :func:`peel_monte_carlo` — the lazy-heap loop for the Monte-Carlo repair,
-  fully jitted including the per-repair sampling.  The heap replicates the
-  reference :class:`repro.peeling.LazyMinHeap` trajectory over the encoded
-  key ``(κ + 1) · num_triangles + t`` (the strict total order of the
-  reference ``(κ, t)`` tuples), but the variates come from numba's MT19937
-  stream instead of the repair's PCG64 generator, so scores agree in
-  *distribution* (bit-exactly on all-certain extension probabilities, where
-  the tail estimate is deterministic).  The kernel seed is drawn from the
-  repair's generator, so a fixed ``seed`` stays fully reproducible.
+:func:`peel_unit_drop` is the bucket-queue loop for unit-drop (exact-DP)
+repairs.  The exact Poisson-binomial repair stays in Python, so the loop is
+split into a resumable state machine across a *batched callback boundary*:
+the jitted ``advance`` runs the bucket queue until the front triangle is
+dirty, gathers its surviving extension probabilities into a preallocated
+buffer and returns a repair request; the Python driver evaluates
+``repair.recompute`` and feeds the exact κ back through the jitted
+``feed``, which re-keys the triangle exactly like the reference ``while
+dirty`` loop.  Because the survivor probabilities cross the boundary as the
+same Python floats in the same (posting) order, the DP summation — and
+therefore the final scores — is **bit-identical** to ``kernel="numpy"``.
+Every other repair (the §5.3 approximations) runs the numpy lazy heap.
 
 The kernel bodies live in a closure factory (:func:`_build`) and are built
 twice on demand: once uncompiled (interpreted parity runs) and once through
@@ -39,14 +27,12 @@ import numpy as np
 
 from repro.core.support_dp import NO_VALID_K
 from repro.kernels import active_jit, record_compile
-from repro.kernels._heap import build_heap
 
-__all__ = ["peel_unit_drop", "peel_monte_carlo"]
+__all__ = ["peel_unit_drop"]
 
 
 def _build(jit):
     """Build the peel kernel set, optionally compiled with ``jit``."""
-    heap_push, heap_pop = build_heap(jit)
 
     def move(m, old, new, order, position, bucket_start):
         # Re-key triangle m from bucket old+1 to bucket new+1 by swapping it
@@ -141,99 +127,12 @@ def _build(jit):
             move(t, kappa[t], exact, order, position, bucket_start)
             kappa[t] = exact
 
-    def mc_recompute(probability, survivors, count, bins, n_samples, theta):
-        # Monte-Carlo tail estimate, mirroring MonteCarloKappaRepair: sample
-        # the surviving extension indicators, histogram the success counts,
-        # scan k upward while probability * tail(k) clears theta.
-        if count == 0:
-            if probability >= theta:
-                return 0
-            return -1
-        for b in range(count + 1):
-            bins[b] = 0
-        for _ in range(n_samples):
-            successes = 0
-            for j in range(count):
-                if np.random.random() < survivors[j]:
-                    successes += 1
-            bins[successes] += 1
-        best = -1
-        remaining = n_samples
-        for k in range(count + 1):
-            # remaining = #samples with >= k successes (the tail at k).
-            if probability * (remaining / n_samples) >= theta:
-                best = k
-            else:
-                break
-            remaining -= bins[k]
-        return best
-
-    def mc_peel(
-        kappa,
-        out,
-        indptr,
-        pair_probabilities,
-        pair_alive,
-        pair_cliques,
-        clique_members,
-        clique_positions,
-        triangle_probabilities,
-        theta,
-        n_samples,
-        seed,
-        survivors,
-        bins,
-        heap,
-        stats,
-    ):
-        np.random.seed(seed)
-        n = kappa.shape[0]
-        processed = np.zeros(n, dtype=np.bool_)
-        size = 0
-        for t in range(n):
-            size = heap_push(heap, size, (kappa[t] + 1) * n + t)
-        level = -1
-        while size > 0:
-            key, size = heap_pop(heap, size)
-            kval = key // n - 1
-            t = key % n
-            if processed[t] or kappa[t] != kval:
-                continue  # stale entry: a fresher one is already queued
-            if kappa[t] > level:
-                level = kappa[t]
-            out[t] = level
-            processed[t] = True
-            for j in range(indptr[t], indptr[t + 1]):
-                if not pair_alive[j]:
-                    continue
-                c = pair_cliques[j]
-                for s in range(4):
-                    pair_alive[clique_positions[c, s]] = False
-                for s in range(4):
-                    m = clique_members[c, s]
-                    if m == t or processed[m]:
-                        continue
-                    if kappa[m] > level:
-                        stats[0] += 1
-                        count = gather_survivors(
-                            m, indptr, pair_probabilities, pair_alive, survivors
-                        )
-                        new = mc_recompute(
-                            triangle_probabilities[m], survivors, count, bins, n_samples, theta
-                        )
-                        if new < level:
-                            new = level
-                        kappa[m] = new
-                        size = heap_push(heap, size, (new + 1) * n + m)
-
     if jit is not None:
         move = jit(move)
         gather_survivors = jit(gather_survivors)
         advance = jit(advance)
         feed = jit(feed)
-        mc_recompute = jit(mc_recompute)
-        mc_peel = jit(mc_peel)
-    return {"advance": advance, "feed": feed, "mc_peel": mc_peel}
+    return {"advance": advance, "feed": feed}
 
 
 _INTERPRETED = _build(None)
@@ -278,24 +177,6 @@ def _warmup(kernels) -> None:
     )
     kernels["feed"](
         0, 0, 0, args["order"], args["position"], args["bucket_start"], args["kappa"]
-    )
-    kernels["mc_peel"](
-        np.zeros(1, i8),
-        out,
-        args["indptr"],
-        args["pair_probabilities"],
-        args["pair_alive"],
-        args["pair_cliques"],
-        args["clique_members"],
-        args["clique_positions"],
-        np.ones(1, np.float64),
-        0.5,
-        4,
-        0,
-        args["survivors"],
-        np.zeros(2, i8),
-        np.zeros(8, i8),
-        args["stats"],
     )
 
 
@@ -405,57 +286,3 @@ def peel_unit_drop(index, initial_kappas, repair):
         exact = recompute(int(t), survivors[:count].tolist())
         feed(int(t), int(exact), int(level), order, position, bucket_start, kappa)
     return scores, int(stats[0]), int(stats[1])
-
-
-def peel_monte_carlo(index, initial_kappas, repair):
-    """Fully jitted lazy-heap peel for :class:`MonteCarloKappaRepair`.
-
-    Returns ``(scores, repairs, deferrals)``.  The trajectory replicates the
-    reference lazy-heap loop; only the Monte-Carlo variates differ (numba's
-    MT19937, seeded deterministically from the repair's generator), so the
-    scores are distribution-identical — and exactly equal whenever every
-    surviving extension probability is 0 or 1.
-    """
-    num_triangles = index.num_triangles
-    scores = np.full(num_triangles, NO_VALID_K, dtype=np.int64)
-    if num_triangles == 0:
-        return scores, 0, 0
-    kernels = _kernels()
-    (
-        kappa,
-        indptr,
-        pair_probabilities,
-        pair_alive,
-        pair_cliques,
-        clique_members,
-        clique_positions,
-    ) = _engine_arrays(index, initial_kappas)
-    max_support = int(np.max(np.diff(indptr)))
-    survivors = np.empty(max(max_support, 1), dtype=np.float64)
-    bins = np.zeros(max_support + 1, dtype=np.int64)
-    # Initial entries plus <= 3 re-pushes per clique death.
-    heap = np.empty(num_triangles + 3 * index.clique_triangles.shape[0] + 1, dtype=np.int64)
-    stats = np.zeros(1, dtype=np.int64)
-    triangle_probabilities = np.ascontiguousarray(
-        repair._triangle_probabilities, dtype=np.float64
-    )
-    seed = int(repair._rng.integers(0, 2**31 - 1))
-    kernels["mc_peel"](
-        kappa,
-        scores,
-        indptr,
-        pair_probabilities,
-        pair_alive,
-        pair_cliques,
-        clique_members,
-        clique_positions,
-        triangle_probabilities,
-        float(repair.theta),
-        int(repair.n_samples),
-        seed,
-        survivors,
-        bins,
-        heap,
-        stats,
-    )
-    return scores, int(stats[0]), 0

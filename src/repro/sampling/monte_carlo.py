@@ -15,8 +15,8 @@ import math
 import random
 from collections.abc import Callable, Sequence
 
-from repro.exceptions import InvalidParameterError, _require_finite
-from repro.graph.possible_worlds import sample_world
+from repro.exceptions import InvalidParameterError, _require_finite, _require_sample_count
+from repro.graph.possible_worlds import sample_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
 __all__ = [
@@ -54,10 +54,14 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
 
 
 def hoeffding_error_bound(n_samples: int, delta: float) -> float:
-    """Return the ε guaranteed by ``n_samples`` at confidence ``1 − δ`` (inverse of Lemma 4)."""
-    if n_samples <= 0:
-        raise InvalidParameterError(f"n_samples must be positive, got {n_samples}")
-    if not 0.0 < delta <= 1.0:
+    """Return the ε guaranteed by ``n_samples`` at confidence ``1 − δ`` (inverse of Lemma 4).
+
+    ``n_samples`` must be a positive integer (numpy integers included) and
+    ``delta`` a finite number in ``(0, 1]``; anything else raises
+    :class:`~repro.exceptions.InvalidParameterError` naming the knob.
+    """
+    n_samples = _require_sample_count("n_samples", n_samples)
+    if not 0.0 < _require_finite("delta", delta) <= 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1], got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 
@@ -100,7 +104,8 @@ def estimate_world_probability(
         Hoeffding accuracy parameters; used to derive the sample size when
         ``n_samples`` is not given, and reported on the returned estimate.
     n_samples:
-        Explicit number of samples (overrides the Hoeffding-derived size).
+        Explicit number of samples (overrides the Hoeffding-derived size): a
+        positive integer, numpy integers included.
     rng, seed:
         Source of randomness.
     worlds:
@@ -110,13 +115,10 @@ def estimate_world_probability(
     if worlds is None:
         if n_samples is None:
             n_samples = hoeffding_sample_size(epsilon, delta)
-        if rng is None:
-            rng = random.Random(seed)
-        worlds = [sample_world(graph, rng=rng) for _ in range(n_samples)]
-    else:
-        n_samples = len(worlds)
-        if n_samples == 0:
-            raise InvalidParameterError("worlds must be non-empty")
+        worlds = sample_worlds(graph, n_samples, rng=rng, seed=seed)
+    elif not worlds:
+        raise InvalidParameterError("worlds must be non-empty")
+    n_samples = len(worlds)
     hits = sum(1 for world in worlds if predicate(world))
     achieved_epsilon = hoeffding_error_bound(n_samples, delta)
     return MonteCarloEstimate(hits / n_samples, n_samples, achieved_epsilon)

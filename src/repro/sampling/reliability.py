@@ -18,7 +18,7 @@ import random
 from collections.abc import Callable
 
 from repro.deterministic.connectivity import is_connected
-from repro.exceptions import InvalidParameterError, check_theta
+from repro.exceptions import InvalidParameterError, _require_finite, check_theta
 from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.monte_carlo import MonteCarloEstimate, estimate_world_probability
@@ -96,10 +96,10 @@ def binary_search_reliability(
     decision_oracle:
         Function mapping a threshold θ to "reliability ≥ θ?".
     precision:
-        Width of the final interval.
+        Width of the final interval: a finite positive number.
     """
-    if precision <= 0.0:
-        raise InvalidParameterError("precision must be positive")
+    if _require_finite("precision", precision) <= 0.0:
+        raise InvalidParameterError(f"precision must be positive, got {precision!r}")
     low, high = 0.0, 1.0
     # Invariant: reliability >= low, and (high < reliability) is false,
     # i.e. reliability lies in [low, high].

@@ -16,9 +16,13 @@ import repro.graph.csr
 import repro.graph.probabilistic_graph
 import repro.index
 import repro.index.fingerprint
+import repro.obs
+import repro.obs.timing
 import repro.query
 import repro.query.cache
 import repro.sampling.adaptive
+from repro.obs import config as obs_config
+from repro.obs.metrics import REGISTRY
 
 MODULES = [
     repro,
@@ -26,14 +30,34 @@ MODULES = [
     repro.graph.probabilistic_graph,
     repro.index,
     repro.index.fingerprint,
+    repro.obs,
+    repro.obs.timing,
     repro.query,
     repro.query.cache,
     repro.sampling.adaptive,
 ]
 
 
+@pytest.fixture
+def restored_obs_state():
+    """Give back the telemetry switch and the metric registry an example found.
+
+    The ``repro.obs`` example switches telemetry on and then off, and
+    registers an ``example_events_total`` counter (plus its span's
+    ``repro_span_seconds`` series) in the process-wide registry.
+    """
+    enabled = obs_config.enabled()
+    tables = (REGISTRY._metrics, REGISTRY._kinds, REGISTRY._help)
+    saved = [dict(table) for table in tables]
+    yield
+    obs_config.configure(enabled=enabled)
+    for table, entries in zip(tables, saved):
+        table.clear()
+        table.update(entries)
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
-def test_module_doctests(module):
+def test_module_doctests(module, restored_obs_state):
     results = doctest.testmod(module, verbose=False)
     assert results.attempted > 0, f"{module.__name__} should carry doctest examples"
     assert results.failed == 0

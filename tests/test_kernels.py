@@ -24,10 +24,10 @@ import numpy as np
 import pytest
 
 from graph_factories import bundled_graph, small_er_graph
-from repro.core.approximations import DynamicProgrammingEstimator
+from repro.core.approximations import PoissonEstimator
 from repro.core.global_nucleus import global_nucleus_decomposition
-from repro.core.local import local_nucleus_decomposition
-from repro.core.peel import MonteCarloKappaRepair, peel_kappa_scores
+from repro.core.hybrid import HybridEstimator
+from repro.core.local import _csr_engine_arrays, local_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.experiments.pipeline import RunConfig
@@ -41,6 +41,7 @@ from repro.kernels import (
     reset_fallback_warning,
     resolve_kernel,
 )
+from repro.kernels import peel as kernel_peel
 from repro.obs import capture as obs_capture
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.metrics import snapshot as obs_snapshot
@@ -108,19 +109,38 @@ class TestValidation:
                 graph, k=1, theta=0.3, n_samples=10, kernel="julia"
             )
 
-    def test_peel_downgrades_non_unit_drop_repairs(self):
-        # A repair that is neither unit-drop nor Monte-Carlo must silently
-        # run the numpy trajectory even when kernel="numba" is requested:
-        # its scores depend on the exact repair schedule.
-        graph = small_er_graph(seed=3, probabilities=(0.4, 0.9))
-        csr = graph.to_csr()
-        from repro.core.local import _csr_engine_arrays
+    @pytest.mark.parametrize(
+        "estimator", [PoissonEstimator(), HybridEstimator()], ids=lambda e: e.name
+    )
+    def test_peel_downgrades_non_unit_drop_repairs(self, estimator):
+        # The compiled bucket queue serves unit-drop repairs only: a §5.3
+        # approximation must run the numpy lazy heap even when
+        # kernel="numba" resolves, because its scores depend on the exact
+        # repair schedule.
+        csr = small_er_graph(seed=3, probabilities=(0.4, 0.9)).to_csr()
+        scores, peels = {}, {}
+        obs_registry.reset()
+        try:
+            with force_interpreted():
+                for kernel in KERNELS:
+                    with obs_capture(enable=True) as sink:
+                        _, scores[kernel] = _csr_engine_arrays(
+                            csr, 0.3, estimator, kernel=kernel
+                        )
+                    (peels[kernel],) = [t for t in sink.traces() if t["name"] == "peel"]
+        finally:
+            obs_registry.reset()
+        for kernel in KERNELS:
+            assert peels[kernel]["attrs"]["kernel"] == "numpy", kernel
+            assert peels[kernel]["attrs"]["queue"] == "heap", kernel
+        assert np.array_equal(scores["numba"], scores["numpy"])
 
-        with force_interpreted():
-            estimator = DynamicProgrammingEstimator()
-            _, numpy_scores = _csr_engine_arrays(csr, 0.3, estimator, kernel="numpy")
-            _, numba_scores = _csr_engine_arrays(csr, 0.3, estimator, kernel="numba")
-        assert np.array_equal(numpy_scores, numba_scores)
+
+class TestWarmup:
+    def test_warmup_runs_on_the_interpreted_kernels(self):
+        # _warmup runs only when numba compiles; driving it through the plain
+        # kernel set catches a stale entry point or argument list without numba.
+        kernel_peel._warmup(kernel_peel._build(None))
 
 
 class TestPeelParity:
@@ -143,26 +163,6 @@ class TestPeelParity:
             numpy_result = local_nucleus_decomposition(csr, 0.3, kernel="numpy")
             numba_result = local_nucleus_decomposition(csr, 0.3, kernel="numba")
         assert numba_result.scores == numpy_result.scores
-
-    def test_monte_carlo_repair_exact_on_certain_graph(self):
-        # The MC peel is fully jitted with its own variate stream, so parity
-        # is distributional in general — but on all-certain probabilities
-        # every resample is deterministic and the scores must match exactly.
-        csr = clique_graph(6, probability=1.0).to_csr()
-        from repro.core.batch import batched_initial_kappas, build_triangle_extension_index
-
-        index = build_triangle_extension_index(csr)
-        kappas = batched_initial_kappas(index, 0.3, DynamicProgrammingEstimator())
-        with force_interpreted():
-            results = {}
-            for kernel in KERNELS:
-                repair = MonteCarloKappaRepair(
-                    index.triangle_probabilities, 0.3, n_samples=32, seed=11
-                )
-                results[kernel] = peel_kappa_scores(
-                    index, kappas.copy(), repair, kernel=kernel
-                )
-        assert np.array_equal(results["numba"], results["numpy"])
 
 
 class TestVerificationParity:

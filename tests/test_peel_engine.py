@@ -28,7 +28,6 @@ from repro.core.local import local_nucleus_decomposition
 from repro.core.peel import (
     EstimatorKappaRepair,
     KappaRepair,
-    MonteCarloKappaRepair,
     peel_kappa_scores,
     repair_kappa_scores,
 )
@@ -55,14 +54,13 @@ ENGINES = {
 }
 
 
-def engine_scores(graph: ProbabilisticGraph, theta: float, repair=None) -> dict:
+def engine_scores(graph: ProbabilisticGraph, theta: float) -> dict:
     """Run the engine directly on the flat arrays and map scores to labels."""
     csr = graph.to_csr()
     index = build_triangle_extension_index(csr)
     estimator = DynamicProgrammingEstimator()
     kappas = batched_initial_kappas(index, theta, estimator)
-    if repair is None:
-        repair = EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
+    repair = EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
     scores = peel_kappa_scores(index, kappas, repair)
     labels = csr.vertex_labels
     return {
@@ -250,34 +248,6 @@ class TestKappaRepairHooks:
         assert repair.recompute(0, [1.0, 1.0]) == 2
         assert repair.recompute(0, []) == 0
 
-    def test_monte_carlo_exact_on_certain_extensions(self, five_clique_graph):
-        # With all-certain edges the sampled tail is exact, so the MC hook
-        # reproduces the DP scores bit for bit.
-        expected = local_nucleus_decomposition(five_clique_graph, 0.5).scores
-        csr = five_clique_graph.to_csr()
-        index = build_triangle_extension_index(csr)
-        repair = MonteCarloKappaRepair(
-            index.triangle_probabilities, 0.5, n_samples=64, seed=7
-        )
-        assert engine_scores(five_clique_graph, 0.5, repair=repair) == expected
-
-    def test_monte_carlo_close_to_dp_on_probabilistic_graph(self, planted_graph):
-        exact = local_nucleus_decomposition(planted_graph, 0.2).scores
-        csr = planted_graph.to_csr()
-        index = build_triangle_extension_index(csr)
-        repair = MonteCarloKappaRepair(
-            index.triangle_probabilities, 0.2, n_samples=4000, seed=11
-        )
-        approximate = engine_scores(planted_graph, 0.2, repair=repair)
-        assert set(approximate) == set(exact)
-        for triangle, score in exact.items():
-            assert abs(approximate[triangle] - score) <= 1
-
-    @pytest.mark.parametrize("n_samples", [0, -3, True, 2.5])
-    def test_monte_carlo_validates_sample_count(self, n_samples):
-        with pytest.raises(InvalidParameterError, match="n_samples"):
-            MonteCarloKappaRepair(np.asarray([0.5]), 0.3, n_samples=n_samples)
-
     @pytest.mark.parametrize("unit_drop", [False, True])
     def test_custom_repair_plugs_into_the_loop(self, unit_drop):
         # unit_drop=True runs the rounds, whose default recompute_rows loops
@@ -326,8 +296,6 @@ class TestInputValidation:
         probabilities = np.asarray([0.5])
         with pytest.raises(InvalidParameterError, match="theta"):
             EstimatorKappaRepair(DynamicProgrammingEstimator(), probabilities, theta)
-        with pytest.raises(InvalidParameterError, match="theta"):
-            MonteCarloKappaRepair(probabilities, theta)
 
 
 class TestRepairInputValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from repro.deterministic.connectivity import is_connected
 from repro.exceptions import InvalidParameterError, VertexNotFoundError
 from repro.graph.generators import clique_graph
+from repro.graph.possible_worlds import sample_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.hardness.reductions import (
     global_indicator_probability,
@@ -126,6 +128,50 @@ class TestReliability:
     def test_binary_search_invalid_precision(self):
         with pytest.raises(InvalidParameterError):
             binary_search_reliability(lambda theta: True, precision=0.0)
+
+
+#: Sample counts that are not positive integers, and the error they raise.
+BAD_SAMPLE_COUNTS = [True, 2.5, "3"]
+BAD_COUNT = "n_samples must be a positive integer"
+
+
+class TestMonteCarloKnobValidation:
+    """Every Monte-Carlo helper rejects a bad knob with an error naming it."""
+
+    @pytest.mark.parametrize("n_samples", BAD_SAMPLE_COUNTS, ids=repr)
+    def test_estimate_reliability_names_n_samples(self, triangle_graph, n_samples):
+        with pytest.raises(InvalidParameterError, match=BAD_COUNT):
+            estimate_reliability(triangle_graph, n_samples=n_samples, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [*BAD_SAMPLE_COUNTS, None], ids=repr)
+    def test_sample_worlds_names_n_samples(self, triangle_graph, n_samples):
+        with pytest.raises(InvalidParameterError, match=BAD_COUNT):
+            sample_worlds(triangle_graph, n_samples, seed=0)
+
+    @pytest.mark.parametrize("n_samples", BAD_SAMPLE_COUNTS, ids=repr)
+    def test_hoeffding_error_bound_names_n_samples(self, n_samples):
+        with pytest.raises(InvalidParameterError, match=BAD_COUNT):
+            hoeffding_error_bound(n_samples, 0.1)
+
+    @pytest.mark.parametrize("delta", ["0.1", None, True], ids=repr)
+    def test_hoeffding_error_bound_names_delta(self, delta):
+        with pytest.raises(InvalidParameterError, match="delta must be a finite number"):
+            hoeffding_error_bound(10, delta)
+
+    @pytest.mark.parametrize("precision", [float("nan"), float("inf"), "1e-6", True], ids=repr)
+    def test_binary_search_names_precision(self, precision):
+        with pytest.raises(InvalidParameterError, match="precision must be a finite number"):
+            binary_search_reliability(lambda theta: True, precision=precision)
+
+    @pytest.mark.parametrize("n_samples", [np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+    def test_numpy_sample_counts_still_run(self, triangle_graph, n_samples):
+        estimate = estimate_world_probability(
+            triangle_graph, lambda world: True, n_samples=n_samples, seed=0
+        )
+        assert float(estimate) == 1.0
+        assert type(estimate.n_samples) is int and estimate.n_samples == 3
+        assert len(sample_worlds(triangle_graph, n_samples, seed=0)) == 3
+        assert hoeffding_error_bound(n_samples, 0.1) == hoeffding_error_bound(3, 0.1)
 
 
 class TestReliabilityReduction:
