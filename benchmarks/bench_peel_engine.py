@@ -1,4 +1,4 @@
-"""Benchmark: the array-native peel engine, instrumented and compiled.
+"""Benchmark: the array-native peel engine, with and without telemetry.
 
 Times the CSR peel pipeline (:mod:`repro.core.peel`: flat incidence arrays +
 level-synchronous rounds, label translation only for the final score dictionary) on
@@ -6,16 +6,8 @@ every bundled dataset analogue.
 
 The benchmark pins the cost of the observability layer: every dataset is
 peeled once more with telemetry enabled (``REPRO_OBS`` spans + counters) and
-the enabled/disabled ratio is reported as ``obs_overhead``.
-
-A third timing column exercises the compiled kernel layer
-(:mod:`repro.kernels`): the same engine peel with ``kernel="numba"`` when
-numba is importable, reported as ``kernel_seconds`` / ``kernel_speedup``
-(engine-over-kernel).  Without numba the rows fall back to the numpy
-kernel (``kernel_speedup`` ≈ 1) and the ``--min-kernel-speedup`` gate
-skips with a notice instead of failing — the numpy-only CI leg still runs
-the benchmark, the numba leg gates ``--scale large`` at 5x geomean.  The
-instrumented and kernel peels must return the engine's scores (asserted).
+the enabled/disabled ratio is reported as ``obs_overhead``.  The
+instrumented peel must return the engine's scores (asserted).
 
 Results are printed as a table and written to ``BENCH_peel_engine.json``;
 CI's ``bench-smoke`` job runs this with ``--max-obs-overhead 1.03``
@@ -45,7 +37,6 @@ from repro.core.hybrid import HybridEstimator
 from repro.deterministic.cliques import label_triangles
 from repro.experiments.datasets import DATASET_NAMES, SCALES, load_dataset
 from repro.graph.csr import CSRProbabilisticGraph
-from repro.kernels import numba_available
 from repro.obs import capture as obs_capture
 from repro.obs import timer
 
@@ -53,11 +44,9 @@ DEFAULT_JSON = "BENCH_peel_engine.json"
 DEFAULT_THETA = 0.3
 
 
-def engine_csr_scores(
-    csr: CSRProbabilisticGraph, theta: float, estimator, kernel: str = "numpy"
-) -> dict:
+def engine_csr_scores(csr: CSRProbabilisticGraph, theta: float, estimator) -> dict:
     """The current CSR path: flat level-synchronous peel + one label translation."""
-    index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
+    index, scores = _csr_engine_arrays(csr, theta, estimator)
     return dict(zip(label_triangles(index.triangles, csr.vertex_labels), scores.tolist()))
 
 
@@ -88,11 +77,8 @@ def run_peel_engine(
     estimator_name: str = "dp",
     repeats: int = 3,
 ) -> dict:
-    """Time the engine peel, instrumented and compiled, on every dataset analogue."""
+    """Time the engine peel, with and without telemetry, on every dataset analogue."""
     factory = HybridEstimator if estimator_name == "hybrid" else DynamicProgrammingEstimator
-    # Request the compiled kernels only when numba is importable: the numpy
-    # fallback rows stay meaningful (and warning-free) on the numpy-only leg.
-    kernel_impl = "numba" if numba_available() else "numpy"
     rows = []
     for name in DATASET_NAMES:
         csr = load_dataset(name, scale=scale).to_csr()
@@ -103,16 +89,7 @@ def run_peel_engine(
             engine_csr_scores, csr, theta, factory(), repeats=repeats,
             instrumented=True,
         )
-        if kernel_impl == "numba":
-            # Warm up once untimed so jit compilation never lands in a repeat.
-            engine_csr_scores(csr, theta, factory(), kernel=kernel_impl)
-        kernel_scores, kernel_seconds = _best_of(
-            engine_csr_scores, csr, theta, factory(), kernel_impl, repeats=repeats
-        )
         assert obs_engine == engine, f"instrumented peel diverged on {name}"
-        assert kernel_scores == engine, (
-            f"{kernel_impl} kernel peel diverged from the numpy engine on {name}"
-        )
         rows.append(
             {
                 "dataset": name,
@@ -120,28 +97,20 @@ def run_peel_engine(
                 "engine_seconds": engine_seconds,
                 "obs_seconds": obs_seconds,
                 "obs_overhead": obs_seconds / engine_seconds,
-                "kernel": kernel_impl,
-                "kernel_seconds": kernel_seconds,
-                "kernel_speedup": engine_seconds / kernel_seconds,
             }
         )
     overheads = [row["obs_overhead"] for row in rows]
-    kernel_speedups = [row["kernel_speedup"] for row in rows]
     return {
         "benchmark": "peel_engine",
         "scale": scale,
         "theta": theta,
         "estimator": estimator_name,
-        "kernel": kernel_impl,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,
         "summary": {
             "geomean_obs_overhead": math.exp(
                 sum(math.log(o) for o in overheads) / len(overheads)
-            ),
-            "geomean_kernel_speedup": math.exp(
-                sum(math.log(s) for s in kernel_speedups) / len(kernel_speedups)
             ),
         },
     }
@@ -150,18 +119,16 @@ def run_peel_engine(
 def format_peel_engine(report: dict) -> str:
     lines = [
         f"scale={report['scale']} theta={report['theta']} "
-        f"estimator={report['estimator']} kernel={report['kernel']}",
+        f"estimator={report['estimator']}",
         f"{'dataset':<12} {'triangles':>9} "
-        f"{'engine (s)':>11} {'obs (s)':>9} {'ovh':>6} "
-        f"{'kernel (s)':>11} {'kspeed':>7}",
-        "-" * 72,
+        f"{'engine (s)':>11} {'obs (s)':>9} {'ovh':>6}",
+        "-" * 52,
     ]
     for row in report["rows"]:
         lines.append(
             f"{row['dataset']:<12} {row['triangles']:>9} "
             f"{row['engine_seconds']:>11.4f} "
-            f"{row['obs_seconds']:>9.4f} {row['obs_overhead']:>5.2f}x "
-            f"{row['kernel_seconds']:>11.4f} {row['kernel_speedup']:>6.2f}x"
+            f"{row['obs_seconds']:>9.4f} {row['obs_overhead']:>5.2f}x"
         )
     return "\n".join(lines)
 
@@ -195,15 +162,6 @@ def main(argv=None) -> int:
         help="exit non-zero unless the geomean instrumented/uninstrumented "
         "peel ratio stays at or below X (CI acceptance gate)",
     )
-    parser.add_argument(
-        "--min-kernel-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="exit non-zero unless the compiled kernels beat the numpy "
-        "engine by a geomean of at least X; skipped with a notice when "
-        "numba is not installed (the fallback rows time numpy vs numpy)",
-    )
     args = parser.parse_args(argv)
 
     report = run_peel_engine(
@@ -216,9 +174,7 @@ def main(argv=None) -> int:
     print(format_peel_engine(report))
     summary = report["summary"]
     print(
-        f"\nobs overhead {summary['geomean_obs_overhead']:.3f}x · "
-        f"kernel geomean {summary['geomean_kernel_speedup']:.2f}x "
-        f"({report['kernel']}) · report -> {args.json}"
+        f"\nobs overhead {summary['geomean_obs_overhead']:.3f}x · report -> {args.json}"
     )
 
     if args.max_obs_overhead is not None:
@@ -227,20 +183,6 @@ def main(argv=None) -> int:
             print(
                 f"GATE FAILURE: geomean obs overhead {overhead:.3f}x exceeds "
                 f"the allowed {args.max_obs_overhead:.3f}x",
-                file=sys.stderr,
-            )
-            return 1
-    if args.min_kernel_speedup is not None:
-        if report["kernel"] != "numba":
-            print(
-                "kernel gate skipped: numba is not installed, rows timed the "
-                "numpy fallback (install with pip install .[kernels])"
-            )
-        elif summary["geomean_kernel_speedup"] < args.min_kernel_speedup:
-            print(
-                f"GATE FAILURE: geomean kernel speedup "
-                f"{summary['geomean_kernel_speedup']:.2f}x is below the "
-                f"required {args.min_kernel_speedup:.2f}x",
                 file=sys.stderr,
             )
             return 1

@@ -36,9 +36,6 @@ setup(
     install_requires=["numpy>=1.22"],
     extras_require={
         "networkx": ["networkx>=2.6"],
-        # Compiled peel kernels (kernel="numba"); the library falls back to
-        # the portable numpy peel when this extra is absent.
-        "kernels": ["numba>=0.56"],
         "benchmarks": ["pytest", "pytest-benchmark"],
         "tests": ["pytest", "hypothesis", "pytest-cov"],
         "lint": ["ruff"],

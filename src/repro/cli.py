@@ -21,8 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.core.global_nucleus import check_retired_knob
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, check_retired_knob
 from repro.graph.io import parse_vertex, read_edge_list
 from repro.graph.probabilistic_graph import label_sort_key
 from repro.index import NucleusIndex, build_index
@@ -82,11 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--kernel",
-        choices=("numpy", "numba"),
         default="numpy",
-        help="hot-loop implementation: portable numpy (default) or the "
-        "compiled kernels of the [kernels] extra (falls back to numpy with a "
-        "warning when numba is not installed)",
+        help="retired peel switch: numpy (default) is silent, the deprecated "
+        "compiled peel warns and runs numpy",
     )
     build.add_argument(
         "--partitions",
@@ -174,13 +171,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
             "num_components",
         ):
             print(f"{field}: {description[field]}")
-        params = description["params"]
-        # Engine knobs are omitted from params at their defaults (archive
-        # byte-parity); surface the effective values explicitly.
-        print(f"kernel: {params.get('kernel', 'numpy')}")
-        if "kernel_resolved" in params:
-            print(f"kernel_resolved: {params['kernel_resolved']}")
-        print(f"params: {params}")
+        print(f"params: {description['params']}")
         print(f"cache: {_format_cache_stats(description['cache'])}")
     return 0
 

@@ -40,13 +40,12 @@ label-space reference of the closure.
 from __future__ import annotations
 
 import random
-import warnings
 from collections.abc import Callable, Sequence
 
 import numpy as np
 
 from repro.core.approximations import SupportEstimator
-from repro.core.local import check_backend, local_nucleus_decomposition, resolve_local_options
+from repro.core.local import local_nucleus_decomposition, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import (
     FourClique,
@@ -55,9 +54,8 @@ from repro.deterministic.cliques import (
     enumerate_triangles,
     triangles_of_clique,
 )
-from repro.exceptions import InvalidParameterError, _require_positive_int, check_level
+from repro.exceptions import InvalidParameterError, check_level, check_retired_knob
 from repro.graph.csr import CSRProbabilisticGraph
-from repro.kernels import resolve_kernel
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
@@ -73,7 +71,6 @@ from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 __all__ = [
     "global_nucleus_decomposition",
     "candidate_closure",
-    "check_retired_knob",
     "union_of_nuclei",
 ]
 
@@ -85,7 +82,6 @@ def validate_sampling_options(
     chunk_initial: int = DEFAULT_CHUNK_INITIAL,
     chunk_growth: float = DEFAULT_CHUNK_GROWTH,
     n_samples: int | None = None,
-    kernel: str = "numpy",
 ) -> AdaptiveSettings:
     """Validate the engine knobs of Algorithms 2 and 3; the one validator.
 
@@ -100,7 +96,7 @@ def validate_sampling_options(
     :class:`~repro.exceptions.InvalidParameterError` here, before any
     sampling starts.
     """
-    settings = resolve_adaptive_settings(
+    return resolve_adaptive_settings(
         sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,
@@ -108,42 +104,12 @@ def validate_sampling_options(
         chunk_growth=chunk_growth,
         n_samples=n_samples,
     )
-    resolve_kernel(kernel, warn=False)
-    return settings
-
-
-#: The retired positive-integer knobs of ``__api_version__ = "1"``, and why
-#: each one no longer does anything.
-_RETIRED_KNOBS = {
-    "partitions": "every candidate is verified in memory-bounded world blocks",
-    "n_jobs": "every candidate is verified serially",
-}
-
-
-def check_retired_knob(name: str, value: int) -> None:
-    """Accept a retired knob of ``__api_version__ = "1"``: ``partitions`` or ``n_jobs``.
-
-    Every candidate is verified in memory-bounded world blocks, in the
-    calling process, by the one loop of :mod:`repro.sampling.adaptive`, so
-    there is nothing left to partition or to shard.  ``1`` passes silently;
-    any other positive integer warns with a :class:`DeprecationWarning` and
-    runs the one loop; a non-positive or non-integer value raises
-    :class:`~repro.exceptions.InvalidParameterError` naming the knob.
-    """
-    if _require_positive_int(name, value) == 1:
-        return
-    warnings.warn(
-        f"{name}= is deprecated: {_RETIRED_KNOBS[name]}; omit {name}=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def local_pruning(
     graph: ProbabilisticGraph,
     theta: float,
     estimator: SupportEstimator | None,
-    kernel: str,
     local_result: LocalNucleusDecomposition | None,
 ) -> LocalNucleusDecomposition:
     """The local decomposition Algorithms 2 and 3 prune their candidates with.
@@ -154,7 +120,7 @@ def local_pruning(
     :class:`~repro.exceptions.InvalidParameterError`.
     """
     if local_result is None:
-        return local_nucleus_decomposition(graph, theta, estimator=estimator, kernel=kernel)
+        return local_nucleus_decomposition(graph, theta, estimator=estimator)
     if not isinstance(local_result, LocalNucleusDecomposition):
         raise InvalidParameterError(
             "local_result must be a LocalNucleusDecomposition, "
@@ -296,12 +262,10 @@ def global_nucleus_decomposition(
         :class:`~numpy.random.Generator` or a :class:`random.Random`
         (converted deterministically).  Runs are reproducible for a fixed
         ``seed`` or a seeded ``rng``.
-    backend:
-        Retired engine switch, kept for ``__api_version__ = "1"``; see
-        :func:`~repro.core.local.check_backend`.
-    n_jobs:
-        Retired knob, kept for ``__api_version__ = "1"``: every candidate is
-        verified serially; see :func:`check_retired_knob`.
+    backend, kernel, n_jobs, partitions:
+        Retired knobs, kept for ``__api_version__ = "1"``: one engine runs
+        the local pruning and every candidate is verified serially; see
+        :func:`~repro.exceptions.check_retired_knob`.
     sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
         ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
         per candidate, bit-identical to previous releases.
@@ -311,15 +275,6 @@ def global_nucleus_decomposition(
         (default ``2 × n_samples``).  Both run the one loop of
         :mod:`repro.sampling.adaptive`, which draws every candidate's worlds
         in memory-bounded row blocks.
-    kernel:
-        ``"numpy"`` (default) or ``"numba"`` — the compiled peel of the
-        local pruning step (:mod:`repro.kernels`); falls back to numpy (with
-        a one-time warning) when numba is not installed.  World
-        verification always runs the batched numpy predicates of
-        :mod:`repro.sampling.world_matrix`.
-    partitions:
-        Retired knob, kept for ``__api_version__ = "1"``; see
-        :func:`check_retired_knob`.
 
     Returns
     -------
@@ -327,12 +282,13 @@ def global_nucleus_decomposition(
         The verified candidates, deduplicated by edge set, with
         ``mode="global"``.
     """
-    check_backend(backend)
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
     check_retired_knob("n_jobs", n_jobs)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
-    check_level(k)
+    k = check_level(k)
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
@@ -343,12 +299,10 @@ def global_nucleus_decomposition(
         chunk_initial=chunk_initial,
         chunk_growth=chunk_growth,
         n_samples=n_samples,
-        kernel=kernel,
     )
     engine_rng = as_numpy_generator(rng, seed)
-    kernel = resolve_kernel(kernel)
 
-    local = local_pruning(graph, theta, estimator, kernel, local_result)
+    local = local_pruning(graph, theta, estimator, local_result)
     local_nuclei = local.nuclei(k)
     if not local_nuclei:
         return []

@@ -26,7 +26,7 @@ The implementation below follows Algorithm 1:
 One engine implements it: :mod:`repro.core.batch` builds flat triangle ⇄
 4-clique incidence arrays and the vectorized initial κ-scores, and
 :mod:`repro.core.peel` runs the peel over those arrays in level-synchronous
-rounds (each round's exact-DP repairs one batched kernel call), translating
+rounds (each round's exact-DP repairs one batched κ-init call), translating
 back to canonical label space only once, for the final score dictionary
 (:func:`~repro.deterministic.cliques.label_triangles`).  No triangle or
 4-clique objects are materialised on the way.
@@ -36,8 +36,6 @@ score ``-1`` and are peeled first; they cannot belong to any nucleus.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -49,35 +47,13 @@ from repro.core.batch import (
 )
 from repro.core.hybrid import HybridEstimator
 from repro.core.peel import EstimatorKappaRepair, peel_kappa_scores
-from repro.kernels import resolve_kernel
 from repro.core.result import LocalNucleusDecomposition
 from repro.deterministic.cliques import label_triangles
-from repro.exceptions import InvalidParameterError, check_theta
+from repro.exceptions import InvalidParameterError, check_retired_knob, check_theta
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
-__all__ = ["check_backend", "local_nucleus_decomposition"]
-
-
-def check_backend(backend: str) -> None:
-    """Accept the retired ``backend=`` knob of ``__api_version__ = "1"``.
-
-    Every decomposition runs on the CSR engine.  ``"csr"`` passes silently;
-    ``"dict"``, the retired dict engine, warns with a
-    :class:`DeprecationWarning` and runs CSR; any other value raises
-    :class:`~repro.exceptions.InvalidParameterError`.
-    """
-    if backend == "csr":
-        return
-    if backend != "dict":
-        raise InvalidParameterError(
-            f'backend must be "csr" (or the deprecated "dict"), got {backend!r}'
-        )
-    warnings.warn(
-        'backend="dict" is deprecated and runs the CSR engine; omit backend=',
-        DeprecationWarning,
-        stacklevel=3,
-    )
+__all__ = ["local_nucleus_decomposition"]
 
 
 def resolve_local_options(
@@ -108,7 +84,6 @@ def _csr_engine_arrays(
     csr: CSRProbabilisticGraph,
     theta: float,
     estimator: SupportEstimator,
-    kernel: str = "numpy",
 ) -> tuple[CSRTriangleIndex, np.ndarray]:
     """Run the array-native CSR pipeline: index → batched κ-init → peel.
 
@@ -120,7 +95,7 @@ def _csr_engine_arrays(
     index = build_triangle_extension_index(csr)
     kappas = batched_initial_kappas(index, theta, estimator)
     repair = EstimatorKappaRepair(estimator, index.triangle_probabilities, theta)
-    return index, peel_kappa_scores(index, kappas, repair, kernel=kernel)
+    return index, peel_kappa_scores(index, kappas, repair)
 
 
 def local_nucleus_decomposition(
@@ -146,13 +121,9 @@ def local_nucleus_decomposition(
         :class:`~repro.core.hybrid.HybridEstimator` to obtain the paper's
         ``AP`` algorithm, or any single approximation from
         :mod:`repro.core.approximations`.
-    backend:
-        Retired engine switch, kept for ``__api_version__ = "1"``; see
-        :func:`check_backend`.
-    kernel:
-        ``"numpy"`` (default) or ``"numba"`` — forwarded to the peel engine
-        (see :func:`repro.core.peel.peel_kappa_scores`); falls back to the
-        numpy loop (with a one-time warning) when numba is not installed.
+    backend, kernel:
+        Retired engine switches, kept for ``__api_version__ = "1"``; see
+        :func:`~repro.exceptions.check_retired_knob`.
 
     Returns
     -------
@@ -169,9 +140,8 @@ def local_nucleus_decomposition(
     the final scores do not depend on which minimum-κ triangle is peeled
     first.
     """
-    check_backend(backend)
-    if kernel != "numpy":
-        resolve_kernel(kernel, warn=False)  # validate the name up front
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     estimator = resolve_local_options(theta, estimator)
 
     compiled = not isinstance(graph, CSRProbabilisticGraph)
@@ -179,7 +149,7 @@ def local_nucleus_decomposition(
         csr = graph.to_csr()
     else:
         csr, graph = graph, graph.to_probabilistic()
-    index, engine_scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
+    index, engine_scores = _csr_engine_arrays(csr, theta, estimator)
 
     selections = (
         dict(estimator.selection_counts)

@@ -47,7 +47,6 @@ from repro.core.approximations import DynamicProgrammingEstimator, SupportEstima
 from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails
 from repro.core.support_dp import NO_VALID_K
 from repro.exceptions import InvalidParameterError, check_theta
-from repro.kernels import record_dispatch, resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
@@ -408,7 +407,6 @@ def peel_kappa_scores(
     index: CSRTriangleIndex,
     initial_kappas: np.ndarray,
     repair: KappaRepair,
-    kernel: str = "numpy",
 ) -> np.ndarray:
     """Peel every triangle of ``index`` and return its nucleus score ν.
 
@@ -416,59 +414,27 @@ def peel_kappa_scores(
     ``index.triangles`` with values ≥ :data:`~repro.core.support_dp.NO_VALID_K`
     (checked up front, naming ``initial_kappas``).
 
-    ``kernel="numba"`` runs unit-drop (exact-DP) repairs on the compiled
-    bucket queue of :mod:`repro.kernels.peel` — bit-identical, the
-    Poisson-binomial repair stays in Python behind a batched callback.
-    Every other repair — the §5.3 approximated tails, whose scores are
-    trajectory-sensitive — runs the numpy lazy heap, as does everything
-    when numba is not installed.
+    The repair picks the loop: unit-drop (exact-DP) repairs run the
+    level-synchronous rounds, every other repair — the §5.3 approximated
+    tails, whose scores are trajectory-sensitive — the lazy heap.
 
     When observability is on (``REPRO_OBS``), the run is wrapped in a
-    ``"peel"`` span (carrying the resolved ``kernel`` and the ``queue``
-    discipline: ``rounds``, ``heap``, or numba's ``bucket``) and feeds the
-    ``repro_peel_*`` counters — triangles peeled, exact recomputations,
-    unit-drop bound steps and level-synchronous rounds — with the counts
-    accumulated in loop-local integers so the disabled-mode overhead stays
-    within the CI-gated 3% of the uninstrumented loop (see
-    ``docs/OBSERVABILITY.md``).
+    ``"peel"`` span (carrying the ``queue`` discipline: ``rounds`` or
+    ``heap``) and feeds the ``repro_peel_*`` counters — triangles peeled,
+    exact recomputations, unit-drop bound steps and level-synchronous
+    rounds — with the counts accumulated in loop-local integers so the
+    disabled-mode overhead stays within the CI-gated 3% of the
+    uninstrumented loop (see ``docs/OBSERVABILITY.md``).
     """
     num_triangles = index.num_triangles
     initial_kappas = _checked_scores("initial_kappas", initial_kappas, num_triangles)
-    engine = resolve_kernel(kernel)
-    if engine == "numba" and not repair.unit_drop:
-        engine = "numpy"
-    if not repair.unit_drop:
-        queue = "heap"
-    else:
-        queue = "bucket" if engine == "numba" else "rounds"
     with span(
         "peel",
         triangles=num_triangles,
         repair=repair.name,
-        queue=queue,
-        kernel=engine,
+        queue="rounds" if repair.unit_drop else "heap",
     ):
-        record_dispatch("peel", engine)
-        if engine == "numba":
-            return _peel_kappa_scores_kernel(index, initial_kappas, repair)
         return _peel_kappa_scores(index, initial_kappas, repair)
-
-
-def _peel_kappa_scores_kernel(
-    index: CSRTriangleIndex,
-    initial_kappas: np.ndarray,
-    repair: KappaRepair,
-) -> np.ndarray:
-    """Drive the compiled bucket queue of :mod:`repro.kernels.peel`."""
-    num_triangles = index.num_triangles
-    if num_triangles == 0:
-        return np.full(0, NO_VALID_K, dtype=np.int64)
-    from repro.kernels import peel as kernel_peel
-
-    scores, repairs, deferrals = kernel_peel.peel_unit_drop(index, initial_kappas, repair)
-    if obs_config._ENABLED:
-        _record_peel_metrics(repair, num_triangles, repairs, deferrals)
-    return scores
 
 
 def _record_peel_metrics(
@@ -482,7 +448,7 @@ def _record_peel_metrics(
     counter = obs_registry.counter
     counter(
         "repro_peel_pops_total",
-        "Triangles peeled (level-synchronous rounds, bucket or lazy heap).",
+        "Triangles peeled (level-synchronous rounds or lazy heap).",
     ).inc(pops)
     counter(
         "repro_peel_repairs_total",
@@ -496,7 +462,7 @@ def _record_peel_metrics(
     if rounds is not None:
         counter(
             "repro_peel_rounds_total",
-            "Level-synchronous peel rounds (unit-drop repairs, numpy kernel).",
+            "Level-synchronous peel rounds (unit-drop repairs).",
         ).inc(rounds)
 
 
@@ -505,7 +471,7 @@ def _peel_kappa_scores(
     initial_kappas: np.ndarray,
     repair: KappaRepair,
 ) -> np.ndarray:
-    """The numpy peel loops (see :func:`peel_kappa_scores`).
+    """The two peel loops (see :func:`peel_kappa_scores`).
 
     Runs Algorithm 1's loop entirely over the flat incidence arrays of
     ``index``: triangles are integer rows and 4-cliques are integer rows —

@@ -217,7 +217,6 @@ class LocalNucleusDecomposition:
     # nuclei extraction
     # ------------------------------------------------------------------ #
     def _triangle_groups(self, k: int) -> list[frozenset[Triangle]]:
-        check_level(k)
         if k not in self._groups_cache:
             groups = k_nucleus_triangle_groups(self.graph, k, nucleusness=self.scores)
             self._groups_cache[k] = [frozenset(group) for group in groups]
@@ -231,6 +230,7 @@ class LocalNucleusDecomposition:
         :class:`ProbabilisticNucleus` whose subgraph inherits the original
         edge probabilities.
         """
+        k = check_level(k)
         return [
             ProbabilisticNucleus(
                 k=k,

@@ -36,19 +36,14 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.components import _root_groups, _union_batches
-from repro.core.global_nucleus import (
-    check_retired_knob,
-    local_pruning,
-    validate_sampling_options,
-)
-from repro.core.local import check_backend, resolve_local_options
+from repro.core.global_nucleus import local_pruning, validate_sampling_options
+from repro.core.local import resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import Triangle
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import check_level
+from repro.exceptions import check_level, check_retired_knob
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.kernels import resolve_kernel
 from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
     DEFAULT_CHUNK_INITIAL,
@@ -119,16 +114,17 @@ def weak_nucleus_decomposition(
     ``sampling="fixed"`` scores one chunk of ``n_samples`` worlds;
     ``sampling="adaptive"`` keeps drawing geometric world chunks until every
     triangle's θ decision is settled at level ``confidence`` or
-    ``n_worlds_max`` worlds are spent.  ``kernel`` selects the compiled peel
-    of the local step; ``n_jobs`` and ``partitions`` are retired knobs
-    (:func:`~repro.core.global_nucleus.check_retired_knob`).
+    ``n_worlds_max`` worlds are spent.  ``backend``, ``kernel``, ``n_jobs``
+    and ``partitions`` are retired knobs
+    (:func:`~repro.exceptions.check_retired_knob`).
     """
-    check_backend(backend)
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
     check_retired_knob("n_jobs", n_jobs)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
-    check_level(k)
+    k = check_level(k)
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
@@ -139,12 +135,10 @@ def weak_nucleus_decomposition(
         chunk_initial=chunk_initial,
         chunk_growth=chunk_growth,
         n_samples=n_samples,
-        kernel=kernel,
     )
     engine_rng = as_numpy_generator(rng, seed)
-    kernel = resolve_kernel(kernel)
 
-    local = local_pruning(graph, theta, estimator, kernel, local_result)
+    local = local_pruning(graph, theta, estimator, local_result)
 
     def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
         # The point estimates of one chunk in fixed mode, the anytime-valid

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 
 
 class ReproError(Exception):
@@ -69,8 +70,9 @@ class InvalidParameterError(ReproError, ValueError):
     """
 
 
-def check_level(k) -> None:
-    """Validate a nucleus level ``k``: a non-negative ``int`` (not a ``bool``).
+def check_level(k) -> int:
+    """Return a nucleus level ``k`` as an ``int``: a non-negative integer, numpy
+    integers included (not a ``bool``), else raise.
 
     The one rule for ``k``, shared by the decomposition drivers,
     :meth:`~repro.core.result.LocalNucleusDecomposition.nuclei`, the query
@@ -78,8 +80,9 @@ def check_level(k) -> None:
     in this leaf module so the sampling layer can import it without a cycle
     through :mod:`repro.core`.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
         raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
+    return int(k)
 
 
 def check_theta(theta) -> None:
@@ -95,28 +98,60 @@ def check_theta(theta) -> None:
 
 
 def _require_positive_int(name: str, value) -> int:
-    """Return ``value`` if it is a positive ``int`` (not a ``bool``), else raise naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _require_sample_count(name: str, value) -> int:
     """Return ``value`` as an ``int`` if it is a positive integer, numpy integers
     included (not a ``bool``), else raise naming it."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        value = int(value)
-    return _require_positive_int(name, value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _require_finite(name: str, value) -> float:
-    """Return ``value`` as a ``float`` if it is a finite ``int`` or ``float`` (not a
-    ``bool`` or a string), else raise naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """Return ``value`` as a ``float`` if it is a finite real number, numpy scalars
+    included (not a ``bool`` or a string), else raise naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+#: The retired knobs of ``__api_version__ = "1"``: the value each one accepts
+#: silently, its deprecated value (``None``: any other positive integer), and
+#: what runs instead.
+_RETIRED_KNOBS = {
+    "backend": ("csr", "dict", "runs the CSR engine"),
+    "kernel": ("numpy", "numba", "runs the numpy peel"),
+    "partitions": (1, None, "every candidate is verified in memory-bounded world blocks"),
+    "n_jobs": (1, None, "every candidate is verified serially"),
+}
+
+
+def check_retired_knob(name: str, value) -> None:
+    """Accept a retired knob of ``__api_version__ = "1"``: ``backend``, ``kernel``,
+    ``partitions`` or ``n_jobs``.
+
+    One engine remains behind each: the CSR arrays, the numpy peel, and the
+    serial, block-wise verification loop of :mod:`repro.sampling.adaptive`.
+    The silent value (``"csr"``, ``"numpy"``, ``1``) passes; the deprecated
+    value of :data:`_RETIRED_KNOBS` (for ``partitions`` and ``n_jobs``, any
+    other positive integer) warns once with a :class:`DeprecationWarning`
+    and runs the one engine; any other value raises
+    :class:`InvalidParameterError` naming the knob.
+    """
+    silent, deprecated, instead = _RETIRED_KNOBS[name]
+    if deprecated is None:
+        if _require_positive_int(name, value) == silent:
+            return
+        message = f"{name}= is deprecated: {instead}; omit {name}="
+    elif value == silent:
+        return
+    elif value == deprecated:
+        message = f'{name}="{deprecated}" is deprecated and {instead}; omit {name}='
+    else:
+        raise InvalidParameterError(
+            f'{name} must be "{silent}" (or the deprecated "{deprecated}"), got {value!r}'
+        )
+    warnings.warn(message, DeprecationWarning, stacklevel=3)
 
 
 class IndexingError(ReproError):

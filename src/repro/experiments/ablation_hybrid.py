@@ -102,10 +102,7 @@ def _run_cell(
 
     with timer() as dp_timer:
         exact = local_nucleus_decomposition(
-            graph,
-            theta,
-            estimator=DynamicProgrammingEstimator(),
-            kernel=config.kernel,
+            graph, theta, estimator=DynamicProgrammingEstimator()
         )
     dp_seconds = dp_timer.seconds
 
@@ -115,9 +112,7 @@ def _run_cell(
             seconds, result = dp_seconds, exact
         else:
             with timer() as t:
-                result = local_nucleus_decomposition(
-                    graph, theta, estimator=estimator, kernel=config.kernel,
-                )
+                result = local_nucleus_decomposition(graph, theta, estimator=estimator)
             seconds = t.seconds
         total = len(exact.scores)
         errors = [

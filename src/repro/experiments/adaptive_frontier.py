@@ -113,9 +113,7 @@ def _run_cell(
 ) -> list[AdaptiveFrontierRow]:
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
-    local = cache.local(
-        graph, theta, dataset=params["dataset"], kernel=config.kernel
-    )
+    local = cache.local(graph, theta, dataset=params["dataset"])
     k = max(1, local.max_score)
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
 

@@ -70,9 +70,7 @@ def _run_cell(
 ) -> list[Figure5Row]:
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
-    local = cache.local(
-        graph, theta, dataset=params["dataset"], kernel=config.kernel,
-    )
+    local = cache.local(graph, theta, dataset=params["dataset"])
     k = max(1, local.max_score)
 
     with timer() as fg_timer:

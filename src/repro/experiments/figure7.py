@@ -66,9 +66,7 @@ def _run_cell(
     if graph is None:
         graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
-    local = cache.local(
-        graph, theta, dataset=params.get("dataset"), kernel=config.kernel,
-    )
+    local = cache.local(graph, theta, dataset=params.get("dataset"))
     max_k = params.get("max_k")
     top = local.max_score if max_k is None else min(max_k, local.max_score)
     rows: list[Figure7Row] = []

@@ -77,9 +77,7 @@ def _run_cell(
 ) -> list[Figure8Row]:
     graph = load_dataset(params["dataset"], config.scale)
     theta, n_samples, seed = params["theta"], params["n_samples"], params["seed"]
-    local = cache.local(
-        graph, theta, dataset=params["dataset"], kernel=config.kernel,
-    )
+    local = cache.local(graph, theta, dataset=params["dataset"])
     max_k = max(1, local.max_score)
 
     local_subgraphs: list[ProbabilisticGraph] = []

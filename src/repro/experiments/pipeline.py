@@ -9,7 +9,7 @@ spec run by one execution path:
   :mod:`repro.experiments.formatting`).
 * :class:`RunConfig` — the knobs threaded end to end: dataset scale, base
   seed, ``n_jobs`` for parallel grid cells, the artifact output directory,
-  and the Monte-Carlo / kernel engine knobs.
+  and the Monte-Carlo sampling knobs.
 * :class:`DecompositionCache` — decompositions snapshotted as
   :class:`~repro.index.NucleusIndex` files keyed by (graph fingerprint, mode,
   θ, estimator), so the many specs sharing a (dataset, decomposition) cell
@@ -50,7 +50,6 @@ from typing import Any
 from repro.core.global_nucleus import validate_sampling_options
 from repro.exceptions import _require_positive_int
 from repro.experiments.formatting import render_plain
-from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.metrics import snapshot as obs_snapshot
@@ -106,14 +105,8 @@ class RunConfig:
         of :mod:`repro.sampling.adaptive` at the given ``confidence`` with a
         per-candidate cap of ``n_worlds_max`` worlds (``None`` → twice the
         cell's fixed budget).  Recorded in every artifact's config block.
-    kernel:
-        Peel implementation: ``"numpy"`` (default) or ``"numba"`` — the
-        compiled peel kernel of :mod:`repro.kernels`
-        (falls back to numpy with a one-time warning when numba is not
-        installed).  The artifact config block records both the request and
-        the resolved value.
 
-    The engine knobs are validated by the same
+    The sampling knobs are validated by the same
     :func:`~repro.core.global_nucleus.validate_sampling_options` the
     decomposition drivers call, so a bad value fails at construction rather
     than at the first global/weak cell.
@@ -129,7 +122,6 @@ class RunConfig:
     sampling: str = "fixed"
     confidence: float = 0.95
     n_worlds_max: int | None = None
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         _require_positive_int("n_jobs", self.n_jobs)
@@ -137,7 +129,6 @@ class RunConfig:
             sampling=self.sampling,
             confidence=self.confidence,
             n_worlds_max=self.n_worlds_max,
-            kernel=self.kernel,
         )
 
     def sampling_kwargs(self) -> dict:
@@ -151,8 +142,6 @@ class RunConfig:
             kwargs.update(sampling=self.sampling, confidence=self.confidence)
             if self.n_worlds_max is not None:
                 kwargs["n_worlds_max"] = self.n_worlds_max
-        if self.kernel != "numpy":
-            kwargs["kernel"] = self.kernel
         return kwargs
 
     def matches(self, params: dict) -> bool:
@@ -271,8 +260,6 @@ class ExperimentRun:
                 "sampling": self.config.sampling,
                 "confidence": self.config.confidence,
                 "n_worlds_max": self.config.n_worlds_max,
-                "kernel": self.config.kernel,
-                "kernel_resolved": resolve_kernel(self.config.kernel, warn=False),
             },
             "row_fields": row_fields,
             "num_rows": len(self.rows),
@@ -450,7 +437,6 @@ class DecompositionCache:
         theta: float,
         estimator=None,
         dataset: str | None = None,
-        kernel: str = "numpy",
     ):
         """Return the local decomposition of ``graph`` at ``theta``, cached.
 
@@ -471,9 +457,7 @@ class DecompositionCache:
 
         if not self.enabled:
             self.misses += 1
-            return local_nucleus_decomposition(
-                graph, theta, estimator=estimator, kernel=kernel
-            )
+            return local_nucleus_decomposition(graph, theta, estimator=estimator)
 
         if key in self._memory:
             self.hits += 1
@@ -492,9 +476,7 @@ class DecompositionCache:
                 self.hits += 1
                 return result
 
-        result = local_nucleus_decomposition(
-            graph, theta, estimator=estimator, kernel=kernel
-        )
+        result = local_nucleus_decomposition(graph, theta, estimator=estimator)
         self._memory[key] = result
         self.misses += 1
         if path is not None:

@@ -13,8 +13,9 @@ is the one command line of the declarative pipeline of
   filtering), ``--format plain|markdown``, and the Monte-Carlo strategy
   knobs ``--sampling fixed|adaptive`` / ``--confidence`` /
   ``--n-worlds-max`` (sequential early stopping, recorded in artifacts).
-  ``--backend`` is the retired engine switch: ``csr`` is accepted silently,
-  ``dict`` with a :class:`DeprecationWarning`.
+  ``--backend`` and ``--kernel`` are retired engine switches: ``csr`` and
+  ``numpy`` are accepted silently, their deprecated values with a
+  :class:`DeprecationWarning`.
 
 For backwards compatibility the seed-era invocation
 ``python -m repro.experiments <name> [<name> …]`` (no subcommand) still
@@ -27,8 +28,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.core.global_nucleus import check_retired_knob
-from repro.core.local import check_backend
+from repro.exceptions import check_retired_knob
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
 from repro.experiments.pipeline import RunConfig, run_pipeline
@@ -139,11 +139,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--kernel",
-        choices=("numpy", "numba"),
         default="numpy",
-        help="hot-loop implementation: portable numpy (default) or the "
-        "compiled kernels of the [kernels] extra (falls back to numpy with "
-        "a warning when numba is not installed)",
+        help="retired peel switch: numpy (default) is silent, the deprecated "
+        "compiled peel warns and runs numpy",
     )
     run.add_argument(
         "--partitions",
@@ -178,7 +176,8 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     except ValueError as error:
         parser.error(str(error))  # raises SystemExit(2)
 
-    check_backend(args.backend)
+    check_retired_knob("backend", args.backend)
+    check_retired_knob("kernel", args.kernel)
     check_retired_knob("partitions", args.partitions)
     config = RunConfig(
         scale=args.scale,
@@ -191,7 +190,6 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         sampling=args.sampling,
         confidence=args.confidence,
         n_worlds_max=args.n_worlds_max,
-        kernel=args.kernel,
     )
     runs = run_pipeline(names, config)
     for name in names:

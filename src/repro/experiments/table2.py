@@ -88,14 +88,8 @@ def _run_cell(
 ) -> list[Table2Row]:
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
-    dp = cache.local(
-        graph, theta, estimator=None,
-        dataset=params["dataset"], kernel=config.kernel,
-    )
-    ap = cache.local(
-        graph, theta, estimator=HybridEstimator(),
-        dataset=params["dataset"], kernel=config.kernel,
-    )
+    dp = cache.local(graph, theta, estimator=None, dataset=params["dataset"])
+    ap = cache.local(graph, theta, estimator=HybridEstimator(), dataset=params["dataset"])
     total, average_error, percent = _score_comparison(dp, ap)
     return [
         Table2Row(

@@ -142,9 +142,7 @@ def _run_cell(
 ) -> list[Table3Row]:
     graph = load_dataset(params["dataset"], config.scale)
     theta = params["theta"]
-    local = cache.local(
-        graph, theta, dataset=params["dataset"], kernel=config.kernel,
-    )
+    local = cache.local(graph, theta, dataset=params["dataset"])
     row = decomposition_quality(graph, theta, local_result=local)
     return [
         Table3Row(

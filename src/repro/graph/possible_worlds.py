@@ -26,7 +26,7 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator
 
-from repro.exceptions import InvalidParameterError, _require_sample_count
+from repro.exceptions import InvalidParameterError, _require_positive_int
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 
 __all__ = [
@@ -146,7 +146,7 @@ def sample_worlds(
     InvalidParameterError
         If ``n_samples`` is not a positive integer (numpy integers pass).
     """
-    n_samples = _require_sample_count("n_samples", n_samples)
+    n_samples = _require_positive_int("n_samples", n_samples)
     if rng is None:
         rng = random.Random(seed)
     return [sample_world(graph, rng=rng) for _ in range(n_samples)]

@@ -19,21 +19,27 @@ on an already-computed result object.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
 import numpy as np
 
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.core.components import _nucleus_level_groups
-from repro.core.global_nucleus import check_retired_knob, global_nucleus_decomposition
-from repro.core.local import _csr_engine_arrays, check_backend, resolve_local_options
+from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.core.local import _csr_engine_arrays, resolve_local_options
 from repro.core.result import LocalNucleusDecomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.cliques import label_triangles
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import (
+    InvalidParameterError,
+    _require_finite,
+    _require_positive_int,
+    check_level,
+    check_retired_knob,
+)
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.nucleus_index import NucleusIndex
-from repro.kernels import resolve_kernel
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
@@ -67,17 +73,16 @@ def build_local_index(
     label-space objects are built on the way to the ``.npz``.  The result is
     bit-identical to snapshotting the equivalent
     :class:`~repro.core.result.LocalNucleusDecomposition` (pinned in
-    ``tests/test_nucleus_index.py``).  ``backend`` is the retired engine
-    switch; see :func:`~repro.core.local.check_backend`.
+    ``tests/test_nucleus_index.py``).  ``backend`` and ``kernel`` are
+    retired knobs; see :func:`~repro.exceptions.check_retired_knob`.
     """
-    check_backend(backend)
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     if local_result is not None:
         return NucleusIndex.from_local_result(local_result)
     estimator = resolve_local_options(theta, estimator)
     csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
-    index, scores = _csr_engine_arrays(csr, theta, estimator, kernel=kernel)
-    params = {"estimator": estimator.name}
-    params.update(_engine_params(kernel))
+    index, scores = _csr_engine_arrays(csr, theta, estimator)
     return NucleusIndex.from_triangle_arrays(
         csr,
         index.triangles,
@@ -85,7 +90,7 @@ def build_local_index(
         _nucleus_level_groups(scores, index),
         mode="local",
         theta=theta,
-        params=params,
+        params={"estimator": estimator.name},
     )
 
 
@@ -98,26 +103,29 @@ def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None)
     """
     if sampling == "fixed":
         return {}
+    if n_worlds_max is not None:
+        n_worlds_max = _require_positive_int("n_worlds_max", n_worlds_max)
     return {
         "sampling": sampling,
-        "confidence": confidence,
+        "confidence": _require_finite("confidence", confidence),
         "n_worlds_max": n_worlds_max,
     }
 
 
 #: Monte-Carlo knobs of the global/weak drivers that move their answer, with
-#: the drivers' defaults: ``epsilon``/``delta`` set the world count when
-#: ``n_samples`` is ``None``, and the chunk schedule shapes adaptive sampling.
-_MONTE_CARLO_DEFAULTS = {
-    "epsilon": 0.1,
-    "delta": 0.1,
-    "chunk_initial": DEFAULT_CHUNK_INITIAL,
-    "chunk_growth": DEFAULT_CHUNK_GROWTH,
+#: the drivers' defaults and the check that returns each as a Python number:
+#: ``epsilon``/``delta`` set the world count when ``n_samples`` is ``None``,
+#: and the chunk schedule shapes adaptive sampling.
+_MONTE_CARLO_KNOBS = {
+    "epsilon": (0.1, _require_finite),
+    "delta": (0.1, _require_finite),
+    "chunk_initial": (DEFAULT_CHUNK_INITIAL, _require_positive_int),
+    "chunk_growth": (DEFAULT_CHUNK_GROWTH, _require_finite),
 }
 
 
 def _monte_carlo_params(kwargs: dict) -> dict:
-    """The :data:`_MONTE_CARLO_DEFAULTS` knobs of ``kwargs`` that differ from them.
+    """The :data:`_MONTE_CARLO_KNOBS` of ``kwargs`` that differ from their defaults.
 
     Same empty-at-defaults contract as :func:`_sampling_params`: a default
     build records nothing, keeping its header byte-identical to earlier
@@ -125,8 +133,8 @@ def _monte_carlo_params(kwargs: dict) -> dict:
     recorded knobs back when it rebuilds a global or weak index.
     """
     return {
-        name: kwargs[name]
-        for name, default in _MONTE_CARLO_DEFAULTS.items()
+        name: check(name, kwargs[name])
+        for name, (default, check) in _MONTE_CARLO_KNOBS.items()
         if name in kwargs and kwargs[name] != default
     }
 
@@ -145,23 +153,47 @@ def _estimator_params(estimator: SupportEstimator | None) -> dict:
     return {"estimator": estimator.name}
 
 
-def _engine_params(kernel: str) -> dict:
-    """The compute-engine block recorded into ``.npz`` param headers.
+def _sampled_index(
+    decomposition: Callable[..., list],
+    mode: str,
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
+    k: int,
+    theta: float,
+    n_samples: int | None,
+    rng: random.Random | np.random.Generator | None,
+    seed: int | None,
+    sampling: str,
+    confidence: float,
+    n_worlds_max: int | None,
+    kwargs: dict,
+) -> NucleusIndex:
+    """Run a global or weak driver at ``k`` and index its nuclei at that level.
 
-    Same empty-at-defaults contract as :func:`_sampling_params`: the default
-    ``kernel="numpy"`` records nothing, keeping default-path archives
-    byte-identical to pre-kernel builds.  A non-default kernel records both
-    the request and what it resolved to on the building machine
-    (``kernel_resolved``), so an archive built with the numpy fallback is
-    distinguishable from one whose loops actually compiled.  Archives of
-    earlier releases may also carry a ``partitions`` entry; it loads as an
-    ordinary param.
+    The knobs the header records are validated first and passed on as the
+    Python numbers their checks return, so a numpy scalar knob writes the
+    header of its Python number.
     """
-    params: dict = {}
-    if kernel != "numpy":
-        params["kernel"] = kernel
-        params["kernel_resolved"] = resolve_kernel(kernel, warn=False)
-    return params
+    k = check_level(k)
+    if n_samples is not None:
+        n_samples = _require_positive_int("n_samples", n_samples)
+    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
+    monte_carlo = _monte_carlo_params(kwargs)
+    kwargs.update(monte_carlo)
+    nuclei = decomposition(
+        graph,
+        k,
+        theta,
+        n_samples=n_samples,
+        rng=rng,
+        seed=seed,
+        **sampling_kwargs,
+        **kwargs,
+    )
+    params = {"k": k, "n_samples": n_samples, "seed": seed}
+    params.update(sampling_kwargs)
+    params.update(monte_carlo)
+    params.update(_estimator_params(kwargs.get("estimator")))
+    return NucleusIndex.from_nuclei(graph, nuclei, k=k, theta=theta, mode=mode, params=params)
 
 
 def build_global_index(
@@ -181,31 +213,25 @@ def build_global_index(
 ) -> NucleusIndex:
     """Run the global decomposition at ``k`` and index the verified nuclei.
 
-    ``partitions`` is a retired knob; see
-    :func:`~repro.core.global_nucleus.check_retired_knob`.
+    ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
+    :func:`~repro.exceptions.check_retired_knob`.
     """
-    check_backend(backend)
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
-    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel)
-    nuclei = global_nucleus_decomposition(
+    return _sampled_index(
+        global_nucleus_decomposition,
+        "global",
         graph,
         k,
         theta,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-        kernel=kernel,
-        **sampling_kwargs,
-        **kwargs,
-    )
-    params = {"k": k, "n_samples": n_samples, "seed": seed}
-    params.update(sampling_kwargs)
-    params.update(_monte_carlo_params(kwargs))
-    params.update(_estimator_params(kwargs.get("estimator")))
-    params.update(engine_kwargs)
-    return NucleusIndex.from_nuclei(
-        graph, nuclei, k=k, theta=theta, mode="global", params=params
+        n_samples,
+        rng,
+        seed,
+        sampling,
+        confidence,
+        n_worlds_max,
+        kwargs,
     )
 
 
@@ -226,31 +252,25 @@ def build_weak_index(
 ) -> NucleusIndex:
     """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
 
-    ``partitions`` is a retired knob; see
-    :func:`~repro.core.global_nucleus.check_retired_knob`.
+    ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
+    :func:`~repro.exceptions.check_retired_knob`.
     """
-    check_backend(backend)
+    check_retired_knob("backend", backend)
+    check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
-    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
-    engine_kwargs = _engine_params(kernel)
-    nuclei = weak_nucleus_decomposition(
+    return _sampled_index(
+        weak_nucleus_decomposition,
+        "weakly-global",
         graph,
         k,
         theta,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-        kernel=kernel,
-        **sampling_kwargs,
-        **kwargs,
-    )
-    params = {"k": k, "n_samples": n_samples, "seed": seed}
-    params.update(sampling_kwargs)
-    params.update(_monte_carlo_params(kwargs))
-    params.update(_estimator_params(kwargs.get("estimator")))
-    params.update(engine_kwargs)
-    return NucleusIndex.from_nuclei(
-        graph, nuclei, k=k, theta=theta, mode="weakly-global", params=params
+        n_samples,
+        rng,
+        seed,
+        sampling,
+        confidence,
+        n_worlds_max,
+        kwargs,
     )
 
 

@@ -528,7 +528,7 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
 def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, added_p):
     """Deterministic full rebuild for configurations without an incremental path."""
     from repro.index.builders import (
-        _MONTE_CARLO_DEFAULTS,
+        _MONTE_CARLO_KNOBS,
         build_global_index,
         build_local_index,
         build_weak_index,
@@ -545,10 +545,11 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
             f"cannot rebuild a {index.mode} index with unknown estimator {name!r}; "
             "rebuild it explicitly with build_index"
         )
-    # A header without an estimator or kernel entry was built with the default.
-    engine = {"estimator": factory(), "kernel": str(params.get("kernel", "numpy"))}
+    # A header without an estimator entry was built with the default.  Older
+    # headers may carry ``kernel`` entries; there is one peel, so none is passed on.
+    estimator = factory()
     if index.mode == "local":
-        return build_local_index(new_csr, index.theta, **engine)
+        return build_local_index(new_csr, index.theta, estimator=estimator)
     builder = build_global_index if index.mode == "global" else build_weak_index
     sampling = str(params.get("sampling", "fixed"))
     sampling_kwargs = {}
@@ -561,14 +562,14 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
             "n_worlds_max": params.get("n_worlds_max"),
         }
     # Recorded only when they differ from the defaults; see _monte_carlo_params.
-    monte_carlo = {name: params[name] for name in _MONTE_CARLO_DEFAULTS if name in params}
+    monte_carlo = {name: params[name] for name in _MONTE_CARLO_KNOBS if name in params}
     return builder(
         new_csr.to_probabilistic(),
         int(params["k"]),
         index.theta,
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
-        **engine,
+        estimator=estimator,
         **sampling_kwargs,
         **monte_carlo,
     )

@@ -586,7 +586,7 @@ class NucleusIndex:
             raise InvalidParameterError(
                 f'mode must be "global" or "weakly-global", got {mode!r}'
             )
-        check_level(k)
+        k = check_level(k)
         csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
         id_of = {label: i for i, label in enumerate(csr.vertex_labels)}
         members = [

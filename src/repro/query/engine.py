@@ -194,7 +194,7 @@ class NucleusQueryEngine:
         return ids
 
     def _check_level(self, k: int) -> int:
-        check_level(k)
+        k = check_level(k)
         if self.index.mode != "local" and k not in self.index.levels:
             # A global / weakly-global index certifies exactly one k; other
             # levels are not derivable from the snapshot.

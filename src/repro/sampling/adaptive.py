@@ -141,7 +141,15 @@ class AdaptiveSettings:
             raise InvalidParameterError(
                 f"confidence must be a finite value in (0, 1), got {self.confidence!r}"
             )
-        self.schedule()  # validates the cap and the chunk shape by name
+        # Keep the Python numbers the checks return, numpy scalars included.
+        object.__setattr__(self, "confidence", confidence)
+        for name, check in (
+            ("n_worlds_max", _require_positive_int),
+            ("chunk_initial", _require_positive_int),
+            ("chunk_growth", _require_finite),
+        ):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
+        self.schedule()  # validates the chunk shape
 
     @property
     def delta(self) -> float:
@@ -192,9 +200,7 @@ def resolve_adaptive_settings(
         raise InvalidParameterError(
             f"sampling must be one of {SAMPLING_MODES}, got {sampling!r}"
         )
-    if n_samples is not None:
-        _require_positive_int("n_samples", n_samples)
-    budget = n_samples if n_samples is not None else 200
+    budget = 200 if n_samples is None else _require_positive_int("n_samples", n_samples)
     settings = AdaptiveSettings(
         confidence=confidence,
         n_worlds_max=2 * budget if n_worlds_max is None else n_worlds_max,

@@ -15,7 +15,7 @@ import math
 import random
 from collections.abc import Callable, Sequence
 
-from repro.exceptions import InvalidParameterError, _require_finite, _require_sample_count
+from repro.exceptions import InvalidParameterError, _require_finite, _require_positive_int
 from repro.graph.possible_worlds import sample_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
@@ -46,9 +46,11 @@ def hoeffding_sample_size(epsilon: float, delta: float) -> int:
     A ``bool``, a string or a non-finite value raises
     :class:`~repro.exceptions.InvalidParameterError` naming the knob.
     """
-    if not 0.0 < _require_finite("epsilon", epsilon) <= 1.0:
+    epsilon = _require_finite("epsilon", epsilon)
+    if not 0.0 < epsilon <= 1.0:
         raise InvalidParameterError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not 0.0 < _require_finite("delta", delta) <= 1.0:
+    delta = _require_finite("delta", delta)
+    if not 0.0 < delta <= 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1], got {delta}")
     return math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon))
 
@@ -60,8 +62,9 @@ def hoeffding_error_bound(n_samples: int, delta: float) -> float:
     ``delta`` a finite number in ``(0, 1]``; anything else raises
     :class:`~repro.exceptions.InvalidParameterError` naming the knob.
     """
-    n_samples = _require_sample_count("n_samples", n_samples)
-    if not 0.0 < _require_finite("delta", delta) <= 1.0:
+    n_samples = _require_positive_int("n_samples", n_samples)
+    delta = _require_finite("delta", delta)
+    if not 0.0 < delta <= 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1], got {delta}")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
 

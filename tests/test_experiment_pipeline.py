@@ -70,7 +70,7 @@ def _swap_in_dict_oracle(monkeypatch) -> None:
     """
     import repro.core.local
 
-    def local(graph, theta, estimator=None, kernel="numpy"):
+    def local(graph, theta, estimator=None):
         return oracle.local_nucleus_decomposition(graph, theta, estimator)
 
     monkeypatch.setattr(repro.core.local, "local_nucleus_decomposition", local)

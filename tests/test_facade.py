@@ -13,6 +13,7 @@ import asyncio
 import itertools
 import re
 
+import numpy as np
 import pytest
 
 import repro
@@ -71,7 +72,7 @@ class TestDecompose:
                 repro.decompose(graph, mode=mode, theta=THETA)
         # k must be an int: a float is not rounded, a bool is not 0/1.
         local = repro.decompose(graph, theta=THETA)
-        for bad in (1.5, True):
+        for bad in (1.5, True, np.bool_(True)):
             message = re.escape(f"k must be a non-negative integer, got {bad!r}")
             for mode in ("global", "weak"):
                 with pytest.raises(InvalidParameterError, match=message):
@@ -115,7 +116,9 @@ class TestDecompose:
             ("estimator", PoissonEstimator),  # the class, not an instance
             ("local_result", 5),
             ("epsilon", True),
+            ("epsilon", np.bool_(True)),
             ("epsilon", "0.1"),
+            ("n_samples", np.bool_(True)),
             ("delta", True),
             ("delta", "0.1"),
         ],
@@ -129,6 +132,50 @@ class TestDecompose:
             for entry_point in (repro.decompose, repro.build_index):
                 with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
                     entry_point(graph, mode=mode, theta=THETA, k=k, **{knob: bad})
+
+    @pytest.mark.parametrize("mode", ["global", "weak"])
+    @pytest.mark.parametrize(
+        "knob, value, sampling",
+        [
+            ("k", np.int64(1), "fixed"),
+            ("n_samples", np.int64(50), "fixed"),
+            ("epsilon", np.float32(0.2), "fixed"),
+            ("delta", np.float32(0.2), "fixed"),
+            ("confidence", np.float32(0.9), "adaptive"),
+            ("n_worlds_max", np.int64(100), "adaptive"),
+            ("chunk_initial", np.int64(8), "adaptive"),
+            ("chunk_growth", np.float32(1.5), "adaptive"),
+        ],
+        ids=str,
+    )
+    def test_numpy_scalar_knobs_run_as_their_python_numbers(
+        self, graph, tmp_path, mode, knob, value, sampling
+    ):
+        # At θ = 0.3 every case finds nuclei, and the global ones move with
+        # each knob's value.
+        def run(entry_point, number):
+            settings = {"k": 1, "seed": 5, "sampling": sampling, knob: number}
+            return entry_point(graph, mode=mode, theta=0.3, **settings)
+
+        nuclei, expected = run(repro.decompose, value), run(repro.decompose, value.item())
+        assert nuclei
+        assert [sorted(n.triangles) for n in nuclei] == [sorted(n.triangles) for n in expected]
+        assert all(type(n.k) is int for n in nuclei)
+        saved = [
+            run(repro.build_index, number).save(tmp_path / f"{i}.npz").read_bytes()
+            for i, number in enumerate((value, value.item()))
+        ]
+        assert saved[0] == saved[1]
+
+    def test_numpy_levels_extract_and_query_as_python_ints(self, graph, index):
+        local = repro.decompose(graph, theta=THETA)
+        nuclei = local.nuclei(np.int64(0))
+        assert [n.triangles for n in nuclei] == [n.triangles for n in local.nuclei(0)]
+        assert all(type(n.k) is int for n in nuclei)
+        engine, vertices = NucleusQueryEngine(index), sorted(graph.vertices())
+        assert list(engine.contains(vertices, k=np.int64(1))) == list(
+            engine.contains(vertices, k=1)
+        )
 
     def test_global_dispatch(self, graph):
         nuclei = repro.decompose(graph, mode="global", theta=THETA, k=1, seed=11)

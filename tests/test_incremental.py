@@ -508,18 +508,16 @@ class TestEngineRefresh:
 # fallback rebuild for non-incremental configurations
 # --------------------------------------------------------------------------- #
 class TestFallbackModes:
-    @pytest.mark.filterwarnings('ignore:kernel="numba" requested:RuntimeWarning')
     def test_local_with_approximate_estimator_falls_back(self, paper_figure1_graph):
         graph = paper_figure1_graph
         edges = edge_dict(graph)
-        index = build_local_index(graph, THETA, estimator=PoissonEstimator(), kernel="numba")
+        index = build_local_index(graph, THETA, estimator=PoissonEstimator())
         batch = [EdgeUpdate("change", 3, 5, 0.6)]
         updated = apply_updates(index, batch)
         rebuilt = build_local_index(
             graph_from(apply_to_edges(edges, batch), graph.vertices()),
             THETA,
             estimator=PoissonEstimator(),
-            kernel="numba",
         )
         assert_same_content(updated, rebuilt)
         assert updated.params == rebuilt.params

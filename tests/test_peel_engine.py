@@ -269,20 +269,18 @@ class TestKappaRepairHooks:
 class TestInputValidation:
     """Bad κ inputs and repair knobs fail up front, naming the knob."""
 
-    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
-    def test_float_initial_kappas_rejected(self, kernel):
+    def test_float_initial_kappas_rejected(self):
         index, kappas, repair = prepared(clique_graph(6, probability=0.9), 0.3)
         with pytest.raises(InvalidParameterError, match="initial_kappas"):
-            peel_kappa_scores(index, kappas.astype(np.float64), repair, kernel=kernel)
+            peel_kappa_scores(index, kappas.astype(np.float64), repair)
 
-    @pytest.mark.parametrize("kernel", ["numpy", "numba"])
-    def test_kappas_below_the_sentinel_rejected(self, kernel):
+    def test_kappas_below_the_sentinel_rejected(self):
         index, kappas, repair = prepared(clique_graph(6, probability=0.9), 0.3)
         with pytest.raises(InvalidParameterError, match="initial_kappas"):
-            peel_kappa_scores(index, kappas - 5, repair, kernel=kernel)
+            peel_kappa_scores(index, kappas - 5, repair)
         kappas[3] = NO_VALID_K - 1
         with pytest.raises(InvalidParameterError, match="initial_kappas"):
-            peel_kappa_scores(index, kappas, repair, kernel=kernel)
+            peel_kappa_scores(index, kappas, repair)
 
     def test_int32_initial_kappas_accepted(self, planted_graph):
         index, kappas, repair = prepared(planted_graph, 0.2)
