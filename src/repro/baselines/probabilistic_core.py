@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
 from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
-from repro.peeling import LazyMinHeap
+from repro.peeling import LazyMinHeap, canonical_rank
 
 __all__ = ["eta_degrees", "probabilistic_core_decomposition", "k_eta_core_subgraph",
            "max_core_score"]
@@ -68,7 +68,8 @@ def probabilistic_core_decomposition(
         v: max(0, estimator.max_k(1.0, list(nbrs.values()), eta))
         for v, nbrs in alive_neighbors.items()
     }
-    heap = LazyMinHeap((score, v) for v, score in kappa.items())
+    rank = canonical_rank(graph.vertices())
+    heap = LazyMinHeap(((score, v) for v, score in kappa.items()), rank=lambda v: rank((v,)))
 
     core: dict[Vertex, int] = {}
     processed: set[Vertex] = set()

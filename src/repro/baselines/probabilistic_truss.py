@@ -24,7 +24,7 @@ from repro.core.approximations import DynamicProgrammingEstimator, SupportEstima
 from repro.core.support_dp import NO_VALID_K
 from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.peeling import LazyMinHeap
+from repro.peeling import LazyMinHeap, canonical_rank
 
 __all__ = [
     "edge_triangle_probabilities",
@@ -76,7 +76,8 @@ def probabilistic_truss_decomposition(
         edge: estimator.max_k(edge_probability[edge], list(wedge.values()), gamma)
         for edge, wedge in alive_wedges.items()
     }
-    heap = LazyMinHeap((score, edge) for edge, score in kappa.items())
+    rank = canonical_rank(graph.vertices())
+    heap = LazyMinHeap(((score, edge) for edge, score in kappa.items()), rank=rank)
 
     adjacency: dict = {v: set(graph.neighbors(v)) for v in graph.vertices()}
     truss: dict[Edge, int] = {}

@@ -49,7 +49,7 @@ from repro.core.support_dp import (
     poisson_binomial_pmf,
     support_tail_probabilities,
 )
-from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
+from repro.core.weak_nucleus import weak_nucleus_decomposition
 
 __all__ = [
     "CSRTriangleIndex",
@@ -77,6 +77,5 @@ __all__ = [
     "max_k_at_threshold",
     "poisson_binomial_pmf",
     "support_tail_probabilities",
-    "triangle_weak_scores_matrix",
     "weak_nucleus_decomposition",
 ]

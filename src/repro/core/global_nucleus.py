@@ -61,7 +61,6 @@ from repro.sampling.adaptive import (
     DEFAULT_CHUNK_GROWTH,
     DEFAULT_CHUNK_INITIAL,
     DEFAULT_CONFIDENCE,
-    AdaptiveSettings,
     adaptive_global_verify,
     resolve_adaptive_settings,
 )
@@ -73,37 +72,6 @@ __all__ = [
     "candidate_closure",
     "union_of_nuclei",
 ]
-
-
-def validate_sampling_options(
-    sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
-    n_samples: int | None = None,
-) -> AdaptiveSettings:
-    """Validate the engine knobs of Algorithms 2 and 3; the one validator.
-
-    Used by both drivers and by
-    :class:`~repro.experiments.pipeline.RunConfig`.  The sampling knobs,
-    ``n_samples`` included, are checked by
-    :func:`~repro.sampling.adaptive.resolve_adaptive_settings`.
-    Returns the validated :class:`~repro.sampling.adaptive.AdaptiveSettings`
-    of the one verification loop: the one-chunk schedule ``(n_samples,)``
-    for ``sampling="fixed"``, the geometric schedule for
-    ``sampling="adaptive"``.  Out-of-range or non-finite knobs raise
-    :class:`~repro.exceptions.InvalidParameterError` here, before any
-    sampling starts.
-    """
-    return resolve_adaptive_settings(
-        sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-    )
 
 
 def local_pruning(
@@ -292,7 +260,7 @@ def global_nucleus_decomposition(
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    settings = validate_sampling_options(
+    settings = resolve_adaptive_settings(
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,

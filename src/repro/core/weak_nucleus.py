@@ -36,10 +36,9 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.components import _root_groups, _union_batches
-from repro.core.global_nucleus import local_pruning, validate_sampling_options
+from repro.core.global_nucleus import local_pruning
 from repro.core.local import resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
-from repro.deterministic.cliques import Triangle
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import check_level, check_retired_knob
 from repro.graph.csr import CSRProbabilisticGraph
@@ -54,30 +53,7 @@ from repro.sampling.adaptive import (
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
-__all__ = ["weak_nucleus_decomposition", "triangle_weak_scores_matrix"]
-
-
-def triangle_weak_scores_matrix(
-    candidate: ProbabilisticGraph,
-    k: int,
-    n_samples: int,
-    rng: "np.random.Generator | random.Random | None" = None,
-    seed: int | None = None,
-) -> dict[Triangle, float]:
-    """Estimate ``Pr(X_{H,△,w} ≥ k)`` for every triangle of a candidate subgraph.
-
-    Runs the one-chunk fixed schedule of
-    :func:`repro.sampling.adaptive.adaptive_weak_scores`: ``n_samples``
-    worlds, counted per triangle over the worlds in which it belongs to some
-    deterministic k-nucleus (Algorithm 3, lines 5–9).  The returned
-    dictionary maps every triangle of the candidate (not just the ones that
-    ever scored) to its estimate.
-    """
-    settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
-    index = CandidateWorldIndex.from_graph(candidate)
-    # One chunk computes no confidence radius: θ only splits the estimates.
-    estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, rng=rng, seed=seed)
-    return dict(zip(index.triangle_labels(), estimates.tolist()))
+__all__ = ["weak_nucleus_decomposition"]
 
 
 def weak_nucleus_decomposition(
@@ -128,7 +104,7 @@ def weak_nucleus_decomposition(
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    settings = validate_sampling_options(
+    settings = resolve_adaptive_settings(
         sampling=sampling,
         confidence=confidence,
         n_worlds_max=n_worlds_max,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.peeling import LazyMinHeap
+from repro.peeling import LazyMinHeap, canonical_rank
 
 __all__ = ["edge_supports", "truss_decomposition", "k_truss_subgraph", "max_truss_number"]
 
@@ -40,7 +40,8 @@ def truss_decomposition(graph: ProbabilisticGraph) -> dict[Edge, int]:
     alive: set[Edge] = set(supports)
     adjacency: dict = {v: set(graph.neighbors(v)) for v in graph.vertices()}
 
-    heap = LazyMinHeap((s, e) for e, s in supports.items())
+    rank = canonical_rank(graph.vertices())
+    heap = LazyMinHeap(((s, e) for e, s in supports.items()), rank=rank)
 
     def current(edge: Edge) -> int | None:
         return supports[edge] if edge in alive else None

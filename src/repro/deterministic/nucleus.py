@@ -33,7 +33,7 @@ from repro.deterministic.cliques import (
 )
 from repro.exceptions import check_level
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.peeling import LazyMinHeap
+from repro.peeling import LazyMinHeap, canonical_rank
 
 __all__ = [
     "nucleus_decomposition",
@@ -59,7 +59,8 @@ def nucleus_decomposition(graph: ProbabilisticGraph) -> dict[Triangle, int]:
     alive_cliques = set(by_clique)
     processed: set[Triangle] = set()
 
-    heap = LazyMinHeap((s, t) for t, s in support.items())
+    rank = canonical_rank(graph.vertices())
+    heap = LazyMinHeap(((s, t) for t, s in support.items()), rank=rank)
 
     def current(triangle: Triangle) -> int | None:
         return None if triangle in processed else support[triangle]

@@ -80,9 +80,7 @@ def check_level(k) -> int:
     in this leaf module so the sampling layer can import it without a cycle
     through :mod:`repro.core`.
     """
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 0:
-        raise InvalidParameterError(f"k must be a non-negative integer, got {k!r}")
-    return int(k)
+    return _require_nonnegative_int("k", k)
 
 
 def check_theta(theta) -> None:
@@ -95,6 +93,14 @@ def check_theta(theta) -> None:
         return
     if isinstance(theta, bool) or not isinstance(theta, numbers.Real) or not 0 <= theta <= 1:
         raise InvalidParameterError(f"theta must be a real number in [0, 1], got {theta!r}")
+
+
+def _require_nonnegative_int(name: str, value) -> int:
+    """Return ``value`` as an ``int`` if it is a non-negative integer (``k``, a
+    ``seed``), numpy integers included (not a ``bool``), else raise naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidParameterError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _require_positive_int(name: str, value) -> int:

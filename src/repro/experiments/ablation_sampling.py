@@ -8,8 +8,13 @@ measures the maximum absolute deviation between the Monte-Carlo estimate of
 ``Pr(X_{H,△,g} ≥ k)`` and its exact value, and compares the observed error
 with the ε that Hoeffding guarantees at δ = 0.1.
 
-The sample sizes share one sequential RNG stream (size 50 continues the
-stream of size 25), so the pipeline grid is a single cell.
+The exact values come from the exact evaluator
+(:func:`repro.sampling.adaptive.exact_probabilities`).  The estimates keep
+the dict sampler :func:`~repro.graph.possible_worlds.sample_world`, whose
+``random.Random`` stream the golden report pins, and count its worlds as
+world-matrix rows with the same predicate.  The sample sizes share one
+sequential RNG stream (size 50 continues the stream of size 25), so the
+pipeline grid is a single cell.
 """
 
 from __future__ import annotations
@@ -17,15 +22,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.deterministic.cliques import enumerate_triangles
-from repro.deterministic.nucleus import is_k_nucleus
+import numpy as np
+
 from repro.experiments.formatting import Column
 from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunConfig
 from repro.graph.generators import complete_probabilistic_graph, uniform_probability
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.hardness.reductions import global_indicator_probability
+from repro.sampling.adaptive import exact_probabilities
 from repro.sampling.monte_carlo import hoeffding_error_bound
+from repro.sampling.world_matrix import CandidateWorldIndex, global_membership
 
 __all__ = ["SPEC", "AblationSamplingRow"]
 
@@ -75,32 +81,22 @@ def _run_cell(
     if graph is None:
         graph = _default_graph(seed)
     k, delta = params["k"], params["delta"]
-    triangles = list(enumerate_triangles(graph))
-    exact = {
-        t: global_indicator_probability(graph, t, k) for t in triangles
-    }
+    index = CandidateWorldIndex.from_graph(graph)
+    exact = exact_probabilities(global_membership, index, k)
+    labels = index.labels
+    edges = [(labels[u], labels[v]) for u, v in zip(index.edge_u, index.edge_v)]
 
     rows: list[AblationSamplingRow] = []
     rng = random.Random(seed)
     for n in params["sample_sizes"]:
-        worlds = [sample_world(graph, rng=rng) for _ in range(n)]
-        nucleus_flags = [is_k_nucleus(world, k) for world in worlds]
-        errors = []
-        for t in triangles:
-            u, v, w = t
-            hits = sum(
-                1
-                for world, is_nucleus in zip(worlds, nucleus_flags)
-                if is_nucleus
-                and world.has_edge(u, v)
-                and world.has_edge(u, w)
-                and world.has_edge(v, w)
-            )
-            errors.append(abs(hits / n - exact[t]))
+        worlds = (sample_world(graph, rng=rng) for _ in range(n))
+        present = np.array([[w.has_edge(*e) for e in edges] for w in worlds], dtype=bool)
+        hits = global_membership(index, present, k).sum(axis=0)
+        errors = np.abs(hits / n - exact).tolist()
         rows.append(
             AblationSamplingRow(
                 n_samples=n,
-                max_observed_error=max(errors) if errors else 0.0,
+                max_observed_error=max(errors, default=0.0),
                 mean_observed_error=(sum(errors) / len(errors)) if errors else 0.0,
                 hoeffding_epsilon=hoeffding_error_bound(n, delta),
             )

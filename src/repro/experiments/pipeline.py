@@ -47,7 +47,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-from repro.core.global_nucleus import validate_sampling_options
 from repro.exceptions import _require_positive_int
 from repro.experiments.formatting import render_plain
 from repro.obs import config as obs_config
@@ -56,6 +55,7 @@ from repro.obs.metrics import snapshot as obs_snapshot
 from repro.obs.spans import capture as obs_capture
 from repro.obs.spans import span
 from repro.obs.timing import timer
+from repro.sampling.adaptive import resolve_adaptive_settings
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -107,7 +107,7 @@ class RunConfig:
         cell's fixed budget).  Recorded in every artifact's config block.
 
     The sampling knobs are validated by the same
-    :func:`~repro.core.global_nucleus.validate_sampling_options` the
+    :func:`~repro.sampling.adaptive.resolve_adaptive_settings` the
     decomposition drivers call, so a bad value fails at construction rather
     than at the first global/weak cell.
     """
@@ -125,7 +125,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _require_positive_int("n_jobs", self.n_jobs)
-        validate_sampling_options(
+        resolve_adaptive_settings(
             sampling=self.sampling,
             confidence=self.confidence,
             n_worlds_max=self.n_worlds_max,

@@ -76,6 +76,15 @@ def _world_from_edges(graph: ProbabilisticGraph, edges: Iterable[Edge]) -> Proba
     return world
 
 
+def _check_enumerable(num_edges: int, max_edges: int) -> None:
+    """Refuse to enumerate the ``2**num_edges`` worlds of more than ``max_edges`` edges."""
+    if num_edges > max_edges:
+        raise InvalidParameterError(
+            f"refusing to enumerate 2**{num_edges} possible worlds "
+            f"(limit is 2**{max_edges}); use sampling instead"
+        )
+
+
 def enumerate_worlds(
     graph: ProbabilisticGraph,
     max_edges: int = MAX_ENUMERABLE_EDGES,
@@ -91,11 +100,7 @@ def enumerate_worlds(
         ``world`` is a deterministic :class:`ProbabilisticGraph` (all edge
         probabilities equal to 1) on the full vertex set of ``graph``.
     """
-    if graph.num_edges > max_edges:
-        raise InvalidParameterError(
-            f"refusing to enumerate 2**{graph.num_edges} possible worlds "
-            f"(limit is 2**{max_edges}); use sampling instead"
-        )
+    _check_enumerable(graph.num_edges, max_edges)
     edge_list = [(u, v) for u, v, _ in graph.edges()]
     probabilities = [graph.edge_probability(u, v) for u, v in edge_list]
     for mask in itertools.product((False, True), repeat=len(edge_list)):

@@ -8,7 +8,8 @@ The hardness results of the paper are:
   ``v`` and to each other by probability-1 edges.  The resulting triangle
   ``(u, v, w)`` exists in every possible world, and the world is a 0-nucleus
   containing it exactly when the original world of ``G`` is connected
-  (Lemma 2).
+  (Lemma 2, checked as reliability: the augmented graph is connected
+  exactly when ``G`` is).
 * **w-NuDecomp is NP-hard** (Theorem 4.2) — by reduction from the k-clique
   problem.  Give every edge of a deterministic graph ``G`` probability
   ``1 / 2^(2m+1)`` (``m`` = number of edges) and choose
@@ -18,9 +19,10 @@ The hardness results of the paper are:
   (k+3)-clique.
 
 These constructions are included as executable code because (a) they make the
-hardness results testable on small instances (the tests verify both
-directions of each reduction by brute force), and (b) they serve as worked
-examples of the definitions for library users.
+hardness results testable on small instances, and (b) they serve as worked
+examples of the definitions for library users.  The indicator probabilities
+and the Lemma 3 search are exact, over every possible world, through
+:func:`repro.sampling.adaptive.exact_probabilities`.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.deterministic.cliques import Triangle, canonical_triangle
-from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError, VertexNotFoundError, check_level
-from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.sampling.adaptive import exact_probabilities
+from repro.sampling.world_matrix import CandidateWorldIndex, global_membership, weak_membership
 
 __all__ = [
     "ReliabilityReduction",
@@ -58,8 +62,8 @@ class ReliabilityReduction:
         The augmented probabilistic graph ``F`` (original graph plus the
         probability-1 triangle).
     triangle:
-        The certain triangle ``(u, v, w)`` whose global indicator probability
-        equals the reliability of the original graph.
+        The certain triangle ``(u, v, w)``: a world of ``graph`` contains it
+        and is connected exactly when the original world is connected.
     anchor:
         The original vertex ``v`` the gadget was attached to.
     dummies:
@@ -107,35 +111,27 @@ def reduce_reliability_to_global_nucleus(
     )
 
 
-def _world_contains_triangle(world: ProbabilisticGraph, triangle: Triangle) -> bool:
-    u, v, w = triangle
-    return world.has_edge(u, v) and world.has_edge(u, w) and world.has_edge(v, w)
+def _indicator_probability(membership, graph, triangle, k, max_edges) -> float:
+    """The exact probability of ``triangle`` (any vertex order; 0 if not in ``graph``)."""
+    index = CandidateWorldIndex.from_graph(graph)
+    probabilities = exact_probabilities(membership, index, k, max_edges)
+    rows = dict(zip(index.triangle_labels(), probabilities.tolist()))
+    return rows.get(canonical_triangle(*triangle), 0.0)
 
 
 def global_indicator_probability(
-    graph: ProbabilisticGraph,
-    triangle: Triangle,
-    k: int,
-    max_edges: int = 20,
-    nucleus_check=None,
+    graph: ProbabilisticGraph, triangle: Triangle, k: int, max_edges: int = 20
 ) -> float:
-    """Exactly evaluate ``Pr(X_{G,△,g} ≥ k)`` by enumerating possible worlds.
+    """Exactly evaluate ``Pr(X_{G,△,g} ≥ k)`` over every possible world.
 
-    Used by the hardness tests to confirm, on small instances, that the
-    probability of the Lemma 2 triangle equals the reliability of the
-    original graph.  ``nucleus_check(world, k)`` defaults to
-    :func:`repro.deterministic.nucleus.is_k_nucleus`; the Lemma 2
-    correspondence uses connectivity as the ``k = 0`` notion of nucleus, which
-    callers can obtain by passing a custom check.
+    A world counts when it contains the triangle and the whole world is a
+    deterministic k-nucleus (the predicate of Algorithm 2).
+
+    >>> from repro.graph.generators import clique_graph
+    >>> round(global_indicator_probability(clique_graph(5, probability=0.9), (0, 1, 2), 1), 2)
+    0.62
     """
-    check_level(k)
-    if nucleus_check is None:
-        nucleus_check = is_k_nucleus
-    total = 0.0
-    for world, probability in enumerate_worlds(graph, max_edges=max_edges):
-        if _world_contains_triangle(world, triangle) and nucleus_check(world, k):
-            total += probability
-    return min(1.0, total)
+    return _indicator_probability(global_membership, graph, triangle, k, max_edges)
 
 
 # --------------------------------------------------------------------------- #
@@ -201,46 +197,36 @@ def reduce_clique_to_weak_nucleus(
 def weak_indicator_probability(
     graph: ProbabilisticGraph, triangle: Triangle, k: int, max_edges: int = 20
 ) -> float:
-    """Exactly evaluate ``Pr(X_{G,△,w} ≥ k)`` by enumerating possible worlds.
+    """Exactly evaluate ``Pr(X_{G,△,w} ≥ k)`` over every possible world.
 
-    A world counts when it contains the triangle and some subgraph of it is a
-    deterministic k-nucleus containing the triangle; the check uses the
-    deterministic nucleus decomposition of the world.
+    A world counts when some subgraph of it is a deterministic k-nucleus
+    containing the triangle (the predicate of Algorithm 3).
     """
-    from repro.deterministic.nucleus import k_nucleus_triangle_groups
-
-    check_level(k)
-    total = 0.0
-    for world, probability in enumerate_worlds(graph, max_edges=max_edges):
-        if not _world_contains_triangle(world, triangle):
-            continue
-        groups = k_nucleus_triangle_groups(world, k)
-        if any(triangle in group for group in groups):
-            total += probability
-    return min(1.0, total)
+    return _indicator_probability(weak_membership, graph, triangle, k, max_edges)
 
 
 # --------------------------------------------------------------------------- #
 # Lemma 3
 # --------------------------------------------------------------------------- #
-def only_k_nucleus_on_k_plus_3_vertices_is_clique(k: int, num_vertices: int | None = None) -> bool:
+def only_k_nucleus_on_k_plus_3_vertices_is_clique(
+    k: int, num_vertices: int | None = None
+) -> bool:
     """Verify Lemma 3 by exhaustive search for a given ``k``.
 
     Checks that among all graphs on ``k + 3`` labelled vertices, the only one
-    that is a deterministic k-nucleus is the complete graph.  Exponential in
-    the number of vertex pairs — intended for the small ``k`` used in tests
-    (``k ≤ 2`` keeps the search under 2^10 graphs).
+    that is a deterministic k-nucleus is the complete graph.  Those graphs are
+    the worlds of the complete graph at edge probability ½, each of weight
+    ``2^-m``: the lemma holds iff the complete world is a k-nucleus and its
+    weight is every triangle's whole global indicator probability (sums of
+    powers of two are exact).
     """
-    check_level(k)
+    k = check_level(k)
     n = num_vertices if num_vertices is not None else k + 3
-    vertices = list(range(n))
-    pairs = list(itertools.combinations(vertices, 2))
-    for mask in itertools.product((False, True), repeat=len(pairs)):
-        edges = [pair for include, pair in zip(mask, pairs) if include]
-        graph = ProbabilisticGraph.from_deterministic(edges)
-        for v in vertices:
-            graph.add_vertex(v)
-        if is_k_nucleus(graph, k) and len(edges) != len(pairs):
-            return False
-    complete = ProbabilisticGraph.from_deterministic(pairs)
-    return is_k_nucleus(complete, k)
+    pairs = itertools.combinations(range(n), 2)
+    complete = ProbabilisticGraph([(u, v, 0.5) for u, v in pairs])
+    index = CandidateWorldIndex.from_graph(complete)
+    full_world = np.ones((1, index.num_edges), dtype=bool)
+    probabilities = exact_probabilities(global_membership, index, k)
+    return bool(global_membership(index, full_world, k).any()) and bool(
+        (probabilities == 0.5**index.num_edges).all()
+    )

@@ -33,6 +33,7 @@ from repro.deterministic.cliques import label_triangles
 from repro.exceptions import (
     InvalidParameterError,
     _require_finite,
+    _require_nonnegative_int,
     _require_positive_int,
     check_level,
     check_retired_knob,
@@ -176,6 +177,8 @@ def _sampled_index(
     k = check_level(k)
     if n_samples is not None:
         n_samples = _require_positive_int("n_samples", n_samples)
+    if seed is not None:
+        seed = _require_nonnegative_int("seed", seed)
     sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     monte_carlo = _monte_carlo_params(kwargs)
     kwargs.update(monte_carlo)

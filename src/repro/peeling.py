@@ -23,10 +23,13 @@ dead items and refreshing stale entries::
         value, item = entry
         ...  # peel `item`, update neighbour scores, heap.push(...) as needed
 
-The array-native peel engine (:mod:`repro.core.peel`) uses it only to replay
-the approximations' trajectory; the exact DP peels in level-synchronous
-rounds.  This helper intentionally lives outside :mod:`repro.core`, where the
-deterministic layer and the baselines can import it without cycles.
+Equal values pop in ascending ``rank(item)``: the dict peels rank their
+items with :func:`canonical_rank`, so labels of mixed types never compare.
+The array-native peel engine (:mod:`repro.core.peel`) pushes int triangle
+rows, which rank as themselves, only to replay the approximations'
+trajectory; the exact DP peels in level-synchronous rounds.  This helper
+lives outside :mod:`repro.core` so the deterministic layer and the baselines
+can import it without cycles.
 """
 
 from __future__ import annotations
@@ -34,7 +37,23 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Hashable, Iterable
 
-__all__ = ["LazyMinHeap"]
+from repro.graph.probabilistic_graph import sorted_labels
+
+__all__ = ["LazyMinHeap", "canonical_rank"]
+
+
+def canonical_rank(labels: Iterable[Hashable]) -> Callable[[Iterable[Hashable]], tuple]:
+    """Rank a group of vertices by their positions in ``sorted_labels(labels)``.
+
+    The positions are sorted, so every vertex order of a group ranks alike;
+    where the labels compare, ranks order canonical groups as the groups do.
+
+    >>> rank = canonical_rank([10, 9, "a"])
+    >>> rank(("a", 10)), rank((9,))
+    ((0, 2), (1,))
+    """
+    position = {label: i for i, label in enumerate(sorted_labels(labels))}
+    return lambda group: tuple(sorted(position[v] for v in group))
 
 
 class LazyMinHeap:
@@ -44,20 +63,20 @@ class LazyMinHeap:
     consults the caller's ``current`` callback: items it reports as dead
     (``None``) are dropped, entries whose stored value no longer matches the
     current value are re-pushed with the fresh value, and the first live,
-    up-to-date entry is returned.  Ties between equal values fall back to
-    comparing the items themselves, matching the behaviour of the historical
-    inline ``heapq`` loops.
+    up-to-date entry is returned.  Ties between equal values pop in
+    ascending ``rank(item)``, by default the item itself.
     """
 
-    __slots__ = ("_heap",)
+    __slots__ = ("_heap", "_rank")
 
-    def __init__(self, entries: Iterable[tuple] = ()) -> None:
-        self._heap: list[tuple] = list(entries)
+    def __init__(self, entries: Iterable[tuple] = (), rank: Callable | None = None) -> None:
+        self._rank = rank or (lambda item: item)
+        self._heap: list[tuple] = [(value, self._rank(item), item) for value, item in entries]
         heapq.heapify(self._heap)
 
     def push(self, value, item: Hashable) -> None:
         """Add an entry; stale copies of the same item are handled on pop."""
-        heapq.heappush(self._heap, (value, item))
+        heapq.heappush(self._heap, (value, self._rank(item), item))
 
     def pop(self, current: Callable[[Hashable], object]) -> tuple | None:
         """Pop the minimum live, up-to-date entry, or ``None`` when drained.
@@ -70,12 +89,12 @@ class LazyMinHeap:
         """
         heap = self._heap
         while heap:
-            value, item = heapq.heappop(heap)
+            value, rank, item = heapq.heappop(heap)
             live = current(item)
             if live is None:
                 continue
             if live != value:
-                heapq.heappush(heap, (live, item))
+                heapq.heappush(heap, (live, rank, item))
                 continue
             return value, item
         return None

@@ -37,6 +37,9 @@ estimated from possible worlds drawn through
    are sums over worlds, and numpy's generator draws ``(a, m)`` then
    ``(b, m)`` exactly as one ``(a + b, m)`` draw, so blocks change neither
    the stream nor the answer; they bound peak memory for every candidate.
+4. **Exact evaluation.** On small graphs :func:`exact_probabilities`
+   enumerates every world in the same row blocks, for the hardness
+   reductions (:mod:`repro.hardness`) and the sampling ablation.
 
 Determinism: chunks and blocks are drawn and counted in order from one
 numpy generator, so results are bit-identical for a fixed seed.
@@ -59,6 +62,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.exceptions import InvalidParameterError, _require_finite, _require_positive_int
+from repro.graph.possible_worlds import MAX_ENUMERABLE_EDGES, _check_enumerable
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.sampling.world_matrix import (
@@ -84,6 +88,7 @@ __all__ = [
     "WORLD_BLOCK_BYTES",
     "block_rows",
     "blocked_counts",
+    "exact_probabilities",
     "adaptive_global_verify",
     "adaptive_weak_scores",
 ]
@@ -354,6 +359,36 @@ def blocked_counts(
         worlds = index.sample(min(rows, n_worlds - start), rng=generator)
         counts += count(index, worlds, k)
     return counts
+
+
+def exact_probabilities(
+    membership: Callable[..., np.ndarray],
+    index: CandidateWorldIndex,
+    k: int,
+    max_edges: int = MAX_ENUMERABLE_EDGES,
+) -> np.ndarray:
+    """Exact ``Pr(X_{H,△,g} ≥ k)`` or ``Pr(X_{H,△,w} ≥ k)`` of every triangle row.
+
+    ``membership`` is :func:`~repro.sampling.world_matrix.global_membership`
+    or :func:`~repro.sampling.world_matrix.weak_membership`.  World ``c`` of
+    the ``2^m`` holds edge column ``j`` iff bit ``j`` of ``c`` is set; the
+    worlds are enumerated in :func:`block_rows` blocks, and each world's
+    probability (Equation 1) is added to the triangles it holds.  More than
+    ``max_edges`` edges raise the error of
+    :func:`~repro.graph.possible_worlds.enumerate_worlds`, before any world.
+    """
+    _check_enumerable(index.num_edges, max_edges)
+    p = index.edge_probabilities
+    bits = np.arange(p.size)
+    n_worlds = 2**p.size
+    rows = block_rows(index)
+    probabilities = np.zeros(index.num_triangles)
+    for start in range(0, n_worlds, rows):
+        codes = np.arange(start, min(start + rows, n_worlds))
+        worlds = (codes[:, None] >> bits) & 1 == 1
+        weights = np.where(worlds, p, 1.0 - p).prod(axis=1)
+        probabilities += weights @ membership(index, worlds, k)
+    return np.minimum(probabilities, 1.0)
 
 
 def adaptive_global_verify(

@@ -32,13 +32,15 @@ This module replaces that with an array-backed pipeline:
      4-clique support is a gather over ``tri_clique_indices`` summed per
      triangle with ``np.add.reduceat``; connectivity is min-label
      propagation with pointer jumping over the present 4-cliques.
-   * **weak** (:func:`weak_membership_counts`, Algorithm 3): the
+   * **weak** (:func:`weak_membership`, Algorithm 3): the
      greatest fixed point of alive triangles and alive 4-cliques, peeled
      for all worlds together with the same gather-and-``reduceat`` support.
 
-The per-triangle counts are additive over worlds, so the one verification
-loop of :mod:`repro.sampling.adaptive` draws each candidate's worlds in
-consecutive memory-bounded row blocks and sums the counts of the blocks.
+Each model's answer is a ``(n_worlds, num_triangles)`` membership matrix
+(:func:`global_membership`, :func:`weak_membership`), additive over worlds:
+the verification loop of :mod:`repro.sampling.adaptive` sums its columns
+over memory-bounded row blocks of sampled worlds, and its exact evaluator
+weights them by the probabilities of all ``2^m`` worlds.
 
 The per-world semantics are *identical* to the dict path — for any boolean
 row ``worlds[i]``, :func:`nucleus_world_mask` agrees with
@@ -66,7 +68,7 @@ from repro.deterministic.cliques import (
     concatenated_rows,
     label_triangles,
 )
-from repro.exceptions import InvalidParameterError, check_level
+from repro.exceptions import InvalidParameterError, _require_nonnegative_int, check_level
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph, sorted_labels
 from repro.obs import config as obs_config
@@ -81,6 +83,8 @@ __all__ = [
     "structure_presence",
     "uncovered_worlds",
     "nucleus_world_mask",
+    "global_membership",
+    "weak_membership",
     "global_triangle_counts",
     "weak_membership_counts",
     "world_from_row",
@@ -101,10 +105,8 @@ def as_numpy_generator(
     included, ``bool`` not); anything else raises
     :class:`~repro.exceptions.InvalidParameterError` naming ``seed``.
     """
-    if seed is not None and (
-        isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
-    ):
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed is not None:
+        seed = _require_nonnegative_int("seed", seed)
     if isinstance(rng, np.random.Generator):
         return rng
     if isinstance(rng, random.Random):
@@ -534,16 +536,46 @@ def nucleus_world_mask(
     return mask
 
 
-def _instrumented_counts(model, impl, index, worlds, k) -> np.ndarray:
-    """Run one verification batch inside a ``sampling.verify`` span.
+def global_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
+    """Per world and triangle, whether the world is a k-nucleus containing it.
 
-    Records the batch's wall time into the per-model
-    ``repro_sampling_verify_seconds`` histogram; only reached while telemetry
-    is enabled (the disabled path calls the impl directly, untimed).
+    The ``(n_worlds, num_triangles)`` predicate of Algorithm 2: triangle
+    presence in the worlds :func:`nucleus_world_mask` keeps.
     """
+    presence = structure_presence(index, worlds)
+    return presence[0] & nucleus_world_mask(index, worlds, k, presence=presence)[:, None]
+
+
+def weak_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
+    """Per world and triangle, whether the triangle lies in some k-nucleus of the world.
+
+    The k-nuclei of a world cover exactly its greatest fixed point of alive
+    triangles: a 4-clique is alive iff it is present and its four triangles
+    are alive; a triangle is alive iff it is present and lies in at least
+    ``k`` alive 4-cliques.  Starting from the present triangles, all worlds
+    are peeled together until no triangle dies; a world counts for the alive
+    triangles that lie in an alive 4-clique.
+    """
+    check_level(k)
+    alive, clique_present = structure_presence(index, worlds)
+    while True:
+        cliques = clique_present & alive[:, index.clique_triangles].all(axis=2)
+        support = _clique_support(index, cliques)
+        survivors = alive & (support >= k)
+        if np.array_equal(survivors, alive):
+            break
+        alive = survivors
+    return alive & (support > 0)
+
+
+def _counts(model: str, membership, index, worlds, k) -> np.ndarray:
+    """The column sums of ``membership``; with telemetry on, inside a
+    ``sampling.verify`` span timed into ``repro_sampling_verify_seconds``."""
+    if not obs_config._ENABLED:
+        return membership(index, worlds, k).sum(axis=0, dtype=np.int64)
     with span("sampling.verify", model=model, worlds=int(worlds.shape[0])):
         with timer() as t:
-            counts = impl(index, worlds, k)
+            counts = membership(index, worlds, k).sum(axis=0, dtype=np.int64)
     obs_registry.histogram(
         "repro_sampling_verify_seconds",
         "Wall-clock seconds per Monte-Carlo world-verification batch.",
@@ -561,37 +593,7 @@ def global_triangle_counts(
     worlds gives the Monte-Carlo estimate of
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
     """
-    check_level(k)
-    if obs_config._ENABLED:
-        return _instrumented_counts("global", _global_counts, index, worlds, k)
-    return _global_counts(index, worlds, k)
-
-
-def _global_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
-    presence = structure_presence(index, worlds)
-    mask = nucleus_world_mask(index, worlds, k, presence=presence)
-    return presence[0][mask].sum(axis=0, dtype=np.int64)
-
-
-def _weak_counts(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
-    """Count, per triangle, the worlds in which it lies in some k-nucleus.
-
-    The k-nuclei of a world cover exactly its greatest fixed point of alive
-    triangles: a 4-clique is alive iff it is present and its four triangles
-    are alive; a triangle is alive iff it is present and lies in at least
-    ``k`` alive 4-cliques.  Starting from the present triangles, all worlds
-    are peeled together until no triangle dies; a world counts for the alive
-    triangles that lie in an alive 4-clique.
-    """
-    alive, clique_present = structure_presence(index, worlds)
-    while True:
-        cliques = clique_present & alive[:, index.clique_triangles].all(axis=2)
-        support = _clique_support(index, cliques)
-        survivors = alive & (support >= k)
-        if np.array_equal(survivors, alive):
-            break
-        alive = survivors
-    return (alive & (support > 0)).sum(axis=0, dtype=np.int64)
+    return _counts("global", global_membership, index, worlds, k)
 
 
 def weak_membership_counts(
@@ -602,7 +604,4 @@ def weak_membership_counts(
     The Algorithm 3 counting loop: dividing by the number of worlds gives the
     weak score estimate ``Pr(X_{H,△,w} ≥ k)`` of every candidate triangle.
     """
-    check_level(k)
-    if obs_config._ENABLED:
-        return _instrumented_counts("weak", _weak_counts, index, worlds, k)
-    return _weak_counts(index, worlds, k)
+    return _counts("weak", weak_membership, index, worlds, k)

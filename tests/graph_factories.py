@@ -36,6 +36,30 @@ def bundled_graph(name="krogan", scale="tiny"):
     return load_dataset(name, scale=scale)
 
 
+def figure3a_graph() -> ProbabilisticGraph:
+    """Figure 3a: the 4-clique {1, 2, 3, 5} with one 0.5-probability edge."""
+    graph = ProbabilisticGraph()
+    edges = [(1, 2, 1.0), (1, 3, 1.0), (1, 5, 1.0), (2, 3, 1.0), (2, 5, 1.0), (3, 5, 0.5)]
+    for u, v, p in edges:
+        graph.add_edge(u, v, p)
+    return graph
+
+
+def two_cliques_sharing_an_edge() -> ProbabilisticGraph:
+    """4-cliques {0, 1, 2, 3} and {2, 3, 4, 5}: 11 edges, one shared.
+
+    Every edge is covered and every triangle supported, but the cliques
+    share no triangle, so the full world is not 4-clique-connected.
+    """
+    graph = ProbabilisticGraph()
+    for clique in ((0, 1, 2, 3), (2, 3, 4, 5)):
+        for i, u in enumerate(clique):
+            for v in clique[i + 1 :]:
+                if not graph.has_edge(u, v):
+                    graph.add_edge(u, v, 0.5)
+    return graph
+
+
 #: Edge-case topologies accepted by :func:`pathological_graph`.
 PATHOLOGICAL_KINDS = (
     "empty",

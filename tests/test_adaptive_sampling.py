@@ -17,11 +17,8 @@ import pytest
 from graph_factories import small_er_graph
 
 import repro.sampling.adaptive as adaptive_module
-from repro.core.global_nucleus import (
-    global_nucleus_decomposition,
-    validate_sampling_options,
-)
-from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
+from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.experiments.pipeline import RunConfig
 from repro.graph.generators import clique_graph
@@ -213,20 +210,19 @@ class TestSettingsValidation:
         # from it, so the message names the knob the caller passed.
         message = f"^n_samples must be a positive integer, got {n_samples}$"
         with pytest.raises(InvalidParameterError, match=message):
-            validate_sampling_options(sampling=sampling, n_samples=n_samples)
+            resolve_adaptive_settings(sampling, n_samples=n_samples)
         for run in (global_nucleus_decomposition, weak_nucleus_decomposition):
             with pytest.raises(InvalidParameterError, match=message):
                 run(_driver_graph(), k=1, theta=0.4, n_samples=n_samples, sampling=sampling)
 
     @pytest.mark.parametrize("n_samples", [2.5, True, 0])
-    def test_weak_scores_matrix_names_n_samples(self, n_samples):
+    def test_n_samples_is_named_before_the_cap(self, n_samples):
         # Checked before the cap 2 × n_samples is derived from it, so 2.5 is
         # not reported as an n_worlds_max of 5.0.
         message = f"^n_samples must be a positive integer, got {n_samples!r}$"
-        with pytest.raises(InvalidParameterError, match=message):
-            resolve_adaptive_settings("adaptive", n_samples=n_samples)
-        with pytest.raises(InvalidParameterError, match=message):
-            triangle_weak_scores_matrix(clique_graph(4, probability=0.9), 1, n_samples)
+        for sampling in SAMPLING_MODES:
+            with pytest.raises(InvalidParameterError, match=message):
+                resolve_adaptive_settings(sampling, n_samples=n_samples)
 
     def test_run_config_sampling_kwargs(self):
         assert RunConfig().sampling_kwargs() == {}

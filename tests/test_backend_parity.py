@@ -23,7 +23,7 @@ from repro.core.approximations import (
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
-from repro.core.weak_nucleus import triangle_weak_scores_matrix, weak_nucleus_decomposition
+from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
 from repro.experiments.datasets import DATASET_NAMES
@@ -31,6 +31,7 @@ from graph_factories import bundled_graph, small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.sampling.adaptive import adaptive_weak_scores, resolve_adaptive_settings
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import CandidateWorldIndex, global_triangle_counts
 
@@ -212,9 +213,10 @@ class TestRandomizedParitySweep:
         k, n_samples, delta = 1, 1500, 1e-4
         epsilon = hoeffding_error_bound(n_samples, delta)
         dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(seed))
-        matrix_scores = triangle_weak_scores_matrix(
-            graph, k, n_samples, seed=seed + 1
-        )
+        index = CandidateWorldIndex.from_graph(graph)
+        settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
+        estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, seed=seed + 1)
+        matrix_scores = dict(zip(index.triangle_labels(), estimates.tolist()))
         assert set(dict_scores) == set(matrix_scores)
         for triangle, score in dict_scores.items():
             assert abs(score - matrix_scores[triangle]) <= 2 * epsilon

@@ -1,8 +1,10 @@
 """Keep the package's docstring examples executable.
 
-The CI workflow runs ``pytest --doctest-modules src/repro/graph`` on every
-push; this tier-1 test keeps the same examples green in plain local runs of
-``python -m pytest`` as well.
+The CI workflow runs ``pytest --doctest-modules`` over ``src/repro/graph``,
+``src/repro/sampling``, ``src/repro/hardness`` and ``src/repro/__init__.py``
+on every push; this tier-1 test runs the examples of the modules below in
+plain local runs of ``python -m pytest`` as well, including modules that
+step does not reach.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import pytest
 import repro
 import repro.graph.csr
 import repro.graph.probabilistic_graph
+import repro.hardness.reductions
 import repro.index
 import repro.index.fingerprint
 import repro.obs
 import repro.obs.timing
+import repro.peeling
 import repro.query
 import repro.query.cache
 import repro.sampling.adaptive
@@ -28,10 +32,12 @@ MODULES = [
     repro,
     repro.graph.csr,
     repro.graph.probabilistic_graph,
+    repro.hardness.reductions,
     repro.index,
     repro.index.fingerprint,
     repro.obs,
     repro.obs.timing,
+    repro.peeling,
     repro.query,
     repro.query.cache,
     repro.sampling.adaptive,

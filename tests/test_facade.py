@@ -21,8 +21,11 @@ import repro.query
 import repro.serve
 from repro.core.approximations import PoissonEstimator
 from repro.deterministic.cliques import canonical_triangle
+from repro.deterministic.ktruss import truss_decomposition
+from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph
+from repro.graph.probabilistic_graph import canonical_edge, sorted_labels
 from repro.index.builders import local_result_from_index
 from repro.query import NucleusQueryEngine
 from repro.serve import QueryService
@@ -138,6 +141,7 @@ class TestDecompose:
         "knob, value, sampling",
         [
             ("k", np.int64(1), "fixed"),
+            ("seed", np.int64(3), "fixed"),
             ("n_samples", np.int64(50), "fixed"),
             ("epsilon", np.float32(0.2), "fixed"),
             ("delta", np.float32(0.2), "fixed"),
@@ -279,6 +283,32 @@ def test_mixed_int_str_labels_through_every_verb(mixed_graph, mode):
     assert engine.contains(list(MIXED_LABELS), 1).all()
     assert {0, "a"} <= set(engine.nucleus_of([0, "a"], 1).vertices())
     assert engine.top_nuclei(n=1, k=1)
+
+
+#: The heap-based dict peels, each with the canonical form of its items
+#: (vertices, edges or triangles) for mapping a relabelled result back.
+DICT_PEELS = {
+    "eta-core": (lambda g: repro.probabilistic_core_decomposition(g, 0.3), None),
+    "gamma-truss": (lambda g: repro.probabilistic_truss_decomposition(g, 0.3), canonical_edge),
+    "truss": (truss_decomposition, canonical_edge),
+    "nucleus": (nucleus_decomposition, canonical_triangle),
+}
+
+
+@pytest.mark.parametrize("peel", DICT_PEELS)
+def test_dict_peels_break_ties_on_mixed_labels(peel):
+    # Equal scores tie on every item of a K5; the heap ranks items by their
+    # vertices' positions in label order instead of comparing 0 with "a".
+    run, canonical = DICT_PEELS[peel]
+    labels = sorted_labels([0, 1, 2, "a", "b"])
+    pairs = list(itertools.combinations(range(len(labels)), 2))
+    relabelled = repro.ProbabilisticGraph([(u, v, 0.9) for u, v in pairs])
+    graph = repro.ProbabilisticGraph([(labels[u], labels[v], 0.9) for u, v in pairs])
+
+    def original(item):
+        return labels[item] if canonical is None else canonical(*(labels[i] for i in item))
+
+    assert run(graph) == {original(item): value for item, value in run(relabelled).items()}
 
 
 #: K5 whose int labels sort differently as ints (9 < 10) and under the

@@ -35,7 +35,6 @@ from repro.core.global_nucleus import (
     candidate_closure,
     global_nucleus_decomposition,
     union_of_nuclei,
-    validate_sampling_options,
 )
 from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition
@@ -53,7 +52,7 @@ from repro.graph.generators import (
 )
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
-from repro.sampling.adaptive import adaptive_global_verify
+from repro.sampling.adaptive import adaptive_global_verify, resolve_adaptive_settings
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
@@ -244,7 +243,7 @@ class TestRestriction:
 
 def _label_space_answers(graph, local, k, theta, n_samples, seed, sampling):
     """The label-space loop driven by the production verifier and seed."""
-    settings = validate_sampling_options(sampling=sampling, n_samples=n_samples)
+    settings = resolve_adaptive_settings(sampling, n_samples=n_samples)
     rng = np.random.default_rng(seed)
 
     def verify(subgraph):
@@ -323,7 +322,7 @@ class TestCallCounts:
     def test_subgraphs_only_for_accepted_candidates(self, monkeypatch):
         graph, theta, local = _case("flickr")
         local_nuclei = local.nuclei(1)
-        settings = validate_sampling_options(n_samples=100)
+        settings = resolve_adaptive_settings(n_samples=100)
         rng = np.random.default_rng(3)
         verified, accepted = [], set()
 

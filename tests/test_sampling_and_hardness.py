@@ -1,23 +1,42 @@
-"""Tests for Monte-Carlo machinery, network reliability, and the hardness reductions."""
+"""Tests for Monte-Carlo machinery, network reliability, and the hardness reductions.
+
+The exact evaluator (:func:`repro.sampling.adaptive.exact_probabilities`) is
+pinned to closed forms and to the dict predicates summed over
+``enumerate_worlds``, and it is the oracle of the decision pins: on graphs
+whose triangles share one exact probability ``p``, both verification loops,
+fixed and adaptive, must decide ``p ≥ θ`` at ``θ = p ± 0.3``.
+"""
 
 from __future__ import annotations
 
+import itertools
+import re
 
 import numpy as np
 import pytest
+from graph_factories import figure3a_graph, two_cliques_sharing_an_edge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.deterministic.cliques import enumerate_triangles
 from repro.deterministic.connectivity import is_connected
+from repro.deterministic.nucleus import is_k_nucleus, k_nucleus_triangle_groups
 from repro.exceptions import InvalidParameterError, VertexNotFoundError
 from repro.graph.generators import clique_graph
-from repro.graph.possible_worlds import sample_worlds
+from repro.graph.possible_worlds import enumerate_worlds, sample_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.hardness.reductions import (
     global_indicator_probability,
     reduce_clique_to_weak_nucleus,
     reduce_reliability_to_global_nucleus,
     weak_indicator_probability,
+)
+from repro.sampling.adaptive import (
+    SAMPLING_MODES,
+    adaptive_global_verify,
+    adaptive_weak_scores,
+    exact_probabilities,
+    resolve_adaptive_settings,
 )
 from repro.sampling.monte_carlo import (
     estimate_world_probability,
@@ -30,6 +49,7 @@ from repro.sampling.reliability import (
     exact_reliability,
     reliability_decision,
 )
+from repro.sampling.world_matrix import CandidateWorldIndex, global_membership, weak_membership
 
 
 class TestHoeffding:
@@ -203,28 +223,20 @@ class TestReliabilityReduction:
         ],
     )
     def test_correspondence_with_connectivity_indicator(self, edges):
-        """Using connectivity as the k=0 nucleus notion (as in the paper's Lemma 2 proof),
-        the indicator probability of the gadget triangle equals the reliability."""
+        """Lemma 2 with connectivity as the k = 0 nucleus: the gadget's triangle is
+        certain, so a world of the augmented graph contains it and is connected
+        exactly when the original world is connected."""
         graph = ProbabilisticGraph(edges)
         reduction = reduce_reliability_to_global_nucleus(graph, anchor=0)
-        probability = global_indicator_probability(
-            reduction.graph,
-            reduction.triangle,
-            k=0,
-            nucleus_check=lambda world, _k: is_connected(world),
+        assert exact_reliability(reduction.graph) == pytest.approx(
+            exact_reliability(graph), abs=1e-12
         )
-        assert probability == pytest.approx(exact_reliability(graph), abs=1e-9)
 
     def test_decision_reduction(self):
         graph = ProbabilisticGraph([(0, 1, 0.5), (1, 2, 0.7), (0, 2, 0.9)])
         reduction = reduce_reliability_to_global_nucleus(graph, anchor=0)
         reliability = exact_reliability(graph)
-        probability = global_indicator_probability(
-            reduction.graph,
-            reduction.triangle,
-            k=0,
-            nucleus_check=lambda world, _k: is_connected(world),
-        )
+        probability = exact_reliability(reduction.graph)
         for theta in (reliability - 0.05, reliability + 0.05):
             assert (probability >= theta) == (reliability >= theta)
 
@@ -261,6 +273,147 @@ class TestCliqueReduction:
         for triangle in [(0, 1, 2), (2, 3, 4)]:
             probability = weak_indicator_probability(reduction.graph, triangle, reduction.k)
             assert probability < reduction.theta
+
+
+#: The two models: their membership matrix and their indicator function.
+MODELS = {
+    "global": (global_membership, global_indicator_probability),
+    "weak": (weak_membership, weak_indicator_probability),
+}
+
+#: name: (graph, k, the global and the weak probability every triangle
+#: shares, tolerance).  The K5 and K6 values at k = 1 are rounded to six
+#: decimals; the others are closed forms.
+EXACT_PINS = {
+    "K4-p0.8-k1": (lambda: clique_graph(4, probability=0.8), 1, 0.8**6, 0.8**6, 1e-15),
+    "K5-p0.9-k2": (lambda: clique_graph(5, probability=0.9), 2, 0.9**10, 0.9**10, 1e-15),
+    "figure3a-k1": (figure3a_graph, 1, 0.5, 0.5, 1e-15),
+    "two-cliques-k1": (two_cliques_sharing_an_edge, 1, 0.5**11, 0.5**6, 1e-15),
+    "K5-p0.9-k1": (lambda: clique_graph(5, probability=0.9), 1, 0.619979, 0.675462, 5e-7),
+    "K6-p0.9-k1": (lambda: clique_graph(6, probability=0.9), 1, 0.676437, 0.714491, 5e-7),
+}
+
+
+def _contains(world: ProbabilisticGraph, triangle) -> bool:
+    return all(world.has_edge(u, v) for u, v in itertools.combinations(triangle, 2))
+
+
+def dict_probabilities(graph: ProbabilisticGraph, k: int) -> dict[str, dict]:
+    """The reference: each model's dict predicate summed over ``enumerate_worlds``."""
+    triangles = list(enumerate_triangles(graph))
+    sums = {model: dict.fromkeys(triangles, 0.0) for model in MODELS}
+    for world, probability in enumerate_worlds(graph):
+        nucleus = is_k_nucleus(world, k)
+        members = set().union(*k_nucleus_triangle_groups(world, k))
+        for triangle in triangles:
+            if nucleus and _contains(world, triangle):
+                sums["global"][triangle] += probability
+            if triangle in members:
+                sums["weak"][triangle] += probability
+    return sums
+
+
+class TestExactEvaluator:
+    """Closed forms, the dict sum over every world, and the indicator functions."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("name", EXACT_PINS)
+    def test_pinned_probability_of_every_triangle(self, name, model):
+        make_graph, k, global_pin, weak_pin, tolerance = EXACT_PINS[name]
+        index = CandidateWorldIndex.from_graph(make_graph())
+        probabilities = exact_probabilities(MODELS[model][0], index, k).tolist()
+        pin = global_pin if model == "global" else weak_pin
+        assert probabilities == pytest.approx([pin] * index.num_triangles, abs=tolerance)
+
+    @pytest.mark.parametrize(
+        "name", [name for name, pin in EXACT_PINS.items() if pin[0]().num_edges <= 11]
+    )
+    def test_equals_the_dict_sum_over_every_world(self, name):
+        make_graph, k = EXACT_PINS[name][:2]
+        graph = make_graph()
+        index = CandidateWorldIndex.from_graph(graph)
+        for model, reference in dict_probabilities(graph, k).items():
+            membership, indicator = MODELS[model]
+            probabilities = exact_probabilities(membership, index, k)
+            expected = [reference[t] for t in index.triangle_labels()]
+            assert probabilities.tolist() == pytest.approx(expected, abs=1e-12), model
+            for triangle, probability in reference.items():
+                assert indicator(graph, triangle, k) == pytest.approx(probability, abs=1e-12)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_vertex_order_names_the_same_triangle(self, model):
+        graph = clique_graph(4, probability=0.8)
+        indicator = MODELS[model][1]
+        values = {indicator(graph, order, 1) for order in itertools.permutations((0, 1, 2))}
+        assert len(values) == 1
+        assert values.pop() == pytest.approx(0.8**6, abs=1e-15)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_weak_model_on_the_mixed_label_lemma2_gadget(self, k):
+        # Ints and tuple labels: the gadget's triangle lies in no 4-clique.
+        graph = ProbabilisticGraph([(0, 1, 0.5), (1, 2, 0.7), (0, 2, 0.9)])
+        gadget = reduce_reliability_to_global_nucleus(graph, anchor=0).graph
+        reference = dict_probabilities(gadget, k)["weak"]
+        assert len(reference) == 2
+        for triangle, expected in reference.items():
+            assert weak_indicator_probability(gadget, triangle, k) == expected == 0.0
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_too_many_edges_raise_like_enumerate_worlds(self, model):
+        graph = clique_graph(5, probability=0.9)
+        with pytest.raises(InvalidParameterError) as refused:
+            next(enumerate_worlds(graph, max_edges=9))
+        message = re.escape(str(refused.value))
+        with pytest.raises(InvalidParameterError, match=message):
+            MODELS[model][1](graph, (0, 1, 2), 1, max_edges=9)
+
+        def membership(*_):
+            raise AssertionError("a world was built")
+
+        index = CandidateWorldIndex.from_graph(graph)
+        with pytest.raises(InvalidParameterError, match=message):
+            exact_probabilities(membership, index, 1, max_edges=9)
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_a_triangle_not_in_the_graph_has_probability_zero(self, model):
+        graph = clique_graph(4, probability=0.8)
+        graph.add_edge(0, 9, 0.8)
+        indicator = MODELS[model][1]
+        assert indicator(graph, (0, 1, 9), 1) == 0.0
+        assert indicator(graph, (0, 1, 7), 1) == 0.0
+
+
+class TestDecisionPins:
+    """Both verification loops decide ``p ≥ θ`` at a margin of 3ε.
+
+    At ε = 0.1 the margin is 0.3, so by Hoeffding a wrong decision has
+    probability below 2·e⁻²⁷ per triangle at n = 150 worlds.  Every listed
+    graph gives all its triangles one p, so a candidate's decision is each
+    triangle's.
+    """
+
+    @pytest.mark.parametrize("sampling", SAMPLING_MODES)
+    @pytest.mark.parametrize("name", EXACT_PINS)
+    def test_decisions_follow_the_exact_probability(self, name, sampling):
+        make_graph, k, global_pin, weak_pin, _ = EXACT_PINS[name]
+        index = CandidateWorldIndex.from_graph(make_graph())
+        settings = resolve_adaptive_settings(sampling, n_samples=150)
+        for model, p in (("global", global_pin), ("weak", weak_pin)):
+            for theta in (p + 0.3, p - 0.3):
+                if not 0.0 <= theta <= 1.0:
+                    continue
+                for seed in range(20):
+                    if model == "global":
+                        passes, _ = adaptive_global_verify(
+                            index, k, theta, settings, seed=seed
+                        )
+                        decisions = [passes]
+                    else:
+                        _, qualifying, _ = adaptive_weak_scores(
+                            index, k, theta, settings, seed=seed
+                        )
+                        decisions = qualifying.tolist()
+                    assert set(decisions) == {p >= theta}, (model, theta, seed)
 
 
 class TestMonteCarloProperties:

@@ -32,15 +32,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_factories import figure3a_graph, two_cliques_sharing_an_edge
 
 import repro
 import repro.sampling.adaptive as adaptive
 from repro.cli import main as index_main
 from repro.core.global_nucleus import candidate_closure, global_nucleus_decomposition
-from repro.core.weak_nucleus import (
-    triangle_weak_scores_matrix,
-    weak_nucleus_decomposition,
-)
+from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.deterministic.cliques import triangle_clique_index
 from repro.deterministic.nucleus import (
     is_k_nucleus,
@@ -63,7 +61,12 @@ from repro.hardness.reductions import (
     weak_indicator_probability,
 )
 from repro.index import NucleusIndex, build_index, load_index
-from repro.sampling.adaptive import block_rows, blocked_counts
+from repro.sampling.adaptive import (
+    adaptive_weak_scores,
+    block_rows,
+    blocked_counts,
+    resolve_adaptive_settings,
+)
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
@@ -78,33 +81,9 @@ from repro.sampling.world_matrix import (
 import oracle
 
 
-def figure3a_graph() -> ProbabilisticGraph:
-    """Figure 3a: the 4-clique {1, 2, 3, 5} with one 0.5-probability edge."""
-    graph = ProbabilisticGraph()
-    edges = [(1, 2, 1.0), (1, 3, 1.0), (1, 5, 1.0), (2, 3, 1.0), (2, 5, 1.0), (3, 5, 0.5)]
-    for u, v, p in edges:
-        graph.add_edge(u, v, p)
-    return graph
-
-
 @pytest.fixture
 def paper_example1_graph() -> ProbabilisticGraph:
     return figure3a_graph()
-
-
-def two_cliques_sharing_an_edge() -> ProbabilisticGraph:
-    """4-cliques {0, 1, 2, 3} and {2, 3, 4, 5}: 11 edges, one shared.
-
-    Every edge is covered and every triangle supported, but the cliques
-    share no triangle, so the full world is not 4-clique-connected.
-    """
-    graph = ProbabilisticGraph()
-    for clique in ((0, 1, 2, 3), (2, 3, 4, 5)):
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                if not graph.has_edge(u, v):
-                    graph.add_edge(u, v, 0.5)
-    return graph
 
 
 def all_worlds(num_edges: int) -> np.ndarray:
@@ -362,7 +341,10 @@ class TestStatisticalParity:
         k, n_samples, delta = 1, 1500, 0.01
         epsilon = hoeffding_error_bound(n_samples, delta)
         dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(23))
-        matrix_scores = triangle_weak_scores_matrix(graph, k, n_samples, seed=37)
+        index = CandidateWorldIndex.from_graph(graph)
+        settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
+        estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, seed=37)
+        matrix_scores = dict(zip(index.triangle_labels(), estimates.tolist()))
         assert set(dict_scores) == set(matrix_scores)
         for triangle, score in dict_scores.items():
             assert abs(score - matrix_scores[triangle]) <= 2 * epsilon
