@@ -60,24 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument(
         "--sampling",
-        choices=("fixed", "adaptive"),
         default="fixed",
-        help="Monte-Carlo strategy for --mode global/weak: fixed per-candidate "
-        "batches (default) or confidence-driven sequential early stopping "
-        "(recorded in the index header)",
+        help="retired: --mode global/weak draws a fixed number of worlds per "
+        "candidate; fixed (default) is silent, the deprecated adaptive warns",
     )
     build.add_argument(
         "--confidence",
         type=float,
         default=0.95,
-        help="decision confidence of the adaptive sequential test (default: 0.95)",
+        help="retired with adaptive sampling; 0.95 (default) is silent, other "
+        "values in (0, 1) warn and are ignored",
     )
     build.add_argument(
         "--n-worlds-max",
         type=int,
         default=None,
-        help="per-candidate world cap of the adaptive test "
-        "(default: twice the fixed budget)",
+        help="retired with adaptive sampling; positive values warn and are ignored",
     )
     build.add_argument(
         "--kernel",
@@ -128,15 +126,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     check_retired_knob("partitions", args.partitions)
+    check_retired_knob("sampling", args.sampling)
+    check_retired_knob("confidence", args.confidence)
+    check_retired_knob("n_worlds_max", args.n_worlds_max)
     graph = read_edge_list(args.graph)
     kwargs: dict = {"backend": args.backend, "kernel": args.kernel}
     if args.mode in ("global", "weak"):
         kwargs.update(seed=args.seed, n_samples=args.n_samples)
-        kwargs.update(
-            sampling=args.sampling,
-            confidence=args.confidence,
-            n_worlds_max=args.n_worlds_max,
-        )
     index = build_index(graph, mode=args.mode, theta=args.theta, k=args.k, **kwargs)
     index.save(args.output, compress=not args.no_compress)
     print(

@@ -12,10 +12,9 @@ deterministic k-nucleus* reaches θ.  Computing this exactly is #P-hard
 * **Monte-Carlo verification** — the per-triangle probabilities are estimated
   from ``n`` sampled worlds with Hoeffding-controlled error (ε = δ = 0.1,
   n = 200 in the paper's experiments).  Every candidate goes through the one
-  sequential loop of :mod:`repro.sampling.adaptive`: ``sampling="fixed"``
-  is its one-chunk schedule of ``n`` worlds, ``sampling="adaptive"`` its
-  geometric schedule with confidence-driven early stopping, and both draw
-  the worlds in memory-bounded row blocks.
+  fixed-``n`` loop of :mod:`repro.sampling.adaptive`
+  (:func:`~repro.sampling.adaptive.global_verify`), which draws exactly
+  ``n`` worlds in memory-bounded row blocks.
 
 The candidate for a triangle is the closure of its 4-cliques inside ``C``
 under the rule "every triangle of the candidate must be covered by at least
@@ -54,16 +53,15 @@ from repro.deterministic.cliques import (
     enumerate_triangles,
     triangles_of_clique,
 )
-from repro.exceptions import InvalidParameterError, check_level, check_retired_knob
+from repro.exceptions import (
+    InvalidParameterError,
+    _require_positive_int,
+    check_level,
+    check_retired_knob,
+)
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import (
-    DEFAULT_CHUNK_GROWTH,
-    DEFAULT_CHUNK_INITIAL,
-    DEFAULT_CONFIDENCE,
-    adaptive_global_verify,
-    resolve_adaptive_settings,
-)
+from repro.sampling.adaptive import global_verify
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
@@ -191,10 +189,10 @@ def global_nucleus_decomposition(
     backend: str = "csr",
     n_jobs: int = 1,
     sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
+    confidence: float = 0.95,
     n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
+    chunk_initial: int = 16,
+    chunk_growth: float = 2.0,
     kernel: str = "numpy",
     partitions: int = 1,
 ) -> list[ProbabilisticNucleus]:
@@ -215,8 +213,10 @@ def global_nucleus_decomposition(
     theta:
         Probability threshold of Definition 5.
     epsilon, delta, n_samples:
-        Monte-Carlo accuracy controls; ``n_samples`` defaults to the
-        Hoeffding bound ``⌈ln(2/δ)/(2ε²)⌉``.
+        Monte-Carlo accuracy controls: every candidate is verified on exactly
+        ``n_samples`` worlds, by default the Hoeffding bound
+        ``⌈ln(2/δ)/(2ε²)⌉``, drawn in memory-bounded row blocks by
+        :func:`~repro.sampling.adaptive.global_verify`.
     estimator:
         Support oracle forwarded to the local decomposition used for pruning:
         ``None`` (the exact DP) or a
@@ -230,19 +230,11 @@ def global_nucleus_decomposition(
         :class:`~numpy.random.Generator` or a :class:`random.Random`
         (converted deterministically).  Runs are reproducible for a fixed
         ``seed`` or a seeded ``rng``.
-    backend, kernel, n_jobs, partitions:
+    backend, kernel, n_jobs, partitions, sampling, confidence, n_worlds_max,
+    chunk_initial, chunk_growth:
         Retired knobs, kept for ``__api_version__ = "1"``: one engine runs
-        the local pruning and every candidate is verified serially; see
-        :func:`~repro.exceptions.check_retired_knob`.
-    sampling, confidence, n_worlds_max, chunk_initial, chunk_growth:
-        ``sampling="fixed"`` (default) draws exactly ``n_samples`` worlds
-        per candidate, bit-identical to previous releases.
-        ``sampling="adaptive"`` draws worlds in geometric chunks and stops
-        each candidate as soon as anytime-valid confidence bounds settle its
-        θ decision at level ``confidence``, capped at ``n_worlds_max``
-        (default ``2 × n_samples``).  Both run the one loop of
-        :mod:`repro.sampling.adaptive`, which draws every candidate's worlds
-        in memory-bounded row blocks.
+        the local pruning and every candidate is verified serially on
+        ``n_samples`` worlds; see :func:`~repro.exceptions.check_retired_knob`.
 
     Returns
     -------
@@ -254,20 +246,18 @@ def global_nucleus_decomposition(
     check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
     check_retired_knob("n_jobs", n_jobs)
+    check_retired_knob("sampling", sampling)
+    check_retired_knob("confidence", confidence)
+    check_retired_knob("n_worlds_max", n_worlds_max)
+    check_retired_knob("chunk_initial", chunk_initial)
+    check_retired_knob("chunk_growth", chunk_growth)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     k = check_level(k)
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    settings = resolve_adaptive_settings(
-        sampling=sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-    )
+    n_samples = _require_positive_int("n_samples", n_samples)
     engine_rng = as_numpy_generator(rng, seed)
 
     local = local_pruning(graph, theta, estimator, local_result)
@@ -276,7 +266,7 @@ def global_nucleus_decomposition(
         return []
 
     def verify(candidate: CandidateWorldIndex) -> bool:
-        return adaptive_global_verify(candidate, k, theta, settings, rng=engine_rng)[0]
+        return global_verify(candidate, k, theta, n_samples, rng=engine_rng)
 
     return _verified_nuclei(graph, local, local_nuclei, k, theta, verify)
 

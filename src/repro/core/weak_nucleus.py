@@ -11,11 +11,10 @@ Algorithm 3 approximates it:
 2. ``n`` possible worlds of the candidate are sampled;
 3. each world is decomposed with the *deterministic* nucleus algorithm; a
    triangle's global score counts the worlds in which it belongs to some
-   deterministic k-nucleus.  Steps 2–3 run in the one sequential loop of
-   :mod:`repro.sampling.adaptive`: ``sampling="fixed"`` is its one-chunk
-   schedule of ``n`` worlds, ``sampling="adaptive"`` its geometric schedule
-   with confidence-driven early stopping, and both draw the worlds in
-   memory-bounded row blocks;
+   deterministic k-nucleus.  Steps 2–3 run in the one fixed-``n`` loop of
+   :mod:`repro.sampling.adaptive`
+   (:func:`~repro.sampling.adaptive.weak_scores`), which draws exactly ``n``
+   worlds in memory-bounded row blocks;
 4. the triangles whose estimated probability reaches θ are grouped into
    4-clique-connected components, which are reported as the weakly-global
    nuclei.  The grouping runs on the arrays of the candidate's
@@ -40,16 +39,10 @@ from repro.core.global_nucleus import local_pruning
 from repro.core.local import resolve_local_options
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import check_level, check_retired_knob
+from repro.exceptions import _require_positive_int, check_level, check_retired_knob
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import (
-    DEFAULT_CHUNK_GROWTH,
-    DEFAULT_CHUNK_INITIAL,
-    DEFAULT_CONFIDENCE,
-    adaptive_weak_scores,
-    resolve_adaptive_settings,
-)
+from repro.sampling.adaptive import weak_scores
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
@@ -70,10 +63,10 @@ def weak_nucleus_decomposition(
     backend: str = "csr",
     n_jobs: int = 1,
     sampling: str = "fixed",
-    confidence: float = DEFAULT_CONFIDENCE,
+    confidence: float = 0.95,
     n_worlds_max: int | None = None,
-    chunk_initial: int = DEFAULT_CHUNK_INITIAL,
-    chunk_growth: float = DEFAULT_CHUNK_GROWTH,
+    chunk_initial: int = 16,
+    chunk_growth: float = 2.0,
     kernel: str = "numpy",
     partitions: int = 1,
 ) -> list[ProbabilisticNucleus]:
@@ -85,42 +78,36 @@ def weak_nucleus_decomposition(
     local decomposition runs on the peel of
     :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
-    is scored serially by the one verification loop of
-    :mod:`repro.sampling.adaptive` in memory-bounded world blocks.
-    ``sampling="fixed"`` scores one chunk of ``n_samples`` worlds;
-    ``sampling="adaptive"`` keeps drawing geometric world chunks until every
-    triangle's θ decision is settled at level ``confidence`` or
-    ``n_worlds_max`` worlds are spent.  ``backend``, ``kernel``, ``n_jobs``
-    and ``partitions`` are retired knobs
+    is scored serially on exactly ``n_samples`` worlds by the one
+    verification loop of :mod:`repro.sampling.adaptive`, in memory-bounded
+    world blocks.  ``backend``, ``kernel``, ``n_jobs``, ``partitions``,
+    ``sampling``, ``confidence``, ``n_worlds_max``, ``chunk_initial`` and
+    ``chunk_growth`` are retired knobs
     (:func:`~repro.exceptions.check_retired_knob`).
     """
     check_retired_knob("backend", backend)
     check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
     check_retired_knob("n_jobs", n_jobs)
+    check_retired_knob("sampling", sampling)
+    check_retired_knob("confidence", confidence)
+    check_retired_knob("n_worlds_max", n_worlds_max)
+    check_retired_knob("chunk_initial", chunk_initial)
+    check_retired_knob("chunk_growth", chunk_growth)
     if isinstance(graph, CSRProbabilisticGraph):
         graph = graph.to_probabilistic()
     k = check_level(k)
     estimator = resolve_local_options(theta, estimator)
     if n_samples is None:
         n_samples = hoeffding_sample_size(epsilon, delta)
-    settings = resolve_adaptive_settings(
-        sampling=sampling,
-        confidence=confidence,
-        n_worlds_max=n_worlds_max,
-        chunk_initial=chunk_initial,
-        chunk_growth=chunk_growth,
-        n_samples=n_samples,
-    )
+    n_samples = _require_positive_int("n_samples", n_samples)
     engine_rng = as_numpy_generator(rng, seed)
 
     local = local_pruning(graph, theta, estimator, local_result)
 
     def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
-        # The point estimates of one chunk in fixed mode, the anytime-valid
-        # confidence bounds of the geometric chunks in adaptive mode.
         index = local.candidate_index(nucleus.triangles)
-        _, chosen, _ = adaptive_weak_scores(index, k, theta, settings, rng=engine_rng)
+        _, chosen = weak_scores(index, k, theta, n_samples, rng=engine_rng)
         return index, chosen
 
     return _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)

@@ -121,32 +121,61 @@ def _require_finite(name: str, value) -> float:
     return float(value)
 
 
+def _require_confidence(name: str, value) -> float:
+    """Return ``value`` as a ``float`` if it is a finite number in ``(0, 1)``."""
+    confidence = _require_finite(name, value)
+    if not 0.0 < confidence < 1.0:
+        raise InvalidParameterError(f"{name} must be a finite value in (0, 1), got {value!r}")
+    return confidence
+
+
+def _require_growth(name: str, value) -> float:
+    """Return ``value`` as a ``float`` if it is a finite number ``>= 1``."""
+    growth = _require_finite(name, value)
+    if growth < 1.0:
+        raise InvalidParameterError(f"{name} must be a finite value >= 1, got {value!r}")
+    return growth
+
+
+_FIXED_LOOP = "every candidate draws exactly n_samples worlds"
+
 #: The retired knobs of ``__api_version__ = "1"``: the value each one accepts
-#: silently, its deprecated value (``None``: any other positive integer), and
-#: what runs instead.
+#: silently, its deprecated value (or, for a numeric knob, the check every
+#: other value must pass), and what runs instead.
 _RETIRED_KNOBS = {
     "backend": ("csr", "dict", "runs the CSR engine"),
     "kernel": ("numpy", "numba", "runs the numpy peel"),
-    "partitions": (1, None, "every candidate is verified in memory-bounded world blocks"),
-    "n_jobs": (1, None, "every candidate is verified serially"),
+    "sampling": ("fixed", "adaptive", "runs the fixed-n loop: " + _FIXED_LOOP),
+    "partitions": (
+        1,
+        _require_positive_int,
+        "every candidate is verified in memory-bounded world blocks",
+    ),
+    "n_jobs": (1, _require_positive_int, "every candidate is verified serially"),
+    "confidence": (0.95, _require_confidence, _FIXED_LOOP),
+    "n_worlds_max": (None, _require_positive_int, _FIXED_LOOP),
+    "chunk_initial": (16, _require_positive_int, _FIXED_LOOP),
+    "chunk_growth": (2.0, _require_growth, _FIXED_LOOP),
 }
 
 
 def check_retired_knob(name: str, value) -> None:
     """Accept a retired knob of ``__api_version__ = "1"``: ``backend``, ``kernel``,
-    ``partitions`` or ``n_jobs``.
+    ``sampling``, ``partitions``, ``n_jobs``, ``confidence``, ``n_worlds_max``,
+    ``chunk_initial`` or ``chunk_growth``.
 
     One engine remains behind each: the CSR arrays, the numpy peel, and the
-    serial, block-wise verification loop of :mod:`repro.sampling.adaptive`.
-    The silent value (``"csr"``, ``"numpy"``, ``1``) passes; the deprecated
-    value of :data:`_RETIRED_KNOBS` (for ``partitions`` and ``n_jobs``, any
-    other positive integer) warns once with a :class:`DeprecationWarning`
-    and runs the one engine; any other value raises
-    :class:`InvalidParameterError` naming the knob.
+    serial, block-wise, fixed-``n`` verification loop of
+    :mod:`repro.sampling.adaptive`.  The silent value (the knob's old
+    default: ``"csr"``, ``"numpy"``, ``"fixed"``, ``1``, ``0.95``, ``None``,
+    ``16``, ``2.0``) passes; the deprecated value of :data:`_RETIRED_KNOBS`
+    (for a numeric knob, any other value its check accepts) warns once with
+    a :class:`DeprecationWarning` and runs the one engine; any other value
+    raises :class:`InvalidParameterError` naming the knob.
     """
     silent, deprecated, instead = _RETIRED_KNOBS[name]
-    if deprecated is None:
-        if _require_positive_int(name, value) == silent:
+    if callable(deprecated):
+        if value is silent or deprecated(name, value) == silent:
             return
         message = f"{name}= is deprecated: {instead}; omit {name}="
     elif value == silent:

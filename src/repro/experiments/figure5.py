@@ -77,7 +77,6 @@ def _run_cell(
         fg = global_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
             local_result=local, seed=seed,
-            **config.sampling_kwargs(),
         )
     fg_seconds = fg_timer.seconds
 
@@ -85,7 +84,6 @@ def _run_cell(
         wg = weak_nucleus_decomposition(
             graph, k=k, theta=theta, n_samples=n_samples,
             local_result=local, seed=seed,
-            **config.sampling_kwargs(),
         )
     wg_seconds = wg_timer.seconds
 

@@ -90,7 +90,6 @@ def _run_cell(
             for n in global_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
                 local_result=local, seed=seed,
-                **config.sampling_kwargs(),
             )
         )
         weak_subgraphs.extend(
@@ -98,7 +97,6 @@ def _run_cell(
             for n in weak_nucleus_decomposition(
                 graph, k=k, theta=theta, n_samples=n_samples,
                 local_result=local, seed=seed,
-                **config.sampling_kwargs(),
             )
         )
 

@@ -9,7 +9,7 @@ spec run by one execution path:
   :mod:`repro.experiments.formatting`).
 * :class:`RunConfig` — the knobs threaded end to end: dataset scale, base
   seed, ``n_jobs`` for parallel grid cells, the artifact output directory,
-  and the Monte-Carlo sampling knobs.
+  the decomposition cache and the grid filter.
 * :class:`DecompositionCache` — decompositions snapshotted as
   :class:`~repro.index.NucleusIndex` files keyed by (graph fingerprint, mode,
   θ, estimator), so the many specs sharing a (dataset, decomposition) cell
@@ -55,7 +55,6 @@ from repro.obs.metrics import snapshot as obs_snapshot
 from repro.obs.spans import capture as obs_capture
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.adaptive import resolve_adaptive_settings
 
 __all__ = [
     "ARTIFACT_FORMAT",
@@ -98,18 +97,6 @@ class RunConfig:
     grid_filter:
         ``(key, value)`` pairs; a grid cell survives only if
         ``str(cell[key]) == value`` for every pair (the CLI's ``--filter``).
-    sampling / confidence / n_worlds_max:
-        Monte-Carlo strategy of the global/weakly-global cells:
-        ``sampling="fixed"`` (default) draws the legacy per-candidate batch,
-        ``sampling="adaptive"`` enables the sequential early-stopping engine
-        of :mod:`repro.sampling.adaptive` at the given ``confidence`` with a
-        per-candidate cap of ``n_worlds_max`` worlds (``None`` → twice the
-        cell's fixed budget).  Recorded in every artifact's config block.
-
-    The sampling knobs are validated by the same
-    :func:`~repro.sampling.adaptive.resolve_adaptive_settings` the
-    decomposition drivers call, so a bad value fails at construction rather
-    than at the first global/weak cell.
     """
 
     scale: str = "small"
@@ -119,30 +106,9 @@ class RunConfig:
     use_cache: bool = True
     cache_dir: str | None = None
     grid_filter: tuple[tuple[str, str], ...] = ()
-    sampling: str = "fixed"
-    confidence: float = 0.95
-    n_worlds_max: int | None = None
 
     def __post_init__(self) -> None:
         _require_positive_int("n_jobs", self.n_jobs)
-        resolve_adaptive_settings(
-            sampling=self.sampling,
-            confidence=self.confidence,
-            n_worlds_max=self.n_worlds_max,
-        )
-
-    def sampling_kwargs(self) -> dict:
-        """Keyword arguments for the decomposition drivers' sampling knobs.
-
-        Empty for ``sampling="fixed"`` so fixed-path calls stay byte-for-byte
-        identical to the pre-adaptive pipeline (golden parity).
-        """
-        kwargs: dict = {}
-        if self.sampling != "fixed":
-            kwargs.update(sampling=self.sampling, confidence=self.confidence)
-            if self.n_worlds_max is not None:
-                kwargs["n_worlds_max"] = self.n_worlds_max
-        return kwargs
 
     def matches(self, params: dict) -> bool:
         """Return ``True`` when ``params`` passes every ``grid_filter`` pair."""
@@ -257,9 +223,6 @@ class ExperimentRun:
                 "n_jobs": self.config.n_jobs,
                 "use_cache": self.config.use_cache,
                 "grid_filter": [list(pair) for pair in self.config.grid_filter],
-                "sampling": self.config.sampling,
-                "confidence": self.config.confidence,
-                "n_worlds_max": self.config.n_worlds_max,
             },
             "row_fields": row_fields,
             "num_rows": len(self.rows),

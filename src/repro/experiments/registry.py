@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.experiments import (
     ablation_hybrid,
     ablation_sampling,
-    adaptive_frontier,
     figure4,
     figure5,
     figure6,
@@ -40,7 +39,6 @@ SPECS: dict[str, ExperimentSpec] = {
         figure8.SPEC,
         ablation_hybrid.SPEC,
         ablation_sampling.SPEC,
-        adaptive_frontier.SPEC,
         incremental_updates.SPEC,
     )
 }

@@ -10,12 +10,13 @@ is the one command line of the declarative pipeline of
   ``--jobs`` (parallel grid cells), ``--out`` (write
   ``EXPERIMENTS_<name>.json`` artifacts), ``--cache-dir`` / ``--no-cache``
   (decomposition snapshot reuse), ``--filter key=value`` (grid-cell
-  filtering), ``--format plain|markdown``, and the Monte-Carlo strategy
-  knobs ``--sampling fixed|adaptive`` / ``--confidence`` /
-  ``--n-worlds-max`` (sequential early stopping, recorded in artifacts).
-  ``--backend`` and ``--kernel`` are retired engine switches: ``csr`` and
-  ``numpy`` are accepted silently, their deprecated values with a
-  :class:`DeprecationWarning`.
+  filtering) and ``--format plain|markdown``.
+  ``--backend``, ``--kernel``, ``--partitions``, ``--sampling``,
+  ``--confidence`` and ``--n-worlds-max`` are retired switches
+  (:func:`~repro.exceptions.check_retired_knob`): their old defaults are
+  accepted silently, other valid values with a :class:`DeprecationWarning`,
+  and every global/weak cell verifies its candidates on a fixed number of
+  worlds.
 
 For backwards compatibility the seed-era invocation
 ``python -m repro.experiments <name> [<name> …]`` (no subcommand) still
@@ -117,25 +118,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--sampling",
-        choices=("fixed", "adaptive"),
         default="fixed",
-        help="Monte-Carlo strategy of the global/weak cells: fixed per-candidate "
-        "batches (default) or confidence-driven sequential early stopping",
+        help="retired: every global/weak cell draws a fixed number of worlds per "
+        "candidate; fixed (default) is silent, the deprecated adaptive warns",
     )
     run.add_argument(
         "--confidence",
         type=float,
         default=0.95,
         metavar="C",
-        help="decision confidence of the adaptive sequential test (default: 0.95)",
+        help="retired with adaptive sampling; 0.95 (default) is silent, other "
+        "values in (0, 1) warn and are ignored",
     )
     run.add_argument(
         "--n-worlds-max",
         type=int,
         default=None,
         metavar="N",
-        help="per-candidate world cap of the adaptive test "
-        "(default: twice the cell's fixed budget)",
+        help="retired with adaptive sampling; positive values warn and are ignored",
     )
     run.add_argument(
         "--kernel",
@@ -179,6 +179,9 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     check_retired_knob("backend", args.backend)
     check_retired_knob("kernel", args.kernel)
     check_retired_knob("partitions", args.partitions)
+    check_retired_knob("sampling", args.sampling)
+    check_retired_knob("confidence", args.confidence)
+    check_retired_knob("n_worlds_max", args.n_worlds_max)
     config = RunConfig(
         scale=args.scale,
         seed=args.seed,
@@ -187,9 +190,6 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         grid_filter=filters,
-        sampling=args.sampling,
-        confidence=args.confidence,
-        n_worlds_max=args.n_worlds_max,
     )
     runs = run_pipeline(names, config)
     for name in names:

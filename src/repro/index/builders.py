@@ -45,7 +45,6 @@ from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
 from repro.obs.timing import timer
-from repro.sampling.adaptive import DEFAULT_CHUNK_GROWTH, DEFAULT_CHUNK_INITIAL
 
 __all__ = [
     "build_index",
@@ -95,43 +94,21 @@ def build_local_index(
     )
 
 
-def _sampling_params(sampling: str, confidence: float, n_worlds_max: int | None) -> dict:
-    """The sampling-strategy block recorded into ``.npz`` param headers.
-
-    ``sampling="fixed"`` (the v1 layout) records nothing, so fixed-path
-    archives stay byte-identical to pre-adaptive builds and old archives
-    (which lack the keys entirely) read back as fixed.
-    """
-    if sampling == "fixed":
-        return {}
-    if n_worlds_max is not None:
-        n_worlds_max = _require_positive_int("n_worlds_max", n_worlds_max)
-    return {
-        "sampling": sampling,
-        "confidence": _require_finite("confidence", confidence),
-        "n_worlds_max": n_worlds_max,
-    }
-
-
 #: Monte-Carlo knobs of the global/weak drivers that move their answer, with
 #: the drivers' defaults and the check that returns each as a Python number:
-#: ``epsilon``/``delta`` set the world count when ``n_samples`` is ``None``,
-#: and the chunk schedule shapes adaptive sampling.
+#: ``epsilon``/``delta`` set the world count when ``n_samples`` is ``None``.
 _MONTE_CARLO_KNOBS = {
     "epsilon": (0.1, _require_finite),
     "delta": (0.1, _require_finite),
-    "chunk_initial": (DEFAULT_CHUNK_INITIAL, _require_positive_int),
-    "chunk_growth": (DEFAULT_CHUNK_GROWTH, _require_finite),
 }
 
 
 def _monte_carlo_params(kwargs: dict) -> dict:
     """The :data:`_MONTE_CARLO_KNOBS` of ``kwargs`` that differ from their defaults.
 
-    Same empty-at-defaults contract as :func:`_sampling_params`: a default
-    build records nothing, keeping its header byte-identical to earlier
-    releases.  :func:`~repro.index.incremental.apply_updates` passes the
-    recorded knobs back when it rebuilds a global or weak index.
+    A default build records nothing, keeping its header byte-identical to
+    earlier releases.  :func:`~repro.index.incremental.apply_updates` passes
+    the recorded knobs back when it rebuilds a global or weak index.
     """
     return {
         name: check(name, kwargs[name])
@@ -143,8 +120,8 @@ def _monte_carlo_params(kwargs: dict) -> dict:
 def _estimator_params(estimator: SupportEstimator | None) -> dict:
     """The pruning-estimator entry recorded into global and weak ``.npz`` headers.
 
-    Same empty-at-defaults contract as :func:`_sampling_params`: the exact DP
-    (``None`` or its instance) records nothing, keeping default headers
+    Same empty-at-defaults contract as :func:`_monte_carlo_params`: the exact
+    DP (``None`` or its instance) records nothing, keeping default headers
     byte-identical to earlier releases; any other estimator records its
     ``name``, which :func:`~repro.index.incremental.apply_updates` maps back
     to an instance when it rebuilds the index.
@@ -163,37 +140,24 @@ def _sampled_index(
     n_samples: int | None,
     rng: random.Random | np.random.Generator | None,
     seed: int | None,
-    sampling: str,
-    confidence: float,
-    n_worlds_max: int | None,
     kwargs: dict,
 ) -> NucleusIndex:
     """Run a global or weak driver at ``k`` and index its nuclei at that level.
 
     The knobs the header records are validated first and passed on as the
     Python numbers their checks return, so a numpy scalar knob writes the
-    header of its Python number.
+    header of its Python number.  Every other keyword, the retired knobs
+    included, goes to the driver unrecorded.
     """
     k = check_level(k)
     if n_samples is not None:
         n_samples = _require_positive_int("n_samples", n_samples)
     if seed is not None:
         seed = _require_nonnegative_int("seed", seed)
-    sampling_kwargs = _sampling_params(sampling, confidence, n_worlds_max)
     monte_carlo = _monte_carlo_params(kwargs)
     kwargs.update(monte_carlo)
-    nuclei = decomposition(
-        graph,
-        k,
-        theta,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-        **sampling_kwargs,
-        **kwargs,
-    )
+    nuclei = decomposition(graph, k, theta, n_samples=n_samples, rng=rng, seed=seed, **kwargs)
     params = {"k": k, "n_samples": n_samples, "seed": seed}
-    params.update(sampling_kwargs)
     params.update(monte_carlo)
     params.update(_estimator_params(kwargs.get("estimator")))
     return NucleusIndex.from_nuclei(graph, nuclei, k=k, theta=theta, mode=mode, params=params)
@@ -207,9 +171,6 @@ def build_global_index(
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
     kernel: str = "numpy",
     partitions: int = 1,
     **kwargs,
@@ -217,24 +178,15 @@ def build_global_index(
     """Run the global decomposition at ``k`` and index the verified nuclei.
 
     ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
-    :func:`~repro.exceptions.check_retired_knob`.
+    :func:`~repro.exceptions.check_retired_knob`.  The driver's other
+    keywords pass through ``kwargs``; the retired sampling knobs among them
+    are checked there and recorded nowhere.
     """
     check_retired_knob("backend", backend)
     check_retired_knob("kernel", kernel)
     check_retired_knob("partitions", partitions)
     return _sampled_index(
-        global_nucleus_decomposition,
-        "global",
-        graph,
-        k,
-        theta,
-        n_samples,
-        rng,
-        seed,
-        sampling,
-        confidence,
-        n_worlds_max,
-        kwargs,
+        global_nucleus_decomposition, "global", graph, k, theta, n_samples, rng, seed, kwargs
     )
 
 
@@ -246,9 +198,6 @@ def build_weak_index(
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
     kernel: str = "numpy",
     partitions: int = 1,
     **kwargs,
@@ -256,7 +205,9 @@ def build_weak_index(
     """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
 
     ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
-    :func:`~repro.exceptions.check_retired_knob`.
+    :func:`~repro.exceptions.check_retired_knob`.  The driver's other
+    keywords pass through ``kwargs``; the retired sampling knobs among them
+    are checked there and recorded nowhere.
     """
     check_retired_knob("backend", backend)
     check_retired_knob("kernel", kernel)
@@ -270,9 +221,6 @@ def build_weak_index(
         n_samples,
         rng,
         seed,
-        sampling,
-        confidence,
-        n_worlds_max,
         kwargs,
     )
 

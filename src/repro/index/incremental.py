@@ -546,21 +546,14 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
             "rebuild it explicitly with build_index"
         )
     # A header without an estimator entry was built with the default.  Older
-    # headers may carry ``kernel`` entries; there is one peel, so none is passed on.
+    # headers may carry ``kernel`` entries, or the adaptive-sampling entries
+    # (``sampling``, ``confidence``, ``n_worlds_max``, ``chunk_initial``,
+    # ``chunk_growth``); there is one peel and one fixed-n loop, so none is
+    # passed on.
     estimator = factory()
     if index.mode == "local":
         return build_local_index(new_csr, index.theta, estimator=estimator)
     builder = build_global_index if index.mode == "global" else build_weak_index
-    sampling = str(params.get("sampling", "fixed"))
-    sampling_kwargs = {}
-    if sampling != "fixed":
-        # v2 headers record the adaptive knobs; v1 archives lack the keys
-        # entirely and rebuild on the fixed path exactly as before.
-        sampling_kwargs = {
-            "sampling": sampling,
-            "confidence": float(params.get("confidence", 0.95)),
-            "n_worlds_max": params.get("n_worlds_max"),
-        }
     # Recorded only when they differ from the defaults; see _monte_carlo_params.
     monte_carlo = {name: params[name] for name in _MONTE_CARLO_KNOBS if name in params}
     return builder(
@@ -570,7 +563,6 @@ def _rebuild_fallback(index: NucleusIndex, csr, inserted, deleted, changed, adde
         n_samples=params.get("n_samples"),
         seed=params.get("seed"),
         estimator=estimator,
-        **sampling_kwargs,
         **monte_carlo,
     )
 

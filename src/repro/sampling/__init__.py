@@ -5,26 +5,12 @@ Two sampling engines live here: the scalar helpers of
 vectorized world-matrix engine of :mod:`repro.sampling.world_matrix` that
 verifies the candidates of the global and weakly-global decompositions.
 :mod:`repro.sampling.adaptive` holds the one verification loop over the
-matrix engine: ``sampling="fixed"`` is its one-chunk schedule,
-``sampling="adaptive"`` its geometric chunks with anytime-valid confidence
-bounds that stop each candidate as soon as its θ decision is settled, and
-both draw every chunk in memory-bounded row blocks, counted serially in the
-calling process.
+matrix engine (:func:`global_verify`, :func:`weak_scores`): every candidate
+draws exactly ``n_samples`` worlds in memory-bounded row blocks, counted
+serially in the calling process, and the point estimates decide θ.
 """
 
-from repro.sampling.adaptive import (
-    SAMPLING_MODES,
-    AdaptiveOutcome,
-    AdaptiveSettings,
-    adaptive_global_verify,
-    adaptive_weak_scores,
-    chunk_schedule,
-    decision_radius,
-    empirical_bernstein_radius,
-    hoeffding_radius,
-    resolve_adaptive_settings,
-    stage_delta,
-)
+from repro.sampling.adaptive import global_verify, weak_scores
 from repro.sampling.monte_carlo import (
     MonteCarloEstimate,
     estimate_world_probability,
@@ -49,17 +35,8 @@ from repro.sampling.world_matrix import (
 )
 
 __all__ = [
-    "SAMPLING_MODES",
-    "AdaptiveOutcome",
-    "AdaptiveSettings",
-    "adaptive_global_verify",
-    "adaptive_weak_scores",
-    "chunk_schedule",
-    "decision_radius",
-    "empirical_bernstein_radius",
-    "hoeffding_radius",
-    "resolve_adaptive_settings",
-    "stage_delta",
+    "global_verify",
+    "weak_scores",
     "MonteCarloEstimate",
     "estimate_world_probability",
     "hoeffding_error_bound",

@@ -7,6 +7,8 @@ structure is worked out in the paper's Examples 1 and 2.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import settings as hypothesis_settings
 
@@ -144,6 +146,19 @@ def disconnected_graph() -> ProbabilisticGraph:
     graph.add_edge(10, 11, 0.8)
     graph.add_edge(11, 12, 0.8)
     graph.add_edge(10, 12, 0.8)
+    return graph
+
+
+@pytest.fixture
+def mixed_label_graph() -> ProbabilisticGraph:
+    """K5 over the vertices 0, 1, 2, "a" and "b", whose labels do not compare.
+
+    The edges at "b" have probability 0.7, the others 0.9, so the peel meets
+    both tied and distinct κ-scores.
+    """
+    graph = ProbabilisticGraph()
+    for u, v in itertools.combinations([0, 1, 2, "a", "b"], 2):
+        graph.add_edge(u, v, 0.7 if "b" in (u, v) else 0.9)
     return graph
 
 

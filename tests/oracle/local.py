@@ -26,7 +26,7 @@ from repro.deterministic.cliques import FourClique, Triangle, triangle_clique_in
 from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.nucleus_index import NucleusIndex
-from repro.peeling import LazyMinHeap
+from repro.peeling import LazyMinHeap, canonical_rank
 
 
 def triangle_existence_probability(graph: ProbabilisticGraph, triangle: Triangle) -> float:
@@ -98,15 +98,21 @@ def _peel_states(
     by_clique: dict[FourClique, list[Triangle]],
     estimator: SupportEstimator,
     theta: float,
+    rank,
 ) -> dict[Triangle, int]:
     """Run Algorithm 1's peel over dict-backed triangle states.
 
     This is the reference loop — a :class:`~repro.peeling.LazyMinHeap` over
     ``(κ, triangle)`` entries with clamped level assignment — against which
-    the array-native engine (:mod:`repro.core.peel`) is pinned.
+    the array-native engine (:mod:`repro.core.peel`) is pinned.  Equal κ pop
+    in ``rank`` order: :func:`~repro.peeling.canonical_rank` of the graph's
+    vertices, which orders triangles of comparable labels as the triangles
+    themselves and never compares labels of mixed types.
     """
     alive_cliques: set[FourClique] = set(by_clique)
-    heap = LazyMinHeap((state.kappa, triangle) for triangle, state in states.items())
+    heap = LazyMinHeap(
+        ((state.kappa, triangle) for triangle, state in states.items()), rank=rank
+    )
 
     def current(triangle: Triangle) -> int | None:
         state = states[triangle]
@@ -154,7 +160,7 @@ def local_nucleus_decomposition(
     """Algorithm 1 on the dict engine: state index, κ-init, lazy-heap peel."""
     estimator = resolve_local_options(theta, estimator)
     states, by_clique = _build_states(graph, theta, estimator)
-    scores = _peel_states(states, by_clique, estimator, theta)
+    scores = _peel_states(states, by_clique, estimator, theta, canonical_rank(graph.vertices()))
     selections = (
         dict(estimator.selection_counts)
         if isinstance(estimator, HybridEstimator)

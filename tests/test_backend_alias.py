@@ -1,19 +1,26 @@
-"""The retired ``backend=`` and ``kernel=`` knobs, accepted for ``__api_version__ = "1"``.
+"""Retired knobs accepted for ``__api_version__ = "1"``: the engine switches
+``backend=`` and ``kernel=``, and the adaptive-sampling knobs ``sampling=``,
+``confidence=``, ``n_worlds_max=``, ``chunk_initial=`` and ``chunk_growth=``.
 
-Every decomposition runs on the CSR engine and the numpy peel.  One helper,
-:func:`repro.exceptions.check_retired_knob`, serves the six decomposition
-and index-builder entry points and the ``--backend`` / ``--kernel`` flags of
-``repro-index build`` and ``repro-experiments``: ``"csr"`` / ``"numpy"`` are
-silent, ``"dict"`` / ``"numba"`` warn once with a
-:class:`DeprecationWarning` and run the one engine, anything else raises
-:class:`~repro.exceptions.InvalidParameterError` naming the knob.  Archives
-that recorded ``kernel="numba"`` still load, answer queries and update.
+Every decomposition runs on the CSR engine and the numpy peel, and every
+global or weak candidate is verified on a fixed number of worlds.  One
+helper, :func:`repro.exceptions.check_retired_knob`, serves the six
+decomposition and index-builder entry points (the sampling knobs only the
+four global and weak ones) and the ``--backend`` / ``--kernel`` /
+``--sampling`` / ``--confidence`` / ``--n-worlds-max`` flags of
+``repro-index build`` and ``repro-experiments``: each knob's old default is
+silent, its deprecated value (for a numeric knob, any other valid value)
+warns once with a :class:`DeprecationWarning` and runs the one engine, and
+anything else raises :class:`~repro.exceptions.InvalidParameterError`
+naming the knob.  Archives whose headers recorded ``kernel="numba"`` or the
+adaptive-sampling knobs still load, answer queries and update.
 """
 
 from __future__ import annotations
 
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.cli import main as index_main
@@ -42,7 +49,22 @@ THETA = 0.3
 SAMPLING = {"n_samples": 20, "seed": 3}
 
 #: Each retired knob: its silent value, its deprecated value, and a bad value.
-KNOBS = {"backend": ("csr", "dict", "gpu"), "kernel": ("numpy", "numba", "cuda")}
+KNOBS = {
+    "backend": ("csr", "dict", "gpu"),
+    "kernel": ("numpy", "numba", "cuda"),
+    "sampling": ("fixed", "adaptive", "bogus"),
+    "confidence": (0.95, 0.9, 1.5),
+    "n_worlds_max": (None, 400, 0),
+    "chunk_initial": (16, 4, 0),
+    "chunk_growth": (2.0, 1.0, 0.5),
+}
+
+#: The knobs retired with adaptive sampling; only the Monte-Carlo entry
+#: points took them.
+SAMPLING_KNOBS = ("sampling", "confidence", "n_worlds_max", "chunk_initial", "chunk_growth")
+
+#: The retired knobs with a flag on both command lines.
+CLI_KNOBS = ("backend", "kernel", "sampling", "confidence", "n_worlds_max")
 
 ENTRY_POINTS = {
     "local_nucleus_decomposition": lambda g, **kw: local_nucleus_decomposition(
@@ -99,8 +121,20 @@ def _index_scores(index: NucleusIndex) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", ENTRY_POINTS)
-@pytest.mark.parametrize("knob", KNOBS)
+def _flag(knob: str, value) -> list[str]:
+    """The command-line flag setting ``knob`` to ``value`` (none for ``None``)."""
+    return [] if value is None else [f"--{knob.replace('_', '-')}", str(value)]
+
+
+@pytest.mark.parametrize(
+    "knob,name",
+    [
+        (knob, name)
+        for knob in KNOBS
+        for name in ENTRY_POINTS
+        if knob not in SAMPLING_KNOBS or "local" not in name
+    ],
+)
 class TestEntryPoints:
     def test_silent_value_is_silent(self, graph, knob, name):
         silent, _, _ = KNOBS[knob]
@@ -110,9 +144,10 @@ class TestEntryPoints:
 
     def test_deprecated_value_warns_once_and_runs_the_engine(self, graph, knob, name):
         _, deprecated, _ = KNOBS[knob]
-        with pytest.warns(DeprecationWarning, match=f'{knob}="{deprecated}"') as record:
+        with pytest.warns(DeprecationWarning, match=f"^{knob}=") as record:
             result = ENTRY_POINTS[name](graph, **{knob: deprecated})
         assert sum(issubclass(w.category, DeprecationWarning) for w in record) == 1
+        # The default's answer at the same seed.
         assert _signature(result) == _signature(ENTRY_POINTS[name](graph))
         if isinstance(result, NucleusIndex):
             assert knob not in result.params
@@ -128,15 +163,36 @@ class TestEntryPoints:
             ENTRY_POINTS[name](graph, **{knob: bad})
 
 
-@pytest.mark.parametrize("knob", KNOBS)
+@pytest.mark.parametrize(
+    "knob,value",
+    [
+        ("partitions", np.int64(1)),
+        ("n_jobs", np.int64(1)),
+        ("confidence", np.float64(0.95)),
+        ("chunk_initial", np.int64(16)),
+        ("chunk_growth", np.float32(2.0)),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("name", ["global_nucleus_decomposition", "weak_nucleus_decomposition"])
+def test_numpy_scalars_of_the_silent_values_are_silent(graph, name, knob, value):
+    # A numeric knob is compared as the Python number its check returns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ENTRY_POINTS[name](graph, **{knob: value})
+    assert _signature(result) == _signature(ENTRY_POINTS[name](graph))
+
+
+@pytest.mark.parametrize("knob", CLI_KNOBS)
 class TestIndexCli:
     def _build(self, graph_file, tmp_path, knob, value):
+        """Build with ``--knob value``: a local index, or for a sampling knob a
+        seeded global one (``value=None`` omits the flag)."""
         out = tmp_path / f"{value}.npz"
-        code = index_main(
-            ["build", str(graph_file), "-o", str(out), "--theta", str(THETA),
-             f"--{knob}", value]
-        )
-        return code, out
+        argv = ["build", str(graph_file), "-o", str(out), "--theta", str(THETA)]
+        if knob in SAMPLING_KNOBS:
+            argv += ["--mode", "global", "--k", "1", "--seed", "3", "--n-samples", "20"]
+        return index_main([*argv, *_flag(knob, value)]), out
 
     def test_silent_value_is_silent(self, graph_file, tmp_path, knob):
         with warnings.catch_warnings():
@@ -152,7 +208,13 @@ class TestIndexCli:
         assert code == 0
         index = load_index(out)
         assert knob not in index.params
-        assert _index_scores(index) == oracle.local_nucleus_decomposition(graph, THETA).scores
+        if knob in SAMPLING_KNOBS:
+            _, default = self._build(graph_file, tmp_path, knob, None)
+            assert _signature(index) == _signature(load_index(default))
+            assert index.params == load_index(default).params
+        else:
+            expected = oracle.local_nucleus_decomposition(graph, THETA).scores
+            assert _index_scores(index) == expected
 
     def test_unknown_value_names_the_knob(self, graph_file, tmp_path, capsys, knob):
         code, out = self._build(graph_file, tmp_path, knob, KNOBS[knob][2])
@@ -161,49 +223,75 @@ class TestIndexCli:
         assert "InvalidParameterError" in stderr and knob in stderr
 
 
-@pytest.mark.parametrize("knob", KNOBS)
+@pytest.mark.parametrize("knob", CLI_KNOBS)
 class TestExperimentsCli:
+    #: A local experiment for the engine switches; for the sampling knobs
+    #: Figure 8, whose report holds the seeded global and weak answers.
     ARGV = ["run", "table2", "--scale", "tiny", "--filter", "dataset=krogan",
             "--filter", "theta=0.1"]
+    SAMPLING_ARGV = ["run", "figure8", "--scale", "tiny", "--filter", "dataset=krogan"]
+
+    def _argv(self, knob, value=None):
+        return [*(self.SAMPLING_ARGV if knob in SAMPLING_KNOBS else self.ARGV),
+                *_flag(knob, value)]
 
     def test_silent_value_is_silent(self, capsys, knob):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert experiments_main([*self.ARGV, f"--{knob}", KNOBS[knob][0]]) == 0
+            assert experiments_main(self._argv(knob, KNOBS[knob][0])) == 0
 
     def test_deprecated_value_warns_and_reports_the_engine_rows(self, capsys, knob):
-        assert experiments_main(self.ARGV) == 0
+        assert experiments_main(self._argv(knob)) == 0
         engine_report = capsys.readouterr().out
         with pytest.warns(DeprecationWarning, match=f"{knob}="):
-            assert experiments_main([*self.ARGV, f"--{knob}", KNOBS[knob][1]]) == 0
+            assert experiments_main(self._argv(knob, KNOBS[knob][1])) == 0
         assert capsys.readouterr().out == engine_report
 
     def test_unknown_value_names_the_knob(self, knob):
         with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
-            experiments_main([*self.ARGV, f"--{knob}", KNOBS[knob][2]])
+            experiments_main(self._argv(knob, KNOBS[knob][2]))
 
 
-#: The header entries a ``kernel="numba"`` build recorded where numba was missing.
-OLD_KERNEL_PARAMS = {"kernel": "numba", "kernel_resolved": "numpy"}
+#: Header entries of older builds: a ``kernel="numba"`` build where numba was
+#: missing, and an adaptive-sampling build.
+OLD_PARAMS = {
+    "kernel": {"kernel": "numba", "kernel_resolved": "numpy"},
+    "adaptive": {
+        "sampling": "adaptive",
+        "confidence": 0.9,
+        "n_worlds_max": 400,
+        "chunk_initial": 4,
+        "chunk_growth": 1.0,
+    },
+}
 
 
-@pytest.mark.parametrize("mode", ["local", "global"])
-def test_old_numba_archives_load_answer_and_update(graph, tmp_path, capsys, mode):
+@pytest.mark.parametrize(
+    "mode,old_params",
+    [
+        pytest.param("local", "kernel", id="local"),
+        pytest.param("global", "kernel", id="global"),
+        pytest.param("global", "adaptive", id="global-adaptive"),
+        pytest.param("weak", "adaptive", id="weak-adaptive"),
+    ],
+)
+def test_old_numba_archives_load_answer_and_update(graph, tmp_path, capsys, mode, old_params):
     settings = {} if mode == "local" else {"k": 1, **SAMPLING}
     index = build_index(graph, mode=mode, theta=THETA, **settings)
-    params = index.params
+    params, old_entries = index.params, OLD_PARAMS[old_params]
     index.save(tmp_path / "plain.npz")
-    index.header["params"] = {**params, **OLD_KERNEL_PARAMS}
+    index.header["params"] = {**params, **old_entries}
     index.save(tmp_path / "old.npz")
 
     old, plain = load_index(tmp_path / "old.npz"), load_index(tmp_path / "plain.npz")
-    assert old.params == {**params, **OLD_KERNEL_PARAMS}
+    assert old.params == {**params, **old_entries}
     vertices = sorted(graph.vertices())
     assert list(NucleusQueryEngine(old).max_score(vertices)) == list(
         NucleusQueryEngine(plain).max_score(vertices)
     )
     assert index_main(["info", str(tmp_path / "old.npz")]) == 0
-    assert "'kernel_resolved': 'numpy'" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert all(f"{key!r}: {value!r}" in out for key, value in old_entries.items())
 
     u, v, p = next(iter(graph.edges()))
     batch = [EdgeUpdate("change", u, v, p - 0.3)]

@@ -31,7 +31,7 @@ from graph_factories import bundled_graph, small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import adaptive_weak_scores, resolve_adaptive_settings
+from repro.sampling.adaptive import weak_scores
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import CandidateWorldIndex, global_triangle_counts
 
@@ -57,6 +57,7 @@ FIXTURE_NAMES = [
     "paper_example2_graph",
     "planted_graph",
     "disconnected_graph",
+    "mixed_label_graph",
 ]
 
 
@@ -214,8 +215,7 @@ class TestRandomizedParitySweep:
         epsilon = hoeffding_error_bound(n_samples, delta)
         dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(seed))
         index = CandidateWorldIndex.from_graph(graph)
-        settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
-        estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, seed=seed + 1)
+        estimates, _ = weak_scores(index, k, 1.0, n_samples, seed=seed + 1)
         matrix_scores = dict(zip(index.triangle_labels(), estimates.tolist()))
         assert set(dict_scores) == set(matrix_scores)
         for triangle, score in dict_scores.items():

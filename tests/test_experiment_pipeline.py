@@ -184,7 +184,7 @@ class TestRegistry:
         assert EXPERIMENT_NAMES == (
             "table1", "table2", "table3", "figure4", "figure5",
             "figure6", "figure7", "figure8", "ablation_hybrid", "ablation_sampling",
-            "adaptive_frontier", "incremental_updates",
+            "incremental_updates",
         )
 
     def test_get_spec_unknown_name(self):

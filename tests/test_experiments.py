@@ -200,27 +200,6 @@ class TestAblations:
         assert "Hoeffding" in run.report
 
 
-class TestAdaptiveFrontier:
-    def test_confidence_sweep_on_tiny_dblp(self):
-        run = _run("adaptive_frontier", {"names": ("dblp",)})
-        n_samples = run.cells[0].params["n_samples"]
-        by_algorithm = {}
-        for row in run.rows:
-            by_algorithm.setdefault(row.algorithm, []).append(row)
-        assert set(by_algorithm) == {"global", "weak"}
-        for rows in by_algorithm.values():
-            assert [row.confidence for row in rows] == [0.9, 0.95, 0.99]
-            assert all(row.dataset == "dblp" and row.theta == 0.4 for row in rows)
-            # Every confidence level verifies the same candidate set; only
-            # the number of worlds drawn per candidate moves.  ``agree`` is
-            # not pinned: adaptive and fixed sampling may disagree by design.
-            assert len({row.candidates for row in rows}) == 1
-            assert rows[0].candidates > 0
-            for row in rows:
-                assert 0 < row.mean_worlds <= 2 * n_samples
-        assert "mean worlds" in run.report
-
-
 class TestIncrementalUpdates:
     def test_replay_on_tiny_krogan_keeps_parity(self):
         run = _run("incremental_updates", {"datasets": ("krogan",)})
@@ -237,7 +216,7 @@ class TestRunner:
         assert {
             "table1", "table2", "table3", "figure4", "figure5",
             "figure6", "figure7", "figure8", "ablation_hybrid", "ablation_sampling",
-            "adaptive_frontier", "incremental_updates",
+            "incremental_updates",
         } == set(EXPERIMENT_NAMES)
 
     def test_unknown_experiment(self):

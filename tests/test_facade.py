@@ -138,27 +138,23 @@ class TestDecompose:
 
     @pytest.mark.parametrize("mode", ["global", "weak"])
     @pytest.mark.parametrize(
-        "knob, value, sampling",
+        "knob, value",
         [
-            ("k", np.int64(1), "fixed"),
-            ("seed", np.int64(3), "fixed"),
-            ("n_samples", np.int64(50), "fixed"),
-            ("epsilon", np.float32(0.2), "fixed"),
-            ("delta", np.float32(0.2), "fixed"),
-            ("confidence", np.float32(0.9), "adaptive"),
-            ("n_worlds_max", np.int64(100), "adaptive"),
-            ("chunk_initial", np.int64(8), "adaptive"),
-            ("chunk_growth", np.float32(1.5), "adaptive"),
+            ("k", np.int64(1)),
+            ("seed", np.int64(3)),
+            ("n_samples", np.int64(50)),
+            ("epsilon", np.float32(0.2)),
+            ("delta", np.float32(0.2)),
         ],
         ids=str,
     )
     def test_numpy_scalar_knobs_run_as_their_python_numbers(
-        self, graph, tmp_path, mode, knob, value, sampling
+        self, graph, tmp_path, mode, knob, value
     ):
         # At θ = 0.3 every case finds nuclei, and the global ones move with
         # each knob's value.
         def run(entry_point, number):
-            settings = {"k": 1, "seed": 5, "sampling": sampling, knob: number}
+            settings = {"k": 1, "seed": 5, knob: number}
             return entry_point(graph, mode=mode, theta=0.3, **settings)
 
         nuclei, expected = run(repro.decompose, value), run(repro.decompose, value.item())

@@ -52,7 +52,7 @@ from repro.graph.generators import (
 )
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
-from repro.sampling.adaptive import adaptive_global_verify, resolve_adaptive_settings
+from repro.sampling.adaptive import global_verify
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
@@ -241,28 +241,26 @@ class TestRestriction:
         _assert_same_index(empty, CandidateWorldIndex.from_graph(ProbabilisticGraph()))
 
 
-def _label_space_answers(graph, local, k, theta, n_samples, seed, sampling):
+def _label_space_answers(graph, local, k, theta, n_samples, seed):
     """The label-space loop driven by the production verifier and seed."""
-    settings = resolve_adaptive_settings(sampling, n_samples=n_samples)
     rng = np.random.default_rng(seed)
 
     def verify(subgraph):
         index = CandidateWorldIndex.from_graph(subgraph)
-        passes, _ = adaptive_global_verify(index, k, theta, settings, rng=rng)
+        passes = global_verify(index, k, theta, n_samples, rng=rng)
         return passes, index.triangle_labels()
 
     return verified_nuclei(graph, local.nuclei(k), k, theta, verify)
 
 
 class TestStreamParity:
-    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("name", TINY + ("perfbench-dense",))
-    def test_id_space_loop_replays_the_label_space_loop(self, name, k, sampling):
+    def test_id_space_loop_replays_the_label_space_loop(self, name, k):
         graph, theta, local = _case(name)
-        expected = _label_space_answers(graph, local, k, theta, 50, 7, sampling)
+        expected = _label_space_answers(graph, local, k, theta, 50, 7)
         actual = global_nucleus_decomposition(
-            graph, k, theta, n_samples=50, seed=7, sampling=sampling, local_result=local
+            graph, k, theta, n_samples=50, seed=7, local_result=local
         )
         assert actual == expected
 
@@ -271,7 +269,7 @@ class TestStreamParity:
         local = local_nucleus_decomposition(graph, 0.35)
         answers = set()
         for seed in range(40):
-            expected = _label_space_answers(graph, local, 1, 0.35, 20, seed, "fixed")
+            expected = _label_space_answers(graph, local, 1, 0.35, 20, seed)
             actual = global_nucleus_decomposition(
                 graph, 1, 0.35, n_samples=20, seed=seed, local_result=local
             )
@@ -322,12 +320,11 @@ class TestCallCounts:
     def test_subgraphs_only_for_accepted_candidates(self, monkeypatch):
         graph, theta, local = _case("flickr")
         local_nuclei = local.nuclei(1)
-        settings = resolve_adaptive_settings(n_samples=100)
         rng = np.random.default_rng(3)
         verified, accepted = [], set()
 
         def verify(candidate):
-            passes, _ = adaptive_global_verify(candidate, 1, theta, settings, rng=rng)
+            passes = global_verify(candidate, 1, theta, 100, rng=rng)
             verified.append(candidate)
             if passes:
                 accepted.add(frozenset(_edge_pairs(candidate)))
@@ -399,41 +396,23 @@ def _answer_digest(nuclei) -> str:
 
 
 #: Answer digests of the benchmark verify graphs at θ = 0.3 and seeds 1–3,
-#: keyed by (graph, mode, k, sampling); one local result per graph.
+#: keyed by (graph, mode, k); one local result per graph.
 PERFBENCH_ANSWERS = {
-    ("perfbench-flickr", "global", 1, "fixed"): (
+    ("perfbench-flickr", "global", 1): (
         "1c2dfc975585e4a5368c3cb73edb94fb81f89051419946f1c415460969060834",
         "1eba8aa5bd8e30328fcf5da3e77d96697a8d5b3336fa3f1dff1569f5d17f7064",
         "e92e15706c7873508461591663fc299fdb849aed6c37f91b814b78ea4163c509",
     ),
-    ("perfbench-flickr", "global", 1, "adaptive"): (
-        "7eccd914daf162f9acb316f11f054ed95902813f5b18e704674d639c589a7326",
-        "c500bbd7f045eea5a1ef32b9d6b0ee9c0bfcf3f9f9eed62604a4e529af1f4798",
-        "06fedc92eef2dd2c4932ed3bc57e91a00e98b4c1e7ea311d3da045dc0fe25664",
-    ),
-    ("perfbench-flickr", "weak", 1, "fixed"): (
+    ("perfbench-flickr", "weak", 1): (
         "0b5917e8810e02320f8bf54adac8dca55a7326e8c6b0db2bad3ba81970081c30",
     )
     * 3,
-    ("perfbench-flickr", "weak", 1, "adaptive"): (
-        "0b5917e8810e02320f8bf54adac8dca55a7326e8c6b0db2bad3ba81970081c30",
-    )
-    * 3,
-    ("perfbench-flickr", "weak", 2, "fixed"): (
+    ("perfbench-flickr", "weak", 2): (
         "6fe41a0f7c102f4c5b2832ccdc329bda9fa72e2352af868850cea23d82080e85",
         "cd2d0d9968ac2a0645681f1d29efa6e28e467a241ab7ae36272d7337318ed8b8",
         "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
     ),
-    ("perfbench-flickr", "weak", 2, "adaptive"): (
-        "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
-        "3629338be925a5fc947969ce956d9554c0ca3b45ae595b994a9ec6371ead6497",
-        "cd2d0d9968ac2a0645681f1d29efa6e28e467a241ab7ae36272d7337318ed8b8",
-    ),
-    ("perfbench-dense", "global", 2, "fixed"): (
-        "f3f46b6c33253ef60e8ef1f634d8ba724388f1ca462b677a1af526830c7428c3",
-    )
-    * 3,
-    ("perfbench-dense", "global", 2, "adaptive"): (
+    ("perfbench-dense", "global", 2): (
         "f3f46b6c33253ef60e8ef1f634d8ba724388f1ca462b677a1af526830c7428c3",
     )
     * 3,
@@ -465,14 +444,12 @@ class TestAnswerPins:
     slower than global k = 1.
     """
 
-    @pytest.mark.parametrize("name,mode,k,sampling", sorted(PERFBENCH_ANSWERS))
-    def test_benchmark_graphs(self, name, mode, k, sampling):
+    @pytest.mark.parametrize("name,mode,k", sorted(PERFBENCH_ANSWERS))
+    def test_benchmark_graphs(self, name, mode, k):
         graph, theta, local = _case(name)
         driver = functools.partial(DRIVERS[mode], graph, k, theta, local_result=local)
-        answers = tuple(
-            _answer_digest(driver(seed=seed, sampling=sampling)) for seed in (1, 2, 3)
-        )
-        assert answers == PERFBENCH_ANSWERS[name, mode, k, sampling]
+        answers = tuple(_answer_digest(driver(seed=seed)) for seed in (1, 2, 3))
+        assert answers == PERFBENCH_ANSWERS[name, mode, k]
 
     @pytest.mark.parametrize("mode", sorted(MIXED_PINS))
     def test_mixed_labels(self, mode):

@@ -81,7 +81,6 @@ def graph_from(edges: dict, labels) -> ProbabilisticGraph:
 MONTE_CARLO_KNOBS = {
     "epsilon": {"epsilon": 0.3},
     "delta": {"delta": 0.9},
-    "chunk_schedule": {"sampling": "adaptive", "chunk_initial": 4, "chunk_growth": 1.0},
 }
 
 

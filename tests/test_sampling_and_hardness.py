@@ -3,8 +3,8 @@
 The exact evaluator (:func:`repro.sampling.adaptive.exact_probabilities`) is
 pinned to closed forms and to the dict predicates summed over
 ``enumerate_worlds``, and it is the oracle of the decision pins: on graphs
-whose triangles share one exact probability ``p``, both verification loops,
-fixed and adaptive, must decide ``p ≥ θ`` at ``θ = p ± 0.3``.
+whose triangles share one exact probability ``p``, the fixed-``n``
+verification loop must decide ``p ≥ θ`` at ``θ = p ± 0.3`` in both models.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from repro.hardness.reductions import (
     reduce_reliability_to_global_nucleus,
     weak_indicator_probability,
 )
-from repro.sampling.adaptive import (
-    SAMPLING_MODES,
-    adaptive_global_verify,
-    adaptive_weak_scores,
-    exact_probabilities,
-    resolve_adaptive_settings,
-)
+from repro.sampling.adaptive import exact_probabilities, global_verify, weak_scores
 from repro.sampling.monte_carlo import (
     estimate_world_probability,
     hoeffding_error_bound,
@@ -384,7 +378,7 @@ class TestExactEvaluator:
 
 
 class TestDecisionPins:
-    """Both verification loops decide ``p ≥ θ`` at a margin of 3ε.
+    """The verification loop decides ``p ≥ θ`` at a margin of 3ε.
 
     At ε = 0.1 the margin is 0.3, so by Hoeffding a wrong decision has
     probability below 2·e⁻²⁷ per triangle at n = 150 worlds.  Every listed
@@ -392,27 +386,19 @@ class TestDecisionPins:
     triangle's.
     """
 
-    @pytest.mark.parametrize("sampling", SAMPLING_MODES)
     @pytest.mark.parametrize("name", EXACT_PINS)
-    def test_decisions_follow_the_exact_probability(self, name, sampling):
+    def test_decisions_follow_the_exact_probability(self, name):
         make_graph, k, global_pin, weak_pin, _ = EXACT_PINS[name]
         index = CandidateWorldIndex.from_graph(make_graph())
-        settings = resolve_adaptive_settings(sampling, n_samples=150)
         for model, p in (("global", global_pin), ("weak", weak_pin)):
             for theta in (p + 0.3, p - 0.3):
                 if not 0.0 <= theta <= 1.0:
                     continue
                 for seed in range(20):
                     if model == "global":
-                        passes, _ = adaptive_global_verify(
-                            index, k, theta, settings, seed=seed
-                        )
-                        decisions = [passes]
+                        decisions = [global_verify(index, k, theta, 150, seed=seed)]
                     else:
-                        _, qualifying, _ = adaptive_weak_scores(
-                            index, k, theta, settings, seed=seed
-                        )
-                        decisions = qualifying.tolist()
+                        decisions = weak_scores(index, k, theta, 150, seed=seed)[1].tolist()
                     assert set(decisions) == {p >= theta}, (model, theta, seed)
 
 

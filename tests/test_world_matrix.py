@@ -10,12 +10,16 @@ Three layers of guarantees:
    draw from the same distribution, so their per-triangle probability
    estimates agree within the Hoeffding bound (and, on graphs small enough
    to enumerate, with the exact probability).
-3. **Block invariance** — the one verification loop draws every chunk in
+3. **Block invariance** — the one fixed-``n`` verification loop
+   (:func:`~repro.sampling.adaptive.global_verify`,
+   :func:`~repro.sampling.adaptive.weak_scores`) draws its worlds in
    memory-bounded row blocks; any split returns the counts, the nuclei and
    the generator state of one monolithic draw.  The tier-2 memory smoke
    runs the loop where one monolithic draw cannot fit.
 
-It also pins the knob rules of the engine: ``k`` and ``seed`` validation,
+It also pins the loop itself (the point-estimate decision, triangle-free
+candidates, per-seed determinism, the worlds-per-candidate histogram), the
+knob rules of the engine (``k``, ``seed`` and ``n_samples`` validation),
 and the retired ``partitions=`` and ``n_jobs=`` aliases, which warn and run
 the one serial loop.
 """
@@ -61,11 +65,14 @@ from repro.hardness.reductions import (
     weak_indicator_probability,
 )
 from repro.index import NucleusIndex, build_index, load_index
+from repro.obs import config as obs_config
+from repro.obs.metrics import REGISTRY as obs_registry
 from repro.sampling.adaptive import (
-    adaptive_weak_scores,
+    WORLD_COUNT_BUCKETS,
     block_rows,
     blocked_counts,
-    resolve_adaptive_settings,
+    global_verify,
+    weak_scores,
 )
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
@@ -342,8 +349,7 @@ class TestStatisticalParity:
         epsilon = hoeffding_error_bound(n_samples, delta)
         dict_scores = oracle.triangle_weak_scores(graph, k, n_samples, random.Random(23))
         index = CandidateWorldIndex.from_graph(graph)
-        settings = resolve_adaptive_settings("fixed", n_samples=n_samples)
-        estimates, _, _ = adaptive_weak_scores(index, k, 1.0, settings, seed=37)
+        estimates, _ = weak_scores(index, k, 1.0, n_samples, seed=37)
         matrix_scores = dict(zip(index.triangle_labels(), estimates.tolist()))
         assert set(dict_scores) == set(matrix_scores)
         for triangle, score in dict_scores.items():
@@ -378,11 +384,10 @@ class TestWorldBlocks:
             assert blocked_rng.random() == one_shot_rng.random()
 
     @pytest.mark.parametrize("name", BLOCK_GRAPHS)
-    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
     @pytest.mark.parametrize("mode", ["global", "weak"])
-    def test_one_world_blocks_return_the_same_nuclei(self, monkeypatch, name, sampling, mode):
+    def test_one_world_blocks_return_the_same_nuclei(self, monkeypatch, name, mode):
         graph = BLOCK_GRAPHS[name]()
-        kwargs = dict(mode=mode, theta=0.3, n_samples=24, seed=3, sampling=sampling)
+        kwargs = dict(mode=mode, theta=0.3, n_samples=24, seed=3)
         expected = {k: _nuclei_key(repro.decompose(graph, k=k, **kwargs)) for k in (1, 2)}
         drawn = []
         sample = CandidateWorldIndex.sample
@@ -395,9 +400,114 @@ class TestWorldBlocks:
         monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 1)
         for k in (1, 2):
             assert _nuclei_key(repro.decompose(graph, k=k, **kwargs)) == expected[k]
-        # Every block held one world, so every chunk (≥ 16 worlds) split into
-        # at least 16 blocks.
+        # Every block held one world, so each candidate's 24 worlds split
+        # into 24 blocks.
         assert drawn and set(drawn) == {1}
+
+
+class TestFixedLoop:
+    """Every candidate draws exactly ``n_samples`` worlds; the point estimate decides."""
+
+    @staticmethod
+    def _index(p: float = 0.8) -> CandidateWorldIndex:
+        return CandidateWorldIndex.from_graph(clique_graph(4, probability=p))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 0.45, 0.6, 1.0])
+    def test_decisions_are_the_point_estimates_of_the_blocked_counts(self, theta):
+        index = self._index()
+        counts = blocked_counts(global_triangle_counts, index, 150, 1, seed=7)
+        expected = bool(np.all(counts / 150 >= theta))
+        assert global_verify(index, 1, theta, 150, seed=7) is expected
+        counts = blocked_counts(weak_membership_counts, index, 150, 1, seed=7)
+        estimates, qualifying = weak_scores(index, 1, theta, 150, seed=7)
+        assert estimates.tolist() == (counts / 150).tolist()
+        assert qualifying.tolist() == (counts / 150 >= theta).tolist()
+
+    def test_decision_divides_before_comparing(self, monkeypatch):
+        # 7 / 25 >= 0.28 holds, 7 >= 0.28 * 25 (= 7.000000000000001) does not.
+        monkeypatch.setattr(adaptive, "blocked_counts", lambda *args, **kw: np.array([7]))
+        index = CandidateWorldIndex.from_graph(clique_graph(3, probability=0.5))
+        assert global_verify(index, 0, 0.28, 25, seed=0) is True
+        assert weak_scores(index, 0, 0.28, 25, seed=0)[1].tolist() == [True]
+
+    def test_triangle_free_candidate_fails_without_sampling(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a world was drawn")
+
+        index = CandidateWorldIndex.from_graph(clique_graph(2, probability=1.0))  # one edge
+        monkeypatch.setattr(CandidateWorldIndex, "sample", no_draw)
+        assert global_verify(index, 1, 0.5, 150, seed=0) is False
+        estimates, qualifying = weak_scores(index, 1, 0.5, 150, seed=0)
+        assert estimates.size == 0 and qualifying.size == 0 and qualifying.dtype == bool
+
+    def test_deterministic_per_seed(self):
+        index = self._index()
+        assert [global_verify(index, 1, 0.4, 150, seed=s) for s in range(8)] == [
+            global_verify(index, 1, 0.4, 150, seed=s) for s in range(8)
+        ]
+        first = weak_scores(index, 1, 0.4, 150, seed=3)
+        second = weak_scores(index, 1, 0.4, 150, seed=3)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True])
+    def test_n_samples_errors_name_n_samples(self, n_samples):
+        message = re.escape(f"n_samples must be a positive integer, got {n_samples!r}")
+        for run in (global_nucleus_decomposition, weak_nucleus_decomposition):
+            with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+                run(small_planted(), k=1, theta=0.4, n_samples=n_samples)
+        for verify in (global_verify, weak_scores):
+            with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+                verify(self._index(), 1, 0.4, n_samples, seed=0)
+
+
+class TestWorldsHistogram:
+    """``repro_sampling_worlds_per_candidate`` records every sampled candidate."""
+
+    @staticmethod
+    def _state(model):
+        histogram = obs_registry.histogram(
+            "repro_sampling_worlds_per_candidate", buckets=WORLD_COUNT_BUCKETS, model=model
+        )
+        return histogram.count, histogram.sum
+
+    @staticmethod
+    def _run():
+        index = CandidateWorldIndex.from_graph(clique_graph(4, probability=1.0))
+        empty = CandidateWorldIndex.from_graph(clique_graph(2, probability=1.0))
+        global_verify(index, 1, 0.5, 150, seed=0)
+        global_verify(empty, 1, 0.5, 150, seed=0)  # draws nothing, records nothing
+        weak_scores(index, 1, 0.5, 24, seed=0)
+
+    def test_records_n_samples_when_enabled(self):
+        was_enabled = obs_config.enabled()
+        obs_config.configure(enabled=True)
+        try:
+            before = {model: self._state(model) for model in ("global", "weak")}
+            self._run()
+            after = {model: self._state(model) for model in ("global", "weak")}
+            names = {metric["name"] for metric in obs_registry.snapshot()["metrics"]}
+        finally:
+            obs_config.configure(enabled=was_enabled)
+        assert after["global"][0] - before["global"][0] == 1
+        assert after["global"][1] - before["global"][1] == pytest.approx(150)
+        assert after["weak"][0] - before["weak"][0] == 1
+        assert after["weak"][1] - before["weak"][1] == pytest.approx(24)
+        assert "repro_sampling_worlds_per_candidate" in names
+
+    def test_silent_when_disabled(self):
+        was_enabled = obs_config.enabled()
+        obs_config.configure(enabled=False)
+        try:
+            before = {model: self._state(model) for model in ("global", "weak")}
+            self._run()
+            after = {model: self._state(model) for model in ("global", "weak")}
+        finally:
+            obs_config.configure(enabled=was_enabled)
+        assert after == before
+
+    def test_world_count_buckets_are_powers_of_two(self):
+        assert WORLD_COUNT_BUCKETS == tuple(float(2**i) for i in range(15))
 
 
 class TestLevelValidation:
@@ -569,12 +679,7 @@ MEMORY_SMOKE_SCRIPT = textwrap.dedent(
     import numpy as np
 
     from repro.graph.csr import CSRProbabilisticGraph
-    from repro.sampling.adaptive import (
-        adaptive_global_verify,
-        adaptive_weak_scores,
-        blocked_counts,
-        resolve_adaptive_settings,
-    )
+    from repro.sampling.adaptive import blocked_counts, global_verify, weak_scores
     from repro.sampling.world_matrix import (
         CandidateWorldIndex,
         global_triangle_counts,
@@ -624,13 +729,11 @@ MEMORY_SMOKE_SCRIPT = textwrap.dedent(
     else:
         sys.exit("monolithic sampling unexpectedly fit in the capped address space")
 
-    # The default loop of both drivers: one chunk of N_WORLDS worlds, drawn
-    # in memory-bounded blocks.
-    settings = resolve_adaptive_settings("fixed", n_samples=N_WORLDS)
-    means, qualifying, outcome = adaptive_weak_scores(index, 1, 0.5, settings, seed=7)
-    assert outcome.worlds == N_WORLDS and (means == 1.0).all() and qualifying.all()
-    passes, outcome = adaptive_global_verify(index, 1, 0.5, settings, seed=7)
-    assert not passes and outcome.worlds == N_WORLDS, (passes, outcome)
+    # The loop of both drivers: N_WORLDS worlds per candidate, drawn in
+    # memory-bounded blocks.
+    means, qualifying = weak_scores(index, 1, 0.5, N_WORLDS, seed=7)
+    assert (means == 1.0).all() and qualifying.all()
+    assert not global_verify(index, 1, 0.5, N_WORLDS, seed=7)
 
     weak = blocked_counts(weak_membership_counts, index, N_WORLDS, 1, seed=7)
     assert weak.shape == (4,) and (weak == N_WORLDS).all(), weak
