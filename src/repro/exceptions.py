@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 
 
@@ -186,7 +187,24 @@ def check_retired_knob(name: str, value) -> None:
         raise InvalidParameterError(
             f'{name} must be "{silent}" (or the deprecated "{deprecated}"), got {value!r}'
         )
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
+    warnings.warn(message, DeprecationWarning, stacklevel=_caller_stacklevel())
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that reports a warning of :func:`check_retired_knob`
+    against its first caller outside the :mod:`repro` package.
+
+    The knobs reach the helper through a driver, an index builder,
+    :func:`repro.decompose` or a CLI, so no fixed level names the caller's
+    line; and Python's default filters show a :class:`DeprecationWarning`
+    only when it is reported against ``__main__``.  A frame counts as
+    inside the package by its module name, so ``python -m repro.cli`` and
+    ``python -m repro.experiments`` report against their ``__main__``.
+    """
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "repro":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 class IndexingError(ReproError):

@@ -5,24 +5,32 @@
 Every decomposition runs on the CSR engine and the numpy peel, and every
 global or weak candidate is verified on a fixed number of worlds.  One
 helper, :func:`repro.exceptions.check_retired_knob`, serves the six
-decomposition and index-builder entry points (the sampling knobs only the
-four global and weak ones) and the ``--backend`` / ``--kernel`` /
+decomposition and index-builder entry points and the facade's
+:func:`repro.decompose` and :func:`repro.build_index` (the sampling knobs
+only the global and weak ones) and the ``--backend`` / ``--kernel`` /
 ``--sampling`` / ``--confidence`` / ``--n-worlds-max`` flags of
 ``repro-index build`` and ``repro-experiments``: each knob's old default is
 silent, its deprecated value (for a numeric knob, any other valid value)
 warns once with a :class:`DeprecationWarning` and runs the one engine, and
 anything else raises :class:`~repro.exceptions.InvalidParameterError`
-naming the knob.  Archives whose headers recorded ``kernel="numba"`` or the
-adaptive-sampling knobs still load, answer queries and update.
+naming the knob.  The warning is reported against the first caller outside
+the package, so Python's default filters show it on a ``__main__`` run.
+Archives whose headers recorded ``kernel="numba"`` or the adaptive-sampling
+knobs still load, answer queries and update.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main as index_main
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.local import local_nucleus_decomposition
@@ -44,6 +52,8 @@ from repro.index import (
 from repro.query import NucleusQueryEngine
 
 import oracle
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 THETA = 0.3
 SAMPLING = {"n_samples": 20, "seed": 3}
@@ -79,6 +89,10 @@ ENTRY_POINTS = {
     "build_local_index": lambda g, **kw: build_local_index(g, THETA, **kw),
     "build_global_index": lambda g, **kw: build_global_index(g, 1, THETA, **SAMPLING, **kw),
     "build_weak_index": lambda g, **kw: build_weak_index(g, 1, THETA, **SAMPLING, **kw),
+    "decompose": lambda g, **kw: repro.decompose(g, "global", THETA, k=1, **SAMPLING, **kw),
+    "build_index": lambda g, **kw: build_index(
+        g, mode="weak", theta=THETA, k=1, **SAMPLING, **kw
+    ),
 }
 
 
@@ -126,6 +140,25 @@ def _flag(knob: str, value) -> list[str]:
     return [] if value is None else [f"--{knob.replace('_', '-')}", str(value)]
 
 
+def _reported_files(record) -> list[str]:
+    """The files the recorded deprecation warnings are reported against.
+
+    Python's default filters show a DeprecationWarning only when it is
+    reported against ``__main__``, so it must name the caller's line (here,
+    this file), never a file of the package the knob passed through.
+    """
+    return [w.filename for w in record if issubclass(w.category, DeprecationWarning)]
+
+
+def _deprecation(knob: str) -> str:
+    """The start of the warning for ``knob``'s deprecated value: a string knob's
+    names the value, a numeric knob's names the knob."""
+    deprecated = KNOBS[knob][1]
+    if isinstance(deprecated, str):
+        return f'^{knob}="{deprecated}" is deprecated'
+    return f"^{knob}= is deprecated"
+
+
 @pytest.mark.parametrize(
     "knob,name",
     [
@@ -144,9 +177,9 @@ class TestEntryPoints:
 
     def test_deprecated_value_warns_once_and_runs_the_engine(self, graph, knob, name):
         _, deprecated, _ = KNOBS[knob]
-        with pytest.warns(DeprecationWarning, match=f"^{knob}=") as record:
+        with pytest.warns(DeprecationWarning, match=_deprecation(knob)) as record:
             result = ENTRY_POINTS[name](graph, **{knob: deprecated})
-        assert sum(issubclass(w.category, DeprecationWarning) for w in record) == 1
+        assert _reported_files(record) == [__file__]
         # The default's answer at the same seed.
         assert _signature(result) == _signature(ENTRY_POINTS[name](graph))
         if isinstance(result, NucleusIndex):
@@ -174,7 +207,9 @@ class TestEntryPoints:
     ],
     ids=str,
 )
-@pytest.mark.parametrize("name", ["global_nucleus_decomposition", "weak_nucleus_decomposition"])
+@pytest.mark.parametrize(
+    "name", ["global_nucleus_decomposition", "weak_nucleus_decomposition"]
+)
 def test_numpy_scalars_of_the_silent_values_are_silent(graph, name, knob, value):
     # A numeric knob is compared as the Python number its check returns.
     with warnings.catch_warnings():
@@ -203,9 +238,9 @@ class TestIndexCli:
     def test_deprecated_value_warns_and_matches_the_oracle(
         self, graph, graph_file, tmp_path, knob
     ):
-        with pytest.warns(DeprecationWarning, match=f"{knob}="):
+        with pytest.warns(DeprecationWarning, match=_deprecation(knob)) as record:
             code, out = self._build(graph_file, tmp_path, knob, KNOBS[knob][1])
-        assert code == 0
+        assert code == 0 and _reported_files(record) == [__file__]
         index = load_index(out)
         assert knob not in index.params
         if knob in SAMPLING_KNOBS:
@@ -243,13 +278,55 @@ class TestExperimentsCli:
     def test_deprecated_value_warns_and_reports_the_engine_rows(self, capsys, knob):
         assert experiments_main(self._argv(knob)) == 0
         engine_report = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning, match=f"{knob}="):
+        with pytest.warns(DeprecationWarning, match=_deprecation(knob)) as record:
             assert experiments_main(self._argv(knob, KNOBS[knob][1])) == 0
         assert capsys.readouterr().out == engine_report
+        assert _reported_files(record) == [__file__]
 
     def test_unknown_value_names_the_knob(self, knob):
         with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
             experiments_main(self._argv(knob, KNOBS[knob][2]))
+
+
+@pytest.mark.parametrize(
+    "entry_point,argv",
+    [
+        pytest.param(
+            "repro.cli:main",
+            ["build", "{graph}", "-o", "{out}", "--mode", "global", "--k", "1",
+             "--n-samples", "20", "--sampling", "adaptive"],
+            id="repro-index",
+        ),
+        pytest.param(
+            "repro.experiments.runner:main",
+            [*TestExperimentsCli.ARGV, "--out", "{out}", "--no-cache",
+             "--sampling", "adaptive"],
+            id="repro-experiments",
+        ),
+    ],
+)
+def test_default_filters_show_the_warning_of_a_console_script(
+    graph_file, tmp_path, entry_point, argv
+):
+    # Runs the entry point as the installed console script's wrapper does:
+    # from __main__, with Python's default warning filters.
+    module, function = entry_point.split(":")
+    wrapper = f"import sys; from {module} import {function}; sys.exit({function}())"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    fields = {"graph": graph_file, "out": tmp_path / "out"}
+    run = subprocess.run(
+        [sys.executable, "-c", wrapper, *(arg.format(**fields) for arg in argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert 'DeprecationWarning: sampling="adaptive" is deprecated' in run.stderr
 
 
 #: Header entries of older builds: a ``kernel="numba"`` build where numba was
