@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 
-from repro.exceptions import ReproError, check_retired_knob
+from repro.exceptions import ReproError, add_retired_flags, check_retired_flags
 from repro.graph.io import parse_vertex, read_edge_list
 from repro.graph.probabilistic_graph import label_sort_key
 from repro.index import NucleusIndex, build_index
@@ -45,12 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="nucleus level (required for --mode global/weak)",
     )
-    build.add_argument(
-        "--backend",
-        default="csr",
-        help="retired engine switch: csr (default) or the deprecated dict, "
-        "which warns and runs csr",
-    )
     build.add_argument("--seed", type=int, default=None, help="RNG seed for Monte-Carlo modes")
     build.add_argument(
         "--n-samples",
@@ -58,38 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Monte-Carlo world count (default: Hoeffding bound)",
     )
-    build.add_argument(
-        "--sampling",
-        default="fixed",
-        help="retired: --mode global/weak draws a fixed number of worlds per "
-        "candidate; fixed (default) is silent, the deprecated adaptive warns",
-    )
-    build.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        help="retired with adaptive sampling; 0.95 (default) is silent, other "
-        "values in (0, 1) warn and are ignored",
-    )
-    build.add_argument(
-        "--n-worlds-max",
-        type=int,
-        default=None,
-        help="retired with adaptive sampling; positive values warn and are ignored",
-    )
-    build.add_argument(
-        "--kernel",
-        default="numpy",
-        help="retired peel switch: numpy (default) is silent, the deprecated "
-        "compiled peel warns and runs numpy",
-    )
-    build.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        help="retired: every candidate's worlds are drawn in memory-bounded "
-        "blocks; 1 (default) is silent, other positive values warn and are ignored",
-    )
+    add_retired_flags(build)
     build.add_argument(
         "--no-compress",
         action="store_true",
@@ -125,12 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    check_retired_knob("partitions", args.partitions)
-    check_retired_knob("sampling", args.sampling)
-    check_retired_knob("confidence", args.confidence)
-    check_retired_knob("n_worlds_max", args.n_worlds_max)
+    check_retired_flags(args)
     graph = read_edge_list(args.graph)
-    kwargs: dict = {"backend": args.backend, "kernel": args.kernel}
+    kwargs: dict = {}
     if args.mode in ("global", "weak"):
         kwargs.update(seed=args.seed, n_samples=args.n_samples)
     index = build_index(graph, mode=args.mode, theta=args.theta, k=args.k, **kwargs)

@@ -57,7 +57,7 @@ from repro.exceptions import (
     InvalidParameterError,
     _require_positive_int,
     check_level,
-    check_retired_knob,
+    check_retired_knobs,
 )
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -70,36 +70,6 @@ __all__ = [
     "candidate_closure",
     "union_of_nuclei",
 ]
-
-
-def local_pruning(
-    graph: ProbabilisticGraph,
-    theta: float,
-    estimator: SupportEstimator | None,
-    local_result: LocalNucleusDecomposition | None,
-) -> LocalNucleusDecomposition:
-    """The local decomposition Algorithms 2 and 3 prune their candidates with.
-
-    ``local_result`` is reused only when it is a
-    :class:`~repro.core.result.LocalNucleusDecomposition` computed at this θ
-    on ``graph`` or a graph equal to it; otherwise it raises
-    :class:`~repro.exceptions.InvalidParameterError`.
-    """
-    if local_result is None:
-        return local_nucleus_decomposition(graph, theta, estimator=estimator)
-    if not isinstance(local_result, LocalNucleusDecomposition):
-        raise InvalidParameterError(
-            "local_result must be a LocalNucleusDecomposition, "
-            f"got {type(local_result).__name__}"
-        )
-    if local_result.theta != theta:
-        raise InvalidParameterError(
-            f"local_result was computed at theta={local_result.theta!r}, "
-            f"not at theta={theta!r}"
-        )
-    if local_result.graph is not graph and local_result.graph != graph:
-        raise InvalidParameterError("local_result was computed for a different graph")
-    return local_result
 
 
 def union_of_nuclei(nuclei: Sequence[ProbabilisticNucleus]) -> ProbabilisticGraph:
@@ -175,6 +145,53 @@ def _closure_ids(index: CandidateWorldIndex, seed_row: int, k: int) -> np.ndarra
     return chosen
 
 
+def _monte_carlo_prologue(
+    graph: ProbabilisticGraph | CSRProbabilisticGraph,
+    k: int,
+    theta: float,
+    epsilon: float,
+    delta: float,
+    n_samples: int | None,
+    estimator: SupportEstimator | None,
+    local_result: LocalNucleusDecomposition | None,
+    rng: "random.Random | np.random.Generator | None",
+    seed: int | None,
+) -> tuple:
+    """The opening Algorithms 2 and 3 share: check the knobs, prune locally.
+
+    In order: a CSR ``graph`` becomes its label graph, then ``k``, θ and the
+    ``estimator``, ε and δ, ``n_samples`` (by default Lemma 4's Hoeffding
+    budget), the ``rng`` / ``seed`` pair, and last the local decomposition
+    that prunes the candidates, since every g- and w-nucleus lies in an
+    ℓ-nucleus.  ``local_result`` is reused only when it is a
+    :class:`~repro.core.result.LocalNucleusDecomposition` computed at this θ
+    on ``graph`` or a graph equal to it.  Returns ``(graph, local, k,
+    n_samples, generator)``, ``k`` and ``n_samples`` as ints.
+    """
+    if isinstance(graph, CSRProbabilisticGraph):
+        graph = graph.to_probabilistic()
+    k = check_level(k)
+    estimator = resolve_local_options(theta, estimator)
+    budget = hoeffding_sample_size(epsilon, delta)  # ε and δ are checked on every call
+    n_samples = _require_positive_int("n_samples", budget if n_samples is None else n_samples)
+    generator = as_numpy_generator(rng, seed)
+    if local_result is None:
+        local_result = local_nucleus_decomposition(graph, theta, estimator=estimator)
+    elif not isinstance(local_result, LocalNucleusDecomposition):
+        raise InvalidParameterError(
+            "local_result must be a LocalNucleusDecomposition, "
+            f"got {type(local_result).__name__}"
+        )
+    elif local_result.theta != theta:
+        raise InvalidParameterError(
+            f"local_result was computed at theta={local_result.theta!r}, "
+            f"not at theta={theta!r}"
+        )
+    elif local_result.graph is not graph and local_result.graph != graph:
+        raise InvalidParameterError("local_result was computed for a different graph")
+    return graph, local_result, k, n_samples, generator
+
+
 def global_nucleus_decomposition(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
@@ -186,15 +203,7 @@ def global_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "csr",
-    n_jobs: int = 1,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = 16,
-    chunk_growth: float = 2.0,
-    kernel: str = "numpy",
-    partitions: int = 1,
+    **retired,
 ) -> list[ProbabilisticNucleus]:
     """Find (approximate) g-(k, θ)-nuclei of ``graph`` via Algorithm 2.
 
@@ -216,7 +225,8 @@ def global_nucleus_decomposition(
         Monte-Carlo accuracy controls: every candidate is verified on exactly
         ``n_samples`` worlds, by default the Hoeffding bound
         ``⌈ln(2/δ)/(2ε²)⌉``, drawn in memory-bounded row blocks by
-        :func:`~repro.sampling.adaptive.global_verify`.
+        :func:`~repro.sampling.adaptive.global_verify`.  ε and δ are checked
+        on every call.
     estimator:
         Support oracle forwarded to the local decomposition used for pruning:
         ``None`` (the exact DP) or a
@@ -224,17 +234,18 @@ def global_nucleus_decomposition(
         :func:`~repro.core.local.resolve_local_options`.
     local_result:
         A pre-computed local decomposition of ``graph`` at the same θ, reused
-        to avoid recomputing the pruning step; see :func:`local_pruning`.
+        to avoid recomputing the pruning step; any other value raises
+        :class:`~repro.exceptions.InvalidParameterError`.
     rng, seed:
         Source of randomness for the world sampling: a numpy
         :class:`~numpy.random.Generator` or a :class:`random.Random`
         (converted deterministically).  Runs are reproducible for a fixed
         ``seed`` or a seeded ``rng``.
-    backend, kernel, n_jobs, partitions, sampling, confidence, n_worlds_max,
-    chunk_initial, chunk_growth:
-        Retired knobs, kept for ``__api_version__ = "1"``: one engine runs
-        the local pruning and every candidate is verified serially on
-        ``n_samples`` worlds; see :func:`~repro.exceptions.check_retired_knob`.
+    retired:
+        The nine retired knobs of ``__api_version__ = "1"``, by keyword only:
+        one engine runs the local pruning and every candidate is verified
+        serially on ``n_samples`` worlds; see
+        :func:`~repro.exceptions.check_retired_knobs`.
 
     Returns
     -------
@@ -242,31 +253,16 @@ def global_nucleus_decomposition(
         The verified candidates, deduplicated by edge set, with
         ``mode="global"``.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
-    check_retired_knob("partitions", partitions)
-    check_retired_knob("n_jobs", n_jobs)
-    check_retired_knob("sampling", sampling)
-    check_retired_knob("confidence", confidence)
-    check_retired_knob("n_worlds_max", n_worlds_max)
-    check_retired_knob("chunk_initial", chunk_initial)
-    check_retired_knob("chunk_growth", chunk_growth)
-    if isinstance(graph, CSRProbabilisticGraph):
-        graph = graph.to_probabilistic()
-    k = check_level(k)
-    estimator = resolve_local_options(theta, estimator)
-    if n_samples is None:
-        n_samples = hoeffding_sample_size(epsilon, delta)
-    n_samples = _require_positive_int("n_samples", n_samples)
-    engine_rng = as_numpy_generator(rng, seed)
-
-    local = local_pruning(graph, theta, estimator, local_result)
+    check_retired_knobs("global_nucleus_decomposition", retired)
+    graph, local, k, n_samples, generator = _monte_carlo_prologue(
+        graph, k, theta, epsilon, delta, n_samples, estimator, local_result, rng, seed
+    )
     local_nuclei = local.nuclei(k)
     if not local_nuclei:
         return []
 
     def verify(candidate: CandidateWorldIndex) -> bool:
-        return global_verify(candidate, k, theta, n_samples, rng=engine_rng)
+        return global_verify(candidate, k, theta, n_samples, rng=generator)
 
     return _verified_nuclei(graph, local, local_nuclei, k, theta, verify)
 

@@ -49,7 +49,7 @@ from repro.core.hybrid import HybridEstimator
 from repro.core.peel import EstimatorKappaRepair, peel_kappa_scores
 from repro.core.result import LocalNucleusDecomposition
 from repro.deterministic.cliques import label_triangles
-from repro.exceptions import InvalidParameterError, check_retired_knob, check_theta
+from repro.exceptions import InvalidParameterError, check_retired_knobs, check_theta
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
@@ -102,8 +102,7 @@ def local_nucleus_decomposition(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     theta: float,
     estimator: SupportEstimator | None = None,
-    backend: str = "csr",
-    kernel: str = "numpy",
+    **retired,
 ) -> LocalNucleusDecomposition:
     """Compute the local probabilistic nucleus decomposition of ``graph``.
 
@@ -121,9 +120,10 @@ def local_nucleus_decomposition(
         :class:`~repro.core.hybrid.HybridEstimator` to obtain the paper's
         ``AP`` algorithm, or any single approximation from
         :mod:`repro.core.approximations`.
-    backend, kernel:
-        Retired engine switches, kept for ``__api_version__ = "1"``; see
-        :func:`~repro.exceptions.check_retired_knob`.
+    retired:
+        The retired engine switches ``backend`` and ``kernel``, kept for
+        ``__api_version__ = "1"`` by keyword only; see
+        :func:`~repro.exceptions.check_retired_knobs`.
 
     Returns
     -------
@@ -140,8 +140,7 @@ def local_nucleus_decomposition(
     the final scores do not depend on which minimum-κ triangle is peeled
     first.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
+    check_retired_knobs("local_nucleus_decomposition", retired, ("backend", "kernel"))
     estimator = resolve_local_options(theta, estimator)
 
     compiled = not isinstance(graph, CSRProbabilisticGraph)

@@ -35,16 +35,14 @@ import numpy as np
 
 from repro.core.approximations import SupportEstimator
 from repro.core.components import _root_groups, _union_batches
-from repro.core.global_nucleus import local_pruning
-from repro.core.local import resolve_local_options
+from repro.core.global_nucleus import _monte_carlo_prologue
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
-from repro.exceptions import _require_positive_int, check_level, check_retired_knob
+from repro.exceptions import check_retired_knobs
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.sampling.adaptive import weak_scores
-from repro.sampling.monte_carlo import hoeffding_sample_size
-from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
+from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = ["weak_nucleus_decomposition"]
 
@@ -60,54 +58,29 @@ def weak_nucleus_decomposition(
     local_result: LocalNucleusDecomposition | None = None,
     rng: "random.Random | np.random.Generator | None" = None,
     seed: int | None = None,
-    backend: str = "csr",
-    n_jobs: int = 1,
-    sampling: str = "fixed",
-    confidence: float = 0.95,
-    n_worlds_max: int | None = None,
-    chunk_initial: int = 16,
-    chunk_growth: float = 2.0,
-    kernel: str = "numpy",
-    partitions: int = 1,
+    **retired,
 ) -> list[ProbabilisticNucleus]:
     """Find (approximate) w-(k, θ)-nuclei of ``graph`` via Algorithm 3.
 
     Parameters mirror
-    :func:`repro.core.global_nucleus.global_nucleus_decomposition`; the
-    returned nuclei carry ``mode="weakly-global"``.  The candidate-producing
-    local decomposition runs on the peel of
-    :mod:`repro.core.peel` (see
+    :func:`repro.core.global_nucleus.global_nucleus_decomposition`, the
+    nine retired knobs in ``retired`` included
+    (:func:`~repro.exceptions.check_retired_knobs`); the returned nuclei
+    carry ``mode="weakly-global"``.  The candidate-producing local
+    decomposition runs on the peel of :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
     is scored serially on exactly ``n_samples`` worlds by the one
     verification loop of :mod:`repro.sampling.adaptive`, in memory-bounded
-    world blocks.  ``backend``, ``kernel``, ``n_jobs``, ``partitions``,
-    ``sampling``, ``confidence``, ``n_worlds_max``, ``chunk_initial`` and
-    ``chunk_growth`` are retired knobs
-    (:func:`~repro.exceptions.check_retired_knob`).
+    world blocks.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
-    check_retired_knob("partitions", partitions)
-    check_retired_knob("n_jobs", n_jobs)
-    check_retired_knob("sampling", sampling)
-    check_retired_knob("confidence", confidence)
-    check_retired_knob("n_worlds_max", n_worlds_max)
-    check_retired_knob("chunk_initial", chunk_initial)
-    check_retired_knob("chunk_growth", chunk_growth)
-    if isinstance(graph, CSRProbabilisticGraph):
-        graph = graph.to_probabilistic()
-    k = check_level(k)
-    estimator = resolve_local_options(theta, estimator)
-    if n_samples is None:
-        n_samples = hoeffding_sample_size(epsilon, delta)
-    n_samples = _require_positive_int("n_samples", n_samples)
-    engine_rng = as_numpy_generator(rng, seed)
-
-    local = local_pruning(graph, theta, estimator, local_result)
+    check_retired_knobs("weak_nucleus_decomposition", retired)
+    graph, local, k, n_samples, generator = _monte_carlo_prologue(
+        graph, k, theta, epsilon, delta, n_samples, estimator, local_result, rng, seed
+    )
 
     def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
         index = local.candidate_index(nucleus.triangles)
-        _, chosen = weak_scores(index, k, theta, n_samples, rng=engine_rng)
+        _, chosen = weak_scores(index, k, theta, n_samples, rng=generator)
         return index, chosen
 
     return _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)

@@ -12,6 +12,7 @@ import math
 import numbers
 import sys
 import warnings
+from collections.abc import Iterable
 
 
 class ReproError(Exception):
@@ -146,13 +147,13 @@ _FIXED_LOOP = "every candidate draws exactly n_samples worlds"
 _RETIRED_KNOBS = {
     "backend": ("csr", "dict", "runs the CSR engine"),
     "kernel": ("numpy", "numba", "runs the numpy peel"),
-    "sampling": ("fixed", "adaptive", "runs the fixed-n loop: " + _FIXED_LOOP),
     "partitions": (
         1,
         _require_positive_int,
         "every candidate is verified in memory-bounded world blocks",
     ),
     "n_jobs": (1, _require_positive_int, "every candidate is verified serially"),
+    "sampling": ("fixed", "adaptive", "runs the fixed-n loop: " + _FIXED_LOOP),
     "confidence": (0.95, _require_confidence, _FIXED_LOOP),
     "n_worlds_max": (None, _require_positive_int, _FIXED_LOOP),
     "chunk_initial": (16, _require_positive_int, _FIXED_LOOP),
@@ -162,13 +163,13 @@ _RETIRED_KNOBS = {
 
 def check_retired_knob(name: str, value) -> None:
     """Accept a retired knob of ``__api_version__ = "1"``: ``backend``, ``kernel``,
-    ``sampling``, ``partitions``, ``n_jobs``, ``confidence``, ``n_worlds_max``,
+    ``partitions``, ``n_jobs``, ``sampling``, ``confidence``, ``n_worlds_max``,
     ``chunk_initial`` or ``chunk_growth``.
 
     One engine remains behind each: the CSR arrays, the numpy peel, and the
     serial, block-wise, fixed-``n`` verification loop of
     :mod:`repro.sampling.adaptive`.  The silent value (the knob's old
-    default: ``"csr"``, ``"numpy"``, ``"fixed"``, ``1``, ``0.95``, ``None``,
+    default: ``"csr"``, ``"numpy"``, ``1``, ``"fixed"``, ``0.95``, ``None``,
     ``16``, ``2.0``) passes; the deprecated value of :data:`_RETIRED_KNOBS`
     (for a numeric knob, any other value its check accepts) warns once with
     a :class:`DeprecationWarning` and runs the one engine; any other value
@@ -190,16 +191,76 @@ def check_retired_knob(name: str, value) -> None:
     warnings.warn(message, DeprecationWarning, stacklevel=_caller_stacklevel())
 
 
+def check_retired_knobs(
+    entry: str, retired: dict, names: Iterable[str] = _RETIRED_KNOBS
+) -> None:
+    """The one retired-knob gate of an entry point: ``retired`` holds the
+    keywords ``entry`` collected as ``**retired``.
+
+    A keyword outside ``names`` (by default every knob of
+    :data:`_RETIRED_KNOBS`) raises the :class:`TypeError` Python raises for
+    an unexpected keyword argument of ``entry``.  The others go through
+    :func:`check_retired_knob` in table order.
+
+    >>> check_retired_knobs("f", {"backend": "csr", "n_jobs": 1})
+    >>> check_retired_knobs("f", {"sampling": "fixed"}, ("backend", "kernel"))
+    Traceback (most recent call last):
+    TypeError: f() got an unexpected keyword argument 'sampling'
+    >>> with warnings.catch_warnings(record=True) as caught:
+    ...     warnings.simplefilter("always")
+    ...     check_retired_knobs("f", {"kernel": "numba", "backend": "dict"})
+    >>> [str(warning.message).split(" is ")[0] for warning in caught]
+    ['backend="dict"', 'kernel="numba"']
+    """
+    for name in retired:
+        if name not in names:
+            raise TypeError(f"{entry}() got an unexpected keyword argument {name!r}")
+    for name in _RETIRED_KNOBS:
+        if name in retired:
+            check_retired_knob(name, retired[name])
+
+
+#: The retired knobs with a flag on ``repro-index build`` and
+#: ``repro-experiments run``: ``--backend`` … ``--n-worlds-max``.
+_RETIRED_FLAGS = ("backend", "kernel", "partitions", "sampling", "confidence", "n_worlds_max")
+
+
+def add_retired_flags(parser) -> None:
+    """Register the :data:`_RETIRED_FLAGS` on an :mod:`argparse` parser, each
+    defaulting to its knob's silent value; :func:`check_retired_flags`
+    checks what was parsed."""
+    for name in _RETIRED_FLAGS:
+        silent, deprecated, instead = _RETIRED_KNOBS[name]
+        if callable(deprecated):
+            others = "other valid values warn"
+        else:
+            others = f"the deprecated {deprecated} warns"
+        parser.add_argument(
+            f"--{name.replace('_', '-')}",
+            type=int if silent is None else type(silent),
+            default=silent,
+            metavar="VALUE",
+            help=f"retired ({instead}): {silent or 'unset'} (default) is silent, {others}",
+        )
+
+
+def check_retired_flags(args) -> None:
+    """Check the flags of :func:`add_retired_flags` as parsed into ``args``."""
+    for name in _RETIRED_FLAGS:
+        check_retired_knob(name, getattr(args, name))
+
+
 def _caller_stacklevel() -> int:
     """The ``stacklevel`` that reports a warning of :func:`check_retired_knob`
     against its first caller outside the :mod:`repro` package.
 
     The knobs reach the helper through a driver, an index builder,
-    :func:`repro.decompose` or a CLI, so no fixed level names the caller's
-    line; and Python's default filters show a :class:`DeprecationWarning`
-    only when it is reported against ``__main__``.  A frame counts as
-    inside the package by its module name, so ``python -m repro.cli`` and
-    ``python -m repro.experiments`` report against their ``__main__``.
+    :func:`repro.decompose` or a CLI, and through the gates above, so no
+    fixed level names the caller's line; and Python's default filters show
+    a :class:`DeprecationWarning` only when it is reported against
+    ``__main__``.  A frame counts as inside the package by its module name,
+    so ``python -m repro.cli`` and ``python -m repro.experiments`` report
+    against their ``__main__``.
     """
     frame, level = sys._getframe(2), 2
     while frame is not None and frame.f_globals.get("__name__", "").split(".")[0] == "repro":

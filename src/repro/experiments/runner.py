@@ -12,8 +12,10 @@ is the one command line of the declarative pipeline of
   (decomposition snapshot reuse), ``--filter key=value`` (grid-cell
   filtering) and ``--format plain|markdown``.
   ``--backend``, ``--kernel``, ``--partitions``, ``--sampling``,
-  ``--confidence`` and ``--n-worlds-max`` are retired switches
-  (:func:`~repro.exceptions.check_retired_knob`): their old defaults are
+  ``--confidence`` and ``--n-worlds-max`` are retired switches, registered
+  and checked from the one retired-knob table
+  (:func:`~repro.exceptions.add_retired_flags`,
+  :func:`~repro.exceptions.check_retired_flags`): their old defaults are
   accepted silently, other valid values with a :class:`DeprecationWarning`,
   and every global/weak cell verifies its candidates on a fixed number of
   worlds.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.exceptions import check_retired_knob
+from repro.exceptions import add_retired_flags, check_retired_flags
 from repro.experiments.datasets import SCALES
 from repro.experiments.formatting import render_markdown
 from repro.experiments.pipeline import RunConfig, run_pipeline
@@ -62,12 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         help=f"experiment names ({', '.join(sorted(SPECS))}) or 'all'",
-    )
-    run.add_argument(
-        "--backend",
-        default="csr",
-        help="retired engine switch: csr (default) or the deprecated dict, "
-        "which warns and runs csr",
     )
     run.add_argument(
         "--scale",
@@ -116,41 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="output_format",
         help="report layout (plain reproduces the paper tables byte for byte)",
     )
-    run.add_argument(
-        "--sampling",
-        default="fixed",
-        help="retired: every global/weak cell draws a fixed number of worlds per "
-        "candidate; fixed (default) is silent, the deprecated adaptive warns",
-    )
-    run.add_argument(
-        "--confidence",
-        type=float,
-        default=0.95,
-        metavar="C",
-        help="retired with adaptive sampling; 0.95 (default) is silent, other "
-        "values in (0, 1) warn and are ignored",
-    )
-    run.add_argument(
-        "--n-worlds-max",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retired with adaptive sampling; positive values warn and are ignored",
-    )
-    run.add_argument(
-        "--kernel",
-        default="numpy",
-        help="retired peel switch: numpy (default) is silent, the deprecated "
-        "compiled peel warns and runs numpy",
-    )
-    run.add_argument(
-        "--partitions",
-        type=int,
-        default=1,
-        metavar="P",
-        help="retired: every candidate's worlds are drawn in memory-bounded "
-        "blocks; 1 (default) is silent, other positive values warn and are ignored",
-    )
+    add_retired_flags(run)
     return parser
 
 
@@ -176,12 +138,7 @@ def _run_command(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     except ValueError as error:
         parser.error(str(error))  # raises SystemExit(2)
 
-    check_retired_knob("backend", args.backend)
-    check_retired_knob("kernel", args.kernel)
-    check_retired_knob("partitions", args.partitions)
-    check_retired_knob("sampling", args.sampling)
-    check_retired_knob("confidence", args.confidence)
-    check_retired_knob("n_worlds_max", args.n_worlds_max)
+    check_retired_flags(args)
     config = RunConfig(
         scale=args.scale,
         seed=args.seed,

@@ -36,7 +36,7 @@ from repro.exceptions import (
     _require_nonnegative_int,
     _require_positive_int,
     check_level,
-    check_retired_knob,
+    check_retired_knobs,
 )
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -62,9 +62,9 @@ def build_local_index(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     theta: float,
     estimator: SupportEstimator | None = None,
-    backend: str = "csr",
+    *,
     local_result: LocalNucleusDecomposition | None = None,
-    kernel: str = "numpy",
+    **retired,
 ) -> NucleusIndex:
     """Run the local decomposition (unless ``local_result`` is given) and index it.
 
@@ -74,10 +74,9 @@ def build_local_index(
     bit-identical to snapshotting the equivalent
     :class:`~repro.core.result.LocalNucleusDecomposition` (pinned in
     ``tests/test_nucleus_index.py``).  ``backend`` and ``kernel`` are
-    retired knobs; see :func:`~repro.exceptions.check_retired_knob`.
+    retired knobs; see :func:`~repro.exceptions.check_retired_knobs`.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
+    check_retired_knobs("build_local_index", retired, ("backend", "kernel"))
     if local_result is not None:
         return NucleusIndex.from_local_result(local_result)
     estimator = resolve_local_options(theta, estimator)
@@ -167,24 +166,17 @@ def build_global_index(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
-    backend: str = "csr",
+    *,
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    kernel: str = "numpy",
-    partitions: int = 1,
     **kwargs,
 ) -> NucleusIndex:
     """Run the global decomposition at ``k`` and index the verified nuclei.
 
-    ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
-    :func:`~repro.exceptions.check_retired_knob`.  The driver's other
-    keywords pass through ``kwargs``; the retired sampling knobs among them
-    are checked there and recorded nowhere.
+    The driver's other keywords, the retired knobs among them, pass through
+    ``kwargs``; the driver checks them and nothing records the retired ones.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
-    check_retired_knob("partitions", partitions)
     return _sampled_index(
         global_nucleus_decomposition, "global", graph, k, theta, n_samples, rng, seed, kwargs
     )
@@ -194,24 +186,17 @@ def build_weak_index(
     graph: ProbabilisticGraph | CSRProbabilisticGraph,
     k: int,
     theta: float,
-    backend: str = "csr",
+    *,
     n_samples: int | None = None,
     rng: random.Random | np.random.Generator | None = None,
     seed: int | None = None,
-    kernel: str = "numpy",
-    partitions: int = 1,
     **kwargs,
 ) -> NucleusIndex:
     """Run the weakly-global decomposition at ``k`` and index the resulting nuclei.
 
-    ``backend``, ``kernel`` and ``partitions`` are retired knobs; see
-    :func:`~repro.exceptions.check_retired_knob`.  The driver's other
-    keywords pass through ``kwargs``; the retired sampling knobs among them
-    are checked there and recorded nowhere.
+    The driver's other keywords, the retired knobs among them, pass through
+    ``kwargs``; the driver checks them and nothing records the retired ones.
     """
-    check_retired_knob("backend", backend)
-    check_retired_knob("kernel", kernel)
-    check_retired_knob("partitions", partitions)
     return _sampled_index(
         weak_nucleus_decomposition,
         "weakly-global",

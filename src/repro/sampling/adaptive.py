@@ -26,10 +26,10 @@ triangle's estimated probability at least θ?" — is estimated from exactly
 Determinism: blocks are drawn and counted in order from one numpy
 generator, so results are bit-identical for a fixed seed.
 
-Every sampled candidate records its world count into the
-``repro_sampling_worlds_per_candidate`` histogram (see
-``docs/OBSERVABILITY.md``); each block's verification batch reuses the
-``sampling.verify`` span of the world-matrix engine.
+Every sampled candidate adds one to the ``repro_sampling_candidates_total``
+counter of its model (see ``docs/OBSERVABILITY.md``); each block's
+verification batch reuses the ``sampling.verify`` span of the world-matrix
+engine.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ __all__ = [
     "weak_scores",
 ]
 
-#: Power-of-two buckets for the worlds-per-candidate histogram (1 … 16384).
-WORLD_COUNT_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(15))
-
 #: Byte budget of one world block.  A block of ``r`` worlds peaks at about
 #: ``r · (8 · num_edges + 64 · num_cliques)`` bytes: the float64 uniform
 #: draw per edge, and per present 4-clique the int64 (world, clique) and
@@ -69,16 +66,14 @@ WORLD_COUNT_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(15))
 WORLD_BLOCK_BYTES = 16 * 2**20
 
 
-def _record_worlds(model: str, worlds: int) -> None:
-    """Feed the per-candidate telemetry (no-op while telemetry is off)."""
-    if not obs_config._ENABLED:
-        return
-    obs_registry.histogram(
-        "repro_sampling_worlds_per_candidate",
-        "Worlds drawn per candidate by the Monte-Carlo verification loop.",
-        buckets=WORLD_COUNT_BUCKETS,
-        model=model,
-    ).observe(worlds)
+def _count_candidate(model: str) -> None:
+    """Count one sampled candidate of ``model`` (no-op while telemetry is off)."""
+    if obs_config._ENABLED:
+        obs_registry.counter(
+            "repro_sampling_candidates_total",
+            "Candidates verified on n_samples worlds by the Monte-Carlo loop.",
+            model=model,
+        ).inc()
 
 
 def block_rows(index: CandidateWorldIndex) -> int:
@@ -165,7 +160,7 @@ def global_verify(
     if index.num_triangles == 0:
         return False
     counts = blocked_counts(global_triangle_counts, index, n_samples, k, rng=rng, seed=seed)
-    _record_worlds("global", n_samples)
+    _count_candidate("global")
     return bool(np.all(counts / n_samples >= theta))
 
 
@@ -188,6 +183,6 @@ def weak_scores(
     if index.num_triangles == 0:
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=bool)
     counts = blocked_counts(weak_membership_counts, index, n_samples, k, rng=rng, seed=seed)
-    _record_worlds("weak", n_samples)
+    _count_candidate("weak")
     estimates = counts / n_samples
     return estimates, estimates >= theta

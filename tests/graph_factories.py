@@ -11,7 +11,14 @@ and whichever is imported first claims the name in ``sys.modules``.
 
 from __future__ import annotations
 
-from repro.graph.generators import clique_graph
+import random
+
+from repro.graph.generators import (
+    beta_probability,
+    clique_graph,
+    confidence_probability,
+    planted_nucleus_graph,
+)
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
 
@@ -34,6 +41,45 @@ def bundled_graph(name="krogan", scale="tiny"):
     from repro.experiments.datasets import load_dataset
 
     return load_dataset(name, scale=scale)
+
+
+#: ``planted_nucleus_graph`` arguments of the full-size verify graphs of the
+#: repo benchmark (``perfbench/inputs.py``).
+PERFBENCH = {
+    "perfbench-flickr": dict(
+        community_sizes=[16, 13, 11, 9, 8, 7, 6, 6, 5, 5],
+        background_vertices=180,
+        background_density=0.04,
+        bridges_per_community=5,
+        seed=37,
+    ),
+    "perfbench-dense": dict(
+        community_sizes=[9, 8, 7, 6],
+        background_vertices=30,
+        background_density=0.05,
+        bridges_per_community=3,
+        seed=3,
+    ),
+}
+
+
+def perfbench_graph(name: str) -> ProbabilisticGraph:
+    """A benchmark verify graph under the benchmark's seed-1 vertex permutation."""
+    base = planted_nucleus_graph(
+        intra_density=0.95,
+        probability_model=confidence_probability(mode=0.9, concentration=20.0),
+        background_probability_model=beta_probability(alpha=1.2, beta=9.0),
+        **PERFBENCH[name],
+    )
+    vertices = sorted(base.vertices())
+    images = random.Random(1).sample(range(len(vertices)), len(vertices))
+    mapping = dict(zip(vertices, images))
+    graph = ProbabilisticGraph()
+    for v in vertices:
+        graph.add_vertex(mapping[v])
+    for u, v, p in base.edges():
+        graph.add_edge(mapping[u], mapping[v], p)
+    return graph
 
 
 def figure3a_graph() -> ProbabilisticGraph:

@@ -4,17 +4,19 @@
 
 Every decomposition runs on the CSR engine and the numpy peel, and every
 global or weak candidate is verified on a fixed number of worlds.  One
-helper, :func:`repro.exceptions.check_retired_knob`, serves the six
-decomposition and index-builder entry points and the facade's
-:func:`repro.decompose` and :func:`repro.build_index` (the sampling knobs
-only the global and weak ones) and the ``--backend`` / ``--kernel`` /
-``--sampling`` / ``--confidence`` / ``--n-worlds-max`` flags of
-``repro-index build`` and ``repro-experiments``: each knob's old default is
-silent, its deprecated value (for a numeric knob, any other valid value)
-warns once with a :class:`DeprecationWarning` and runs the one engine, and
-anything else raises :class:`~repro.exceptions.InvalidParameterError`
-naming the knob.  The warning is reported against the first caller outside
-the package, so Python's default filters show it on a ``__main__`` run.
+gate, :func:`repro.exceptions.check_retired_knobs`, serves the six
+decomposition and index-builder entry points, and through them the
+facade's :func:`repro.decompose` and :func:`repro.build_index` (the
+sampling knobs only the global and weak ones); the same table registers
+and checks the ``--backend`` / ``--kernel`` / ``--sampling`` /
+``--confidence`` / ``--n-worlds-max`` flags of ``repro-index build`` and
+``repro-experiments``.  Each knob's old default is silent, its deprecated
+value (for a numeric knob, any other valid value) warns once with a
+:class:`DeprecationWarning` and runs the one engine, and anything else
+raises :class:`~repro.exceptions.InvalidParameterError` naming the knob;
+a keyword the entry point does not take raises :class:`TypeError`.  The
+warning is reported against the first caller outside the package, so
+Python's default filters show it on a ``__main__`` run.
 Archives whose headers recorded ``kernel="numba"`` or the adaptive-sampling
 knobs still load, answer queries and update.
 """
@@ -92,6 +94,14 @@ ENTRY_POINTS = {
     "decompose": lambda g, **kw: repro.decompose(g, "global", THETA, k=1, **SAMPLING, **kw),
     "build_index": lambda g, **kw: build_index(
         g, mode="weak", theta=THETA, k=1, **SAMPLING, **kw
+    ),
+    "decompose(local)": lambda g, **kw: repro.decompose(g, "local", THETA, **kw),
+    "decompose(weak)": lambda g, **kw: repro.decompose(
+        g, "weak", THETA, k=1, **SAMPLING, **kw
+    ),
+    "build_index(local)": lambda g, **kw: build_index(g, mode="local", theta=THETA, **kw),
+    "build_index(global)": lambda g, **kw: build_index(
+        g, mode="global", theta=THETA, k=1, **SAMPLING, **kw
     ),
 }
 
@@ -194,6 +204,39 @@ class TestEntryPoints:
         _, _, bad = KNOBS[knob]
         with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
             ENTRY_POINTS[name](graph, **{knob: bad})
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_unknown_keyword_is_a_type_error(graph, name):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        ENTRY_POINTS[name](graph, bogus=1)
+
+
+@pytest.mark.parametrize(
+    "name,knob,value",
+    [
+        ("local_nucleus_decomposition", "sampling", "fixed"),
+        ("build_local_index", "sampling", "fixed"),
+        ("build_local_index", "n_jobs", 1),
+    ],
+)
+def test_retired_knob_the_entry_point_never_took_is_a_type_error(graph, name, knob, value):
+    # Even the silent value: the gate accepts only the knobs the entry
+    # point took before it retired them.
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{knob}'"):
+        ENTRY_POINTS[name](graph, **{knob: value})
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_two_deprecated_knobs_warn_in_table_order(graph, name):
+    with pytest.warns(DeprecationWarning) as record:
+        ENTRY_POINTS[name](graph, kernel="numba", backend="dict")
+    messages = [str(w.message) for w in record if issubclass(w.category, DeprecationWarning)]
+    assert [message.split(" is ")[0] for message in messages] == [
+        'backend="dict"',
+        'kernel="numba"',
+    ]
+    assert _reported_files(record) == [__file__, __file__]
 
 
 @pytest.mark.parametrize(

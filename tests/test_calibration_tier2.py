@@ -19,6 +19,11 @@ push the candidate-level error rate above δ; the sweep reports it in the
 assertion message without gating it.  Every world stream is seeded, so a
 failure replays exactly.
 
+The real-workload audit runs Algorithm 2 itself on the benchmark's
+verify-global graph and scores every candidate of at most 16 edges exactly:
+no sampled decision may differ from the exact one unless the weakest
+triangle's exact ``p`` lies inside the ε-band.
+
 Run with ``pytest -m tier2``; tier 1 deselects this module via the default
 marker expression in ``pyproject.toml``.
 """
@@ -29,10 +34,18 @@ import math
 
 import numpy as np
 import pytest
-from graph_factories import figure3a_graph, small_er_graph, two_cliques_sharing_an_edge
+from graph_factories import (
+    figure3a_graph,
+    perfbench_graph,
+    small_er_graph,
+    two_cliques_sharing_an_edge,
+)
 
+import repro.core.global_nucleus
+from repro.core.global_nucleus import global_nucleus_decomposition
+from repro.core.local import local_nucleus_decomposition
 from repro.graph.generators import clique_graph
-from repro.sampling.adaptive import blocked_counts, exact_probabilities
+from repro.sampling.adaptive import blocked_counts, exact_probabilities, global_verify
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
@@ -126,4 +139,37 @@ def test_decisions_outside_the_band_err_at_most_delta(model):
     assert worst_count <= (DELTA + TRIANGLE_SLACK) * len(SEEDS), (
         f"{model}: triangle {worst_cell} (graph, k, θ, row) was decided on the wrong "
         f"side of θ at {worst_count}/{len(SEEDS)} seeds"
+    )
+
+
+def test_real_workload_decisions_outside_the_band_match_exact(monkeypatch):
+    # Global k = 1 at θ = 0.3 on the verify-global graph, seeds 1–3: each run
+    # verifies 1,047 candidates, 121 of them with at most 16 edges.
+    graph, k, theta = perfbench_graph("perfbench-flickr"), 1, 0.3
+    local = local_nucleus_decomposition(graph, theta)
+    decisions = []
+
+    def recording_verify(index, *args, **kwargs):
+        decision = global_verify(index, *args, **kwargs)
+        decisions.append((index, decision))
+        return decision
+
+    monkeypatch.setattr(repro.core.global_nucleus, "global_verify", recording_verify)
+    outside, inside = [], {}
+    for seed in (1, 2, 3):
+        decisions.clear()
+        global_nucleus_decomposition(graph, k, theta, seed=seed, local_result=local)
+        small = [(index, decision) for index, decision in decisions if index.num_edges <= 16]
+        assert (len(decisions), len(small)) == (1047, 121), seed
+        inside[seed] = []
+        for index, decision in small:
+            weakest = float(exact_probabilities(global_membership, index, k).min())
+            if decision != (weakest >= theta):
+                band = inside[seed] if abs(weakest - theta) <= EPSILON else outside
+                band.append(round(weakest, 3))
+    report = {seed: (len(flips), flips) for seed, flips in inside.items()}
+    print(f"sampled decisions that differ from exact inside the ε-band, per seed: {report}")
+    assert not outside, (
+        f"weakest exact p of the candidates decided on the wrong side of θ = {theta} "
+        f"outside the ε-band: {outside}; inside it, per seed: {report}"
     )

@@ -136,6 +136,14 @@ class TestDecompose:
                 with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
                     entry_point(graph, mode=mode, theta=THETA, k=k, **{knob: bad})
 
+    @pytest.mark.parametrize("knob, bad", [("epsilon", "x"), ("delta", 2), ("epsilon", 0)])
+    @pytest.mark.parametrize("mode", ["global", "weak"])
+    def test_epsilon_and_delta_are_checked_beside_n_samples(self, graph, mode, knob, bad):
+        # n_samples replaces the Hoeffding budget, not the check of ε and δ.
+        for entry_point in (repro.decompose, repro.build_index):
+            with pytest.raises(InvalidParameterError, match=f"^{knob} must be"):
+                entry_point(graph, mode=mode, theta=THETA, k=1, n_samples=5, **{knob: bad})
+
     @pytest.mark.parametrize("mode", ["global", "weak"])
     @pytest.mark.parametrize(
         "knob, value",

@@ -28,6 +28,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from graph_factories import PERFBENCH, perfbench_graph
 from oracle.global_nucleus import verified_nuclei
 from repro.core.global_nucleus import (
     _closure_ids,
@@ -45,11 +46,6 @@ from repro.deterministic.cliques import (
     triangle_connected_components,
 )
 from repro.experiments.datasets import load_dataset
-from repro.graph.generators import (
-    beta_probability,
-    confidence_probability,
-    planted_nucleus_graph,
-)
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
 from repro.sampling.adaptive import global_verify
@@ -58,45 +54,6 @@ from repro.sampling.world_matrix import CandidateWorldIndex
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
 
 DRIVERS = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
-
-#: ``planted_nucleus_graph`` arguments of the full-size verify graphs of the
-#: repo benchmark (``perfbench/inputs.py``).
-PERFBENCH = {
-    "perfbench-flickr": dict(
-        community_sizes=[16, 13, 11, 9, 8, 7, 6, 6, 5, 5],
-        background_vertices=180,
-        background_density=0.04,
-        bridges_per_community=5,
-        seed=37,
-    ),
-    "perfbench-dense": dict(
-        community_sizes=[9, 8, 7, 6],
-        background_vertices=30,
-        background_density=0.05,
-        bridges_per_community=3,
-        seed=3,
-    ),
-}
-
-
-def _perfbench_graph(name: str) -> ProbabilisticGraph:
-    """A benchmark verify graph under the benchmark's seed-1 vertex permutation."""
-    base = planted_nucleus_graph(
-        intra_density=0.95,
-        probability_model=confidence_probability(mode=0.9, concentration=20.0),
-        background_probability_model=beta_probability(alpha=1.2, beta=9.0),
-        **PERFBENCH[name],
-    )
-    vertices = sorted(base.vertices())
-    images = random.Random(1).sample(range(len(vertices)), len(vertices))
-    mapping = dict(zip(vertices, images))
-    graph = ProbabilisticGraph()
-    for v in vertices:
-        graph.add_vertex(mapping[v])
-    for u, v, p in base.edges():
-        graph.add_edge(mapping[u], mapping[v], p)
-    return graph
-
 
 def two_mixed_k4s() -> ProbabilisticGraph:
     """Disjoint K4s on the ints {2, 10, 11, 12} and on the strings a–d.
@@ -122,7 +79,7 @@ def _case(name: str) -> tuple[ProbabilisticGraph, float, LocalNucleusDecompositi
     elif name == "two-mixed-k4s":
         graph, theta = two_mixed_k4s(), 0.35
     else:
-        graph, theta = _perfbench_graph(name), 0.3
+        graph, theta = perfbench_graph(name), 0.3
     return graph, theta, local_nucleus_decomposition(graph, theta)
 
 

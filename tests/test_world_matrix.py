@@ -67,13 +67,7 @@ from repro.hardness.reductions import (
 from repro.index import NucleusIndex, build_index, load_index
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
-from repro.sampling.adaptive import (
-    WORLD_COUNT_BUCKETS,
-    block_rows,
-    blocked_counts,
-    global_verify,
-    weak_scores,
-)
+from repro.sampling.adaptive import block_rows, blocked_counts, global_verify, weak_scores
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
@@ -461,15 +455,12 @@ class TestFixedLoop:
                 verify(self._index(), 1, 0.4, n_samples, seed=0)
 
 
-class TestWorldsHistogram:
-    """``repro_sampling_worlds_per_candidate`` records every sampled candidate."""
+class TestCandidateCounter:
+    """``repro_sampling_candidates_total`` counts every sampled candidate."""
 
     @staticmethod
     def _state(model):
-        histogram = obs_registry.histogram(
-            "repro_sampling_worlds_per_candidate", buckets=WORLD_COUNT_BUCKETS, model=model
-        )
-        return histogram.count, histogram.sum
+        return obs_registry.counter("repro_sampling_candidates_total", model=model).value
 
     @staticmethod
     def _run():
@@ -479,7 +470,7 @@ class TestWorldsHistogram:
         global_verify(empty, 1, 0.5, 150, seed=0)  # draws nothing, records nothing
         weak_scores(index, 1, 0.5, 24, seed=0)
 
-    def test_records_n_samples_when_enabled(self):
+    def test_counts_each_sampled_candidate_when_enabled(self):
         was_enabled = obs_config.enabled()
         obs_config.configure(enabled=True)
         try:
@@ -489,11 +480,9 @@ class TestWorldsHistogram:
             names = {metric["name"] for metric in obs_registry.snapshot()["metrics"]}
         finally:
             obs_config.configure(enabled=was_enabled)
-        assert after["global"][0] - before["global"][0] == 1
-        assert after["global"][1] - before["global"][1] == pytest.approx(150)
-        assert after["weak"][0] - before["weak"][0] == 1
-        assert after["weak"][1] - before["weak"][1] == pytest.approx(24)
-        assert "repro_sampling_worlds_per_candidate" in names
+        assert after["global"] - before["global"] == 1
+        assert after["weak"] - before["weak"] == 1
+        assert "repro_sampling_candidates_total" in names
 
     def test_silent_when_disabled(self):
         was_enabled = obs_config.enabled()
@@ -505,9 +494,6 @@ class TestWorldsHistogram:
         finally:
             obs_config.configure(enabled=was_enabled)
         assert after == before
-
-    def test_world_count_buckets_are_powers_of_two(self):
-        assert WORLD_COUNT_BUCKETS == tuple(float(2**i) for i in range(15))
 
 
 class TestLevelValidation:
