@@ -5,9 +5,10 @@ level-synchronous rounds, label translation only for the final score dictionary)
 every bundled dataset analogue.
 
 The benchmark pins the cost of the observability layer: every dataset is
-peeled once more with telemetry enabled (``REPRO_OBS`` spans + counters) and
-the enabled/disabled ratio is reported as ``obs_overhead``.  The
-instrumented peel must return the engine's scores (asserted).
+peeled with telemetry disabled and enabled (``REPRO_OBS`` spans +
+counters), the two alternating within each repeat, and the ratio of the
+fastest runs is reported as ``obs_overhead``.  The instrumented peel must
+return the engine's scores (asserted).
 
 Results are printed as a table and written to ``BENCH_peel_engine.json``;
 CI's ``bench-smoke`` job runs this with ``--max-obs-overhead 1.03``
@@ -50,25 +51,38 @@ def engine_csr_scores(csr: CSRProbabilisticGraph, theta: float, estimator) -> di
     return dict(zip(label_triangles(index.triangles, csr.vertex_labels), scores.tolist()))
 
 
-def _best_of(function, *args, repeats: int = 3, instrumented: bool = False):
-    """Return ``(result, seconds)`` for the fastest of ``repeats`` runs.
+def _timed(function, *args, instrumented: bool):
+    """Return ``(result, seconds)`` of one run.
 
-    ``instrumented=True`` runs each repeat with telemetry switched on (a
-    private capture sink per repeat), which is how the obs-overhead ratio is
-    measured against the default disabled-mode timing.
+    ``instrumented=True`` runs with telemetry switched on (a private capture
+    sink per run), which is how the obs-overhead ratio is measured against
+    the default disabled-mode timing.
     """
-    best = math.inf
-    result = None
-    for _ in range(repeats):
-        if instrumented:
-            with obs_capture(enable=True):
-                with timer() as t:
-                    result = function(*args)
-        else:
+    if instrumented:
+        with obs_capture(enable=True):
             with timer() as t:
                 result = function(*args)
-        best = min(best, t.seconds)
-    return result, best
+    else:
+        with timer() as t:
+            result = function(*args)
+    return result, t.seconds
+
+
+def _best_of_both(function, *args, repeats: int = 3) -> dict:
+    """Per side (``False``: uninstrumented, ``True``: instrumented), the result
+    and the fastest seconds of ``repeats`` runs.
+
+    The two sides alternate within each repeat, and the side that runs first
+    alternates from one repeat to the next, so that a slowdown of the host
+    lands on both sides alike instead of on whichever group of repeats ran
+    during it.
+    """
+    best = {False: (None, math.inf), True: (None, math.inf)}
+    for repeat in range(repeats):
+        for instrumented in (False, True) if repeat % 2 == 0 else (True, False):
+            result, seconds = _timed(function, *args, instrumented=instrumented)
+            best[instrumented] = (result, min(best[instrumented][1], seconds))
+    return best
 
 
 def run_peel_engine(
@@ -82,13 +96,8 @@ def run_peel_engine(
     rows = []
     for name in DATASET_NAMES:
         csr = load_dataset(name, scale=scale).to_csr()
-        engine, engine_seconds = _best_of(
-            engine_csr_scores, csr, theta, factory(), repeats=repeats
-        )
-        obs_engine, obs_seconds = _best_of(
-            engine_csr_scores, csr, theta, factory(), repeats=repeats,
-            instrumented=True,
-        )
+        best = _best_of_both(engine_csr_scores, csr, theta, factory(), repeats=repeats)
+        (engine, engine_seconds), (obs_engine, obs_seconds) = best[False], best[True]
         assert obs_engine == engine, f"instrumented peel diverged on {name}"
         rows.append(
             {

@@ -13,8 +13,9 @@ deterministic k-nucleus* reaches θ.  Computing this exactly is #P-hard
   from ``n`` sampled worlds with Hoeffding-controlled error (ε = δ = 0.1,
   n = 200 in the paper's experiments).  Every candidate goes through the one
   fixed-``n`` loop of :mod:`repro.sampling.adaptive`
-  (:func:`~repro.sampling.adaptive.global_verify`), which draws exactly
-  ``n`` worlds in memory-bounded row blocks.
+  (:func:`~repro.sampling.adaptive.global_decisions`), which draws exactly
+  ``n`` worlds per candidate in memory-bounded world blocks that small
+  candidates share.
 
 The candidate for a triangle is the closure of its 4-cliques inside ``C``
 under the rule "every triangle of the candidate must be covered by at least
@@ -26,14 +27,17 @@ The candidate loop runs in the id space of ``C``, and nothing in it is
 compiled: ``C``'s :class:`~repro.sampling.world_matrix.CandidateWorldIndex`
 is restricted out of the local result's world index of the whole graph
 (:meth:`~repro.core.result.LocalNucleusDecomposition.candidate_index`, which
-shares the peel's triangle ⇄ 4-clique arrays), each closure is a
-4-clique-id frontier over ``C``'s arrays, and each candidate is verified on
+shares the peel's triangle ⇄ 4-clique arrays), and each closure is a
+4-clique-id frontier over ``C``'s arrays.  All closures are grown first;
+then the candidates are verified on world blocks cut out of ``C``'s index
+(:class:`~repro.sampling.world_matrix.WorldBlock`), each candidate drawing
+the worlds of
 :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict` of ``C``
-to its edges.  Every restriction is array for array the index of its
-subgraph, so every candidate draws the same worlds as a compile of that
-subgraph would.  A :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`
-is built only for accepted candidates.  :func:`candidate_closure` is the
-label-space reference of the closure.
+to its edges — array for array the index of its subgraph, so the same
+worlds as a compile of that subgraph would draw.  Only accepted candidates
+are restricted and built as a
+:class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`.
+:func:`candidate_closure` is the label-space reference of the closure.
 """
 
 from __future__ import annotations
@@ -61,7 +65,9 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import global_verify
+from repro.obs import config as obs_config
+from repro.obs.metrics import REGISTRY as obs_registry
+from repro.sampling.adaptive import global_decisions
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
@@ -224,9 +230,9 @@ def global_nucleus_decomposition(
     epsilon, delta, n_samples:
         Monte-Carlo accuracy controls: every candidate is verified on exactly
         ``n_samples`` worlds, by default the Hoeffding bound
-        ``⌈ln(2/δ)/(2ε²)⌉``, drawn in memory-bounded row blocks by
-        :func:`~repro.sampling.adaptive.global_verify`.  ε and δ are checked
-        on every call.
+        ``⌈ln(2/δ)/(2ε²)⌉``, drawn in memory-bounded world blocks by
+        :func:`~repro.sampling.adaptive.global_decisions`.  ε and δ are
+        checked on every call.
     estimator:
         Support oracle forwarded to the local decomposition used for pruning:
         ``None`` (the exact DP) or a
@@ -261,10 +267,10 @@ def global_nucleus_decomposition(
     if not local_nuclei:
         return []
 
-    def verify(candidate: CandidateWorldIndex) -> bool:
-        return global_verify(candidate, k, theta, n_samples, rng=generator)
+    def decide(index: CandidateWorldIndex, closures: list[np.ndarray]) -> np.ndarray:
+        return global_decisions(index, closures, k, theta, n_samples, rng=generator)
 
-    return _verified_nuclei(graph, local, local_nuclei, k, theta, verify)
+    return _verified_nuclei(graph, local, local_nuclei, k, theta, decide)
 
 
 def _verified_nuclei(
@@ -273,43 +279,63 @@ def _verified_nuclei(
     local_nuclei: Sequence[ProbabilisticNucleus],
     k: int,
     theta: float,
-    verify: Callable[[CandidateWorldIndex], bool],
+    decide: Callable[[CandidateWorldIndex, list[np.ndarray]], np.ndarray],
 ) -> list[ProbabilisticNucleus]:
     """Algorithm 2's candidate loop: grow, deduplicate, verify, keep maximal.
 
     The index of the union ``C`` of ``local_nuclei`` is restricted once out
-    of ``local``'s world index.  One candidate is grown per triangle of
-    ``C`` (:func:`_closure_ids`), visiting the seeds in
-    :func:`~repro.deterministic.cliques.enumerate_triangles` order over the
-    dict union (:func:`union_of_nuclei`) — the order of the label-space loop,
-    which draws each candidate's worlds from the shared generator, so the
-    order fixes every sampled answer.  Candidates with the same 4-clique set
-    are verified once, on the restriction of ``C``'s index to their edges
-    (``verify(index)`` returns whether it passes); accepted ones are
-    deduplicated by edge set, built as subgraphs of ``graph``, and filtered
-    by :func:`_keep_maximal`.
+    of ``local``'s world index, and the loop runs in three passes:
+
+    1. **Grow.**  One candidate is grown per triangle of ``C``
+       (:func:`_closure_ids`), visiting the seeds in
+       :func:`~repro.deterministic.cliques.enumerate_triangles` order over
+       the dict union (:func:`union_of_nuclei`) — the order of the
+       label-space loop.  Candidates with the same 4-clique set are kept
+       once.  Nothing here samples.
+    2. **Verify.**  ``decide(index, closures)`` returns whether each
+       distinct candidate passes (the driver passes
+       :func:`~repro.sampling.adaptive.global_decisions`, which draws each
+       candidate's worlds from the shared generator in this order, so the
+       order fixes every sampled answer).
+    3. **Build.**  Accepted candidates are deduplicated by edge set,
+       restricted out of ``C`` (:meth:`CandidateWorldIndex.restrict`),
+       built as subgraphs of ``graph`` and filtered by :func:`_keep_maximal`.
+
+    With telemetry on, ``repro_candidates_total{model="global", stage}``
+    counts the non-empty closures (``generated``), the candidates that
+    passed (``accepted``), the accepted edge sets already reported
+    (``duplicate``) and the solutions :func:`_keep_maximal` drops
+    (``not_maximal``).
     """
     candidate_graph = union_of_nuclei(local_nuclei)
     index = local.candidate_index(t for nucleus in local_nuclei for t in nucleus.triangles)
     row_of = {triangle: row for row, triangle in enumerate(index.triangle_labels())}
 
-    solutions: list[ProbabilisticNucleus] = []
+    closures: list[np.ndarray] = []
     seen_candidates: set[bytes] = set()
-    seen_solutions: set[bytes] = set()
+    generated = 0
     for seed_triangle in enumerate_triangles(candidate_graph):
         cliques = _closure_ids(index, row_of[seed_triangle], k)
-        candidate_key = cliques.tobytes()
-        if not cliques.size or candidate_key in seen_candidates:
+        if not cliques.size:
             continue
-        seen_candidates.add(candidate_key)
+        generated += 1
+        candidate_key = cliques.tobytes()
+        if candidate_key not in seen_candidates:
+            seen_candidates.add(candidate_key)
+            closures.append(cliques)
 
+    passed = decide(index, closures)
+    accepted = [cliques for cliques, passes in zip(closures, passed) if passes]
+    solutions: list[ProbabilisticNucleus] = []
+    seen_solutions: set[bytes] = set()
+    for cliques in accepted:
         edge_mask = np.zeros(index.num_edges, dtype=bool)
         edge_mask[index.clique_edges[cliques]] = True
-        candidate = index.restrict(edge_mask)
         edge_key = edge_mask.tobytes()
-        if not verify(candidate) or edge_key in seen_solutions:
+        if edge_key in seen_solutions:
             continue
         seen_solutions.add(edge_key)
+        candidate = index.restrict(edge_mask)
         labels = candidate.labels
         subgraph = graph.edge_subgraph(
             (labels[u], labels[v])
@@ -324,7 +350,27 @@ def _verified_nuclei(
                 triangles=frozenset(candidate.triangle_labels()),
             )
         )
-    return _keep_maximal(solutions)
+    maximal = _keep_maximal(solutions)
+    _count_stages(
+        generated=generated,
+        accepted=len(accepted),
+        duplicate=len(accepted) - len(solutions),
+        not_maximal=len(solutions) - len(maximal),
+    )
+    return maximal
+
+
+def _count_stages(**stages: int) -> None:
+    """Add each stage's count to ``repro_candidates_total{model="global", stage}``
+    (no-op while telemetry is off)."""
+    if obs_config._ENABLED:
+        for stage, count in stages.items():
+            obs_registry.counter(
+                "repro_candidates_total",
+                "Candidates of Algorithm 2 per stage of its candidate loop.",
+                model="global",
+                stage=stage,
+            ).inc(count)
 
 
 def _keep_maximal(solutions: list[ProbabilisticNucleus]) -> list[ProbabilisticNucleus]:

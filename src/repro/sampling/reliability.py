@@ -8,7 +8,10 @@ Lemma 2.
 
 This module provides an exact evaluator (world enumeration; exponential, for
 small graphs and tests) and a Monte-Carlo estimator, plus the binary-search
-argument of Lemma 1 expressed as a reusable helper.  The reduction itself is
+argument of Lemma 1 expressed as a reusable helper.  The exact evaluator
+enumerates the world matrix in row blocks, like
+:func:`~repro.sampling.adaptive.exact_probabilities`, and decides the
+connectivity of all worlds of a block at once.  The reduction itself is
 constructed in :mod:`repro.hardness.reductions`.
 """
 
@@ -17,11 +20,15 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
+import numpy as np
+
 from repro.deterministic.connectivity import is_connected
 from repro.exceptions import InvalidParameterError, _require_finite, check_theta
-from repro.graph.possible_worlds import enumerate_worlds
+from repro.graph.possible_worlds import _check_enumerable
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.sampling.adaptive import block_rows
 from repro.sampling.monte_carlo import MonteCarloEstimate, estimate_world_probability
+from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = [
     "exact_reliability",
@@ -35,16 +42,50 @@ def exact_reliability(graph: ProbabilisticGraph, max_edges: int = 20) -> float:
     """Return the exact reliability by enumerating all possible worlds.
 
     Only vertices that appear in the graph are considered; the empty graph
-    has reliability 0 (there is nothing to connect).  Enumeration is refused
-    for graphs with more than ``max_edges`` edges.
+    has reliability 0 (there is nothing to connect), a single vertex 1, and
+    a graph with an isolated vertex 0.  Enumeration is refused for graphs
+    with more than ``max_edges`` edges, before anything else.  World
+    ``c`` of the ``2^m`` holds edge ``j`` iff bit ``j`` of ``c`` is
+    set; the worlds are enumerated in
+    :func:`~repro.sampling.adaptive.block_rows` blocks, and each connected
+    world adds its probability (Equation 1).
     """
     if graph.num_vertices == 0:
         return 0.0
+    _check_enumerable(graph.num_edges, max_edges)
+    index = CandidateWorldIndex.from_graph(graph)
+    p = index.edge_probabilities[:, None]
+    bits = np.arange(p.size)[:, None]
+    n_worlds = 2**p.size
+    rows = block_rows(index)
     total = 0.0
-    for world, probability in enumerate_worlds(graph, max_edges=max_edges):
-        if is_connected(world):
-            total += probability
+    for start in range(0, n_worlds, rows):
+        codes = np.arange(start, min(start + rows, n_worlds))
+        worlds = (codes >> bits) & 1 == 1  # one column per world
+        weights = np.where(worlds, p, 1.0 - p).prod(axis=0)
+        total += float(weights @ _connected_worlds(index, worlds))
     return min(1.0, total)
+
+
+def _connected_worlds(index: CandidateWorldIndex, worlds: np.ndarray) -> np.ndarray:
+    """Per world column of ``worlds``, whether its present edges connect every vertex.
+
+    Reachability from vertex 0, for all worlds at once: each sweep over the
+    edges marks both ends of every present edge that touches a reached
+    vertex, until a sweep reaches nothing new.  A world is connected iff it
+    reaches every vertex.
+    """
+    reached = np.zeros((len(index.labels), worlds.shape[1]), dtype=bool)
+    reached[0] = True
+    ends = list(zip(index.edge_u.tolist(), index.edge_v.tolist()))
+    while True:
+        before = reached.copy()
+        for present, (u, v) in zip(worlds, ends):
+            touching = (reached[u] | reached[v]) & present
+            reached[u] |= touching
+            reached[v] |= touching
+        if np.array_equal(before, reached):
+            return reached.all(axis=0)
 
 
 def estimate_reliability(

@@ -17,7 +17,9 @@ This module replaces that with an array-backed pipeline:
    holds, and :meth:`CandidateWorldIndex.restrict` cuts the index of an edge
    subgraph out of it, equal to compiling that subgraph; so Algorithms 2 and
    3 compile no candidate.  :meth:`CandidateWorldIndex.from_graph` compiles a
-   standalone subgraph.
+   standalone subgraph.  A :class:`WorldBlock` cuts several candidates out
+   of one index at once, side by side, so that Algorithm 2 verifies small
+   candidates in one batch.
 2. :func:`sample_world_matrix` draws **all** ``n`` worlds with a single RNG
    call, as an ``(n_worlds, n_edges)`` boolean matrix — world ``i`` contains
    edge ``j`` iff ``worlds[i, j]``.
@@ -28,10 +30,12 @@ This module replaces that with an array-backed pipeline:
    runs per world:
 
    * **global** (:func:`nucleus_world_mask`, Algorithm 2): edge coverage is
-     an OR-scatter of the present 4-cliques onto their edge columns;
-     4-clique support is a gather over ``tri_clique_indices`` summed per
-     triangle with ``np.add.reduceat``; connectivity is min-label
-     propagation with pointer jumping over the present 4-cliques.
+     a gather of the present 4-cliques over every edge's 4-clique list,
+     OR-ed with ``np.logical_or.reduceat``; 4-clique support is a gather over
+     ``tri_clique_indices`` summed per triangle with ``np.add.reduceat``;
+     connectivity is min-label propagation with pointer jumping over the
+     present 4-cliques.  Each condition is reduced per candidate over the
+     segments of a :class:`WorldBlock`; one index is a block of one.
    * **weak** (:func:`weak_membership`, Algorithm 3): the
      greatest fixed point of alive triangles and alive 4-cliques, peeled
      for all worlds together with the same gather-and-``reduceat`` support.
@@ -56,7 +60,8 @@ difference with Hoeffding's inequality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -78,10 +83,10 @@ from repro.obs.timing import timer
 
 __all__ = [
     "CandidateWorldIndex",
+    "WorldBlock",
     "as_numpy_generator",
     "sample_world_matrix",
     "structure_presence",
-    "uncovered_worlds",
     "nucleus_world_mask",
     "global_membership",
     "weak_membership",
@@ -138,12 +143,17 @@ def sample_world_matrix(
     generator = as_numpy_generator(rng, seed)
     probabilities = np.asarray(probabilities, dtype=np.float64)
     worlds = generator.random((n_worlds, probabilities.size)) < probabilities[None, :]
+    _count_worlds(n_worlds)
+    return worlds
+
+
+def _count_worlds(n_worlds: int) -> None:
+    """Count ``n_worlds`` drawn worlds (no-op while telemetry is off)."""
     if obs_config._ENABLED:
         obs_registry.counter(
             "repro_sampling_worlds_total",
             "Possible worlds drawn by the world-matrix sampler.",
         ).inc(n_worlds)
-    return worlds
 
 
 #: Vertex positions, within a triangle or 4-clique row, of its edges and of a
@@ -160,6 +170,35 @@ def _keys(rows: np.ndarray, columns: tuple, n: int) -> np.ndarray:
     for column in columns[1:]:
         key = key * n + rows.take(column, axis=1)
     return key
+
+
+def _relabelled(
+    rows: np.ndarray, vertices: np.ndarray, compact: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | slice]:
+    """``rows`` of vertex ids in the compact ids of ``vertices`` (see
+    :meth:`CandidateWorldIndex._subgraph_ids`), sorted within and across
+    rows, and that order of the rows."""
+    mapped = np.searchsorted(vertices, rows)
+    if compact is None:
+        return mapped, slice(None)
+    mapped = np.sort(compact[mapped], axis=1)
+    order = np.lexsort(mapped.T[::-1])
+    return mapped[order], order
+
+
+def _member_lists(members: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of the ``(q, w)`` member rows ``members`` over ``0 … size-1``.
+
+    Returns the CSR lists ``(indptr, indices)`` of the rows that hold each
+    member (the triangle → 4-clique lists of the member triangles, the
+    edge → 4-clique lists of the edge columns), scattered by one stable
+    argsort.
+    """
+    flat = members.ravel()
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=size), out=indptr[1:])
+    rows = np.repeat(np.arange(members.shape[0], dtype=np.int64), members.shape[1])
+    return indptr, rows[np.argsort(flat, kind="stable")]
 
 
 @dataclass
@@ -246,40 +285,21 @@ class CandidateWorldIndex:
         lie in the mask.  Only the rows whose first edge is kept are tested
         (:attr:`_rows_by_first_edge`), so the work follows the subgraph's
         size, not this index's.  Vertices get compact ids in the subgraph's
-        *own* canonical label order, which differs from this index's order
-        when only the subgraph's labels are mutually comparable (ints cut out
-        of a mixed int/str graph); edge columns are re-sorted by ``(u, v)``
-        in those ids, so :meth:`sample` draws the subgraph's own world
-        stream.
+        *own* canonical label order (:meth:`_subgraph_ids`), and edge
+        columns are sorted by ``(u, v)`` in those ids, so :meth:`sample`
+        draws the subgraph's own world stream.
         """
         edge_mask = np.asarray(edge_mask, dtype=bool)
         kept = np.flatnonzero(edge_mask)
-        ends = np.stack([self.edge_u[kept], self.edge_v[kept]], axis=1)
-        vertices = np.unique(ends)
-        labels = [self.labels[i] for i in vertices.tolist()]
-        ordered = sorted_labels(labels)
-        if ordered == labels:  # compact ids keep this index's vertex order
-            compact = None
-        else:
-            position = {label: i for i, label in enumerate(ordered)}
-            compact = np.array([position[label] for label in labels], dtype=np.int64)
+        ends, vertices, ordered, compact = self._subgraph_ids(kept)
 
         def within(by_first_edge: tuple, edges: np.ndarray, rows: np.ndarray) -> np.ndarray:
             """The ``rows`` whose ``edges`` are all kept, in compact ids."""
             found, _ = concatenated_rows(*by_first_edge, kept)
             found = found[edge_mask[edges[found]].all(axis=1)]
-            return relabelled(rows[found])[0]
+            return _relabelled(rows[found], vertices, compact)[0]
 
-        def relabelled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-            """``rows`` in compact ids, sorted within and across rows, and that order."""
-            mapped = np.searchsorted(vertices, rows)
-            if compact is None:
-                return mapped, slice(None)
-            mapped = np.sort(compact[mapped], axis=1)
-            order = np.lexsort(mapped.T[::-1])
-            return mapped[order], order
-
-        pairs, order = relabelled(ends)
+        pairs, order = _relabelled(ends, vertices, compact)
         triangles_by_edge, cliques_by_edge = self._rows_by_first_edge
         return self._from_structures(
             ordered,
@@ -289,6 +309,37 @@ class CandidateWorldIndex:
             within(triangles_by_edge, self.triangle_edges, self.triangles),
             within(cliques_by_edge, self.clique_edges, self.cliques),
         )
+
+    def _subgraph_ids(self, kept: np.ndarray) -> tuple:
+        """The vertex ids of the subgraph on the edge columns ``kept``.
+
+        Returns ``(ends, vertices, ordered, compact)``: the ``(m, 2)``
+        endpoints of the kept columns, the sorted vertices they touch, those
+        vertices' labels in the subgraph's own canonical order, and each
+        vertex's compact id in that order — ``None`` when it keeps this
+        index's order, which is always the case when this index's labels
+        compare (:attr:`_labels_compare`).  It differs when only the
+        subgraph's labels are mutually comparable: ints cut out of a mixed
+        int/str graph.
+        """
+        ends = np.stack([self.edge_u[kept], self.edge_v[kept]], axis=1)
+        vertices = np.unique(ends)
+        labels = [self.labels[i] for i in vertices.tolist()]
+        ordered = sorted_labels(labels)
+        if ordered == labels:
+            return ends, vertices, labels, None
+        position = {label: i for i, label in enumerate(ordered)}
+        compact = np.array([position[label] for label in labels], dtype=np.int64)
+        return ends, vertices, ordered, compact
+
+    @cached_property
+    def _labels_compare(self) -> bool:
+        """Whether the labels sort naturally, so that every subgraph keeps their order."""
+        try:
+            sorted(self.labels)
+        except TypeError:
+            return False
+        return True
 
     @cached_property
     def _rows_by_first_edge(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -303,6 +354,23 @@ class CandidateWorldIndex:
             (np.searchsorted(columns[:, 0], edges), np.arange(columns.shape[0]))
             for columns in (self.triangle_edges, self.clique_edges)
         ]
+
+    @cached_property
+    def _cliques_by_first_triangle(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 4-clique rows whose first member triangle is each triangle row.
+
+        A CSR structure ``(indptr, rows)``, contiguous for the same reason as
+        :attr:`_rows_by_first_edge`: a 4-clique's first member triangle is
+        its first three vertices.
+        """
+        triangles = np.arange(self.num_triangles + 1)
+        first = self.clique_triangles[:, 0]
+        return np.searchsorted(first, triangles), np.arange(self.num_cliques)
+
+    @cached_property
+    def _edge_cliques(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge → 4-clique lists ``(indptr, indices)`` of the edge columns."""
+        return _member_lists(self.clique_edges, self.num_edges)
 
     @classmethod
     def _from_structures(
@@ -326,18 +394,12 @@ class CandidateWorldIndex:
         clique_triangles = np.searchsorted(
             _keys(triangles, (0, 1, 2), n), _keys(cliques, _CLIQUE_TRIANGLES, n)
         )
-        member_rows = clique_triangles.ravel()
-        counts = np.bincount(member_rows, minlength=triangles.shape[0])
-        tri_clique_indptr = np.zeros(triangles.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=tri_clique_indptr[1:])
-        clique_ids = np.repeat(np.arange(cliques.shape[0], dtype=np.int64), 4)
-        tri_clique_indices = clique_ids[np.argsort(member_rows, kind="stable")]
         return cls._with_edge_columns(
             labels,
             (edge_u, edge_v, edge_probabilities),
             triangles,
             cliques,
-            (clique_triangles, tri_clique_indptr, tri_clique_indices),
+            (clique_triangles, *_member_lists(clique_triangles, triangles.shape[0])),
         )
 
     @classmethod
@@ -384,6 +446,143 @@ class CandidateWorldIndex:
         return sample_world_matrix(self.edge_probabilities, n_worlds, rng=rng, seed=seed)
 
 
+@dataclass
+class WorldBlock(CandidateWorldIndex):
+    """Candidates of one index side by side, verified on one batch of worlds.
+
+    The arrays are block-diagonal: candidate ``i`` owns the edge columns
+    ``edge_offsets[i]:edge_offsets[i + 1]`` and likewise the triangle and
+    4-clique rows of ``triangle_offsets`` and ``clique_offsets``, whose edge
+    columns, member triangles and triangle → 4-clique lists stay inside the
+    candidate.  Vertex ids (``edge_u``, ``triangles``, …) are those of the
+    index the block was cut from (:meth:`cut`).  World row ``r`` of a block
+    holds world ``r`` of every candidate (:meth:`sample`), and the global
+    predicate decides each candidate on its own segments; the functions
+    that take a :class:`CandidateWorldIndex` treat it as one candidate.  A
+    block is not the index of one graph (an edge may appear once per
+    candidate), so :meth:`restrict` and the constructors do not apply to it.
+    """
+
+    edge_offsets: np.ndarray
+    triangle_offsets: np.ndarray
+    clique_offsets: np.ndarray
+
+    @property
+    def num_segments(self) -> int:
+        """Number of candidates in the block."""
+        return int(self.edge_offsets.size - 1)
+
+    @classmethod
+    def of(cls, index: CandidateWorldIndex) -> "WorldBlock":
+        """``index`` as a block of one candidate, sharing its arrays."""
+        arrays = fields(CandidateWorldIndex)
+        return cls(
+            **{field.name: getattr(index, field.name) for field in arrays},
+            edge_offsets=np.array([0, index.num_edges], dtype=np.int64),
+            triangle_offsets=np.array([0, index.num_triangles], dtype=np.int64),
+            clique_offsets=np.array([0, index.num_cliques], dtype=np.int64),
+        )
+
+    @classmethod
+    def cut(cls, index: CandidateWorldIndex, candidates: Sequence[np.ndarray]) -> "WorldBlock":
+        """The block of ``candidates``, each a sorted array of ``index``'s edge columns.
+
+        Candidate ``i`` holds what :meth:`CandidateWorldIndex.restrict` of its
+        edges holds: every triangle and 4-clique of ``index`` whose edges it
+        holds, and its edge columns in the restriction's order, so that it
+        draws the restriction's world stream.  One vectorized pass serves
+        all candidates: the triangles whose first edge a candidate holds
+        (:attr:`_rows_by_first_edge`), then the 4-cliques whose first member
+        triangle it holds (:attr:`_cliques_by_first_triangle`), are tested
+        for their other edges by binary search over the sorted ``(candidate,
+        edge column)`` keys.
+        """
+        m = index.num_edges
+        widths = np.array([edges.size for edges in candidates], dtype=np.int64)
+        edge_offsets = np.zeros(widths.size + 1, dtype=np.int64)
+        np.cumsum(widths, out=edge_offsets[1:])
+        owner = np.repeat(np.arange(widths.size), widths)
+        edges = np.concatenate(candidates)
+        keys = owner * m + edges
+        # The block column of each key: its candidate's restriction order.
+        columns = np.arange(edges.size)
+        if not index._labels_compare:
+            for start, kept in zip(edge_offsets.tolist(), candidates):
+                ends, vertices, _, compact = index._subgraph_ids(kept)
+                if compact is not None:
+                    order = _relabelled(ends, vertices, compact)[1]
+                    columns[start + order] = start + np.arange(kept.size)
+        block_edges = np.empty_like(edges)
+        block_edges[columns] = edges
+        last = keys.size - 1
+
+        def held(holder: np.ndarray, rows: np.ndarray, structure_edges: np.ndarray, unknown):
+            """The ``rows`` whose ``unknown`` edges their ``holder`` holds too:
+            (candidate, row, block columns of the row's edges)."""
+            wanted = holder[:, None] * m + structure_edges[rows]
+            probe = wanted[:, unknown]
+            keep = (keys[np.minimum(np.searchsorted(keys, probe), last)] == probe).all(axis=1)
+            holder, rows = holder[keep], rows[keep]
+            return holder, rows, columns[np.searchsorted(keys, wanted[keep])]
+
+        # Triangles through their first edge, 4-cliques through their first
+        # member triangle, which holds three of their six edges.
+        found, sizes = concatenated_rows(*index._rows_by_first_edge[0], edges)
+        tri_owner, tri_rows, triangle_edges = held(
+            np.repeat(owner, sizes), found, index.triangle_edges, [1, 2]
+        )
+        found, sizes = concatenated_rows(*index._cliques_by_first_triangle, tri_rows)
+        clique_owner, clique_rows, clique_edges = held(
+            np.repeat(tri_owner, sizes), found, index.clique_edges, [2, 4, 5]
+        )
+        t = index.num_triangles
+        clique_triangles = np.searchsorted(
+            tri_owner * t + tri_rows,
+            clique_owner[:, None] * t + index.clique_triangles[clique_rows],
+        )
+        indptr, indices = _member_lists(clique_triangles, tri_rows.size)
+        segments = np.arange(widths.size + 1)
+        return cls(
+            labels=index.labels,
+            edge_u=index.edge_u[block_edges],
+            edge_v=index.edge_v[block_edges],
+            edge_probabilities=index.edge_probabilities[block_edges],
+            triangles=index.triangles[tri_rows],
+            triangle_edges=triangle_edges,
+            cliques=index.cliques[clique_rows],
+            clique_edges=clique_edges,
+            clique_triangles=clique_triangles,
+            tri_clique_indptr=indptr,
+            tri_clique_indices=indices,
+            edge_offsets=edge_offsets,
+            triangle_offsets=np.searchsorted(tri_owner, segments),
+            clique_offsets=np.searchsorted(clique_owner, segments),
+        )
+
+    def sample(
+        self,
+        n_worlds: int,
+        rng: "np.random.Generator | random.Random | None" = None,
+        seed: int | None = None,
+    ) -> np.ndarray:
+        """Sample world ``0 … n_worlds-1`` of every candidate, side by side.
+
+        Candidate by candidate, each draws the ``(n_worlds, m_i)`` uniforms
+        that :meth:`CandidateWorldIndex.sample` of its own index would draw,
+        so every candidate sees its restriction's world stream.
+        """
+        if self.num_segments == 1:  # a lone candidate may be large: no concatenated copy
+            return sample_world_matrix(self.edge_probabilities, n_worlds, rng=rng, seed=seed)
+        generator = as_numpy_generator(rng, seed)
+        draws = np.split(
+            generator.random(n_worlds * self.num_edges), n_worlds * self.edge_offsets[1:-1]
+        )
+        worlds = np.concatenate([draw.reshape(n_worlds, -1) for draw in draws], axis=1)
+        worlds = worlds < self.edge_probabilities
+        _count_worlds(n_worlds * self.num_segments)
+        return worlds
+
+
 def world_from_row(index: CandidateWorldIndex, row: np.ndarray) -> ProbabilisticGraph:
     """Materialize one world-matrix row as a dict-backed deterministic world.
 
@@ -423,6 +622,30 @@ def structure_presence(
     return tri_present, clique_present
 
 
+def _per_segment(
+    reduce: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty, dtype: np.dtype
+) -> np.ndarray:
+    """Reduce the columns of ``values`` segment by segment.
+
+    Column ``s`` of the result reduces (``np.add``, ``np.minimum``, …) the
+    columns ``offsets[s]:offsets[s + 1]``: one ``reduceat`` over the
+    non-empty segments.  Empty segments get ``empty``.
+    """
+    starts = offsets[:-1]
+    nonempty = offsets[1:] > starts
+    if nonempty.all():
+        return reduce.reduceat(values, starts, axis=1, dtype=dtype)
+    out = np.full((values.shape[0], starts.size), empty, dtype=dtype)
+    if nonempty.any():
+        out[:, nonempty] = reduce.reduceat(values, starts[nonempty], axis=1, dtype=dtype)
+    return out
+
+
+def _any_per_segment(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Per row and segment, whether any column of the segment is set."""
+    return _per_segment(np.logical_or, values, offsets, False, bool)
+
+
 def _per_triangle(
     index: CandidateWorldIndex,
     clique_values: np.ndarray,
@@ -434,18 +657,11 @@ def _per_triangle(
 
     Column ``t`` of the result reduces (``np.add`` or ``np.minimum``) the
     values of the 4-cliques that contain triangle ``t``: one gather over
-    ``tri_clique_indices`` and one ``reduceat`` over the non-empty segments
-    of ``tri_clique_indptr``.  Triangles in no 4-clique get ``empty``.
+    ``tri_clique_indices`` reduced over the segments of
+    ``tri_clique_indptr``.  Triangles in no 4-clique get ``empty``.
     """
-    indptr = index.tri_clique_indptr
-    nonempty = indptr[1:] > indptr[:-1]
-    out = np.full((clique_values.shape[0], index.num_triangles), empty, dtype=dtype)
-    if index.num_cliques:
-        gathered = clique_values[:, index.tri_clique_indices]
-        out[:, nonempty] = reduce.reduceat(
-            gathered, indptr[:-1][nonempty], axis=1, dtype=dtype
-        )
-    return out
+    gathered = clique_values[:, index.tri_clique_indices]
+    return _per_segment(reduce, gathered, index.tri_clique_indptr, empty, dtype)
 
 
 def _clique_support(index: CandidateWorldIndex, cliques: np.ndarray) -> np.ndarray:
@@ -458,47 +674,78 @@ def _clique_support(index: CandidateWorldIndex, cliques: np.ndarray) -> np.ndarr
     return _per_triangle(index, cliques, np.add, 0, np.min_scalar_type(most))
 
 
-def uncovered_worlds(
+def _uncovered_edges(
     index: CandidateWorldIndex, worlds: np.ndarray, clique_present: np.ndarray
 ) -> np.ndarray:
-    """Flag the worlds in which some present edge lies in no present 4-clique.
+    """Per world, the present edges that lie in no present 4-clique.
 
-    The present 4-cliques are OR-scattered onto their edge columns by
-    fancy-indexed assignment.
+    An edge is covered when any 4-clique of its edge → 4-clique list
+    (:attr:`CandidateWorldIndex._edge_cliques`) is present: one gather and
+    one ``reduceat``.
     """
-    covered = np.zeros(worlds.shape, dtype=bool)
-    worlds_of, cliques = np.nonzero(clique_present)
-    covered[worlds_of[:, None], index.clique_edges[cliques]] = True
-    return (worlds & ~covered).any(axis=1)
+    indptr, indices = index._edge_cliques
+    covered = _per_segment(np.logical_or, clique_present[:, indices], indptr, False, bool)
+    return worlds & ~covered
 
 
-def _one_component(index: CandidateWorldIndex, clique_present: np.ndarray) -> np.ndarray:
-    """Per world, whether the present 4-cliques are connected through triangles.
+def _one_component(block: WorldBlock, clique_present: np.ndarray) -> np.ndarray:
+    """Per world and candidate, whether its present 4-cliques are connected through triangles.
 
     Min-label propagation with pointer jumping over the present 4-cliques:
     each starts labelled with its own row (absent ones with the sentinel
     ``num_cliques``); each round every triangle takes the smallest label of
     its present 4-cliques, every present 4-clique the smallest label of its
     four triangles, and then every label jumps to its label's label.  At
-    the fixed point each component carries its smallest row, so a world is
-    connected iff its present 4-cliques share one label.
+    the fixed point each component carries its smallest row, so a
+    candidate's world is connected iff its present 4-cliques share one
+    label: the smallest label of its segment equals its largest present one.
     """
-    n = index.num_cliques
+    n = block.num_cliques
     dtype = np.min_scalar_type(n)
     rows = np.arange(clique_present.shape[0])[:, None]
     sentinel = np.full((clique_present.shape[0], 1), n, dtype=dtype)
     labels = np.where(clique_present, np.arange(n, dtype=dtype), sentinel)
     while True:
-        by_triangle = _per_triangle(index, labels, np.minimum, n, dtype)
-        pulled = by_triangle[:, index.clique_triangles].min(axis=2)
+        by_triangle = _per_triangle(block, labels, np.minimum, n, dtype)
+        pulled = by_triangle[:, block.clique_triangles].min(axis=2)
         pulled = np.where(clique_present, pulled, sentinel)
         jumped = np.hstack([pulled, sentinel])[rows, pulled]
         if np.array_equal(jumped, labels):
             break
         labels = jumped
-    low = labels.min(axis=1, initial=n)
-    high = np.where(clique_present, labels, 0).max(axis=1, initial=0)
+    offsets = block.clique_offsets
+    low = _per_segment(np.minimum, labels, offsets, n, dtype)
+    high = _per_segment(np.maximum, np.where(clique_present, labels, 0), offsets, 0, dtype)
     return low == high
+
+
+def _segment_world_masks(
+    block: WorldBlock,
+    worlds: np.ndarray,
+    k: int,
+    presence: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Per world row and candidate of ``block``, whether the candidate's world is a k-nucleus.
+
+    The three conditions of :func:`nucleus_world_mask`, each reduced over
+    every candidate's segment at once; support and connectivity run only on
+    the worlds where some candidate of the block survived the previous
+    condition.
+    """
+    _, clique_present = structure_presence(block, worlds) if presence is None else presence
+    uncovered = _uncovered_edges(block, worlds, clique_present)
+    alive = _any_per_segment(clique_present, block.clique_offsets)
+    alive &= ~_any_per_segment(uncovered, block.edge_offsets)
+    masks = np.zeros_like(alive)
+    rows = np.flatnonzero(alive.any(axis=1))
+    present, alive = clique_present[rows], alive[rows]
+    if k > 1:  # a structural triangle lies in a present 4-clique: support ≥ 1 ≥ k
+        support = _clique_support(block, present)
+        alive &= ~_any_per_segment((support > 0) & (support < k), block.triangle_offsets)
+    supported = alive.any(axis=1)
+    connected = _one_component(block, present[supported])
+    masks[rows[supported]] = alive[supported] & connected
+    return masks
 
 
 def nucleus_world_mask(
@@ -514,26 +761,25 @@ def nucleus_world_mask(
     worlds (the test-suite pins the equivalence row by row).  A world is a
     nucleus iff
 
-    * it has a present 4-clique and every present edge lies in one
-      (:func:`uncovered_worlds` is false);
+    * it has a present 4-clique and every present edge lies in one;
     * every *structural* triangle (in ≥ 1 present 4-clique) lies in ≥ k
       present 4-cliques — incidental triangles are exempt;
     * the structural triangles are 4-clique-connected, i.e. the present
       4-cliques are connected through shared triangles.
 
     Each condition is evaluated at once for all worlds the previous one
-    kept.
+    kept.  This is the one-candidate case of the block predicate, which
+    decides every candidate of a :class:`WorldBlock` on its own segments.
     """
     check_level(k)
-    _, clique_present = structure_presence(index, worlds) if presence is None else presence
-    uncovered = uncovered_worlds(index, worlds, clique_present)
-    mask = np.zeros(worlds.shape[0], dtype=bool)
-    rows = np.flatnonzero(clique_present.any(axis=1) & ~uncovered)
-    present = clique_present[rows]
-    support = _clique_support(index, present)
-    supported = ~((support > 0) & (support < k)).any(axis=1)
-    mask[rows[supported]] = _one_component(index, present[supported])
-    return mask
+    return _segment_world_masks(WorldBlock.of(index), worlds, k, presence)[:, 0]
+
+
+def _block_membership(block: WorldBlock, worlds: np.ndarray, k: int) -> np.ndarray:
+    """Per world and triangle, whether its candidate's world is a k-nucleus containing it."""
+    presence = structure_presence(block, worlds)
+    masks = _segment_world_masks(block, worlds, k, presence)
+    return presence[0] & np.repeat(masks, np.diff(block.triangle_offsets), axis=1)
 
 
 def global_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
@@ -542,8 +788,8 @@ def global_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) ->
     The ``(n_worlds, num_triangles)`` predicate of Algorithm 2: triangle
     presence in the worlds :func:`nucleus_world_mask` keeps.
     """
-    presence = structure_presence(index, worlds)
-    return presence[0] & nucleus_world_mask(index, worlds, k, presence=presence)[:, None]
+    check_level(k)
+    return _block_membership(WorldBlock.of(index), worlds, k)
 
 
 def weak_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
@@ -594,6 +840,11 @@ def global_triangle_counts(
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
     """
     return _counts("global", global_membership, index, worlds, k)
+
+
+def _global_block_counts(block: WorldBlock, worlds: np.ndarray, k: int) -> np.ndarray:
+    """:func:`global_triangle_counts` of every candidate of ``block`` at once."""
+    return _counts("global", _block_membership, block, worlds, k)
 
 
 def weak_membership_counts(

@@ -13,7 +13,9 @@ against:
   (dict closure, clique-set deduplication, subgraph per candidate), verified
   one :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
 * :mod:`oracle.weak_nucleus` — Algorithm 3 scored by a deterministic nucleus
-  decomposition per sampled world.
+  decomposition per sampled world;
+* :mod:`oracle.reliability` — exact reliability summed over every possible
+  world, one dict world at a time.
 
 The Monte-Carlo oracles draw from :class:`random.Random`, so they agree with
 the production engine in distribution, not draw for draw.  The steps they

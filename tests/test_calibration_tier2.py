@@ -45,7 +45,7 @@ import repro.core.global_nucleus
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.local import local_nucleus_decomposition
 from repro.graph.generators import clique_graph
-from repro.sampling.adaptive import blocked_counts, exact_probabilities, global_verify
+from repro.sampling.adaptive import blocked_counts, exact_probabilities, global_decisions
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
@@ -149,12 +149,15 @@ def test_real_workload_decisions_outside_the_band_match_exact(monkeypatch):
     local = local_nucleus_decomposition(graph, theta)
     decisions = []
 
-    def recording_verify(index, *args, **kwargs):
-        decision = global_verify(index, *args, **kwargs)
-        decisions.append((index, decision))
-        return decision
+    def recording_decisions(index, closures, *args, **kwargs):
+        passes = global_decisions(index, closures, *args, **kwargs)
+        for cliques, decision in zip(closures, passes.tolist()):
+            mask = np.zeros(index.num_edges, dtype=bool)
+            mask[index.clique_edges[cliques]] = True
+            decisions.append((index.restrict(mask), decision))
+        return passes
 
-    monkeypatch.setattr(repro.core.global_nucleus, "global_verify", recording_verify)
+    monkeypatch.setattr(repro.core.global_nucleus, "global_decisions", recording_decisions)
     outside, inside = [], {}
     for seed in (1, 2, 3):
         decisions.clear()

@@ -14,7 +14,9 @@ restriction to a compile of its subgraph, and the sampled answers to the
 label-space loop driven by the production verifier on an identically seeded
 generator.  The weak driver's array grouping is pinned to the dict 4-clique
 components, and the tier-2 :class:`TestAnswerPins` pins the sampled answers
-of both drivers.
+of both drivers.  :class:`TestBlockLoop` pins the world blocks that the
+candidates share (:func:`~repro.sampling.adaptive.global_decisions`) to one
+:func:`~repro.sampling.adaptive.global_verify` call per restriction.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.sampling.adaptive as adaptive
 from graph_factories import PERFBENCH, perfbench_graph
 from oracle.global_nucleus import verified_nuclei
 from repro.core.global_nucleus import (
@@ -48,8 +51,10 @@ from repro.deterministic.cliques import (
 from repro.experiments.datasets import load_dataset
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
-from repro.sampling.adaptive import global_verify
-from repro.sampling.world_matrix import CandidateWorldIndex
+from repro.obs import config as obs_config
+from repro.obs.metrics import REGISTRY as obs_registry
+from repro.sampling.adaptive import global_decisions, global_verify
+from repro.sampling.world_matrix import CandidateWorldIndex, WorldBlock
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
 
@@ -275,29 +280,196 @@ class TestCallCounts:
         assert (calls["to_csr"], calls["from_graph"]) == (compiles, 0)
 
     def test_subgraphs_only_for_accepted_candidates(self, monkeypatch):
+        # Candidates are verified on world blocks cut out of C's index; only
+        # an accepted edge set is restricted (beside C itself) and built.
         graph, theta, local = _case("flickr")
         local_nuclei = local.nuclei(1)
         rng = np.random.default_rng(3)
         verified, accepted = [], set()
 
-        def verify(candidate):
-            passes = global_verify(candidate, 1, theta, 100, rng=rng)
-            verified.append(candidate)
-            if passes:
-                accepted.add(frozenset(_edge_pairs(candidate)))
+        def decide(index, closures):
+            passes = global_decisions(index, closures, 1, theta, 100, rng=rng)
+            for mask, passed in zip(_edge_masks(index, closures), passes):
+                verified.append(mask)
+                if passed:
+                    accepted.add(mask.tobytes())
             return passes
 
-        subgraphs = []
+        subgraphs, restrictions = [], []
         edge_subgraph = ProbabilisticGraph.edge_subgraph
+        restrict = CandidateWorldIndex.restrict
 
         def counting(self, edges):
             subgraphs.append(edges)
             return edge_subgraph(self, edges)
 
+        def counting_restrict(self, edge_mask):
+            restrictions.append(edge_mask)
+            return restrict(self, edge_mask)
+
         monkeypatch.setattr(ProbabilisticGraph, "edge_subgraph", counting)
-        nuclei = _verified_nuclei(graph, local, local_nuclei, 1, theta, verify)
+        monkeypatch.setattr(CandidateWorldIndex, "restrict", counting_restrict)
+        nuclei = _verified_nuclei(graph, local, local_nuclei, 1, theta, decide)
         assert nuclei and len(accepted) < len(verified)
         assert len(subgraphs) == len(accepted)
+        assert len(restrictions) == 1 + len(accepted)  # C, then each accepted edge set
+
+
+def _union_index(local: LocalNucleusDecomposition, k: int) -> CandidateWorldIndex:
+    """The index of the union ``C`` of the local k-nuclei, as the driver cuts it."""
+    return local.candidate_index(t for nucleus in local.nuclei(k) for t in nucleus.triangles)
+
+
+def _closures(index: CandidateWorldIndex, k: int) -> list[np.ndarray]:
+    """The distinct non-empty closures of ``index``, in triangle-row order."""
+    closures = {}
+    for row in range(index.num_triangles):
+        cliques = _closure_ids(index, row, k)
+        if cliques.size:
+            closures.setdefault(cliques.tobytes(), cliques)
+    return list(closures.values())
+
+
+def _edge_masks(index: CandidateWorldIndex, closures) -> list[np.ndarray]:
+    masks = []
+    for cliques in closures:
+        mask = np.zeros(index.num_edges, dtype=bool)
+        mask[index.clique_edges[cliques]] = True
+        masks.append(mask)
+    return masks
+
+
+class TestBlockLoop:
+    """Candidates sharing world blocks decide as if verified one by one."""
+
+    #: (SHARED_BLOCK_BYTES, WORLD_BLOCK_BYTES): the defaults; no sharing and
+    #: 512-byte row blocks; shared windows halved down to lone candidates.
+    BUDGETS = {
+        "shared": (adaptive.SHARED_BLOCK_BYTES, adaptive.WORLD_BLOCK_BYTES),
+        "row-split": (0, 512),
+        "halved": (adaptive.SHARED_BLOCK_BYTES, 512),
+    }
+
+    @pytest.mark.parametrize("budgets", sorted(BUDGETS))
+    @pytest.mark.parametrize(
+        "name,k,n_samples,seeds,several",
+        [
+            ("flickr", 1, 50, (7,), True),
+            ("dblp", 2, 50, (7,), True),
+            ("two-mixed-k4s", 1, 20, range(8), False),  # one block of two K4s
+        ],
+    )
+    def test_decisions_and_stream_equal_one_call_per_restriction(
+        self, monkeypatch, name, k, n_samples, seeds, several, budgets
+    ):
+        shared, world = self.BUDGETS[budgets]
+        monkeypatch.setattr(adaptive, "SHARED_BLOCK_BYTES", shared)
+        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", world)
+        _, theta, local = _case(name)
+        index = _union_index(local, k)
+        closures = _closures(index, k)
+        restrictions = [index.restrict(mask) for mask in _edge_masks(index, closures)]
+        drawn = []
+        sample = WorldBlock.sample
+
+        def spy(block, n_worlds, **options):
+            drawn.append((block.num_segments, n_worlds))
+            return sample(block, n_worlds, **options)
+
+        monkeypatch.setattr(WorldBlock, "sample", spy)
+        for seed in seeds:
+            blocked, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn.clear()
+            decisions = global_decisions(index, closures, k, theta, n_samples, rng=blocked)
+            blocks = list(drawn)
+            expected = [
+                global_verify(candidate, k, theta, n_samples, rng=one_by_one)
+                for candidate in restrictions
+            ]
+            assert decisions.tolist() == expected
+            assert blocks and blocked.random() == one_by_one.random()
+            segments = [segments for segments, _ in blocks]
+            if budgets == "shared":  # candidates share blocks, none is row-split
+                assert max(segments) > 1 and (len(blocks) > 1) == several
+                assert sum(segments) == len(closures)
+                assert all(rows == n_samples for _, rows in blocks)
+            else:  # lone candidates, split into row blocks
+                assert set(segments) == {1}
+                assert min(rows for _, rows in blocks) < n_samples
+
+    def test_mixed_labels_share_a_block_in_their_own_column_order(self):
+        # The int K4 sorts naturally on its own, not in the union's
+        # (type-name, str) order; its block columns follow its restriction.
+        _, _, local = _case("two-mixed-k4s")
+        index = _union_index(local, 1)
+        closures = _closures(index, 1)
+        edge_sets = [np.unique(index.clique_edges[cliques]) for cliques in closures]
+        block = WorldBlock.cut(index, edge_sets)
+        assert block.num_segments == 2
+        union_pairs = _edge_pairs(index)
+        labels = index.labels
+        reordered = 0
+        for segment, (edges, mask) in enumerate(zip(edge_sets, _edge_masks(index, closures))):
+            columns = slice(*block.edge_offsets[segment : segment + 2].tolist())
+            restricted = index.restrict(mask)
+            pairs = zip(block.edge_u[columns].tolist(), block.edge_v[columns].tolist())
+            in_block = [{labels[u], labels[v]} for u, v in pairs]
+            assert in_block == [set(pair) for pair in _edge_pairs(restricted)]
+            assert block.edge_probabilities[columns].tolist() == (
+                restricted.edge_probabilities.tolist()
+            )
+            reordered += in_block != [set(union_pairs[e]) for e in edges.tolist()]
+        assert reordered == 1  # the int K4, not the str one
+
+
+class TestStageCounters:
+    """``repro_candidates_total{model="global", stage}`` follows the candidate loop."""
+
+    @staticmethod
+    def _counts() -> dict:
+        stages = ("generated", "accepted", "duplicate", "not_maximal")
+        counts = {
+            stage: obs_registry.counter(
+                "repro_candidates_total", model="global", stage=stage
+            ).value
+            for stage in stages
+        }
+        counts["sampled"] = obs_registry.counter(
+            "repro_sampling_candidates_total", model="global"
+        ).value
+        return counts
+
+    @pytest.mark.parametrize("name,k", [("flickr", 1), ("dblp", 2), ("perfbench-dense", 2)])
+    def test_stages_account_for_the_answer(self, name, k):
+        graph, theta, local = _case(name)
+        was_enabled = obs_config.enabled()
+        obs_config.configure(enabled=True)
+        try:
+            before = self._counts()
+            nuclei = global_nucleus_decomposition(
+                graph, k, theta, n_samples=50, seed=7, local_result=local
+            )
+            after = self._counts()
+        finally:
+            obs_config.configure(enabled=was_enabled)
+        delta = {stage: after[stage] - before[stage] for stage in after}
+        assert delta["accepted"] - delta["duplicate"] - delta["not_maximal"] == len(nuclei)
+        assert delta["generated"] >= delta["sampled"] >= delta["accepted"] > 0
+        assert len(nuclei) > 0
+
+    def test_silent_when_disabled(self):
+        graph, theta, local = _case("flickr")
+        was_enabled = obs_config.enabled()
+        obs_config.configure(enabled=False)
+        try:
+            before = self._counts()
+            global_nucleus_decomposition(
+                graph, 1, theta, n_samples=50, seed=7, local_result=local
+            )
+            after = self._counts()
+        finally:
+            obs_config.configure(enabled=was_enabled)
+        assert after == before
 
 
 class TestWeakGrouping:

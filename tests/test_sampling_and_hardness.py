@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from graph_factories import figure3a_graph, two_cliques_sharing_an_edge
+from graph_factories import figure3a_graph, small_er_graph, two_cliques_sharing_an_edge
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +44,8 @@ from repro.sampling.reliability import (
     reliability_decision,
 )
 from repro.sampling.world_matrix import CandidateWorldIndex, global_membership, weak_membership
+
+from oracle import reliability as oracle_reliability
 
 
 class TestHoeffding:
@@ -98,6 +100,42 @@ class TestEstimateWorldProbability:
         assert estimate.n_samples == hoeffding_sample_size(0.2, 0.2)
 
 
+#: Lemma 2's instances: the original graphs of ``TestReliabilityReduction``.
+LEMMA2_EDGES = [
+    [(0, 1, 0.5)],
+    [(0, 1, 0.5), (1, 2, 0.7)],
+    [(0, 1, 0.5), (1, 2, 0.7), (0, 2, 0.9)],
+    [(0, 1, 0.6), (1, 2, 0.6), (2, 3, 0.6), (0, 3, 0.6)],
+]
+
+#: Graphs on which the batched exact reliability is pinned to the dict loop:
+#: K4–K6, seeded ER graphs (some with isolated vertices), and the Lemma 2
+#: instances with their augmented graphs.
+RELIABILITY_GRAPHS = {
+    **{
+        f"K{size}-{p}": (lambda size=size, p=p: clique_graph(size, probability=p))
+        for size in (4, 5, 6)
+        for p in (0.5, 0.9)
+    },
+    **{
+        f"er-{seed}": (lambda seed=seed: small_er_graph(7, 0.55, seed=seed))
+        for seed in range(6)
+    },
+    **{
+        f"lemma2-{i}": (lambda edges=edges: ProbabilisticGraph(edges))
+        for i, edges in enumerate(LEMMA2_EDGES)
+    },
+    **{
+        f"lemma2-{i}-augmented": (
+            lambda edges=edges: reduce_reliability_to_global_nucleus(
+                ProbabilisticGraph(edges), anchor=0
+            ).graph
+        )
+        for i, edges in enumerate(LEMMA2_EDGES)
+    },
+}
+
+
 class TestReliability:
     def test_single_certain_edge(self):
         graph = ProbabilisticGraph([(0, 1, 1.0)])
@@ -119,6 +157,31 @@ class TestReliability:
 
     def test_empty_graph(self, empty_graph):
         assert exact_reliability(empty_graph) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(RELIABILITY_GRAPHS))
+    def test_batched_worlds_equal_the_dict_loop(self, name):
+        graph = RELIABILITY_GRAPHS[name]()
+        expected = oracle_reliability.exact_reliability(graph)
+        assert abs(exact_reliability(graph) - expected) <= 1e-12
+
+    def test_single_vertex_and_isolated_vertex(self):
+        single = ProbabilisticGraph()
+        single.add_vertex("x")
+        assert exact_reliability(single) == 1.0
+        isolated = ProbabilisticGraph([(0, 1, 0.5), (1, 2, 0.5)])
+        isolated.add_vertex(7)
+        assert exact_reliability(isolated) == 0.0
+        for graph in (single, isolated):
+            assert oracle_reliability.exact_reliability(graph) == exact_reliability(graph)
+
+    def test_too_many_edges_are_refused_before_any_world(self, monkeypatch):
+        graph = clique_graph(7, probability=0.9)  # 21 edges
+        monkeypatch.setattr(
+            CandidateWorldIndex, "from_graph", lambda *args: pytest.fail("compiled the graph")
+        )
+        with pytest.raises(InvalidParameterError, match=re.escape("2**21 possible worlds")):
+            exact_reliability(graph)
+        assert exact_reliability(ProbabilisticGraph()) == 0.0  # no edges to refuse
 
     def test_estimate_close_to_exact(self):
         p = 0.5
@@ -207,15 +270,7 @@ class TestReliabilityReduction:
         with pytest.raises(InvalidParameterError):
             reduce_reliability_to_global_nucleus(empty_graph)
 
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            [(0, 1, 0.5)],
-            [(0, 1, 0.5), (1, 2, 0.7)],
-            [(0, 1, 0.5), (1, 2, 0.7), (0, 2, 0.9)],
-            [(0, 1, 0.6), (1, 2, 0.6), (2, 3, 0.6), (0, 3, 0.6)],
-        ],
-    )
+    @pytest.mark.parametrize("edges", LEMMA2_EDGES)
     def test_correspondence_with_connectivity_indicator(self, edges):
         """Lemma 2 with connectivity as the k = 0 nucleus: the gadget's triangle is
         certain, so a world of the augmented graph contains it and is connected

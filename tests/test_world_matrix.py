@@ -15,10 +15,12 @@ Three layers of guarantees:
    :func:`~repro.sampling.adaptive.weak_scores`) draws its worlds in
    memory-bounded row blocks; any split returns the counts, the nuclei and
    the generator state of one monolithic draw.  The tier-2 memory smoke
-   runs the loop where one monolithic draw cannot fit.
+   runs the loop where one monolithic draw cannot fit.  (Algorithm 2's
+   candidates also share world blocks; ``tests/test_global_candidates.py``
+   pins that loop to the one-candidate calls.)
 
 It also pins the loop itself (the point-estimate decision, triangle-free
-candidates, per-seed determinism, the worlds-per-candidate histogram), the
+candidates, per-seed determinism, the sampled-candidate counter), the
 knob rules of the engine (``k``, ``seed`` and ``n_samples`` validation),
 and the retired ``partitions=`` and ``n_jobs=`` aliases, which warn and run
 the one serial loop.
@@ -71,6 +73,7 @@ from repro.sampling.adaptive import block_rows, blocked_counts, global_verify, w
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
+    WorldBlock,
     as_numpy_generator,
     global_triangle_counts,
     nucleus_world_mask,
@@ -383,20 +386,24 @@ class TestWorldBlocks:
         graph = BLOCK_GRAPHS[name]()
         kwargs = dict(mode=mode, theta=0.3, n_samples=24, seed=3)
         expected = {k: _nuclei_key(repro.decompose(graph, k=k, **kwargs)) for k in (1, 2)}
-        drawn = []
-        sample = CandidateWorldIndex.sample
+        drawn = set()
+        # Weak draws through its candidate's index, global through the world
+        # blocks of its candidates.
+        for owner in (CandidateWorldIndex, WorldBlock):
+            sample = owner.sample
 
-        def spy(index, n_worlds, **options):
-            drawn.append(n_worlds)
-            return sample(index, n_worlds, **options)
+            def spy(index, n_worlds, _owner=owner.__name__, _sample=sample, **options):
+                drawn.add((_owner, n_worlds, getattr(index, "num_segments", 1)))
+                return _sample(index, n_worlds, **options)
 
-        monkeypatch.setattr(CandidateWorldIndex, "sample", spy)
+            monkeypatch.setattr(owner, "sample", spy)
         monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 1)
         for k in (1, 2):
             assert _nuclei_key(repro.decompose(graph, k=k, **kwargs)) == expected[k]
-        # Every block held one world, so each candidate's 24 worlds split
-        # into 24 blocks.
-        assert drawn and set(drawn) == {1}
+        # Every block held one world of one candidate, so each candidate's
+        # 24 worlds split into 24 blocks.
+        owner = "WorldBlock" if mode == "global" else "CandidateWorldIndex"
+        assert drawn == {(owner, 1, 1)}
 
 
 class TestFixedLoop:
