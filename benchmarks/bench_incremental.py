@@ -6,8 +6,8 @@ changes, deletes and inserts, weighted six re-prices per insert/delete pair
 (see ``_UPDATE_CYCLE``).  After every update the index is maintained twice —
 
 * **incremental** — :func:`repro.index.incremental.apply_updates`: canonical
-  CSR delta, delta triangle/4-clique enumeration, localized κ-score repair,
-  re-snapshot of the touched postings;
+  CSR delta, splice of the triangle/4-clique index, localized κ-score
+  repair, snapshot;
 * **rebuild** — ``build_local_index`` over the updated graph from scratch
 
 — and the two indexes are asserted bit-identical (same content fingerprint,
@@ -20,8 +20,10 @@ rebuild does every time); it is reported separately as ``warmup_seconds``
 and the per-update rows measure steady-state maintenance, which is what a
 temporal deployment pays per batch.
 
-Results are printed as a table and written to ``BENCH_incremental.json``;
-CI's ``bench-smoke`` job uploads the report and gates with
+Results are printed as a table, with the median incremental and rebuild
+times of each update kind (change, insert, delete) in a second one, and
+written to ``BENCH_incremental.json`` (those medians under each row's
+``by_op``); CI's ``bench-smoke`` job uploads the report and gates with
 ``--min-speedup 5``: across the benchmarked datasets the *geometric mean* of
 the per-dataset speedups must be at least 5x.  The default dataset list is
 the two largest bundled analogues (pokec, ljournal) at the low-threshold
@@ -42,6 +44,7 @@ import json
 import math
 import platform
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -65,6 +68,7 @@ DEFAULT_UPDATES = 16
 # probabilities are continually re-estimated while the topology itself churns
 # slowly, so a temporal stream is dominated by re-prices.
 _UPDATE_CYCLE = ("change",) * 6 + ("delete", "insert")
+_UPDATE_KINDS = ("change", "insert", "delete")
 
 
 def _single_edge_update(edges, labels, rng, step) -> EdgeUpdate:
@@ -156,6 +160,19 @@ def _bench_dataset(
         incremental_total += incremental_seconds
         rebuild_total += rebuild_seconds
 
+    by_op = {}
+    for op in _UPDATE_KINDS:
+        rows = [row for row in updates if row["op"] == op]
+        if rows:
+            by_op[op] = {
+                "count": len(rows),
+                "incremental_median_seconds": statistics.median(
+                    row["incremental_seconds"] for row in rows
+                ),
+                "rebuild_median_seconds": statistics.median(
+                    row["rebuild_seconds"] for row in rows
+                ),
+            }
     return {
         "dataset": dataset,
         "num_vertices": index.num_vertices,
@@ -167,6 +184,7 @@ def _bench_dataset(
         "rebuild_seconds": rebuild_total,
         "speedup": rebuild_total / max(incremental_total, 1e-12),
         "revision": index.revision,
+        "by_op": by_op,
         "updates": updates,
     }
 
@@ -217,6 +235,22 @@ def format_incremental(report: dict) -> str:
             f"{row['rebuild_seconds']:>11.4f} {row['speedup']:>7.1f}x "
             f"{row['warmup_seconds']:>11.4f}"
         )
+    lines += [
+        "",
+        "median per update kind",
+        f"{'dataset':<10} {'kind':<7} {'updates':>7} {'incr (ms)':>10} "
+        f"{'rebuild (ms)':>12} {'speedup':>8}",
+        "-" * 59,
+    ]
+    for row in report["rows"]:
+        for op, kind in row["by_op"].items():
+            incremental = kind["incremental_median_seconds"]
+            rebuild = kind["rebuild_median_seconds"]
+            lines.append(
+                f"{row['dataset']:<10} {op:<7} {kind['count']:>7} "
+                f"{1e3 * incremental:>10.2f} {1e3 * rebuild:>12.2f} "
+                f"{rebuild / max(incremental, 1e-12):>7.1f}x"
+            )
     return "\n".join(lines)
 
 

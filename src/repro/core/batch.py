@@ -34,7 +34,7 @@ triangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from repro.graph.csr import CSRProbabilisticGraph
 
 __all__ = [
     "CSRTriangleIndex",
+    "TriangleIndexSplice",
     "build_triangle_extension_index",
     "delta_triangle_extension_index",
     "clique_vertex_rows",
@@ -154,6 +155,16 @@ class _EdgeProbabilityLookup:
         return _members_of_sorted_mask(source * self._n + target, self._keys)
 
 
+#: Largest vertex count whose composite triangle keys ``(u·n + v)·n + w`` fit
+#: in int64; the incremental path needs them, larger graphs are rebuilt.
+_MAX_KEYED_VERTICES = 2_000_000
+
+
+def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """Composite keys ``(u·n + v)·n + w`` of vertex-id triples, sorted with their rows."""
+    return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
+
+
 def _triangle_row_ids(triangles: np.ndarray, n: int) -> "tuple[object, bool]":
     """Build a lookup from an ``(u, v, w)`` id triple to its triangle row.
 
@@ -161,9 +172,17 @@ def _triangle_row_ids(triangles: np.ndarray, n: int) -> "tuple[object, bool]":
     searched with vectorized binary search; for astronomically large graphs
     it degrades to a Python dict.  Returns ``(lookup, vectorized)``.
     """
-    if n == 0 or n <= 2_000_000:  # n³ < 2⁶³
-        return (triangles[:, 0] * n + triangles[:, 1]) * n + triangles[:, 2], True
+    if n <= _MAX_KEYED_VERTICES:  # n³ < 2⁶³
+        return _triple_keys(triangles, n), True
     return {tuple(triple): i for i, triple in enumerate(triangles.tolist())}, False
+
+
+def _postings_of(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The posting positions of ``rows``, row after row, and each row's count."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), sizes
 
 
 def _gathered_probabilities(
@@ -200,11 +219,11 @@ def _assemble_triangle_index(
 
     ``triangles`` (``(t, 3)``) and ``cliques`` (``(q, 4)``) hold ascending
     vertex ids, rows in lexicographic order.  All edge probabilities are
-    gathered fresh from ``csr`` (:func:`_gathered_probabilities`), so two
-    calls that agree on the triangle/clique id sets produce bit-identical
-    arrays regardless of how those sets were discovered — the property the
-    incremental delta path (:func:`delta_triangle_extension_index`) relies on
-    for its parity with :func:`build_triangle_extension_index`.
+    gathered fresh from ``csr`` (:func:`_gathered_probabilities`), so the
+    values depend only on the rows — the property the incremental splice
+    (:func:`delta_triangle_extension_index`) relies on when it gathers the
+    rows it changed with the same function.  This is the one assembly path
+    of a full build.
     """
     tri_probs, extensions = _gathered_probabilities(csr, triangles, cliques)
 
@@ -287,8 +306,9 @@ def build_triangle_extension_index(csr: CSRProbabilisticGraph) -> CSRTriangleInd
        back-pointers (``clique_pair_positions``) fall out of the same sort,
        giving the peel engine its O(1) clique-kill operation for free.
 
-    Steps 2–3 are the shared assembly (:func:`_assemble_triangle_index`) also
-    used by the incremental delta path.
+    Steps 2–3 are :func:`_assemble_triangle_index`.  After an edge batch,
+    :func:`delta_triangle_extension_index` splices the old index into the
+    same arrays instead.
     """
     return _assemble_triangle_index(csr, *clique_arrays_csr(csr))
 
@@ -302,109 +322,88 @@ def clique_vertex_rows(index: CSRTriangleIndex) -> np.ndarray:
     return cliques_from_members(index.triangles, index.clique_triangles)
 
 
-def _regather_probabilities(
-    old_index: CSRTriangleIndex, new_csr: CSRProbabilisticGraph
-) -> CSRTriangleIndex:
-    """Re-price an index whose triangle/4-clique structure is unchanged.
+class _RowSplice:
+    """Drop rows of an array and insert born rows at their sorted places.
 
-    For probability-only update batches the id sets — and therefore every
-    structural array of the index — are exactly those of ``old_index``; only
-    the value arrays depend on the edge probabilities.  This recomputes
-    ``triangle_probabilities`` and ``tri_extension_probabilities`` with the
-    same gathers and multiplication order as :func:`_assemble_triangle_index`
-    and scatters the extension products through the stored clique → pair
-    back-pointers (the inverse of the assembly's lexsort), so the result is
-    bit-identical to a full reassembly at a fraction of the cost.  The
-    structural arrays are *shared* with ``old_index``, which is safe because
-    nothing downstream mutates them (the score repair only reads them).
+    ``dropped`` holds ascending old row positions.  ``at`` holds, for each
+    born row in order, the rank of the surviving row it goes before
+    (nondecreasing; the number of survivors for an append).  One plan
+    splices every array parallel to the same rows, by concatenating runs of
+    the old array and of the born rows, so a change of a few rows costs a few
+    slices and one copy.
     """
-    tri_probs, extensions = _gathered_probabilities(
-        new_csr, old_index.triangles, clique_vertex_rows(old_index)
-    )
-    # clique_pair_positions[c, m] is where pre-sort pair m·C + c landed in the
-    # sorted pair arrays — scatter instead of re-sorting.
-    extensions_sorted = np.empty_like(extensions)
-    extensions_sorted[old_index.clique_pair_positions.T.reshape(-1)] = extensions
-    return replace(
-        old_index,
-        triangle_probabilities=tri_probs,
-        tri_extension_probabilities=extensions_sorted,
-    )
+
+    def __init__(self, count: int, dropped: np.ndarray, at: np.ndarray) -> None:
+        self.count = count
+        self.dropped = dropped
+        self.at = at
+        self.edited = bool(dropped.size or at.size)
+        # The old position each born row goes before: its survivor's, past
+        # any dropped rows just ahead of that survivor.
+        before = at + np.searchsorted(dropped - np.arange(dropped.size), at, side="right")
+        drops, befores = dropped.tolist(), before.tolist()
+        runs = []  # (from the old array?, start, stop)
+        start = i = j = 0
+        while i < len(drops) or j < len(befores):
+            if j < len(befores) and (i == len(drops) or befores[j] < drops[i]):
+                k = j + 1
+                while k < len(befores) and befores[k] == befores[j]:
+                    k += 1
+                runs += [(True, start, befores[j]), (False, j, k)]
+                start, j = befores[j], k
+            else:
+                runs.append((True, start, drops[i]))
+                start, i = drops[i] + 1, i + 1
+        runs.append((True, start, count))
+        self._runs = [run for run in runs if run[2] > run[1]]
+
+    def __call__(self, old: np.ndarray, born: np.ndarray) -> np.ndarray:
+        """``old`` spliced with ``born`` (``old`` itself when nothing changes)."""
+        if not self.edited:
+            return old
+        pieces = [
+            (old if from_old else born)[start:stop] for from_old, start, stop in self._runs
+        ]
+        return np.concatenate(pieces) if pieces else old[:0].copy()
+
+    def born_positions(self) -> np.ndarray:
+        """The new position of every born row."""
+        return self.at + np.arange(self.at.size, dtype=np.int64)
+
+    def table(self) -> np.ndarray:
+        """The new position of every old row, ``-1`` for dropped rows."""
+        table = np.arange(self.count, dtype=np.int64)
+        position = 0
+        for from_old, start, stop in self._runs:
+            if from_old and position != start:
+                table[start:stop] += position - start
+            position += stop - start
+        table[self.dropped] = -1
+        return table
 
 
-def delta_triangle_extension_index(
-    old_index: CSRTriangleIndex,
-    new_csr: CSRProbabilisticGraph,
-    inserted: np.ndarray,
-    deleted: np.ndarray,
-) -> CSRTriangleIndex:
-    """Rebuild a :class:`CSRTriangleIndex` after a batch of edge updates.
+def _unique_rows(blocks: "list[np.ndarray]", width: int) -> np.ndarray:
+    """The distinct rows of ``blocks`` in lexicographic order."""
+    if not blocks:
+        return np.empty((0, width), dtype=np.int64)
+    return np.unique(np.vstack(blocks), axis=0)
 
-    ``inserted`` and ``deleted`` are ``(k, 2)`` int64 arrays of undirected
-    edges (``u < v``, vertex ids of the shared id space) that were added to /
-    removed from the graph that produced ``old_index``; ``new_csr`` is the
-    post-update graph.  Probability-only changes need no structural delta —
-    the assembly re-gathers every edge probability from ``new_csr``.
 
-    Only the triangles and 4-cliques *containing a changed edge* are
-    enumerated: dead ones are dropped from the old id sets by a vectorized
-    membership test, born ones are discovered from the common neighborhoods
-    of the inserted edges, and the merged canonical id sets are handed to the
-    same assembly stage as the full enumeration — the result is bit-identical
-    to ``build_triangle_extension_index(new_csr)`` (pinned by
-    ``tests/test_incremental.py``) at a cost proportional to the changed
-    neighborhood, not the whole graph.
+def _structures_on(
+    csr: CSRProbabilisticGraph, edges: np.ndarray, cliques: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The triangles, and with ``cliques`` the 4-cliques, of ``csr`` through ``edges``.
 
-    The caller must guarantee each undirected edge appears at most once
-    across ``inserted``/``deleted`` (no insert-then-delete of the same edge
-    within one batch) and that the vertex set is unchanged.
+    ``edges`` are ``(k, 2)`` edges of ``csr``.  Rows hold ascending vertex
+    ids, in lexicographic order, each once.  The third vertex of a triangle
+    on ``(x, y)`` is a common neighbour, and so are the other two of a
+    4-clique, which must also be adjacent.
     """
-    n = new_csr.num_vertices
-    if n > 2_000_000:
-        raise InvalidParameterError(
-            "delta_triangle_extension_index requires composite-key id space "
-            f"(num_vertices <= 2_000_000, got {n})"
-        )
-    inserted = np.ascontiguousarray(inserted, dtype=np.int64).reshape(-1, 2)
-    deleted = np.ascontiguousarray(deleted, dtype=np.int64).reshape(-1, 2)
-    rows = old_index.triangles
-
-    if inserted.shape[0] == 0 and deleted.shape[0] == 0:
-        # Probability-only batch: the id sets cannot have changed, so skip
-        # the structural delta entirely and just re-price the value arrays.
-        return _regather_probabilities(old_index, new_csr)
-
-    del_keys = np.sort(deleted[:, 0] * n + deleted[:, 1])
-
-    def touches_deleted(r: np.ndarray) -> np.ndarray:
-        """Mask of rows (triangles or cliques) containing a deleted edge."""
-        count = r.shape[0]
-        if count == 0 or del_keys.size == 0:
-            return np.zeros(count, dtype=bool)
-        width = r.shape[1]
-        keys = np.concatenate(
-            [r[:, i] * n + r[:, j] for i in range(width) for j in range(i + 1, width)]
-        )
-        pair_count = (width * (width - 1)) // 2
-        return (
-            _members_of_sorted_mask(keys, del_keys)
-            .reshape(pair_count, count)
-            .any(axis=0)
-        )
-
-    surviving_rows = rows[~touches_deleted(rows)]
-
-    old_quads = clique_vertex_rows(old_index)
-    surviving_quads = old_quads[~touches_deleted(old_quads)]
-
-    # --- born triangles / 4-cliques: common neighborhoods of inserts ------ #
-    probability_of = _EdgeProbabilityLookup(new_csr)
-    born_tri_blocks: list[np.ndarray] = []
-    born_quad_blocks: list[np.ndarray] = []
-    for x, y in inserted.tolist():
-        common = np.intersect1d(
-            new_csr.neighbor_ids(x), new_csr.neighbor_ids(y), assume_unique=True
-        )
+    triangle_blocks: list[np.ndarray] = []
+    clique_blocks: list[np.ndarray] = []
+    lookup = _EdgeProbabilityLookup(csr) if cliques and edges.size else None
+    for x, y in edges.tolist():
+        common = np.intersect1d(csr.neighbor_ids(x), csr.neighbor_ids(y), assume_unique=True)
         if common.size == 0:
             continue
         tri = np.empty((common.size, 3), dtype=np.int64)
@@ -412,11 +411,11 @@ def delta_triangle_extension_index(
         tri[:, 1] = y
         tri[:, 2] = common
         tri.sort(axis=1)
-        born_tri_blocks.append(tri)
-        if common.size >= 2:
+        triangle_blocks.append(tri)
+        if lookup is not None and common.size >= 2:
             wi, xi = np.triu_indices(common.size, k=1)
             wv, xv = common[wi], common[xi]
-            keep = probability_of.has_edges(wv, xv)
+            keep = lookup.has_edges(wv, xv)
             if keep.any():
                 quad = np.empty((int(keep.sum()), 4), dtype=np.int64)
                 quad[:, 0] = x
@@ -424,28 +423,231 @@ def delta_triangle_extension_index(
                 quad[:, 2] = wv[keep]
                 quad[:, 3] = xv[keep]
                 quad.sort(axis=1)
-                born_quad_blocks.append(quad)
+                clique_blocks.append(quad)
+    return _unique_rows(triangle_blocks, 3), _unique_rows(clique_blocks, 4)
 
-    def merge_canonical(surviving: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-        """Dedupe born rows, merge with survivors, restore lexicographic order."""
-        if not blocks:
-            # A subsequence of lexicographically sorted rows is already
-            # sorted — delete-only batches skip the re-sort entirely.
-            return np.ascontiguousarray(surviving)
-        born = np.unique(np.vstack(blocks), axis=0)
-        merged = np.vstack([surviving, born]) if surviving.size else born
-        if merged.shape[0] == 0:
-            return merged
-        order = np.lexsort(tuple(merged[:, i] for i in range(merged.shape[1] - 1, -1, -1)))
-        return np.ascontiguousarray(merged[order])
 
-    new_rows = merge_canonical(surviving_rows, born_tri_blocks)
-    new_quads = merge_canonical(surviving_quads, born_quad_blocks)
-    if new_rows.shape[0] == 0:
-        new_rows = new_rows.reshape(0, 3)
-    if new_quads.shape[0] == 0:
-        new_quads = new_quads.reshape(0, 4)
-    return _assemble_triangle_index(new_csr, new_rows, new_quads)
+#: Vertex columns of a 4-clique ``(a, b, c, d)``'s members, in ``clique_triangles`` order.
+_MEMBER_COLUMNS = ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3])
+
+
+@dataclass
+class TriangleIndexSplice:
+    """A :class:`CSRTriangleIndex` spliced after an edge batch, and what changed.
+
+    ``row_map[i]`` is the new row of old triangle ``i`` (``-1`` when it died).
+    ``repriced`` lists the new rows whose ``Pr(△)`` was gathered: the born
+    triangles and the survivors on a re-priced edge.  ``touched`` lists the
+    new rows whose κ inputs changed: those, every member of a born 4-clique
+    or of one on a re-priced edge, and every surviving member of a dead
+    4-clique.  Both are ascending.  ``counts`` holds the numbers of born and
+    dead triangles and 4-cliques and of re-priced postings (those of
+    surviving 4-cliques on a re-priced edge).
+    """
+
+    index: CSRTriangleIndex
+    row_map: np.ndarray
+    repriced: np.ndarray
+    touched: np.ndarray
+    counts: dict
+
+    def base_scores(self, scores: np.ndarray) -> np.ndarray:
+        """``scores`` of the old rows carried onto the new rows, ``-1`` on born rows."""
+        base = np.full(self.index.num_triangles, -1, dtype=np.int64)
+        survived = self.row_map >= 0
+        base[self.row_map[survived]] = scores[survived]
+        return base
+
+
+def delta_triangle_extension_index(
+    old_index: CSRTriangleIndex,
+    old_csr: CSRProbabilisticGraph,
+    new_csr: CSRProbabilisticGraph,
+    inserted: np.ndarray,
+    deleted: np.ndarray,
+    changed: np.ndarray,
+) -> TriangleIndexSplice:
+    """Splice a :class:`CSRTriangleIndex` after a batch of edge updates.
+
+    ``inserted``, ``deleted`` and ``changed`` are ``(k, 2)`` int64 arrays of
+    undirected edges (``u < v``, vertex ids of the shared id space) added to,
+    removed from and re-priced in ``old_csr``, the graph of ``old_index``;
+    ``new_csr`` is the post-update graph.  The old index is edited, not
+    rebuilt, at a cost proportional to the changed neighbourhood plus a few
+    array copies:
+
+    1. the dead triangles are the deleted edges' common neighbours in
+       ``old_csr``, and the dead 4-cliques are their postings; the born
+       triangles and 4-cliques come from the inserted edges' common
+       neighbours in ``new_csr``;
+    2. dead rows are dropped and born rows inserted at their sorted places,
+       and the surviving triangle rows, 4-clique ids and posting positions
+       stored in the arrays are shifted by the rows removed and inserted
+       before them.  Born postings sort by triangle row, then completing
+       vertex;
+    3. edge probabilities are gathered only for the born triangles and
+       4-cliques and for those on a re-priced edge, with the products of the
+       full assembly (:func:`_gathered_probabilities`).
+
+    Every array is therefore bit-identical to
+    ``build_triangle_extension_index(new_csr)`` (pinned by
+    ``tests/test_incremental.py``), and an array the batch does not change
+    is shared with ``old_index``: a re-price-only batch shares every
+    structural array.  Nothing mutates the arrays downstream.
+
+    The caller must guarantee each undirected edge appears at most once
+    across the three arrays and that the vertex set is unchanged.
+    """
+    n = new_csr.num_vertices
+    if n > _MAX_KEYED_VERTICES:
+        raise InvalidParameterError(
+            "delta_triangle_extension_index requires composite-key id space "
+            f"(num_vertices <= {_MAX_KEYED_VERTICES:_}, got {n})"
+        )
+    inserted, deleted, changed = (
+        np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        for edges in (inserted, deleted, changed)
+    )
+    old = old_index
+    dead_triangles, _ = _structures_on(old_csr, deleted, cliques=False)
+    born_triangles, born_quads = _structures_on(new_csr, inserted, cliques=True)
+    changed_triangles, _ = _structures_on(new_csr, changed, cliques=False)
+
+    # --- triangle rows ---------------------------------------------------- #
+    old_keys = _triple_keys(old.triangles, n)
+    born_keys = _triple_keys(born_triangles, n)
+    dead_rows = np.searchsorted(old_keys, _triple_keys(dead_triangles, n))
+    # A born triangle is not in the old index: its search lands on the old
+    # row it sorts before.
+    old_before = np.searchsorted(old_keys, born_keys)
+    rows = _RowSplice(
+        old.num_triangles, dead_rows, old_before - np.searchsorted(dead_rows, old_before)
+    )
+    triangles = rows(old.triangles, born_triangles)
+    new_keys = rows(old_keys, born_keys)
+    born_rows = rows.born_positions()
+    row_map = rows.table()
+    num_triangles = triangles.shape[0]
+
+    # --- 4-clique ids: lexicographic order is (first, second) member row -- #
+    dead_postings, _ = _postings_of(old.tri_clique_indptr, dead_rows)
+    dead_cliques = np.unique(old.tri_cliques[dead_postings])
+    # The (a,b,c), (a,b,d), (a,c,d) and (b,c,d) members of every born
+    # 4-clique, member-major, as rows of the new triangle order.
+    member_triples = np.concatenate([born_quads[:, columns] for columns in _MEMBER_COLUMNS])
+    born_members = np.searchsorted(new_keys, _triple_keys(member_triples, n)).reshape(4, -1).T
+    members = row_map[old.clique_triangles] if rows.edited else old.clique_triangles
+    at = np.empty(0, dtype=np.int64)
+    if born_quads.size:
+        surviving_keys = np.delete(
+            members[:, 0] * num_triangles + members[:, 1], dead_cliques
+        )
+        at = np.searchsorted(
+            surviving_keys, born_members[:, 0] * num_triangles + born_members[:, 1]
+        )
+    cliques = _RowSplice(old.num_cliques, dead_cliques, at)
+    clique_triangles = cliques(members, born_members)
+    born_cliques = cliques.born_positions()
+
+    # --- postings: (triangle row, completing vertex) order ---------------- #
+    dead_positions = np.sort(old.clique_pair_positions[dead_cliques].ravel())
+    born_pair_rows = born_members.T.reshape(-1)  # member-major, as in the assembly
+    born_pair_completing = born_quads[:, ::-1].T.reshape(-1)
+    order = np.lexsort((born_pair_completing, born_pair_rows))
+    born_pair_rows, born_pair_completing = born_pair_rows[order], born_pair_completing[order]
+    # The old posting each born posting sorts before: the first of its
+    # triangle's old postings with a larger completing vertex, or the first
+    # posting after the old rows a born triangle sorts after.
+    old_rows_of = np.searchsorted(old_keys, new_keys[born_pair_rows])
+    before = old.tri_clique_indptr[old_rows_of]
+    survivor = ~_members_of_sorted_mask(born_pair_rows, born_rows)
+    positions, sizes = _postings_of(old.tri_clique_indptr, old_rows_of[survivor])
+    below = old.tri_completing[positions] < np.repeat(born_pair_completing[survivor], sizes)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    before[survivor] += np.bincount(owner, weights=below, minlength=sizes.size).astype(
+        np.int64
+    )
+    postings = _RowSplice(
+        old.tri_extension_probabilities.size,
+        dead_positions,
+        before - np.searchsorted(dead_positions, before),
+    )
+    tri_completing = postings(old.tri_completing, born_pair_completing)
+    tri_extension_probabilities = postings(
+        old.tri_extension_probabilities, np.zeros(born_pair_rows.size)
+    )
+    tri_cliques = old.tri_cliques
+    clique_pair_positions = old.clique_pair_positions
+    if cliques.edited:
+        tri_cliques = postings(
+            cliques.table()[old.tri_cliques], np.tile(born_cliques, 4)[order]
+        )
+        born_pairs = np.empty(born_pair_rows.size, dtype=np.int64)
+        born_pairs[order] = postings.born_positions()
+        clique_pair_positions = cliques(
+            postings.table()[old.clique_pair_positions], born_pairs.reshape(4, -1).T
+        )
+    tri_clique_indptr = old.tri_clique_indptr
+    if rows.edited or cliques.edited:
+        counts = np.diff(old.tri_clique_indptr) - np.bincount(
+            old.clique_triangles[dead_cliques].ravel(), minlength=old.num_triangles
+        )
+        counts = rows(counts, np.zeros(born_rows.size, dtype=np.int64))
+        counts += np.bincount(born_pair_rows, minlength=num_triangles)
+        tri_clique_indptr = np.zeros(num_triangles + 1, dtype=np.int64)
+        np.cumsum(counts, out=tri_clique_indptr[1:])
+
+    # --- probabilities of what is born or on a re-priced edge ------------- #
+    changed_rows = np.searchsorted(new_keys, _triple_keys(changed_triangles, n))
+    on_changed = np.unique(tri_cliques[_postings_of(tri_clique_indptr, changed_rows)[0]])
+    gathered_rows = np.union1d(born_rows, changed_rows)
+    gathered_cliques = np.union1d(born_cliques, on_changed)
+    triangle_probabilities = rows(old.triangle_probabilities, np.zeros(born_rows.size))
+    if gathered_rows.size or gathered_cliques.size:
+        tri_probs, extensions = _gathered_probabilities(
+            new_csr,
+            triangles[gathered_rows],
+            cliques_from_members(triangles, clique_triangles[gathered_cliques]),
+        )
+        if gathered_rows.size:
+            if triangle_probabilities is old.triangle_probabilities:
+                triangle_probabilities = triangle_probabilities.copy()
+            triangle_probabilities[gathered_rows] = tri_probs
+        if gathered_cliques.size:
+            if tri_extension_probabilities is old.tri_extension_probabilities:
+                tri_extension_probabilities = tri_extension_probabilities.copy()
+            tri_extension_probabilities[
+                clique_pair_positions[gathered_cliques].T.reshape(-1)
+            ] = extensions
+
+    lost = row_map[old.clique_triangles[dead_cliques]].ravel()
+    touched = np.unique(
+        np.concatenate(
+            [gathered_rows, clique_triangles[gathered_cliques].ravel(), lost[lost >= 0]]
+        )
+    )
+    return TriangleIndexSplice(
+        index=CSRTriangleIndex(
+            triangles=triangles,
+            triangle_probabilities=triangle_probabilities,
+            tri_clique_indptr=tri_clique_indptr,
+            tri_completing=tri_completing,
+            tri_extension_probabilities=tri_extension_probabilities,
+            tri_cliques=tri_cliques,
+            clique_triangles=clique_triangles,
+            clique_pair_positions=clique_pair_positions,
+        ),
+        row_map=row_map,
+        repriced=gathered_rows,
+        touched=touched,
+        counts={
+            "born_triangles": int(born_rows.size),
+            "dead_triangles": int(dead_rows.size),
+            "born_cliques": int(born_cliques.size),
+            "dead_cliques": int(dead_cliques.size),
+            "repriced_postings": 4 * int(np.setdiff1d(on_changed, born_cliques).size),
+        },
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -44,7 +44,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.approximations import DynamicProgrammingEstimator, SupportEstimator
-from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails
+from repro.core.batch import CSRTriangleIndex, _dp_tails, _max_k_from_tails, _postings_of
 from repro.core.support_dp import NO_VALID_K
 from repro.exceptions import InvalidParameterError, check_theta
 from repro.obs import config as obs_config
@@ -177,14 +177,6 @@ class EstimatorKappaRepair(KappaRepair):
             best = _max_k_from_tails(self._probability_array[rows[members]], tails, self.theta)
             kappas[members] = np.minimum(best, present.sum(axis=1))
         return kappas
-
-
-def _postings_of(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The posting positions of ``rows``, row after row, and each row's count."""
-    starts = indptr[rows]
-    sizes = indptr[rows + 1] - starts
-    offsets = np.cumsum(sizes) - sizes
-    return np.arange(int(sizes.sum())) + np.repeat(starts - offsets, sizes), sizes
 
 
 def _checked_scores(name: str, values, num_triangles: int) -> np.ndarray:

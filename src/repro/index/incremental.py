@@ -11,10 +11,13 @@ touching only the affected region:
    :meth:`~repro.graph.csr.CSRProbabilisticGraph.with_edge_deltas` (canonical
    rebuild of the edge arrays — bit-identical to recompiling the updated
    graph);
-2. the triangle ⇄ 4-clique incidence is patched by
-   :func:`~repro.core.batch.delta_triangle_extension_index`, which enumerates
-   only the triangles/4-cliques containing a changed edge and reassembles
-   arrays bit-identical to a full enumeration;
+2. the triangle ⇄ 4-clique incidence is spliced by
+   :func:`~repro.core.batch.delta_triangle_extension_index`: it finds only
+   the triangles/4-cliques on a changed edge, drops the dead rows, inserts
+   the born ones at their sorted places and re-gathers only the
+   probabilities that changed, so the arrays are bit-identical to a full
+   enumeration; the old → new row map and the touched rows it returns give
+   the repair its base scores and its seeds;
 3. nucleus scores are repaired by
    :func:`~repro.core.peel.repair_kappa_scores` — a localized
    greatest-fixed-point recomputation seeded at the triangles whose κ-inputs
@@ -27,6 +30,9 @@ touching only the affected region:
    arrays are **bit-identical** to rebuilding over the updated graph
    (the differential parity pinned by ``tests/test_incremental.py`` and the
    randomized tier-2 sweep).
+
+Steps 2–4 run in an ``index.update`` span, as its children ``index.splice``,
+``peel.repair`` and ``index.snapshot`` (``docs/OBSERVABILITY.md``).
 
 The incremental path requires ``mode="local"`` with the exact DP estimator
 (the only oracle whose peel scores are order-independent) on a graph small
@@ -64,14 +70,14 @@ from repro.core.approximations import (
     TranslatedPoissonEstimator,
 )
 from repro.core.batch import (
+    _MAX_KEYED_VERTICES,
+    _triple_keys,
     build_triangle_extension_index,
-    clique_vertex_rows,
     delta_triangle_extension_index,
 )
 from repro.core.components import _nucleus_level_groups
 from repro.core.hybrid import HybridEstimator
 from repro.core.peel import EstimatorKappaRepair, repair_kappa_scores
-from repro.deterministic.cliques import _members_of_sorted_mask
 from repro.exceptions import EdgeNotFoundError, InvalidParameterError
 from repro.graph.probabilistic_graph import Vertex
 from repro.index.fingerprint import graph_fingerprint
@@ -81,11 +87,9 @@ from repro.index.nucleus_index import (
     NucleusIndex,
     _component_aggregates,
 )
+from repro.obs.spans import span
 
 __all__ = ["EdgeUpdate", "apply_updates", "chain_update_digest"]
-
-#: Largest vertex count for which composite triangle/edge keys fit in int64.
-_MAX_COMPOSITE_VERTICES = 2_000_000
 
 #: Estimator classes by recorded header name, for the fallback rebuild.
 _ESTIMATOR_FACTORIES = {
@@ -215,109 +219,6 @@ def _canonicalise(
         [p for _, _, p in ins] + [p for _, _, p in chg], dtype=np.float64
     )
     return normalized, inserted, deleted, changed, added_probabilities
-
-
-def _triple_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """Composite keys ``(u·n + v)·n + w`` of vertex-id triples, sorted with their rows."""
-    return (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]
-
-
-def _pairs_touching(rows: np.ndarray, edge_keys: np.ndarray, n: int) -> np.ndarray:
-    """Mask of rows (vertex triples or quadruples) containing a listed edge."""
-    count = rows.shape[0]
-    if count == 0 or edge_keys.size == 0:
-        return np.zeros(count, dtype=bool)
-    width = rows.shape[1]
-    keys = np.concatenate(
-        [
-            rows[:, i] * n + rows[:, j]
-            for i in range(width)
-            for j in range(i + 1, width)
-        ]
-    )
-    pair_count = (width * (width - 1)) // 2
-    return _members_of_sorted_mask(keys, edge_keys).reshape(pair_count, count).any(axis=0)
-
-
-def _rebase_scores_and_seeds(
-    old_index,
-    old_scores: np.ndarray,
-    new_index,
-    n: int,
-    inserted: np.ndarray,
-    deleted: np.ndarray,
-    changed: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map old scores onto the new triangle rows and find the dirty seeds.
-
-    Returns ``(base_scores, seeds, reusable)``.  ``base_scores``/``seeds``
-    feed :func:`~repro.core.peel.repair_kappa_scores`: a triangle is a seed
-    when its κ-inputs changed — it is newborn, its triangle probability
-    changed (contains an inserted/changed edge), it gained or re-priced a
-    4-clique (member of a new clique containing an inserted/changed edge),
-    or it lost one (member of an old clique containing a deleted edge).
-
-    ``reusable`` marks the triangles whose *snapshot inputs* are untouched:
-    they survived with the same vertex triple and none of their three edges
-    was re-priced, so their edge probabilities are bit-identical to the old
-    graph's.  If such a triangle's repaired score also comes back equal to
-    its old score, every per-component aggregate it contributes to reads
-    unchanged inputs — the condition under which the snapshot assembly may
-    copy the old component aggregates instead of recomputing them.
-    """
-
-    old_rows, new_rows = old_index.triangles, new_index.triangles
-    new_keys = _triple_keys(new_rows, n)
-    num_new = new_rows.shape[0]
-    if old_rows.shape[0]:
-        old_keys = _triple_keys(old_rows, n)
-        positions = np.clip(np.searchsorted(old_keys, new_keys), 0, old_keys.size - 1)
-        survived = old_keys[positions] == new_keys
-        base = np.where(survived, old_scores[positions], -1).astype(np.int64)
-    else:
-        survived = np.zeros(num_new, dtype=bool)
-        base = np.full(num_new, -1, dtype=np.int64)
-
-    def edge_keys(pairs: np.ndarray) -> np.ndarray:
-        if pairs.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(pairs[:, 0] * n + pairs[:, 1])
-
-    repriced = edge_keys(np.vstack([inserted, changed]))
-    removed = edge_keys(deleted)
-
-    repriced_triangles = _pairs_touching(new_rows, repriced, n)
-    reusable = survived & ~repriced_triangles
-    seed_mask = ~survived
-    seed_mask |= repriced_triangles
-    new_quads = clique_vertex_rows(new_index)
-    quad_mask = _pairs_touching(new_quads, repriced, n)
-    if quad_mask.any():
-        seed_mask[new_index.clique_triangles[quad_mask].ravel()] = True
-    if removed.size and num_new:
-        old_quads = clique_vertex_rows(old_index)
-        dead = _pairs_touching(old_quads, removed, n)
-        if dead.any():
-            quads = old_quads[dead]
-            # The four member triples of each dead clique; the ones that do
-            # not themselves contain a deleted edge survive and lost a
-            # posting.
-            triples = np.concatenate(
-                [
-                    quads[:, [1, 2, 3]],
-                    quads[:, [0, 2, 3]],
-                    quads[:, [0, 1, 3]],
-                    quads[:, [0, 1, 2]],
-                ]
-            )
-            triples = triples[~_pairs_touching(triples, removed, n)]
-            if triples.size:
-                triples = np.unique(triples, axis=0)
-                keys = _triple_keys(triples, n)
-                positions = np.clip(np.searchsorted(new_keys, keys), 0, num_new - 1)
-                found = new_keys[positions] == keys
-                seed_mask[positions[found]] = True
-    return base, np.flatnonzero(seed_mask), reusable
 
 
 def _component_reuse_hook(old_index: NucleusIndex, old_keys, new_keys, clean):
@@ -455,8 +356,9 @@ def _reprice_snapshot(index: NucleusIndex, new_csr, dirty: np.ndarray) -> Nucleu
     return NucleusIndex(header, arrays)
 
 
+@span("index.update")
 def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, added_p):
-    """The incremental path: delta-index + localized score repair + snapshot."""
+    """The incremental path: splice the triangle index, repair the scores, snapshot."""
     state = getattr(index, "_incremental_state", None)
     if state is None:
         tri_index = build_triangle_extension_index(csr)
@@ -471,51 +373,58 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
     removed_all = np.vstack([deleted, changed])
     added_all = np.vstack([inserted, changed])
     new_csr = csr.with_edge_deltas(removed_all, added_all, added_p)
-    new_tri_index = delta_triangle_extension_index(tri_index, new_csr, inserted, deleted)
-    base, seeds, reusable = _rebase_scores_and_seeds(
-        tri_index,
-        scores,
-        new_tri_index,
-        new_csr.num_vertices,
-        inserted,
-        deleted,
-        changed,
-    )
+    with span("index.splice") as splice_span:
+        splice = delta_triangle_extension_index(
+            tri_index, csr, new_csr, inserted, deleted, changed
+        )
+        splice_span.annotate(**splice.counts)
+    new_tri_index = splice.index
+    # A triangle is a seed when its κ inputs changed; the others keep their
+    # old score as the repair's upper bound.
+    base = splice.base_scores(scores)
     repairer = EstimatorKappaRepair(
         DynamicProgrammingEstimator(), new_tri_index.triangle_probabilities, index.theta
     )
-    new_scores = repair_kappa_scores(new_tri_index, base, seeds, repairer)
-    if not structural and np.array_equal(new_scores, scores):
-        # Same triangles, same cliques, same scores: the snapshot differs
-        # from the previous revision only in its probability-dependent
-        # arrays, so re-price the old one instead of reassembling it.
-        level_groups = cached_groups
-        result = _reprice_snapshot(index, new_csr, ~reusable)
-    else:
-        level_groups = _nucleus_level_groups(new_scores, new_tri_index)
-        n = new_csr.num_vertices
-        clean = reusable & (new_scores == base)
-        comp_reuse = _component_reuse_hook(
-            index,
-            _triple_keys(tri_index.triangles, n),
-            _triple_keys(new_tri_index.triangles, n),
-            clean,
-        )
-        # Direct _build call: the delta enumeration hands over canonical
-        # arrays by construction, so from_triangle_arrays' sortedness
-        # re-validation is redundant here; the vertex set never changes, so
-        # the previous revision's JSON-safe label list is reused as-is.
-        result = NucleusIndex._build(
-            new_csr,
-            new_tri_index.triangles,
-            np.ascontiguousarray(new_scores, dtype=np.int64),
-            level_groups,
-            "local",
-            index.theta,
-            dict(index.params),
-            comp_reuse=comp_reuse,
-            labels=index.header["vertex_labels"],
-        )
+    new_scores = repair_kappa_scores(new_tri_index, base, splice.touched, repairer)
+    # Triangles whose edge probabilities were re-gathered; every other one
+    # survived with the old graph's edge probabilities, bit for bit.
+    repriced = np.zeros(new_tri_index.num_triangles, dtype=bool)
+    repriced[splice.repriced] = True
+    with span("index.snapshot"):
+        if not structural and np.array_equal(new_scores, scores):
+            # Same triangles, same cliques, same scores: the snapshot differs
+            # from the previous revision only in its probability-dependent
+            # arrays, so re-price the old one instead of reassembling it.
+            level_groups = cached_groups
+            result = _reprice_snapshot(index, new_csr, repriced)
+        else:
+            level_groups = _nucleus_level_groups(new_scores, new_tri_index)
+            n = new_csr.num_vertices
+            # A triangle whose snapshot inputs (vertex triple, edge
+            # probabilities, score) all equal the previous revision's may
+            # share its component's old aggregates.
+            clean = ~repriced & (new_scores == base)
+            comp_reuse = _component_reuse_hook(
+                index,
+                _triple_keys(tri_index.triangles, n),
+                _triple_keys(new_tri_index.triangles, n),
+                clean,
+            )
+            # Direct _build call: the splice hands over canonical arrays by
+            # construction, so from_triangle_arrays' sortedness re-validation
+            # is redundant here; the vertex set never changes, so the
+            # previous revision's JSON-safe label list is reused as-is.
+            result = NucleusIndex._build(
+                new_csr,
+                new_tri_index.triangles,
+                np.ascontiguousarray(new_scores, dtype=np.int64),
+                level_groups,
+                "local",
+                index.theta,
+                dict(index.params),
+                comp_reuse=comp_reuse,
+                labels=index.header["vertex_labels"],
+            )
     result._incremental_state = {
         "csr": new_csr,
         "tri_index": new_tri_index,
@@ -592,7 +501,7 @@ def apply_updates(index: NucleusIndex, updates) -> NucleusIndex:
     fast = (
         index.mode == "local"
         and str(index.params.get("estimator", "")) == DynamicProgrammingEstimator.name
-        and index.num_vertices <= _MAX_COMPOSITE_VERTICES
+        and index.num_vertices <= _MAX_KEYED_VERTICES
     )
     if fast:
         result = _incremental_local(index, csr, inserted, deleted, changed, added_p)

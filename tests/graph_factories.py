@@ -3,6 +3,7 @@
 Plain functions rather than fixtures so parametrized sweeps can call them
 with their own seeds.  The per-module copies these replace drifted apart in
 their magic numbers; new randomized tests should build graphs through these.
+The one shared assertion, :func:`assert_same_triangle_index`, lives here too.
 
 This lives outside ``conftest.py`` because the bare module name ``conftest``
 is ambiguous at import time: pytest loads ``benchmarks/conftest.py`` too,
@@ -11,6 +12,7 @@ and whichever is imported first claims the name in ``sys.modules``.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from repro.graph.generators import (
@@ -145,3 +147,12 @@ def pathological_graph(kind: str) -> ProbabilisticGraph:
             graph.add_edge(u, v, 1e-9)
         return graph
     raise ValueError(f"unknown pathological graph kind {kind!r}")
+
+
+def assert_same_triangle_index(actual, expected, context=None) -> None:
+    """Field-by-field equality (dtype, shape, bytes) of two ``CSRTriangleIndex``."""
+    for field in dataclasses.fields(expected):
+        got, want = getattr(actual, field.name), getattr(expected, field.name)
+        assert got.dtype == want.dtype, (context, field.name, got.dtype, want.dtype)
+        assert got.shape == want.shape, (context, field.name, got.shape, want.shape)
+        assert got.tobytes() == want.tobytes(), (context, field.name)

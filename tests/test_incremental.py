@@ -16,11 +16,20 @@ is the fast tier-1 pin of every code path and failure mode.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from graph_factories import pathological_graph, small_er_graph
+from graph_factories import (
+    assert_same_triangle_index,
+    pathological_graph,
+    small_er_graph,
+    two_cliques_sharing_an_edge,
+)
 
+import repro.core.batch as batch_module
 from repro.core.approximations import NormalEstimator, PoissonEstimator
+from repro.core.batch import build_triangle_extension_index, clique_vertex_rows
 from repro.exceptions import (
     EdgeNotFoundError,
     IndexCompatibilityError,
@@ -118,11 +127,19 @@ def assert_same_content(actual: NucleusIndex, expected: NucleusIndex) -> None:
 
 
 def checked_apply(index, graph_labels, edges, updates, theta=THETA):
-    """apply_updates plus the from-scratch parity assertion; returns both."""
+    """apply_updates plus the from-scratch parity assertions; returns both.
+
+    The snapshot must equal a fresh build, and so must the spliced triangle
+    index the updated index keeps for its next batch.
+    """
     new_index = apply_updates(index, updates)
     new_edges = apply_to_edges(edges, updates)
-    rebuilt = build_local_index(graph_from(new_edges, graph_labels), theta)
-    assert_same_content(new_index, rebuilt)
+    graph = graph_from(new_edges, graph_labels)
+    assert_same_content(new_index, build_local_index(graph, theta))
+    assert_same_triangle_index(
+        new_index._incremental_state["tri_index"],
+        build_triangle_extension_index(graph.to_csr()),
+    )
     return new_index, new_edges
 
 
@@ -276,6 +293,130 @@ class TestIncrementalParity:
         via_function = apply_updates(index, [EdgeUpdate("change", 0, 1, 0.5)])
         assert_same_content(via_method, via_function)
         assert via_method.cache_key == via_function.cache_key
+
+
+# --------------------------------------------------------------------------- #
+# the triangle-index splice at its edge cases
+# --------------------------------------------------------------------------- #
+def _complete_graph_without(size: int, missing) -> ProbabilisticGraph:
+    """K_size at p = 0.9 without the ``missing`` edges."""
+    return ProbabilisticGraph(
+        [
+            (u, v, 0.9)
+            for u, v in itertools.combinations(range(size), 2)
+            if (u, v) not in missing
+        ]
+    )
+
+
+def _dense_edge(graph) -> tuple:
+    """The labels of the first two vertices of the graph's first 4-clique row."""
+    csr = graph.to_csr()
+    a, b = clique_vertex_rows(build_triangle_extension_index(csr))[0, :2].tolist()
+    return csr.vertex_labels[a], csr.vertex_labels[b]
+
+
+class TestSplice:
+    """Every batch goes through ``checked_apply``: snapshot and triangle index."""
+
+    @staticmethod
+    def replay(graph, batches):
+        index, edges = build_local_index(graph, THETA), edge_dict(graph)
+        for batch in batches:
+            index, edges = checked_apply(index, graph.vertices(), edges, batch)
+        return index._incremental_state["tri_index"]
+
+    def test_born_postings_at_one_offset_sort_by_row_then_vertex(self):
+        # Inserting (0, 3) into K5 without it: the born triangle (0, 3, 4),
+        # with postings 1 and 2, sorts just before the surviving (1, 2, 3),
+        # which gains posting 0 ahead of its old posting 4.  All three born
+        # postings go before the same old posting.
+        tri = self.replay(
+            _complete_graph_without(5, {(0, 3)}), [[EdgeUpdate("insert", 0, 3, 0.8)]]
+        )
+        row = tri.triangles.tolist().index([0, 3, 4])
+        assert tri.triangles[row + 1].tolist() == [1, 2, 3]
+        start, stop = tri.tri_clique_indptr[row], tri.tri_clique_indptr[row + 2]
+        assert tri.tri_completing[start:stop].tolist() == [1, 2, 0, 4]
+
+    def test_insert_and_reprice_edges_of_one_born_clique(self):
+        # (0, 1) closes the 4-clique {0, 1, 2, 3} while the same batch
+        # re-prices its edge (2, 3), which the surviving 4-clique
+        # {2, 3, 4, 5} holds too.
+        graph = ProbabilisticGraph(
+            [(0, 2, 0.9), (0, 3, 0.8), (1, 2, 0.7), (1, 3, 0.95), (2, 3, 0.6), (2, 4, 0.9),
+             (3, 4, 0.85), (2, 5, 0.8), (3, 5, 0.75), (4, 5, 0.9)]
+        )
+        tri = self.replay(
+            graph, [[EdgeUpdate("insert", 0, 1, 0.85), EdgeUpdate("change", 2, 3, 0.75)]]
+        )
+        assert tri.num_cliques == 2
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_delete_an_edge_of_the_first_or_last_clique_row(self, row):
+        graph = planted_communities_graph()
+        csr = graph.to_csr()
+        a, b = clique_vertex_rows(build_triangle_extension_index(csr))[row, :2].tolist()
+        u, v = csr.vertex_labels[a], csr.vertex_labels[b]
+        self.replay(graph, [[EdgeUpdate("delete", u, v)]])
+
+    def test_delete_every_clique_then_create_the_first(self):
+        # Both 4-cliques contain the shared edge (2, 3).
+        graph = two_cliques_sharing_an_edge()
+        assert self.replay(graph, [[EdgeUpdate("delete", 2, 3)]]).num_cliques == 0
+        tri = self.replay(
+            graph, [[EdgeUpdate("delete", 2, 3)], [EdgeUpdate("insert", 2, 3, 0.9)]]
+        )
+        assert tri.num_cliques == 2
+
+    @pytest.mark.parametrize("op", ["insert", "delete", "change"])
+    def test_warm_batch_gathers_only_the_structures_on_its_edge(self, op, monkeypatch):
+        graph = planted_communities_graph()
+        labels = list(graph.vertices())
+        u, v = _dense_edge(graph)
+        # The warm-up batch leaves the triangle index in the index's state.
+        if op == "insert":
+            warm = EdgeUpdate("delete", u, v)
+        else:
+            warm = EdgeUpdate("change", u, v, 0.7)
+        index, edges = checked_apply(
+            build_local_index(graph, THETA), labels, edge_dict(graph), [warm]
+        )
+        batch = [EdgeUpdate(op, u, v, None if op == "delete" else 0.9)]
+
+        gathered = []
+        gather = batch_module._gathered_probabilities
+
+        def spy(csr, triangles, cliques):
+            gathered.append((triangles.tolist(), cliques.tolist()))
+            return gather(csr, triangles, cliques)
+
+        monkeypatch.setattr(batch_module, "_gathered_probabilities", spy)
+        monkeypatch.setattr(
+            batch_module,
+            "_assemble_triangle_index",
+            lambda *args: pytest.fail("a warm batch reassembled the triangle index"),
+        )
+        updated = apply_updates(index, batch)
+        monkeypatch.undo()
+
+        new_edges = apply_to_edges(edges, batch)
+        rebuilt = build_local_index(graph_from(new_edges, labels), THETA)
+        assert_same_content(updated, rebuilt)
+        if op == "delete":
+            assert gathered == []
+            return
+        csr = graph_from(new_edges, labels).to_csr()
+        fresh = build_triangle_extension_index(csr)
+        x, y = csr.index_of(u), csr.index_of(v)
+
+        def on_edge(rows):
+            return [row for row in rows.tolist() if x in row and y in row]
+
+        ((triangles, cliques),) = gathered
+        assert triangles == on_edge(fresh.triangles)
+        assert cliques == on_edge(clique_vertex_rows(fresh))
+        assert cliques
 
 
 def _missing_pair(edges: dict, labels):

@@ -4,9 +4,10 @@ The acceptance gate of the incremental-update subsystem: across several
 graphs (seeded Erdős–Rényi and a bundled dataset analogue) and every index
 mode, replay long chains of randomized update batches and assert after
 **every** batch that ``apply_updates`` produced arrays bit-identical to
-rebuilding the index from scratch over the updated graph — and that a
-refreshed :class:`~repro.query.NucleusQueryEngine` answers queries exactly
-like an engine built fresh on the rebuilt index.
+rebuilding the index from scratch over the updated graph — and, in local
+mode, a spliced triangle index equal to a fresh build, and a refreshed
+:class:`~repro.query.NucleusQueryEngine` that answers queries exactly like
+an engine built fresh on the rebuilt index.
 
 The sweep totals well over 100 batches (4 local graphs × 2 stream seeds
 × 17 chained batches, plus 8 each for the global and weakly-global
@@ -27,8 +28,9 @@ import random
 
 import numpy as np
 import pytest
-from graph_factories import bundled_graph, small_er_graph
+from graph_factories import assert_same_triangle_index, bundled_graph, small_er_graph
 
+from repro.core.batch import build_triangle_extension_index
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
     EdgeUpdate,
@@ -139,8 +141,14 @@ def test_local_mode_randomized_sweep(name, seed):
         context = (name, seed, step, batch)
         index = apply_updates(index, batch)
         revision += 1
-        rebuilt = build_local_index(reference_graph(edges, labels), theta)
+        reference = reference_graph(edges, labels)
+        rebuilt = build_local_index(reference, theta)
         assert_bit_identical(index, rebuilt, context)
+        assert_same_triangle_index(
+            index._incremental_state["tri_index"],
+            build_triangle_extension_index(reference.to_csr()),
+            context,
+        )
         assert index.revision == revision, context
         engine.refresh(index)
         assert_queries_match(engine, rebuilt, labels, context)

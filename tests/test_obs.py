@@ -19,6 +19,7 @@ Four concerns are pinned here:
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 
 import pytest
@@ -388,8 +389,8 @@ class TestInstrumentation:
             index = index.apply_updates([("delete", 0, 1)])
         assert index.arrays["triangle_scores"].tolist() == [1] * 7
         assert [REGISTRY.counter(name).value for name in counts] == [6, 15, 2]
-        (repair,) = sink.traces()
-        assert repair["name"] == "peel.repair"
+        (update,) = sink.traces()
+        (repair,) = [child for child in update["children"] if child["name"] == "peel.repair"]
         assert repair["attrs"] == {"seeds": 6, "closure": 6, "rounds": 2}
         # Re-inserting it: the three newborn triangles and the six members of
         # the new cliques are seeds; every initial κ is 2, above the shared
@@ -400,8 +401,54 @@ class TestInstrumentation:
             index = index.apply_updates([("insert", 0, 1, 1.0)])
         assert index.arrays["triangle_scores"].tolist() == [2] * 10
         assert [REGISTRY.counter(name).value for name in counts] == [9, 20, 3]
-        (repair,) = sink.traces()
+        (update,) = sink.traces()
+        (repair,) = [child for child in update["children"] if child["name"] == "peel.repair"]
         assert repair["attrs"] == {"seeds": 9, "closure": 10, "rounds": 3}
+
+    def test_incremental_update_trace_tree(self):
+        # K5 on 0–4 plus vertex 5 on 0, 1 and 2.  One batch inserts (3, 5),
+        # deletes (0, 4) and re-prices (1, 2); the splice reports what a
+        # fresh build of the updated graph adds and removes, and the
+        # postings of the three surviving 4-cliques on (1, 2).
+        edges = {(u, v): 0.9 for u in range(5) for v in range(u + 1, 5)}
+        edges.update({(0, 5): 0.8, (1, 5): 0.8, (2, 5): 0.8})
+        index = build_local_index(ProbabilisticGraph([(*e, p) for e, p in edges.items()]), 0.3)
+        batch = [("insert", 3, 5, 0.7), ("delete", 0, 4), ("change", 1, 2, 0.6)]
+        after = {**edges, (3, 5): 0.7, (1, 2): 0.6}
+        del after[(0, 4)]
+
+        def structures(graph_edges, size):
+            return {
+                frozenset(group)
+                for group in itertools.combinations(range(6), size)
+                if all(pair in graph_edges for pair in itertools.combinations(group, 2))
+            }
+
+        old_cliques, new_cliques = structures(edges, 4), structures(after, 4)
+        expected = {
+            "born_triangles": len(structures(after, 3) - structures(edges, 3)),
+            "dead_triangles": len(structures(edges, 3) - structures(after, 3)),
+            "born_cliques": len(new_cliques - old_cliques),
+            "dead_cliques": len(old_cliques - new_cliques),
+            "repriced_postings": 4 * sum({1, 2} <= q for q in old_cliques & new_cliques),
+        }
+        assert expected == {
+            "born_triangles": 3,
+            "dead_triangles": 3,
+            "born_cliques": 3,
+            "dead_cliques": 3,
+            "repriced_postings": 12,
+        }
+        with capture(enable=True) as sink:
+            updated = index.apply_updates(batch)
+        (update,) = sink.traces()
+        assert update["name"] == "index.update"
+        names = [child["name"] for child in update["children"]]
+        assert names == ["index.splice", "peel.repair", "index.snapshot"]
+        assert update["children"][0]["attrs"] == expected
+        with capture() as sink:
+            updated.apply_updates([("change", 1, 2, 0.5)])
+        assert sink.traces() == []
 
     def test_heap_peel_reports_its_queue(self, graph):
         with capture(enable=True) as sink:

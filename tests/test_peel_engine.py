@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from graph_factories import bundled_graph
+from graph_factories import assert_same_triangle_index, bundled_graph
 
 import repro.core.approximations as approximations
 from repro.core.batch import (
@@ -22,6 +22,7 @@ from repro.core.batch import (
     _max_k_from_tails,
     batched_initial_kappas,
     build_triangle_extension_index,
+    delta_triangle_extension_index,
 )
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
@@ -42,7 +43,7 @@ from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import EdgeUpdate
-from repro.index.incremental import _canonicalise, _rebase_scores_and_seeds
+from repro.index.incremental import _canonicalise
 from repro.peeling import LazyMinHeap
 
 import oracle
@@ -518,7 +519,8 @@ def repair_inputs(graph, batch, make_repair, initial_kappas):
 
     The base scores are a full peel of ``graph`` with ``make_repair(index)``
     from ``initial_kappas(index)``, carried onto the updated rows by the
-    incremental path's own rebase, which also finds the seeds.
+    incremental path's own splice, which also finds the seeds.  The spliced
+    index must equal a fresh build of the updated graph.
     """
     csr = graph.to_csr()
     old = build_triangle_extension_index(csr)
@@ -526,12 +528,10 @@ def repair_inputs(graph, batch, make_repair, initial_kappas):
     new_csr = csr.with_edge_deltas(
         np.vstack([deleted, changed]), np.vstack([inserted, changed]), added
     )
-    new = build_triangle_extension_index(new_csr)
+    splice = delta_triangle_extension_index(old, csr, new_csr, inserted, deleted, changed)
+    assert_same_triangle_index(splice.index, build_triangle_extension_index(new_csr))
     old_scores = peel_kappa_scores(old, initial_kappas(old), make_repair(old))
-    base, seeds, _ = _rebase_scores_and_seeds(
-        old, old_scores, new, csr.num_vertices, inserted, deleted, changed
-    )
-    return new, base, seeds
+    return splice.index, splice.base_scores(old_scores), splice.touched
 
 
 def exact_case(name: str, op: str, theta: float):
