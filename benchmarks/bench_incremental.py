@@ -14,16 +14,21 @@ changes, deletes and inserts, weighted six re-prices per insert/delete pair
 same arrays) before the next update is drawn, so the timing comparison is
 between two paths producing the same answer.
 
-The first ``apply_updates`` call on a freshly built index pays a one-time
-cost to assemble its triangle/4-clique incidence state (the same work a
-rebuild does every time); it is reported separately as ``warmup_seconds``
-and the per-update rows measure steady-state maintenance, which is what a
-temporal deployment pays per batch.
+The first ``apply_updates`` call on a freshly built index is reported
+separately as ``warmup_seconds`` and left out of the per-update rows, which
+measure steady-state maintenance, what a temporal deployment pays per batch.
+It splices the triangle/4-clique index the build handed over, like every
+later update, but pays the first call's one-off costs.
 
 Results are printed as a table, with the median incremental and rebuild
 times of each update kind (change, insert, delete) in a second one, and
 written to ``BENCH_incremental.json`` (those medians under each row's
-``by_op``); CI's ``bench-smoke`` job uploads the report and gates with
+``by_op``).  After the timed loop the stream is replayed once on a fresh
+build with telemetry on, and a third table gives the median time of each
+phase of an update — the ``index.splice``, ``peel.repair`` and
+``index.snapshot`` spans (``docs/OBSERVABILITY.md``) — also under each row's
+``phase_median_seconds``; the timed loop runs with telemetry off.  CI's
+``bench-smoke`` job uploads the report and gates with
 ``--min-speedup 5``: across the benchmarked datasets the *geometric mean* of
 the per-dataset speedups must be at least 5x.  The default dataset list is
 the two largest bundled analogues (pokec, ljournal) at the low-threshold
@@ -56,6 +61,7 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 
 from repro.experiments.datasets import DATASET_NAMES, load_dataset
 from repro.index.incremental import EdgeUpdate, apply_updates
+from repro.obs.spans import capture
 from repro.obs.timing import timer
 
 DEFAULT_JSON = "BENCH_incremental.json"
@@ -69,6 +75,9 @@ DEFAULT_UPDATES = 16
 # slowly, so a temporal stream is dominated by re-prices.
 _UPDATE_CYCLE = ("change",) * 6 + ("delete", "insert")
 _UPDATE_KINDS = ("change", "insert", "delete")
+
+#: The children of the ``index.update`` span, in the order an update runs them.
+_PHASES = ("index.splice", "peel.repair", "index.snapshot")
 
 
 def _single_edge_update(edges, labels, rng, step) -> EdgeUpdate:
@@ -109,6 +118,24 @@ def _assert_parity(incremental, rebuilt, dataset: str, step: int) -> None:
         ), f"{dataset} update {step}: array {name!r} diverged from the rebuild"
 
 
+def _phase_medians(graph, theta: float, stream: list) -> dict:
+    """Median seconds of each update phase over a traced replay of ``stream``.
+
+    The replay starts from a fresh build and, like the timed loop, leaves
+    the first update out of the medians.
+    """
+    index = apply_updates(build_local_index(graph, theta), stream[:1])
+    with capture(enable=True) as sink:
+        for update in stream[1:]:
+            index = apply_updates(index, [update])
+    seconds = {phase: [] for phase in _PHASES}
+    for trace in sink.traces():
+        for child in trace["children"]:
+            if child["name"] in seconds:
+                seconds[child["name"]].append(child["wall_seconds"])
+    return {phase: statistics.median(values) for phase, values in seconds.items()}
+
+
 def _bench_dataset(
     dataset: str, scale: str, theta: float, num_updates: int, seed: int
 ) -> dict:
@@ -121,14 +148,14 @@ def _bench_dataset(
         index = build_local_index(graph, theta)
     build_seconds = build_timer.seconds
 
-    # Warm-up update: the first apply_updates assembles the incremental
-    # state (triangle/4-clique incidence) from the snapshot — a one-time
-    # cost equal in kind to what every rebuild pays.  Timed separately.
+    # The first update is timed apart: it pays the first call's one-off
+    # costs.  Its triangle index comes from the build, not from enumerating.
     warm = _single_edge_update(edges, labels, rng, step=0)
     with timer() as warm_timer:
         index = apply_updates(index, [warm])
     warmup_seconds = warm_timer.seconds
 
+    stream = [warm]
     updates = []
     incremental_total = 0.0
     rebuild_total = 0.0
@@ -136,6 +163,7 @@ def _bench_dataset(
 
     for step in range(1, num_updates + 1):
         update = _single_edge_update(edges, labels, rng, step)
+        stream.append(update)
 
         with timer() as incremental_timer:
             index = apply_updates(index, [update])
@@ -185,6 +213,7 @@ def _bench_dataset(
         "speedup": rebuild_total / max(incremental_total, 1e-12),
         "revision": index.revision,
         "by_op": by_op,
+        "phase_median_seconds": _phase_medians(graph, theta, stream),
         "updates": updates,
     }
 
@@ -251,6 +280,18 @@ def format_incremental(report: dict) -> str:
                 f"{1e3 * incremental:>10.2f} {1e3 * rebuild:>12.2f} "
                 f"{rebuild / max(incremental, 1e-12):>7.1f}x"
             )
+    lines += [
+        "",
+        "median per phase of an update (traced replay)",
+        f"{'dataset':<10} {'splice (ms)':>11} {'repair (ms)':>11} {'snapshot (ms)':>13}",
+        "-" * 48,
+    ]
+    for row in report["rows"]:
+        splice, repair, snapshot = (row["phase_median_seconds"][phase] for phase in _PHASES)
+        lines.append(
+            f"{row['dataset']:<10} {1e3 * splice:>11.2f} {1e3 * repair:>11.2f} "
+            f"{1e3 * snapshot:>13.2f}"
+        )
     return "\n".join(lines)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import CSRTriangleIndex
+from repro.core.batch import CSRTriangleIndex, _postings_of
 
 
 def _flatten_forest(parent: np.ndarray) -> np.ndarray:
@@ -68,7 +68,7 @@ def _root_groups(parent: np.ndarray, ids: np.ndarray) -> list[np.ndarray]:
 
 
 def _nucleus_level_groups(
-    scores: np.ndarray, index: CSRTriangleIndex
+    scores: np.ndarray, index: CSRTriangleIndex, rows: np.ndarray | None = None
 ) -> dict[int, list[np.ndarray]]:
     """Compute the per-level nucleus components from the engine's arrays.
 
@@ -87,6 +87,13 @@ def _nucleus_level_groups(
     previous level's groups.  Groups come out ordered by smallest member,
     members ascending: the order of the sorted dict groups, which
     ``tests/test_nucleus_index.py`` pins against the dict oracle.
+
+    ``rows`` (ascending) restricts the sweep to a region of the triangles,
+    every row by default.  The region must hold all four members of every
+    4-clique that has one there and a minimum score of at least 0; its
+    components then come out as in a sweep of every row, and the levels
+    still run up to the largest of all ``scores``.  The incremental path
+    (:mod:`repro.index.incremental`) sweeps only an update batch's region.
     """
     num_triangles = scores.size
     max_score = int(scores.max()) if num_triangles else -1
@@ -95,6 +102,18 @@ def _nucleus_level_groups(
         return level_groups
 
     clique_triangles = index.clique_triangles
+    if rows is not None:
+        # The region's 4-cliques, from its rows' postings, in local ids,
+        # which keep the rows' order.
+        inside = np.zeros(num_triangles, dtype=bool)
+        inside[rows] = True
+        positions, _ = _postings_of(index.tri_clique_indptr, rows)
+        clique_triangles = clique_triangles[np.unique(index.tri_cliques[positions])]
+        clique_triangles = np.searchsorted(
+            rows, clique_triangles[inside[clique_triangles].all(axis=1)]
+        )
+        scores = scores[rows]
+        num_triangles = rows.size
     clique_min_score = (
         scores[clique_triangles].min(axis=1)
         if clique_triangles.shape[0]
@@ -131,4 +150,8 @@ def _nucleus_level_groups(
         # Ordered by smallest member: the lexicographic sort key of the
         # reference ordering.
         level_groups[k] = _root_groups(parent, ids)
+    if rows is not None:
+        level_groups = {
+            k: [rows[group] for group in groups] for k, groups in level_groups.items()
+        }
     return level_groups

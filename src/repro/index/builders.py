@@ -73,8 +73,11 @@ def build_local_index(
     label-space objects are built on the way to the ``.npz``.  The result is
     bit-identical to snapshotting the equivalent
     :class:`~repro.core.result.LocalNucleusDecomposition` (pinned in
-    ``tests/test_nucleus_index.py``).  ``backend`` and ``kernel`` are
-    retired knobs; see :func:`~repro.exceptions.check_retired_knobs`.
+    ``tests/test_nucleus_index.py``).  The index keeps the peel's CSR graph
+    and triangle ⇄ 4-clique index, which its first
+    :func:`~repro.index.incremental.apply_updates` splices instead of
+    enumerating the graph again.  ``backend`` and ``kernel`` are retired
+    knobs; see :func:`~repro.exceptions.check_retired_knobs`.
     """
     check_retired_knobs("build_local_index", retired, ("backend", "kernel"))
     if local_result is not None:
@@ -82,7 +85,7 @@ def build_local_index(
     estimator = resolve_local_options(theta, estimator)
     csr = graph if isinstance(graph, CSRProbabilisticGraph) else graph.to_csr()
     index, scores = _csr_engine_arrays(csr, theta, estimator)
-    return NucleusIndex.from_triangle_arrays(
+    snapshot = NucleusIndex.from_triangle_arrays(
         csr,
         index.triangles,
         scores,
@@ -91,6 +94,8 @@ def build_local_index(
         theta=theta,
         params={"estimator": estimator.name},
     )
+    snapshot._incremental_state = {"csr": csr, "tri_index": index}
+    return snapshot
 
 
 #: Monte-Carlo knobs of the global/weak drivers that move their answer, with

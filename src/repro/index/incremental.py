@@ -25,14 +25,23 @@ touching only the affected region:
    rounds, each one batch of the κ-init DP kernel: closure rounds gather
    the triangles whose score may have risen, then fixed-point rounds lower
    every queued score together until none moves;
-4. the per-level component groups and the snapshot itself are rebuilt with
-   the same code paths as a from-scratch build, so the resulting index's
-   arrays are **bit-identical** to rebuilding over the updated graph
-   (the differential parity pinned by ``tests/test_incremental.py`` and the
-   randomized tier-2 sweep).
+4. only the batch's *region* is regrouped: the rows whose score or
+   4-cliques changed, grown to the whole previous components that hold them
+   (:func:`_regrouped_levels`).  The region gets the from-scratch build's
+   own descending sweep
+   (:func:`~repro.core.components._nucleus_level_groups`); every other
+   previous component is carried into its level with its stored
+   aggregates, and the snapshot computes the region's.  A probability-only
+   batch that kept every score re-prices the previous snapshot instead.
+   The resulting index's arrays are **bit-identical** to rebuilding over the
+   updated graph (the differential parity pinned by
+   ``tests/test_incremental.py`` and the randomized tier-2 sweep).
 
 Steps 2–4 run in an ``index.update`` span, as its children ``index.splice``,
-``peel.repair`` and ``index.snapshot`` (``docs/OBSERVABILITY.md``).
+``peel.repair`` and ``index.snapshot`` (``docs/OBSERVABILITY.md``).  An index
+from :func:`~repro.index.builders.build_local_index` hands its peel's
+triangle index to its first update; a loaded one enumerates it on its first
+update.
 
 The incremental path requires ``mode="local"`` with the exact DP estimator
 (the only oracle whose peel scores are order-independent) on a graph small
@@ -71,7 +80,7 @@ from repro.core.approximations import (
 )
 from repro.core.batch import (
     _MAX_KEYED_VERTICES,
-    _triple_keys,
+    _postings_of,
     build_triangle_extension_index,
     delta_triangle_extension_index,
 )
@@ -221,75 +230,67 @@ def _canonicalise(
     return normalized, inserted, deleted, changed, added_probabilities
 
 
-def _component_reuse_hook(old_index: NucleusIndex, old_keys, new_keys, clean):
-    """Build the aggregate-reuse callback handed to ``NucleusIndex._build``.
+def _regrouped_levels(previous: dict, splice, scores: np.ndarray, base: np.ndarray):
+    """The level groups of the spliced index, regrouping only the batch's region.
 
-    ``clean`` marks (in new triangle-row space) the triangles whose snapshot
-    inputs — vertex triple, edge probabilities, repaired score — are all
-    bit-identical to the previous revision's.  A new component copies the
-    old component's stored aggregates exactly when every member is clean and
-    an old component at the same level has the identical member-triple-key
-    array; recomputing those aggregates would read identical inputs, so the
-    copied floats equal the recomputed ones bit for bit.
+    The region starts from the rows whose grouping inputs may have changed:
+    the splice's ``touched`` rows, the rows whose score moved, and every
+    member of a 4-clique holding a moved row.  A 4-clique that was born,
+    died or changed its minimum score thus has all its surviving members
+    there, and so has every row whose cover level changed.  The region then
+    takes in all members of each previous component, at any level, that
+    holds one of those rows or a dead row.  Components nest downwards, so the
+    region is a union of whole components at every level, before the batch
+    and after it: one :func:`~repro.core.components._nucleus_level_groups`
+    sweep of the region regroups it, and every previous component outside it
+    is a component of the new index at the same level, with the same
+    members, scores and edge probabilities.  Those are carried through the
+    monotone ``row_map`` and merged into their level by smallest member.
+
+    ``previous`` holds the previous snapshot's arrays.  Returns the level
+    groups, the previous component each one carries (``-1`` where it was
+    regrouped, in level order) and the ``index.snapshot`` span's counts.
     """
-    arrays = old_index.arrays
-    old_level = arrays["comp_level"]
-    old_indptr = arrays["comp_indptr"]
-    if old_level.size == 0:
-        return None
-    old_member_keys = old_keys[arrays["comp_triangles"]]
-    old_sizes = np.diff(old_indptr)
-    first_of: dict[tuple[int, int], int] = {}
-    for comp_id, (level, key) in enumerate(
-        zip(old_level.tolist(), old_member_keys[old_indptr[:-1]].tolist())
+    index = splice.index
+    moved = np.flatnonzero(scores != base)
+    # The slot past the last row stands for the dead rows (row_map's -1).
+    in_region = np.zeros(index.num_triangles + 1, dtype=bool)
+    in_region[-1] = True
+    in_region[splice.touched] = True
+    in_region[moved] = True
+    positions, _ = _postings_of(index.tri_clique_indptr, moved)
+    in_region[index.clique_triangles[index.tri_cliques[positions]]] = True
+
+    comp_level = previous["comp_level"]
+    comp_indptr = previous["comp_indptr"]
+    members = splice.row_map[previous["comp_triangles"]]
+    if members.size:
+        dirty = np.logical_or.reduceat(in_region[members], comp_indptr[:-1])
+        in_region[members[np.repeat(dirty, np.diff(comp_indptr))]] = True
+    region = np.flatnonzero(in_region[:-1])
+    carried = np.flatnonzero(~in_region[members[comp_indptr[:-1]]])
+
+    # Per level: (smallest member, previous component or -1, members).
+    entries = {
+        k: [(int(group[0]), -1, group) for group in groups]
+        for k, groups in _nucleus_level_groups(scores, index, region).items()
+    }
+    for comp, start, stop in zip(
+        carried.tolist(), comp_indptr[carried].tolist(), comp_indptr[carried + 1].tolist()
     ):
-        first_of[(level, key)] = comp_id
-
-    def comp_reuse(comp_level, comp_indptr, comp_triangles):
-        c_count = comp_level.size
-        flat_keys = new_keys[comp_triangles]
-        sizes = np.diff(comp_indptr)
-        all_clean = np.bitwise_and.reduceat(clean[comp_triangles], comp_indptr[:-1])
-        candidates = np.fromiter(
-            (
-                first_of.get((level, key), -1)
-                for level, key in zip(
-                    comp_level.tolist(), flat_keys[comp_indptr[:-1]].tolist()
-                )
-            ),
-            dtype=np.int64,
-            count=c_count,
-        )
-        matched = candidates >= 0
-        safe = np.where(matched, candidates, 0)
-        ok = all_clean & matched & (sizes == old_sizes[safe])
-        if not ok.any():
-            return None
-        # Elementwise member comparison against the candidate's postings;
-        # positions are clipped so the (discarded) rows of unmatched
-        # components never index out of bounds.
-        within = np.arange(comp_triangles.size, dtype=np.int64) - np.repeat(
-            comp_indptr[:-1], sizes
-        )
-        old_flat = np.repeat(old_indptr[safe], sizes) + within
-        old_flat = np.clip(old_flat, 0, old_member_keys.size - 1)
-        members_equal = np.bitwise_and.reduceat(
-            flat_keys == old_member_keys[old_flat], comp_indptr[:-1]
-        )
-        reused = ok & members_equal
-        if not reused.any():
-            return None
-        gather = np.where(reused, candidates, 0)
-        return (
-            reused,
-            arrays["comp_n_vertices"][gather],
-            arrays["comp_n_edges"][gather],
-            arrays["comp_sum_edge_prob"][gather],
-            arrays["comp_log_reliability"][gather],
-            arrays["comp_max_score"][gather],
-        )
-
-    return comp_reuse
+        entries[int(comp_level[comp])].append((int(members[start]), comp, members[start:stop]))
+    level_groups: dict[int, list[np.ndarray]] = {}
+    sources: list[int] = []
+    for k in sorted(entries):
+        level = sorted(entries[k], key=lambda entry: entry[0])
+        level_groups[k] = [group for _, _, group in level]
+        sources += [source for _, source, _ in level]
+    counts = {
+        "carried": int(carried.size),
+        "regrouped": len(sources) - int(carried.size),
+        "region_rows": int(region.size),
+    }
+    return level_groups, np.array(sources, dtype=np.int64), counts
 
 
 def _reprice_snapshot(index: NucleusIndex, new_csr, dirty: np.ndarray) -> NucleusIndex:
@@ -359,15 +360,9 @@ def _reprice_snapshot(index: NucleusIndex, new_csr, dirty: np.ndarray) -> Nucleu
 @span("index.update")
 def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, added_p):
     """The incremental path: splice the triangle index, repair the scores, snapshot."""
-    state = getattr(index, "_incremental_state", None)
-    if state is None:
-        tri_index = build_triangle_extension_index(csr)
-        scores = index.arrays["triangle_scores"]
-        cached_groups = None
-    else:
-        tri_index = state["tri_index"]
-        scores = state["scores"]
-        cached_groups = state.get("level_groups")
+    state = index._incremental_state
+    tri_index = build_triangle_extension_index(csr) if state is None else state["tri_index"]
+    scores = index.arrays["triangle_scores"]
 
     structural = bool(inserted.size or deleted.size)
     removed_all = np.vstack([deleted, changed])
@@ -386,29 +381,18 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
         DynamicProgrammingEstimator(), new_tri_index.triangle_probabilities, index.theta
     )
     new_scores = repair_kappa_scores(new_tri_index, base, splice.touched, repairer)
-    # Triangles whose edge probabilities were re-gathered; every other one
-    # survived with the old graph's edge probabilities, bit for bit.
-    repriced = np.zeros(new_tri_index.num_triangles, dtype=bool)
-    repriced[splice.repriced] = True
-    with span("index.snapshot"):
+    with span("index.snapshot") as snapshot_span:
         if not structural and np.array_equal(new_scores, scores):
             # Same triangles, same cliques, same scores: the snapshot differs
             # from the previous revision only in its probability-dependent
             # arrays, so re-price the old one instead of reassembling it.
-            level_groups = cached_groups
+            repriced = np.zeros(new_tri_index.num_triangles, dtype=bool)
+            repriced[splice.repriced] = True
             result = _reprice_snapshot(index, new_csr, repriced)
+            counts = {"carried": index.num_components, "regrouped": 0, "region_rows": 0}
         else:
-            level_groups = _nucleus_level_groups(new_scores, new_tri_index)
-            n = new_csr.num_vertices
-            # A triangle whose snapshot inputs (vertex triple, edge
-            # probabilities, score) all equal the previous revision's may
-            # share its component's old aggregates.
-            clean = ~repriced & (new_scores == base)
-            comp_reuse = _component_reuse_hook(
-                index,
-                _triple_keys(tri_index.triangles, n),
-                _triple_keys(new_tri_index.triangles, n),
-                clean,
+            level_groups, sources, counts = _regrouped_levels(
+                index.arrays, splice, new_scores, base
             )
             # Direct _build call: the splice hands over canonical arrays by
             # construction, so from_triangle_arrays' sortedness re-validation
@@ -422,15 +406,11 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
                 "local",
                 index.theta,
                 dict(index.params),
-                comp_reuse=comp_reuse,
                 labels=index.header["vertex_labels"],
+                carried=(sources, index.arrays),
             )
-    result._incremental_state = {
-        "csr": new_csr,
-        "tri_index": new_tri_index,
-        "scores": new_scores,
-        "level_groups": level_groups,
-    }
+        snapshot_span.annotate(**counts)
+    result._incremental_state = {"csr": new_csr, "tri_index": new_tri_index}
     return result
 
 
@@ -495,8 +475,8 @@ def apply_updates(index: NucleusIndex, updates) -> NucleusIndex:
     updates = list(updates)
     if not updates:
         return index
-    state = getattr(index, "_incremental_state", None)
-    csr = state["csr"] if state is not None else index.to_csr_graph()
+    state = index._incremental_state
+    csr = index.to_csr_graph() if state is None else state["csr"]
     updates, inserted, deleted, changed, added_p = _canonicalise(csr, updates)
     fast = (
         index.mode == "local"

@@ -203,11 +203,13 @@ def _component_aggregates(
     ``(n_vertices, n_edges, sum_edge_prob, log_reliability, max_score)``.
 
     This is the only place the per-component reductions happen: the
-    incremental maintenance path (:mod:`repro.index.incremental`) reuses a
-    stored aggregate only when recomputing it here would read identical
-    inputs, which is what keeps reused and recomputed snapshots
-    bit-identical (floating-point sums are order-sensitive, so the inputs
-    must match bit for bit, not just semantically).
+    incremental maintenance path (:mod:`repro.index.incremental`) copies a
+    stored aggregate only for a component it carries unchanged, whose
+    members, scores and edge probabilities are those of the previous
+    revision, so recomputing it here would read identical inputs; that keeps
+    carried and recomputed snapshots bit-identical (floating-point sums are
+    order-sensitive, so the inputs must match bit for bit, not just
+    semantically).
     """
     keys = np.unique(
         np.concatenate(
@@ -261,6 +263,10 @@ class NucleusIndex:
         #: ``True`` when the arrays are memory-mapped views of an on-disk
         #: archive (``load(..., mmap=True)`` on an uncompressed save).
         self.mmapped = False
+        #: The CSR graph and triangle ⇄ 4-clique index behind a local
+        #: snapshot, set by ``build_local_index`` and ``apply_updates`` so
+        #: the next update splices them; ``None`` otherwise (a loaded index).
+        self._incremental_state: dict | None = None
 
     def _validate_shapes(self) -> None:
         a = self.arrays
@@ -480,7 +486,6 @@ class NucleusIndex:
         mode: str,
         theta: float,
         params: dict | None = None,
-        comp_reuse=None,
     ) -> "NucleusIndex":
         """Snapshot a decomposition handed over directly as CSR-id arrays.
 
@@ -492,15 +497,6 @@ class NucleusIndex:
         ``triangle_rows``.  The produced index is identical to what
         :meth:`from_local_result` / :meth:`from_nuclei` build from the
         equivalent label-space result objects.
-
-        ``comp_reuse`` is an advanced hook for the incremental maintenance
-        path: called once with the assembled ``(comp_level, comp_indptr,
-        comp_triangles)`` arrays, it may return ``(mask, n_vertices,
-        n_edges, sum_edge_prob, log_reliability, max_score)`` — full-length
-        per-component arrays valid where ``mask`` — to skip recomputing the
-        aggregates of components it can prove unchanged.  The caller is
-        responsible for only reusing values whose recomputation would read
-        bit-identical inputs.
         """
         rows = np.ascontiguousarray(triangle_rows, dtype=np.int64).reshape(-1, 3)
         scores = np.ascontiguousarray(triangle_scores, dtype=np.int64)
@@ -520,16 +516,7 @@ class NucleusIndex:
                 raise InvalidParameterError(
                     "triangle_rows must be sorted lexicographically"
                 )
-        return cls._build(
-            csr,
-            rows,
-            scores,
-            level_groups,
-            mode,
-            theta,
-            dict(params or {}),
-            comp_reuse=comp_reuse,
-        )
+        return cls._build(csr, rows, scores, level_groups, mode, theta, dict(params or {}))
 
     @classmethod
     def from_local_result(
@@ -613,15 +600,19 @@ class NucleusIndex:
         mode: str,
         theta: float,
         params: dict,
-        comp_reuse=None,
         labels=None,
+        carried=None,
     ) -> "NucleusIndex":
         """Assemble the flat arrays from id-space triangles and component groups.
 
         ``labels`` may carry a precomputed ``_json_safe_labels`` result for
         the same vertex set (the incremental path reuses the previous
         revision's header list, since ``apply_updates`` never changes the
-        vertex set).
+        vertex set).  ``carried`` is ``(sources, previous)`` on the
+        incremental path: component ``i`` (in level order) carries component
+        ``sources[i]`` of the previous snapshot's arrays ``previous``, whose
+        stored aggregates it copies, or was regrouped (``-1``) and has them
+        computed.
         """
         n = csr.num_vertices
         if labels is None:
@@ -672,20 +663,18 @@ class NucleusIndex:
         comp_sum_edge_prob = np.zeros(c_count, dtype=np.float64)
         comp_log_reliability = np.zeros(c_count, dtype=np.float64)
         todo = range(c_count)
-        if comp_reuse is not None and c_count:
-            reuse = comp_reuse(comp_level_arr, comp_indptr, comp_triangles)
-            if reuse is not None:
-                mask, *cached = reuse
-                targets = (
-                    comp_n_vertices,
-                    comp_n_edges,
-                    comp_sum_edge_prob,
-                    comp_log_reliability,
-                    comp_max_score,
-                )
-                for target, source in zip(targets, cached):
-                    target[mask] = source[mask]
-                todo = np.flatnonzero(~mask).tolist()
+        if carried is not None:
+            sources, previous = carried
+            kept = sources >= 0
+            for name, target in (
+                ("comp_n_vertices", comp_n_vertices),
+                ("comp_n_edges", comp_n_edges),
+                ("comp_max_score", comp_max_score),
+                ("comp_sum_edge_prob", comp_sum_edge_prob),
+                ("comp_log_reliability", comp_log_reliability),
+            ):
+                target[kept] = previous[name][sources[kept]]
+            todo = np.flatnonzero(~kept).tolist()
         for i in todo:
             member_ids = np.asarray(comp_members[i], dtype=np.int64)
             (

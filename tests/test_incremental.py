@@ -28,8 +28,10 @@ from graph_factories import (
 )
 
 import repro.core.batch as batch_module
+import repro.index.incremental as incremental
 from repro.core.approximations import NormalEstimator, PoissonEstimator
 from repro.core.batch import build_triangle_extension_index, clique_vertex_rows
+from repro.core.components import _nucleus_level_groups
 from repro.exceptions import (
     EdgeNotFoundError,
     IndexCompatibilityError,
@@ -49,7 +51,7 @@ from repro.index import (
     versioned_fingerprint,
 )
 from repro.index.incremental import chain_update_digest
-from repro.index.nucleus_index import FORMAT_VERSION, NucleusIndex
+from repro.index.nucleus_index import FORMAT_VERSION, NucleusIndex, _component_aggregates
 from repro.query import NucleusQueryEngine
 
 THETA = 0.05
@@ -425,6 +427,205 @@ def _missing_pair(edges: dict, labels):
             if repr(u) < repr(v) and (u, v) not in edges:
                 return u, v
     raise AssertionError("graph is complete")
+
+
+# --------------------------------------------------------------------------- #
+# the regroup: only the batch's region is swept, the rest is carried
+# --------------------------------------------------------------------------- #
+#: Per-component aggregate arrays, in ``_component_aggregates`` order.
+AGGREGATES = (
+    "comp_n_vertices",
+    "comp_n_edges",
+    "comp_sum_edge_prob",
+    "comp_log_reliability",
+    "comp_max_score",
+)
+
+
+def _structures_graph(*extra) -> ProbabilisticGraph:
+    """Separate structures at p = 0.95, plus the ``extra`` edges.
+
+    The 4-cliques {0, 1, 2, 3} and {2, 3, 4, 5} share the edge (2, 3) but no
+    triangle: two components at levels 0 and 1.  K6 on 10–15 without
+    (14, 15) and K5 on 20–24 score 2 throughout: one component each at
+    levels 0, 1 and 2.
+    """
+    pairs = set()
+    for group in ((0, 1, 2, 3), (2, 3, 4, 5), range(10, 16), range(20, 25)):
+        pairs.update(itertools.combinations(group, 2))
+    pairs.discard((14, 15))
+    pairs.update(extra)
+    return ProbabilisticGraph([(u, v, 0.95) for u, v in sorted(pairs)])
+
+
+def _components_on(index, level: int, vertices) -> int:
+    """The number of components at ``level`` whose triangles lie in ``vertices``."""
+    rows, labels = index.arrays["triangles"], index.vertex_labels
+    return sum(
+        {labels[i] for i in rows[index.component_triangle_positions(c)].ravel()}
+        <= set(vertices)
+        for c in index.components_at_level(level).tolist()
+    )
+
+
+def regrouped_apply(graph, updates, monkeypatch):
+    """Build, then ``checked_apply`` and the regroup against a grouping from scratch.
+
+    The components must be those of ``_nucleus_level_groups`` over a fresh
+    triangle index of the new graph, member for member and in order, and
+    every carried component's stored aggregates must be what
+    ``_component_aggregates`` recomputes.  Returns the built index, the
+    updated one and the ``index.snapshot`` counts.
+    """
+    calls = []
+    regroup = incremental._regrouped_levels
+
+    def spy(*args):
+        calls.append(regroup(*args))
+        return calls[-1]
+
+    index = build_local_index(graph, THETA)
+    with monkeypatch.context() as patch:
+        patch.setattr(incremental, "_regrouped_levels", spy)
+        updated, _ = checked_apply(index, graph.vertices(), edge_dict(graph), updates)
+    ((_, sources, counts),) = calls
+    a = updated.arrays
+    fresh_index = build_triangle_extension_index(updated.to_csr_graph())
+    fresh = _nucleus_level_groups(a["triangle_scores"], fresh_index)
+    assert [(k, group.tolist()) for k in sorted(fresh) for group in fresh[k]] == [
+        (int(a["comp_level"][c]), updated.component_triangle_positions(c).tolist())
+        for c in range(updated.num_components)
+    ]
+    assert updated.levels == tuple(sorted(fresh))
+    n = updated.num_vertices
+    edges_of = (a["edge_u"] * n + a["edge_v"], a["edge_prob"])
+    for c in np.flatnonzero(sources >= 0).tolist():
+        members = updated.component_triangle_positions(c)
+        rows, scores = a["triangles"][members], a["triangle_scores"][members]
+        recomputed = _component_aggregates(rows, scores, n, *edges_of)
+        assert tuple(a[name][c] for name in AGGREGATES) == recomputed
+    assert counts["carried"] == int((sources >= 0).sum())
+    assert counts["carried"] + counts["regrouped"] == updated.num_components
+    return index, updated, counts
+
+
+class TestRegroup:
+    """Every batch goes through ``regrouped_apply``."""
+
+    def test_born_k6_raises_the_top_level(self, monkeypatch):
+        index, updated, counts = regrouped_apply(
+            _structures_graph(), [EdgeUpdate("insert", 14, 15, 0.95)], monkeypatch
+        )
+        assert (max(index.levels), max(updated.levels)) == (2, 3)
+        assert _components_on(updated, 3, range(10, 16)) == 1
+        # The two 4-cliques and the K5 ride along, at every level they hold.
+        assert counts == {"carried": 7, "regrouped": 4, "region_rows": 20}
+
+    def test_dead_k6_edge_empties_the_top_level(self, monkeypatch):
+        index, updated, counts = regrouped_apply(
+            _structures_graph((14, 15)), [EdgeUpdate("delete", 14, 15)], monkeypatch
+        )
+        assert (max(index.levels), max(updated.levels)) == (3, 2)
+        assert counts == {"carried": 7, "regrouped": 3, "region_rows": 16}
+
+    def test_born_clique_merges_two_components(self, monkeypatch):
+        # (1, 4) closes the 4-clique {1, 2, 3, 4}, which holds the triangle
+        # (1, 2, 3) of one 4-clique and (2, 3, 4) of the other.
+        index, updated, counts = regrouped_apply(
+            _structures_graph(), [EdgeUpdate("insert", 1, 4, 0.95)], monkeypatch
+        )
+        assert _components_on(index, 1, range(6)) == 2
+        assert _components_on(updated, 1, range(6)) == 1
+        assert counts == {"carried": 6, "regrouped": 2, "region_rows": 10}
+
+    def test_dead_bridge_edge_splits_the_component(self, monkeypatch):
+        # Deleting (1, 4), which only the bridging 4-clique holds, splits the
+        # component it joined back into the two 4-cliques.
+        index, updated, counts = regrouped_apply(
+            _structures_graph((1, 4)), [EdgeUpdate("delete", 1, 4)], monkeypatch
+        )
+        assert _components_on(index, 1, range(6)) == 1
+        assert _components_on(updated, 1, range(6)) == 2
+        assert counts == {"carried": 6, "regrouped": 4, "region_rows": 8}
+
+    def test_dead_shared_edge_kills_every_clique(self, monkeypatch):
+        # Both 4-cliques hold the shared edge (2, 3).
+        index, updated, counts = regrouped_apply(
+            two_cliques_sharing_an_edge(), [EdgeUpdate("delete", 2, 3)], monkeypatch
+        )
+        assert index.num_components == 2
+        assert updated._incremental_state["tri_index"].num_cliques == 0
+        assert updated.num_components == 0
+        assert counts == {"carried": 0, "regrouped": 0, "region_rows": 4}
+
+    def test_dead_edges_kill_a_whole_component(self, monkeypatch):
+        # Deleting two opposite edges of the K4 on 30–33 kills its four
+        # triangles: its components die without a surviving row.
+        index, updated, counts = regrouped_apply(
+            _structures_graph(*itertools.combinations(range(30, 34), 2)),
+            [EdgeUpdate("delete", 30, 31), EdgeUpdate("delete", 32, 33)],
+            monkeypatch,
+        )
+        assert _components_on(index, 1, range(30, 34)) == 1
+        assert _components_on(updated, 0, range(30, 34)) == 0
+        assert counts == {"carried": 10, "regrouped": 0, "region_rows": 0}
+
+    def test_reprice_that_moves_a_score(self, monkeypatch):
+        # At p = 0.05 the K5's three triangles on (20, 21) fall below θ; the
+        # other seven form two K4s sharing (22, 23, 24), at ν = 1.
+        index, updated, counts = regrouped_apply(
+            _structures_graph(), [EdgeUpdate("change", 20, 21, 0.05)], monkeypatch
+        )
+        moved = index.arrays["triangle_scores"] != updated.arrays["triangle_scores"]
+        assert moved.sum() == 10
+        assert counts == {"carried": 7, "regrouped": 2, "region_rows": 10}
+
+
+class TestWarmStart:
+    """A fresh build hands its peel's triangle index to the first update."""
+
+    def test_first_update_enumerates_nothing(self, monkeypatch):
+        graph = planted_communities_graph()
+        index = build_local_index(graph, THETA)
+        assert_same_triangle_index(
+            index._incremental_state["tri_index"],
+            build_triangle_extension_index(graph.to_csr()),
+        )
+        u, v = _dense_edge(graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                incremental,
+                "build_triangle_extension_index",
+                lambda csr: pytest.fail("the first update enumerated the triangle index"),
+            )
+            patch.setattr(
+                NucleusIndex,
+                "to_csr_graph",
+                lambda self: pytest.fail("the first update rebuilt the CSR graph"),
+            )
+            checked_apply(
+                index, graph.vertices(), edge_dict(graph), [EdgeUpdate("delete", u, v)]
+            )
+
+    def test_loaded_index_updates_to_the_same_arrays(self, monkeypatch, tmp_path):
+        graph = planted_communities_graph()
+        index = build_local_index(graph, THETA)
+        loaded = load_index(index.save(tmp_path / "index.npz"))
+        assert loaded._incremental_state is None
+        u, v = _dense_edge(graph)
+        batch = [EdgeUpdate("delete", u, v)]
+        enumerations = []
+        enumerate_index = incremental.build_triangle_extension_index
+
+        def spy(csr):
+            enumerations.append(csr)
+            return enumerate_index(csr)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(incremental, "build_triangle_extension_index", spy)
+            from_load, _ = checked_apply(loaded, graph.vertices(), edge_dict(graph), batch)
+        assert len(enumerations) == 1
+        assert_same_content(from_load, apply_updates(index, batch))
 
 
 # --------------------------------------------------------------------------- #

@@ -9,11 +9,14 @@ mode, a spliced triangle index equal to a fresh build, and a refreshed
 :class:`~repro.query.NucleusQueryEngine` that answers queries exactly like
 an engine built fresh on the rebuilt index.
 
-The sweep totals well over 100 batches (4 local graphs × 2 stream seeds
+The sweep totals well over 100 batches (5 local graphs × 2 stream seeds
 × 17 chained batches, plus 8 each for the global and weakly-global
-fallbacks).  Three local graphs run at θ = 0.05, where the localized
+fallbacks).  Four local graphs run at θ = 0.05, where the localized
 repair settles in one or two fixed-point rounds; the small biomine
-analogue runs at θ = 0.001, where its cascades take up to six.  Every
+analogue runs at θ = 0.001, where its cascades take up to six.  The
+planted graph's five communities give each of its levels several
+components, so nearly every structural batch there regroups some
+components of a level and carries the others.  Every
 assertion message carries ``(graph, seed, step)`` so a failure pins the
 exact batch; re-running just that parametrization replays the identical
 stream (the update generator is seeded by those values alone).
@@ -31,6 +34,7 @@ import pytest
 from graph_factories import assert_same_triangle_index, bundled_graph, small_er_graph
 
 from repro.core.batch import build_triangle_extension_index
+from repro.graph.generators import planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import (
     EdgeUpdate,
@@ -44,7 +48,7 @@ from repro.query import NucleusQueryEngine
 pytestmark = pytest.mark.tier2
 
 THETA = 0.05
-STEPS_PER_RUN = 17  # x 4 graphs x 2 stream seeds = 136 local batches
+STEPS_PER_RUN = 17  # x 5 graphs x 2 stream seeds = 170 local batches
 FALLBACK_BATCHES = 8
 
 LOCAL_GRAPHS = {
@@ -52,6 +56,15 @@ LOCAL_GRAPHS = {
     "er14": lambda: small_er_graph(14, 0.5, seed=1),
     "krogan": lambda: bundled_graph("krogan", scale="tiny"),
     "biomine": lambda: bundled_graph("biomine", scale="small"),
+    "planted": lambda: planted_nucleus_graph(
+        community_sizes=[8, 9, 10, 11, 12],
+        intra_density=0.9,
+        background_vertices=20,
+        background_density=0.1,
+        bridges_per_community=2,
+        probability_model=lambda r: 0.6 + 0.4 * r.random(),
+        seed=5,
+    ),
 }
 
 #: Graphs swept at their own θ: deep repair cascades need a low threshold.

@@ -405,6 +405,31 @@ class TestInstrumentation:
         (repair,) = [child for child in update["children"] if child["name"] == "peel.repair"]
         assert repair["attrs"] == {"seeds": 9, "closure": 10, "rounds": 3}
 
+    def test_snapshot_counts_carried_and_regrouped_components(self):
+        # A certain K5 on 0–4 (ν = 2: one component at each of levels 0–2)
+        # beside a certain K4 on 10–13 (ν = 1: levels 0 and 1).  Deleting
+        # (0, 1) leaves two K4s sharing (2, 3, 4), seven triangles at ν = 1:
+        # the region, regrouped into one component at each of levels 0 and
+        # 1, while the K4's two components are carried.  A re-price that
+        # keeps every score re-prices the snapshot: all four carried.
+        edges = [(u, v, 1.0) for u, v in itertools.combinations(range(5), 2)]
+        edges += [(u, v, 1.0) for u, v in itertools.combinations(range(10, 14), 2)]
+        index = build_local_index(ProbabilisticGraph(edges), 0.5)
+        assert index.num_components == 5
+        with capture(enable=True) as sink:
+            index = index.apply_updates([("delete", 0, 1)])
+            index.apply_updates([("change", 10, 11, 0.9)])
+        snapshots = [
+            child["attrs"]
+            for update in sink.traces()
+            for child in update["children"]
+            if child["name"] == "index.snapshot"
+        ]
+        assert snapshots == [
+            {"carried": 2, "regrouped": 2, "region_rows": 7},
+            {"carried": 4, "regrouped": 0, "region_rows": 0},
+        ]
+
     def test_incremental_update_trace_tree(self):
         # K5 on 0–4 plus vertex 5 on 0, 1 and 2.  One batch inserts (3, 5),
         # deletes (0, 4) and re-prices (1, 2); the splice reports what a
