@@ -27,7 +27,11 @@ written to ``BENCH_incremental.json`` (those medians under each row's
 build with telemetry on, and a third table gives the median time of each
 phase of an update — the ``index.splice``, ``peel.repair`` and
 ``index.snapshot`` spans (``docs/OBSERVABILITY.md``) — also under each row's
-``phase_median_seconds``; the timed loop runs with telemetry off.  CI's
+``phase_median_seconds``; the timed loop runs with telemetry off.  A fourth
+table splits the ``peel.repair`` span by update kind (``repair_by_op``):
+its median seconds, its median ``closure`` size, and how many repairs grew
+no closure at all (a delete or a re-price that lowers ``p`` has no rising
+seed).  CI's
 ``bench-smoke`` job uploads the report and gates with
 ``--min-speedup 5``: across the benchmarked datasets the *geometric mean* of
 the per-dataset speedups must be at least 5x.  The default dataset list is
@@ -118,22 +122,37 @@ def _assert_parity(incremental, rebuilt, dataset: str, step: int) -> None:
         ), f"{dataset} update {step}: array {name!r} diverged from the rebuild"
 
 
-def _phase_medians(graph, theta: float, stream: list) -> dict:
+def _phase_medians(graph, theta: float, stream: list) -> tuple[dict, dict]:
     """Median seconds of each update phase over a traced replay of ``stream``.
 
     The replay starts from a fresh build and, like the timed loop, leaves
-    the first update out of the medians.
+    the first update out of the medians.  Also returns, per update kind, the
+    ``peel.repair`` span's median seconds and closure size and the number
+    of repairs with an empty closure.
     """
     index = apply_updates(build_local_index(graph, theta), stream[:1])
     with capture(enable=True) as sink:
         for update in stream[1:]:
             index = apply_updates(index, [update])
     seconds = {phase: [] for phase in _PHASES}
-    for trace in sink.traces():
+    repairs = {op: [] for op in _UPDATE_KINDS}
+    for update, trace in zip(stream[1:], sink.traces()):
         for child in trace["children"]:
             if child["name"] in seconds:
                 seconds[child["name"]].append(child["wall_seconds"])
-    return {phase: statistics.median(values) for phase, values in seconds.items()}
+            if child["name"] == "peel.repair":
+                repairs[update.op].append((child["wall_seconds"], child["attrs"]["closure"]))
+    by_op = {
+        op: {
+            "count": len(rows),
+            "median_seconds": statistics.median(wall for wall, _ in rows),
+            "median_closure": statistics.median(closure for _, closure in rows),
+            "closure_free": sum(closure == 0 for _, closure in rows),
+        }
+        for op, rows in repairs.items()
+        if rows
+    }
+    return {phase: statistics.median(values) for phase, values in seconds.items()}, by_op
 
 
 def _bench_dataset(
@@ -201,6 +220,7 @@ def _bench_dataset(
                     row["rebuild_seconds"] for row in rows
                 ),
             }
+    phase_medians, repair_by_op = _phase_medians(graph, theta, stream)
     return {
         "dataset": dataset,
         "num_vertices": index.num_vertices,
@@ -213,7 +233,8 @@ def _bench_dataset(
         "speedup": rebuild_total / max(incremental_total, 1e-12),
         "revision": index.revision,
         "by_op": by_op,
-        "phase_median_seconds": _phase_medians(graph, theta, stream),
+        "phase_median_seconds": phase_medians,
+        "repair_by_op": repair_by_op,
         "updates": updates,
     }
 
@@ -292,6 +313,20 @@ def format_incremental(report: dict) -> str:
             f"{row['dataset']:<10} {1e3 * splice:>11.2f} {1e3 * repair:>11.2f} "
             f"{1e3 * snapshot:>13.2f}"
         )
+    lines += [
+        "",
+        "peel.repair per update kind (traced replay)",
+        f"{'dataset':<10} {'kind':<7} {'updates':>7} {'repair (ms)':>11} "
+        f"{'closure':>8} {'no closure':>10}",
+        "-" * 58,
+    ]
+    for row in report["rows"]:
+        for op, kind in row["repair_by_op"].items():
+            lines.append(
+                f"{row['dataset']:<10} {op:<7} {kind['count']:>7} "
+                f"{1e3 * kind['median_seconds']:>11.2f} {kind['median_closure']:>8g} "
+                f"{kind['closure_free']:>10}"
+            )
     return "\n".join(lines)
 
 

@@ -6,14 +6,16 @@ every bundled dataset analogue.
 
 The benchmark pins the cost of the observability layer: every dataset is
 peeled with telemetry disabled and enabled (``REPRO_OBS`` spans +
-counters), the two alternating within each repeat, and the ratio of the
-fastest runs is reported as ``obs_overhead``.  The instrumented peel must
-return the engine's scores (asserted).
+counters), the two alternating within each repeat, and the median over the
+repeats of each repeat's instrumented / uninstrumented ratio is reported as
+``obs_overhead``.  Pairing the two runs of a repeat cancels the host's
+slow spells, which a ratio of fastest runs (one lucky run per side) does
+not.  The instrumented peel must return the engine's scores (asserted).
 
-Results are printed as a table and written to ``BENCH_peel_engine.json``;
-CI's ``bench-smoke`` job runs this with ``--max-obs-overhead 1.03``
-(instrumentation may cost at most 3% geomean over the uninstrumented
-engine).  Standalone usage::
+Results are printed as a table (with the fastest run of each side) and
+written to ``BENCH_peel_engine.json``; CI's ``bench-smoke`` job runs this
+with ``--repeats 31 --max-obs-overhead 1.03`` (instrumentation may cost at
+most 3% geomean over the uninstrumented engine).  Standalone usage::
 
     python benchmarks/bench_peel_engine.py --scale small --theta 0.3
 """
@@ -24,6 +26,7 @@ import argparse
 import json
 import math
 import platform
+import statistics
 import sys
 from pathlib import Path
 
@@ -68,9 +71,10 @@ def _timed(function, *args, instrumented: bool):
     return result, t.seconds
 
 
-def _best_of_both(function, *args, repeats: int = 3) -> dict:
+def _best_of_both(function, *args, repeats: int = 3) -> tuple[dict, float]:
     """Per side (``False``: uninstrumented, ``True``: instrumented), the result
-    and the fastest seconds of ``repeats`` runs.
+    and the fastest seconds of ``repeats`` runs, and the median over the
+    repeats of each repeat's instrumented / uninstrumented ratio.
 
     The two sides alternate within each repeat, and the side that runs first
     alternates from one repeat to the next, so that a slowdown of the host
@@ -78,11 +82,14 @@ def _best_of_both(function, *args, repeats: int = 3) -> dict:
     during it.
     """
     best = {False: (None, math.inf), True: (None, math.inf)}
+    ratios = []
     for repeat in range(repeats):
+        seconds = {}
         for instrumented in (False, True) if repeat % 2 == 0 else (True, False):
-            result, seconds = _timed(function, *args, instrumented=instrumented)
-            best[instrumented] = (result, min(best[instrumented][1], seconds))
-    return best
+            result, seconds[instrumented] = _timed(function, *args, instrumented=instrumented)
+            best[instrumented] = (result, min(best[instrumented][1], seconds[instrumented]))
+        ratios.append(seconds[True] / seconds[False])
+    return best, statistics.median(ratios)
 
 
 def run_peel_engine(
@@ -96,7 +103,9 @@ def run_peel_engine(
     rows = []
     for name in DATASET_NAMES:
         csr = load_dataset(name, scale=scale).to_csr()
-        best = _best_of_both(engine_csr_scores, csr, theta, factory(), repeats=repeats)
+        best, overhead = _best_of_both(
+            engine_csr_scores, csr, theta, factory(), repeats=repeats
+        )
         (engine, engine_seconds), (obs_engine, obs_seconds) = best[False], best[True]
         assert obs_engine == engine, f"instrumented peel diverged on {name}"
         rows.append(
@@ -105,7 +114,7 @@ def run_peel_engine(
                 "triangles": len(engine),
                 "engine_seconds": engine_seconds,
                 "obs_seconds": obs_seconds,
-                "obs_overhead": obs_seconds / engine_seconds,
+                "obs_overhead": overhead,
             }
         )
     overheads = [row["obs_overhead"] for row in rows]
@@ -114,6 +123,7 @@ def run_peel_engine(
         "scale": scale,
         "theta": theta,
         "estimator": estimator_name,
+        "repeats": repeats,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rows": rows,
@@ -128,7 +138,8 @@ def run_peel_engine(
 def format_peel_engine(report: dict) -> str:
     lines = [
         f"scale={report['scale']} theta={report['theta']} "
-        f"estimator={report['estimator']}",
+        f"estimator={report['estimator']} repeats={report['repeats']} "
+        "(ovh: median paired ratio)",
         f"{'dataset':<12} {'triangles':>9} "
         f"{'engine (s)':>11} {'obs (s)':>9} {'ovh':>6}",
         "-" * 52,

@@ -440,15 +440,20 @@ class TriangleIndexSplice:
     triangles and the survivors on a re-priced edge.  ``touched`` lists the
     new rows whose κ inputs changed: those, every member of a born 4-clique
     or of one on a re-priced edge, and every surviving member of a dead
-    4-clique.  Both are ascending.  ``counts`` holds the numbers of born and
-    dead triangles and 4-cliques and of re-priced postings (those of
-    surviving 4-cliques on a re-priced edge).
+    4-clique.  ``lowered`` lists the touched rows whose κ inputs only fell:
+    the surviving members of dead 4-cliques and the rows around an edge
+    re-priced downwards (on it, or in a 4-clique holding it), minus every
+    row that was born, belongs to a born 4-clique, or lies around an edge
+    whose probability rose.  All three are ascending.  ``counts`` holds the
+    numbers of born and dead triangles and 4-cliques and of re-priced
+    postings (those of surviving 4-cliques on a re-priced edge).
     """
 
     index: CSRTriangleIndex
     row_map: np.ndarray
     repriced: np.ndarray
     touched: np.ndarray
+    lowered: np.ndarray
     counts: dict
 
     def base_scores(self, scores: np.ndarray) -> np.ndarray:
@@ -626,6 +631,25 @@ def delta_triangle_extension_index(
             [gathered_rows, clique_triangles[gathered_cliques].ravel(), lost[lost >= 0]]
         )
     )
+    # --- rows whose inputs may have risen: the rest only fell ------------- #
+    rising = [born_rows, clique_triangles[born_cliques].ravel()]
+    rose = np.array(
+        [
+            old_csr.edge_probability_ids(u, v) < new_csr.edge_probability_ids(u, v)
+            for u, v in changed.tolist()
+        ],
+        dtype=bool,
+    )
+    if rose.any():
+        rising_keys = np.sort(changed[rose, 0] * n + changed[rose, 1])
+        edges = changed_triangles[:, [0, 0, 1]] * n + changed_triangles[:, [1, 2, 2]]
+        on_rising = _members_of_sorted_mask(edges.ravel(), rising_keys).reshape(-1, 3)
+        rising_rows = changed_rows[on_rising.any(axis=1)]
+        # A 4-clique holds a rising edge exactly when it holds a triangle on it.
+        rising_cliques = tri_cliques[_postings_of(tri_clique_indptr, rising_rows)[0]]
+        rising += [rising_rows, clique_triangles[rising_cliques].ravel()]
+    rising_mask = np.zeros(num_triangles, dtype=bool)
+    rising_mask[np.concatenate(rising)] = True
     return TriangleIndexSplice(
         index=CSRTriangleIndex(
             triangles=triangles,
@@ -640,6 +664,7 @@ def delta_triangle_extension_index(
         row_map=row_map,
         repriced=gathered_rows,
         touched=touched,
+        lowered=touched[~rising_mask[touched]],
         counts={
             "born_triangles": int(born_rows.size),
             "dead_triangles": int(dead_rows.size),
@@ -653,24 +678,34 @@ def delta_triangle_extension_index(
 # --------------------------------------------------------------------------- #
 # vectorized tail kernels
 # --------------------------------------------------------------------------- #
-def _tails_from_pmf(pmf: np.ndarray) -> np.ndarray:
-    """Row-wise reverse cumulative sum of a pmf matrix, clamped into [0, 1]."""
-    tails = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-    return np.clip(tails, 0.0, 1.0)
+def _tails_from_pmf(pmf: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Reverse cumulative sum of a pmf matrix along its level ``axis``, clamped into [0, 1]."""
+    tails = np.flip(np.cumsum(np.flip(pmf, axis), axis=axis), axis)
+    return np.clip(tails, 0.0, 1.0, out=tails)
 
 
 def _dp_tails(matrix: np.ndarray) -> np.ndarray:
-    """Exact Poisson-binomial tails (Equation 7) for all rows of ``matrix``."""
+    """Exact Poisson-binomial tails (Equation 7) for all rows of ``matrix``.
+
+    The pmf is held levels × rows and updated in place, one posting column
+    per step, each level a contiguous slice.  After ``j`` postings only
+    levels ``0 … j`` can hold mass, so step ``j`` touches just the ``j + 2``
+    reachable levels and the others stay exact zeros.  Level ``k`` becomes
+    ``pmf[k]·(1 − p) + pmf[k − 1]·p``, which IEEE addition makes
+    bit-identical to the scalar recurrence's other order.  Returns the
+    ``(rows, c + 1)`` tails as a transposed view.
+    """
     m, c = matrix.shape
-    pmf = np.zeros((m, c + 1), dtype=np.float64)
-    pmf[:, 0] = 1.0
+    columns = np.ascontiguousarray(matrix.T, dtype=np.float64)
+    complements = 1.0 - columns
+    pmf = np.zeros((c + 1, m), dtype=np.float64)
+    pmf[0] = 1.0
+    shifted = np.empty((c, m), dtype=np.float64)
     for j in range(c):
-        p = matrix[:, j][:, None]
-        nxt = np.zeros_like(pmf)
-        nxt[:, 1:] = pmf[:, :-1] * p
-        nxt += pmf * (1.0 - p)
-        pmf = nxt
-    return _tails_from_pmf(pmf)
+        np.multiply(pmf[: j + 1], columns[j], out=shifted[: j + 1])
+        pmf[: j + 2] *= complements[j]
+        pmf[1 : j + 2] += shifted[: j + 1]
+    return _tails_from_pmf(pmf, axis=0).T
 
 
 def _poisson_tails_from_rates(rates: np.ndarray, count: int) -> np.ndarray:

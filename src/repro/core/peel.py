@@ -81,7 +81,12 @@ class KappaRepair(ABC):
     #: Bernoulli variable ``E`` satisfies ``Pr[ζ − E ≥ k] ≥ Pr[ζ ≥ k + 1]``,
     #: so the qualifying ``k`` shrinks by at most one — and the peel engine
     #: then defers exact recomputation until that bound reaches the peel
-    #: level, tracking a cheap lower bound in between.  The §5.3
+    #: level, tracking a cheap lower bound in between.  The localized
+    #: :func:`repair_kappa_scores` also needs κ non-decreasing in each input
+    #: probability (``Pr(△)`` and every posting's) and in the set of live
+    #: postings, so that a row whose inputs only fell keeps its old score as
+    #: an upper bound; the exact DP has both, and its float evaluation too
+    #: unless some ``Pr(△)`` lies on θ (:func:`_on_theta`).  The §5.3
     #: approximations do *not* guarantee the property (e.g. the Poisson tail
     #: at rate ``λ − 1`` can undercut the exact unit-drop bound), so they
     #: leave this ``False`` and are repaired eagerly on every death.
@@ -149,8 +154,10 @@ class EstimatorKappaRepair(KappaRepair):
 
         Rows are padded within power-of-two posting-count classes, so a row
         pads to less than twice its posting count, and each class is one
-        :func:`~repro.core.batch._dp_tails` matrix.  A dead posting enters
-        as ``p = 0``, an exact identity of the recurrence
+        :func:`~repro.core.batch._dp_tails` matrix.  The kernel holds the
+        class's pmf levels × rows and updates it in place, one posting
+        column per step over only the levels reachable so far.  A dead
+        posting enters as ``p = 0``, an exact identity of the recurrence
         (``x·1.0 + y·0.0 = x``), and the trailing padding only appends zero
         mass above the row's postings, so every tail a row reads is
         bit-identical to the scalar DP over its live postings.  The max-k is
@@ -203,11 +210,58 @@ def _checked_scores(name: str, values, num_triangles: int) -> np.ndarray:
     return values
 
 
+def _checked_rows(name: str, rows, num_triangles: int) -> np.ndarray:
+    """``rows`` as an ascending, duplicate-free ``int64`` array of triangle rows.
+
+    Raises :class:`InvalidParameterError` naming ``name`` unless every entry
+    is an integer (``bool`` is not) in ``[0, num_triangles)``.
+    """
+    rows = np.asarray(rows)
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        raise InvalidParameterError(
+            f"{name} must be an integer array of triangle rows, got dtype {rows.dtype}"
+        )
+    rows = np.unique(rows.astype(np.int64).reshape(-1))
+    if rows.size and (rows[0] < 0 or rows[-1] >= num_triangles):
+        raise InvalidParameterError(
+            f"{name} must lie in [0, {num_triangles}), got "
+            f"[{int(rows[0])}, {int(rows[-1])}]"
+        )
+    return rows
+
+
+#: Relative width of the band above θ in which :func:`_on_theta` finds a
+#: ``Pr(△)``; the float tail's error at a level where the exact tail is 1 is
+#: a few units in the last place per posting, far below it.
+_THETA_BAND = 1e-9
+
+
+def _on_theta(triangle_probabilities: np.ndarray, theta: float) -> bool:
+    """Whether some ``Pr(△)`` lies on θ, where the float κ is not monotone.
+
+    The exact tail is 1 at every level up to the count of certain postings
+    (``k = 0`` at least), but its float value is a sum that rounds to 1 for
+    some posting sets and just below it for others.  So a triangle with
+    ``θ ≤ Pr(△) < θ·(1 + _THETA_BAND)`` can qualify at a level on fewer
+    postings and fail there on more: its κ can rise when a posting dies or
+    its probability falls.  Every other ``Pr(△)`` decides those levels as
+    exact arithmetic does.  A tie at a tail below 1 needs ``Pr(△)·tail`` to
+    equal θ exactly, which takes probabilities with few significant bits,
+    and the DP adds those exactly while its sums fit in a double's 53 bits.
+    """
+    probabilities = np.asarray(triangle_probabilities)
+    return bool(
+        np.any((probabilities >= theta) & (probabilities < theta * (1.0 + _THETA_BAND)))
+    )
+
+
 def repair_kappa_scores(
     index: CSRTriangleIndex,
     base_scores: np.ndarray,
     seeds: np.ndarray,
     repair: KappaRepair,
+    *,
+    lowered=(),
 ) -> np.ndarray:
     """Repair nucleus scores after a localized change instead of re-peeling.
 
@@ -217,10 +271,15 @@ def repair_kappa_scores(
     :data:`~repro.core.support_dp.NO_VALID_K`.  ``seeds`` are the integer
     rows whose κ-inputs changed — newborn triangles, and surviving triangles
     whose triangle probability or 4-clique postings differ from the run that
-    produced ``base_scores`` (their ``base_scores`` entries are ignored).
-    Both are checked up front, naming the argument.  Returns the exact score
-    array ``peel_kappa_scores(index, initial_kappas, repair)`` would
-    produce, touching only the affected region.
+    produced ``base_scores``.  ``lowered`` are the seeds whose inputs only
+    fell: they lost postings, or their ``Pr(△)`` or posting probabilities
+    went down, and nothing of theirs rose.  The ``base_scores`` entries of
+    the other seeds are ignored.  All three are checked up front, naming
+    the argument.  Returns the exact score array
+    ``peel_kappa_scores(index, initial_kappas, repair)`` would produce,
+    touching only the affected region.  Pass ``lowered`` only where the
+    float DP is monotone: not when some ``Pr(△)`` of ``index`` lies on θ
+    (:func:`_on_theta`).
 
     Only *unit-drop* repairs (the exact DP oracle) are supported: their peel
     output is order-independent — triangle ``t``'s score is the largest
@@ -233,11 +292,13 @@ def repair_kappa_scores(
     :meth:`KappaRepair.recompute_rows` batch — the κ-init kernel for the
     exact DP:
 
-    1. **Increase closure** — a clean triangle's score can only grow through
-       a chain of score increases rooted at a seed: if ``ν_new(t) = k >
-       ν_old(t)`` with ``t``'s own inputs unchanged, some 4-clique of ``t``
-       has every other member at ``ν_new ≥ k`` and at least one of them is
-       a seed or has itself increased past ``k`` (otherwise the same clique
+    1. **Increase closure** — it is rooted at the *rising* seeds, those
+       outside ``lowered``.  A triangle whose inputs did not rise (a clean
+       row or a lowered one) can only gain score through a chain of score
+       increases rooted at a rising seed: if ``ν_new(t) = k > ν_old(t)``,
+       some 4-clique of ``t`` has every other member at ``ν_new ≥ k`` and
+       at least one of them is a rising seed or has itself increased past
+       ``k`` (otherwise the same clique, with inputs at least as high,
        already certified ``t`` at ``k`` before the change).  Each frontier
        round takes the 4-cliques of the rows that just joined, each clique
        once, computes the missing initial κ of their members in one batch,
@@ -245,10 +306,13 @@ def repair_kappa_scores(
        clique's least initial κ (a static upper bound on any new score).
        Admission depends on the clique alone, not on the visit order, and
        triangles that fail it cannot increase, so everything outside the
-       closure keeps ``base_scores`` as a valid upper bound.
+       closure keeps ``base_scores`` as a valid upper bound.  A batch
+       without rising seeds (a delete, a re-price that lowers ``p``) runs
+       no closure round.
     2. **Downward fixed point** — starting from the upper bound ``ν̂`` =
        initial κ on the closure / ``base_scores`` elsewhere, with the
-       closure and every member of its cliques queued, each round evaluates
+       closure, every member of its cliques and the ``lowered`` rows
+       queued, each round evaluates
        ``f(t) = max {k ≤ ν̂(t) :`` recompute over the postings alive at
        ``k`` is ``≥ k}`` for every queued row against the ``ν̂`` of the
        round's start (Jacobi rounds), where a posting is alive at ``k``
@@ -257,24 +321,31 @@ def repair_kappa_scores(
        whose recompute falls short jumps straight to its next survival
        threshold, since no level in between adds a posting, and a row
        whose recompute reaches that threshold settles at the recompute.
-       Lowered rows are written after the round, and their co-members
-       whose ``ν̂`` lies above a lowered row's new value are the next
-       round's queue.  Survivor probabilities enter in posting order, dead
+       Rows whose ``ν̂`` fell are written after the round, and their
+       co-members whose ``ν̂`` lies above such a row's new value are the
+       next round's queue.  Survivor probabilities enter in posting order, dead
        postings as ``p = 0``, so each recompute is bit-identical to the
        scalar DP over the survivors.
 
     The synchronous rounds reach the same scores as one-row-at-a-time
-    evaluation: the exact tail never rises when a posting dies, so ``f`` is
-    monotone in the other rows' ``ν̂``.  Every iterate therefore stays
+    evaluation: the exact tail never rises when a posting dies or a
+    probability falls (the :attr:`KappaRepair.unit_drop` contract), so ``f``
+    is monotone in the other rows' ``ν̂``.  Every iterate therefore stays
     above every fixed point below the start, and the rounds stop only at a
     fixed point (a row leaves the queue only while its inputs hold still),
-    which is then the greatest one — the peel's scores.
+    which is then the greatest one — the peel's scores.  The float DP keeps
+    the contract wherever no ``Pr(△)·tail`` meets θ to the last bit, and
+    :func:`_on_theta` finds the ties that matter.  At them a ``lowered``
+    row's old score may no longer bound its new one, and the fixed point
+    can settle a tied row on fewer postings than the peel, which starts it
+    at its initial κ.
 
     ``tests/test_incremental.py`` and ``tests/test_peel_engine.py`` pin
     equality with the full peel on randomized graphs and update batches.
     When observability is on, the repair runs in a ``"peel.repair"`` span
     (``seeds``, ``closure`` size and ``rounds`` of both phases) and feeds the
-    ``repro_peel_localized_*`` counters.
+    ``repro_peel_localized_*`` counters.  Without ``lowered`` every seed roots
+    the closure.
     """
     if not repair.unit_drop:
         raise InvalidParameterError(
@@ -284,19 +355,12 @@ def repair_kappa_scores(
         )
     num_triangles = index.num_triangles
     base_scores = _checked_scores("base_scores", base_scores, num_triangles)
-    seeds = np.asarray(seeds)
-    if seeds.size and not np.issubdtype(seeds.dtype, np.integer):
-        raise InvalidParameterError(
-            f"seeds must be an integer array of triangle rows, got dtype {seeds.dtype}"
-        )
-    seeds = np.unique(seeds.astype(np.int64).reshape(-1))
-    if seeds.size and (seeds[0] < 0 or seeds[-1] >= num_triangles):
-        raise InvalidParameterError(
-            f"seeds must lie in [0, {num_triangles}), got "
-            f"[{int(seeds[0])}, {int(seeds[-1])}]"
-        )
+    seeds = _checked_rows("seeds", seeds, num_triangles)
+    lowered = _checked_rows("lowered", lowered, num_triangles)
     with span("peel.repair", seeds=int(seeds.size)) as active:
-        scores, closure, rounds, repairs = _repair_rounds(index, base_scores, seeds, repair)
+        scores, closure, rounds, repairs = _repair_rounds(
+            index, base_scores, seeds, lowered, repair
+        )
         active.annotate(closure=closure, rounds=rounds)
     if obs_config._ENABLED:
         counter = obs_registry.counter
@@ -319,6 +383,7 @@ def _repair_rounds(
     index: CSRTriangleIndex,
     base: np.ndarray,
     seeds: np.ndarray,
+    lowered: np.ndarray,
     repair: KappaRepair,
 ) -> tuple[np.ndarray, int, int, int]:
     """The two phases of :func:`repair_kappa_scores`.
@@ -333,12 +398,12 @@ def _repair_rounds(
     rounds = repairs = 0
 
     # --- phase 1: closure of the rows whose score may have increased ----- #
+    frontier = np.setdiff1d(seeds, lowered, assume_unique=True)
     closure = np.zeros(num_triangles, dtype=bool)
-    closure[seeds] = True
+    closure[frontier] = True
     seen = np.zeros(index.num_cliques, dtype=bool)
     known = np.zeros(num_triangles, dtype=bool)
     kappa_init = np.empty(num_triangles, dtype=np.int64)
-    frontier = seeds
     while frontier.size:
         rounds += 1
         cliques = np.unique(pair_cliques[_postings_of(indptr, frontier)[0]])
@@ -361,7 +426,7 @@ def _repair_rounds(
     nu = base.astype(np.int64)
     joined = np.flatnonzero(closure)
     nu[joined] = kappa_init[joined]
-    queue = np.union1d(joined, clique_triangles[seen])
+    queue = np.union1d(np.union1d(joined, clique_triangles[seen]), lowered)
     while (rows := queue[nu[queue] > NO_VALID_K]).size:
         rounds += 1
         postings, sizes = _postings_of(indptr, rows)
@@ -387,9 +452,9 @@ def _repair_rounds(
             settled = result >= threshold
             level[step] = np.where(settled, np.minimum(level[step], result), threshold)
             open_rows[step[settled]] = False
-        lowered = level < nu[rows]
-        nu[rows[lowered]] = level[lowered]
-        hit = lowered[owner]
+        fell = level < nu[rows]
+        nu[rows[fell]] = level[fell]
+        hit = fell[owner]
         touched = members[hit]
         queue = np.unique(touched[nu[touched] > level[owner[hit], None]])
     return nu, int(joined.size), rounds, repairs

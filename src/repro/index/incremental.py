@@ -17,14 +17,19 @@ touching only the affected region:
    the born ones at their sorted places and re-gathers only the
    probabilities that changed, so the arrays are bit-identical to a full
    enumeration; the old → new row map and the touched rows it returns give
-   the repair its base scores and its seeds;
+   the repair its base scores and its seeds, and its ``lowered`` rows are
+   the seeds whose κ inputs only fell;
 3. nucleus scores are repaired by
    :func:`~repro.core.peel.repair_kappa_scores` — a localized
    greatest-fixed-point recomputation seeded at the triangles whose κ-inputs
    changed, exact for the unit-drop DP oracle.  It runs in synchronous
-   rounds, each one batch of the κ-init DP kernel: closure rounds gather
-   the triangles whose score may have risen, then fixed-point rounds lower
-   every queued score together until none moves;
+   rounds, each one batch of the κ-init DP kernel: closure rounds, rooted at
+   the seeds whose inputs may have risen, gather the triangles whose score
+   may have risen, then fixed-point rounds lower every queued score
+   together until none moves.  The ``lowered`` seeds enter the fixed point
+   at their old score, so a delete or a re-price that lowers ``p`` runs no
+   closure round — unless some ``Pr(△)`` lies on θ, where the float κ is
+   not monotone and every seed roots the closure;
 4. only the batch's *region* is regrouped: the rows whose score or
    4-cliques changed, grown to the whole previous components that hold them
    (:func:`_regrouped_levels`).  The region gets the from-scratch build's
@@ -86,7 +91,7 @@ from repro.core.batch import (
 )
 from repro.core.components import _nucleus_level_groups
 from repro.core.hybrid import HybridEstimator
-from repro.core.peel import EstimatorKappaRepair, repair_kappa_scores
+from repro.core.peel import EstimatorKappaRepair, _on_theta, repair_kappa_scores
 from repro.exceptions import EdgeNotFoundError, InvalidParameterError
 from repro.graph.probabilistic_graph import Vertex
 from repro.index.fingerprint import graph_fingerprint
@@ -374,13 +379,18 @@ def _incremental_local(index: NucleusIndex, csr, inserted, deleted, changed, add
         )
         splice_span.annotate(**splice.counts)
     new_tri_index = splice.index
-    # A triangle is a seed when its κ inputs changed; the others keep their
-    # old score as the repair's upper bound.
+    # A triangle is a seed when its κ inputs changed; the others, and the
+    # seeds whose inputs only fell, keep their old score as the repair's
+    # upper bound.  That needs a monotone κ, which the float DP lacks where
+    # some Pr(△) lies on θ: there every seed roots the increase closure.
     base = splice.base_scores(scores)
     repairer = EstimatorKappaRepair(
         DynamicProgrammingEstimator(), new_tri_index.triangle_probabilities, index.theta
     )
-    new_scores = repair_kappa_scores(new_tri_index, base, splice.touched, repairer)
+    tied = _on_theta(new_tri_index.triangle_probabilities, index.theta)
+    new_scores = repair_kappa_scores(
+        new_tri_index, base, splice.touched, repairer, lowered=() if tied else splice.lowered
+    )
     with span("index.snapshot") as snapshot_span:
         if not structural and np.array_equal(new_scores, scores):
             # Same triangles, same cliques, same scores: the snapshot differs

@@ -372,12 +372,14 @@ class TestInstrumentation:
     def test_localized_repair_counters_on_a_hand_graph(self):
         # A certain K5 at θ = 0.5: every triangle lies in two 4-cliques, ν = 2.
         # Deleting (0, 1) kills three triangles and three cliques, leaving two
-        # K4s that share (2, 3, 4).  Its six other triangles are the seeds;
-        # one closure round recomputes the initial κ of all seven (1, and 2
-        # for the shared one, whose base score 2 is not below its cliques'
-        # least κ 1, so the closure stays at the seeds).  One fixed-point
-        # round keeps the seeds at 1 and steps the shared triangle from 2
-        # straight to its survival threshold 1: 7 + 7 + 1 = 15 rows.
+        # K4s that share (2, 3, 4).  Its six other triangles are the seeds,
+        # and each only lost a clique, so all six are lowered: no closure
+        # round runs.  The first fixed-point round recomputes the six at
+        # their base score 2 over their one surviving clique, gets κ 1 and
+        # settles them there, and queues the shared triangle.  The second
+        # steps it from 2 (both cliques dead at that level, κ 0) to its
+        # survival threshold 1, where both cliques live and κ is 2, so it
+        # settles at 1: 6 + 1 + 1 = 8 rows.
         graph = ProbabilisticGraph([(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)])
         index = build_local_index(graph, 0.5)
         counts = (
@@ -388,10 +390,10 @@ class TestInstrumentation:
         with capture(enable=True) as sink:
             index = index.apply_updates([("delete", 0, 1)])
         assert index.arrays["triangle_scores"].tolist() == [1] * 7
-        assert [REGISTRY.counter(name).value for name in counts] == [6, 15, 2]
+        assert [REGISTRY.counter(name).value for name in counts] == [6, 8, 2]
         (update,) = sink.traces()
         (repair,) = [child for child in update["children"] if child["name"] == "peel.repair"]
-        assert repair["attrs"] == {"seeds": 6, "closure": 6, "rounds": 2}
+        assert repair["attrs"] == {"seeds": 6, "closure": 0, "rounds": 2}
         # Re-inserting it: the three newborn triangles and the six members of
         # the new cliques are seeds; every initial κ is 2, above the shared
         # triangle's base score 1, so a second closure round admits it and

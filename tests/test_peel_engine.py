@@ -29,6 +29,7 @@ from repro.core.local import local_nucleus_decomposition
 from repro.core.peel import (
     EstimatorKappaRepair,
     KappaRepair,
+    _on_theta,
     peel_kappa_scores,
     repair_kappa_scores,
 )
@@ -42,8 +43,9 @@ from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.index import EdgeUpdate
+from repro.index import EdgeUpdate, build_local_index
 from repro.index.incremental import _canonicalise
+from repro.obs import capture
 from repro.peeling import LazyMinHeap
 
 import oracle
@@ -339,6 +341,16 @@ class TestRepairInputValidation:
         with pytest.raises(InvalidParameterError, match="seeds"):
             repair_kappa_scores(index, scores, seeds, repair)
 
+    @pytest.mark.parametrize(
+        "lowered",
+        [[0.9, True], np.array([True, False]), np.array([0.0, 1.0]), [-1], [20]],
+        ids=["float-and-bool", "bool", "float", "negative", "past-the-end"],
+    )
+    def test_bad_lowered_rejected(self, lowered):
+        index, scores, repair = self.peeled()
+        with pytest.raises(InvalidParameterError, match="lowered"):
+            repair_kappa_scores(index, scores, [0], repair, lowered=lowered)
+
     def test_narrow_integers_and_empty_seeds_accepted(self):
         index, scores, repair = self.peeled()
         repaired = repair_kappa_scores(
@@ -348,6 +360,10 @@ class TestRepairInputValidation:
         assert repaired.tolist() == scores.tolist()
         unchanged = repair_kappa_scores(index, scores, [], repair)
         assert unchanged.tolist() == scores.tolist() and unchanged is not scores
+        lowered = repair_kappa_scores(
+            index, scores, [3], repair, lowered=np.array([[3, 0]], dtype=np.int8)
+        )
+        assert lowered.tolist() == scores.tolist()
 
 
 class TestBatchedExactRepair:
@@ -375,12 +391,58 @@ class TestBatchedExactRepair:
         triangle_probabilities[::3] = 1.0
         return matrix, live_rows, triangle_probabilities
 
-    def test_masked_dp_tails_equal_the_scalar_dp(self):
-        matrix, live_rows, _ = self.dp_rows(seed=1)
-        for row, live in zip(_dp_tails(matrix).tolist(), live_rows):
+    @pytest.mark.parametrize(
+        "count, width",
+        [(400, 12), (0, 12), (40, 0)] + [(40, width) for width in range(1, 65)],
+        ids=lambda value: str(value),
+    )
+    def test_masked_dp_tails_equal_the_scalar_dp(self, count, width):
+        matrix, live_rows, _ = self.dp_rows(seed=1, count=count, width=width)
+        tails = _dp_tails(matrix)
+        assert tails.shape == (count, width + 1)
+        for row, live in zip(tails.tolist(), live_rows):
             expected = support_tail_probabilities(live)
             assert row[: len(expected)] == expected
             assert not any(row[len(expected):])
+
+    @staticmethod
+    def capped_kappas(triangle_probabilities, matrix, live_counts, theta):
+        """Production's κ of each row: the batched max-k capped at its live postings."""
+        best = _max_k_from_tails(triangle_probabilities, _dp_tails(matrix), theta)
+        return np.minimum(best, live_counts)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.001, 0.1, 0.3, 0.9])
+    def test_lower_inputs_never_raise_kappa(self, theta):
+        # Lowering Pr(△) or one posting's probability, scaled or by one ulp,
+        # and dropping a posting must each keep κ at or below the original:
+        # the property that lets a repair keep such rows' old scores as
+        # upper bounds.  It fails only where a Pr(△) lies on θ (`_on_theta`,
+        # and TestLocalizedRepair's tie case), which random rows miss.
+        rng = np.random.default_rng(int(theta * 1000) + 11)
+        count, width = 150, 10
+        sizes = rng.integers(0, width + 1, count)
+        matrix = np.where(np.arange(width) < sizes[:, None], rng.random((count, width)), 0.0)
+        matrix[::4, :3] = np.where(np.arange(3) < sizes[::4, None], 1.0, 0.0)
+        probabilities = rng.random(count)
+        probabilities[::3] = 1.0
+        base = self.capped_kappas(probabilities, matrix, sizes, theta)
+
+        rows, columns = np.nonzero(np.arange(width) < sizes[:, None])
+        for lower in (
+            lambda p: p * rng.random(p.size),
+            lambda p: np.nextafter(p, 0.0),
+            lambda p: np.zeros(p.size),  # dropped: the posting enters as p = 0
+        ):
+            variants = matrix[rows].copy()
+            variants[np.arange(rows.size), columns] = lower(matrix[rows, columns])
+            dropped = variants[np.arange(rows.size), columns] == 0.0
+            lowered = self.capped_kappas(
+                probabilities[rows], variants, sizes[rows] - dropped, theta
+            )
+            assert (lowered <= base[rows]).all()
+        for lower in (lambda p: p * rng.random(p.size), lambda p: np.nextafter(p, 0.0)):
+            lowered = self.capped_kappas(lower(probabilities), matrix, sizes, theta)
+            assert (lowered <= base).all()
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
     def test_capped_max_k_equals_the_scalar_search(self, theta):
@@ -501,26 +563,44 @@ REPAIR_GRAPHS = {
 }
 
 
-def dense_update(name: str, op: str) -> tuple[ProbabilisticGraph, EdgeUpdate]:
-    """A repair graph and the first ``op`` update on a pair of its dense vertices."""
+def dense_batch(name: str, ops) -> tuple[ProbabilisticGraph, list[EdgeUpdate]]:
+    """A repair graph and one update per op, each on its own pair of dense vertices.
+
+    ``"change"`` re-prices to 0.35, ``"lower"`` halves the probability and
+    ``"raise"`` halves its distance to 1 (on an uncertain edge).
+    """
     factory, dense = REPAIR_GRAPHS[name]
     graph = factory()
     vertices = dense(graph)
     pairs = [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :]]
-    if op == "insert":
-        u, v = next(pair for pair in pairs if not graph.has_edge(*pair))
-        return graph, EdgeUpdate("insert", u, v, 0.9)
-    u, v = next(pair for pair in pairs if graph.has_edge(*pair))
-    return graph, EdgeUpdate(op, u, v, 0.35 if op == "change" else None)
+    batch = []
+    for op in ops:
+        if op == "insert":
+            u, v = next(pair for pair in pairs if not graph.has_edge(*pair))
+            update = EdgeUpdate("insert", u, v, 0.9)
+        else:
+            u, v = next(
+                pair
+                for pair in pairs
+                if graph.has_edge(*pair)
+                and (op != "raise" or graph.edge_probability(*pair) < 1)
+            )
+            p = graph.edge_probability(u, v)
+            probability = {"change": 0.35, "lower": p / 2, "raise": (1 + p) / 2}.get(op)
+            update = EdgeUpdate("delete" if op == "delete" else "change", u, v, probability)
+        pairs.remove((u, v))
+        batch.append(update)
+    return graph, batch
 
 
 def repair_inputs(graph, batch, make_repair, initial_kappas):
-    """``(updated index, base scores, seeds)`` of ``batch`` applied to ``graph``.
+    """``(updated index, base scores, seeds, lowered)`` of ``batch`` applied to ``graph``.
 
     The base scores are a full peel of ``graph`` with ``make_repair(index)``
     from ``initial_kappas(index)``, carried onto the updated rows by the
-    incremental path's own splice, which also finds the seeds.  The spliced
-    index must equal a fresh build of the updated graph.
+    incremental path's own splice, which also finds the seeds and the rows
+    among them whose inputs only fell.  The spliced index must equal a fresh
+    build of the updated graph.
     """
     csr = graph.to_csr()
     old = build_triangle_extension_index(csr)
@@ -531,11 +611,11 @@ def repair_inputs(graph, batch, make_repair, initial_kappas):
     splice = delta_triangle_extension_index(old, csr, new_csr, inserted, deleted, changed)
     assert_same_triangle_index(splice.index, build_triangle_extension_index(new_csr))
     old_scores = peel_kappa_scores(old, initial_kappas(old), make_repair(old))
-    return splice.index, splice.base_scores(old_scores), splice.touched
+    return splice.index, splice.base_scores(old_scores), splice.touched, splice.lowered
 
 
-def exact_case(name: str, op: str, theta: float):
-    """``(updated index, base, seeds, exact repair, initial κ)`` of one update."""
+def exact_case(name: str, ops, theta: float):
+    """``(updated index, base, seeds, lowered, exact repair, initial κ)`` of a batch."""
     estimator = DynamicProgrammingEstimator()
 
     def make_repair(index):
@@ -544,26 +624,121 @@ def exact_case(name: str, op: str, theta: float):
     def initial_kappas(index):
         return batched_initial_kappas(index, theta, estimator)
 
-    graph, update = dense_update(name, op)
-    index, base, seeds = repair_inputs(graph, [update], make_repair, initial_kappas)
-    return index, base, seeds, make_repair(index), initial_kappas(index)
+    graph, batch = dense_batch(name, [ops] if isinstance(ops, str) else ops)
+    index, base, seeds, lowered = repair_inputs(graph, batch, make_repair, initial_kappas)
+    return index, base, seeds, lowered, make_repair(index), initial_kappas(index)
+
+
+def repair_span(index, base, seeds, repair, lowered) -> tuple[np.ndarray, dict]:
+    """The repaired scores and the attributes of the ``peel.repair`` span."""
+    with capture(enable=True) as sink:
+        scores = repair_kappa_scores(index, base, seeds, repair, lowered=lowered)
+    (trace,) = sink.traces()
+    assert trace["name"] == "peel.repair"
+    return scores, trace["attrs"]
 
 
 class TestLocalizedRepair:
-    """``repair_kappa_scores`` called directly, against the full peel."""
+    """``repair_kappa_scores`` against the full peel: called directly, and
+    through ``apply_updates`` where a triangle lands on θ."""
 
     @pytest.mark.parametrize("theta", [0.0, 0.001, 0.3])
     @pytest.mark.parametrize("op", ["insert", "delete", "change"])
     @pytest.mark.parametrize("name", sorted(REPAIR_GRAPHS))
     def test_repair_equals_the_full_peel(self, name, op, theta):
-        index, base, seeds, repair, kappas = exact_case(name, op, theta)
+        index, base, seeds, lowered, repair, kappas = exact_case(name, op, theta)
         assert seeds.size
-        repaired = repair_kappa_scores(index, base, seeds, repair)
-        assert repaired.dtype == np.int64
+        expected = peel_kappa_scores(index, kappas, repair)
+        for rows in ((), lowered):
+            repaired = repair_kappa_scores(index, base, seeds, repair, lowered=rows)
+            assert repaired.dtype == np.int64
+            assert np.array_equal(repaired, expected)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.001, 0.3])
+    @pytest.mark.parametrize(
+        "ops, direction",
+        [
+            (["lower"], "all"),
+            (["raise"], "none"),
+            (["insert", "lower", "delete"], "some"),
+        ],
+        ids=["lowering-reprice", "raising-reprice", "mixed"],
+    )
+    @pytest.mark.parametrize("name", sorted(REPAIR_GRAPHS))
+    def test_direction_aware_repair_equals_the_full_peel(self, name, ops, direction, theta):
+        index, base, seeds, lowered, repair, kappas = exact_case(name, ops, theta)
+        assert np.isin(lowered, seeds).all()
+        assert {
+            "all": np.array_equal(lowered, seeds),
+            "none": lowered.size == 0,
+            "some": 0 < lowered.size < seeds.size,
+        }[direction]
+        repaired = repair_kappa_scores(index, base, seeds, repair, lowered=lowered)
         assert np.array_equal(repaired, peel_kappa_scores(index, kappas, repair))
 
+    @pytest.mark.parametrize(
+        "op, grows", [("delete", False), ("lower", False), ("insert", True), ("raise", True)]
+    )
+    def test_only_rising_inputs_grow_a_closure(self, op, grows):
+        index, base, seeds, lowered, repair, kappas = exact_case("planted", op, 0.001)
+        scores, attrs = repair_span(index, base, seeds, repair, lowered)
+        assert np.array_equal(scores, peel_kappa_scores(index, kappas, repair))
+        assert attrs["seeds"] == seeds.size
+        assert (attrs["closure"] > 0) is grows
+
+    def test_a_triangle_on_theta_roots_every_seed(self):
+        # Triangle (0, 1, 2) has four 4-cliques, one per vertex z = 3…6, whose
+        # postings are p(0, z).  Re-pricing (0, 1) from 1 to 0.5 puts its
+        # Pr(△) on θ = 0.5, where the float tail is not monotone: that of all
+        # four postings rounds below 1 at k = 0, that of the first three does
+        # not.  The peel starts the row at its initial κ -1 and keeps it
+        # there; a fixed point from its old score 1 would settle on three
+        # postings at 1.  So the update path withholds `lowered` and every
+        # seed roots the closure, which starts the row at its initial κ.
+        postings = [1.0, 0.683, 0.52, 0.298016]
+        assert max_k_at_threshold(0.5, postings, 0.5) == NO_VALID_K
+        assert max_k_at_threshold(0.5, postings[:3], 0.5) == 1
+
+        def graph(p01):
+            edges = [(0, 1, p01), (0, 2, 1.0), (1, 2, 1.0)]
+            for z, p in enumerate(postings, start=3):
+                edges += [(0, z, p), (1, z, 1.0), (2, z, 1.0)]
+            return ProbabilisticGraph(edges)
+
+        index = build_local_index(graph(1.0), 0.5)
+        assert index.arrays["triangle_scores"][0] == 1
+        assert not _on_theta(index._incremental_state["tri_index"].triangle_probabilities, 0.5)
+        with capture(enable=True) as sink:
+            updated = index.apply_updates([EdgeUpdate("change", 0, 1, 0.5)])
+        (trace,) = sink.traces()
+        (repair,) = [child for child in trace["children"] if child["name"] == "peel.repair"]
+        assert repair["attrs"]["closure"] >= repair["attrs"]["seeds"] > 0
+        assert _on_theta(updated._incremental_state["tri_index"].triangle_probabilities, 0.5)
+        fresh = build_local_index(graph(0.5), 0.5)
+        assert fresh.arrays["triangle_scores"][0] == NO_VALID_K
+        assert np.array_equal(
+            updated.arrays["triangle_scores"], fresh.arrays["triangle_scores"]
+        )
+
+    @pytest.mark.parametrize(
+        "probability, theta, tied",
+        [
+            (0.5, 0.5, True),
+            (np.nextafter(0.5, 1.0), 0.5, True),
+            (np.nextafter(0.5, 0.0), 0.5, False),
+            (0.5 * (1 + 1e-8), 0.5, False),
+            (1.0, 1.0, True),
+            (0.0, 0.0, False),
+        ],
+    )
+    def test_on_theta_finds_probabilities_in_the_band_above_theta(
+        self, probability, theta, tied
+    ):
+        assert _on_theta(np.array([0.9, probability]), theta) is tied
+        assert not _on_theta(np.empty(0), theta)
+
     def test_exact_repair_never_calls_the_scalar_dp(self, monkeypatch):
-        index, base, seeds, repair, kappas = exact_case("planted", "delete", 0.001)
+        index, base, seeds, _, repair, kappas = exact_case("planted", "delete", 0.001)
         expected = peel_kappa_scores(index, kappas, repair)
         assert not np.array_equal(base, expected)  # the repair has work to do
         calls = TestExactPeelSpy.spy(monkeypatch)
@@ -579,9 +754,9 @@ class TestLocalizedRepair:
         def initial_kappas(index):
             return np.diff(index.tri_clique_indptr)
 
-        graph, update = dense_update("planted", op)
-        index, base, seeds = repair_inputs(
-            graph, [update], lambda _: SupportCountRepair(), initial_kappas
+        graph, batch = dense_batch("planted", [op])
+        index, base, seeds, _ = repair_inputs(
+            graph, batch, lambda _: SupportCountRepair(), initial_kappas
         )
         repair = SupportCountRepair()
         repaired = repair_kappa_scores(index, base, seeds, repair)
