@@ -8,7 +8,10 @@ paper's framing of FG/WG as post-processing).  The world-matrix engine
 candidate in one RNG call and verifies them batch-wise.
 
 Results are printed as a table and written to a machine-readable JSON file
-(default ``BENCH_global_sampling.json``).
+(default ``BENCH_global_sampling.json``).  Global rows also report how many
+of Algorithm 2's candidates the loop verified and how many of them fall in
+runs of two or more consecutive candidates with one edge set, which
+``global_decisions`` verifies as one stacked batch per run.
 
 Usable under the pytest-benchmark harness
 (``pytest benchmarks/bench_global_sampling.py``) and standalone::
@@ -19,10 +22,14 @@ Usable under the pytest-benchmark harness
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 try:
     from repro.core.global_nucleus import global_nucleus_decomposition
@@ -30,6 +37,7 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.core.global_nucleus import global_nucleus_decomposition
 
+import repro.core.global_nucleus as global_module
 from repro.core.local import local_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
 from repro.experiments.datasets import DATASET_NAMES, SCALES, load_dataset
@@ -45,6 +53,32 @@ def _timed(function, *args, **kwargs):
     with timer() as t:
         result = function(*args, **kwargs)
     return result, t.seconds
+
+
+@contextmanager
+def candidate_runs():
+    """Record the candidates each global decomposition verifies.
+
+    Yields a dict that collects ``candidates`` (closures verified) and
+    ``stacked`` (those in runs of two or more consecutive closures with one
+    edge set), read from the closures the driver passes to
+    ``global_decisions``.
+    """
+    tally = {"candidates": 0, "stacked": 0}
+    decisions = global_module.global_decisions
+
+    def recording(index, closures, *args, **kwargs):
+        edge_sets = (np.unique(index.clique_edges[cliques]).tobytes() for cliques in closures)
+        runs = [len(list(run)) for _, run in itertools.groupby(edge_sets)]
+        tally["candidates"] += len(closures)
+        tally["stacked"] += sum(length for length in runs if length > 1)
+        return decisions(index, closures, *args, **kwargs)
+
+    global_module.global_decisions = recording
+    try:
+        yield tally
+    finally:
+        global_module.global_decisions = decisions
 
 
 def time_sampling(
@@ -63,19 +97,22 @@ def time_sampling(
     runners = {"global": global_nucleus_decomposition, "weak": weak_nucleus_decomposition}
     rows = []
     for algorithm in algorithms:
-        result, seconds = _timed(
-            runners[algorithm], graph, k=k, theta=theta, n_samples=n_worlds,
-            local_result=local, seed=seed,
-        )
-        rows.append(
-            {
-                "algorithm": algorithm,
-                "k": k,
-                "triangles": local.num_triangles,
-                "matrix_seconds": seconds,
-                "matrix_nuclei": len(result),
-            }
-        )
+        with candidate_runs() as tally:
+            result, seconds = _timed(
+                runners[algorithm], graph, k=k, theta=theta, n_samples=n_worlds,
+                local_result=local, seed=seed,
+            )
+        row = {
+            "algorithm": algorithm,
+            "k": k,
+            "triangles": local.num_triangles,
+            "matrix_seconds": seconds,
+            "matrix_nuclei": len(result),
+        }
+        if algorithm == "global":
+            row["candidates"] = tally["candidates"]
+            row["stacked_candidates"] = tally["stacked"]
+        rows.append(row)
     return rows
 
 
@@ -110,14 +147,15 @@ def build_report(rows: list[dict], scale: str, theta: float, n_worlds: int) -> d
 def format_global_sampling(rows: list[dict]) -> str:
     lines = [
         f"{'dataset':<12} {'algo':<7} {'k':>2} {'triangles':>9} "
-        f"{'matrix (s)':>10} {'nuclei':>6}",
-        "-" * 52,
+        f"{'matrix (s)':>10} {'nuclei':>6} {'candidates':>10} {'stacked':>7}",
+        "-" * 71,
     ]
     for row in rows:
         lines.append(
             f"{row['dataset']:<12} {row['algorithm']:<7} {row['k']:>2} "
             f"{row['triangles']:>9} {row['matrix_seconds']:>10.3f} "
-            f"{row['matrix_nuclei']:>6}"
+            f"{row['matrix_nuclei']:>6} {row.get('candidates', '-'):>10} "
+            f"{row.get('stacked_candidates', '-'):>7}"
         )
     return "\n".join(lines)
 

@@ -14,8 +14,9 @@ deterministic k-nucleus* reaches θ.  Computing this exactly is #P-hard
   n = 200 in the paper's experiments).  Every candidate goes through the one
   fixed-``n`` loop of :mod:`repro.sampling.adaptive`
   (:func:`~repro.sampling.adaptive.global_decisions`), which draws exactly
-  ``n`` worlds per candidate in memory-bounded world blocks that small
-  candidates share.
+  ``n`` worlds per candidate in memory-bounded world blocks: a run of
+  candidates with one edge set is verified once on its stacked worlds, and
+  small distinct candidates share a block.
 
 The candidate for a triangle is the closure of its 4-cliques inside ``C``
 under the rule "every triangle of the candidate must be covered by at least
@@ -30,8 +31,9 @@ is restricted out of the local result's world index of the whole graph
 shares the peel's triangle ⇄ 4-clique arrays), and each closure is a
 4-clique-id frontier over ``C``'s arrays.  All closures are grown first;
 then the candidates are verified on world blocks cut out of ``C``'s index
-(:class:`~repro.sampling.world_matrix.WorldBlock`), each candidate drawing
-the worlds of
+(:class:`~repro.sampling.world_matrix.WorldBlock`), once per run of
+consecutive candidates with one edge set, each candidate drawing the
+worlds of
 :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.restrict` of ``C``
 to its edges — array for array the index of its subgraph, so the same
 worlds as a compile of that subgraph would draw.  Only accepted candidates

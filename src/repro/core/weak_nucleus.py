@@ -41,7 +41,7 @@ from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import check_retired_knobs
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import weak_scores
+from repro.sampling.adaptive import _weak_scores
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = ["weak_nucleus_decomposition"]
@@ -80,7 +80,7 @@ def weak_nucleus_decomposition(
 
     def qualifying(nucleus: ProbabilisticNucleus) -> tuple[CandidateWorldIndex, np.ndarray]:
         index = local.candidate_index(nucleus.triangles)
-        _, chosen = weak_scores(index, k, theta, n_samples, rng=generator)
+        _, chosen = _weak_scores(index, k, theta, n_samples, rng=generator)
         return index, chosen
 
     return _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)

@@ -12,17 +12,26 @@ triangle's estimated probability at least θ?" — is estimated from exactly
    :func:`weak_scores` returns each triangle's estimate and its θ decision.
 2. **Blocks.** The worlds are drawn and counted in consecutive row blocks of
    at most :func:`block_rows` worlds (:func:`blocked_counts`), sized from
-   the candidate's edges and 4-cliques under the byte budget
-   :data:`WORLD_BLOCK_BYTES`, and the block counts are summed.  The counts
-   are sums over worlds, and numpy's generator draws ``(a, m)`` then
-   ``(b, m)`` exactly as one ``(a + b, m)`` draw, so blocks change neither
-   the stream nor the answer; they bound peak memory for every candidate.
-   Small candidates of Algorithm 2 also share a block, under
-   :data:`SHARED_BLOCK_BYTES`: a
-   :class:`~repro.sampling.world_matrix.WorldBlock` holds them side by side,
-   each drawing, in order, the worlds its own index would draw, and the
-   global predicate decides them all in one batch.  :func:`global_verify`
-   is the same loop on a block of one.
+   the candidate's edges, 4-cliques and padded 4-clique lists under the
+   byte budget :data:`WORLD_BLOCK_BYTES`, and the block counts are summed.
+   The counts are sums over worlds, and numpy's generator draws ``(a, m)``
+   then ``(b, m)`` exactly as one ``(a + b, m)`` draw, so blocks change
+   neither the stream nor the answer; they bound peak memory for every
+   candidate.  Algorithm 2's candidates are verified in
+   :class:`~repro.sampling.world_matrix.WorldBlock` s
+   (:func:`global_decisions`):
+
+   * a **run** of ``r`` consecutive candidates with one edge set is cut
+     once and verified as one candidate on ``r · n_samples`` stacked worlds,
+     drawn in order in row blocks and counted per ``n_samples``-row slice,
+     so each candidate still sees exactly the worlds of its restriction;
+   * distinct small candidates **share** a block, under
+     :data:`SHARED_BLOCK_BYTES`, side by side, each drawing, in order, the
+     worlds its own index would draw, and the global predicate decides
+     them all in one batch;
+   * a lone large candidate is the run of one, row-split under
+     :data:`WORLD_BLOCK_BYTES`.  :func:`global_verify` is the same loop on
+     a block of one.
 3. **Exact evaluation.** On small graphs :func:`exact_probabilities`
    enumerates every world in the same row blocks, for the hardness
    reductions (:mod:`repro.hardness`) and the sampling ablation.
@@ -33,11 +42,14 @@ generator, so results are bit-identical for a fixed seed.
 Every sampled candidate adds one to the ``repro_sampling_candidates_total``
 counter of its model (see ``docs/OBSERVABILITY.md``); each block's
 verification batch reuses the ``sampling.verify`` span of the world-matrix
-engine.
+engine, whose ``candidates`` attribute counts the candidates the batch
+counts for: the block's segments, times the ``n_samples``-row slices of a
+run that its rows reach.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -67,23 +79,27 @@ __all__ = [
 ]
 
 #: Byte budget of one world block.  A block of ``r`` worlds is counted as
-#: ``r · (8 · num_edges + 64 · num_cliques)`` bytes: the float64 uniform
-#: draw per edge, and a bound on the per-4-clique cells that the predicates
-#: gather per world (presence, coverage, support and connectivity).
+#: ``r · (8 · num_edges + 24 · num_cliques + 4 · padded)`` bytes: the float64
+#: uniform draw per edge; per 4-clique, the gather of its edges' presence
+#: and the labels of the connectivity rounds; and the ``padded`` cells of
+#: the triangle → 4-clique and edge → 4-clique lists, padded to their
+#: longest list, which the predicates gather per world at up to 4 bytes a
+#: cell.  With lists of one length, ``padded`` is ``10 · num_cliques``.
 WORLD_BLOCK_BYTES = 16 * 2**20
 
 #: Byte budget of a world block that several candidates of Algorithm 2
-#: share, counted like :data:`WORLD_BLOCK_BYTES` on each candidate's
-#: ``n_samples`` worlds of its edges and its closure's 4-cliques; a
-#: candidate above it is verified alone.  Sharing saves numpy's per-call
+#: share, each counted as ``n_samples · (8 · edges + 64 · 4-cliques)``
+#: bytes of its edges and its closure's 4-cliques; a candidate above it is
+#: verified alone.  Sharing saves numpy's per-call
 #: cost on small candidates, but support and connectivity then run on every
-#: world where some candidate of the block is alive.  Against no sharing
-#: (16 interleaved rounds on the benchmark graphs at seed 1, on a 2-core
-#: container with numpy 2.4), 0.5 MiB made the sparse flickr analogue's
-#: 1,047 candidates (0.03–0.17 MiB each) 1.74x faster and left the dense
-#: graph's 126 (0.23–0.63 MiB) at 1.00x; 1 MiB gained 1.93x on the first
-#: and lost 0.85x on the second.
-SHARED_BLOCK_BYTES = 2**19
+#: world where some candidate of the block is alive.  Runs of one edge set
+#: are stacked instead (:func:`_world_blocks`), so only distinct candidates
+#: share.  On the padded worlds-last kernels, against 0.5 MiB (perfbench,
+#: seed 1, 4 s runs on a 2-core container with numpy 2.4), 1 MiB made
+#: verify-global (the sparse flickr analogue's 1,047 distinct candidates)
+#: faster in 3 of 3 pairs, op_p50 407–503 → 341–396 ms, and left
+#: verify-dense, whose 126 candidates form three runs, at 84–87 ms.
+SHARED_BLOCK_BYTES = 2**20
 
 
 def _count_candidates(model: str, count: int = 1) -> None:
@@ -98,7 +114,8 @@ def _count_candidates(model: str, count: int = 1) -> None:
 
 def block_rows(index: CandidateWorldIndex) -> int:
     """Worlds per block of ``index`` under :data:`WORLD_BLOCK_BYTES` (at least one)."""
-    row_bytes = 8 * index.num_edges + 64 * index.num_cliques
+    padded = index._triangle_cliques.size + index._edge_cliques.size
+    row_bytes = 8 * index.num_edges + 24 * index.num_cliques + 4 * padded
     return max(1, WORLD_BLOCK_BYTES // max(1, row_bytes))
 
 
@@ -113,10 +130,11 @@ def blocked_counts(
     """Draw ``n_worlds`` worlds in consecutive row blocks and sum their counts.
 
     ``count`` is :func:`~repro.sampling.world_matrix.global_triangle_counts`
-    or :func:`~repro.sampling.world_matrix.weak_membership_counts` (and the
-    block counts of the global loop).  Each block holds at most
-    :func:`block_rows` worlds; the result and the generator's final state
-    equal one ``index.sample(n_worlds)`` draw counted in one call.
+    or :func:`~repro.sampling.world_matrix.weak_membership_counts`.  Each
+    block holds at most :func:`block_rows` worlds; the result and the
+    generator's final state equal one ``index.sample(n_worlds)`` draw
+    counted in one call.  (The global loop counts its world blocks per
+    candidate and per stacked slice, :func:`_stacked_counts`.)
     """
     generator = as_numpy_generator(rng, seed)
     rows = block_rows(index)
@@ -181,7 +199,7 @@ def global_verify(
     if index.num_triangles == 0:
         return False
     generator = as_numpy_generator(rng, seed)
-    return bool(_decide([WorldBlock.of(index)], k, theta, n_samples, generator)[0])
+    return bool(_decide([(WorldBlock.of(index), 1)], k, theta, n_samples, generator)[0])
 
 
 def global_decisions(
@@ -198,12 +216,13 @@ def global_decisions(
     Candidate ``i`` is the subgraph of the edges of the 4-cliques
     ``closures[i]`` (ids of ``index``, non-empty), that is
     ``index.restrict`` of its edge mask.  Candidates are verified in order
-    in world blocks (:func:`_world_blocks`): small ones share a block, a
-    large one is verified alone in row blocks.  Each candidate draws the
-    ``n_samples`` worlds its restriction would draw from ``rng``, so the
-    decisions and the generator's final state equal successive
-    :func:`global_verify` calls on the restrictions.  Returns one boolean
-    per candidate.
+    in world blocks (:func:`_world_blocks`): a run of consecutive candidates
+    with one edge set is cut once and verified on its stacked worlds, small
+    distinct ones share a block, and a large one is verified alone in row
+    blocks.  Each candidate draws the ``n_samples`` worlds its restriction
+    would draw from ``rng``, so the decisions and the generator's final
+    state equal successive :func:`global_verify` calls on the restrictions.
+    Returns one boolean per candidate.
     """
     n_samples = _require_positive_int("n_samples", n_samples)
     generator = as_numpy_generator(rng, seed)
@@ -211,56 +230,99 @@ def global_decisions(
 
 
 def _decide(
-    blocks: Iterable[WorldBlock],
+    blocks: Iterable[tuple[WorldBlock, int]],
     k: int,
     theta: float,
     n_samples: int,
     generator: np.random.Generator,
 ) -> np.ndarray:
-    """The decision of every candidate of ``blocks``, in order: every
-    triangle's point estimate ``counts / n_samples`` reaches θ, that is the
-    smallest count of the candidate's triangles divided by ``n_samples``.
-    Every candidate holds a triangle (a 4-clique's, or ``global_verify``'s
-    check)."""
+    """The decision of every candidate of ``blocks``, in order.
+
+    ``blocks`` yields ``(block, repeats)``: the block's segments side by
+    side, each verified ``repeats`` times in a row (:func:`_stacked_counts`).
+    A candidate passes when every triangle's point estimate ``counts /
+    n_samples`` reaches θ, that is the smallest count of its triangles
+    divided by ``n_samples``.  Every candidate holds a triangle (a
+    4-clique's, or ``global_verify``'s check).
+    """
     decisions = [np.zeros(0, dtype=bool)]
-    for block in blocks:
-        counts = blocked_counts(_global_block_counts, block, n_samples, k, rng=generator)
-        weakest = np.minimum.reduceat(counts, block.triangle_offsets[:-1])
-        decisions.append(weakest / n_samples >= theta)
-        _count_candidates("global", block.num_segments)
+    for block, repeats in blocks:
+        counts = _stacked_counts(block, repeats, n_samples, k, generator)
+        weakest = np.minimum.reduceat(counts, block.triangle_offsets[:-1], axis=1)
+        decisions.append((weakest / n_samples >= theta).ravel())
+        _count_candidates("global", block.num_segments * repeats)
     return np.concatenate(decisions)
+
+
+def _stacked_counts(
+    block: WorldBlock, repeats: int, n_samples: int, k: int, generator: np.random.Generator
+) -> np.ndarray:
+    """The counts of ``repeats`` successive verifications of ``block``.
+
+    Draws ``repeats · n_samples`` worlds of the block in order, in row
+    blocks of at most :func:`block_rows` worlds, and counts them per
+    ``n_samples``-row slice: row ``i`` of the ``(repeats, num_triangles)``
+    result holds the counts of slice ``i``.  Since numpy draws ``(a, m)``
+    then ``(b, m)`` exactly as one ``(a + b, m)`` draw, slice ``i`` holds
+    the worlds that the ``i``-th of ``repeats`` successive draws of
+    ``n_samples`` worlds would hold.  A block of several candidates must fit
+    one row block (:func:`_fitted`), as its candidates draw one after the
+    other within a row block.
+    """
+    total = repeats * n_samples
+    rows = block_rows(block)
+    counts = np.zeros((repeats, block.num_triangles), dtype=np.int64)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        worlds = block.sample(stop - start, rng=generator)
+        first = start // n_samples
+        starts = np.arange(first * n_samples, stop, n_samples)
+        starts[0] = start
+        counts[first : first + starts.size] += _global_block_counts(
+            block, worlds, k, starts - start
+        )
+    return counts
 
 
 def _world_blocks(
     index: CandidateWorldIndex, closures: Sequence[np.ndarray], n_samples: int
-) -> Iterator[WorldBlock]:
+) -> Iterator[tuple[WorldBlock, int]]:
     """Cut the candidates of ``closures`` into world blocks, in order.
 
-    Consecutive candidates share a block while their worlds fit
-    :data:`SHARED_BLOCK_BYTES`, counted on each candidate's edges and its
-    closure's 4-cliques; a candidate above it gets a block of its own.
+    Yields ``(block, repeats)`` (see :func:`_decide`).  A run of ``r > 1``
+    consecutive candidates with the same edge set is cut once and stacked:
+    ``(block of its edges, r)``.  The other candidates share a block while
+    their worlds fit :data:`SHARED_BLOCK_BYTES`, counted on each candidate's
+    edges and its closure's 4-cliques; a candidate above it gets a block of
+    its own.
     """
-    edge_sets = [np.unique(index.clique_edges[cliques]) for cliques in closures]
-    start, shared = 0, 0
-    for end, (edges, cliques) in enumerate(zip(edge_sets, closures)):
+    candidates = ((np.unique(index.clique_edges[cliques]), cliques) for cliques in closures)
+    window: list[np.ndarray] = []
+    shared = 0
+    for _, run in itertools.groupby(candidates, key=lambda candidate: candidate[0].tobytes()):
+        (edges, cliques), *repeated = run
         size = n_samples * (8 * edges.size + 64 * cliques.size)
-        if end > start and shared + size > SHARED_BLOCK_BYTES:
-            yield from _fitted(index, edge_sets[start:end], n_samples)
-            start, shared = end, 0
-        shared += size
-    if edge_sets:
-        yield from _fitted(index, edge_sets[start:], n_samples)
+        if window and (repeated or shared + size > SHARED_BLOCK_BYTES):
+            yield from _fitted(index, window, n_samples)
+            window, shared = [], 0
+        if repeated:
+            yield WorldBlock.cut(index, [edges]), 1 + len(repeated)
+        else:
+            window.append(edges)
+            shared += size
+    if window:
+        yield from _fitted(index, window, n_samples)
 
 
 def _fitted(
     index: CandidateWorldIndex, edge_sets: list[np.ndarray], n_samples: int
-) -> Iterator[WorldBlock]:
+) -> Iterator[tuple[WorldBlock, int]]:
     """The block of ``edge_sets``, halved until the worlds of a shared block fit
     :data:`WORLD_BLOCK_BYTES` in one row block: a restriction may hold more
     4-cliques than its closure.  A lone candidate is row-split instead."""
     block = WorldBlock.cut(index, edge_sets)
     if len(edge_sets) == 1 or block_rows(block) >= n_samples:
-        yield block
+        yield block, 1
         return
     half = len(edge_sets) // 2
     yield from _fitted(index, edge_sets[:half], n_samples)
@@ -283,6 +345,19 @@ def weak_scores(
     two empty arrays without drawing a world.
     """
     n_samples = _require_positive_int("n_samples", n_samples)
+    return _weak_scores(index, k, theta, n_samples, rng=rng, seed=seed)
+
+
+def _weak_scores(
+    index: CandidateWorldIndex,
+    k: int,
+    theta: float,
+    n_samples: int,
+    rng: "np.random.Generator | random.Random | None" = None,
+    seed: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`weak_scores` of a checked ``n_samples``: the weak driver's step,
+    whose prologue checks ``n_samples`` once per decomposition."""
     if index.num_triangles == 0:
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=bool)
     counts = blocked_counts(weak_membership_counts, index, n_samples, k, rng=rng, seed=seed)

@@ -27,18 +27,23 @@ This module replaces that with an array-backed pipeline:
    num_triangles)`` / ``(n_worlds, num_cliques)`` presence matrices (a
    fancy-indexed ``all`` over edge columns), and each of the paper's two
    predicates is evaluated once for all worlds from them — no Python loop
-   runs per world:
+   runs per world.  The predicates work **worlds-last**: one row per edge,
+   triangle or 4-clique and one column per world, so every gather copies
+   whole rows of worlds and every reduction runs along them:
 
    * **global** (:func:`nucleus_world_mask`, Algorithm 2): edge coverage is
-     a gather of the present 4-cliques over every edge's 4-clique list,
-     OR-ed with ``np.logical_or.reduceat``; 4-clique support is a gather over
-     ``tri_clique_indices`` summed per triangle with ``np.add.reduceat``;
-     connectivity is min-label propagation with pointer jumping over the
-     present 4-cliques.  Each condition is reduced per candidate over the
-     segments of a :class:`WorldBlock`; one index is a block of one.
+     an OR of the present 4-cliques over every edge's 4-clique list;
+     4-clique support is a sum of the given 4-cliques over every
+     triangle's 4-clique list; connectivity is min-label propagation with
+     pointer jumping over the present 4-cliques.  The lists are padded to
+     their longest (ELL format, :func:`_padded_lists`, built once per index
+     or block), so each reduction is one gather reduced along the padded
+     width (:func:`_reduce_lists`).  Each condition is reduced per
+     candidate over the segments of a :class:`WorldBlock`; one index is a
+     block of one.
    * **weak** (:func:`weak_membership`, Algorithm 3): the
      greatest fixed point of alive triangles and alive 4-cliques, peeled
-     for all worlds together with the same gather-and-``reduceat`` support.
+     for all worlds together with the same padded support.
 
 Each model's answer is a ``(n_worlds, num_triangles)`` membership matrix
 (:func:`global_membership`, :func:`weak_membership`), additive over worlds:
@@ -199,6 +204,26 @@ def _member_lists(members: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarra
     np.cumsum(np.bincount(flat, minlength=size), out=indptr[1:])
     rows = np.repeat(np.arange(members.shape[0], dtype=np.int64), members.shape[1])
     return indptr, rows[np.argsort(flat, kind="stable")]
+
+
+def _padded_lists(members: np.ndarray, size: int) -> np.ndarray:
+    """The inverse of the ``(q, w)`` member rows ``members`` as one padded table.
+
+    Column ``i`` of the ``(width, size)`` table lists, in order, the rows
+    that hold member ``i`` (the lists of :func:`_member_lists`), and then
+    the padding entry ``q`` down to ``width``, the longest list's length
+    (ELL format).  The table is width-major, so that a gather of
+    worlds-last rows through it is reduced along its first axis
+    (:func:`_reduce_lists`).
+    """
+    flat = members.ravel()
+    order = np.argsort(flat, kind="stable")
+    lengths = np.bincount(flat, minlength=size)
+    held = flat[order]
+    slots = np.arange(flat.size) - (np.cumsum(lengths) - lengths)[held]
+    table = np.full((int(lengths.max(initial=0)), size), members.shape[0], dtype=np.intp)
+    table[slots, held] = order // members.shape[1]
+    return table
 
 
 @dataclass
@@ -368,9 +393,14 @@ class CandidateWorldIndex:
         return np.searchsorted(first, triangles), np.arange(self.num_cliques)
 
     @cached_property
-    def _edge_cliques(self) -> tuple[np.ndarray, np.ndarray]:
-        """The edge → 4-clique lists ``(indptr, indices)`` of the edge columns."""
-        return _member_lists(self.clique_edges, self.num_edges)
+    def _triangle_cliques(self) -> np.ndarray:
+        """The triangle → 4-clique lists, padded (see :func:`_padded_lists`)."""
+        return _padded_lists(self.clique_triangles, self.num_triangles)
+
+    @cached_property
+    def _edge_cliques(self) -> np.ndarray:
+        """The edge → 4-clique lists of the edge columns, padded (:func:`_padded_lists`)."""
+        return _padded_lists(self.clique_edges, self.num_edges)
 
     @classmethod
     def _from_structures(
@@ -600,6 +630,29 @@ def world_from_row(index: CandidateWorldIndex, row: np.ndarray) -> Probabilistic
     return world
 
 
+def _last(worlds: np.ndarray) -> np.ndarray:
+    """The worlds-last copy of a world matrix: one row per edge column."""
+    return np.ascontiguousarray(worlds.T)
+
+
+def _gathered(reduce: np.ufunc, values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Row ``i`` reduces the rows ``members[i]`` of the worlds-last ``values``.
+
+    ``members`` is ``(rows, w)``; the gather runs width-major, ``(w, rows,
+    n_worlds)``, and is reduced along its first axis, so the inner loops
+    span whole rows of worlds even when few worlds are left.
+    """
+    return reduce.reduce(np.take(values, members.T, axis=0), axis=0)
+
+
+def _presence(index: CandidateWorldIndex, worlds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`structure_presence` of the worlds-last ``worlds``, worlds-last."""
+    return (
+        _gathered(np.logical_and, worlds, index.triangle_edges),
+        _gathered(np.logical_and, worlds, index.clique_edges),
+    )
+
+
 def structure_presence(
     index: CandidateWorldIndex, worlds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -610,141 +663,133 @@ def structure_presence(
     of 4-clique ``c``.  Both are computed with one fancy-indexed gather and a
     reduction — no per-world Python.
     """
-    n_worlds = worlds.shape[0]
-    if index.num_triangles:
-        tri_present = worlds[:, index.triangle_edges].all(axis=2)
-    else:
-        tri_present = np.zeros((n_worlds, 0), dtype=bool)
-    if index.num_cliques:
-        clique_present = worlds[:, index.clique_edges].all(axis=2)
-    else:
-        clique_present = np.zeros((n_worlds, 0), dtype=bool)
-    return tri_present, clique_present
+    tri_present, clique_present = _presence(index, _last(worlds))
+    return tri_present.T, clique_present.T
+
+
+def _reduce_lists(
+    reduce: np.ufunc, table: np.ndarray, values: np.ndarray, empty, dtype: np.dtype
+) -> np.ndarray:
+    """Reduce worlds-last ``values`` over the padded 4-clique lists of ``table``.
+
+    ``values`` holds one row per 4-clique and one column per world, and
+    ``table`` is a width-major padded table (:func:`_padded_lists`); row ``i`` of
+    the result reduces (``np.add``, ``np.minimum`` or ``np.logical_or``)
+    the rows ``table[:, i]`` of ``values``: one gather of the padded lists,
+    reduced along their width.  The padding entry (``len(values)``) reads
+    ``empty``, the reduction's identity, so a row whose list is empty gets
+    ``empty``.
+    """
+    padding = np.full((1, values.shape[1]), empty, dtype=values.dtype)
+    gathered = np.take(np.concatenate([values, padding]), table, axis=0)
+    return reduce.reduce(gathered, axis=0, dtype=dtype, initial=empty)
 
 
 def _per_segment(
     reduce: np.ufunc, values: np.ndarray, offsets: np.ndarray, empty, dtype: np.dtype
 ) -> np.ndarray:
-    """Reduce the columns of ``values`` segment by segment.
+    """Reduce the rows of worlds-last ``values`` segment by segment.
 
-    Column ``s`` of the result reduces (``np.add``, ``np.minimum``, …) the
-    columns ``offsets[s]:offsets[s + 1]``: one ``reduceat`` over the
-    non-empty segments.  Empty segments get ``empty``.
+    Row ``s`` of the result reduces (``np.add``, ``np.minimum``, …) the rows
+    ``offsets[s]:offsets[s + 1]``: one ``reduceat`` over the non-empty
+    segments, each a contiguous run of rows.  Empty segments get ``empty``.
+    A lone segment, which may span many worlds, is reduced in one pass over
+    its rows (``reduceat`` along rows runs world by world).
     """
     starts = offsets[:-1]
+    if starts.size == 1:
+        return reduce.reduce(values, axis=0, dtype=dtype, initial=empty, keepdims=True)
     nonempty = offsets[1:] > starts
     if nonempty.all():
-        return reduce.reduceat(values, starts, axis=1, dtype=dtype)
-    out = np.full((values.shape[0], starts.size), empty, dtype=dtype)
+        return reduce.reduceat(values, starts, axis=0, dtype=dtype)
+    out = np.full((starts.size, values.shape[1]), empty, dtype=dtype)
     if nonempty.any():
-        out[:, nonempty] = reduce.reduceat(values, starts[nonempty], axis=1, dtype=dtype)
+        out[nonempty] = reduce.reduceat(values, starts[nonempty], axis=0, dtype=dtype)
     return out
 
 
 def _any_per_segment(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per row and segment, whether any column of the segment is set."""
+    """Per segment and world, whether any row of the segment is set."""
     return _per_segment(np.logical_or, values, offsets, False, bool)
 
 
-def _per_triangle(
-    index: CandidateWorldIndex,
-    clique_values: np.ndarray,
-    reduce: np.ufunc,
-    empty: int,
-    dtype: np.dtype,
-) -> np.ndarray:
-    """Reduce a ``(n_worlds, num_cliques)`` matrix onto the triangles.
-
-    Column ``t`` of the result reduces (``np.add`` or ``np.minimum``) the
-    values of the 4-cliques that contain triangle ``t``: one gather over
-    ``tri_clique_indices`` reduced over the segments of
-    ``tri_clique_indptr``.  Triangles in no 4-clique get ``empty``.
-    """
-    gathered = clique_values[:, index.tri_clique_indices]
-    return _per_segment(reduce, gathered, index.tri_clique_indptr, empty, dtype)
-
-
 def _clique_support(index: CandidateWorldIndex, cliques: np.ndarray) -> np.ndarray:
-    """Per world and triangle, the number of the given 4-cliques containing it.
+    """Per triangle and world, the number of the given 4-cliques containing it.
 
     Counts are kept in the smallest unsigned dtype that holds the largest
-    number of 4-cliques any triangle lies in.
+    number of 4-cliques any triangle lies in, the padded lists' width.
     """
-    most = int(np.diff(index.tri_clique_indptr).max(initial=0))
-    return _per_triangle(index, cliques, np.add, 0, np.min_scalar_type(most))
+    table = index._triangle_cliques
+    return _reduce_lists(np.add, table, cliques, 0, np.min_scalar_type(table.shape[0]))
 
 
-def _uncovered_edges(
-    index: CandidateWorldIndex, worlds: np.ndarray, clique_present: np.ndarray
-) -> np.ndarray:
-    """Per world, the present edges that lie in no present 4-clique.
+def _one_component(block: WorldBlock, present: np.ndarray) -> np.ndarray:
+    """Per candidate and world, whether its present 4-cliques are connected through triangles.
 
-    An edge is covered when any 4-clique of its edge → 4-clique list
-    (:attr:`CandidateWorldIndex._edge_cliques`) is present: one gather and
-    one ``reduceat``.
-    """
-    indptr, indices = index._edge_cliques
-    covered = _per_segment(np.logical_or, clique_present[:, indices], indptr, False, bool)
-    return worlds & ~covered
-
-
-def _one_component(block: WorldBlock, clique_present: np.ndarray) -> np.ndarray:
-    """Per world and candidate, whether its present 4-cliques are connected through triangles.
-
-    Min-label propagation with pointer jumping over the present 4-cliques:
-    each starts labelled with its own row (absent ones with the sentinel
-    ``num_cliques``); each round every triangle takes the smallest label of
-    its present 4-cliques, every present 4-clique the smallest label of its
-    four triangles, and then every label jumps to its label's label.  At
-    the fixed point each component carries its smallest row, so a
-    candidate's world is connected iff its present 4-cliques share one
+    Min-label propagation with pointer jumping over the present 4-cliques,
+    worlds-last (``present`` and every label matrix hold one row per
+    4-clique): each starts labelled with its own row (absent ones with the
+    sentinel ``num_cliques``); each round every triangle takes the smallest
+    label of its present 4-cliques, every present 4-clique the smallest
+    label of its four triangles, and then every label jumps to its label's
+    label.  At the fixed point each component carries its smallest row, so
+    a candidate's world is connected iff its present 4-cliques share one
     label: the smallest label of its segment equals its largest present one.
     """
     n = block.num_cliques
     dtype = np.min_scalar_type(n)
-    rows = np.arange(clique_present.shape[0])[:, None]
-    sentinel = np.full((clique_present.shape[0], 1), n, dtype=dtype)
-    labels = np.where(clique_present, np.arange(n, dtype=dtype), sentinel)
+    width = present.shape[1]
+    # The sentinel on absent 4-cliques, 0 on present ones: labels never
+    # exceed n, so a maximum with it pins the absent ones to n.  (Arithmetic
+    # in place of np.where, which is far slower on irregular masks.)
+    absent = np.multiply(~present, n, dtype=dtype)
+    labels = np.maximum(np.arange(n, dtype=dtype)[:, None], absent)
+    # The pulled labels, and a last row of sentinels that absent 4-cliques
+    # jump to; the jump reads it flat, label · width + world.
+    pulled = np.full((n + 1, width), n, dtype=dtype)
+    worlds = np.arange(width)
     while True:
-        by_triangle = _per_triangle(block, labels, np.minimum, n, dtype)
-        pulled = by_triangle[:, block.clique_triangles].min(axis=2)
-        pulled = np.where(clique_present, pulled, sentinel)
-        jumped = np.hstack([pulled, sentinel])[rows, pulled]
+        by_triangle = _reduce_lists(np.minimum, block._triangle_cliques, labels, n, dtype)
+        members = _gathered(np.minimum, by_triangle, block.clique_triangles)
+        np.maximum(members, absent, out=pulled[:n])
+        jump = pulled[:n].astype(np.intp)
+        jump *= width
+        jump += worlds
+        jumped = np.take(pulled, jump)
         if np.array_equal(jumped, labels):
             break
         labels = jumped
     offsets = block.clique_offsets
     low = _per_segment(np.minimum, labels, offsets, n, dtype)
-    high = _per_segment(np.maximum, np.where(clique_present, labels, 0), offsets, 0, dtype)
+    present_labels = np.multiply(labels, present, dtype=dtype)
+    high = _per_segment(np.maximum, present_labels, offsets, 0, dtype)
     return low == high
 
 
 def _segment_world_masks(
-    block: WorldBlock,
-    worlds: np.ndarray,
-    k: int,
-    presence: tuple[np.ndarray, np.ndarray] | None = None,
+    block: WorldBlock, worlds: np.ndarray, k: int, presence: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Per world row and candidate of ``block``, whether the candidate's world is a k-nucleus.
+    """Per candidate of ``block`` and world, whether the candidate's world is a k-nucleus.
 
-    The three conditions of :func:`nucleus_world_mask`, each reduced over
-    every candidate's segment at once; support and connectivity run only on
-    the worlds where some candidate of the block survived the previous
-    condition.
+    Worlds-last: ``worlds`` holds one row per edge column and ``presence``
+    is :func:`_presence` of it.  The three conditions of
+    :func:`nucleus_world_mask`, each reduced over every candidate's segment
+    at once; support and connectivity run only on the worlds where some
+    candidate of the block survived the previous condition.
     """
-    _, clique_present = structure_presence(block, worlds) if presence is None else presence
-    uncovered = _uncovered_edges(block, worlds, clique_present)
+    clique_present = presence[1]
+    covered = _reduce_lists(np.logical_or, block._edge_cliques, clique_present, False, bool)
     alive = _any_per_segment(clique_present, block.clique_offsets)
-    alive &= ~_any_per_segment(uncovered, block.edge_offsets)
+    alive &= ~_any_per_segment(worlds & ~covered, block.edge_offsets)
     masks = np.zeros_like(alive)
-    rows = np.flatnonzero(alive.any(axis=1))
-    present, alive = clique_present[rows], alive[rows]
+    columns = np.flatnonzero(alive.any(axis=0))
+    present, alive = clique_present[:, columns], alive[:, columns]
     if k > 1:  # a structural triangle lies in a present 4-clique: support ≥ 1 ≥ k
         support = _clique_support(block, present)
         alive &= ~_any_per_segment((support > 0) & (support < k), block.triangle_offsets)
-    supported = alive.any(axis=1)
-    connected = _one_component(block, present[supported])
-    masks[rows[supported]] = alive[supported] & connected
+    supported = alive.any(axis=0)
+    connected = _one_component(block, present[:, supported])
+    masks[:, columns[supported]] = alive[:, supported] & connected
     return masks
 
 
@@ -770,16 +815,23 @@ def nucleus_world_mask(
     Each condition is evaluated at once for all worlds the previous one
     kept.  This is the one-candidate case of the block predicate, which
     decides every candidate of a :class:`WorldBlock` on its own segments.
+    ``presence`` is :func:`structure_presence` of ``worlds``, if at hand.
     """
     check_level(k)
-    return _segment_world_masks(WorldBlock.of(index), worlds, k, presence)[:, 0]
+    last = _last(worlds)
+    if presence is None:
+        presence = _presence(index, last)
+    else:
+        presence = tuple(_last(matrix) for matrix in presence)
+    return _segment_world_masks(WorldBlock.of(index), last, k, presence)[0]
 
 
 def _block_membership(block: WorldBlock, worlds: np.ndarray, k: int) -> np.ndarray:
-    """Per world and triangle, whether its candidate's world is a k-nucleus containing it."""
-    presence = structure_presence(block, worlds)
+    """Per triangle and world (worlds-last), whether its candidate's world is a
+    k-nucleus containing it."""
+    presence = _presence(block, worlds)
     masks = _segment_world_masks(block, worlds, k, presence)
-    return presence[0] & np.repeat(masks, np.diff(block.triangle_offsets), axis=1)
+    return presence[0] & np.repeat(masks, np.diff(block.triangle_offsets), axis=0)
 
 
 def global_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
@@ -789,7 +841,20 @@ def global_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) ->
     presence in the worlds :func:`nucleus_world_mask` keeps.
     """
     check_level(k)
-    return _block_membership(WorldBlock.of(index), worlds, k)
+    return _block_membership(WorldBlock.of(index), _last(worlds), k).T
+
+
+def _weak_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
+    """:func:`weak_membership` of the worlds-last ``worlds``, worlds-last."""
+    alive, clique_present = _presence(index, worlds)
+    while True:
+        cliques = clique_present & _gathered(np.logical_and, alive, index.clique_triangles)
+        support = _clique_support(index, cliques)
+        survivors = alive & (support >= k)
+        if np.array_equal(survivors, alive):
+            break
+        alive = survivors
+    return alive & (support > 0)
 
 
 def weak_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> np.ndarray:
@@ -803,31 +868,40 @@ def weak_membership(index: CandidateWorldIndex, worlds: np.ndarray, k: int) -> n
     triangles that lie in an alive 4-clique.
     """
     check_level(k)
-    alive, clique_present = structure_presence(index, worlds)
-    while True:
-        cliques = clique_present & alive[:, index.clique_triangles].all(axis=2)
-        support = _clique_support(index, cliques)
-        survivors = alive & (support >= k)
-        if np.array_equal(survivors, alive):
-            break
-        alive = survivors
-    return alive & (support > 0)
+    return _weak_membership(index, _last(worlds), k).T
 
 
-def _counts(model: str, membership, index, worlds, k) -> np.ndarray:
-    """The column sums of ``membership``; with telemetry on, inside a
-    ``sampling.verify`` span timed into ``repro_sampling_verify_seconds``."""
+def _counts(model: str, membership, index, worlds, k, starts, candidates: int) -> np.ndarray:
+    """Per slice of world rows and triangle, the worlds of ``membership``.
+
+    Row ``i`` of the result sums the worlds-last ``membership`` over the
+    world rows ``starts[i]`` up to the next start (the last up to the end
+    of ``worlds``).  With telemetry on, inside a ``sampling.verify`` span
+    timed into ``repro_sampling_verify_seconds``, which records the
+    ``worlds`` and the ``candidates`` the batch counts for.
+    """
+    slices = np.append(starts, worlds.shape[0])
+
+    def count() -> np.ndarray:
+        members = membership(index, _last(worlds), k)
+        return _per_segment(np.add, members.T, slices, 0, np.int64)
+
     if not obs_config._ENABLED:
-        return membership(index, worlds, k).sum(axis=0, dtype=np.int64)
-    with span("sampling.verify", model=model, worlds=int(worlds.shape[0])):
+        return count()
+    attributes = {"model": model, "worlds": int(worlds.shape[0]), "candidates": candidates}
+    with span("sampling.verify", **attributes):
         with timer() as t:
-            counts = membership(index, worlds, k).sum(axis=0, dtype=np.int64)
+            counts = count()
     obs_registry.histogram(
         "repro_sampling_verify_seconds",
         "Wall-clock seconds per Monte-Carlo world-verification batch.",
         model=model,
     ).observe(t.seconds)
     return counts
+
+
+#: The slice starts of a batch that counts all its worlds together.
+_ALL_WORLDS = np.zeros(1, dtype=np.intp)
 
 
 def global_triangle_counts(
@@ -839,12 +913,18 @@ def global_triangle_counts(
     worlds gives the Monte-Carlo estimate of
     ``Pr[world is a k-nucleus ∧ △ ⊆ world]`` for every triangle at once.
     """
-    return _counts("global", global_membership, index, worlds, k)
+    check_level(k)
+    block = WorldBlock.of(index)
+    return _counts("global", _block_membership, block, worlds, k, _ALL_WORLDS, 1)[0]
 
 
-def _global_block_counts(block: WorldBlock, worlds: np.ndarray, k: int) -> np.ndarray:
-    """:func:`global_triangle_counts` of every candidate of ``block`` at once."""
-    return _counts("global", _block_membership, block, worlds, k)
+def _global_block_counts(
+    block: WorldBlock, worlds: np.ndarray, k: int, starts: np.ndarray
+) -> np.ndarray:
+    """:func:`global_triangle_counts` of every candidate of ``block``, per slice
+    of world rows beginning at each of ``starts`` (see :func:`_counts`)."""
+    candidates = block.num_segments * starts.size
+    return _counts("global", _block_membership, block, worlds, k, starts, candidates)
 
 
 def weak_membership_counts(
@@ -855,4 +935,5 @@ def weak_membership_counts(
     The Algorithm 3 counting loop: dividing by the number of worlds gives the
     weak score estimate ``Pr(X_{H,△,w} ≥ k)`` of every candidate triangle.
     """
-    return _counts("weak", weak_membership, index, worlds, k)
+    check_level(k)
+    return _counts("weak", _weak_membership, index, worlds, k, _ALL_WORLDS, 1)[0]

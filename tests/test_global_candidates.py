@@ -279,6 +279,26 @@ class TestCallCounts:
         assert nuclei
         assert (calls["to_csr"], calls["from_graph"]) == (compiles, 0)
 
+    @pytest.mark.parametrize("mode,checks", [("global", 1), ("weak", 0)])
+    def test_sampling_loop_checks_n_samples_once_per_decomposition(
+        self, monkeypatch, mode, checks
+    ):
+        # The drivers' prologue checks n_samples up front; below it, global
+        # calls global_decisions once and weak scores each candidate through
+        # the unchecked step.
+        graph, theta, local = _case("flickr")
+        assert len(local.nuclei(1)) > 1
+        calls = Counter()
+        require = adaptive._require_positive_int
+
+        def counting(name, value):
+            calls[name] += 1
+            return require(name, value)
+
+        monkeypatch.setattr(adaptive, "_require_positive_int", counting)
+        assert DRIVERS[mode](graph, 1, theta, n_samples=50, seed=3, local_result=local)
+        assert calls["n_samples"] == checks
+
     def test_subgraphs_only_for_accepted_candidates(self, monkeypatch):
         # Candidates are verified on world blocks cut out of C's index; only
         # an accepted edge set is restricted (beside C itself) and built.
@@ -330,6 +350,19 @@ def _closures(index: CandidateWorldIndex, k: int) -> list[np.ndarray]:
     return list(closures.values())
 
 
+def _driver_closures(name: str, k: int) -> tuple[CandidateWorldIndex, list[np.ndarray]]:
+    """The union's index and the closures Algorithm 2's loop verifies, in its order."""
+    graph, theta, local = _case(name)
+    verified = []
+
+    def decide(index, closures):
+        verified.append((index, closures))
+        return np.zeros(len(closures), dtype=bool)
+
+    _verified_nuclei(graph, local, local.nuclei(k), k, theta, decide)
+    return verified[0]
+
+
 def _edge_masks(index: CandidateWorldIndex, closures) -> list[np.ndarray]:
     masks = []
     for cliques in closures:
@@ -355,7 +388,9 @@ class TestBlockLoop:
         "name,k,n_samples,seeds,several",
         [
             ("flickr", 1, 50, (7,), True),
-            ("dblp", 2, 50, (7,), True),
+            ("dblp", 2, 50, (7,), True),  # 24 closures: 3 edge sets in 9 runs
+            ("biomine", 2, 50, (7,), False),  # 35 closures, one edge set: one run
+            ("perfbench-dense", 2, 20, (7,), True),  # 126 closures: runs of 35, 35, 56
             ("two-mixed-k4s", 1, 20, range(8), False),  # one block of two K4s
         ],
     )
@@ -365,37 +400,59 @@ class TestBlockLoop:
         shared, world = self.BUDGETS[budgets]
         monkeypatch.setattr(adaptive, "SHARED_BLOCK_BYTES", shared)
         monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", world)
-        _, theta, local = _case(name)
-        index = _union_index(local, k)
-        closures = _closures(index, k)
-        restrictions = [index.restrict(mask) for mask in _edge_masks(index, closures)]
-        drawn = []
-        sample = WorldBlock.sample
+        theta = _case(name)[1]
+        index, closures = _driver_closures(name, k)
+        masks = _edge_masks(index, closures)
+        restrictions = [index.restrict(mask) for mask in masks]
+        # Runs: consecutive closures with the same edge set.
+        runs = [len(list(run)) for _, run in itertools.groupby(m.tobytes() for m in masks)]
+        cuts, drawn = [], []
+        cut, sample = WorldBlock.cut.__func__, WorldBlock.sample
 
-        def spy(block, n_worlds, **options):
-            drawn.append((block.num_segments, n_worlds))
+        def cut_spy(cls, index, candidates):
+            cuts.append(cut(cls, index, candidates))
+            return cuts[-1]
+
+        def sample_spy(block, n_worlds, **options):
+            drawn.append((block, n_worlds))
             return sample(block, n_worlds, **options)
 
-        monkeypatch.setattr(WorldBlock, "sample", spy)
+        monkeypatch.setattr(WorldBlock, "cut", classmethod(cut_spy))
+        monkeypatch.setattr(WorldBlock, "sample", sample_spy)
         for seed in seeds:
             blocked, one_by_one = np.random.default_rng(seed), np.random.default_rng(seed)
+            cuts.clear()
             drawn.clear()
             decisions = global_decisions(index, closures, k, theta, n_samples, rng=blocked)
-            blocks = list(drawn)
+            blocks_cut, draws = len(cuts), list(drawn)
             expected = [
                 global_verify(candidate, k, theta, n_samples, rng=one_by_one)
                 for candidate in restrictions
             ]
             assert decisions.tolist() == expected
-            assert blocks and blocked.random() == one_by_one.random()
-            segments = [segments for segments, _ in blocks]
-            if budgets == "shared":  # candidates share blocks, none is row-split
-                assert max(segments) > 1 and (len(blocks) > 1) == several
-                assert sum(segments) == len(closures)
-                assert all(rows == n_samples for _, rows in blocks)
-            else:  # lone candidates, split into row blocks
-                assert set(segments) == {1}
-                assert min(rows for _, rows in blocks) < n_samples
+            assert draws and blocked.random() == one_by_one.random()
+            # The rows each block draws, over its row blocks, in drawing order.
+            per_block: dict[int, list] = {}
+            for block, n_worlds in draws:
+                per_block.setdefault(id(block), [block, 0])[1] += n_worlds
+            assert all(total % n_samples == 0 for _, total in per_block.values())
+            blocks = [(block, total // n_samples) for block, total in per_block.values()]
+            # Each block covers segments × repeats candidates, in order; a run
+            # block is one segment drawing repeats · n_samples rows.
+            covered = sum(block.num_segments * repeats for block, repeats in blocks)
+            assert covered == len(closures)
+            stacked = [(block.num_segments, r) for block, r in blocks if r > 1]
+            assert stacked == [(1, length) for length in runs if length > 1]
+            if min(runs) > 1:  # every candidate is in a run: one cut per run
+                assert blocks_cut == len(runs)
+            if budgets == "shared":  # a shared block draws its worlds at once
+                assert (len(blocks) > 1) == several
+                shared_rows = [rows for block, rows in draws if block.num_segments > 1]
+                assert all(rows == n_samples for rows in shared_rows)
+                assert max(b.num_segments for b, _ in blocks) > 1 or min(runs) > 1
+            else:  # lone candidates and runs, split into row blocks
+                assert {block.num_segments for block, _ in blocks} == {1}
+                assert min(n_worlds for _, n_worlds in draws) < n_samples
 
     def test_mixed_labels_share_a_block_in_their_own_column_order(self):
         # The int K4 sorts naturally on its own, not in the union's

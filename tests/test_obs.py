@@ -513,6 +513,28 @@ class TestInstrumentation:
             sample_world_matrix(probabilities, 8, seed=0)
         assert REGISTRY.counter("repro_sampling_worlds_total").value == 8
 
+    def test_sampling_verify_spans_count_their_candidates(self, graph):
+        # At k = 2 the 20 seeds of each community grow one edge set: two runs,
+        # each verified as one batch of 20 · 30 stacked worlds.  At k = 1 the
+        # 40 distinct candidates share one block of 30 worlds; weak verifies
+        # its candidates one by one.
+        def spans(mode, k):
+            with capture(enable=True) as sink:
+                repro.decompose(graph, mode=mode, theta=THETA, k=k, n_samples=30, seed=0)
+            return [t["attrs"] for t in sink.traces() if t["name"] == "sampling.verify"]
+
+        runs = spans("global", 2)
+        assert [(a["model"], a["worlds"], a["candidates"]) for a in runs] == [
+            ("global", 600, 20),
+            ("global", 600, 20),
+        ]
+        shared = spans("global", 1)
+        assert [(a["worlds"], a["candidates"]) for a in shared] == [(30, 40)]
+        sampled = REGISTRY.counter("repro_sampling_candidates_total", model="global").value
+        assert sampled == 20 + 20 + 40
+        weak = spans("weak", 1)
+        assert weak and all((a["worlds"], a["candidates"]) == (30, 1) for a in weak)
+
     def test_query_cache_bridge(self):
         cache = LRUCache(maxsize=2)
         with capture(enable=True):

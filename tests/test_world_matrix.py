@@ -28,12 +28,14 @@ the one serial loop.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +76,9 @@ from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
     WorldBlock,
+    _padded_lists,
+    _per_segment,
+    _reduce_lists,
     as_numpy_generator,
     global_triangle_counts,
     nucleus_world_mask,
@@ -204,6 +209,13 @@ class TestCandidateWorldIndex:
             assert world.num_edges == int(worlds[i].sum())
             assert set(world.vertices()) == set(four_clique_graph.vertices())
 
+    def test_counts_of_no_worlds_are_zero(self):
+        index = CandidateWorldIndex.from_graph(clique_graph(5, probability=0.9))
+        none = np.zeros((0, index.num_edges), dtype=bool)
+        for count in (global_triangle_counts, weak_membership_counts):
+            assert count(index, none, 1).tolist() == [0] * index.num_triangles
+        assert nucleus_world_mask(index, none, 1).shape == (0,)
+
     def test_triangle_free_graph_has_empty_index(self):
         graph = ProbabilisticGraph([(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
         index = CandidateWorldIndex.from_graph(graph)
@@ -283,6 +295,20 @@ class TestExactVerificationParity:
         batched = weak_membership_counts(index, worlds, k)
         assert batched.tolist() == members.sum(axis=0).tolist()
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_absent_cliques_join_no_components(self, k):
+        # Every world made of two 4-cliques of K6.  Two that share only an
+        # edge are disconnected, also where a third 4-clique, absent from
+        # the world, shares a triangle with each.
+        index = CandidateWorldIndex.from_graph(clique_graph(6, probability=0.5))
+        pairs = list(itertools.combinations(range(index.num_cliques), 2))
+        worlds = np.zeros((len(pairs), index.num_edges), dtype=bool)
+        for row, pair in enumerate(pairs):
+            worlds[row, index.clique_edges[list(pair)].ravel()] = True
+        expected = [is_k_nucleus(world_from_row(index, world), k) for world in worlds]
+        assert nucleus_world_mask(index, worlds, k).tolist() == expected
+        assert k > 1 or 0 < sum(expected) < len(pairs)
+
     def test_counts_threshold_reproduces_dict_decision(self, paper_example1_graph):
         index = CandidateWorldIndex.from_graph(paper_example1_graph)
         worlds = index.sample(400, seed=3)
@@ -359,6 +385,87 @@ def _nuclei_key(nuclei) -> list:
     )
 
 
+def reduceat_lists(reduce, lists, values, empty, dtype):
+    """The reduceat kernel the padded lists replaced, as the reference.
+
+    ``values`` is world-major, one column per 4-clique; column ``i`` of the
+    result reduces the columns ``lists[i]``: one gather of the concatenated
+    lists, reduced with ``reduceat`` along the worlds' rows over the
+    non-empty lists.  Empty lists get ``empty``.
+    """
+    indptr = np.cumsum([0] + [len(members) for members in lists])
+    gathered = values[:, np.array([c for members in lists for c in members], dtype=np.intp)]
+    starts = indptr[:-1]
+    nonempty = indptr[1:] > starts
+    out = np.full((values.shape[0], starts.size), empty, dtype=dtype)
+    if nonempty.any():
+        out[:, nonempty] = reduce.reduceat(gathered, starts[nonempty], axis=1, dtype=dtype)
+    return out
+
+
+#: Member rows ``(q, w)`` over ``size`` items whose inverse lists have
+#: empty rows, none at all, width 1, or skewed widths.
+MEMBER_ROWS = {
+    "random": lambda rng: (rng.integers(0, 40, (30, 6)), 45),
+    "all-empty": lambda rng: (np.zeros((0, 4), dtype=np.int64), 12),
+    "width-1": lambda rng: (rng.permutation(25)[:, None], 30),
+    "skewed": lambda rng: (
+        np.column_stack([np.zeros(40, dtype=np.int64), rng.integers(1, 60, (40, 3))]),
+        60,
+    ),
+}
+
+
+class TestListReductions:
+    """The padded worlds-last reductions equal the reduceat reductions."""
+
+    CASES = {
+        "minimum-uint8": (np.minimum, np.uint8, None),
+        "minimum-uint16": (np.minimum, np.uint16, None),
+        "add-uint8": (np.add, np.uint8, bool),
+        "add-uint16": (np.add, np.uint16, bool),
+        "logical_or-bool": (np.logical_or, bool, bool),
+    }
+
+    @pytest.mark.parametrize("n_worlds", [0, 1, 7])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("shape", MEMBER_ROWS)
+    def test_padded_lists_equal_reduceat(self, shape, case, n_worlds):
+        reduce, dtype, value_dtype = self.CASES[case]
+        rng = np.random.default_rng(sorted(MEMBER_ROWS).index(shape))
+        members, size = MEMBER_ROWS[shape](rng)
+        q = members.shape[0]
+        lists = [[] for _ in range(size)]
+        for row, held in enumerate(members.tolist()):
+            for item in held:
+                lists[item].append(row)
+        table = _padded_lists(members, size)
+        assert table.shape == (max(map(len, lists)), size)
+        if value_dtype is None:  # labels: 4-clique rows and the sentinel q
+            empty = q
+            values = rng.integers(0, q + 1, (n_worlds, q)).astype(dtype)
+        else:
+            empty = 0 if reduce is np.add else False
+            values = rng.random((n_worlds, q)) < 0.5
+        expected = reduceat_lists(reduce, lists, values, empty, dtype)
+        padded = _reduce_lists(reduce, table, np.ascontiguousarray(values.T), empty, dtype)
+        assert padded.dtype == expected.dtype
+        np.testing.assert_array_equal(padded.T, expected)
+
+    @pytest.mark.parametrize("n_worlds", [0, 1, 7])
+    @pytest.mark.parametrize("sizes", [[9], [0], [3, 0, 5, 1], [0, 4, 0]])
+    def test_segments_equal_reduceat(self, sizes, n_worlds):
+        offsets = np.cumsum([0] + sizes)
+        values = np.random.default_rng(len(sizes)).integers(0, 9, (n_worlds, offsets[-1]))
+        segments = [list(range(a, b)) for a, b in zip(offsets[:-1], offsets[1:])]
+        for reduce, empty in ((np.minimum, 9), (np.maximum, 0), (np.add, 0)):
+            values = values.astype(np.uint8)
+            expected = reduceat_lists(reduce, segments, values, empty, np.uint8)
+            last = np.ascontiguousarray(values.T)
+            got = _per_segment(reduce, last, offsets, empty, np.uint8)
+            np.testing.assert_array_equal(got.T, expected)
+
+
 class TestWorldBlocks:
     """Row blocks change neither the stream, the counts nor the nuclei."""
 
@@ -370,7 +477,16 @@ class TestWorldBlocks:
     @pytest.mark.parametrize("k", [1, 2])
     def test_block_counts_equal_one_shot_counts(self, monkeypatch, name, k):
         index = CandidateWorldIndex.from_graph(BLOCK_GRAPHS[name]())
-        row_bytes = 8 * index.num_edges + 64 * index.num_cliques
+        # The padded triangle → 4-clique and edge → 4-clique lists count at
+        # their longest list's width.
+        padded = sum(
+            rows * max(Counter(members.ravel().tolist()).values())
+            for rows, members in (
+                (index.num_triangles, index.clique_triangles),
+                (index.num_edges, index.clique_edges),
+            )
+        )
+        row_bytes = 8 * index.num_edges + 24 * index.num_cliques + 4 * padded
         monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 7 * row_bytes)
         assert block_rows(index) == 7
         for count in (global_triangle_counts, weak_membership_counts):
@@ -426,7 +542,10 @@ class TestFixedLoop:
 
     def test_decision_divides_before_comparing(self, monkeypatch):
         # 7 / 25 >= 0.28 holds, 7 >= 0.28 * 25 (= 7.000000000000001) does not.
+        # Weak counts through blocked_counts, global per verification of a
+        # block (one row of counts per repeat).
         monkeypatch.setattr(adaptive, "blocked_counts", lambda *args, **kw: np.array([7]))
+        monkeypatch.setattr(adaptive, "_stacked_counts", lambda *args, **kw: np.array([[7]]))
         index = CandidateWorldIndex.from_graph(clique_graph(3, probability=0.5))
         assert global_verify(index, 0, 0.28, 25, seed=0) is True
         assert weak_scores(index, 0, 0.28, 25, seed=0)[1].tolist() == [True]
