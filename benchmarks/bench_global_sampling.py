@@ -8,10 +8,12 @@ paper's framing of FG/WG as post-processing).  The world-matrix engine
 candidate in one RNG call and verifies them batch-wise.
 
 Results are printed as a table and written to a machine-readable JSON file
-(default ``BENCH_global_sampling.json``).  Global rows also report how many
-of Algorithm 2's candidates the loop verified and how many of them fall in
-runs of two or more consecutive candidates with one edge set, which
-``global_decisions`` verifies as one stacked batch per run.
+(default ``BENCH_global_sampling.json``).  Global rows also report the
+seconds spent inside ``global_decisions`` (``verify (s)``, the world blocks'
+cuts, draws and predicates; the rest of ``matrix (s)`` builds the
+candidates), how many of Algorithm 2's candidates the loop verified and how
+many of them fall in runs of two or more consecutive candidates with one
+edge set, which ``global_decisions`` verifies as one stacked batch per run.
 
 Usable under the pytest-benchmark harness
 (``pytest benchmarks/bench_global_sampling.py``) and standalone::
@@ -59,12 +61,12 @@ def _timed(function, *args, **kwargs):
 def candidate_runs():
     """Record the candidates each global decomposition verifies.
 
-    Yields a dict that collects ``candidates`` (closures verified) and
+    Yields a dict that collects ``candidates`` (closures verified),
     ``stacked`` (those in runs of two or more consecutive closures with one
     edge set), read from the closures the driver passes to
-    ``global_decisions``.
+    ``global_decisions``, and ``verify_seconds``, the time spent inside it.
     """
-    tally = {"candidates": 0, "stacked": 0}
+    tally = {"candidates": 0, "stacked": 0, "verify_seconds": 0.0}
     decisions = global_module.global_decisions
 
     def recording(index, closures, *args, **kwargs):
@@ -72,7 +74,9 @@ def candidate_runs():
         runs = [len(list(run)) for _, run in itertools.groupby(edge_sets)]
         tally["candidates"] += len(closures)
         tally["stacked"] += sum(length for length in runs if length > 1)
-        return decisions(index, closures, *args, **kwargs)
+        result, seconds = _timed(decisions, index, closures, *args, **kwargs)
+        tally["verify_seconds"] += seconds
+        return result
 
     global_module.global_decisions = recording
     try:
@@ -110,6 +114,7 @@ def time_sampling(
             "matrix_nuclei": len(result),
         }
         if algorithm == "global":
+            row["verify_seconds"] = tally["verify_seconds"]
             row["candidates"] = tally["candidates"]
             row["stacked_candidates"] = tally["stacked"]
         rows.append(row)
@@ -146,14 +151,16 @@ def build_report(rows: list[dict], scale: str, theta: float, n_worlds: int) -> d
 
 def format_global_sampling(rows: list[dict]) -> str:
     lines = [
-        f"{'dataset':<12} {'algo':<7} {'k':>2} {'triangles':>9} "
-        f"{'matrix (s)':>10} {'nuclei':>6} {'candidates':>10} {'stacked':>7}",
-        "-" * 71,
+        f"{'dataset':<12} {'algo':<7} {'k':>2} {'triangles':>9} {'matrix (s)':>10} "
+        f"{'verify (s)':>10} {'nuclei':>6} {'candidates':>10} {'stacked':>7}",
+        "-" * 82,
     ]
     for row in rows:
+        verify = row.get("verify_seconds")
         lines.append(
             f"{row['dataset']:<12} {row['algorithm']:<7} {row['k']:>2} "
             f"{row['triangles']:>9} {row['matrix_seconds']:>10.3f} "
+            f"{'-' if verify is None else f'{verify:.3f}':>10} "
             f"{row['matrix_nuclei']:>6} {row.get('candidates', '-'):>10} "
             f"{row.get('stacked_candidates', '-'):>7}"
         )

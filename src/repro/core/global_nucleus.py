@@ -29,8 +29,9 @@ compiled: ``C``'s :class:`~repro.sampling.world_matrix.CandidateWorldIndex`
 is restricted out of the local result's world index of the whole graph
 (:meth:`~repro.core.result.LocalNucleusDecomposition.candidate_index`, which
 shares the peel's triangle ⇄ 4-clique arrays), and each closure is a
-4-clique-id frontier over ``C``'s arrays.  All closures are grown first;
-then the candidates are verified on world blocks cut out of ``C``'s index
+4-clique-id frontier over ``C``'s arrays, every seed's grown in one batched
+pass (:func:`_seed_closures`).  All closures are grown first; then the
+candidates are verified on world blocks cut out of ``C``'s index
 (:class:`~repro.sampling.world_matrix.WorldBlock`), once per run of
 consecutive candidates with one edge set, each candidate drawing the
 worlds of
@@ -69,6 +70,7 @@ from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
+from repro.obs.spans import span
 from repro.sampling.adaptive import global_decisions
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
@@ -130,27 +132,94 @@ def candidate_closure(
     return chosen
 
 
-def _closure_ids(index: CandidateWorldIndex, seed_row: int, k: int) -> np.ndarray:
-    """:func:`candidate_closure` in the id space of ``index``.
+#: Initial postings (4-cliques through the seed triangle) per batch of the
+#: closure pass (:func:`_seed_closures`): seeds are batched by the running
+#: total of their postings, one batch per such share.  Growing every seed of
+#: a graph in one batch keeps the large closures of every seed in the
+#: batch's sorted keys, round after round.  Measured in-process (perfbench
+#: seed 1, best of 5, 2-core container, numpy 2.4), against the per-seed
+#: loop it replaced: the 1,047 seeds of the sparse flickr analogue at k = 1
+#: take 4.2 ms at 1,024 (2.7 ms in one batch) against 29.5 ms, the 161 of
+#: the dense analogue at k = 2 3.7 ms against 13.3 ms, and the 1,021 of
+#: flickr at k = 2, whose closures span most of ``C``, 180 ms against 356
+#: ms, where one batch takes 234 ms.
+CLOSURE_BATCH_POSTINGS = 1024
 
-    The frontier starts at the 4-cliques containing triangle ``seed_row``.
-    Each round counts, over the chosen 4-cliques' member triangles
-    (``clique_triangles``), how many chosen 4-cliques cover each triangle,
-    and adds every 4-clique (``tri_clique_indptr`` / ``tri_clique_indices``)
-    of the triangles covered fewer than ``k`` times — the same synchronous
-    rounds as the label-space closure, so the same 4-clique set.  Returns
-    the sorted 4-clique ids (empty when the seed lies in no 4-clique).
+
+def _seed_closures(
+    index: CandidateWorldIndex, seeds: np.ndarray, k: int
+) -> tuple[list[np.ndarray], int]:
+    """:func:`candidate_closure` of every seed row of ``index``, in its id space.
+
+    Returns the sorted 4-clique ids of each seed's closure, in ``seeds``
+    order (empty when the seed lies in no 4-clique), and the number of
+    rounds the batches ran.  Consecutive seeds are grown together in
+    batches of about :data:`CLOSURE_BATCH_POSTINGS` initial postings
+    (:func:`_grown`); each seed runs the same synchronous rounds as the
+    label-space closure, so it gets the same 4-clique set.
     """
+    if not seeds.size:
+        return [], 0
+    postings = np.diff(index.tri_clique_indptr)[seeds]
+    batch = (np.cumsum(postings) - postings) // CLOSURE_BATCH_POSTINGS
+    closures: list[np.ndarray] = []
+    rounds = 0
+    for rows in np.split(seeds, np.flatnonzero(np.diff(batch)) + 1):
+        grown, batch_rounds = _grown(index, rows, k)
+        closures.extend(grown)
+        rounds += batch_rounds
+    return closures, rounds
+
+
+def _grown(
+    index: CandidateWorldIndex, seeds: np.ndarray, k: int
+) -> tuple[list[np.ndarray], int]:
+    """The closures of a batch of ``seeds``, grown together, and the rounds run.
+
+    For its ``i``-th seed the batch keeps the chosen 4-cliques ``c`` as
+    sorted keys ``i·q + c`` and their member triangles ``r`` as sorted keys
+    ``i·t + r`` (``index`` has ``q`` 4-cliques and ``t`` triangles).  Each
+    round of the label-space closure adds all 4-cliques of every member
+    triangle covered by fewer than ``k`` chosen 4-cliques.  A triangle that
+    was a member before the round is covered ``k`` times already or had all
+    its 4-cliques added then, so only the triangles first reached by the
+    4-cliques that the previous round added can grow the closure, and only
+    those 4-cliques cover them.  So a round visits only the 4-cliques added
+    last, and a seed whose round added none has converged and leaves the
+    frontier; every seed runs the label-space closure's rounds.
+    """
+    q, t = index.num_cliques, index.num_triangles
     indptr, indices = index.tri_clique_indptr, index.tri_clique_indices
-    chosen = indices[indptr[seed_row] : indptr[seed_row + 1]]  # sorted, distinct
-    while chosen.size:
-        members, coverage = np.unique(index.clique_triangles[chosen], return_counts=True)
-        frontier, _ = concatenated_rows(indptr, indices, members[coverage < k])
-        grown = np.union1d(chosen, frontier)
-        if grown.size == chosen.size:
-            break
-        chosen = grown
-    return chosen
+    cliques, sizes = concatenated_rows(indptr, indices, seeds)
+    added = np.repeat(np.arange(seeds.size, dtype=np.int64) * q, sizes) + cliques
+    chosen, members = added, np.empty(0, dtype=np.int64)
+    rounds = 0
+    while added.size:
+        rounds += 1
+        owner, clique = np.divmod(added, q)
+        reached = ((owner * t)[:, None] + index.clique_triangles[clique]).ravel()
+        reached, coverage = np.unique(reached[~_is_in(members, reached)], return_counts=True)
+        members = _merged(members, reached)
+        owner, deficient = np.divmod(reached[coverage < k], t)
+        frontier, sizes = concatenated_rows(indptr, indices, deficient)
+        frontier += np.repeat(owner * q, sizes)
+        added = np.unique(frontier[~_is_in(chosen, frontier)])
+        chosen = _merged(chosen, added)
+    owner, clique = np.divmod(chosen, q)
+    return np.split(clique, np.searchsorted(owner, np.arange(1, seeds.size))), rounds
+
+
+def _is_in(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is one of the sorted ``keys``."""
+    if not keys.size:
+        return np.zeros(values.size, dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, values), keys.size - 1)] == values
+
+
+def _merged(keys: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """The union of two disjoint sorted key arrays, sorted (a stable sort
+    of two sorted runs is a merge)."""
+    return np.sort(np.concatenate([keys, more]), kind="stable")
 
 
 def _monte_carlo_prologue(
@@ -288,12 +357,15 @@ def _verified_nuclei(
     The index of the union ``C`` of ``local_nuclei`` is restricted once out
     of ``local``'s world index, and the loop runs in three passes:
 
-    1. **Grow.**  One candidate is grown per triangle of ``C``
-       (:func:`_closure_ids`), visiting the seeds in
+    1. **Grow.**  One candidate is grown per triangle of ``C``, all in one
+       batched pass (:func:`_seed_closures`), with the seeds in
        :func:`~repro.deterministic.cliques.enumerate_triangles` order over
        the dict union (:func:`union_of_nuclei`) — the order of the
        label-space loop.  Candidates with the same 4-clique set are kept
-       once.  Nothing here samples.
+       once.  Nothing here samples.  With telemetry on, the pass and the
+       deduplication run in a ``global.closures`` span, which records the
+       ``seeds``, the distinct ``candidates`` and the ``rounds`` the
+       pass's batches ran.
     2. **Verify.**  ``decide(index, closures)`` returns whether each
        distinct candidate passes (the driver passes
        :func:`~repro.sampling.adaptive.global_decisions`, which draws each
@@ -313,18 +385,22 @@ def _verified_nuclei(
     index = local.candidate_index(t for nucleus in local_nuclei for t in nucleus.triangles)
     row_of = {triangle: row for row, triangle in enumerate(index.triangle_labels())}
 
-    closures: list[np.ndarray] = []
-    seen_candidates: set[bytes] = set()
-    generated = 0
-    for seed_triangle in enumerate_triangles(candidate_graph):
-        cliques = _closure_ids(index, row_of[seed_triangle], k)
-        if not cliques.size:
-            continue
-        generated += 1
-        candidate_key = cliques.tobytes()
-        if candidate_key not in seen_candidates:
-            seen_candidates.add(candidate_key)
-            closures.append(cliques)
+    seeds = np.array([row_of[t] for t in enumerate_triangles(candidate_graph)], dtype=np.int64)
+
+    with span("global.closures", seeds=int(seeds.size)) as closure_span:
+        grown, rounds = _seed_closures(index, seeds, k)
+        closures: list[np.ndarray] = []
+        seen_candidates: set[bytes] = set()
+        generated = 0
+        for cliques in grown:
+            if not cliques.size:
+                continue
+            generated += 1
+            candidate_key = cliques.tobytes()
+            if candidate_key not in seen_candidates:
+                seen_candidates.add(candidate_key)
+                closures.append(cliques)
+        closure_span.annotate(candidates=len(closures), rounds=rounds)
 
     passed = decide(index, closures)
     accepted = [cliques for cliques, passes in zip(closures, passed) if passes]

@@ -94,12 +94,14 @@ WORLD_BLOCK_BYTES = 16 * 2**20
 #: cost on small candidates, but support and connectivity then run on every
 #: world where some candidate of the block is alive.  Runs of one edge set
 #: are stacked instead (:func:`_world_blocks`), so only distinct candidates
-#: share.  On the padded worlds-last kernels, against 0.5 MiB (perfbench,
-#: seed 1, 4 s runs on a 2-core container with numpy 2.4), 1 MiB made
-#: verify-global (the sparse flickr analogue's 1,047 distinct candidates)
-#: faster in 3 of 3 pairs, op_p50 407–503 → 341–396 ms, and left
-#: verify-dense, whose 126 candidates form three runs, at 84–87 ms.
-SHARED_BLOCK_BYTES = 2**20
+#: share.  With the column-table cut, against 1 MiB (perfbench, seed 1,
+#: 8 s runs on a 2-core container with numpy 2.4, 10 alternating pairs),
+#: 2 MiB made verify-global (the sparse flickr analogue's 1,047 distinct
+#: candidates) faster in 10 of 10 pairs, op_p50 283 → 254 ms (medians),
+#: for 0.5 MB more peak RSS; verify-dense, whose 126 candidates form three
+#: runs and share no block, read 70.0 and 71.4 ms, inside the 1 MiB runs'
+#: quartiles (67.5–71.5 ms).
+SHARED_BLOCK_BYTES = 2**21
 
 
 def _count_candidates(model: str, count: int = 1) -> None:
@@ -214,19 +216,25 @@ def global_decisions(
     """Decide the global-model verification of every candidate closure of ``index``.
 
     Candidate ``i`` is the subgraph of the edges of the 4-cliques
-    ``closures[i]`` (ids of ``index``, non-empty), that is
-    ``index.restrict`` of its edge mask.  Candidates are verified in order
-    in world blocks (:func:`_world_blocks`): a run of consecutive candidates
-    with one edge set is cut once and verified on its stacked worlds, small
-    distinct ones share a block, and a large one is verified alone in row
-    blocks.  Each candidate draws the ``n_samples`` worlds its restriction
-    would draw from ``rng``, so the decisions and the generator's final
-    state equal successive :func:`global_verify` calls on the restrictions.
-    Returns one boolean per candidate.
+    ``closures[i]`` (ids of ``index``), that is ``index.restrict`` of its
+    edge mask.  An empty closure holds no triangle and fails without
+    drawing a world, as in :func:`global_verify`.  The other candidates are
+    verified in order in world blocks (:func:`_world_blocks`): a run of
+    consecutive candidates with one edge set is cut once and verified on
+    its stacked worlds, small distinct ones share a block, and a large one
+    is verified alone in row blocks.  Each candidate draws the
+    ``n_samples`` worlds its restriction would draw from ``rng``, so the
+    decisions and the generator's final state equal successive
+    :func:`global_verify` calls on the restrictions.  Returns one boolean
+    per candidate.
     """
     n_samples = _require_positive_int("n_samples", n_samples)
     generator = as_numpy_generator(rng, seed)
-    return _decide(_world_blocks(index, closures, n_samples), k, theta, n_samples, generator)
+    sampled = np.array([cliques.size > 0 for cliques in closures], dtype=bool)
+    decisions = np.zeros(sampled.size, dtype=bool)
+    blocks = _world_blocks(index, [c for c in closures if c.size], n_samples)
+    decisions[sampled] = _decide(blocks, k, theta, n_samples, generator)
+    return decisions
 
 
 def _decide(

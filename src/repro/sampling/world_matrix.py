@@ -65,7 +65,7 @@ difference with Hoeffding's inequality.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -476,6 +476,40 @@ class CandidateWorldIndex:
         return sample_world_matrix(self.edge_probabilities, n_worlds, rng=rng, seed=seed)
 
 
+#: Cells of one column table of :meth:`WorldBlock.cut` (8 MiB of intp): a
+#: block with more candidates × distinct edges is looked up through several
+#: tables of consecutive candidates, built one at a time, so that small
+#: candidates drawn on few worlds cannot make the lookup quadratic.
+_TABLE_CELLS = 2**20
+
+
+def _column_tables(
+    edge_offsets: np.ndarray,
+    owner: np.ndarray,
+    slots: np.ndarray,
+    columns: np.ndarray,
+    width: int,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The column tables of a block's candidates, as ``(first, table)`` pairs.
+
+    The block's edges are given candidate by candidate: their candidate
+    (``owner``), their slot (1 + their rank among the block's ``width - 1``
+    distinct edges) and their block column.  Row ``i`` of ``table`` belongs
+    to candidate ``first + i``: column ``s`` holds the block column of the
+    candidate's edge in slot ``s``, or ``-1`` where it lacks that edge, and
+    column 0 (edges outside the block) reads ``-1`` throughout.  Each table
+    holds at most :data:`_TABLE_CELLS` cells, or one candidate.
+    """
+    candidates = edge_offsets.size - 1
+    group = max(1, _TABLE_CELLS // width)
+    for first in range(0, candidates, group):
+        stop = min(first + group, candidates)
+        table = np.full((stop - first, width), -1, dtype=np.intp)
+        held = slice(edge_offsets[first], edge_offsets[stop])
+        table[owner[held] - first, slots[held]] = columns[held]
+        yield first, table
+
+
 @dataclass
 class WorldBlock(CandidateWorldIndex):
     """Candidates of one index side by side, verified on one batch of worlds.
@@ -523,18 +557,17 @@ class WorldBlock(CandidateWorldIndex):
         draws the restriction's world stream.  One vectorized pass serves
         all candidates: the triangles whose first edge a candidate holds
         (:attr:`_rows_by_first_edge`), then the 4-cliques whose first member
-        triangle it holds (:attr:`_cliques_by_first_triangle`), are tested
-        for their other edges by binary search over the sorted ``(candidate,
-        edge column)`` keys.
+        triangle it holds (:attr:`_cliques_by_first_triangle`), read the
+        block columns of all their edges with one gather from a column table
+        (:func:`_column_tables`), and are kept when the candidate holds every
+        one of them.
         """
-        m = index.num_edges
         widths = np.array([edges.size for edges in candidates], dtype=np.int64)
         edge_offsets = np.zeros(widths.size + 1, dtype=np.int64)
         np.cumsum(widths, out=edge_offsets[1:])
         owner = np.repeat(np.arange(widths.size), widths)
         edges = np.concatenate(candidates)
-        keys = owner * m + edges
-        # The block column of each key: its candidate's restriction order.
+        # The block column of each edge: its candidate's restriction order.
         columns = np.arange(edges.size)
         if not index._labels_compare:
             for start, kept in zip(edge_offsets.tolist(), candidates):
@@ -544,26 +577,36 @@ class WorldBlock(CandidateWorldIndex):
                     columns[start + order] = start + np.arange(kept.size)
         block_edges = np.empty_like(edges)
         block_edges[columns] = edges
-        last = keys.size - 1
+        # Each edge column's slot in the column tables: 1 + its rank among
+        # the block's distinct edges, 0 for the edges of no candidate.
+        distinct = np.unique(edges)
+        slot = np.zeros(index.num_edges, dtype=np.intp)
+        slot[distinct] = np.arange(1, distinct.size + 1)
+        slots, width = slot[edges], distinct.size + 1
 
-        def held(holder: np.ndarray, rows: np.ndarray, structure_edges: np.ndarray, unknown):
-            """The ``rows`` whose ``unknown`` edges their ``holder`` holds too:
+        def held(holder: np.ndarray, rows: np.ndarray, structure_edges: np.ndarray):
+            """The ``rows`` whose edges their ``holder`` holds:
             (candidate, row, block columns of the row's edges)."""
-            wanted = holder[:, None] * m + structure_edges[rows]
-            probe = wanted[:, unknown]
-            keep = (keys[np.minimum(np.searchsorted(keys, probe), last)] == probe).all(axis=1)
-            holder, rows = holder[keep], rows[keep]
-            return holder, rows, columns[np.searchsorted(keys, wanted[keep])]
+            # Width-major, so that the test reduces whole rows of candidates.
+            probe = slot.take(structure_edges.take(rows, axis=0).T)
+            found = np.empty_like(probe)
+            for first, table in _column_tables(edge_offsets, owner, slots, columns, width):
+                within = slice(*np.searchsorted(holder, (first, first + table.shape[0])))
+                found[:, within] = table.take(
+                    probe[:, within] + (holder[within] - first) * table.shape[1]
+                )
+            keep = np.bitwise_or.reduce(found, axis=0) >= 0
+            return holder[keep], rows[keep], np.ascontiguousarray(found[:, keep].T)
 
         # Triangles through their first edge, 4-cliques through their first
-        # member triangle, which holds three of their six edges.
+        # member triangle.
         found, sizes = concatenated_rows(*index._rows_by_first_edge[0], edges)
         tri_owner, tri_rows, triangle_edges = held(
-            np.repeat(owner, sizes), found, index.triangle_edges, [1, 2]
+            np.repeat(owner, sizes), found, index.triangle_edges
         )
         found, sizes = concatenated_rows(*index._cliques_by_first_triangle, tri_rows)
         clique_owner, clique_rows, clique_edges = held(
-            np.repeat(tri_owner, sizes), found, index.clique_edges, [2, 4, 5]
+            np.repeat(tri_owner, sizes), found, index.clique_edges
         )
         t = index.num_triangles
         clique_triangles = np.searchsorted(

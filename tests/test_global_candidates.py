@@ -6,17 +6,20 @@ result's world index of the whole graph
 shares the peel's triangle ⇄ 4-clique arrays.
 :func:`repro.core.global_nucleus._verified_nuclei` restricts the union ``C``
 of the local nuclei once, grows every candidate as a 4-clique-id closure
-over ``C``'s arrays (:func:`~repro.core.global_nucleus._closure_ids`) and
-verifies it on :meth:`CandidateWorldIndex.restrict` of ``C``'s index.  These
-tests pin each step to the label-space loop kept in ``oracle.global_nucleus``:
-the closure to :func:`~repro.core.global_nucleus.candidate_closure`, every
-restriction to a compile of its subgraph, and the sampled answers to the
-label-space loop driven by the production verifier on an identically seeded
-generator.  The weak driver's array grouping is pinned to the dict 4-clique
-components, and the tier-2 :class:`TestAnswerPins` pins the sampled answers
-of both drivers.  :class:`TestBlockLoop` pins the world blocks that the
-candidates share (:func:`~repro.sampling.adaptive.global_decisions`) to one
-:func:`~repro.sampling.adaptive.global_verify` call per restriction.
+over ``C``'s arrays, all seeds in one batched pass
+(:func:`~repro.core.global_nucleus._seed_closures`), and verifies it on
+:meth:`CandidateWorldIndex.restrict` of ``C``'s index.  These tests pin each
+step to the label-space loop kept in ``oracle.global_nucleus``: the closure
+to :func:`~repro.core.global_nucleus.candidate_closure` (in batches of every
+size), every restriction to a compile of its subgraph, and the sampled
+answers to the label-space loop driven by the production verifier on an
+identically seeded generator.  The weak driver's array grouping is pinned to
+the dict 4-clique components, and the tier-2 :class:`TestAnswerPins` pins the
+sampled answers of both drivers.  :class:`TestBlockLoop` pins the world
+blocks that the candidates share
+(:func:`~repro.sampling.adaptive.global_decisions`) to one
+:func:`~repro.sampling.adaptive.global_verify` call per restriction, and
+every candidate of a :meth:`WorldBlock.cut` to its restriction.
 """
 
 from __future__ import annotations
@@ -30,11 +33,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.core.global_nucleus as global_module
 import repro.sampling.adaptive as adaptive
+import repro.sampling.world_matrix as world_matrix
 from graph_factories import PERFBENCH, perfbench_graph
 from oracle.global_nucleus import verified_nuclei
 from repro.core.global_nucleus import (
-    _closure_ids,
+    _seed_closures,
     _verified_nuclei,
     candidate_closure,
     global_nucleus_decomposition,
@@ -49,6 +54,7 @@ from repro.deterministic.cliques import (
     triangle_connected_components,
 )
 from repro.experiments.datasets import load_dataset
+from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
 from repro.obs import config as obs_config
@@ -125,24 +131,53 @@ def _assert_same_index(restricted: CandidateWorldIndex, compiled: CandidateWorld
         assert np.array_equal(got, want), field
 
 
+@functools.lru_cache(maxsize=None)
+def _label_space_closures(name: str, k: int) -> dict:
+    """:func:`candidate_closure` of every triangle of the union of the local k-nuclei."""
+    union, _ = _union(name, k)
+    by_triangle, _ = triangle_clique_index(union)
+    return {seed: candidate_closure(union, seed, k, by_triangle) for seed in by_triangle}
+
+
+def _all_closures(index: CandidateWorldIndex, k: int) -> list[np.ndarray]:
+    """The closure of every triangle row of ``index``, in row order."""
+    return _seed_closures(index, np.arange(index.num_triangles), k)[0]
+
+
 class TestClosure:
-    @pytest.mark.parametrize(
-        "name,k",
-        [(name, k) for name in TINY for k in (1, 2)]
-        + [("perfbench-dense", 1), ("perfbench-dense", 2), ("perfbench-flickr", 1)],
-    )
-    def test_closure_ids_match_candidate_closure(self, name, k):
-        union, index = _union(name, k)
-        by_triangle, _ = triangle_clique_index(union)
+    CASES = [(name, k) for name in TINY for k in (1, 2)] + [
+        (f"perfbench-{name}", k) for name in ("dense", "flickr") for k in (1, 2)
+    ]
+
+    @staticmethod
+    def _assert_closures_match(name, k):
+        _, index = _union(name, k)
+        expected = _label_space_closures(name, k)
         row_of = {t: row for row, t in enumerate(index.triangle_labels())}
         labels = index.labels
         clique_labels = [
             canonical_four_clique(*(labels[v] for v in row)) for row in index.cliques.tolist()
         ]
-        for seed in by_triangle:
-            ids = _closure_ids(index, row_of[seed], k)
-            expected = candidate_closure(union, seed, k, by_triangle)
-            assert {clique_labels[i] for i in ids.tolist()} == expected
+        seeds = list(expected)
+        closures, _ = _seed_closures(index, np.array([row_of[t] for t in seeds]), k)
+        assert len(closures) == len(seeds)
+        for seed, ids in zip(seeds, closures):
+            assert ids.dtype == np.int64 and np.all(np.diff(ids) > 0)
+            assert {clique_labels[i] for i in ids.tolist()} == expected[seed]
+
+    @pytest.mark.parametrize("name,k", CASES)
+    def test_closure_ids_match_candidate_closure(self, name, k):
+        self._assert_closures_match(name, k)
+
+    @pytest.mark.parametrize("postings", [1, 2**62], ids=["seed-by-seed", "one-batch"])
+    @pytest.mark.parametrize("name,k", CASES)
+    def test_every_batch_size_grows_the_same_closures(self, monkeypatch, name, k, postings):
+        monkeypatch.setattr(global_module, "CLOSURE_BATCH_POSTINGS", postings)
+        self._assert_closures_match(name, k)
+
+    def test_no_seeds_grow_no_closures(self):
+        _, index = _union("krogan", 1)
+        assert _seed_closures(index, np.zeros(0, dtype=np.int64), 1) == ([], 0)
 
 
 class TestRestriction:
@@ -152,8 +187,7 @@ class TestRestriction:
         graph = _case(name)[0]
         _, index = _union(name, k)
         masks = {}
-        for row in range(index.num_triangles):
-            cliques = _closure_ids(index, row, k)
+        for cliques in _all_closures(index, k):
             if cliques.size:
                 mask = np.zeros(index.num_edges, dtype=bool)
                 mask[index.clique_edges[cliques]] = True
@@ -343,8 +377,7 @@ def _union_index(local: LocalNucleusDecomposition, k: int) -> CandidateWorldInde
 def _closures(index: CandidateWorldIndex, k: int) -> list[np.ndarray]:
     """The distinct non-empty closures of ``index``, in triangle-row order."""
     closures = {}
-    for row in range(index.num_triangles):
-        cliques = _closure_ids(index, row, k)
+    for cliques in _all_closures(index, k):
         if cliques.size:
             closures.setdefault(cliques.tobytes(), cliques)
     return list(closures.values())
@@ -477,6 +510,93 @@ class TestBlockLoop:
             )
             reordered += in_block != [set(union_pairs[e]) for e in edges.tolist()]
         assert reordered == 1  # the int K4, not the str one
+
+    @pytest.mark.parametrize("cells", [None, 1], ids=["one-table", "table-per-candidate"])
+    @pytest.mark.parametrize(
+        "name,k", [("perfbench-flickr", 1), ("perfbench-dense", 2), ("two-mixed-k4s", 1)]
+    )
+    def test_every_segment_of_a_cut_holds_its_restriction(self, monkeypatch, name, k, cells):
+        # The driver's candidates cut side by side, with one column table or
+        # one per candidate: in labels, each segment holds what the
+        # restriction to its edges holds, its edge columns in the same order.
+        if cells is not None:
+            monkeypatch.setattr(world_matrix, "_TABLE_CELLS", cells)
+        index, closures = _driver_closures(name, k)
+        masks = _edge_masks(index, closures)
+        block = WorldBlock.cut(index, [np.flatnonzero(mask) for mask in masks])
+        assert block.num_segments == len(closures)
+        for segment, mask in enumerate(masks):
+            restricted = WorldBlock.of(index.restrict(mask))
+            assert _in_labels(block, segment) == _in_labels(restricted, 0)
+
+    @pytest.mark.parametrize("name,k,n_samples", [("k5", 1, 20), ("dblp", 2, 50)])
+    def test_empty_closures_fail_without_drawing_a_world(self, name, k, n_samples):
+        # An empty closure first, last, alone, and first, in the middle and
+        # last: it fails, and the others decide as if it were not there.
+        if name == "k5":
+            index = CandidateWorldIndex.from_graph(clique_graph(5, probability=0.99))
+            closures, theta = [np.arange(index.num_cliques)], 0.5
+        else:
+            index, closures = _driver_closures(name, k)
+            theta = _case(name)[1]
+        empty = np.zeros(0, dtype=np.int64)
+        middle = len(closures) // 2
+        layouts = [
+            [empty, *closures],
+            [*closures, empty],
+            [empty],
+            [empty, *closures[:middle], empty, *closures[middle:], empty],
+        ]
+        for layout in layouts:
+            blocked, one_by_one = np.random.default_rng(3), np.random.default_rng(3)
+            decisions = global_decisions(index, layout, k, theta, n_samples, rng=blocked)
+            expected = [
+                global_verify(index.restrict(mask), k, theta, n_samples, rng=one_by_one)
+                for mask in _edge_masks(index, layout)
+            ]
+            assert decisions.tolist() == expected
+            assert blocked.random() == one_by_one.random()
+            assert not any(passes for passes, c in zip(expected, layout) if not c.size)
+        assert any(expected)
+
+
+def _in_labels(block: WorldBlock, segment: int) -> tuple:
+    """Segment ``segment`` of ``block`` in labels.
+
+    Its edges and their probabilities, in column order; each triangle's
+    edges and 4-cliques; each 4-clique's edges and member triangles.  A
+    structure that points outside the segment raises ``KeyError``.
+    """
+    labels = block.labels
+    edges, triangles, cliques = (
+        range(*offsets[segment : segment + 2].tolist())
+        for offsets in (block.edge_offsets, block.triangle_offsets, block.clique_offsets)
+    )
+
+    def named(vertices) -> frozenset:
+        return frozenset(labels[v] for v in vertices.tolist())
+
+    edge_names = {e: named(np.array([block.edge_u[e], block.edge_v[e]])) for e in edges}
+    triangle_names = {t: named(block.triangles[t]) for t in triangles}
+    clique_names = {c: named(block.cliques[c]) for c in cliques}
+    indptr, indices = block.tri_clique_indptr, block.tri_clique_indices
+    by_triangle = {
+        triangle_names[t]: (
+            frozenset(edge_names[e] for e in block.triangle_edges[t].tolist()),
+            frozenset(clique_names[c] for c in indices[indptr[t] : indptr[t + 1]].tolist()),
+        )
+        for t in triangles
+    }
+    by_clique = {
+        clique_names[c]: (
+            frozenset(edge_names[e] for e in block.clique_edges[c].tolist()),
+            frozenset(triangle_names[t] for t in block.clique_triangles[c].tolist()),
+        )
+        for c in cliques
+    }
+    probabilities = block.edge_probabilities[edges.start : edges.stop].tolist()
+    counts = (len(triangles), len(cliques))
+    return [edge_names[e] for e in edges], probabilities, counts, by_triangle, by_clique
 
 
 class TestStageCounters:

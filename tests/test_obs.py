@@ -535,6 +535,20 @@ class TestInstrumentation:
         weak = spans("weak", 1)
         assert weak and all((a["worlds"], a["candidates"]) == (30, 1) for a in weak)
 
+    def test_global_closures_span_counts_seeds_candidates_and_rounds(self, graph):
+        # Each community is a K6 of 20 triangles: 40 seeds, grown in one
+        # batch, each to a 4-clique set of its own.  At k = 1 a seed's closure
+        # is its three 4-cliques (one round); at k = 2 a second round finds
+        # that the 4-cliques added through its deficient triangles (the 12
+        # holding two of its vertices) cover every new triangle twice.
+        def closure_spans(k):
+            with capture(enable=True) as sink:
+                repro.decompose(graph, mode="global", theta=THETA, k=k, n_samples=30, seed=0)
+            return [t["attrs"] for t in sink.traces() if t["name"] == "global.closures"]
+
+        assert closure_spans(1) == [{"seeds": 40, "candidates": 40, "rounds": 1}]
+        assert closure_spans(2) == [{"seeds": 40, "candidates": 40, "rounds": 2}]
+
     def test_query_cache_bridge(self):
         cache = LRUCache(maxsize=2)
         with capture(enable=True):
