@@ -334,7 +334,7 @@ def global_nucleus_decomposition(
     graph, local, k, n_samples, generator = _monte_carlo_prologue(
         graph, k, theta, epsilon, delta, n_samples, estimator, local_result, rng, seed
     )
-    local_nuclei = local.nuclei(k)
+    local_nuclei = local._dict_nuclei(k)
     if not local_nuclei:
         return []
 

@@ -4,6 +4,23 @@ The decomposition algorithms return rich result objects rather than bare
 dictionaries so downstream code (experiments, metrics, examples) can ask for
 derived artefacts — the maximal ℓ-(k, θ)-nuclei for any ``k``, the maximum
 nucleus score, per-``k`` summaries — without re-running the peeling.
+
+The ℓ-nuclei are grouped on the engine's arrays, every level in one sweep,
+and come out in an order that depends on the graph alone: by smallest
+triangle row, each subgraph's edges in ascending CSR-id order.  Two
+disjoint K4s, the second added first:
+
+>>> from itertools import combinations
+>>> from repro import ProbabilisticGraph, local_nucleus_decomposition
+>>> graph = ProbabilisticGraph()
+>>> for group in ("wxyz", "abcd"):
+...     for u, v in combinations(group, 2):
+...         graph.add_edge(u, v, 0.9)
+>>> result = local_nucleus_decomposition(graph, 0.5)
+>>> [list(nucleus.vertices()) for nucleus in result.nuclei(1)]
+[['a', 'b', 'c', 'd'], ['w', 'x', 'y', 'z']]
+>>> [(u, v) for u, v, _ in result.nuclei(1)[0].subgraph.edges()]
+[('a', 'b'), ('a', 'c'), ('a', 'd'), ('b', 'c'), ('b', 'd'), ('c', 'd')]
 """
 
 from __future__ import annotations
@@ -15,7 +32,14 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.batch import CSRTriangleIndex, build_triangle_extension_index
-from repro.deterministic.cliques import Triangle, canonical_triangle
+from repro.core.components import _nucleus_level_groups
+from repro.core.support_dp import NO_VALID_K
+from repro.deterministic.cliques import (
+    Triangle,
+    canonical_triangle,
+    distinct_per_owner,
+    label_triangles,
+)
 from repro.deterministic.nucleus import k_nucleus_triangle_groups, triangles_to_edge_subgraph
 from repro.exceptions import (
     TriangleNotFoundError,
@@ -24,9 +48,14 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
+from repro.obs.spans import span
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = ["LocalNucleusDecomposition", "ProbabilisticNucleus"]
+
+#: Marks a triangle row that :attr:`LocalNucleusDecomposition.scores` lacks
+#: while its scores are read onto the engine's rows; no score takes it.
+_MISSING = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -93,7 +122,9 @@ class LocalNucleusDecomposition:
     scores:
         The nucleus score ν(△) of every triangle.  A score of ``-1`` marks a
         triangle whose own existence probability is below θ; such triangles
-        belong to no ℓ-(k, θ)-nucleus.
+        belong to no ℓ-(k, θ)-nucleus.  Nuclei extraction and index
+        snapshots read it once and cache what they derive, so mutating it
+        afterwards changes neither.
     estimator_name:
         Name of the support estimator that produced the scores ("dp",
         "hybrid", "poisson", ...).
@@ -216,11 +247,39 @@ class LocalNucleusDecomposition:
     # ------------------------------------------------------------------ #
     # nuclei extraction
     # ------------------------------------------------------------------ #
-    def _triangle_groups(self, k: int) -> list[frozenset[Triangle]]:
-        if k not in self._groups_cache:
-            groups = k_nucleus_triangle_groups(self.graph, k, nucleusness=self.scores)
-            self._groups_cache[k] = [frozenset(group) for group in groups]
-        return self._groups_cache[k]
+    @cached_property
+    def _row_scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`scores` read onto the triangle rows of :attr:`engine_index`.
+
+        Returns the ``int64`` score of every row, :data:`NO_VALID_K` where
+        :attr:`scores` lacks the row's triangle, and those rows, ascending;
+        both read-only, since index snapshots of this result share them.
+        Keys of :attr:`scores` that the graph lacks are ignored, as the dict
+        grouping (:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`)
+        ignores them.
+        """
+        csr, index = self.engine_index
+        lookup = self.scores.get
+        values = np.fromiter(
+            (lookup(t, _MISSING) for t in label_triangles(index.triangles, csr.vertex_labels)),
+            dtype=np.int64,
+            count=index.num_triangles,
+        )
+        missing = np.flatnonzero(values == _MISSING)
+        values[missing] = NO_VALID_K
+        values.flags.writeable = missing.flags.writeable = False
+        return values, missing
+
+    @cached_property
+    def _level_groups(self) -> dict[int, list[np.ndarray]]:
+        """The member rows of every nucleus at every level ``0 … max ν``.
+
+        One :func:`~repro.core.components._nucleus_level_groups` sweep over
+        :attr:`engine_index`; each level's groups are ordered by smallest
+        row, members ascending.  :meth:`nuclei` and the index snapshot
+        (:meth:`repro.index.NucleusIndex.from_local_result`) share it.
+        """
+        return _nucleus_level_groups(self._row_scores[0], self.engine_index[1])
 
     def nuclei(self, k: int) -> list[ProbabilisticNucleus]:
         """Return the maximal ℓ-(k, θ)-nuclei for the given ``k``.
@@ -229,8 +288,89 @@ class LocalNucleusDecomposition:
         nucleus score at least ``k``, returned as a
         :class:`ProbabilisticNucleus` whose subgraph inherits the original
         edge probabilities.
+
+        The first call groups every level on the arrays of
+        :attr:`engine_index`; each call translates only level ``k``'s groups
+        to labels.  The list, the triangle sets and the subgraphs depend on
+        the graph alone: the nuclei come ordered by their smallest triangle
+        row (rows sort by CSR ids, which follow
+        :func:`~repro.graph.probabilistic_graph.sorted_labels`), and each
+        subgraph's edges are inserted in ascending CSR-id order.  With
+        telemetry on, each call runs in a ``local.nuclei`` span.
         """
         k = check_level(k)
+        with span("local.nuclei", k=k) as nuclei_span:
+            swept = "_level_groups" not in self.__dict__
+            groups = self._level_groups.get(k, [])
+            nuclei = [
+                ProbabilisticNucleus(
+                    k=k, theta=self.theta, mode="local", subgraph=subgraph, triangles=triangles
+                )
+                for triangles, subgraph in self._labelled_groups(groups)
+            ]
+            nuclei_span.annotate(
+                nuclei=len(nuclei), triangles=sum(group.size for group in groups), swept=swept
+            )
+        return nuclei
+
+    def _labelled_groups(
+        self, groups: list[np.ndarray]
+    ) -> list[tuple[frozenset[Triangle], ProbabilisticGraph]]:
+        """The label triangles and the edge subgraph of each group of rows.
+
+        All groups are translated together: one
+        :func:`~repro.deterministic.cliques.label_triangles` call, and one
+        :func:`~repro.deterministic.cliques.distinct_per_owner` sort of
+        (group, edge id) keys, which lists each group's edges in ascending
+        CSR-id order, that is as ``(u, v)`` id pairs with ``u < v`` sorted
+        lexicographically.
+        """
+        if not groups:
+            return []
+        csr, index = self.engine_index
+        labels = csr.vertex_labels
+        sizes = [group.size for group in groups]
+        rows = index.triangles[np.concatenate(groups)]
+        triangles = label_triangles(rows, labels)
+
+        n = csr.num_vertices
+        edge_u, edge_v, edge_p = csr.undirected_edge_arrays()
+        u, v, w = rows.T
+        edge_ids = np.searchsorted(
+            edge_u * n + edge_v, np.concatenate([u * n + v, u * n + w, v * n + w])
+        )
+        owners = np.tile(np.repeat(np.arange(len(groups)), sizes), 3)
+        edges, edge_bounds = distinct_per_owner(owners, edge_ids, edge_u.size, len(groups))
+        us = [labels[i] for i in edge_u[edges].tolist()]
+        vs = [labels[i] for i in edge_v[edges].tolist()]
+        ps = edge_p[edges].tolist()
+
+        triangle_bounds = np.cumsum([0, *sizes]).tolist()
+        edge_bounds = edge_bounds.tolist()
+        return [
+            (frozenset(triangles[a:b]), ProbabilisticGraph(zip(us[lo:hi], vs[lo:hi], ps[lo:hi])))
+            for a, b, lo, hi in zip(
+                triangle_bounds, triangle_bounds[1:], edge_bounds, edge_bounds[1:]
+            )
+        ]
+
+    def _dict_nuclei(self, k: int) -> list[ProbabilisticNucleus]:
+        """The ℓ-(k, θ)-nuclei as Algorithms 2 and 3 take their candidates.
+
+        The groups of :meth:`nuclei`, grouped in dict space instead
+        (:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`,
+        cached per ``k``), listed in its component order and built by
+        :func:`~repro.deterministic.nucleus.triangles_to_edge_subgraph`.
+        Both decompositions verify their candidates on one shared generator
+        in this order (Algorithm 2's seeds follow the union of these
+        subgraphs), so the order fixes which worlds each candidate draws, and
+        moving them onto :meth:`nuclei` would move sampled answers.  This
+        accessor goes once they draw one world stream per component
+        (ROADMAP.md, "Component world streams").
+        """
+        if k not in self._groups_cache:
+            groups = k_nucleus_triangle_groups(self.graph, k, nucleusness=self.scores)
+            self._groups_cache[k] = [frozenset(group) for group in groups]
         return [
             ProbabilisticNucleus(
                 k=k,
@@ -239,7 +379,7 @@ class LocalNucleusDecomposition:
                 subgraph=triangles_to_edge_subgraph(self.graph, group),
                 triangles=group,
             )
-            for group in self._triangle_groups(k)
+            for group in self._groups_cache[k]
         ]
 
     def all_nuclei(self) -> dict[int, list[ProbabilisticNucleus]]:

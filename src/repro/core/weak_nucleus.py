@@ -83,7 +83,7 @@ def weak_nucleus_decomposition(
         _, chosen = _weak_scores(index, k, theta, n_samples, rng=generator)
         return index, chosen
 
-    return _weak_nuclei(graph, local.nuclei(k), k, theta, qualifying)
+    return _weak_nuclei(graph, local._dict_nuclei(k), k, theta, qualifying)
 
 
 def _weak_nuclei(

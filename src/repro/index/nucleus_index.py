@@ -54,7 +54,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.components import _nucleus_level_groups
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.deterministic.cliques import label_triangles
 from repro.deterministic.nucleus import triangles_to_edge_subgraph
@@ -524,29 +523,25 @@ class NucleusIndex:
     ) -> "NucleusIndex":
         """Snapshot a :class:`LocalNucleusDecomposition` (every level 0…max_score).
 
-        The scores are read onto the triangle rows of the result's engine
+        The result's scores as read onto the triangle rows of its engine
         index (:attr:`~repro.core.result.LocalNucleusDecomposition.engine_index`,
-        the peel's own for a fresh result) and grouped on its arrays, as in
-        :func:`~repro.index.builders.build_local_index`.  They must cover
-        exactly the graph's triangles, else :class:`InvalidParameterError`.
+        the peel's own for a fresh result) and its level groups on those
+        arrays, the ones its ``nuclei(k)`` reads, as in
+        :func:`~repro.index.builders.build_local_index`.  The scores must
+        cover exactly the graph's triangles, else :class:`InvalidParameterError`.
         """
         csr, index = result.engine_index
-        scores = result.scores
-        try:
-            values = np.fromiter(
-                (scores[t] for t in label_triangles(index.triangles, csr.vertex_labels)),
-                dtype=np.int64,
-                count=index.num_triangles,
-            )
-        except KeyError as missing:
+        values, missing = result._row_scores
+        if missing.size:
+            triangle = label_triangles(index.triangles[missing[:1]], csr.vertex_labels)[0]
             raise InvalidParameterError(
-                f"the result's scores miss triangle {missing.args[0]!r} of its graph"
-            ) from None
-        if len(scores) != index.num_triangles:
+                f"the result's scores miss triangle {triangle!r} of its graph"
+            )
+        if len(result.scores) != index.num_triangles:
             raise InvalidParameterError(
                 "the result's scores name triangles its graph does not have"
             )
-        groups = _nucleus_level_groups(values, index)
+        groups = result._level_groups
         merged = {"estimator": result.estimator_name}
         merged.update(params or {})
         return cls._build(csr, index.triangles, values, groups, "local", result.theta, merged)

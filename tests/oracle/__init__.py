@@ -8,7 +8,8 @@ against:
 
 * :mod:`oracle.local` — canonical-tuple triangle states and the
   :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1, and the dict
-  grouping of the local index snapshot (:func:`oracle.local.dict_snapshot`);
+  grouping of its result's nuclei and of the local index snapshot
+  (:func:`oracle.local.dict_snapshot`);
 * :mod:`oracle.global_nucleus` — Algorithm 2's label-space candidate loop
   (dict closure, clique-set deduplication, subgraph per candidate), verified
   one :func:`~repro.graph.possible_worlds.sample_world` draw at a time;

@@ -160,7 +160,7 @@ def global_nucleus_decomposition(
         local_result = local_nucleus_decomposition(graph, theta, estimator)
     return verified_nuclei(
         graph,
-        local_result.nuclei(k),
+        local_result._dict_nuclei(k),
         k,
         theta,
         lambda subgraph: _verify_candidate_dict(subgraph, k, theta, n_samples, stream),

@@ -5,8 +5,13 @@ Canonical-tuple triangle states, scalar estimator calls and a
 array-native engine of :mod:`repro.core.peel` is pinned against.  Scores come
 back in graph-traversal order, which the figure-8 golden report depends on.
 
+The oracle's result (:class:`DictLocalNucleusDecomposition`) groups its
+nuclei in dict space with
+:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups` and presents
+them canonically (:func:`canonical_nuclei`), the reference of the array
+grouping behind ``LocalNucleusDecomposition.nuclei(k)``.
 :func:`dict_snapshot` is the reference of the index snapshot: every level
-grouped in dict space by ``result.nuclei(k)``, against which the array
+grouped in dict space by the same function, against which the array
 grouping of :meth:`~repro.index.NucleusIndex.from_local_result` and
 :func:`~repro.index.builders.build_local_index` is pinned.
 """
@@ -20,11 +25,12 @@ import numpy as np
 from repro.core.approximations import SupportEstimator
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import resolve_local_options
-from repro.core.result import LocalNucleusDecomposition
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import FourClique, Triangle, triangle_clique_index
-from repro.exceptions import InvalidParameterError
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.deterministic.nucleus import k_nucleus_triangle_groups
+from repro.exceptions import InvalidParameterError, check_level
+from repro.graph.probabilistic_graph import ProbabilisticGraph, sorted_labels
 from repro.index.nucleus_index import NucleusIndex
 from repro.peeling import LazyMinHeap, canonical_rank
 
@@ -152,6 +158,49 @@ def _peel_states(
     return scores
 
 
+def canonical_nuclei(
+    graph: ProbabilisticGraph, k: int, scores: dict[Triangle, int]
+) -> list[tuple[frozenset[Triangle], ProbabilisticGraph]]:
+    """The dict grouping's level-``k`` groups, presented canonically.
+
+    :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups` of
+    ``scores``, ordered by smallest triangle row and each built as the edge
+    subgraph of its triangles with the edges inserted in ascending CSR-id
+    order.  Ids are positions in
+    :func:`~repro.graph.probabilistic_graph.sorted_labels` of the graph's
+    vertices, a row is a triangle's sorted id triple, and an edge is a
+    sorted id pair; rows and edges order lexicographically.
+    """
+    labels = sorted_labels(graph.vertices())
+    id_of = {label: i for i, label in enumerate(labels)}
+    presented = []
+    for group in k_nucleus_triangle_groups(graph, k, nucleusness=scores):
+        rows = [tuple(sorted(id_of[v] for v in triangle)) for triangle in group]
+        edges = sorted({pair for u, v, w in rows for pair in ((u, v), (u, w), (v, w))})
+        subgraph = graph.edge_subgraph((labels[u], labels[v]) for u, v in edges)
+        presented.append((min(rows), frozenset(group), subgraph))
+    presented.sort(key=lambda entry: entry[0])
+    return [(triangles, subgraph) for _, triangles, subgraph in presented]
+
+
+class DictLocalNucleusDecomposition(LocalNucleusDecomposition):
+    """The oracle's local result: ``nuclei(k)`` is the dict grouping.
+
+    :func:`canonical_nuclei` of the scores, never the engine's array
+    grouping, so the parity suites compare two groupings.  The candidate
+    accessor of Algorithms 2 and 3 (``_dict_nuclei``) is inherited.
+    """
+
+    def nuclei(self, k: int) -> list[ProbabilisticNucleus]:
+        k = check_level(k)
+        return [
+            ProbabilisticNucleus(
+                k=k, theta=self.theta, mode="local", subgraph=subgraph, triangles=triangles
+            )
+            for triangles, subgraph in canonical_nuclei(self.graph, k, self.scores)
+        ]
+
+
 def local_nucleus_decomposition(
     graph: ProbabilisticGraph,
     theta: float,
@@ -166,7 +215,7 @@ def local_nucleus_decomposition(
         if isinstance(estimator, HybridEstimator)
         else None
     )
-    return LocalNucleusDecomposition(
+    return DictLocalNucleusDecomposition(
         graph=graph,
         theta=theta,
         scores=scores,
@@ -182,8 +231,7 @@ def dict_snapshot(
 
     The scores are keyed by sorted id triples of the result graph's CSR
     compilation, and each level's components are the triangle sets of
-    ``result.nuclei(k)`` (the dict grouping of
-    :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`), sorted
+    :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`, sorted
     by member positions.
     """
     csr = result.graph.to_csr()
@@ -200,10 +248,10 @@ def dict_snapshot(
     level_groups: dict[int, list[list[int]]] = {}
     for k in range(0, result.max_score + 1):
         groups = []
-        for nucleus in result.nuclei(k):
+        for group in k_nucleus_triangle_groups(result.graph, k, nucleusness=result.scores):
             members = sorted(
                 position[tuple(sorted((id_of[u], id_of[v], id_of[w])))]
-                for u, v, w in nucleus.triangles
+                for u, v, w in group
             )
             groups.append(members)
         level_groups[k] = sorted(groups)

@@ -84,4 +84,4 @@ def weak_nucleus_decomposition(
         mask = [scores[t] >= theta for t in index.triangle_labels()]
         return index, np.array(mask, dtype=bool)
 
-    return _weak_nuclei(graph, local_result.nuclei(k), k, theta, qualifying)
+    return _weak_nuclei(graph, local_result._dict_nuclei(k), k, theta, qualifying)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from repro.deterministic.cliques import (
     canonical_four_clique,
     canonical_triangle,
     count_triangles,
+    distinct_per_owner,
     enumerate_four_cliques,
     enumerate_k_cliques,
     enumerate_triangles,
@@ -146,6 +149,24 @@ class TestTriangleConnectivity:
         )
         # with no connector cliques every triangle is its own component
         assert len(components) == len(by_triangle)
+
+
+class TestDistinctPerOwner:
+    def test_each_owner_gets_np_unique_of_its_values(self):
+        rng = np.random.default_rng(0)
+        owners = rng.integers(0, 5, 300)
+        values = rng.integers(0, 40, 300)
+        # Owners 5 and 6 own nothing.
+        distinct, bounds = distinct_per_owner(owners, values, 40, 7)
+        assert bounds.size == 8 and bounds[-1] == distinct.size
+        for owner in range(7):
+            expected = np.unique(values[owners == owner])
+            assert np.array_equal(distinct[bounds[owner] : bounds[owner + 1]], expected)
+
+    def test_no_values(self):
+        empty = np.zeros(0, dtype=np.int64)
+        distinct, bounds = distinct_per_owner(empty, empty, 10, 2)
+        assert distinct.size == 0 and bounds.tolist() == [0, 0, 0]
 
 
 class TestPropertyBased:

@@ -1,10 +1,10 @@
 """Keep the package's docstring examples executable.
 
 The CI workflow runs ``pytest --doctest-modules`` over ``src/repro/graph``,
-``src/repro/sampling``, ``src/repro/hardness``, ``src/repro/exceptions.py``
-and ``src/repro/__init__.py`` on every push; this tier-1 test runs the examples of the modules below in
-plain local runs of ``python -m pytest`` as well, including modules that
-step does not reach.
+``src/repro/sampling``, ``src/repro/hardness``, ``src/repro/exceptions.py``,
+``src/repro/__init__.py`` and ``src/repro/core/result.py`` on every push;
+this tier-1 test runs the examples of the modules below in plain local runs
+of ``python -m pytest`` as well, including modules that step does not reach.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import doctest
 import pytest
 
 import repro
+import repro.core.result
 import repro.exceptions
 import repro.graph.csr
 import repro.graph.probabilistic_graph
@@ -31,6 +32,7 @@ from repro.obs.metrics import REGISTRY
 
 MODULES = [
     repro,
+    repro.core.result,
     repro.exceptions,
     repro.graph.csr,
     repro.graph.probabilistic_graph,

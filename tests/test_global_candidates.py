@@ -59,7 +59,7 @@ from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
-from repro.sampling.adaptive import global_decisions, global_verify
+from repro.sampling.adaptive import global_decisions, global_verify, weak_scores
 from repro.sampling.world_matrix import CandidateWorldIndex, WorldBlock
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
@@ -246,7 +246,7 @@ def _label_space_answers(graph, local, k, theta, n_samples, seed):
         passes = global_verify(index, k, theta, n_samples, rng=rng)
         return passes, index.triangle_labels()
 
-    return verified_nuclei(graph, local.nuclei(k), k, theta, verify)
+    return verified_nuclei(graph, local._dict_nuclei(k), k, theta, verify)
 
 
 class TestStreamParity:
@@ -257,6 +257,23 @@ class TestStreamParity:
         expected = _label_space_answers(graph, local, k, theta, 50, 7)
         actual = global_nucleus_decomposition(
             graph, k, theta, n_samples=50, seed=7, local_result=local
+        )
+        assert actual == expected
+
+    @pytest.mark.parametrize("name", ["flickr", "perfbench-flickr", "perfbench-dense"])
+    def test_weak_scores_the_dict_candidates_in_order(self, name):
+        # Weak scores its candidates one after another on the shared
+        # generator, in the order of the local result's dict grouping.
+        graph, theta, local = _case(name)
+        rng = np.random.default_rng(7)
+
+        def qualifying(nucleus):
+            index = local.candidate_index(nucleus.triangles)
+            return index, weak_scores(index, 1, theta, 50, rng=rng)[1]
+
+        expected = _weak_nuclei(graph, local._dict_nuclei(1), 1, theta, qualifying)
+        actual = weak_nucleus_decomposition(
+            graph, 1, theta, n_samples=50, seed=7, local_result=local
         )
         assert actual == expected
 
@@ -392,7 +409,7 @@ def _driver_closures(name: str, k: int) -> tuple[CandidateWorldIndex, list[np.nd
         verified.append((index, closures))
         return np.zeros(len(closures), dtype=bool)
 
-    _verified_nuclei(graph, local, local.nuclei(k), k, theta, decide)
+    _verified_nuclei(graph, local, local._dict_nuclei(k), k, theta, decide)
     return verified[0]
 
 
@@ -528,6 +545,23 @@ class TestBlockLoop:
         for segment, mask in enumerate(masks):
             restricted = WorldBlock.of(index.restrict(mask))
             assert _in_labels(block, segment) == _in_labels(restricted, 0)
+
+    @pytest.mark.parametrize("keys", [1, 64, adaptive._CLOSURE_EDGE_KEYS, 2**62])
+    @pytest.mark.parametrize(
+        "name,k", [("perfbench-flickr", 1), ("perfbench-dense", 2), ("dblp", 2)]
+    )
+    def test_closure_edges_are_sorted_in_batches(self, monkeypatch, name, k, keys):
+        # One sort of (closure, edge) keys per batch, whatever the batches:
+        # each closure's edge columns equal np.unique of its 4-cliques' edges.
+        monkeypatch.setattr(adaptive, "_CLOSURE_EDGE_KEYS", keys)
+        index, closures = _driver_closures(name, k)
+        closures = [*closures[:2], np.zeros(0, dtype=np.int64), *closures[2:]]
+        edge_sets = list(adaptive._closure_edges(index, closures))
+        assert len(edge_sets) == len(closures)
+        for edges, cliques in zip(edge_sets, closures):
+            expected = np.unique(index.clique_edges[cliques])
+            assert edges.dtype == expected.dtype and np.array_equal(edges, expected)
+        assert list(adaptive._closure_edges(index, [])) == []
 
     @pytest.mark.parametrize("name,k,n_samples", [("k5", 1, 20), ("dblp", 2, 50)])
     def test_empty_closures_fail_without_drawing_a_world(self, name, k, n_samples):

@@ -7,6 +7,11 @@ and property-based checks on random graphs.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +25,17 @@ from repro.core.support_dp import NO_VALID_K
 from repro.deterministic.cliques import enumerate_triangles, four_cliques_containing_triangle
 from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
-from graph_factories import small_er_graph
+from graph_factories import bundled_graph, small_er_graph
+from repro.experiments.datasets import DATASET_NAMES
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from oracle.local import clique_extension_probability, triangle_existence_probability
+from repro.index.builders import build_local_index, local_result_from_index
+from oracle.local import (
+    canonical_nuclei,
+    clique_extension_probability,
+    triangle_existence_probability,
+)
 
 
 def brute_force_initial_kappa(graph: ProbabilisticGraph, triangle, theta: float) -> int:
@@ -251,6 +262,121 @@ class TestNucleiExtraction:
                 ]
                 kappa = DynamicProgrammingEstimator().max_k(probability, profile, theta)
                 assert kappa >= k
+
+
+def _listing(nuclei) -> list[tuple]:
+    """Each nucleus as (its triangles, its subgraph's vertices and edges in
+    insertion order)."""
+    return [
+        (n.triangles, list(n.subgraph.vertices()), list(n.subgraph.edges())) for n in nuclei
+    ]
+
+
+def _mixed(graph: ProbabilisticGraph) -> ProbabilisticGraph:
+    """``graph`` with its odd vertices relabelled to strings."""
+    label = {v: f"v{v}" if v % 2 else v for v in graph.vertices()}
+    return ProbabilisticGraph((label[u], label[v], p) for u, v, p in graph.edges())
+
+
+def _local_result(kind: str, graph: ProbabilisticGraph, theta: float):
+    """A local result of ``graph``: fresh (with the peel's engine index), or one
+    that compiles its engine index from its graph on first use."""
+    if kind == "fresh":
+        return local_nucleus_decomposition(graph, theta)
+    if kind == "from-index":
+        return local_result_from_index(build_local_index(graph, theta))
+    if kind == "hand-built":
+        scores = dict(local_nucleus_decomposition(graph, theta).scores)
+        return LocalNucleusDecomposition(graph, theta, scores, "dp")
+    if kind == "csr-input":
+        return local_nucleus_decomposition(graph.to_csr(), theta)
+    # Scores that omit every third triangle and name one the graph lacks, with
+    # a score above every real one.
+    scores = dict(list(local_nucleus_decomposition(graph, theta).scores.items())[::3])
+    scores[("x", "y", "z")] = max(scores.values()) + 2
+    return LocalNucleusDecomposition(graph, theta, scores, "dp")
+
+
+class TestArrayGrouping:
+    """``nuclei(k)`` groups on the engine arrays; the oracle groups in dict space.
+
+    The oracle (:func:`oracle.local.canonical_nuclei`) lists the
+    :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups` sets by
+    smallest triangle row, each subgraph's edges in CSR-id order, so the two
+    must agree nucleus for nucleus, down to the insertion order of every
+    subgraph.
+    """
+
+    KINDS = ("fresh", "from-index", "hand-built", "csr-input", "partial-scores")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("name", DATASET_NAMES + ("krogan-mixed",))
+    def test_nuclei_are_the_dict_groups(self, name, kind):
+        if name == "krogan-mixed":
+            graph = _mixed(bundled_graph("krogan"))
+        else:
+            graph = bundled_graph(name)
+        result = _local_result(kind, graph, 0.1)
+        every = result.all_nuclei()
+        assert sorted(every) == list(range(result.max_score + 1))
+        for k in range(result.max_score + 2):
+            expected = [
+                (triangles, list(sub.vertices()), list(sub.edges()))
+                for triangles, sub in canonical_nuclei(graph, k, result.scores)
+            ]
+            nuclei = result.nuclei(k)
+            assert _listing(nuclei) == expected, k
+            assert all(
+                (n.k, n.theta, n.mode) == (k, 0.1, "local") for n in nuclei
+            )
+            if k in every:
+                assert _listing(every[k]) == expected, k
+        assert _listing(result.max_nucleus()) == _listing(result.nuclei(result.max_score))
+        if kind == "partial-scores":
+            assert result.nuclei(result.max_score) == []
+        else:
+            assert result.max_nucleus()
+
+    def test_no_scored_triangle_gives_no_nuclei(self):
+        result = LocalNucleusDecomposition(clique_graph(5, probability=0.9), 0.3, {}, "dp")
+        assert result.max_nucleus() == [] and result.all_nuclei() == {}
+        assert result.nuclei(0) == []
+
+    def test_nuclei_do_not_depend_on_the_hash_seed(self):
+        # String labels make the dict grouping's set order follow the hash
+        # seed; the array grouping's list, triangle sets and subgraphs must
+        # come out identical in every process.
+        script = textwrap.dedent(
+            """
+            import hashlib
+            from repro.core.local import local_nucleus_decomposition
+            from repro.experiments.datasets import load_dataset
+            from repro.graph.probabilistic_graph import ProbabilisticGraph
+
+            dblp = load_dataset("dblp", scale="tiny")
+            graph = ProbabilisticGraph((f"v{u}", f"v{v}", p) for u, v, p in dblp.edges())
+            result = local_nucleus_decomposition(graph, 0.1)
+            for k in range(result.max_score + 1):
+                listing = [
+                    (sorted(n.triangles), list(n.subgraph.vertices()), list(n.subgraph.edges()))
+                    for n in result.nuclei(k)
+                ]
+                print(k, len(listing), hashlib.sha256(repr(listing).encode()).hexdigest())
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        assert max(int(line.split()[1]) for line in outputs[0]) >= 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestPropertyBased:

@@ -333,8 +333,11 @@ class TestDirectArraySnapshot:
         assert [path.name for path in tmp_path.glob("*.npz")]
         assert calls == []
         assert all(snapshot == build_local_index(planted, THETA) for snapshot in snapshots)
-        # The spy is live: nuclei(k) still groups in dict space.
-        result.nuclei(1)
+        assert result.nuclei(1) and result.nuclei(result.max_score)
+        assert calls == []
+        # The spy is live: the candidate accessor of the global and weak
+        # decompositions still groups in dict space.
+        result._dict_nuclei(1)
         assert set(calls) == {"triangle_clique_index", "k_nucleus_triangle_groups"}
 
     def test_csr_graph_input_uses_direct_path(self, planted, tmp_path):

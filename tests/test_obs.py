@@ -549,6 +549,35 @@ class TestInstrumentation:
         assert closure_spans(1) == [{"seeds": 40, "candidates": 40, "rounds": 1}]
         assert closure_spans(2) == [{"seeds": 40, "candidates": 40, "rounds": 2}]
 
+    def test_local_nuclei_span_counts_nuclei_and_triangles(self, graph):
+        # Each community is a K6 of 20 triangles, and both stay 4-clique
+        # connected up to the top level, 2.  The first call sweeps every
+        # level; the later ones only translate their level.  The global and
+        # weak decompositions read their candidates through their own
+        # accessor: no span.
+        result = repro.decompose(graph, mode="local", theta=THETA)
+        with capture(enable=True) as sink:
+            for k in (1, 1, 2, 3):
+                result.nuclei(k)
+            for mode in ("global", "weak"):
+                repro.decompose(
+                    graph, mode=mode, theta=THETA, k=1, n_samples=30, seed=0,
+                    local_result=result,
+                )
+
+        def spans(trace):
+            yield trace
+            for child in trace["children"]:
+                yield from spans(child)
+
+        found = [s for t in sink.traces() for s in spans(t) if s["name"] == "local.nuclei"]
+        assert [s["attrs"] for s in found] == [
+            {"k": 1, "nuclei": 2, "triangles": 40, "swept": True},
+            {"k": 1, "nuclei": 2, "triangles": 40, "swept": False},
+            {"k": 2, "nuclei": 2, "triangles": 40, "swept": False},
+            {"k": 3, "nuclei": 0, "triangles": 0, "swept": False},
+        ]
+
     def test_query_cache_bridge(self):
         cache = LRUCache(maxsize=2)
         with capture(enable=True):
