@@ -12,8 +12,8 @@ deterministic k-nucleus* reaches θ.  Computing this exactly is #P-hard
 * **Monte-Carlo verification** — the per-triangle probabilities are estimated
   from ``n`` sampled worlds with Hoeffding-controlled error (ε = δ = 0.1,
   n = 200 in the paper's experiments).  Every candidate goes through the one
-  fixed-``n`` loop of :mod:`repro.sampling.adaptive`
-  (:func:`~repro.sampling.adaptive.global_decisions`), which draws exactly
+  fixed-``n`` loop of :mod:`repro.sampling.verification`
+  (:func:`~repro.sampling.verification.global_decisions`), which draws exactly
   ``n`` worlds per candidate in memory-bounded world blocks: a run of
   candidates with one edge set is verified once on its stacked worlds, and
   small distinct candidates share a block.
@@ -71,7 +71,7 @@ from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
 from repro.obs.spans import span
-from repro.sampling.adaptive import global_decisions
+from repro.sampling.verification import global_decisions
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
@@ -302,7 +302,7 @@ def global_nucleus_decomposition(
         Monte-Carlo accuracy controls: every candidate is verified on exactly
         ``n_samples`` worlds, by default the Hoeffding bound
         ``⌈ln(2/δ)/(2ε²)⌉``, drawn in memory-bounded world blocks by
-        :func:`~repro.sampling.adaptive.global_decisions`.  ε and δ are
+        :func:`~repro.sampling.verification.global_decisions`.  ε and δ are
         checked on every call.
     estimator:
         Support oracle forwarded to the local decomposition used for pruning:
@@ -368,7 +368,7 @@ def _verified_nuclei(
        pass's batches ran.
     2. **Verify.**  ``decide(index, closures)`` returns whether each
        distinct candidate passes (the driver passes
-       :func:`~repro.sampling.adaptive.global_decisions`, which draws each
+       :func:`~repro.sampling.verification.global_decisions`, which draws each
        candidate's worlds from the shared generator in this order, so the
        order fixes every sampled answer).
     3. **Build.**  Accepted candidates are deduplicated by edge set,

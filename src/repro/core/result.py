@@ -25,7 +25,7 @@ disjoint K4s, the second added first:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,6 +108,56 @@ class ProbabilisticNucleus:
             f"vertices={self.num_vertices}, edges={self.num_edges}, "
             f"triangles={len(self.triangles)})"
         )
+
+
+def _labelled_groups(
+    labels: Sequence[Vertex],
+    triangles: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    edge_p: np.ndarray,
+    groups: list[np.ndarray],
+) -> list[tuple[frozenset[Triangle], ProbabilisticGraph]]:
+    """The label triangles and the edge subgraph of each group of triangle rows.
+
+    ``triangles`` holds a graph's ``(T, 3)`` ascending vertex-id rows,
+    ``labels[i]`` labels id ``i``, and ``edge_u`` / ``edge_v`` / ``edge_p``
+    are its undirected edges in CSR-id order
+    (:meth:`~repro.graph.csr.CSRProbabilisticGraph.undirected_edge_arrays`).
+    All groups are translated together: one
+    :func:`~repro.deterministic.cliques.label_triangles` call, and one
+    :func:`~repro.deterministic.cliques.distinct_per_owner` sort of
+    (group, edge id) keys, which lists each group's edges in ascending
+    CSR-id order, that is as ``(u, v)`` id pairs with ``u < v`` sorted
+    lexicographically.  :meth:`LocalNucleusDecomposition.nuclei` and
+    :meth:`repro.index.NucleusIndex.component_nucleus` build their nuclei
+    here, so both insert the same edges in the same order.
+    """
+    if not groups:
+        return []
+    sizes = [group.size for group in groups]
+    rows = triangles[np.concatenate(groups)]
+    labelled = label_triangles(rows, labels)
+
+    n = len(labels)
+    u, v, w = rows.T
+    edge_ids = np.searchsorted(
+        edge_u * n + edge_v, np.concatenate([u * n + v, u * n + w, v * n + w])
+    )
+    owners = np.tile(np.repeat(np.arange(len(groups)), sizes), 3)
+    edges, edge_bounds = distinct_per_owner(owners, edge_ids, edge_u.size, len(groups))
+    us = [labels[i] for i in edge_u[edges].tolist()]
+    vs = [labels[i] for i in edge_v[edges].tolist()]
+    ps = edge_p[edges].tolist()
+
+    triangle_bounds = np.cumsum([0, *sizes]).tolist()
+    edge_bounds = edge_bounds.tolist()
+    return [
+        (frozenset(labelled[a:b]), ProbabilisticGraph(zip(us[lo:hi], vs[lo:hi], ps[lo:hi])))
+        for a, b, lo, hi in zip(
+            triangle_bounds, triangle_bounds[1:], edge_bounds, edge_bounds[1:]
+        )
+    ]
 
 
 class LocalNucleusDecomposition:
@@ -302,57 +352,19 @@ class LocalNucleusDecomposition:
         with span("local.nuclei", k=k) as nuclei_span:
             swept = "_level_groups" not in self.__dict__
             groups = self._level_groups.get(k, [])
+            csr, index = self.engine_index
             nuclei = [
                 ProbabilisticNucleus(
                     k=k, theta=self.theta, mode="local", subgraph=subgraph, triangles=triangles
                 )
-                for triangles, subgraph in self._labelled_groups(groups)
+                for triangles, subgraph in _labelled_groups(
+                    csr.vertex_labels, index.triangles, *csr.undirected_edge_arrays(), groups
+                )
             ]
             nuclei_span.annotate(
                 nuclei=len(nuclei), triangles=sum(group.size for group in groups), swept=swept
             )
         return nuclei
-
-    def _labelled_groups(
-        self, groups: list[np.ndarray]
-    ) -> list[tuple[frozenset[Triangle], ProbabilisticGraph]]:
-        """The label triangles and the edge subgraph of each group of rows.
-
-        All groups are translated together: one
-        :func:`~repro.deterministic.cliques.label_triangles` call, and one
-        :func:`~repro.deterministic.cliques.distinct_per_owner` sort of
-        (group, edge id) keys, which lists each group's edges in ascending
-        CSR-id order, that is as ``(u, v)`` id pairs with ``u < v`` sorted
-        lexicographically.
-        """
-        if not groups:
-            return []
-        csr, index = self.engine_index
-        labels = csr.vertex_labels
-        sizes = [group.size for group in groups]
-        rows = index.triangles[np.concatenate(groups)]
-        triangles = label_triangles(rows, labels)
-
-        n = csr.num_vertices
-        edge_u, edge_v, edge_p = csr.undirected_edge_arrays()
-        u, v, w = rows.T
-        edge_ids = np.searchsorted(
-            edge_u * n + edge_v, np.concatenate([u * n + v, u * n + w, v * n + w])
-        )
-        owners = np.tile(np.repeat(np.arange(len(groups)), sizes), 3)
-        edges, edge_bounds = distinct_per_owner(owners, edge_ids, edge_u.size, len(groups))
-        us = [labels[i] for i in edge_u[edges].tolist()]
-        vs = [labels[i] for i in edge_v[edges].tolist()]
-        ps = edge_p[edges].tolist()
-
-        triangle_bounds = np.cumsum([0, *sizes]).tolist()
-        edge_bounds = edge_bounds.tolist()
-        return [
-            (frozenset(triangles[a:b]), ProbabilisticGraph(zip(us[lo:hi], vs[lo:hi], ps[lo:hi])))
-            for a, b, lo, hi in zip(
-                triangle_bounds, triangle_bounds[1:], edge_bounds, edge_bounds[1:]
-            )
-        ]
 
     def _dict_nuclei(self, k: int) -> list[ProbabilisticNucleus]:
         """The ℓ-(k, θ)-nuclei as Algorithms 2 and 3 take their candidates.

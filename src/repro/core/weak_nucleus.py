@@ -12,8 +12,8 @@ Algorithm 3 approximates it:
 3. each world is decomposed with the *deterministic* nucleus algorithm; a
    triangle's global score counts the worlds in which it belongs to some
    deterministic k-nucleus.  Steps 2–3 run in the one fixed-``n`` loop of
-   :mod:`repro.sampling.adaptive`
-   (:func:`~repro.sampling.adaptive.weak_scores`), which draws exactly ``n``
+   :mod:`repro.sampling.verification`
+   (:func:`~repro.sampling.verification.weak_scores`), which draws exactly ``n``
    worlds in memory-bounded row blocks;
 4. the triangles whose estimated probability reaches θ are grouped into
    4-clique-connected components, which are reported as the weakly-global
@@ -41,7 +41,7 @@ from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import check_retired_knobs
 from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import _weak_scores
+from repro.sampling.verification import _weak_scores
 from repro.sampling.world_matrix import CandidateWorldIndex
 
 __all__ = ["weak_nucleus_decomposition"]
@@ -70,7 +70,7 @@ def weak_nucleus_decomposition(
     decomposition runs on the peel of :mod:`repro.core.peel` (see
     :func:`repro.core.local.local_nucleus_decomposition`) and each candidate
     is scored serially on exactly ``n_samples`` worlds by the one
-    verification loop of :mod:`repro.sampling.adaptive`, in memory-bounded
+    verification loop of :mod:`repro.sampling.verification`, in memory-bounded
     world blocks.
     """
     check_retired_knobs("weak_nucleus_decomposition", retired)

@@ -7,12 +7,9 @@ from repro.deterministic.cliques import (
     canonical_triangle,
     count_triangles,
     enumerate_four_cliques,
-    enumerate_k_cliques,
     enumerate_triangles,
-    four_cliques_containing_triangle,
     triangle_clique_index,
     triangle_connected_components,
-    triangle_supports,
     triangles_of_clique,
 )
 from repro.deterministic.connectivity import connected_components, is_connected, largest_component
@@ -40,11 +37,8 @@ __all__ = [
     "count_triangles",
     "enumerate_triangles",
     "enumerate_four_cliques",
-    "enumerate_k_cliques",
-    "four_cliques_containing_triangle",
     "triangle_clique_index",
     "triangle_connected_components",
-    "triangle_supports",
     "triangles_of_clique",
     "connected_components",
     "is_connected",

@@ -2,9 +2,10 @@
 
 Nucleus decomposition with ``r = 3`` and ``s = 4`` is defined in terms of
 triangles (3-cliques) and 4-cliques.  This module provides enumeration of
-both structures, the 4-clique *support* of each triangle (Definition 1 of the
-paper), and the 4-clique connectivity relation between triangles
-(Definition 2) that the maximality/connectedness conditions rely on.
+both structures, the triangle ⇄ 4-clique incidence whose sizes are the
+4-clique *supports* of Definition 1, and the 4-clique connectivity relation
+between triangles (Definition 2) that the maximality/connectedness
+conditions rely on.
 
 All functions treat the input :class:`ProbabilisticGraph` purely structurally,
 ignoring edge probabilities, so they apply equally to possible worlds (whose
@@ -38,10 +39,7 @@ __all__ = [
     "enumerate_triangles",
     "count_triangles",
     "enumerate_four_cliques",
-    "triangle_supports",
-    "four_cliques_containing_triangle",
     "triangle_clique_index",
-    "enumerate_k_cliques",
     "triangle_connected_components",
     "concatenated_rows",
     "distinct_per_owner",
@@ -130,36 +128,6 @@ def enumerate_four_cliques(graph: ProbabilisticGraph) -> Iterator[FourClique]:
                 yield canonical_four_clique(u, v, w, z)
 
 
-def four_cliques_containing_triangle(
-    graph: ProbabilisticGraph, triangle: Triangle
-) -> list[FourClique]:
-    """Return all 4-cliques of the graph that contain the given triangle.
-
-    The completing vertices are exactly the common neighbors of the
-    triangle's three vertices, so the 4-clique support of the triangle
-    (Definition 1) is the length of the returned list.
-    """
-    u, v, w = triangle
-    return [
-        canonical_four_clique(u, v, w, z)
-        for z in sorted(graph.common_neighbors(u, v, w), key=label_sort_key)
-    ]
-
-
-def triangle_supports(graph: ProbabilisticGraph) -> dict[Triangle, int]:
-    """Return the 4-clique support of every triangle in the graph.
-
-    Triangles with zero support are included (with value 0), because the
-    peeling algorithms must also process triangles that belong to no
-    4-clique.
-    """
-    supports: dict[Triangle, int] = {}
-    for triangle in enumerate_triangles(graph):
-        u, v, w = triangle
-        supports[triangle] = len(graph.common_neighbors(u, v, w))
-    return supports
-
-
 def triangle_clique_index(
     graph: ProbabilisticGraph,
 ) -> tuple[dict[Triangle, list[FourClique]], dict[FourClique, list[Triangle]]]:
@@ -183,39 +151,6 @@ def triangle_clique_index(
         for t in members:
             by_triangle[t].append(clique)
     return by_triangle, by_clique
-
-
-def enumerate_k_cliques(graph: ProbabilisticGraph, k: int) -> Iterator[tuple[Vertex, ...]]:
-    """Enumerate all cliques of exactly ``k`` vertices.
-
-    A simple ordered backtracking enumeration; adequate for the clique sizes
-    (3, 4, and the small ``k`` of the hardness-reduction tests) this library
-    needs.  Cliques are yielded as sorted tuples.
-    """
-    if k < 1:
-        return
-    order = sorted(graph.vertices(), key=label_sort_key)
-    position = {v: i for i, v in enumerate(order)}
-
-    def extend(clique: list[Vertex], candidates: list[Vertex]) -> Iterator[tuple[Vertex, ...]]:
-        if len(clique) == k:
-            yield tuple(clique)
-            return
-        for i, v in enumerate(candidates):
-            new_candidates = [
-                w for w in candidates[i + 1:] if graph.has_edge(v, w)
-            ]
-            if len(clique) + 1 + len(new_candidates) >= k:
-                yield from extend(clique + [v], new_candidates)
-
-    if k == 1:
-        for v in order:
-            yield (v,)
-        return
-    for i, v in enumerate(order):
-        candidates = [w for w in graph.neighbors(v) if position[w] > i]
-        candidates.sort(key=lambda w: position[w])
-        yield from extend([v], candidates)
 
 
 # --------------------------------------------------------------------------- #

@@ -9,31 +9,37 @@ A ``k-(3,4)``-nucleus is a maximal subgraph ``H`` such that
 
 This module implements:
 
-* :func:`nucleus_decomposition` — the peeling algorithm assigning each
-  triangle its *nucleusness* (the largest ``k`` for which it belongs to a
-  k-nucleus),
+* :func:`nucleus_decomposition` — the nucleusness of every triangle (the
+  largest ``k`` for which it belongs to a k-nucleus),
 * :func:`k_nucleus_subgraphs` — the maximal k-nuclei as edge subgraphs,
-* :func:`is_k_nucleus` — the predicate used by the global probabilistic
-  algorithm, which must decide whether a sampled possible world is itself a
-  deterministic k-nucleus,
+* :func:`is_k_nucleus` — whether a graph is itself a k-nucleus, the
+  predicate that the global probabilistic algorithm decides for every
+  sampled possible world,
 * :func:`max_nucleus_number` — the largest non-trivial nucleusness.
 
-The probabilistic algorithms of :mod:`repro.core` reuse the same peeling
-skeleton with probabilistic support scores.
+The deterministic case is the probabilistic one with every edge certain, so
+both run on the engine of :mod:`repro.core`: :func:`nucleus_decomposition`
+is the local peel of the backbone at θ = 1, and :func:`is_k_nucleus` the
+world-matrix predicate of Algorithm 2 on the one world that holds every
+edge.  The dict implementations they replaced are the test oracle
+(``tests/oracle/deterministic.py``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from repro.deterministic.cliques import (
     Triangle,
+    label_triangles,
     triangle_clique_index,
     triangle_connected_components,
 )
 from repro.exceptions import check_level
+from repro.graph.csr import CSRProbabilisticGraph
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
-from repro.peeling import LazyMinHeap, canonical_rank
 
 __all__ = [
     "nucleus_decomposition",
@@ -48,42 +54,27 @@ __all__ = [
 def nucleus_decomposition(graph: ProbabilisticGraph) -> dict[Triangle, int]:
     """Return the nucleusness of every triangle of the deterministic backbone.
 
-    Peels triangles in non-decreasing order of residual 4-clique support.
-    When a triangle is peeled every 4-clique containing it is destroyed and
-    the supports of the clique's surviving triangles drop accordingly.  The
-    nucleusness assigned to a triangle is the peel level at removal, which is
-    monotone non-decreasing over the peel sequence.
+    The local peel of :mod:`repro.core` on the backbone, every edge present
+    with probability 1, at θ = 1: a triangle's κ-score is then its residual
+    4-clique support, and the level at which the peel removes it is its
+    nucleusness.  Triangles come in the engine's row order.  In K5 each of
+    the ten triangles lies in two 4-cliques:
+
+    >>> from repro.graph.generators import clique_graph
+    >>> scores = nucleus_decomposition(clique_graph(5))
+    >>> len(scores), set(scores.values())
+    (10, {2})
     """
-    by_triangle, by_clique = triangle_clique_index(graph)
-    support = {t: len(cliques) for t, cliques in by_triangle.items()}
-    alive_cliques = set(by_clique)
-    processed: set[Triangle] = set()
+    # repro.core imports this package at module level.
+    from repro.core.approximations import DynamicProgrammingEstimator
+    from repro.core.local import _csr_engine_arrays
 
-    rank = canonical_rank(graph.vertices())
-    heap = LazyMinHeap(((s, t) for t, s in support.items()), rank=rank)
-
-    def current(triangle: Triangle) -> int | None:
-        return None if triangle in processed else support[triangle]
-
-    nucleusness: dict[Triangle, int] = {}
-    current_level = 0
-
-    while (entry := heap.pop(current)) is not None:
-        _, triangle = entry
-        current_level = max(current_level, support[triangle])
-        nucleusness[triangle] = current_level
-        processed.add(triangle)
-        for clique in by_triangle[triangle]:
-            if clique not in alive_cliques:
-                continue
-            alive_cliques.remove(clique)
-            for other in by_clique[clique]:
-                if other == triangle or other in processed:
-                    continue
-                if support[other] > current_level:
-                    support[other] -= 1
-                    heap.push(support[other], other)
-    return nucleusness
+    csr = graph.to_csr()
+    backbone = CSRProbabilisticGraph(
+        csr.indptr, csr.indices, np.ones_like(csr.probabilities), csr.vertex_labels
+    )
+    index, scores = _csr_engine_arrays(backbone, 1.0, DynamicProgrammingEstimator())
+    return dict(zip(label_triangles(index.triangles, csr.vertex_labels), scores.tolist()))
 
 
 def k_nucleus_triangle_groups(
@@ -152,44 +143,24 @@ def max_nucleus_number(graph: ProbabilisticGraph) -> int:
 def is_k_nucleus(graph: ProbabilisticGraph, k: int) -> bool:
     """Check whether the graph itself satisfies the k-(3,4)-nucleus conditions.
 
-    Used by the global probabilistic algorithm (indicator ``1_g`` of
-    Definition 4): a sampled possible world counts only if the *entire world*
-    is a deterministic k-nucleus.  The three conditions checked are exactly
-    those of Definition 3: union of 4-cliques, per-triangle support at least
-    ``k``, and 4-clique connectivity between all triangle pairs.  An edgeless
-    graph is not considered a nucleus.
+    The indicator ``1_g`` of Definition 4 counts a sampled possible world
+    only if the *entire world* is a deterministic k-nucleus; the global
+    algorithm decides that for whole blocks of worlds at once.  The
+    conditions are those of Definition 3:
+    union of 4-cliques, per-triangle support at least ``k``, and 4-clique
+    connectivity between all triangle pairs, where a triangle in no 4-clique
+    is exempt from the last two.  They are decided by
+    :func:`~repro.sampling.world_matrix.nucleus_world_mask` on the one world
+    that holds every edge.  An edgeless graph is not considered a nucleus.
+
+    >>> from repro.graph.generators import clique_graph
+    >>> is_k_nucleus(clique_graph(5), 2), is_k_nucleus(clique_graph(5), 3)
+    (True, False)
     """
+    # repro.sampling imports this package at module level.
+    from repro.sampling.world_matrix import CandidateWorldIndex, nucleus_world_mask
+
     check_level(k)
-    if graph.num_edges == 0:
-        return False
-    by_triangle, by_clique = triangle_clique_index(graph)
-    if not by_clique:
-        return False
-
-    # Condition 1: every edge lies in some 4-clique.
-    covered_edges: set[Edge] = set()
-    for clique in by_clique:
-        a, b, c, d = clique
-        for x, y in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d)):
-            covered_edges.add(canonical_edge(x, y))
-    for u, v, _ in graph.edges():
-        if canonical_edge(u, v) not in covered_edges:
-            return False
-
-    # Conditions 2 and 3 quantify over the triangles that belong to at least
-    # one 4-clique.  A triangle contained in no 4-clique of the graph (an
-    # *incidental* triangle whose edges are contributed by different
-    # 4-cliques) is not part of the union-of-4-cliques structure, so it is
-    # exempt from the support requirement, forms no component of its own,
-    # and does not break connectivity; condition 1 already guarantees that
-    # its edges are covered.
-    in_some_clique = [t for t, cliques in by_triangle.items() if cliques]
-
-    # Condition 2: every structural triangle has 4-clique support at least k.
-    for triangle in in_some_clique:
-        if len(by_triangle[triangle]) < k:
-            return False
-
-    # Condition 3: all structural triangles are mutually 4-clique-connected.
-    components = triangle_connected_components(in_some_clique, by_triangle)
-    return len(components) == 1
+    index = CandidateWorldIndex.from_graph(graph)
+    every_edge = np.ones((1, index.num_edges), dtype=bool)
+    return bool(nucleus_world_mask(index, every_edge, k)[0])

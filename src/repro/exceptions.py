@@ -168,7 +168,7 @@ def check_retired_knob(name: str, value) -> None:
 
     One engine remains behind each: the CSR arrays, the numpy peel, and the
     serial, block-wise, fixed-``n`` verification loop of
-    :mod:`repro.sampling.adaptive`.  The silent value (the knob's old
+    :mod:`repro.sampling.verification`.  The silent value (the knob's old
     default: ``"csr"``, ``"numpy"``, ``1``, ``"fixed"``, ``0.95``, ``None``,
     ``16``, ``2.0``) passes; the deprecated value of :data:`_RETIRED_KNOBS`
     (for a numeric knob, any other value its check accepts) warns once with

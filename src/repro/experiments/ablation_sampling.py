@@ -9,7 +9,7 @@ measures the maximum absolute deviation between the Monte-Carlo estimate of
 with the ε that Hoeffding guarantees at δ = 0.1.
 
 The exact values come from the exact evaluator
-(:func:`repro.sampling.adaptive.exact_probabilities`).  The estimates keep
+(:func:`repro.sampling.verification.exact_probabilities`).  The estimates keep
 the dict sampler :func:`~repro.graph.possible_worlds.sample_world`, whose
 ``random.Random`` stream the golden report pins, and count its worlds as
 world-matrix rows with the same predicate.  The sample sizes share one
@@ -29,7 +29,7 @@ from repro.experiments.pipeline import DecompositionCache, ExperimentSpec, RunCo
 from repro.graph.generators import complete_probabilistic_graph, uniform_probability
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import exact_probabilities
+from repro.sampling.verification import exact_probabilities
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import CandidateWorldIndex, global_membership
 

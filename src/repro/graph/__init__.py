@@ -2,13 +2,7 @@
 
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, Vertex, canonical_edge
 from repro.graph.csr import CSRProbabilisticGraph
-from repro.graph.possible_worlds import (
-    enumerate_worlds,
-    expected_edge_count,
-    sample_world,
-    sample_worlds,
-    world_probability,
-)
+from repro.graph.possible_worlds import expected_edge_count, sample_world, world_probability
 from repro.graph.io import (
     attach_probabilities,
     attach_uniform_probabilities,
@@ -37,10 +31,8 @@ __all__ = [
     "Vertex",
     "Edge",
     "canonical_edge",
-    "enumerate_worlds",
     "expected_edge_count",
     "sample_world",
-    "sample_worlds",
     "world_probability",
     "read_edge_list",
     "write_edge_list",

@@ -8,32 +8,29 @@ product over absent edges of ``1 - p(e)`` (Equation 1 of the paper).
 This module provides:
 
 * :func:`world_probability` — the probability of a specific world,
-* :func:`enumerate_worlds` — exhaustive enumeration (exponential; only for
-  small graphs, used by tests and by the exact baselines that the hardness
-  section reasons about),
-* :func:`sample_world` / :func:`sample_worlds` — Monte-Carlo sampling used by
-  the global and weakly-global algorithms,
+* :func:`sample_world` — one world drawn by an independent coin per edge,
 * :func:`expected_edge_count` — the expected number of edges.
 
-Worlds are represented as :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`
-instances whose edges all have probability 1, so the deterministic algorithms
-in :mod:`repro.deterministic` can consume them directly.
+A world is a :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph`
+whose edges all have probability 1, so the deterministic algorithms in
+:mod:`repro.deterministic` can consume it directly.  The decompositions and
+the exact evaluators do not build worlds one at a time: they sample and
+enumerate them as rows of a boolean world matrix (:mod:`repro.sampling`),
+refusing to enumerate more than :data:`MAX_ENUMERABLE_EDGES` edges by
+default.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from repro.exceptions import InvalidParameterError, _require_positive_int
+from repro.exceptions import InvalidParameterError
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 
 __all__ = [
     "world_probability",
-    "enumerate_worlds",
     "sample_world",
-    "sample_worlds",
     "expected_edge_count",
     "MAX_ENUMERABLE_EDGES",
 ]
@@ -85,36 +82,6 @@ def _check_enumerable(num_edges: int, max_edges: int) -> None:
         )
 
 
-def enumerate_worlds(
-    graph: ProbabilisticGraph,
-    max_edges: int = MAX_ENUMERABLE_EDGES,
-) -> Iterator[tuple[ProbabilisticGraph, float]]:
-    """Yield every possible world of ``graph`` together with its probability.
-
-    The number of worlds is ``2**graph.num_edges``; enumeration is refused
-    when the graph has more than ``max_edges`` edges.
-
-    Yields
-    ------
-    (world, probability):
-        ``world`` is a deterministic :class:`ProbabilisticGraph` (all edge
-        probabilities equal to 1) on the full vertex set of ``graph``.
-    """
-    _check_enumerable(graph.num_edges, max_edges)
-    edge_list = [(u, v) for u, v, _ in graph.edges()]
-    probabilities = [graph.edge_probability(u, v) for u, v in edge_list]
-    for mask in itertools.product((False, True), repeat=len(edge_list)):
-        probability = 1.0
-        present: list[Edge] = []
-        for include, edge, p in zip(mask, edge_list, probabilities):
-            if include:
-                probability *= p
-                present.append(edge)
-            else:
-                probability *= 1.0 - p
-        yield _world_from_edges(graph, present), probability
-
-
 def sample_world(
     graph: ProbabilisticGraph,
     rng: random.Random | None = None,
@@ -136,25 +103,6 @@ def sample_world(
         rng = random.Random(seed)
     present = [(u, v) for u, v, p in graph.edges() if rng.random() < p]
     return _world_from_edges(graph, present)
-
-
-def sample_worlds(
-    graph: ProbabilisticGraph,
-    n_samples: int,
-    rng: random.Random | None = None,
-    seed: int | None = None,
-) -> list[ProbabilisticGraph]:
-    """Sample ``n_samples`` independent possible worlds.
-
-    Raises
-    ------
-    InvalidParameterError
-        If ``n_samples`` is not a positive integer (numpy integers pass).
-    """
-    n_samples = _require_positive_int("n_samples", n_samples)
-    if rng is None:
-        rng = random.Random(seed)
-    return [sample_world(graph, rng=rng) for _ in range(n_samples)]
 
 
 def expected_edge_count(graph: ProbabilisticGraph) -> float:

@@ -22,7 +22,7 @@ These constructions are included as executable code because (a) they make the
 hardness results testable on small instances, and (b) they serve as worked
 examples of the definitions for library users.  The indicator probabilities
 and the Lemma 3 search are exact, over every possible world, through
-:func:`repro.sampling.adaptive.exact_probabilities`.
+:func:`repro.sampling.verification.exact_probabilities`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from repro.deterministic.cliques import Triangle, canonical_triangle
 from repro.exceptions import InvalidParameterError, VertexNotFoundError, check_level
 from repro.graph.probabilistic_graph import ProbabilisticGraph, Vertex
-from repro.sampling.adaptive import exact_probabilities
+from repro.sampling.verification import exact_probabilities
 from repro.sampling.world_matrix import CandidateWorldIndex, global_membership, weak_membership
 
 __all__ = [

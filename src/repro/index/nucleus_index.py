@@ -54,9 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
+from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus, _labelled_groups
 from repro.deterministic.cliques import label_triangles
-from repro.deterministic.nucleus import triangles_to_edge_subgraph
 from repro.exceptions import (
     IndexCompatibilityError,
     IndexFormatError,
@@ -258,13 +257,13 @@ class NucleusIndex:
             for name, kind in _ARRAY_SPECS.items()
         }
         self._validate_shapes()
-        self._graph_cache: ProbabilisticGraph | None = None
         #: ``True`` when the arrays are memory-mapped views of an on-disk
         #: archive (``load(..., mmap=True)`` on an uncompressed save).
         self.mmapped = False
         #: The CSR graph and triangle ⇄ 4-clique index behind a local
-        #: snapshot, set by ``build_local_index`` and ``apply_updates`` so
-        #: the next update splices them; ``None`` otherwise (a loaded index).
+        #: snapshot, set by ``build_local_index``, ``from_local_result`` and
+        #: ``apply_updates`` so the next update splices them; ``None``
+        #: otherwise (a loaded index).
         self._incremental_state: dict | None = None
 
     def _validate_shapes(self) -> None:
@@ -427,10 +426,8 @@ class NucleusIndex:
         )
 
     def to_probabilistic_graph(self) -> ProbabilisticGraph:
-        """Reconstruct the snapshotted graph in dict-of-dicts form (cached)."""
-        if self._graph_cache is None:
-            self._graph_cache = self.to_csr_graph().to_probabilistic()
-        return self._graph_cache
+        """Reconstruct the snapshotted graph in dict-of-dicts form."""
+        return self.to_csr_graph().to_probabilistic()
 
     def verify_against(self, graph: ProbabilisticGraph | CSRProbabilisticGraph) -> None:
         """Raise :class:`IndexCompatibilityError` unless ``graph`` matches the snapshot."""
@@ -459,15 +456,25 @@ class NucleusIndex:
 
         The reconstruction is exact: the triangles and the edge-induced
         subgraph (with original probabilities) equal what the decomposition's
-        own result objects produce for the same component.
+        own result objects produce for the same component.  It reads the
+        snapshot's triangle and edge arrays through the builder of
+        :meth:`LocalNucleusDecomposition.nuclei`, so a local component's
+        subgraph inserts its edges in the same CSR-id order.
         """
-        rows = self.arrays["triangles"][self.component_triangle_positions(component)]
-        triangles = frozenset(label_triangles(rows, self.vertex_labels))
+        a = self.arrays
+        [(triangles, subgraph)] = _labelled_groups(
+            self.vertex_labels,
+            a["triangles"],
+            a["edge_u"],
+            a["edge_v"],
+            a["edge_prob"],
+            [self.component_triangle_positions(component)],
+        )
         return ProbabilisticNucleus(
-            k=int(self.arrays["comp_level"][component]),
+            k=int(a["comp_level"][component]),
             theta=self.theta,
             mode=self.mode,
-            subgraph=triangles_to_edge_subgraph(self.to_probabilistic_graph(), triangles),
+            subgraph=subgraph,
             triangles=triangles,
         )
 
@@ -544,7 +551,13 @@ class NucleusIndex:
         groups = result._level_groups
         merged = {"estimator": result.estimator_name}
         merged.update(params or {})
-        return cls._build(csr, index.triangles, values, groups, "local", result.theta, merged)
+        snapshot = cls._build(
+            csr, index.triangles, values, groups, "local", result.theta, merged
+        )
+        # Shared with the result: the splice of the first update copies
+        # whatever it changes.
+        snapshot._incremental_state = {"csr": csr, "tri_index": index}
+        return snapshot
 
     @classmethod
     def from_nuclei(

@@ -1,19 +1,21 @@
-"""Monte-Carlo machinery: sample sizes, world-probability estimation, reliability.
+"""Monte-Carlo machinery: sample sizes, world verification, reliability.
 
-Two sampling engines live here: the scalar helpers of
-:mod:`repro.sampling.monte_carlo` (one dict-backed world at a time) and the
-vectorized world-matrix engine of :mod:`repro.sampling.world_matrix` that
-verifies the candidates of the global and weakly-global decompositions.
-:mod:`repro.sampling.adaptive` holds the one verification loop over the
-matrix engine (:func:`global_verify`, :func:`weak_scores`): every candidate
-draws exactly ``n_samples`` worlds in memory-bounded row blocks, counted
-serially in the calling process, and the point estimates decide θ.
+One sampling engine lives here, the vectorized world matrix of
+:mod:`repro.sampling.world_matrix`: possible worlds are boolean rows over a
+graph's edge columns, drawn or enumerated in blocks, and every predicate is
+decided for a whole block at once.  :mod:`repro.sampling.verification`
+holds the one verification loop of the global and weakly-global
+decompositions over it (:func:`global_verify`, :func:`weak_scores`): every
+candidate draws exactly ``n_samples`` worlds in memory-bounded row blocks,
+counted serially in the calling process, and the point estimates decide θ.
+:mod:`repro.sampling.monte_carlo` sizes the samples (Lemma 4), and
+:mod:`repro.sampling.reliability` estimates and evaluates network
+reliability on the same world blocks.
 """
 
-from repro.sampling.adaptive import global_verify, weak_scores
+from repro.sampling.verification import global_verify, weak_scores
 from repro.sampling.monte_carlo import (
     MonteCarloEstimate,
-    estimate_world_probability,
     hoeffding_error_bound,
     hoeffding_sample_size,
 )
@@ -38,7 +40,6 @@ __all__ = [
     "global_verify",
     "weak_scores",
     "MonteCarloEstimate",
-    "estimate_world_probability",
     "hoeffding_error_bound",
     "hoeffding_sample_size",
     "binary_search_reliability",

@@ -12,17 +12,12 @@ truth with probability ``1 − δ``.
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Callable, Sequence
 
 from repro.exceptions import InvalidParameterError, _require_finite, _require_positive_int
-from repro.graph.possible_worlds import sample_worlds
-from repro.graph.probabilistic_graph import ProbabilisticGraph
 
 __all__ = [
     "hoeffding_sample_size",
     "hoeffding_error_bound",
-    "estimate_world_probability",
     "MonteCarloEstimate",
 ]
 
@@ -83,45 +78,3 @@ class MonteCarloEstimate(float):
             f"MonteCarloEstimate({float(self):.4f}, n_samples={self.n_samples}, "
             f"epsilon={self.epsilon:.4f})"
         )
-
-
-def estimate_world_probability(
-    graph: ProbabilisticGraph,
-    predicate: Callable[[ProbabilisticGraph], bool],
-    epsilon: float = 0.1,
-    delta: float = 0.1,
-    n_samples: int | None = None,
-    rng: random.Random | None = None,
-    seed: int | None = None,
-    worlds: Sequence[ProbabilisticGraph] | None = None,
-) -> MonteCarloEstimate:
-    """Estimate ``Pr[predicate(world)]`` over the possible worlds of ``graph``.
-
-    Parameters
-    ----------
-    graph:
-        The probabilistic graph whose worlds are sampled.
-    predicate:
-        Boolean function of a (deterministic) possible world.
-    epsilon, delta:
-        Hoeffding accuracy parameters; used to derive the sample size when
-        ``n_samples`` is not given, and reported on the returned estimate.
-    n_samples:
-        Explicit number of samples (overrides the Hoeffding-derived size): a
-        positive integer, numpy integers included.
-    rng, seed:
-        Source of randomness.
-    worlds:
-        Pre-sampled worlds to reuse; when given, no new sampling happens and
-        ``n_samples`` defaults to ``len(worlds)``.
-    """
-    if worlds is None:
-        if n_samples is None:
-            n_samples = hoeffding_sample_size(epsilon, delta)
-        worlds = sample_worlds(graph, n_samples, rng=rng, seed=seed)
-    elif not worlds:
-        raise InvalidParameterError("worlds must be non-empty")
-    n_samples = len(worlds)
-    hits = sum(1 for world in worlds if predicate(world))
-    achieved_epsilon = hoeffding_error_bound(n_samples, delta)
-    return MonteCarloEstimate(hits / n_samples, n_samples, achieved_epsilon)

@@ -8,9 +8,10 @@ Lemma 2.
 
 This module provides an exact evaluator (world enumeration; exponential, for
 small graphs and tests) and a Monte-Carlo estimator, plus the binary-search
-argument of Lemma 1 expressed as a reusable helper.  The exact evaluator
-enumerates the world matrix in row blocks, like
-:func:`~repro.sampling.adaptive.exact_probabilities`, and decides the
+argument of Lemma 1 expressed as a reusable helper.  Both walk the world
+matrix in row blocks, like
+:func:`~repro.sampling.verification.exact_probabilities`: the evaluator
+enumerates its rows, the estimator samples them, and each decides the
 connectivity of all worlds of a block at once.  The reduction itself is
 constructed in :mod:`repro.hardness.reductions`.
 """
@@ -22,13 +23,21 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.deterministic.connectivity import is_connected
-from repro.exceptions import InvalidParameterError, _require_finite, check_theta
+from repro.exceptions import (
+    InvalidParameterError,
+    _require_finite,
+    _require_positive_int,
+    check_theta,
+)
 from repro.graph.possible_worlds import _check_enumerable
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import block_rows
-from repro.sampling.monte_carlo import MonteCarloEstimate, estimate_world_probability
-from repro.sampling.world_matrix import CandidateWorldIndex
+from repro.sampling.monte_carlo import (
+    MonteCarloEstimate,
+    hoeffding_error_bound,
+    hoeffding_sample_size,
+)
+from repro.sampling.verification import block_rows
+from repro.sampling.world_matrix import CandidateWorldIndex, as_numpy_generator
 
 __all__ = [
     "exact_reliability",
@@ -47,7 +56,7 @@ def exact_reliability(graph: ProbabilisticGraph, max_edges: int = 20) -> float:
     with more than ``max_edges`` edges, before anything else.  World
     ``c`` of the ``2^m`` holds edge ``j`` iff bit ``j`` of ``c`` is
     set; the worlds are enumerated in
-    :func:`~repro.sampling.adaptive.block_rows` blocks, and each connected
+    :func:`~repro.sampling.verification.block_rows` blocks, and each connected
     world adds its probability (Equation 1).
     """
     if graph.num_vertices == 0:
@@ -93,19 +102,33 @@ def estimate_reliability(
     epsilon: float = 0.1,
     delta: float = 0.1,
     n_samples: int | None = None,
-    rng: random.Random | None = None,
+    rng: "np.random.Generator | random.Random | None" = None,
     seed: int | None = None,
 ) -> MonteCarloEstimate:
-    """Estimate the reliability by Monte-Carlo sampling of possible worlds."""
-    return estimate_world_probability(
-        graph,
-        is_connected,
-        epsilon=epsilon,
-        delta=delta,
-        n_samples=n_samples,
-        rng=rng,
-        seed=seed,
-    )
+    """Estimate the reliability by Monte-Carlo sampling of possible worlds.
+
+    Draws ``n_samples`` worlds (by default the Hoeffding budget of
+    ``epsilon`` and ``delta``) with
+    :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.sample`, in
+    :func:`~repro.sampling.verification.block_rows` blocks, and counts the
+    connected ones as :func:`exact_reliability` decides them.  The estimate
+    carries its sample size and the Hoeffding error at ``delta``; the empty
+    graph, which has nothing to connect, estimates 0.
+    """
+    if n_samples is None:
+        n_samples = hoeffding_sample_size(epsilon, delta)
+    n_samples = _require_positive_int("n_samples", n_samples)
+    epsilon = hoeffding_error_bound(n_samples, delta)
+    if graph.num_vertices == 0:
+        return MonteCarloEstimate(0.0, n_samples, epsilon)
+    generator = as_numpy_generator(rng, seed)
+    index = CandidateWorldIndex.from_graph(graph)
+    rows = block_rows(index)
+    connected = 0
+    for start in range(0, n_samples, rows):
+        worlds = index.sample(min(rows, n_samples - start), rng=generator)
+        connected += int(_connected_worlds(index, worlds.T).sum())
+    return MonteCarloEstimate(connected / n_samples, n_samples, epsilon)
 
 
 def reliability_decision(

@@ -172,8 +172,8 @@ def exact_probabilities(
     the ``2^m`` holds edge column ``j`` iff bit ``j`` of ``c`` is set; the
     worlds are enumerated in :func:`block_rows` blocks, and each world's
     probability (Equation 1) is added to the triangles it holds.  More than
-    ``max_edges`` edges raise the error of
-    :func:`~repro.graph.possible_worlds.enumerate_worlds`, before any world.
+    ``max_edges`` edges raise :class:`~repro.exceptions.InvalidParameterError`
+    before any world.
     """
     _check_enumerable(index.num_edges, max_edges)
     p = index.edge_probabilities

@@ -47,16 +47,19 @@ This module replaces that with an array-backed pipeline:
 
 Each model's answer is a ``(n_worlds, num_triangles)`` membership matrix
 (:func:`global_membership`, :func:`weak_membership`), additive over worlds:
-the verification loop of :mod:`repro.sampling.adaptive` sums its columns
+the verification loop of :mod:`repro.sampling.verification` sums its columns
 over memory-bounded row blocks of sampled worlds, and its exact evaluator
 weights them by the probabilities of all ``2^m`` worlds.
 
 The per-world semantics are *identical* to the dict path — for any boolean
-row ``worlds[i]``, :func:`nucleus_world_mask` agrees with
-:func:`repro.deterministic.nucleus.is_k_nucleus` on the materialized world,
-and the weak membership agrees with
+row ``worlds[i]``, :func:`nucleus_world_mask` agrees with the dict
+predicate of Definition 3 on the materialized world, and the weak
+membership with the dict grouping
 :func:`repro.deterministic.nucleus.k_nucleus_triangle_groups` — which the
-test-suite pins world-by-world.  Only the *stream* of sampled worlds differs
+test-suite pins world-by-world against its oracle.  The deterministic
+:func:`repro.deterministic.nucleus.is_k_nucleus` is
+:func:`nucleus_world_mask` on the one world that holds every edge.  Only
+the *stream* of sampled worlds differs
 (numpy ``Generator`` bits instead of ``random.Random`` bits), so dict- and
 matrix-backed estimates agree in distribution; the parity tests bound the
 difference with Hoeffding's inequality.
@@ -844,10 +847,11 @@ def nucleus_world_mask(
 ) -> np.ndarray:
     """Decide, per world-matrix row, whether the world is a k-(3,4)-nucleus.
 
-    Batch-wise equivalent of mapping
-    :func:`repro.deterministic.nucleus.is_k_nucleus` over the materialized
-    worlds (the test-suite pins the equivalence row by row).  A world is a
-    nucleus iff
+    Batch-wise equivalent of deciding Definition 3 on each materialized
+    world (the test-suite pins the equivalence row by row against the dict
+    predicate of its oracle); on the one world that holds every edge it is
+    :func:`repro.deterministic.nucleus.is_k_nucleus`.  A world is a nucleus
+    iff
 
     * it has a present 4-clique and every present edge lies in one;
     * every *structural* triangle (in ≥ 1 present 4-clique) lies in ≥ k

@@ -65,13 +65,25 @@ PERFBENCH = {
 }
 
 
+#: ``planted_nucleus_graph`` arguments of the benchmark's local-index graph
+#: (``perfbench/inputs.py``'s ``planted_graph``), which no verify sweep runs.
+PERFBENCH_PLANTED = dict(
+    community_sizes=[9, 7, 13, 8, 20, 19, 20, 17, 11, 8, 20, 5, 17, 18, 5, 19, 13, 12, 8, 15],
+    background_vertices=800,
+    background_density=6 / 800,
+    bridges_per_community=5,
+    seed=1,
+)
+
+
 def perfbench_graph(name: str) -> ProbabilisticGraph:
-    """A benchmark verify graph under the benchmark's seed-1 vertex permutation."""
+    """A benchmark graph under the benchmark's seed-1 vertex permutation:
+    a verify graph of :data:`PERFBENCH`, or ``"perfbench-planted"``."""
     base = planted_nucleus_graph(
         intra_density=0.95,
         probability_model=confidence_probability(mode=0.9, concentration=20.0),
         background_probability_model=beta_probability(alpha=1.2, beta=9.0),
-        **PERFBENCH[name],
+        **(PERFBENCH_PLANTED if name == "perfbench-planted" else PERFBENCH[name]),
     )
     vertices = sorted(base.vertices())
     images = random.Random(1).sample(range(len(vertices)), len(vertices))

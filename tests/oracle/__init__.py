@@ -2,7 +2,8 @@
 
 The library runs every decomposition on one production engine, the CSR
 arrays of :mod:`repro.core.batch` / :mod:`repro.core.peel` and the world
-matrices of :mod:`repro.sampling.world_matrix`.  The seed-era dict engine
+matrices of :mod:`repro.sampling.world_matrix`, and so do the deterministic
+nucleus functions and the reliability estimator.  The seed-era dict engine
 survives here, verbatim, as the reference the parity suites pin that engine
 against:
 
@@ -10,11 +11,17 @@ against:
   :class:`~repro.peeling.LazyMinHeap` peel of Algorithm 1, and the dict
   grouping of its result's nuclei and of the local index snapshot
   (:func:`oracle.local.dict_snapshot`);
+* :mod:`oracle.deterministic` — the heap peel of the deterministic nucleus
+  decomposition, the three-condition predicate ``is_k_nucleus``, and the
+  clique helpers only tests call;
+* :mod:`oracle.possible_worlds` — every possible world built one dict world
+  at a time (``enumerate_worlds``);
 * :mod:`oracle.global_nucleus` — Algorithm 2's label-space candidate loop
   (dict closure, clique-set deduplication, subgraph per candidate), verified
-  one :func:`~repro.graph.possible_worlds.sample_world` draw at a time;
-* :mod:`oracle.weak_nucleus` — Algorithm 3 scored by a deterministic nucleus
-  decomposition per sampled world;
+  one :func:`~repro.graph.possible_worlds.sample_world` draw and one dict
+  predicate at a time;
+* :mod:`oracle.weak_nucleus` — Algorithm 3 scored by the dict deterministic
+  nucleus decomposition of each sampled world;
 * :mod:`oracle.reliability` — exact reliability summed over every possible
   world, one dict world at a time.
 

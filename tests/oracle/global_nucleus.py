@@ -7,8 +7,8 @@ grown with the reference :func:`~repro.core.global_nucleus.candidate_closure`,
 deduplicated by its 4-clique set and built as a subgraph before it is
 verified; only the maximality filter is shared with production.  Each
 candidate is verified the seed-era way, one
-:func:`~repro.graph.possible_worlds.sample_world` draw and one
-:func:`~repro.deterministic.nucleus.is_k_nucleus` check per world, drawing
+:func:`~repro.graph.possible_worlds.sample_world` draw and one dict
+:func:`~oracle.deterministic.is_k_nucleus` check per world, drawing
 from a :class:`random.Random` stream.  The loop takes any ``verify``
 callback, so the tests can also drive it with the production verifier and
 pin the id-space loop of :mod:`repro.core.global_nucleus` to it.
@@ -21,6 +21,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from oracle.deterministic import is_k_nucleus
 from oracle.local import local_nucleus_decomposition
 from repro.core.approximations import SupportEstimator
 from repro.core.global_nucleus import _keep_maximal, candidate_closure, union_of_nuclei
@@ -31,7 +32,6 @@ from repro.deterministic.cliques import (
     enumerate_triangles,
     triangle_clique_index,
 )
-from repro.deterministic.nucleus import is_k_nucleus
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import Edge, ProbabilisticGraph, canonical_edge
 from repro.sampling.monte_carlo import hoeffding_sample_size

@@ -2,7 +2,7 @@
 
 The seed-era exact evaluator: every one of the ``2^m`` possible worlds is
 built as a :class:`~repro.graph.probabilistic_graph.ProbabilisticGraph` by
-:func:`~repro.graph.possible_worlds.enumerate_worlds` and tested with
+:func:`oracle.possible_worlds.enumerate_worlds` and tested with
 :func:`~repro.deterministic.connectivity.is_connected`.  The batched
 evaluator :func:`repro.sampling.reliability.exact_reliability` is pinned to
 it.
@@ -10,8 +10,8 @@ it.
 
 from __future__ import annotations
 
+from oracle.possible_worlds import enumerate_worlds
 from repro.deterministic.connectivity import is_connected
-from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 
 

@@ -1,9 +1,11 @@
 """Dict-engine oracle of Algorithm 3 (weakly-global nucleus decomposition).
 
-Each local nucleus is scored world by world: sample a dict world, run the
-deterministic nucleus decomposition on it, count the triangles of its
-k-nuclei.  The triangles reaching θ become a mask over the rows of the
-candidate's :class:`~repro.sampling.world_matrix.CandidateWorldIndex`
+Each local nucleus is scored world by world: sample a dict world, peel it
+with the dict :func:`oracle.deterministic.nucleus_decomposition`, and count
+the triangles of the k-nuclei that its nucleusness gives
+:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`.  The
+triangles reaching θ become a mask over the rows of the candidate's
+:class:`~repro.sampling.world_matrix.CandidateWorldIndex`
 (:meth:`~repro.sampling.world_matrix.CandidateWorldIndex.triangle_labels`),
 which the production step (:func:`repro.core.weak_nucleus._weak_nuclei`)
 groups into nuclei.
@@ -15,13 +17,14 @@ import random
 
 import numpy as np
 
+from oracle.deterministic import nucleus_decomposition
 from oracle.global_nucleus import dict_rng
 from oracle.local import local_nucleus_decomposition
 from repro.core.approximations import SupportEstimator
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.weak_nucleus import _weak_nuclei
 from repro.deterministic.cliques import Triangle, triangle_clique_index
-from repro.deterministic.nucleus import k_nucleus_triangle_groups, nucleus_decomposition
+from repro.deterministic.nucleus import k_nucleus_triangle_groups
 from repro.exceptions import InvalidParameterError
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph

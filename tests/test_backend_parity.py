@@ -24,18 +24,18 @@ from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
-from repro.deterministic.nucleus import is_k_nucleus
 from repro.exceptions import InvalidParameterError
 from repro.experiments.datasets import DATASET_NAMES
 from graph_factories import bundled_graph, small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
-from repro.sampling.adaptive import weak_scores
+from repro.sampling.verification import weak_scores
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import CandidateWorldIndex, global_triangle_counts
 
 import oracle
+from oracle.deterministic import is_k_nucleus
 
 ESTIMATORS = [
     DynamicProgrammingEstimator,

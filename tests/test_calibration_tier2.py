@@ -5,9 +5,9 @@ worlds per candidate, and Hoeffding promises ``|estimate − p| ≤ ε`` with
 probability at least ``1 − δ`` for each triangle.  So a decision on the
 wrong side of θ is an error only when the exact ``p`` lies outside the band
 ``[θ − ε, θ + ε]``.  The sweep takes every triangle's exact ``p`` from
-:func:`~repro.sampling.adaptive.exact_probabilities`, in both the global and
+:func:`~repro.sampling.verification.exact_probabilities`, in both the global and
 the weak model, samples its estimate from
-:func:`~repro.sampling.adaptive.blocked_counts` at 50 seeds, and decides it
+:func:`~repro.sampling.verification.blocked_counts` at 50 seeds, and decides it
 the way the loop does (``counts / n ≥ θ``).  Among the (triangle, seed)
 pairs outside the band, the share decided on the wrong side must stay at
 most δ, and so must each triangle's own share over the seeds, up to the
@@ -45,7 +45,7 @@ import repro.core.global_nucleus
 from repro.core.global_nucleus import global_nucleus_decomposition
 from repro.core.local import local_nucleus_decomposition
 from repro.graph.generators import clique_graph
-from repro.sampling.adaptive import blocked_counts, exact_probabilities, global_decisions
+from repro.sampling.verification import blocked_counts, exact_probabilities, global_decisions
 from repro.sampling.monte_carlo import hoeffding_sample_size
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,

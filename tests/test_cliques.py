@@ -14,17 +14,20 @@ from repro.deterministic.cliques import (
     count_triangles,
     distinct_per_owner,
     enumerate_four_cliques,
-    enumerate_k_cliques,
     enumerate_triangles,
-    four_cliques_containing_triangle,
     triangle_clique_index,
     triangle_connected_components,
-    triangle_supports,
     triangles_of_clique,
 )
 from graph_factories import small_er_graph
 from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+
+from oracle.deterministic import (
+    enumerate_k_cliques,
+    four_cliques_containing_triangle,
+    triangle_supports,
+)
 
 
 def _binomial(n: int, k: int) -> int:

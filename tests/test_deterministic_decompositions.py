@@ -1,4 +1,10 @@
-"""Tests for deterministic k-core, k-truss, (3,4)-nucleus, and connectivity."""
+"""Tests for deterministic k-core, k-truss, (3,4)-nucleus, and connectivity.
+
+The nucleus functions run on the engine (the local peel at p = 1 and θ = 1,
+and the world-matrix predicate on the all-present world);
+:class:`TestEngineMatchesTheDictOracle` pins them to the dict implementations
+they replaced, which live in ``tests/oracle/deterministic.py``.
+"""
 
 from __future__ import annotations
 
@@ -25,9 +31,14 @@ from repro.deterministic.nucleus import (
     triangles_to_edge_subgraph,
 )
 from repro.exceptions import InvalidParameterError
-from graph_factories import small_er_graph
+from graph_factories import bundled_graph, small_er_graph
+from repro.experiments.datasets import DATASET_NAMES
 from repro.graph.generators import clique_graph
-from repro.graph.probabilistic_graph import ProbabilisticGraph
+from repro.graph.probabilistic_graph import ProbabilisticGraph, sorted_labels
+
+from oracle.deterministic import is_k_nucleus as dict_is_k_nucleus
+from oracle.deterministic import nucleus_decomposition as dict_nucleus_decomposition
+from oracle.deterministic import triangle_supports
 
 
 class TestCoreDecomposition:
@@ -221,6 +232,94 @@ class TestIsKNucleus:
         assert only_k_nucleus_on_k_plus_3_vertices_is_clique(2)
 
 
+#: Every bundled dataset at both bundled scales.
+BUNDLED = [(name, scale) for scale in ("tiny", "small") for name in DATASET_NAMES]
+
+#: The predicate levels every candidate is decided at.
+LEVELS = range(5)
+
+
+def _with_an_edge_dropped(graph: ProbabilisticGraph) -> ProbabilisticGraph:
+    dropped = graph.copy()
+    u, v, _ = next(iter(dropped.edges()))
+    dropped.remove_edge(u, v)
+    return dropped
+
+
+def _mixed_k5() -> ProbabilisticGraph:
+    labels = sorted_labels([0, 1, 2, "a", "b"])
+    return ProbabilisticGraph((u, v, 0.9) for u, v in itertools.combinations(labels, 2))
+
+
+class TestEngineMatchesTheDictOracle:
+    """The engine-backed nucleusness and predicate equal the dict oracle's."""
+
+    @pytest.mark.parametrize("name,scale", BUNDLED, ids=lambda x: x)
+    def test_on_every_bundled_graph(self, name, scale):
+        graph = bundled_graph(name, scale)
+        expected = dict_nucleus_decomposition(graph)
+        assert max(expected.values()) >= 2
+        assert nucleus_decomposition(graph) == expected
+        for k in LEVELS:
+            assert is_k_nucleus(graph, k) == dict_is_k_nucleus(graph, k), k
+
+    @pytest.mark.parametrize(
+        "name,scale",
+        [
+            pytest.param(name, scale, marks=[pytest.mark.tier2] if scale == "small" else [])
+            for name, scale in BUNDLED
+        ],
+        ids=lambda x: x,
+    )
+    def test_on_every_nucleus_subgraph_and_an_edge_dropped_copy(self, name, scale):
+        # The maximal k-nuclei (k = 0–4) are nuclei at their own level and
+        # fail above it; dropping an edge usually breaks them.
+        graph = bundled_graph(name, scale)
+        nucleusness = dict_nucleus_decomposition(graph)
+        decided = []
+        for level in LEVELS:
+            for subgraph in k_nucleus_subgraphs(graph, level, nucleusness):
+                for candidate in (subgraph, _with_an_edge_dropped(subgraph)):
+                    expected = dict_nucleus_decomposition(candidate)
+                    assert nucleus_decomposition(candidate) == expected, level
+                    for k in LEVELS:
+                        decision = is_k_nucleus(candidate, k)
+                        assert decision == dict_is_k_nucleus(candidate, k), (level, k)
+                        decided.append(decision)
+        assert any(decided) and not all(decided)
+
+    @pytest.mark.parametrize(
+        "graph_builder",
+        [
+            lambda: ProbabilisticGraph(
+                (f"v{u}" if u % 2 else u, f"v{v}" if v % 2 else v, p)
+                for u, v, p in bundled_graph("krogan").edges()
+            ),
+            _mixed_k5,
+            lambda: _with_an_edge_dropped(_mixed_k5()),
+            lambda: clique_graph(5),
+        ],
+        ids=["mixed-krogan", "mixed-K5", "mixed-K5-dropped", "K5"],
+    )
+    def test_on_mixed_labels_and_an_isolated_vertex(self, graph_builder):
+        graph = graph_builder()
+        assert nucleus_decomposition(graph) == dict_nucleus_decomposition(graph)
+        for k in LEVELS:
+            assert is_k_nucleus(graph, k) == dict_is_k_nucleus(graph, k), k
+        graph.add_vertex("isolated")
+        for k in LEVELS:
+            assert is_k_nucleus(graph, k) == dict_is_k_nucleus(graph, k), k
+
+    def test_on_graphs_without_edges(self):
+        lonely = ProbabilisticGraph()
+        lonely.add_vertex(1)
+        lonely.add_vertex("a")
+        for graph in (ProbabilisticGraph(), lonely):
+            assert nucleus_decomposition(graph) == dict_nucleus_decomposition(graph) == {}
+            for k in LEVELS:
+                assert is_k_nucleus(graph, k) is dict_is_k_nucleus(graph, k) is False
+
+
 class TestConnectivity:
     def test_connected_components(self, disconnected_graph):
         components = connected_components(disconnected_graph)
@@ -270,8 +369,6 @@ class TestHierarchyProperties:
             return
         for subgraph in k_nucleus_subgraphs(graph, top):
             # every triangle of the reported nucleus has support >= top inside it
-            from repro.deterministic.cliques import triangle_supports
-
             supports = triangle_supports(subgraph)
             covered = [s for s in supports.values() if s > 0]
             assert covered and min(covered) >= 0

@@ -1,8 +1,9 @@
 """Keep the package's docstring examples executable.
 
 The CI workflow runs ``pytest --doctest-modules`` over ``src/repro/graph``,
-``src/repro/sampling``, ``src/repro/hardness``, ``src/repro/exceptions.py``,
-``src/repro/__init__.py`` and ``src/repro/core/result.py`` on every push;
+``src/repro/sampling``, ``src/repro/hardness``, ``src/repro/deterministic``,
+``src/repro/exceptions.py``, ``src/repro/__init__.py`` and
+``src/repro/core/result.py`` on every push;
 this tier-1 test runs the examples of the modules below in plain local runs
 of ``python -m pytest`` as well, including modules that step does not reach.
 """
@@ -15,6 +16,7 @@ import pytest
 
 import repro
 import repro.core.result
+import repro.deterministic.nucleus
 import repro.exceptions
 import repro.graph.csr
 import repro.graph.probabilistic_graph
@@ -26,13 +28,14 @@ import repro.obs.timing
 import repro.peeling
 import repro.query
 import repro.query.cache
-import repro.sampling.adaptive
+import repro.sampling.verification
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY
 
 MODULES = [
     repro,
     repro.core.result,
+    repro.deterministic.nucleus,
     repro.exceptions,
     repro.graph.csr,
     repro.graph.probabilistic_graph,
@@ -44,7 +47,7 @@ MODULES = [
     repro.peeling,
     repro.query,
     repro.query.cache,
-    repro.sampling.adaptive,
+    repro.sampling.verification,
 ]
 
 

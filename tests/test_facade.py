@@ -22,13 +22,14 @@ import repro.serve
 from repro.core.approximations import PoissonEstimator
 from repro.deterministic.cliques import canonical_triangle
 from repro.deterministic.ktruss import truss_decomposition
-from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import canonical_edge, sorted_labels
 from repro.index.builders import local_result_from_index
 from repro.query import NucleusQueryEngine
 from repro.serve import QueryService
+
+from oracle.deterministic import nucleus_decomposition as heap_nucleus_decomposition
 
 THETA = 0.4
 
@@ -290,12 +291,14 @@ def test_mixed_int_str_labels_through_every_verb(mixed_graph, mode):
 
 
 #: The heap-based dict peels, each with the canonical form of its items
-#: (vertices, edges or triangles) for mapping a relabelled result back.
+#: (vertices, edges or triangles) for mapping a relabelled result back.  The
+#: deterministic nucleus peel is the test oracle's: the library's runs on
+#: the engine.
 DICT_PEELS = {
     "eta-core": (lambda g: repro.probabilistic_core_decomposition(g, 0.3), None),
     "gamma-truss": (lambda g: repro.probabilistic_truss_decomposition(g, 0.3), canonical_edge),
     "truss": (truss_decomposition, canonical_edge),
-    "nucleus": (nucleus_decomposition, canonical_triangle),
+    "nucleus": (heap_nucleus_decomposition, canonical_triangle),
 }
 
 

@@ -17,8 +17,8 @@ identically seeded generator.  The weak driver's array grouping is pinned to
 the dict 4-clique components, and the tier-2 :class:`TestAnswerPins` pins the
 sampled answers of both drivers.  :class:`TestBlockLoop` pins the world
 blocks that the candidates share
-(:func:`~repro.sampling.adaptive.global_decisions`) to one
-:func:`~repro.sampling.adaptive.global_verify` call per restriction, and
+(:func:`~repro.sampling.verification.global_decisions`) to one
+:func:`~repro.sampling.verification.global_verify` call per restriction, and
 every candidate of a :meth:`WorldBlock.cut` to its restriction.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import repro.core.global_nucleus as global_module
-import repro.sampling.adaptive as adaptive
+import repro.sampling.verification as verification
 import repro.sampling.world_matrix as world_matrix
 from graph_factories import PERFBENCH, perfbench_graph
 from oracle.global_nucleus import verified_nuclei
@@ -59,7 +59,7 @@ from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
-from repro.sampling.adaptive import global_decisions, global_verify, weak_scores
+from repro.sampling.verification import global_decisions, global_verify, weak_scores
 from repro.sampling.world_matrix import CandidateWorldIndex, WorldBlock
 
 TINY = ("krogan", "dblp", "flickr", "pokec", "biomine", "ljournal")
@@ -340,13 +340,13 @@ class TestCallCounts:
         graph, theta, local = _case("flickr")
         assert len(local.nuclei(1)) > 1
         calls = Counter()
-        require = adaptive._require_positive_int
+        require = verification._require_positive_int
 
         def counting(name, value):
             calls[name] += 1
             return require(name, value)
 
-        monkeypatch.setattr(adaptive, "_require_positive_int", counting)
+        monkeypatch.setattr(verification, "_require_positive_int", counting)
         assert DRIVERS[mode](graph, 1, theta, n_samples=50, seed=3, local_result=local)
         assert calls["n_samples"] == checks
 
@@ -428,9 +428,9 @@ class TestBlockLoop:
     #: (SHARED_BLOCK_BYTES, WORLD_BLOCK_BYTES): the defaults; no sharing and
     #: 512-byte row blocks; shared windows halved down to lone candidates.
     BUDGETS = {
-        "shared": (adaptive.SHARED_BLOCK_BYTES, adaptive.WORLD_BLOCK_BYTES),
+        "shared": (verification.SHARED_BLOCK_BYTES, verification.WORLD_BLOCK_BYTES),
         "row-split": (0, 512),
-        "halved": (adaptive.SHARED_BLOCK_BYTES, 512),
+        "halved": (verification.SHARED_BLOCK_BYTES, 512),
     }
 
     @pytest.mark.parametrize("budgets", sorted(BUDGETS))
@@ -448,8 +448,8 @@ class TestBlockLoop:
         self, monkeypatch, name, k, n_samples, seeds, several, budgets
     ):
         shared, world = self.BUDGETS[budgets]
-        monkeypatch.setattr(adaptive, "SHARED_BLOCK_BYTES", shared)
-        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", world)
+        monkeypatch.setattr(verification, "SHARED_BLOCK_BYTES", shared)
+        monkeypatch.setattr(verification, "WORLD_BLOCK_BYTES", world)
         theta = _case(name)[1]
         index, closures = _driver_closures(name, k)
         masks = _edge_masks(index, closures)
@@ -546,22 +546,22 @@ class TestBlockLoop:
             restricted = WorldBlock.of(index.restrict(mask))
             assert _in_labels(block, segment) == _in_labels(restricted, 0)
 
-    @pytest.mark.parametrize("keys", [1, 64, adaptive._CLOSURE_EDGE_KEYS, 2**62])
+    @pytest.mark.parametrize("keys", [1, 64, verification._CLOSURE_EDGE_KEYS, 2**62])
     @pytest.mark.parametrize(
         "name,k", [("perfbench-flickr", 1), ("perfbench-dense", 2), ("dblp", 2)]
     )
     def test_closure_edges_are_sorted_in_batches(self, monkeypatch, name, k, keys):
         # One sort of (closure, edge) keys per batch, whatever the batches:
         # each closure's edge columns equal np.unique of its 4-cliques' edges.
-        monkeypatch.setattr(adaptive, "_CLOSURE_EDGE_KEYS", keys)
+        monkeypatch.setattr(verification, "_CLOSURE_EDGE_KEYS", keys)
         index, closures = _driver_closures(name, k)
         closures = [*closures[:2], np.zeros(0, dtype=np.int64), *closures[2:]]
-        edge_sets = list(adaptive._closure_edges(index, closures))
+        edge_sets = list(verification._closure_edges(index, closures))
         assert len(edge_sets) == len(closures)
         for edges, cliques in zip(edge_sets, closures):
             expected = np.unique(index.clique_edges[cliques])
             assert edges.dtype == expected.dtype and np.array_equal(edges, expected)
-        assert list(adaptive._closure_edges(index, [])) == []
+        assert list(verification._closure_edges(index, [])) == []
 
     @pytest.mark.parametrize("name,k,n_samples", [("k5", 1, 20), ("dblp", 2, 50)])
     def test_empty_closures_fail_without_drawing_a_world(self, name, k, n_samples):

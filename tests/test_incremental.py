@@ -16,6 +16,7 @@ is the fast tier-1 pin of every code path and failure mode.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,6 +33,7 @@ import repro.index.incremental as incremental
 from repro.core.approximations import NormalEstimator, PoissonEstimator
 from repro.core.batch import build_triangle_extension_index, clique_vertex_rows
 from repro.core.components import _nucleus_level_groups
+from repro.core.local import local_nucleus_decomposition
 from repro.exceptions import (
     EdgeNotFoundError,
     IndexCompatibilityError,
@@ -581,6 +583,21 @@ class TestRegroup:
         assert counts == {"carried": 7, "regrouped": 2, "region_rows": 10}
 
 
+def _listing(nuclei) -> list[tuple]:
+    """Each nucleus as its triangles and its subgraph's vertices and edges, in order."""
+    return [
+        (n.triangles, list(n.subgraph.vertices()), list(n.subgraph.edges())) for n in nuclei
+    ]
+
+
+def _engine_index_bytes(result) -> dict:
+    """Every array of a local result's engine index, as bytes."""
+    csr, tri_index = result.engine_index
+    arrays = {name: getattr(csr, name) for name in ("indptr", "indices", "probabilities")}
+    arrays.update((f.name, getattr(tri_index, f.name)) for f in dataclasses.fields(tri_index))
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
 class TestWarmStart:
     """A fresh build hands its peel's triangle index to the first update."""
 
@@ -606,6 +623,40 @@ class TestWarmStart:
             checked_apply(
                 index, graph.vertices(), edge_dict(graph), [EdgeUpdate("delete", u, v)]
             )
+
+    @pytest.mark.parametrize("op", ["delete", "change", "insert"])
+    @pytest.mark.parametrize("route", ["build_index", "local_result"])
+    def test_a_results_snapshot_splices_the_results_engine_index(
+        self, route, op, monkeypatch
+    ):
+        # result.build_index() and build_local_index(local_result=...) hand
+        # the result's engine index to the first update, which must leave
+        # the arrays it shares with the result as they were.
+        graph = planted_communities_graph()
+        result = local_nucleus_decomposition(graph, THETA)
+        if route == "build_index":
+            index = result.build_index()
+        else:
+            index = build_local_index(graph, THETA, local_result=result)
+        csr, tri_index = result.engine_index
+        assert index._incremental_state == {"csr": csr, "tri_index": tri_index}
+        levels = range(result.max_score + 1)
+        nuclei = {k: _listing(result.nuclei(k)) for k in levels}
+        shared = _engine_index_bytes(result)
+        edges = edge_dict(graph)
+        u, v = _dense_edge(graph) if op != "insert" else _missing_pair(edges, graph.vertices())
+        p = {"delete": None, "change": 0.3, "insert": 0.9}[op]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                incremental,
+                "build_triangle_extension_index",
+                lambda csr: pytest.fail("the first update enumerated the triangle index"),
+            )
+            checked_apply(index, graph.vertices(), edges, [EdgeUpdate(op, u, v, p)])
+        assert _engine_index_bytes(result) == shared
+        assert {k: _listing(result.nuclei(k)) for k in levels} == nuclei
+        fresh = local_nucleus_decomposition(graph, THETA)
+        assert {k: _listing(fresh.nuclei(k)) for k in levels} == nuclei
 
     def test_loaded_index_updates_to_the_same_arrays(self, monkeypatch, tmp_path):
         graph = planted_communities_graph()

@@ -22,20 +22,24 @@ from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import NO_VALID_K
-from repro.deterministic.cliques import enumerate_triangles, four_cliques_containing_triangle
-from repro.deterministic.nucleus import nucleus_decomposition
+from repro.deterministic.cliques import enumerate_triangles
 from repro.exceptions import InvalidParameterError
 from graph_factories import bundled_graph, small_er_graph
 from repro.experiments.datasets import DATASET_NAMES
 from repro.graph.generators import clique_graph
-from repro.graph.possible_worlds import enumerate_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index.builders import build_local_index, local_result_from_index
+from oracle.deterministic import (
+    four_cliques_containing_triangle,
+    nucleus_decomposition,
+    triangle_supports,
+)
 from oracle.local import (
     canonical_nuclei,
     clique_extension_probability,
     triangle_existence_probability,
 )
+from oracle.possible_worlds import enumerate_worlds
 
 
 def brute_force_initial_kappa(graph: ProbabilisticGraph, triangle, theta: float) -> int:
@@ -385,8 +389,6 @@ class TestPropertyBased:
     def test_scores_bounded_by_support(self, seed, theta):
         graph = small_er_graph(12, 0.5, seed=seed)
         result = local_nucleus_decomposition(graph, theta)
-        from repro.deterministic.cliques import triangle_supports
-
         supports = triangle_supports(graph)
         for triangle, score in result.scores.items():
             assert NO_VALID_K <= score <= supports[triangle]

@@ -10,11 +10,16 @@ from __future__ import annotations
 import functools
 import io
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_factories import perfbench_graph
 
 from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition
@@ -387,6 +392,79 @@ class TestDirectArraySnapshot:
 # --------------------------------------------------------------------------- #
 # failure modes of load()
 # --------------------------------------------------------------------------- #
+def _listing(nuclei) -> list[tuple]:
+    """Each nucleus as its triangles and its subgraph's vertices and edges, in order."""
+    return [
+        (n.triangles, list(n.subgraph.vertices()), list(n.subgraph.edges())) for n in nuclei
+    ]
+
+
+#: Every bundled dataset at both bundled scales, and the benchmark's
+#: local-index graph.
+COMPONENT_GRAPHS = [
+    *(f"{name}-{scale}" for scale in ("tiny", "small") for name in DATASET_NAMES),
+    "perfbench-planted",
+]
+
+
+class TestComponentNuclei:
+    """An indexed component materialises as the local result's own nucleus."""
+
+    @pytest.mark.parametrize("name", COMPONENT_GRAPHS)
+    def test_component_nuclei_are_the_results_nuclei(self, name):
+        if name == "perfbench-planted":
+            graph = perfbench_graph(name)
+        else:
+            dataset, scale = name.rsplit("-", 1)
+            graph = load_dataset(dataset, scale=scale)
+        result = local_nucleus_decomposition(graph, 0.1)
+        index = build_local_index(graph, 0.1)
+        assert index.levels == tuple(range(result.max_score + 1))
+        for k in index.levels:
+            served = [index.component_nucleus(int(c)) for c in index.components_at_level(k)]
+            expected = result.nuclei(k)
+            assert served == expected, k
+            # Down to the insertion order of every subgraph's vertices and edges.
+            assert _listing(served) == _listing(expected), k
+
+    def test_served_nuclei_do_not_depend_on_the_hash_seed(self):
+        # String labels: a subgraph built from a set of edges inserts them in
+        # an order that follows the hash seed.
+        script = textwrap.dedent(
+            """
+            import hashlib
+            from repro.experiments.datasets import load_dataset
+            from repro.graph.probabilistic_graph import ProbabilisticGraph
+            from repro.index import build_index
+            from repro.query import NucleusQueryEngine
+
+            dblp = load_dataset("dblp", scale="tiny")
+            graph = ProbabilisticGraph((f"v{u}", f"v{v}", p) for u, v, p in dblp.edges())
+            engine = NucleusQueryEngine(build_index(graph, mode="local", theta=0.1))
+            for k in engine.index.levels:
+                listing = [
+                    (sorted(n.triangles), list(n.subgraph.vertices()),
+                     list(n.subgraph.edges()))
+                    for n in engine.nuclei(k)
+                ]
+                print(k, len(listing), hashlib.sha256(repr(listing).encode()).hexdigest())
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        assert max(int(line.split()[1]) for line in outputs[0]) >= 3
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
 class TestLoadFailures:
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "garbage.npz"

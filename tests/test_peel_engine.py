@@ -39,7 +39,6 @@ from repro.core.support_dp import (
     max_k_at_threshold,
     support_tail_probabilities,
 )
-from repro.deterministic.nucleus import nucleus_decomposition
 from repro.exceptions import InvalidParameterError
 from repro.graph.generators import clique_graph, planted_nucleus_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -49,6 +48,7 @@ from repro.obs import capture
 from repro.peeling import LazyMinHeap
 
 import oracle
+from oracle.deterministic import nucleus_decomposition
 
 #: The dict oracle and the production engine, keyed as the retired backends.
 ENGINES = {

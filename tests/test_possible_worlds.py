@@ -1,4 +1,8 @@
-"""Unit and property tests for possible-world semantics (Equation 1)."""
+"""Unit and property tests for possible-world semantics (Equation 1).
+
+The enumeration tests pin the test oracle's ``enumerate_worlds``, the dict
+reference that the exact evaluators are summed against.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
-from repro.graph.possible_worlds import (
-    enumerate_worlds,
-    expected_edge_count,
-    sample_world,
-    sample_worlds,
-    world_probability,
-)
+from repro.graph.possible_worlds import expected_edge_count, sample_world, world_probability
 from repro.graph.probabilistic_graph import ProbabilisticGraph
+
+from oracle.possible_worlds import enumerate_worlds
 
 
 class TestWorldProbability:
@@ -75,12 +75,6 @@ class TestSampling:
         first = sample_world(paper_figure1_graph, seed=5)
         second = sample_world(paper_figure1_graph, seed=5)
         assert first == second
-
-    def test_sample_worlds_count_and_validation(self, triangle_graph):
-        worlds = sample_worlds(triangle_graph, 7, seed=1)
-        assert len(worlds) == 7
-        with pytest.raises(InvalidParameterError):
-            sample_worlds(triangle_graph, 0)
 
     def test_sample_frequency_tracks_probability(self):
         graph = ProbabilisticGraph([(1, 2, 0.25)])

@@ -12,13 +12,11 @@ from repro.exceptions import (
     InvalidProbabilityError,
     VertexNotFoundError,
 )
-from repro.graph.possible_worlds import (
-    enumerate_worlds,
-    expected_edge_count,
-    world_probability,
-)
+from repro.graph.possible_worlds import expected_edge_count, world_probability
 from repro.graph.probabilistic_graph import ProbabilisticGraph, canonical_edge
 from repro.sampling.reliability import exact_reliability
+
+from oracle.possible_worlds import enumerate_worlds
 
 
 class TestConstruction:

@@ -31,12 +31,11 @@ from hypothesis import strategies as st
 
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.local import local_nucleus_decomposition
-from repro.deterministic.cliques import (
-    four_cliques_containing_triangle,
-    triangle_arrays_csr,
-)
+from repro.deterministic.cliques import triangle_arrays_csr
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.index import EdgeUpdate, apply_updates, build_local_index
+
+from oracle.deterministic import four_cliques_containing_triangle
 
 pytestmark = pytest.mark.tier2
 

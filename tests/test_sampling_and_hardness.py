@@ -1,7 +1,7 @@
 """Tests for Monte-Carlo machinery, network reliability, and the hardness reductions.
 
-The exact evaluator (:func:`repro.sampling.adaptive.exact_probabilities`) is
-pinned to closed forms and to the dict predicates summed over
+The exact evaluator (:func:`repro.sampling.verification.exact_probabilities`) is
+pinned to closed forms and to the oracle's dict predicates summed over its
 ``enumerate_worlds``, and it is the oracle of the decision pins: on graphs
 whose triangles share one exact probability ``p``, the fixed-``n``
 verification loop must decide ``p ≥ θ`` at ``θ = p ± 0.3`` in both models.
@@ -10,6 +10,7 @@ verification loop must decide ``p ≥ θ`` at ``θ = p ± 0.3`` in both models.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 import numpy as np
@@ -18,12 +19,12 @@ from graph_factories import figure3a_graph, small_er_graph, two_cliques_sharing_
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sampling.verification as verification
 from repro.deterministic.cliques import enumerate_triangles
 from repro.deterministic.connectivity import is_connected
-from repro.deterministic.nucleus import is_k_nucleus, k_nucleus_triangle_groups
+from repro.deterministic.nucleus import k_nucleus_triangle_groups
 from repro.exceptions import InvalidParameterError, VertexNotFoundError
 from repro.graph.generators import clique_graph
-from repro.graph.possible_worlds import enumerate_worlds, sample_worlds
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.hardness.reductions import (
     global_indicator_probability,
@@ -31,9 +32,8 @@ from repro.hardness.reductions import (
     reduce_reliability_to_global_nucleus,
     weak_indicator_probability,
 )
-from repro.sampling.adaptive import exact_probabilities, global_verify, weak_scores
+from repro.sampling.verification import exact_probabilities, global_verify, weak_scores
 from repro.sampling.monte_carlo import (
-    estimate_world_probability,
     hoeffding_error_bound,
     hoeffding_sample_size,
 )
@@ -43,9 +43,16 @@ from repro.sampling.reliability import (
     exact_reliability,
     reliability_decision,
 )
-from repro.sampling.world_matrix import CandidateWorldIndex, global_membership, weak_membership
+from repro.sampling.world_matrix import (
+    CandidateWorldIndex,
+    global_membership,
+    weak_membership,
+    world_from_row,
+)
 
 from oracle import reliability as oracle_reliability
+from oracle.deterministic import is_k_nucleus, nucleus_decomposition
+from oracle.possible_worlds import enumerate_worlds
 
 
 class TestHoeffding:
@@ -68,36 +75,6 @@ class TestHoeffding:
     def test_error_bound_invalid(self):
         with pytest.raises(InvalidParameterError):
             hoeffding_error_bound(0, 0.1)
-
-
-class TestEstimateWorldProbability:
-    def test_certain_predicate(self, four_clique_graph):
-        estimate = estimate_world_probability(
-            four_clique_graph, lambda world: True, n_samples=10, seed=0
-        )
-        assert float(estimate) == 1.0
-        assert estimate.n_samples == 10
-
-    def test_estimate_close_to_exact(self):
-        graph = ProbabilisticGraph([(0, 1, 0.7), (1, 2, 0.7), (0, 2, 0.7)])
-        estimate = estimate_world_probability(
-            graph, is_connected, n_samples=3000, seed=1
-        )
-        exact = exact_reliability(graph)
-        assert abs(float(estimate) - exact) < 0.05
-
-    def test_reuses_provided_worlds(self, four_clique_graph):
-        worlds = [four_clique_graph.copy() for _ in range(4)]
-        estimate = estimate_world_probability(four_clique_graph, lambda w: True, worlds=worlds)
-        assert estimate.n_samples == 4
-        with pytest.raises(InvalidParameterError):
-            estimate_world_probability(four_clique_graph, lambda w: True, worlds=[])
-
-    def test_default_sample_size_comes_from_hoeffding(self, four_clique_graph):
-        estimate = estimate_world_probability(
-            four_clique_graph, lambda world: False, epsilon=0.2, delta=0.2, seed=2
-        )
-        assert estimate.n_samples == hoeffding_sample_size(0.2, 0.2)
 
 
 #: Lemma 2's instances: the original graphs of ``TestReliabilityReduction``.
@@ -189,6 +166,38 @@ class TestReliability:
         estimate = estimate_reliability(graph, n_samples=4000, seed=3)
         assert abs(float(estimate) - exact_reliability(graph)) < 0.05
 
+    @pytest.mark.parametrize("name", ["K5-0.5", "er-3", "lemma2-3-augmented"])
+    def test_estimate_counts_the_connected_sampled_worlds(self, name, monkeypatch):
+        # The same worlds, materialized one by one and tested by the dict
+        # connectivity check; one-world blocks move neither the estimate
+        # nor the stream.
+        graph = RELIABILITY_GRAPHS[name]()
+        index = CandidateWorldIndex.from_graph(graph)
+        worlds = index.sample(300, seed=5)
+        connected = sum(is_connected(world_from_row(index, row)) for row in worlds)
+        estimate = estimate_reliability(graph, n_samples=300, seed=5)
+        assert float(estimate) == connected / 300
+        assert estimate.n_samples == 300
+        assert estimate.epsilon == hoeffding_error_bound(300, 0.1)
+        monkeypatch.setattr(verification, "WORLD_BLOCK_BYTES", 1)
+        assert estimate_reliability(graph, n_samples=300, seed=5) == estimate
+
+    def test_estimate_takes_a_random_generator_and_the_hoeffding_budget(self):
+        graph = clique_graph(4, probability=0.5)
+        first = estimate_reliability(graph, epsilon=0.2, delta=0.2, rng=random.Random(4))
+        again = estimate_reliability(graph, epsilon=0.2, delta=0.2, rng=random.Random(4))
+        assert first == again
+        assert first.n_samples == hoeffding_sample_size(0.2, 0.2)
+
+    def test_estimate_of_no_vertex_one_vertex_and_an_isolated_vertex(self):
+        single = ProbabilisticGraph()
+        single.add_vertex("x")
+        isolated = ProbabilisticGraph([(0, 1, 1.0)])
+        isolated.add_vertex(7)
+        assert estimate_reliability(ProbabilisticGraph(), n_samples=5, seed=0) == 0.0
+        assert estimate_reliability(single, n_samples=5, seed=0) == 1.0
+        assert estimate_reliability(isolated, n_samples=5, seed=0) == 0.0
+
     def test_decision_version(self):
         graph = ProbabilisticGraph([(0, 1, 0.3)])
         assert reliability_decision(graph, 0.2)
@@ -220,11 +229,6 @@ class TestMonteCarloKnobValidation:
         with pytest.raises(InvalidParameterError, match=BAD_COUNT):
             estimate_reliability(triangle_graph, n_samples=n_samples, seed=0)
 
-    @pytest.mark.parametrize("n_samples", [*BAD_SAMPLE_COUNTS, None], ids=repr)
-    def test_sample_worlds_names_n_samples(self, triangle_graph, n_samples):
-        with pytest.raises(InvalidParameterError, match=BAD_COUNT):
-            sample_worlds(triangle_graph, n_samples, seed=0)
-
     @pytest.mark.parametrize("n_samples", BAD_SAMPLE_COUNTS, ids=repr)
     def test_hoeffding_error_bound_names_n_samples(self, n_samples):
         with pytest.raises(InvalidParameterError, match=BAD_COUNT):
@@ -241,13 +245,11 @@ class TestMonteCarloKnobValidation:
             binary_search_reliability(lambda theta: True, precision=precision)
 
     @pytest.mark.parametrize("n_samples", [np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
-    def test_numpy_sample_counts_still_run(self, triangle_graph, n_samples):
-        estimate = estimate_world_probability(
-            triangle_graph, lambda world: True, n_samples=n_samples, seed=0
-        )
+    def test_numpy_sample_counts_still_run(self, n_samples):
+        certain = ProbabilisticGraph([(0, 1, 1.0), (1, 2, 1.0)])
+        estimate = estimate_reliability(certain, n_samples=n_samples, seed=0)
         assert float(estimate) == 1.0
         assert type(estimate.n_samples) is int and estimate.n_samples == 3
-        assert len(sample_worlds(triangle_graph, n_samples, seed=0)) == 3
         assert hoeffding_error_bound(n_samples, 0.1) == hoeffding_error_bound(3, 0.1)
 
 
@@ -348,12 +350,14 @@ def _contains(world: ProbabilisticGraph, triangle) -> bool:
 
 
 def dict_probabilities(graph: ProbabilisticGraph, k: int) -> dict[str, dict]:
-    """The reference: each model's dict predicate summed over ``enumerate_worlds``."""
+    """The reference: each model's dict predicate of the oracle summed over
+    the oracle's ``enumerate_worlds``."""
     triangles = list(enumerate_triangles(graph))
     sums = {model: dict.fromkeys(triangles, 0.0) for model in MODELS}
     for world, probability in enumerate_worlds(graph):
         nucleus = is_k_nucleus(world, k)
-        members = set().union(*k_nucleus_triangle_groups(world, k))
+        nucleusness = nucleus_decomposition(world)
+        members = set().union(*k_nucleus_triangle_groups(world, k, nucleusness))
         for triangle in triangles:
             if nucleus and _contains(world, triangle):
                 sums["global"][triangle] += probability

@@ -3,16 +3,17 @@
 Three layers of guarantees:
 
 1. **Exact verification parity** — for any boolean world-matrix row, the
-   batched predicates agree with the dict-backed reference predicates
-   (:func:`is_k_nucleus`, :func:`k_nucleus_triangle_groups`) on the
-   materialized world, world by world.
+   batched predicates agree with the dict-backed reference predicates of
+   the oracle (:func:`oracle.deterministic.is_k_nucleus`, and
+   :func:`k_nucleus_triangle_groups` under the oracle's heap-peel
+   nucleusness) on the materialized world, world by world.
 2. **Statistical sampling parity** — the dict sampler and the matrix sampler
    draw from the same distribution, so their per-triangle probability
    estimates agree within the Hoeffding bound (and, on graphs small enough
    to enumerate, with the exact probability).
 3. **Block invariance** — the one fixed-``n`` verification loop
-   (:func:`~repro.sampling.adaptive.global_verify`,
-   :func:`~repro.sampling.adaptive.weak_scores`) draws its worlds in
+   (:func:`~repro.sampling.verification.global_verify`,
+   :func:`~repro.sampling.verification.weak_scores`) draws its worlds in
    memory-bounded row blocks; any split returns the counts, the nuclei and
    the generator state of one monolithic draw.  The tier-2 memory smoke
    runs the loop where one monolithic draw cannot fit.  (Algorithm 2's
@@ -43,7 +44,7 @@ import pytest
 from graph_factories import figure3a_graph, two_cliques_sharing_an_edge
 
 import repro
-import repro.sampling.adaptive as adaptive
+import repro.sampling.verification as verification
 from repro.cli import main as index_main
 from repro.core.global_nucleus import candidate_closure, global_nucleus_decomposition
 from repro.core.weak_nucleus import weak_nucleus_decomposition
@@ -62,7 +63,7 @@ from repro.graph.generators import (
     planted_nucleus_graph,
 )
 from repro.graph.io import write_edge_list
-from repro.graph.possible_worlds import enumerate_worlds, sample_world
+from repro.graph.possible_worlds import sample_world
 from repro.graph.probabilistic_graph import ProbabilisticGraph
 from repro.hardness.reductions import (
     global_indicator_probability,
@@ -71,7 +72,7 @@ from repro.hardness.reductions import (
 from repro.index import NucleusIndex, build_index, load_index
 from repro.obs import config as obs_config
 from repro.obs.metrics import REGISTRY as obs_registry
-from repro.sampling.adaptive import block_rows, blocked_counts, global_verify, weak_scores
+from repro.sampling.verification import block_rows, blocked_counts, global_verify, weak_scores
 from repro.sampling.monte_carlo import hoeffding_error_bound
 from repro.sampling.world_matrix import (
     CandidateWorldIndex,
@@ -88,11 +89,20 @@ from repro.sampling.world_matrix import (
 )
 
 import oracle
+from oracle.deterministic import is_k_nucleus as dict_is_k_nucleus
+from oracle.deterministic import nucleus_decomposition as dict_nucleusness
+from oracle.possible_worlds import enumerate_worlds
 
 
 @pytest.fixture
 def paper_example1_graph() -> ProbabilisticGraph:
     return figure3a_graph()
+
+
+def dict_groups(world: ProbabilisticGraph, k: int) -> list:
+    """The reference k-nuclei of a world: its triangle groups under the
+    oracle's heap-peel nucleusness."""
+    return k_nucleus_triangle_groups(world, k, nucleusness=dict_nucleusness(world))
 
 
 def all_worlds(num_edges: int) -> np.ndarray:
@@ -243,7 +253,7 @@ class TestExactVerificationParity:
         mask = nucleus_world_mask(index, worlds, k)
         for i in range(worlds.shape[0]):
             world = world_from_row(index, worlds[i])
-            assert bool(mask[i]) == is_k_nucleus(world, k), f"world {i}"
+            assert bool(mask[i]) == dict_is_k_nucleus(world, k), f"world {i}"
 
     @pytest.mark.parametrize(
         "graph_builder,k",
@@ -260,7 +270,7 @@ class TestExactVerificationParity:
         counts = np.zeros(index.num_triangles, dtype=np.int64)
         for i in range(worlds.shape[0]):
             world = world_from_row(index, worlds[i])
-            groups = k_nucleus_triangle_groups(world, k)
+            groups = dict_groups(world, k)
             for group in groups:
                 for triangle in group:
                     counts[labels.index(triangle)] += 1
@@ -287,8 +297,8 @@ class TestExactVerificationParity:
         members = np.zeros((worlds.shape[0], index.num_triangles), dtype=np.int64)
         for i in range(worlds.shape[0]):
             world = world_from_row(index, worlds[i])
-            assert bool(mask[i]) == is_k_nucleus(world, k), f"world {i}"
-            for group in k_nucleus_triangle_groups(world, k):
+            assert bool(mask[i]) == dict_is_k_nucleus(world, k), f"world {i}"
+            for group in dict_groups(world, k):
                 members[i, [position[t] for t in group]] = 1
             row = worlds[i : i + 1]
             assert weak_membership_counts(index, row, k).tolist() == members[i].tolist()
@@ -305,7 +315,7 @@ class TestExactVerificationParity:
         worlds = np.zeros((len(pairs), index.num_edges), dtype=bool)
         for row, pair in enumerate(pairs):
             worlds[row, index.clique_edges[list(pair)].ravel()] = True
-        expected = [is_k_nucleus(world_from_row(index, world), k) for world in worlds]
+        expected = [dict_is_k_nucleus(world_from_row(index, world), k) for world in worlds]
         assert nucleus_world_mask(index, worlds, k).tolist() == expected
         assert k > 1 or 0 < sum(expected) < len(pairs)
 
@@ -337,7 +347,7 @@ class TestStatisticalParity:
         # Exact per-triangle probability by exhaustive world enumeration.
         exact = dict.fromkeys(labels, 0.0)
         for world, probability in enumerate_worlds(graph):
-            if not is_k_nucleus(world, k):
+            if not dict_is_k_nucleus(world, k):
                 continue
             for triangle in labels:
                 if _contains_triangle(world, triangle):
@@ -354,7 +364,7 @@ class TestStatisticalParity:
         dict_counts = dict.fromkeys(labels, 0)
         for _ in range(n_samples):
             world = sample_world(graph, rng=rng)
-            if not is_k_nucleus(world, k):
+            if not dict_is_k_nucleus(world, k):
                 continue
             for triangle in labels:
                 if _contains_triangle(world, triangle):
@@ -487,7 +497,7 @@ class TestWorldBlocks:
             )
         )
         row_bytes = 8 * index.num_edges + 24 * index.num_cliques + 4 * padded
-        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 7 * row_bytes)
+        monkeypatch.setattr(verification, "WORLD_BLOCK_BYTES", 7 * row_bytes)
         assert block_rows(index) == 7
         for count in (global_triangle_counts, weak_membership_counts):
             blocked_rng, one_shot_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -513,7 +523,7 @@ class TestWorldBlocks:
                 return _sample(index, n_worlds, **options)
 
             monkeypatch.setattr(owner, "sample", spy)
-        monkeypatch.setattr(adaptive, "WORLD_BLOCK_BYTES", 1)
+        monkeypatch.setattr(verification, "WORLD_BLOCK_BYTES", 1)
         for k in (1, 2):
             assert _nuclei_key(repro.decompose(graph, k=k, **kwargs)) == expected[k]
         # Every block held one world of one candidate, so each candidate's
@@ -544,8 +554,10 @@ class TestFixedLoop:
         # 7 / 25 >= 0.28 holds, 7 >= 0.28 * 25 (= 7.000000000000001) does not.
         # Weak counts through blocked_counts, global per verification of a
         # block (one row of counts per repeat).
-        monkeypatch.setattr(adaptive, "blocked_counts", lambda *args, **kw: np.array([7]))
-        monkeypatch.setattr(adaptive, "_stacked_counts", lambda *args, **kw: np.array([[7]]))
+        monkeypatch.setattr(verification, "blocked_counts", lambda *args, **kw: np.array([7]))
+        monkeypatch.setattr(
+            verification, "_stacked_counts", lambda *args, **kw: np.array([[7]])
+        )
         index = CandidateWorldIndex.from_graph(clique_graph(3, probability=0.5))
         assert global_verify(index, 0, 0.28, 25, seed=0) is True
         assert weak_scores(index, 0, 0.28, 25, seed=0)[1].tolist() == [True]
@@ -791,7 +803,7 @@ MEMORY_SMOKE_SCRIPT = textwrap.dedent(
     import numpy as np
 
     from repro.graph.csr import CSRProbabilisticGraph
-    from repro.sampling.adaptive import blocked_counts, global_verify, weak_scores
+    from repro.sampling.verification import blocked_counts, global_verify, weak_scores
     from repro.sampling.world_matrix import (
         CandidateWorldIndex,
         global_triangle_counts,
