@@ -430,6 +430,7 @@ def _verified_nuclei(
         )
     maximal = _keep_maximal(solutions)
     _count_stages(
+        "global",
         generated=generated,
         accepted=len(accepted),
         duplicate=len(accepted) - len(solutions),
@@ -438,15 +439,15 @@ def _verified_nuclei(
     return maximal
 
 
-def _count_stages(**stages: int) -> None:
-    """Add each stage's count to ``repro_candidates_total{model="global", stage}``
+def _count_stages(model: str, **stages: int) -> None:
+    """Add each stage's count to ``repro_candidates_total{model, stage}``
     (no-op while telemetry is off)."""
     if obs_config._ENABLED:
         for stage, count in stages.items():
             obs_registry.counter(
                 "repro_candidates_total",
-                "Candidates of Algorithm 2 per stage of its candidate loop.",
-                model="global",
+                "Candidates of Algorithms 2 and 3 per stage of their candidate loops.",
+                model=model,
                 stage=stage,
             ).inc(count)
 

@@ -155,7 +155,7 @@ def local_nucleus_decomposition(
         if isinstance(estimator, HybridEstimator)
         else None
     )
-    return LocalNucleusDecomposition(
+    result = LocalNucleusDecomposition(
         graph=graph,
         theta=theta,
         scores=dict(
@@ -167,3 +167,11 @@ def local_nucleus_decomposition(
         # order of the graph's own compile, which the engine index follows.
         engine_index=(csr, index) if compiled else None,
     )
+    if compiled:
+        # The dict holds these values row for row: hand the array over, read-only
+        # and uncopied, instead of reading the dict back onto the rows.
+        engine_scores.flags.writeable = False
+        missing = np.empty(0, dtype=np.int64)
+        missing.flags.writeable = False
+        result._row_scores = (engine_scores, missing)
+    return result

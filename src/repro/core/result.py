@@ -173,8 +173,12 @@ class LocalNucleusDecomposition:
         The nucleus score ν(△) of every triangle.  A score of ``-1`` marks a
         triangle whose own existence probability is below θ; such triangles
         belong to no ℓ-(k, θ)-nucleus.  Nuclei extraction and index
-        snapshots read it once and cache what they derive, so mutating it
-        afterwards changes neither.
+        snapshots read it once onto the engine's triangle rows and cache
+        what they derive, so mutating it afterwards changes neither: a
+        result that :func:`~repro.core.local.local_nucleus_decomposition`
+        compiled the graph for reads its peel's rows at construction, and a
+        hand-built, rehydrated or CSR-input result reads the dict on first
+        use (:attr:`_row_scores`).
     estimator_name:
         Name of the support estimator that produced the scores ("dp",
         "hybrid", "poisson", ...).
@@ -237,8 +241,13 @@ class LocalNucleusDecomposition:
         :meth:`~repro.sampling.world_matrix.CandidateWorldIndex.from_graph` of
         that subgraph, so it draws the same worlds.
         """
-        world = self.world_index
         rows = np.fromiter((self._world_rows[t] for t in triangles), dtype=np.int64)
+        return self._rows_index(rows)
+
+    def _rows_index(self, rows: np.ndarray) -> CandidateWorldIndex:
+        """:meth:`candidate_index` of the triangles on the engine ``rows``, which
+        are :attr:`world_index`'s rows too."""
+        world = self.world_index
         edge_mask = np.zeros(world.num_edges, dtype=bool)
         edge_mask[world.triangle_edges[rows]] = True
         return world.restrict(edge_mask)
@@ -306,7 +315,10 @@ class LocalNucleusDecomposition:
         both read-only, since index snapshots of this result share them.
         Keys of :attr:`scores` that the graph lacks are ignored, as the dict
         grouping (:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`)
-        ignores them.
+        ignores them.  :func:`~repro.core.local.local_nucleus_decomposition`
+        sets it at construction to the peel's own score array when it
+        compiled the graph itself, since the dict holds those very values
+        row for row; this reads the dict only for any other result.
         """
         csr, index = self.engine_index
         lookup = self.scores.get
@@ -366,19 +378,62 @@ class LocalNucleusDecomposition:
             )
         return nuclei
 
+    def _candidate_rows(self, k: int) -> list[np.ndarray]:
+        """Level ``k``'s groups of :attr:`_level_groups` in the dict grouping's order.
+
+        The member rows of each ℓ-(k, θ)-nucleus, listed as
+        :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups` of
+        :attr:`graph` and :attr:`scores` lists the same triangle sets.
+        Algorithm 3 scores its candidates one after another on one shared
+        generator, so this order fixes which worlds each candidate draws.
+
+        The order is replayed, not regrouped.  The dict grouping builds
+        ``qualifying`` from :attr:`scores` in dict order and ``covered``
+        from ``qualifying`` in set order; its breadth-first search copies
+        ``covered`` twice, and each ``pop()`` of that copy starts the next
+        component, whose triangles are then subtracted from it.  Here the
+        same three sets are built in the same order from the same keys, and
+        a lookup of the popped triangle's group replaces the search.  A
+        pop depends only on the set's contents and on the operations run on
+        it, never on the order in which the search built a component, so
+        the order equals the dict grouping's under every ``PYTHONHASHSEED``,
+        without its label-space triangle ⇄ 4-clique index.
+        """
+        groups = self._level_groups.get(k, [])
+        if not groups:
+            return []
+        csr, index = self.engine_index
+        labelled = label_triangles(index.triangles[np.concatenate(groups)], csr.vertex_labels)
+        bounds = np.cumsum([0, *(group.size for group in groups)]).tolist()
+        members = [frozenset(labelled[a:b]) for a, b in zip(bounds, bounds[1:])]
+        owner = {t: group for group, triangles in enumerate(members) for t in triangles}
+        qualifying = {t for t, value in self.scores.items() if value >= k}
+        covered = {t for t in qualifying if t in owner}
+        unvisited = set(set(covered))
+        order = []
+        while unvisited:
+            group = owner[unvisited.pop()]
+            order.append(groups[group])
+            unvisited -= members[group]
+        return order
+
     def _dict_nuclei(self, k: int) -> list[ProbabilisticNucleus]:
-        """The ℓ-(k, θ)-nuclei as Algorithms 2 and 3 take their candidates.
+        """The ℓ-(k, θ)-nuclei as Algorithm 2 takes its candidates.
 
         The groups of :meth:`nuclei`, grouped in dict space instead
         (:func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`,
         cached per ``k``), listed in its component order and built by
         :func:`~repro.deterministic.nucleus.triangles_to_edge_subgraph`.
-        Both decompositions verify their candidates on one shared generator
-        in this order (Algorithm 2's seeds follow the union of these
-        subgraphs), so the order fixes which worlds each candidate draws, and
-        moving them onto :meth:`nuclei` would move sampled answers.  This
-        accessor goes once they draw one world stream per component
-        (ROADMAP.md, "Component world streams").
+        Algorithm 2 verifies its candidates on one shared generator, with
+        its seeds in the vertex insertion order of the union of these
+        subgraphs, so that order fixes which worlds each candidate draws.
+        Each subgraph inserts its edges in the order of a set filled from
+        the search's component, whose own order follows the search, so
+        only this grouping reproduces those vertex orders:
+        :meth:`_candidate_rows` replays the component order alone, enough
+        for Algorithm 3 but not for Algorithm 2.  This accessor goes once
+        the global driver draws one world stream per component (ROADMAP.md,
+        "Component world streams").
         """
         if k not in self._groups_cache:
             groups = k_nucleus_triangle_groups(self.graph, k, nucleusness=self.scores)

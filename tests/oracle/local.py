@@ -188,7 +188,8 @@ class DictLocalNucleusDecomposition(LocalNucleusDecomposition):
 
     :func:`canonical_nuclei` of the scores, never the engine's array
     grouping, so the parity suites compare two groupings.  The candidate
-    accessor of Algorithms 2 and 3 (``_dict_nuclei``) is inherited.
+    accessors of Algorithm 2 (``_dict_nuclei``) and Algorithm 3
+    (``_candidate_rows``) are inherited.
     """
 
     def nuclei(self, k: int) -> list[ProbabilisticNucleus]:

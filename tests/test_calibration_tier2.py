@@ -19,6 +19,16 @@ push the candidate-level error rate above δ; the sweep reports it in the
 assertion message without gating it.  Every world stream is seeded, so a
 failure replays exactly.
 
+Hoeffding's band at n = 150 leaves room for a biased sampler, so the same
+draws are also tested against the exact law they follow.  A correct sampler
+draws a candidate's worlds iid, so each triangle's count over ``n`` worlds
+is Binomial(n, p) and the 50 seeds give 50 independent counts.  In every
+(graph, k, model, triangle) cell with 0.02 < p < 0.98, the mean count must
+lie within 5 standard errors of ``n·p``, and the counts' sample variance
+over the seeds, divided by ``n·p(1 − p)`` (about χ²₄₉ / 49 under
+a correct sampler), must lie in [0.35, 2.5].  Edges drawn at p^1.2 fail the
+first check, and 15 worlds counted ten times over fail the second.
+
 The real-workload audit runs Algorithm 2 itself on the benchmark's
 verify-global graph and scores every candidate of at most 16 edges exactly:
 no sampled decision may differ from the exact one unless the weakest
@@ -30,6 +40,7 @@ marker expression in ``pyproject.toml``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,6 +97,32 @@ MODELS = {
     "weak": (weak_membership, weak_membership_counts),
 }
 
+#: The binomial-law checks: cells with p inside this range, the largest
+#: |z| of a mean count, and the range of the variance ratio.
+LAW_P_RANGE = (0.02, 0.98)
+MAX_ABS_Z = 5.0
+VARIANCE_RATIO_RANGE = (0.35, 2.5)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(model: str) -> tuple[tuple[str, int, np.ndarray, np.ndarray], ...]:
+    """``(graph, k, exact p, counts)`` of every cell of ``model``'s sweep.
+
+    ``counts[s]`` holds each triangle's count over the ``N_SAMPLES`` worlds
+    drawn at seed ``SEEDS[s]``; the checks below share these draws.
+    """
+    membership, count = MODELS[model]
+    cells = []
+    for name, make_graph in GRAPHS.items():
+        index = CandidateWorldIndex.from_graph(make_graph())
+        for k in LEVELS:
+            exact = exact_probabilities(membership, index, k)
+            counts = np.array(
+                [blocked_counts(count, index, N_SAMPLES, k, seed=seed) for seed in SEEDS]
+            )
+            cells.append((name, k, exact, counts))
+    return tuple(cells)
+
 
 def test_graphs_are_enumerable():
     for name, make_graph in GRAPHS.items():
@@ -95,37 +132,30 @@ def test_graphs_are_enumerable():
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_decisions_outside_the_band_err_at_most_delta(model):
-    membership, count = MODELS[model]
     pairs = errors = candidates = candidate_errors = 0
     worst: dict[tuple, int] = {}
-    for name, make_graph in GRAPHS.items():
-        index = CandidateWorldIndex.from_graph(make_graph())
-        for k in LEVELS:
-            exact = exact_probabilities(membership, index, k)
-            estimates = [
-                blocked_counts(count, index, N_SAMPLES, k, seed=seed) / N_SAMPLES
-                for seed in SEEDS
-            ]
-            for theta in THETAS:
-                outside = np.abs(exact - theta) > EPSILON
-                truth = exact >= theta
-                wrong = np.array([(estimate >= theta) != truth for estimate in estimates])
-                pairs += int(outside.sum()) * len(SEEDS)
-                errors += int(wrong[:, outside].sum())
-                for row in np.flatnonzero(outside).tolist():
-                    worst[name, k, theta, row] = int(wrong[:, row].sum())
-                if outside.all():
-                    # Global accepts a candidate when every triangle passes;
-                    # weak decides each triangle's membership.
-                    if model == "global":
-                        flips = [
-                            bool(np.all(estimate >= theta)) != bool(truth.all())
-                            for estimate in estimates
-                        ]
-                    else:
-                        flips = wrong.any(axis=1).tolist()
-                    candidates += len(SEEDS)
-                    candidate_errors += sum(flips)
+    for name, k, exact, counts in _sweep(model):
+        estimates = counts / N_SAMPLES
+        for theta in THETAS:
+            outside = np.abs(exact - theta) > EPSILON
+            truth = exact >= theta
+            wrong = np.array([(estimate >= theta) != truth for estimate in estimates])
+            pairs += int(outside.sum()) * len(SEEDS)
+            errors += int(wrong[:, outside].sum())
+            for row in np.flatnonzero(outside).tolist():
+                worst[name, k, theta, row] = int(wrong[:, row].sum())
+            if outside.all():
+                # Global accepts a candidate when every triangle passes;
+                # weak decides each triangle's membership.
+                if model == "global":
+                    flips = [
+                        bool(np.all(estimate >= theta)) != bool(truth.all())
+                        for estimate in estimates
+                    ]
+                else:
+                    flips = wrong.any(axis=1).tolist()
+                candidates += len(SEEDS)
+                candidate_errors += sum(flips)
     assert pairs > 0 and candidates > 0
     rate = errors / pairs
     worst_cell, worst_count = max(worst.items(), key=lambda item: item[1])
@@ -139,6 +169,46 @@ def test_decisions_outside_the_band_err_at_most_delta(model):
     assert worst_count <= (DELTA + TRIANGLE_SLACK) * len(SEEDS), (
         f"{model}: triangle {worst_cell} (graph, k, θ, row) was decided on the wrong "
         f"side of θ at {worst_count}/{len(SEEDS)} seeds"
+    )
+
+
+def _binomial_cells(model: str) -> tuple[dict[tuple, float], dict[tuple, float]]:
+    """The z-score of the mean count and the variance ratio of every cell of
+    ``model`` with p inside :data:`LAW_P_RANGE`, keyed by (graph, k, row)."""
+    low, high = LAW_P_RANGE
+    z_scores, ratios = {}, {}
+    for name, k, exact, counts in _sweep(model):
+        for row in np.flatnonzero((exact > low) & (exact < high)).tolist():
+            p, cell = float(exact[row]), counts[:, row]
+            spread = N_SAMPLES * p * (1.0 - p)
+            z_scores[name, k, row] = (cell.mean() - N_SAMPLES * p) / math.sqrt(
+                spread / len(SEEDS)
+            )
+            ratios[name, k, row] = cell.var(ddof=1) / spread
+    assert z_scores, f"{model}: no cell with {low} < p < {high}"
+    return z_scores, ratios
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_mean_counts_follow_the_exact_binomial_law(model):
+    z_scores, _ = _binomial_cells(model)
+    worst = max(z_scores, key=lambda cell: abs(z_scores[cell]))
+    print(f"{model}: {len(z_scores)} cells, max |z| {abs(z_scores[worst]):.2f} at {worst}")
+    assert abs(z_scores[worst]) <= MAX_ABS_Z, (
+        f"{model}: the mean count of cell {worst} (graph, k, triangle row) lies "
+        f"{z_scores[worst]:.2f} standard errors from n·p"
+    )
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_count_spread_follows_the_exact_binomial_law(model):
+    _, ratios = _binomial_cells(model)
+    low, high = VARIANCE_RATIO_RANGE
+    print(f"{model}: variance ratios {min(ratios.values()):.2f}–{max(ratios.values()):.2f}")
+    outside = {cell: round(ratio, 2) for cell, ratio in ratios.items() if not low <= ratio <= high}
+    assert not outside, (
+        f"{model}: count variance / n·p(1 − p) outside [{low}, {high}] in cells "
+        f"(graph, k, triangle row): {outside}"
     )
 
 

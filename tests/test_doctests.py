@@ -2,8 +2,9 @@
 
 The CI workflow runs ``pytest --doctest-modules`` over ``src/repro/graph``,
 ``src/repro/sampling``, ``src/repro/hardness``, ``src/repro/deterministic``,
-``src/repro/exceptions.py``, ``src/repro/__init__.py`` and
-``src/repro/core/result.py`` on every push;
+``src/repro/exceptions.py``, ``src/repro/__init__.py``,
+``src/repro/core/result.py`` and ``src/repro/core/weak_nucleus.py`` on every
+push;
 this tier-1 test runs the examples of the modules below in plain local runs
 of ``python -m pytest`` as well, including modules that step does not reach.
 """
@@ -16,6 +17,7 @@ import pytest
 
 import repro
 import repro.core.result
+import repro.core.weak_nucleus
 import repro.deterministic.nucleus
 import repro.exceptions
 import repro.graph.csr
@@ -35,6 +37,7 @@ from repro.obs.metrics import REGISTRY
 MODULES = [
     repro,
     repro.core.result,
+    repro.core.weak_nucleus,
     repro.deterministic.nucleus,
     repro.exceptions,
     repro.graph.csr,

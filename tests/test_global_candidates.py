@@ -27,8 +27,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +58,7 @@ from repro.deterministic.cliques import (
     triangle_clique_index,
     triangle_connected_components,
 )
+from repro.deterministic.nucleus import k_nucleus_triangle_groups, triangles_to_edge_subgraph
 from repro.experiments.datasets import load_dataset
 from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -277,6 +283,69 @@ class TestStreamParity:
         )
         assert actual == expected
 
+    def test_weak_replays_the_dict_order_under_every_hash_seed(self):
+        # On string labels the dict grouping's order follows the hash seed.
+        # In every process weak must answer as the dict candidates scored in
+        # that order do, subgraph insertion order included; and its answers
+        # must differ between the hash seeds, which no hash-free candidate
+        # order could produce.
+        script = textwrap.dedent(
+            """
+            import hashlib
+            import numpy as np
+            from repro.core.local import local_nucleus_decomposition
+            from repro.core.weak_nucleus import _weak_nuclei, weak_nucleus_decomposition
+            from repro.experiments.datasets import load_dataset
+            from repro.graph.probabilistic_graph import ProbabilisticGraph
+            from repro.sampling.verification import weak_scores
+
+            def digest(listing):
+                return hashlib.sha256(repr(listing).encode()).hexdigest()
+
+            def inserted(nuclei):  # every subgraph's insertion order included
+                return digest([
+                    (sorted(n.triangles), list(n.subgraph.vertices()), list(n.subgraph.edges()))
+                    for n in nuclei
+                ])
+
+            def answer(nuclei):  # the nuclei in output order, each as sets
+                return digest([(sorted(n.triangles), sorted(n.subgraph.edges())) for n in nuclei])
+
+            for name in ("dblp", "flickr"):
+                base = load_dataset(name, scale="tiny")
+                graph = ProbabilisticGraph((f"v{u}", f"v{v}", p) for u, v, p in base.edges())
+                local = local_nucleus_decomposition(graph, 0.1)
+                for k in (1, 2):
+                    rng = np.random.default_rng(7)
+
+                    def qualifying(nucleus):
+                        index = local.candidate_index(nucleus.triangles)
+                        return index, weak_scores(index, k, 0.1, 50, rng=rng)[1]
+
+                    expected = _weak_nuclei(graph, local._dict_nuclei(k), k, 0.1, qualifying)
+                    actual = weak_nucleus_decomposition(
+                        graph, k, 0.1, n_samples=50, seed=7, local_result=local
+                    )
+                    print(name, k, len(actual), inserted(actual), inserted(expected),
+                          answer(actual))
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        answers = []
+        for hash_seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            lines = [line.split() for line in run.stdout.splitlines()]
+            assert len(lines) == 4 and all(int(count) for _, _, count, *_ in lines)
+            for name, k, _, actual, expected, _ in lines:
+                assert actual == expected, (hash_seed, name, k)
+            answers.append([answer for *_, answer in lines])
+        assert answers[0] != answers[1] or answers[0] != answers[2]
+
     def test_mixed_labels_keep_their_stream(self):
         graph = two_mixed_k4s()
         local = local_nucleus_decomposition(graph, 0.35)
@@ -301,6 +370,20 @@ def _local_result(kind: str, graph, theta, fresh) -> LocalNucleusDecomposition |
     if kind == "hand-built":
         return LocalNucleusDecomposition(graph, theta, dict(fresh.scores), "dp")
     return None
+
+
+def _spy_everywhere(monkeypatch, function, calls: Counter) -> None:
+    """Count the calls of ``function`` under its name in every ``repro`` module
+    that binds it."""
+    name = function.__name__
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and getattr(module, name, None) is function:
+            monkeypatch.setattr(module, name, spy)
 
 
 class TestCallCounts:
@@ -329,6 +412,22 @@ class TestCallCounts:
         nuclei = DRIVERS[mode](graph, 1, theta, seed=3, local_result=local)
         assert nuclei
         assert (calls["to_csr"], calls["from_graph"]) == (compiles, 0)
+
+    @pytest.mark.parametrize("kind", ["none", "fresh", "from-index", "hand-built"])
+    def test_weak_skips_the_dict_grouping(self, monkeypatch, kind):
+        # Weak takes its candidates from the engine groups: no label-space
+        # 4-clique index, no dict grouping, and one subgraph per reported
+        # nucleus.
+        graph, theta, fresh = _case("flickr")
+        local = _local_result(kind, graph, theta, fresh)
+        calls = Counter()
+        for function in (
+            triangle_clique_index, k_nucleus_triangle_groups, triangles_to_edge_subgraph
+        ):
+            _spy_everywhere(monkeypatch, function, calls)
+        nuclei = weak_nucleus_decomposition(graph, 1, theta, seed=3, local_result=local)
+        assert nuclei
+        assert calls == Counter(triangles_to_edge_subgraph=len(nuclei))
 
     @pytest.mark.parametrize("mode,checks", [("global", 1), ("weak", 0)])
     def test_sampling_loop_checks_n_samples_once_per_decomposition(

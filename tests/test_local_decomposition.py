@@ -13,18 +13,21 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.local as local_module
 from repro.core.approximations import DynamicProgrammingEstimator
 from repro.core.hybrid import HybridEstimator
 from repro.core.local import local_nucleus_decomposition
 from repro.core.result import LocalNucleusDecomposition, ProbabilisticNucleus
 from repro.core.support_dp import NO_VALID_K
-from repro.deterministic.cliques import enumerate_triangles
+from repro.deterministic.cliques import enumerate_triangles, label_triangles
+from repro.deterministic.nucleus import k_nucleus_triangle_groups
 from repro.exceptions import InvalidParameterError
-from graph_factories import bundled_graph, small_er_graph
+from graph_factories import PERFBENCH, bundled_graph, perfbench_graph, small_er_graph
 from repro.experiments.datasets import DATASET_NAMES
 from repro.graph.generators import clique_graph
 from repro.graph.probabilistic_graph import ProbabilisticGraph
@@ -381,6 +384,71 @@ class TestArrayGrouping:
         assert max(int(line.split()[1]) for line in outputs[0]) >= 3
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestCandidateOrder:
+    """Algorithm 3's candidates: the engine groups in the dict grouping's order.
+
+    :meth:`LocalNucleusDecomposition._candidate_rows` replays the component
+    order of :func:`~repro.deterministic.nucleus.k_nucleus_triangle_groups`
+    from its set operations; the dict grouping itself is the reference.
+    """
+
+    @pytest.mark.parametrize("kind", TestArrayGrouping.KINDS)
+    @pytest.mark.parametrize("name", DATASET_NAMES + ("krogan-mixed", *PERFBENCH))
+    def test_candidate_rows_list_the_dict_groups_in_order(self, name, kind):
+        if name == "krogan-mixed":
+            graph, theta = _mixed(bundled_graph("krogan")), 0.1
+        elif name in PERFBENCH:
+            graph, theta = perfbench_graph(name), 0.3
+        else:
+            graph, theta = bundled_graph(name), 0.1
+        result = _local_result(kind, graph, theta)
+        csr, index = result.engine_index
+        seen = 0
+        for k in range(result.max_score + 2):
+            expected = k_nucleus_triangle_groups(result.graph, k, nucleusness=result.scores)
+            candidates = [
+                set(label_triangles(index.triangles[rows], csr.vertex_labels))
+                for rows in result._candidate_rows(k)
+            ]
+            assert candidates == expected, k
+            seen += len(expected)
+        # Partial scores leave few 4-cliques whose four triangles all qualify.
+        assert seen or kind == "partial-scores"
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_fresh_results_hand_over_the_peels_scores(self, monkeypatch, name):
+        # The result holds the peel's own array, read-only and uncopied, and
+        # it reads as the result's dict does.
+        peeled = []
+        engine_arrays = local_module._csr_engine_arrays
+
+        def recording(*args):
+            index, scores = engine_arrays(*args)
+            peeled.append(scores)
+            return index, scores
+
+        monkeypatch.setattr(local_module, "_csr_engine_arrays", recording)
+        graph = bundled_graph(name)
+        fresh = local_nucleus_decomposition(graph, 0.1)
+        assert "_row_scores" in fresh.__dict__
+        values, missing = fresh._row_scores
+        assert values is peeled[0]
+        dict_read = LocalNucleusDecomposition(graph, 0.1, dict(fresh.scores), "dp")._row_scores
+        assert values.dtype == dict_read[0].dtype == np.int64
+        assert np.array_equal(values, dict_read[0])
+        assert missing.size == dict_read[1].size == 0
+        assert not values.flags.writeable and not missing.flags.writeable
+
+    def test_csr_input_reads_its_dict(self):
+        graph = bundled_graph("krogan")
+        result = local_nucleus_decomposition(graph.to_csr(), 0.1)
+        assert "_row_scores" not in result.__dict__
+        values, missing = result._row_scores
+        dict_read = LocalNucleusDecomposition(graph, 0.1, dict(result.scores), "dp")._row_scores
+        assert np.array_equal(values, dict_read[0]) and missing.size == 0
+        assert not values.flags.writeable and not missing.flags.writeable
 
 
 class TestPropertyBased:

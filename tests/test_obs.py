@@ -549,6 +549,25 @@ class TestInstrumentation:
         assert closure_spans(1) == [{"seeds": 40, "candidates": 40, "rounds": 1}]
         assert closure_spans(2) == [{"seeds": 40, "candidates": 40, "rounds": 2}]
 
+    def test_weak_candidates_span_and_stage_counters(self, graph):
+        # Each community is a K6 of 20 triangles and one local 1-nucleus, so
+        # weak takes two candidates (the level sweep runs inside the span),
+        # and each yields its community as a w-nucleus.
+        with capture() as sink:
+            repro.decompose(graph, mode="weak", theta=THETA, k=1, n_samples=30, seed=0)
+        assert sink.traces() == []
+        assert "repro_candidates_total" not in {metric.name for metric in REGISTRY.collect()}
+        with capture(enable=True) as sink:
+            nuclei = repro.decompose(graph, mode="weak", theta=THETA, k=1, n_samples=30, seed=0)
+        found = [t["attrs"] for t in sink.traces() if t["name"] == "weak.candidates"]
+        assert found == [{"k": 1, "candidates": 2, "triangles": 40}]
+        stages = {
+            stage: REGISTRY.counter("repro_candidates_total", model="weak", stage=stage).value
+            for stage in ("generated", "accepted")
+        }
+        assert stages == {"generated": 2, "accepted": 2}
+        assert len(nuclei) == 2
+
     def test_local_nuclei_span_counts_nuclei_and_triangles(self, graph):
         # Each community is a K6 of 20 triangles, and both stay 4-clique
         # connected up to the top level, 2.  The first call sweeps every
